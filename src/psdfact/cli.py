@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, bounds, serialize
-from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
+from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence, fd_ladder
 from .errors import NumericError, PreconditionError
 from .factorization import (
     FitConfig,
@@ -188,24 +188,16 @@ def _cmd_rescale_run(args) -> int:
 
 def _cmd_round_run(args) -> int:
     t0 = time.perf_counter()
-    inputs = [p for p in (args.system, args.slack, args.fact) if p]
-    if args.system:
-        h, f, delta_eff = serialize.raw_system_from_json(serialize.load_json(args.system))
-    else:
-        if not (args.slack and args.fact):
-            raise PreconditionError("pass --system sys.json or both --slack and --fact")
-        s = _load_slack(args.slack)
-        f = _load_fact(args.fact)
-        if s.h is None:
-            raise PreconditionError(
-                "slack file lacks polytope provenance needed for rounding"
-            )
-        h, delta_eff = s.h, s.max_entry
+    s = _load_slack(args.slack)
+    f = _load_fact(args.fact)
+    if s.h is None:
+        raise PreconditionError("slack file lacks polytope provenance needed for rounding")
+    h = s.h
     scale = {"max": 1.0, "max/10": 0.1}.get(args.delta)
     if scale is None:
         scale = float(args.delta) / grid_delta(h.dim, f.side)
     grid = GridParams.for_slack(
-        n=h.dim, r=f.side, delta_eff=delta_eff,
+        n=h.dim, r=f.side, delta_eff=s.max_entry,
         scale=scale, worst_case=args.worst_case,
     )
     system = build_rounded_system(h, f, grid)
@@ -220,7 +212,7 @@ def _cmd_round_run(args) -> int:
         }
         for rf in system.rounding
     ]
-    report["manifest"] = _manifest(args, inputs, t0)
+    report["manifest"] = _manifest(args, [args.slack, args.fact], t0)
     _emit(report, args)
     return EXIT_OK
 
@@ -256,25 +248,20 @@ def _cmd_check_derivatives(args) -> int:
         z = rng.standard_normal((args.side, args.side))
         z = symmat.as_symmetric(z)
         z /= max(symmat.operator_norm(z), 1e-12)
-        eps = 1e-6
         tol = 1e-4 / gap
 
-        analytic_add = dplus_opnorm_additive(x, z)
-        fd_add = (symmat.operator_norm(x + eps * z) - symmat.operator_norm(x)) / eps
-        dev_add = abs(fd_add - analytic_add)
+        def congruence_norm(eps):
+            e = symmat.matrix_exponential(eps * z)
+            return symmat.operator_norm(e @ x @ e)
 
-        analytic_con = dplus_opnorm_congruence(x, z)
-        e_pos = symmat.matrix_exponential(eps * z)
-        fd_con = (
-            symmat.operator_norm(e_pos @ x @ e_pos) - symmat.operator_norm(x)
-        ) / eps
-        dev_con = abs(fd_con - analytic_con)
-
-        worst = max(worst, dev_add, dev_con)
-        ok = dev_add <= tol and dev_con <= tol
+        add = fd_ladder(lambda eps: symmat.operator_norm(x + eps * z),
+                        dplus_opnorm_additive(x, z), eps_ladder=(1e-6,))
+        con = fd_ladder(congruence_norm, dplus_opnorm_congruence(x, z), eps_ladder=(1e-6,))
+        worst = max(worst, add.max_deviation, con.max_deviation)
+        ok = add.max_deviation <= tol and con.max_deviation <= tol
         passed = passed and ok
-        rows.append([pair, gap, analytic_add, fd_add, dev_add,
-                     analytic_con, fd_con, dev_con, tol, ok])
+        rows.append([pair, gap, add.analytic, add.slopes[0][1], add.max_deviation,
+                     con.analytic, con.slopes[0][1], con.max_deviation, tol, ok])
     header = ["pair", "gap", "additive_analytic", "additive_fd", "additive_dev",
               "congruence_analytic", "congruence_fd", "congruence_dev", "tol", "pass"]
     if args.report:
@@ -363,7 +350,6 @@ def _cmd_pipeline(args) -> int:
 def _add_common(p, tol=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     if tol is not None:
         p.add_argument("--tol", type=float, default=tol)
 
@@ -420,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("round", help="select a subsystem and round it")
     osub = p.add_subparsers(dest="subcommand", required=True)
     orun = osub.add_parser("run")
-    orun.add_argument("--slack")
-    orun.add_argument("--fact")
-    orun.add_argument("--system", help="(reserved) pre-built system file")
+    orun.add_argument("--slack", required=True)
+    orun.add_argument("--fact", required=True)
     orun.add_argument("--delta", default="max", help='"max", "max/10", or a value')
     orun.add_argument("--worst-case", action="store_true")
     _add_common(orun)
@@ -452,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--n", type=int, default=2)
     be.add_argument("--R", type=int, default=1)
     be.add_argument("--d", type=int, default=4)
+    be.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(be)
     be.set_defaults(func=_cmd_bounds_eval)
 

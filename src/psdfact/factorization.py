@@ -1,8 +1,13 @@
 """Semidefinite factorizations of nonnegative matrices.
 
 A factorization pairs PSD matrices (U_i) with (V^j), all of one side r,
-such that <U_i, V^j> reproduces the target matrix entrywise.  This module
-holds the data model, verification against a slack matrix, the canonical
+such that <U_i, V^j> reproduces the target matrix entrywise.  Each side
+is one stacked float array, ``row_factors`` of shape (m, r, r) and
+``col_factors`` of shape (n, r, r); the ``PsdFactorization`` constructor
+validates both once (square factors, one common side, finite entries),
+so every routine here works on whole stacks.  This module holds the
+data model, the congruence that rescaling applies to a whole
+factorization, verification against a slack matrix, the canonical
 diagonal embedding, a numerical search for low-rank factorizations, and
 the potential function (product of the two largest operator norms) that
 the rescaler drives down.
@@ -23,50 +28,53 @@ from . import symmat
 PSD_TOL = 1e-9
 
 
-def _check_psd(mat: np.ndarray, label: str) -> None:
-    lam = np.linalg.eigvalsh(mat)
-    if lam.size and lam[0] < -PSD_TOL * (1.0 + max(lam[-1], 0.0)):
-        raise PreconditionError(
-            f"{label} is not PSD: min eigenvalue {lam[0]:.3g}"
-        )
-
-
 @dataclass(frozen=True)
 class PsdFactorization:
-    """Row factors (U_i) and column factors (V^j), all PSD of one side."""
+    """Row factors (U_i) and column factors (V^j), all PSD of one side r.
 
-    row_factors: tuple
-    col_factors: tuple
+    ``row_factors`` and ``col_factors`` are float arrays of shapes
+    (m, r, r) and (n, r, r).  The constructor accepts such arrays or any
+    sequence of r x r matrices and validates once that the factors are
+    square, share one side and have finite entries; an empty side is
+    stored as (0, r, r) with r taken from the other side.  PSD-ness is
+    checked only by ``from_factors``.
+    """
+
+    row_factors: np.ndarray
+    col_factors: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(np.asarray(u, dtype=float) for u in self.row_factors)
-        cols = tuple(np.asarray(v, dtype=float) for v in self.col_factors)
-        sides = {m.shape for m in rows + cols}
-        if len(sides) > 1:
-            raise DimensionError(f"factor sides disagree: {sorted(sides)}")
-        for m in rows + cols:
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionError("factors must be square matrices")
+        try:
+            rows, cols = (np.asarray(s, dtype=float) for s in (self.row_factors, self.col_factors))
+        except ValueError:
+            raise DimensionError("factor sides disagree") from None
+        r = next((s.shape[-1] for s in (rows, cols) if s.shape != (0,)), 0)
+        rows, cols = (s.reshape(0, r, r) if s.shape == (0,) else s for s in (rows, cols))
+        if rows.shape[1:] != (r, r) or cols.shape[1:] != (r, r):
+            raise DimensionError(f"factors must be square of one side: {rows.shape}, {cols.shape}")
+        if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
+            raise PreconditionError("factors have non-finite entries")
         object.__setattr__(self, "row_factors", rows)
         object.__setattr__(self, "col_factors", cols)
 
     @classmethod
-    def from_factors(cls, row_factors, col_factors, check_psd: bool = True):
-        f = cls(row_factors=tuple(row_factors), col_factors=tuple(col_factors))
-        if check_psd:
-            for i, u in enumerate(f.row_factors):
-                _check_psd(u, f"row factor {i}")
-            for j, v in enumerate(f.col_factors):
-                _check_psd(v, f"column factor {j}")
+    def from_factors(cls, row_factors, col_factors):
+        """Construct, then check every factor for PSD-ness up to PSD_TOL."""
+        f = cls(row_factors=row_factors, col_factors=col_factors)
+        if not f.side:
+            return f
+        for stack, label in ((f.row_factors, "row factor"), (f.col_factors, "column factor")):
+            lam = np.linalg.eigvalsh(stack)
+            bad = np.flatnonzero(lam[:, 0] < -PSD_TOL * (1.0 + np.maximum(lam[:, -1], 0.0)))
+            if bad.size:
+                raise PreconditionError(
+                    f"{label} {bad[0]} is not PSD: min eigenvalue {lam[bad[0], 0]:.3g}"
+                )
         return f
 
     @property
     def side(self) -> int:
-        if self.row_factors:
-            return self.row_factors[0].shape[0]
-        if self.col_factors:
-            return self.col_factors[0].shape[0]
-        return 0
+        return self.row_factors.shape[1]
 
     @property
     def n_rows(self) -> int:
@@ -78,19 +86,31 @@ class PsdFactorization:
 
     def products(self) -> np.ndarray:
         """Matrix of trace inner products <U_i, V^j>."""
-        if not self.row_factors or not self.col_factors:
-            return np.zeros((self.n_rows, self.n_cols))
-        u = np.stack(self.row_factors)
-        v = np.stack(self.col_factors)
-        return np.einsum("irs,jrs->ij", u, v)
+        return np.einsum("irs,jrs->ij", self.row_factors, self.col_factors)
+
+
+def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactorization:
+    """The factorization (A U_i A, B V^j B), each side one batched product.
+
+    With A symmetric and B its inverse (or pseudo-inverse on the common
+    space) the products <U_i, V^j> are unchanged.  Each result stack is
+    symmetrized and checked finite.
+    """
+    rows = symmat.as_symmetric(a @ f.row_factors @ a)
+    cols = symmat.as_symmetric(b @ f.col_factors @ b)
+    return PsdFactorization(row_factors=rows, col_factors=cols)
+
+
+def operator_norms(factors) -> np.ndarray:
+    """Operator norm of every matrix in a stack, from one batched eigvalsh."""
+    return np.abs(np.linalg.eigvalsh(symmat.as_symmetric(factors))).max(axis=-1, initial=0.0)
 
 
 def max_operator_norm(factors) -> float:
-    """Largest operator norm over a nonempty tuple of symmetric matrices."""
-    factors = tuple(factors)
-    if not factors:
+    """Largest operator norm over a nonempty stack of symmetric matrices."""
+    if len(factors) == 0:
         raise PreconditionError("empty factor list")
-    return max(symmat.operator_norm(m) for m in factors)
+    return float(np.max(operator_norms(factors)))
 
 
 def potential(f: PsdFactorization) -> float:
@@ -131,8 +151,8 @@ def verify_factorization(
         max_res = float(residual[loc])
     else:
         loc, max_res = (0, 0), 0.0
-    lmax_u = max_operator_norm(f.row_factors) if f.row_factors else 0.0
-    lmax_v = max_operator_norm(f.col_factors) if f.col_factors else 0.0
+    lmax_u = max_operator_norm(f.row_factors) if f.n_rows else 0.0
+    lmax_v = max_operator_norm(f.col_factors) if f.n_cols else 0.0
     return FactorizationReport(
         max_abs_residual=max_res,
         residual_location=(int(loc[0]), int(loc[1])),
@@ -153,12 +173,12 @@ def diagonal_embed(s: SlackMatrix) -> PsdFactorization:
     entries = s.as_float()
     m, n = entries.shape
     if m <= n:
-        rows = tuple(np.diag(e) for e in np.eye(m))
-        cols = tuple(np.diag(entries[:, j]) for j in range(n))
+        rows, cols = np.eye(m), entries.T
     else:
-        rows = tuple(np.diag(entries[i, :]) for i in range(m))
-        cols = tuple(np.diag(e) for e in np.eye(n))
-    return PsdFactorization(row_factors=rows, col_factors=cols)
+        rows, cols = entries, np.eye(n)
+    # Row k of each array becomes the diagonal of factor k.
+    eye = np.eye(min(m, n))
+    return PsdFactorization(row_factors=rows[:, :, None] * eye, col_factors=cols[:, :, None] * eye)
 
 
 @dataclass(frozen=True)
@@ -251,5 +271,5 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
         last = residual
         trace.append(residual)
         if residual <= threshold:
-            return PsdFactorization.from_factors(list(u), list(v), check_psd=False)
+            return PsdFactorization(row_factors=u, col_factors=v)
     return FitFailure(residual=trace[-1] if trace else float("inf"), trace=tuple(trace))

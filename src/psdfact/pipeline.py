@@ -20,6 +20,7 @@ from .factorization import (
     FitFailure,
     PsdFactorization,
     alternating_fit,
+    congruence,
     diagonal_embed,
     verify_factorization,
 )
@@ -56,11 +57,8 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
     diag[0] = np.sqrt(t)
     if r > 1:
         diag[1] = 1.0 / np.sqrt(t)
-    a = symmat.as_symmetric(q @ np.diag(diag) @ q.T)
-    a_inv = np.linalg.inv(a)
-    rows = tuple(symmat.as_symmetric(a @ u @ a) for u in f.row_factors)
-    cols = tuple(symmat.as_symmetric(a_inv @ v @ a_inv) for v in f.col_factors)
-    return PsdFactorization(row_factors=rows, col_factors=cols)
+    a = symmat.as_symmetric((q * diag) @ q.T)
+    return congruence(f, a, np.linalg.inv(a))
 
 
 def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) -> dict:

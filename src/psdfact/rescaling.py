@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, PreconditionError
-from .factorization import PsdFactorization, max_operator_norm, verify_factorization
+from .factorization import (
+    PsdFactorization,
+    congruence,
+    max_operator_norm,
+    operator_norms,
+    potential,
+    verify_factorization,
+)
 from .polytopes import SlackMatrix
 from . import symmat
 
@@ -174,6 +181,16 @@ def _validate_john(jd: JohnDecomposition, tol: float = 1e-6) -> None:
 # Reduction, balancing, descent
 
 
+def _side_average(stack: np.ndarray) -> np.ndarray:
+    """Symmetrized mean of one side's factors, summed one after another.
+
+    A plain sum over the factor index; np.sum's pairwise blocking rounds
+    differently and would move the reduced space, and with it every
+    rescaling trajectory, in the last bits.
+    """
+    return symmat.as_symmetric(np.add.accumulate(stack, axis=0)[-1] / len(stack))
+
+
 def reduce_to_common_space(
     f: PsdFactorization, rank_tol: float = symmat.RANK_TOL
 ) -> tuple[PsdFactorization, symmat.Subspace]:
@@ -183,20 +200,19 @@ def reduce_to_common_space(
     basis subspace O.  On the reduced space both side-averages are
     nonsingular; dimension zero (all-zero products) yields empty factors.
     """
-    if not f.row_factors or not f.col_factors:
+    if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    u_bar = symmat.as_symmetric(sum(f.row_factors) / f.n_rows)
-    v_bar = symmat.as_symmetric(sum(f.col_factors) / f.n_cols)
+    u_bar = _side_average(f.row_factors)
+    v_bar = _side_average(f.col_factors)
     w1 = symmat.image_basis(u_bar, rank_tol)
     w2 = symmat.image_basis(v_bar, rank_tol)
     w = symmat.project_subspace(w1, w2, rank_tol)
     o = w.basis
-    rows = tuple(symmat.as_symmetric(o.T @ u @ o) for u in f.row_factors)
-    cols = tuple(symmat.as_symmetric(o.T @ v @ o) for v in f.col_factors)
+    rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
     reduced = PsdFactorization(row_factors=rows, col_factors=cols)
     if w.dim > 0:
-        for bar, label in ((u_bar, "row"), (v_bar, "column")):
-            lam = np.linalg.eigvalsh(symmat.as_symmetric(o.T @ bar @ o))
+        for side, label in ((reduced.row_factors, "row"), (reduced.col_factors, "column")):
+            lam = np.linalg.eigvalsh(_side_average(side))
             if lam[0] <= rank_tol * max(lam[-1], 0.0):
                 raise NumericError(
                     f"reduced {label} average is singular (min eigenvalue {lam[0]:.3g})"
@@ -218,14 +234,14 @@ def balance_scalar(f: PsdFactorization) -> PsdFactorization:
             "one side of the factorization is zero while the other is not"
         )
     s2 = np.sqrt(lmax_v / lmax_u)
-    rows = tuple(u * s2 for u in f.row_factors)
-    cols = tuple(v / s2 for v in f.col_factors)
-    return PsdFactorization(row_factors=rows, col_factors=cols)
+    return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
 
 
-def _balanced_mu(f: PsdFactorization, mu_tol: float) -> float:
-    lmax_u = max_operator_norm(f.row_factors)
-    lmax_v = max_operator_norm(f.col_factors)
+def _balanced_mu(f: PsdFactorization, mu_tol: float) -> tuple[float, np.ndarray]:
+    """Balanced top norm mu and the operator norm of every row factor."""
+    row_norms = operator_norms(f.row_factors)
+    lmax_u = float(row_norms.max(initial=0.0))
+    lmax_v = float(operator_norms(f.col_factors).max(initial=0.0))
     mu = max(lmax_u, lmax_v)
     if mu == 0.0:
         raise PreconditionError("cannot perturb a zero factorization")
@@ -233,7 +249,7 @@ def _balanced_mu(f: PsdFactorization, mu_tol: float) -> float:
         raise PreconditionError(
             f"factorization is not balanced: lmax_u={lmax_u:.6g}, lmax_v={lmax_v:.6g}"
         )
-    return mu
+    return mu, row_norms
 
 
 def perturbation_direction(
@@ -250,11 +266,9 @@ def perturbation_direction(
     matrix Z = sum p(z) z z^T = T T^T / k.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    mu = _balanced_mu(f, mu_tol)
-    tight = [
-        u for u in f.row_factors if symmat.operator_norm(u) >= mu * (1.0 - mu_tol)
-    ]
-    if not tight:
+    mu, row_norms = _balanced_mu(f, mu_tol)
+    tight = f.row_factors[row_norms >= mu * (1.0 - mu_tol)]
+    if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
     pts = []
     for u in tight:
@@ -288,25 +302,19 @@ def descent_step(
         return f, None
     dec = symmat.spectral_decompose(z)
     lam, q = dec.eigenvalues, dec.eigenvectors
-    phi0 = potential_of(f)
+    phi0 = potential(f)
     best_phi, best_eps, best = np.inf, None, None
     for rel in sorted(eps_grid):
         eps = rel / z_norm
         shrink = symmat.as_symmetric((q * np.exp(-eps * lam)) @ q.T)
         grow = symmat.as_symmetric((q * np.exp(eps * lam)) @ q.T)
-        rows = tuple(symmat.as_symmetric(shrink @ u @ shrink) for u in f.row_factors)
-        cols = tuple(symmat.as_symmetric(grow @ v @ grow) for v in f.col_factors)
-        cand = PsdFactorization(row_factors=rows, col_factors=cols)
-        phi = potential_of(cand)
+        cand = congruence(f, shrink, grow)
+        phi = potential(cand)
         if phi < best_phi:
             best_phi, best_eps, best = phi, eps, cand
     if best is None or best_phi > phi0 * (1.0 - 1e-12):
         return f, None
     return balance_scalar(best), best_eps
-
-
-def potential_of(f: PsdFactorization) -> float:
-    return max_operator_norm(f.row_factors) * max_operator_norm(f.col_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +353,6 @@ class RescaleResult:
     @property
     def target(self) -> float:
         return self.diagnostics.get("target_lmax", float("nan"))
-
-
-def _apply_congruence(f: PsdFactorization, a: np.ndarray, a_inv: np.ndarray) -> PsdFactorization:
-    rows = tuple(symmat.as_symmetric(a @ u @ a) for u in f.row_factors)
-    cols = tuple(symmat.as_symmetric(a_inv @ v @ a_inv) for v in f.col_factors)
-    return PsdFactorization(row_factors=rows, col_factors=cols)
 
 
 def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleConfig()) -> RescaleResult:
@@ -395,31 +397,24 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             diagnostics={"target_lmax": target_lmax, "note": "zero common space"},
         )
 
-    u0 = reduced.row_factors
-    v0 = reduced.col_factors
     o = subspace.basis
-
-    u_bar = symmat.as_symmetric(sum(u0) / len(u0))
-    v_bar = symmat.as_symmetric(sum(v0) / len(v0))
+    u_bar = _side_average(reduced.row_factors)
+    v_bar = _side_average(reduced.col_factors)
     sigma = min(
         float(np.min(np.linalg.eigvalsh(u_bar))), float(np.min(np.linalg.eigvalsh(v_bar)))
     )
-    tau = potential_of(reduced)
+    tau = potential(reduced)
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
 
     # State: the accumulated PSD congruence on the reduced space.  Working
     # factors are recomputed from it each iteration; exponential steps fold
     # in through the PSD polar part of (exp(-eps Z) A).
-    lmax_u0 = max_operator_norm(u0)
-    lmax_v0 = max_operator_norm(v0)
+    lmax_u0 = max_operator_norm(reduced.row_factors)
+    lmax_v0 = max_operator_norm(reduced.col_factors)
     a = np.eye(d) * float((lmax_v0 / lmax_u0) ** 0.25)
     a_inv = np.linalg.inv(a)
-
-    def working(a, a_inv):
-        return _apply_congruence(reduced, a, a_inv)
-
-    fw = working(a, a_inv)
-    phi = potential_of(fw)
+    fw = congruence(reduced, a, a_inv)
+    phi = potential(fw)
     trajectory = [phi]
     lmax_traj = [(max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))]
     sphere = cfg.sphere_samples
@@ -456,14 +451,14 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
                 f"(condition number {lam[-1] / max(lam[0], 1e-300):.3g})"
             )
         a_inv = np.linalg.inv(a)
-        fw = working(a, a_inv)
+        fw = congruence(reduced, a, a_inv)
         new_u = max_operator_norm(fw.row_factors)
         new_v = max_operator_norm(fw.col_factors)
         s_bal = float((new_v / new_u) ** 0.25)
         a = a * s_bal
         a_inv = a_inv / s_bal
-        fw = working(a, a_inv)
-        phi = potential_of(fw)
+        fw = congruence(reduced, a, a_inv)
+        phi = potential(fw)
         trajectory.append(phi)
         lmax_traj.append(
             (max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))
@@ -472,7 +467,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
 
     transform = symmat.as_symmetric(o @ a @ o.T)
     transform_pinv = symmat.as_symmetric(o @ a_inv @ o.T)
-    rescaled = _apply_congruence(f, transform, transform_pinv)
+    rescaled = congruence(f, transform, transform_pinv)
     final = verify_factorization(rescaled, s, cfg.verify_tol)
     # Congruence by an exact inverse pair preserves the products, so the
     # residual may only drift by float error beyond what came in.

@@ -128,12 +128,11 @@ def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
 
 
 def round_factorization(factors, g: GridParams) -> tuple:
-    """Round a tuple of row factors, recording per-factor certificates."""
+    """Round a stack of row factors, recording per-factor certificates."""
     out = []
     error_bound = float(4.0 * g.delta * g.r**2 / np.sqrt(g.big_delta))
     entry_bound = float(8.0 * g.r**1.5 * np.sqrt(g.big_delta))
-    for u in factors:
-        u = symmat.as_symmetric(u)
+    for u in symmat.as_symmetric(factors):
         rounded = round_factor(u, g)
         out.append(
             RoundedFactor(
@@ -164,9 +163,7 @@ def select_subsystem(h: HPolytope, f: PsdFactorization, rank_tol: float = 1e-9) 
     if h.n_rows != f.n_rows:
         raise DimensionError("inequality rows and row factors are misaligned")
     n, r = h.dim, f.side
-    vecs = np.concatenate(
-        [h.a.astype(float), np.stack([u.reshape(-1) for u in f.row_factors])], axis=1
-    )
+    vecs = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
     norms = np.linalg.norm(vecs, axis=1)
     threshold = rank_tol * max(float(norms.max()), 1.0)
     residual = vecs.copy()
@@ -193,7 +190,7 @@ class RoundedSystem:
 
     a: np.ndarray  # (n + r^2, n) float
     b: np.ndarray  # (n + r^2,) float
-    factors: tuple  # n + r^2 matrices (r, r)
+    factors: np.ndarray  # (n + r^2, r, r) float
     grid: GridParams
     selected: tuple = ()
     rounding: tuple = ()  # RoundedFactor records for the selected rows
@@ -206,17 +203,17 @@ class RoundedSystem:
 def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> RoundedSystem:
     """Select the working subsystem, round its factors, pad with zero rows."""
     selected = select_subsystem(h, f)
-    rounded = round_factorization([f.row_factors[i] for i in selected], g)
+    rounded = round_factorization(f.row_factors[selected], g)
     total = g.n + g.r**2
     a = np.zeros((total, h.dim))
     b = np.zeros(total)
-    mats = [np.zeros((f.side, f.side)) for _ in range(total)]
+    mats = np.zeros((total, f.side, f.side))
     for slot, i in enumerate(selected):
         a[slot] = h.a[i]
         b[slot] = h.b[i]
         mats[slot] = rounded[slot].matrix
     return RoundedSystem(
-        a=a, b=b, factors=tuple(mats), grid=g,
+        a=a, b=b, factors=mats, grid=g,
         selected=tuple(int(i) for i in selected), rounding=rounded,
     )
 
@@ -295,7 +292,7 @@ def membership_test(
     x = np.asarray(x, dtype=float)
     g = system.grid
     const = system.b - system.a @ x
-    u_stack = np.stack(system.factors)
+    u_stack = system.factors
     cap = g.witness_cap
     budget = g.budget
     r = g.r

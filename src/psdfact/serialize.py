@@ -20,14 +20,34 @@ from .polytopes import HPolytope, SlackMatrix, VPolytope
 from .rounding import GridParams, RoundedSystem
 
 
+_REQUIRED = object()
+
+
+def _field(obj, name: str, convert, default=_REQUIRED):
+    """``convert(obj[name])``; a missing or malformed field raises PreconditionError naming it."""
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"expected a JSON object with field {name!r}")
+    value = obj.get(name, default)
+    if value is _REQUIRED:
+        raise PreconditionError(f"missing field {name!r}")
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed field {name!r}: {exc!r}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=float)
     return {"side": int(m.shape[0]), "entries": [float(x) for x in m.ravel()]}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    side = int(obj["side"])
-    entries = np.asarray(obj["entries"], dtype=float)
+    side = _field(obj, "side", int)
+    entries = _field(obj, "entries", _floats)
     if entries.size != side * side:
         raise PreconditionError(
             f"matrix payload has {entries.size} entries, expected {side * side}"
@@ -69,14 +89,19 @@ def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
 
 
 def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
-    n = int(obj["n"])
-    rows = obj.get("rows", [])
-    a = np.asarray([r["a"] for r in rows], dtype=np.int64).reshape(len(rows), n)
-    b = np.asarray([r["b"] for r in rows], dtype=np.int64)
-    h = HPolytope(a=a, b=b)
-    pts = obj.get("points") or []
-    v = VPolytope(points=np.asarray(pts, dtype=np.int64).reshape(len(pts), n)) if pts else None
-    return h, v
+    n = _field(obj, "n", int)
+
+    def inequalities(rows):
+        a = np.asarray([r["a"] for r in rows], dtype=np.int64).reshape(len(rows), n)
+        return a, np.asarray([r["b"] for r in rows], dtype=np.int64)
+
+    def points(pts):
+        pts = pts or []
+        return np.asarray(pts, dtype=np.int64).reshape(len(pts), n)
+
+    a, b = _field(obj, "rows", inequalities, default=[])
+    pts = _field(obj, "points", points, default=None)
+    return HPolytope(a=a, b=b), (VPolytope(points=pts) if len(pts) else None)
 
 
 def slack_to_json(s: SlackMatrix) -> dict:
@@ -90,10 +115,9 @@ def slack_to_json(s: SlackMatrix) -> dict:
 
 
 def slack_from_json(obj: dict) -> SlackMatrix:
-    entries = np.asarray(obj["entries"], dtype=float)
-    h = v = None
-    if obj.get("polytope"):
-        h, v = polytope_from_json(obj["polytope"])
+    entries = _field(obj, "entries", _floats)
+    h, v = _field(obj, "polytope", lambda p: polytope_from_json(p) if p else (None, None),
+                  default=None)
     if h is not None and v is not None:
         return SlackMatrix(entries=entries, h=h, v=v)
     return SlackMatrix.from_entries(entries)
@@ -108,9 +132,9 @@ def factorization_to_json(f: PsdFactorization) -> dict:
 
 
 def factorization_from_json(obj: dict) -> PsdFactorization:
-    rows = [matrix_from_json(m) for m in obj["U"]]
-    cols = [matrix_from_json(m) for m in obj["V"]]
-    return PsdFactorization.from_factors(rows, cols, check_psd=False)
+    rows = _field(obj, "U", lambda ms: [matrix_from_json(m) for m in ms])
+    cols = _field(obj, "V", lambda ms: [matrix_from_json(m) for m in ms])
+    return PsdFactorization(row_factors=rows, col_factors=cols)
 
 
 def grid_to_json(g: GridParams) -> dict:
@@ -125,11 +149,11 @@ def grid_to_json(g: GridParams) -> dict:
 
 def grid_from_json(obj: dict) -> GridParams:
     return GridParams(
-        n=int(obj["n"]),
-        r=int(obj["r"]),
-        delta=float(obj["delta"]),
-        big_delta=float(obj["Delta"]),
-        worst_case=bool(obj.get("worst_case", False)),
+        n=_field(obj, "n", int),
+        r=_field(obj, "r", int),
+        delta=_field(obj, "delta", float),
+        big_delta=_field(obj, "Delta", float),
+        worst_case=_field(obj, "worst_case", bool, default=False),
     )
 
 
@@ -151,14 +175,19 @@ def system_to_json(sys: RoundedSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> RoundedSystem:
-    grid = grid_from_json(obj["grid"])
-    rows = obj["rows"]
-    a = np.asarray([r["a"] for r in rows], dtype=float)
-    b = np.asarray([r["b"] for r in rows], dtype=float)
-    factors = tuple(matrix_from_json(r["U"]) for r in rows)
+    grid = _field(obj, "grid", grid_from_json)
+
+    def padded_rows(rows):
+        k = len(rows)
+        a = np.asarray([r["a"] for r in rows], dtype=float).reshape(k, grid.n)
+        b = np.asarray([r["b"] for r in rows], dtype=float).reshape(k)
+        factors = np.asarray([matrix_from_json(r["U"]) for r in rows]).reshape(k, grid.r, grid.r)
+        return a, b, factors
+
+    a, b, factors = _field(obj, "rows", padded_rows)
     return RoundedSystem(
         a=a, b=b, factors=factors, grid=grid,
-        selected=tuple(int(i) for i in obj.get("selected", [])),
+        selected=_field(obj, "selected", lambda s: tuple(int(i) for i in s), default=[]),
     )
 
 
@@ -197,5 +226,11 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a JSON file; an unreadable or malformed file raises PreconditionError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"cannot read JSON file: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"{path} is not valid JSON: {exc}") from None

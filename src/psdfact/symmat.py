@@ -1,7 +1,7 @@
 """Dense symmetric-matrix kernel.
 
 All numerical work in the package funnels through here: spectral
-decompositions, pseudo-inverses, matrix exponentials, norms, and image
+decompositions, matrix exponentials and square roots, norms, and image
 subspaces.  Matrices are plain float ndarrays; ``as_symmetric`` is the
 canonical constructor and enforces the two invariants every routine
 assumes, exact symmetry and finite entries.
@@ -35,13 +35,13 @@ EXP_CAP = 700.0
 
 
 def as_symmetric(a) -> np.ndarray:
-    """Validate and symmetrize a square matrix: (a + a.T) / 2."""
+    """Validate and symmetrize a square matrix, or a stack of them: (a + a^T) / 2."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise PreconditionError("matrix has non-finite entries")
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def project_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.basis @ (self.basis.T @ x)
 
 
 def spectral_decompose(m: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
@@ -122,35 +119,6 @@ def operator_norm(m: np.ndarray) -> float:
         return 0.0
     lam = np.linalg.eigvalsh(m)
     return float(np.max(np.abs(lam)))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
-
-
-def trace_inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace inner product <A, B> = Tr[A^T B]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def pseudo_inverse(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via its spectrum.
-
-    Eigenvalues with |lambda| <= rank_tol * |lambda|_max are treated as
-    exact zeros and excluded; the zero matrix maps to the zero matrix.
-    """
-    dec = spectral_decompose(m)
-    lam = dec.eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(m, dtype=float))
-    keep = np.abs(lam) > rank_tol * scale
-    v = dec.eigenvectors[:, keep]
-    return as_symmetric((v / lam[keep]) @ v.T)
 
 
 def matrix_exponential(m: np.ndarray, exp_cap: float = EXP_CAP) -> np.ndarray:
@@ -202,10 +170,6 @@ def image_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:
         return Subspace(basis=np.zeros((m.shape[0], 0)))
     keep = lam > rank_tol * scale
     return Subspace(basis=dec.eigenvectors[:, keep].copy())
-
-
-def project_point(s: Subspace, x: np.ndarray) -> np.ndarray:
-    return s.project_point(x)
 
 
 def project_subspace(target: Subspace, other: Subspace, rank_tol: float = RANK_TOL) -> Subspace:

@@ -118,6 +118,39 @@ class TestFactAndRescale:
         assert rep["found"] is True
 
 
+class TestLoaderErrors:
+    """Every JSON loader maps a bad file to exit code 2 without a traceback."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        slack = tmp_path / "slack.json"
+        fact = tmp_path / "fact.json"
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(fact.read_text()[:40])
+        return {"slack": slack, "fact": fact, "truncated": truncated,
+                "missing": tmp_path / "missing.json"}
+
+    COMMANDS = {
+        "slack": (["fact", "embed", "--slack", "{bad}"], "fact"),
+        "fact": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "slack"),
+        "system": (["reconstruct", "--system", "{bad}", "--n", "2"], "slack"),
+        "polytope": (["slack", "build", "--file", "{bad}"], "fact"),
+    }
+
+    @pytest.mark.parametrize("loader", sorted(COMMANDS))
+    @pytest.mark.parametrize("defect", ["missing", "truncated", "wrong-kind"])
+    def test_bad_file_exits_2(self, files, loader, defect, capsys):
+        argv, wrong_kind = self.COMMANDS[loader]
+        bad = files[wrong_kind if defect == "wrong-kind" else defect]
+        code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestRoundReconstruct:
     def test_round_then_reconstruct(self, tmp_path, capsys):
         slack = tmp_path / "slack.json"

@@ -131,6 +131,21 @@ class TestNormsAndPotential:
             PsdFactorization.from_factors([np.eye(2)], [np.eye(3)])
 
 
+class TestStackedRepresentation:
+    def test_non_finite_factor_rejected(self):
+        bad = np.eye(2)
+        bad[0, 1] = np.nan
+        with pytest.raises(PreconditionError, match="non-finite"):
+            PsdFactorization(row_factors=[np.eye(2)], col_factors=[bad])
+
+    def test_empty_side_takes_the_other_sides_shape(self):
+        f = PsdFactorization(row_factors=[], col_factors=[np.eye(3)] * 2)
+        assert f.row_factors.shape == (0, 3, 3)
+        assert f.col_factors.shape == (2, 3, 3)
+        assert f.side == 3 and f.n_rows == 0
+        assert f.products().shape == (0, 2)
+
+
 class TestAlternatingFit:
     def test_unit_square_r4_succeeds(self):
         s = unit_square_slack()

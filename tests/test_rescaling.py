@@ -6,6 +6,7 @@ from psdfact.derivatives import dplus_opnorm_congruence
 from psdfact.errors import PreconditionError
 from psdfact.factorization import (
     PsdFactorization,
+    congruence,
     diagonal_embed,
     max_operator_norm,
     potential,
@@ -21,7 +22,7 @@ from psdfact.rescaling import (
     rescale,
 )
 
-from helpers import rng, unbalanced_cube
+from helpers import random_psd, rng, unbalanced_cube
 
 
 def adversarial_instance():
@@ -51,10 +52,12 @@ class TestReduce:
 
     def test_residual_preserved(self):
         f, s = unbalanced_cube()
-        reduced, _ = reduce_to_common_space(f)
         before = verify_factorization(f, s).max_abs_residual
-        after = verify_factorization(reduced, s).max_abs_residual
-        assert abs(after - before) <= 1e-10 * (1.0 + s.max_entry)
+        a = random_psd(rng(8), f.side) + np.eye(f.side)
+        reduced, _ = reduce_to_common_space(f)
+        for out in (reduced, congruence(f, a, np.linalg.inv(a))):
+            after = verify_factorization(out, s).max_abs_residual
+            assert abs(after - before) <= 1e-10 * (1.0 + s.max_entry)
 
     def test_zero_products_give_dim_zero(self):
         f = PsdFactorization.from_factors(

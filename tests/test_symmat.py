@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from psdfact import symmat
 from psdfact.errors import DimensionError, NotPsdError, NumericError, PreconditionError
@@ -72,39 +70,6 @@ class TestSpectralDecompose:
             symmat.as_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-class TestPseudoInverse:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            symmat.pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14
-        )
-
-    def test_identity(self):
-        np.testing.assert_allclose(symmat.pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_rank_one(self):
-        v = np.array([2.0, 1.0, 2.0]) / 3.0  # unit vector
-        m = 4.0 * np.outer(v, v)
-        plus = symmat.pseudo_inverse(m)
-        np.testing.assert_allclose(plus, 0.25 * np.outer(v, v), atol=1e-12)
-        np.testing.assert_allclose(plus @ m, np.outer(v, v), atol=1e-12)
-
-    def test_zero_maps_to_zero(self):
-        np.testing.assert_allclose(symmat.pseudo_inverse(np.zeros((4, 4))), np.zeros((4, 4)))
-
-    def test_penrose_identities_rank_deficient(self):
-        for seed in range(5):
-            m = random_psd(rng(seed), 6, rank=3)
-            plus = symmat.pseudo_inverse(m)
-            assert np.max(np.abs(plus @ m @ plus - plus)) <= 1e-8
-            assert np.max(np.abs(m @ plus @ m - m)) <= 1e-8
-
-    def test_projector_onto_image(self):
-        m = random_psd(rng(11), 5, rank=2)
-        proj = symmat.pseudo_inverse(m) @ m
-        assert np.max(np.abs(proj @ proj - proj)) <= 1e-8
-        assert np.max(np.abs(proj @ m - m)) <= 1e-8
-
-
 class TestOperatorNorm:
     def test_diagonal(self):
         assert symmat.operator_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
@@ -155,40 +120,6 @@ class TestMatrixExponential:
             symmat.matrix_exponential(np.diag([800.0, 0.0]))
 
 
-class TestInnerProducts:
-    def test_identity_pair(self):
-        assert symmat.trace_inner_product(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_diagonal_pair(self):
-        a, b = np.diag([1.0, 2.0]), np.diag([3.0, 4.0])
-        assert symmat.trace_inner_product(a, b) == pytest.approx(11.0)
-
-    def test_against_entrywise_sum(self):
-        gen = rng(51)
-        a, b = random_symmetric(gen, 6), random_symmetric(gen, 6)
-        oracle = sum(a[i, j] * b[i, j] for i in range(6) for j in range(6))
-        assert symmat.trace_inner_product(a, b) == pytest.approx(oracle, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            symmat.trace_inner_product(np.eye(2), np.eye(3))
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
-    def test_cauchy_schwarz(self, seed, n):
-        gen = rng(seed)
-        a, b = random_symmetric(gen, n), random_symmetric(gen, n)
-        lhs = abs(symmat.trace_inner_product(a, b))
-        rhs = symmat.frobenius_norm(a) * symmat.frobenius_norm(b)
-        assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
-
-    def test_frobenius_from_inner_product(self):
-        a = random_symmetric(rng(52), 5)
-        assert symmat.frobenius_norm(a) == pytest.approx(
-            np.sqrt(symmat.trace_inner_product(a, a))
-        )
-
-
 class TestSubspaces:
     def test_image_of_rank_one(self):
         s = symmat.image_basis(np.diag([1.0, 0.0]))
@@ -201,12 +132,6 @@ class TestSubspaces:
     def test_not_psd_rejected(self):
         with pytest.raises(NotPsdError):
             symmat.image_basis(np.diag([1.0, -1.0]))
-
-    def test_project_point(self):
-        s = symmat.image_basis(np.diag([1.0, 1.0, 0.0]))
-        np.testing.assert_allclose(
-            symmat.project_point(s, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 0.0], atol=1e-12
-        )
 
     def test_projected_subspace_hand_example(self):
         # W1 = span{e1, e2}, W2 = span{(1,0,1)/sqrt2} in R^3: P_W1(W2) = span{e1}
