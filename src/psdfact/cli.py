@@ -195,7 +195,10 @@ def _cmd_round_run(args) -> int:
     h = s.h
     scale = {"max": 1.0, "max/10": 0.1}.get(args.delta)
     if scale is None:
-        scale = float(args.delta) / grid_delta(h.dim, f.side)
+        try:
+            scale = float(args.delta) / grid_delta(h.dim, f.side)
+        except ValueError:
+            raise PreconditionError(f"--delta {args.delta!r} is not a number") from None
     grid = GridParams.for_slack(
         n=h.dim, r=f.side, delta_eff=s.max_entry,
         scale=scale, worst_case=args.worst_case,

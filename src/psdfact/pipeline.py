@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .factorization import (
-    FitConfig,
     FitFailure,
     PsdFactorization,
     alternating_fit,
@@ -40,11 +39,8 @@ class PipelineConfig:
     r: int | None = None  # None: diagonal embedding; otherwise alternating fit
     skip_rescale: bool = False
     unbalance: float | None = None  # condition number of an adversarial congruence
-    delta_scale: float = 1.0
-    worst_case_delta: bool = False
     seed: int = 0
     rescale_cfg: RescaleConfig = field(default_factory=RescaleConfig)
-    fit_cfg: FitConfig = field(default_factory=FitConfig)
     membership_cfg: MembershipConfig = field(default_factory=MembershipConfig)
 
 
@@ -81,7 +77,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         f = diagonal_embed(s)
         report["stages"]["factorize"] = {"method": "diagonal_embed", "r": f.side}
     else:
-        fit = alternating_fit(s, cfg.r, cfg.fit_cfg)
+        fit = alternating_fit(s, cfg.r)
         if isinstance(fit, FitFailure):
             report["stages"]["factorize"] = {
                 "method": "alternating_fit",
@@ -116,10 +112,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
             "target_lmax": res.target,
         }
 
-    grid = GridParams.for_slack(
-        n=h.dim, r=working.side, delta_eff=s.max_entry,
-        scale=cfg.delta_scale, worst_case=cfg.worst_case_delta,
-    )
+    grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     system = build_rounded_system(h, working, grid)
     budget_margin = max(
         (rf.error_fnorm * working.side * np.sqrt(grid.big_delta) for rf in system.rounding),

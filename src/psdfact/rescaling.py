@@ -33,6 +33,16 @@ from . import symmat
 
 # Default geometric line-search grid, as multiples of 1 / ||Z||.
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
+# Random unit samples per degenerate top eigenspace (doubled after a stall).
+SPHERE_SAMPLES = 64
+# Relative gap within which a row factor is tight and the sides balanced.
+MU_TOL = 1e-6
+# Residual tolerance, relative to 1 + Delta, of input and rescaled factors.
+VERIFY_TOL = 1e-8
+# MVEE: relative volume gap, contact-weight floor, iteration cap.
+MVEE_VOL_TOL = 1e-7
+MVEE_WEIGHT_FLOOR = 1e-9
+MVEE_MAX_ITERS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +86,7 @@ def _fold_symmetric(points: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _mvee_weights(y: np.ndarray, eps_g: float, max_iters: int) -> np.ndarray:
+def _mvee_weights(y: np.ndarray, eps_g: float) -> np.ndarray:
     """Optimal design weights for the centered MVEE of rows of y.
 
     Maximizes log det of M(u) = sum u_i y_i y_i^T over the simplex with
@@ -85,7 +95,7 @@ def _mvee_weights(y: np.ndarray, eps_g: float, max_iters: int) -> np.ndarray:
     """
     m, k = y.shape
     u = np.full(m, 1.0 / m)
-    for it in range(max_iters):
+    for it in range(MVEE_MAX_ITERS):
         mat = (y * u[:, None]).T @ y
         try:
             g = np.einsum("ij,ji->i", y, np.linalg.solve(mat, y.T))
@@ -120,36 +130,31 @@ def _mvee_weights(y: np.ndarray, eps_g: float, max_iters: int) -> np.ndarray:
     raise ConvergenceError(
         "MVEE did not converge",
         duality_gap=float(np.max(g) / k - 1.0),
-        iterations=max_iters,
+        iterations=MVEE_MAX_ITERS,
     )
 
 
-def john_decompose(
-    points,
-    rank_tol: float = symmat.RANK_TOL,
-    vol_tol: float = 1e-7,
-    weight_floor: float = 1e-9,
-    max_iters: int = 200_000,
-    validate: bool = True,
-) -> JohnDecomposition:
+def john_decompose(points) -> JohnDecomposition:
     """John decomposition of the symmetric hull of a finite point set.
 
     Points are generators: the body is conv(points U -points).  Requires
-    the points to span a subspace of dimension at least one.
+    the points to span a subspace of dimension at least one.  The result
+    is validated (probability weights, John identity, contact points on
+    the boundary) before it is returned.
     """
     pts = _fold_symmetric(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise PreconditionError("point set spans the zero subspace")
     # Orthonormal basis of the span; all MVEE work happens in coordinates.
     _, sig, vt = np.linalg.svd(pts, full_matrices=False)
-    keep = sig > rank_tol * sig[0]
+    keep = sig > symmat.RANK_TOL * sig[0]
     basis = vt[keep].T  # (ambient, k)
     k = basis.shape[1]
     y = pts @ basis
     # Leverage tolerance tight enough for the target relative volume gap.
-    eps_g = min(1e-8, 2.0 * vol_tol / k)
-    u = _mvee_weights(y, eps_g, max_iters)
-    kept = u > weight_floor
+    eps_g = min(1e-8, 2.0 * MVEE_VOL_TOL / k)
+    u = _mvee_weights(y, eps_g)
+    kept = u > MVEE_WEIGHT_FLOOR
     w = u[kept] / u[kept].sum()
     yk = y[kept]
     moment = (yk * w[:, None]).T @ yk
@@ -157,8 +162,7 @@ def john_decompose(
     jd = JohnDecomposition(
         dim=k, ellipsoid_map=t_map, points=pts[kept], weights=w
     )
-    if validate:
-        _validate_john(jd)
+    _validate_john(jd)
     return jd
 
 
@@ -191,9 +195,7 @@ def _side_average(stack: np.ndarray) -> np.ndarray:
     return symmat.as_symmetric(np.add.accumulate(stack, axis=0)[-1] / len(stack))
 
 
-def reduce_to_common_space(
-    f: PsdFactorization, rank_tol: float = symmat.RANK_TOL
-) -> tuple[PsdFactorization, symmat.Subspace]:
+def reduce_to_common_space(f: PsdFactorization) -> tuple[PsdFactorization, symmat.Subspace]:
     """Compress a factorization onto W = P_{Im(mean U)}(Im(mean V)).
 
     Returns the reduced factorization (O^T U O, O^T V O) together with the
@@ -204,16 +206,14 @@ def reduce_to_common_space(
         raise PreconditionError("factorization must be nonempty on both sides")
     u_bar = _side_average(f.row_factors)
     v_bar = _side_average(f.col_factors)
-    w1 = symmat.image_basis(u_bar, rank_tol)
-    w2 = symmat.image_basis(v_bar, rank_tol)
-    w = symmat.project_subspace(w1, w2, rank_tol)
+    w = symmat.project_subspace(symmat.image_basis(u_bar), symmat.image_basis(v_bar))
     o = w.basis
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
     reduced = PsdFactorization(row_factors=rows, col_factors=cols)
     if w.dim > 0:
         for side, label in ((reduced.row_factors, "row"), (reduced.col_factors, "column")):
             lam = np.linalg.eigvalsh(_side_average(side))
-            if lam[0] <= rank_tol * max(lam[-1], 0.0):
+            if lam[0] <= symmat.RANK_TOL * max(lam[-1], 0.0):
                 raise NumericError(
                     f"reduced {label} average is singular (min eigenvalue {lam[0]:.3g})"
                 )
@@ -237,7 +237,7 @@ def balance_scalar(f: PsdFactorization) -> PsdFactorization:
     return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
 
 
-def _balanced_mu(f: PsdFactorization, mu_tol: float) -> tuple[float, np.ndarray]:
+def _balanced_mu(f: PsdFactorization) -> tuple[float, np.ndarray]:
     """Balanced top norm mu and the operator norm of every row factor."""
     row_norms = operator_norms(f.row_factors)
     lmax_u = float(row_norms.max(initial=0.0))
@@ -245,7 +245,7 @@ def _balanced_mu(f: PsdFactorization, mu_tol: float) -> tuple[float, np.ndarray]
     mu = max(lmax_u, lmax_v)
     if mu == 0.0:
         raise PreconditionError("cannot perturb a zero factorization")
-    if abs(lmax_u - lmax_v) > mu_tol * mu:
+    if abs(lmax_u - lmax_v) > MU_TOL * mu:
         raise PreconditionError(
             f"factorization is not balanced: lmax_u={lmax_u:.6g}, lmax_v={lmax_v:.6g}"
         )
@@ -254,8 +254,7 @@ def _balanced_mu(f: PsdFactorization, mu_tol: float) -> tuple[float, np.ndarray]
 
 def perturbation_direction(
     f: PsdFactorization,
-    mu_tol: float = 1e-6,
-    sphere_samples: int = 64,
+    sphere_samples: int = SPHERE_SAMPLES,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Descent direction Z from a John decomposition of top eigenspaces.
@@ -266,8 +265,8 @@ def perturbation_direction(
     matrix Z = sum p(z) z z^T = T T^T / k.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    mu, row_norms = _balanced_mu(f, mu_tol)
-    tight = f.row_factors[row_norms >= mu * (1.0 - mu_tol)]
+    mu, row_norms = _balanced_mu(f)
+    tight = f.row_factors[row_norms >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
     pts = []
@@ -291,30 +290,31 @@ def descent_step(
 ) -> tuple[PsdFactorization, float | None]:
     """Line search over (exp(-eps Z) U exp(-eps Z), exp(eps Z) V exp(eps Z)).
 
-    Grid values are multiples of 1 / ||Z||; the candidate with the lowest
-    potential wins (ties to the smallest eps) and is accepted only on a
-    strict relative decrease of at least 1e-12.  The accepted candidate is
-    re-balanced.  Returns (f, None) on a stall.
+    Grid values are multiples of 1 / ||Z||.  All candidates are built in
+    one broadcast product per side, of shape (len(grid), factors, d, d),
+    and measured by one batched eigvalsh per side.  The candidate with the
+    lowest potential wins (ties to the smallest eps) and is accepted only
+    on a strict relative decrease of at least 1e-12.  The accepted
+    candidate is re-balanced.  Returns (f, None) on a stall.
     """
     z = symmat.as_symmetric(z)
     z_norm = symmat.operator_norm(z)
-    if z_norm == 0.0:
+    if z_norm == 0.0 or len(eps_grid) == 0:
         return f, None
     dec = symmat.spectral_decompose(z)
     lam, q = dec.eigenvalues, dec.eigenvectors
-    phi0 = potential(f)
-    best_phi, best_eps, best = np.inf, None, None
-    for rel in sorted(eps_grid):
-        eps = rel / z_norm
-        shrink = symmat.as_symmetric((q * np.exp(-eps * lam)) @ q.T)
-        grow = symmat.as_symmetric((q * np.exp(eps * lam)) @ q.T)
-        cand = congruence(f, shrink, grow)
-        phi = potential(cand)
-        if phi < best_phi:
-            best_phi, best_eps, best = phi, eps, cand
-    if best is None or best_phi > phi0 * (1.0 - 1e-12):
+    eps = np.sort(np.asarray(eps_grid, dtype=float)) / z_norm
+    # Slice k of each stack is exp(-+eps_k Z), written through Z's eigenbasis.
+    shrink = symmat.as_symmetric((q * np.exp(-eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+    grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+    rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
+    cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
+    phi = operator_norms(rows).max(axis=1) * operator_norms(cols).max(axis=1)
+    best = int(np.argmin(phi))  # first minimum: ties go to the smallest eps
+    if phi[best] > potential(f) * (1.0 - 1e-12):
         return f, None
-    return balance_scalar(best), best_eps
+    winner = PsdFactorization(row_factors=rows[best], col_factors=cols[best])
+    return balance_scalar(winner), float(eps[best])
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +325,7 @@ def descent_step(
 class RescaleConfig:
     tol: float = 0.05
     max_iters: int = 500
-    eps_grid: tuple = DEFAULT_EPS_GRID
-    sphere_samples: int = 64
-    rank_tol: float = symmat.RANK_TOL
-    mu_tol: float = 1e-6
     seed: int = 0
-    verify_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -355,6 +350,21 @@ class RescaleResult:
         return self.diagnostics.get("target_lmax", float("nan"))
 
 
+def _balanced_state(reduced: PsdFactorization, a: np.ndarray):
+    """The congruence (A, A^-1) of the reduced factorization, balanced.
+
+    A is rescaled by (lmax_v / lmax_u)^(1/4) so both sides of the result
+    attain one top norm.  Returns A, its inverse, the congruent
+    factorization and its norms (lmax_u, lmax_v).
+    """
+    a_inv = np.linalg.inv(a)
+    fw = congruence(reduced, a, a_inv)
+    s_bal = float((max_operator_norm(fw.col_factors) / max_operator_norm(fw.row_factors)) ** 0.25)
+    a, a_inv = a * s_bal, a_inv / s_bal
+    fw = congruence(reduced, a, a_inv)
+    return a, a_inv, fw, (max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))
+
+
 def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleConfig()) -> RescaleResult:
     """Find a PSD congruence A with lmax(A U A), lmax(A+ V A+) <= sqrt(d Delta).
 
@@ -364,7 +374,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     the recomputed norms meet sqrt(d * Delta) * (1 + tol) with d the
     reduced dimension and Delta the largest slack entry.
     """
-    report = verify_factorization(f, s, cfg.verify_tol)
+    report = verify_factorization(f, s, VERIFY_TOL)
     if not report.passed:
         raise PreconditionError(
             f"input factorization does not reproduce the slack matrix "
@@ -374,7 +384,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     r = f.side
     rng = np.random.default_rng(cfg.seed)
 
-    reduced, subspace = reduce_to_common_space(f, cfg.rank_tol)
+    reduced, subspace = reduce_to_common_space(f)
     d = subspace.dim
     target_phi = d * delta * (1.0 + cfg.tol)
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
@@ -406,27 +416,22 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     tau = potential(reduced)
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
 
-    # State: the accumulated PSD congruence on the reduced space.  Working
-    # factors are recomputed from it each iteration; exponential steps fold
-    # in through the PSD polar part of (exp(-eps Z) A).
-    lmax_u0 = max_operator_norm(reduced.row_factors)
-    lmax_v0 = max_operator_norm(reduced.col_factors)
-    a = np.eye(d) * float((lmax_v0 / lmax_u0) ** 0.25)
-    a_inv = np.linalg.inv(a)
-    fw = congruence(reduced, a, a_inv)
-    phi = potential(fw)
-    trajectory = [phi]
-    lmax_traj = [(max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))]
-    sphere = cfg.sphere_samples
+    # State: the accumulated PSD congruence on the reduced space, balanced.
+    # Working factors are recomputed from it each iteration; exponential
+    # steps fold in through the PSD polar part of (exp(-eps Z) A).
+    a, a_inv, fw, norms = _balanced_state(reduced, np.eye(d))
+    trajectory = [norms[0] * norms[1]]
+    lmax_traj = [norms]
+    sphere = SPHERE_SAMPLES
     doubled = False
     iterations = 0
     stalled = False
 
     while iterations < cfg.max_iters:
-        if phi <= target_phi:
+        if trajectory[-1] <= target_phi:
             break
-        z = perturbation_direction(fw, cfg.mu_tol, sphere, rng)
-        _, eps = descent_step(fw, z, cfg.eps_grid)
+        z = perturbation_direction(fw, sphere, rng)
+        _, eps = descent_step(fw, z)
         if eps is None:
             if doubled:
                 stalled = True
@@ -435,8 +440,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             sphere *= 2
             iterations += 1
             continue
-        # Fold the accepted step into A via the PSD polar part, then
-        # restore the scalar balance.
+        # Fold the accepted step into A via the PSD polar part.
         zdec = symmat.spectral_decompose(z)
         e2 = symmat.as_symmetric(
             (zdec.eigenvectors * np.exp(-2.0 * eps * zdec.eigenvalues))
@@ -450,28 +454,18 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
                 f"diagnostic cap {cond_cap:.3g} was exceeded "
                 f"(condition number {lam[-1] / max(lam[0], 1e-300):.3g})"
             )
-        a_inv = np.linalg.inv(a)
-        fw = congruence(reduced, a, a_inv)
-        new_u = max_operator_norm(fw.row_factors)
-        new_v = max_operator_norm(fw.col_factors)
-        s_bal = float((new_v / new_u) ** 0.25)
-        a = a * s_bal
-        a_inv = a_inv / s_bal
-        fw = congruence(reduced, a, a_inv)
-        phi = potential(fw)
-        trajectory.append(phi)
-        lmax_traj.append(
-            (max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))
-        )
+        a, a_inv, fw, norms = _balanced_state(reduced, a)
+        trajectory.append(norms[0] * norms[1])
+        lmax_traj.append(norms)
         iterations += 1
 
     transform = symmat.as_symmetric(o @ a @ o.T)
     transform_pinv = symmat.as_symmetric(o @ a_inv @ o.T)
     rescaled = congruence(f, transform, transform_pinv)
-    final = verify_factorization(rescaled, s, cfg.verify_tol)
+    final = verify_factorization(rescaled, s, VERIFY_TOL)
     # Congruence by an exact inverse pair preserves the products, so the
     # residual may only drift by float error beyond what came in.
-    if final.max_abs_residual > report.max_abs_residual + cfg.verify_tol * (1.0 + delta):
+    if final.max_abs_residual > report.max_abs_residual + VERIFY_TOL * (1.0 + delta):
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
             f"(max residual {final.max_abs_residual:.3g})"

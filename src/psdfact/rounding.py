@@ -49,9 +49,10 @@ class GridParams:
     worst_case: bool = False
 
     def __post_init__(self):
-        if self.big_delta <= 0:
+        # Written so that NaN fails both checks.
+        if not self.big_delta > 0:
             raise PreconditionError("Delta must be positive")
-        if self.delta <= 0 or self.delta > grid_delta(self.n, self.r) * (1 + 1e-12):
+        if not 0 < self.delta <= grid_delta(self.n, self.r) * (1 + 1e-12):
             raise PreconditionError(
                 f"delta must lie in (0, {grid_delta(self.n, self.r):.3g}]"
             )
@@ -222,15 +223,22 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
 # Membership oracle
 
 
+# Projected-gradient iterations per start; random starts after the warm ones.
+MEMBER_MAX_ITERS = 4000
+MEMBER_RESTARTS = 5
+# Hinge objective at or below which a witness counts as found.
+MEMBER_TOL = 1e-14
+# A start stagnates when its objective drops by at most
+# STAGNATION_RTOL * (1 + objective) over STAGNATION_WINDOW iterations.
+STAGNATION_WINDOW = 100
+STAGNATION_RTOL = 1e-12
+# Rejection needs every start stagnant at or above REJECT_RATIO * budget^2.
+REJECT_RATIO = 0.25
+
+
 @dataclass(frozen=True)
 class MembershipConfig:
-    max_iters: int = 4000
-    restarts: int = 5
     seed: int = 11
-    member_tol: float = 1e-14
-    stagnation_window: int = 100
-    stagnation_rtol: float = 1e-12
-    reject_ratio: float = 0.25  # floor = reject_ratio * budget^2
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,7 @@ class MembershipVerdict:
     iterations: int
 
 
-def _pgd_feasibility(y0, u_stack, const, budget, cap, cfg):
+def _pgd_feasibility(y0, u_stack, const, budget, cap):
     """Projected gradient on sum hinge(|e_i| - budget)^2 over the capped PSD cone."""
     m = u_stack.shape[0]
     flat = u_stack.reshape(m, -1)
@@ -252,18 +260,18 @@ def _pgd_feasibility(y0, u_stack, const, budget, cap, cfg):
     history = []
     stagnant = False
     it = 0
-    for it in range(cfg.max_iters):
+    for it in range(MEMBER_MAX_ITERS):
         e = const - np.einsum("irs,rs->i", u_stack, y)
         hinge = np.maximum(np.abs(e) - budget, 0.0)
         obj = float(hinge @ hinge)
         if not np.isfinite(obj):
             raise NumericError("NaN/Inf in membership iterates")
         history.append(obj)
-        if obj <= cfg.member_tol:
+        if obj <= MEMBER_TOL:
             break
-        if len(history) > cfg.stagnation_window:
-            past = history[-cfg.stagnation_window - 1]
-            if past - obj <= cfg.stagnation_rtol * (1.0 + past):
+        if len(history) > STAGNATION_WINDOW:
+            past = history[-STAGNATION_WINDOW - 1]
+            if past - obj <= STAGNATION_RTOL * (1.0 + past):
                 stagnant = True
                 break
         if lip == 0.0:
@@ -300,7 +308,7 @@ def membership_test(
 
     starts = [symmat.as_symmetric(w) for w in warm_starts]
     starts.append(np.zeros((r, r)))
-    for _ in range(cfg.restarts):
+    for _ in range(MEMBER_RESTARTS):
         raw = rng.standard_normal((r, r))
         starts.append(symmat.as_symmetric(raw @ raw.T / r * cap / 2.0))
 
@@ -308,13 +316,11 @@ def membership_test(
     all_stagnant = True
     total_iters = 0
     for y0 in starts:
-        y, obj, viol, stagnant, iters = _pgd_feasibility(
-            y0, u_stack, const, budget, cap, cfg
-        )
+        y, obj, viol, stagnant, iters = _pgd_feasibility(y0, u_stack, const, budget, cap)
         total_iters += iters
         if best is None or obj < best[1]:
             best = (y, obj, viol)
-        if obj <= cfg.member_tol:
+        if obj <= MEMBER_TOL:
             all_stagnant = True
             break
         if not stagnant:
@@ -322,7 +328,7 @@ def membership_test(
 
     y, obj, viol = best
     point = tuple(int(v) for v in np.asarray(x).ravel())
-    if obj <= cfg.member_tol:
+    if obj <= MEMBER_TOL:
         # Re-validate the witness from scratch at the stated budget.
         e = system.b - system.a @ x - np.einsum("irs,rs->i", u_stack, y)
         if np.max(np.abs(e)) <= budget * (1.0 + 1e-9) and symmat.operator_norm(y) <= cap * (1.0 + 1e-9):
@@ -335,7 +341,7 @@ def membership_test(
             point=point, verdict="inconclusive", witness=y,
             violation=viol, objective=obj, iterations=total_iters,
         )
-    floor = cfg.reject_ratio * budget**2
+    floor = REJECT_RATIO * budget**2
     if obj >= floor and all_stagnant:
         return MembershipVerdict(
             point=point, verdict="rejected", witness=None,
@@ -372,6 +378,8 @@ def reconstruct(
     """
     if n > max_dim:
         raise ResourceError(f"2^{n} membership sweep refused (n > {max_dim})")
+    if n != system.a.shape[1]:
+        raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}")
     warm_start_map = warm_start_map or {}
     accepted, rejected, inconclusive = [], [], []
     for idx in range(1 << n):

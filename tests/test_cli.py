@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psdfact
 from psdfact import serialize
 from psdfact.cli import main
 from psdfact.rescaling import rescale
@@ -151,6 +154,37 @@ class TestLoaderErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestBadArguments:
+    """Arguments the parser accepts but the stage cannot use exit with code 2."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        slack = tmp_path / "slack.json"
+        fact = tmp_path / "fact.json"
+        system = tmp_path / "system.json"
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
+        assert main(["round", "run", "--slack", str(slack), "--fact", str(fact),
+                     "--out", str(system)]) == 0
+        return {"slack": slack, "fact": fact, "system": system}
+
+    COMMANDS = {
+        "delta-abc": ["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
+        "delta-nan": ["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
+        "reconstruct-n3": ["reconstruct", "--system", "{system}", "--n", "3"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMMANDS))
+    def test_exits_2(self, files, case, capsys):
+        capsys.readouterr()
+        code = main([a.format(**files) for a in self.COMMANDS[case]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 class TestRoundReconstruct:
     def test_round_then_reconstruct(self, tmp_path, capsys):
         slack = tmp_path / "slack.json"
@@ -224,9 +258,13 @@ class TestPipeline:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same package as this process, installed or not.
+        src = str(Path(psdfact.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "psdfact", "bounds", "eval", "--formula", "coeff", "--n", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["log2_value"] == 4.0

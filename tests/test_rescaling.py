@@ -14,6 +14,7 @@ from psdfact.factorization import (
 )
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import (
+    DEFAULT_EPS_GRID,
     RescaleConfig,
     balance_scalar,
     descent_step,
@@ -162,6 +163,52 @@ class TestDescentStep:
         assert eps is not None
         assert verify_factorization(out, s).max_abs_residual <= 1e-8 * (1.0 + s.max_entry)
 
+    @staticmethod
+    def reference_step(f, z, eps_grid=DEFAULT_EPS_GRID):
+        """One congruence and one potential per grid value; strict < keeps the first."""
+        z = symmat.as_symmetric(z)
+        z_norm = symmat.operator_norm(z)
+        dec = symmat.spectral_decompose(z)
+        lam, q = dec.eigenvalues, dec.eigenvectors
+        best_phi, best_eps, best = np.inf, None, None
+        for rel in sorted(eps_grid):
+            eps = rel / z_norm
+            shrink = symmat.as_symmetric((q * np.exp(-eps * lam)) @ q.T)
+            grow = symmat.as_symmetric((q * np.exp(eps * lam)) @ q.T)
+            cand = congruence(f, shrink, grow)
+            phi = potential(cand)
+            if phi < best_phi:
+                best_phi, best_eps, best = phi, eps, cand
+        return best_phi, best_eps, best
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_candidate_reference(self, seed):
+        f, _ = unbalanced_cube(t=100.0, seed=seed)
+        f = balance_scalar(f)
+        z = perturbation_direction(f, rng=np.random.default_rng(seed))
+        best_phi, best_eps, best = self.reference_step(f, z)
+        assert best_phi < potential(f) * (1.0 - 1e-12)
+        out, eps = descent_step(f, z)
+        assert eps == best_eps
+        expected = balance_scalar(best)
+        assert out.row_factors.tobytes() == expected.row_factors.tobytes()
+        assert out.col_factors.tobytes() == expected.col_factors.tobytes()
+
+    def test_tie_goes_to_smallest_eps(self):
+        # Z = diag(1, 0): the tight factors diag(0, 2) and diag(0, 1) lie in
+        # its kernel, so phi is exactly 2 * 1 once diag(3, 0) has shrunk
+        # below 2 (eps >= log(1.5) / 2) -- for eps = 1/4 and eps = 1/2.
+        f = PsdFactorization.from_factors(
+            [np.diag([3.0, 0.0]), np.diag([0.0, 2.0])],
+            [np.diag([0.0, 1.0]), np.diag([0.1, 0.0])],
+        )
+        z = np.diag([1.0, 0.0])
+        best_phi, best_eps, _ = self.reference_step(f, z)
+        assert best_phi == 2.0 and best_eps == 0.25
+        out, eps = descent_step(f, z)
+        assert eps == 0.25
+        assert potential(out) == pytest.approx(2.0, rel=1e-12)
+
 
 class TestRescale:
     def test_trivial_scalar_instance(self):
@@ -201,6 +248,15 @@ class TestRescale:
         # preservation, re-verified from scratch
         rep = verify_factorization(res.factorization, s)
         assert rep.max_abs_residual <= 1e-8 * (1.0 + s.max_entry)
+
+    def test_trajectory_records_balanced_norms(self):
+        f, s = unbalanced_cube(t=100.0)
+        res = rescale(f, s)
+        assert res.iterations >= 1
+        assert len(res.phi_trajectory) == len(res.lmax_trajectory)
+        for phi, (lmax_u, lmax_v) in zip(res.phi_trajectory, res.lmax_trajectory):
+            assert phi == lmax_u * lmax_v
+            assert lmax_u == pytest.approx(lmax_v, rel=1e-9)
 
     def test_certificate_soundness_recomputed(self):
         f, s = unbalanced_cube(t=30.0, seed=11)
