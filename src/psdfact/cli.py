@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -59,13 +60,22 @@ def _manifest(args, inputs=(), t0=None) -> dict:
     ).to_json()
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _write(text: str, args) -> None:
+    """Write to ``--out`` or standard output; a reader that closed early ends output quietly."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            fh.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(report: dict, args) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args)
 
 
 def _load_slack(path):
@@ -225,13 +235,9 @@ def _cmd_reconstruct(args) -> int:
     system = serialize.system_from_json(serialize.load_json(args.system))
     cfg = MembershipConfig(seed=args.seed)
     recon = reconstruct(system, args.n, cfg)
-    report = {
-        "accepted": [list(v.point) for v in recon.accepted],
-        "rejected": [list(v.point) for v in recon.rejected],
-        "inconclusive": [list(v.point) for v in recon.inconclusive],
-        "complete": recon.complete,
-        "manifest": _manifest(args, [args.system], t0),
-    }
+    report = recon.to_json()
+    report["complete"] = recon.complete
+    report["manifest"] = _manifest(args, [args.system], t0)
     if args.report:
         serialize.dump_json(report, args.report)
     else:
@@ -319,12 +325,7 @@ def _cmd_bounds_eval(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(["formula", "inputs", "log2_value", "decimal"])
         writer.writerow([rep.formula, json.dumps(rep.inputs), repr(rep.log2_value), rep.decimal])
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        _write(buf.getvalue(), args)
     else:
         _emit(report, args)
     return EXIT_OK

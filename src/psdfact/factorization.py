@@ -202,13 +202,6 @@ class FitFailure:
     trace: tuple = field(default_factory=tuple)
 
 
-def _project_psd_batch(x: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip eigenvalues to the PSD cone, batched."""
-    x = (x + np.transpose(x, (0, 2, 1))) / 2.0
-    lam, vec = np.linalg.eigh(x)
-    return np.einsum("jab,jb,jcb->jac", vec, np.clip(lam, 0.0, None), vec)
-
-
 def _pgd_side(fixed: np.ndarray, moving: np.ndarray, target: np.ndarray, steps: int) -> np.ndarray:
     """Projected-gradient steps on one side of the factorization.
 
@@ -225,7 +218,7 @@ def _pgd_side(fixed: np.ndarray, moving: np.ndarray, target: np.ndarray, steps: 
     for _ in range(steps):
         err = np.einsum("irs,jrs->ij", fixed, moving) - target
         grad = 2.0 * np.einsum("ij,irs->jrs", err, fixed)
-        moving = _project_psd_batch(moving - step * grad)
+        moving = symmat.eig_clip(moving - step * grad)
     return moving
 
 
@@ -244,8 +237,8 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
     m, n = target.shape
     rng = np.random.default_rng(cfg.seed)
     scale = np.sqrt(max(target.mean(), 1e-3) / r)
-    u = _project_psd_batch(rng.standard_normal((m, r, r)) * scale)
-    v = _project_psd_batch(rng.standard_normal((n, r, r)) * scale)
+    u = symmat.eig_clip(rng.standard_normal((m, r, r)) * scale)
+    v = symmat.eig_clip(rng.standard_normal((n, r, r)) * scale)
 
     threshold = cfg.tol * (1.0 + s.max_entry)
     trace = []

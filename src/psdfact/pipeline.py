@@ -137,11 +137,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     recon = reconstruct(system, h.dim, cfg.membership_cfg, warm_start_map=warm)
     accepted = sorted(ver.point for ver in recon.accepted)
     expected = sorted(tuple(int(x) for x in p) for p in v.points)
-    report["stages"]["reconstruct"] = {
-        "accepted": [list(p) for p in accepted],
-        "rejected": [list(ver.point) for ver in recon.rejected],
-        "inconclusive": [list(ver.point) for ver in recon.inconclusive],
-    }
+    report["stages"]["reconstruct"] = recon.to_json()
     if not recon.complete:
         report["verdict"] = "incomplete"
     elif accepted == expected:

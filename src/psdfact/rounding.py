@@ -6,17 +6,26 @@ multiple of delta/Delta (ties toward +inf), reassembling, and snapping
 the reassembled entries once more so every entry lands exactly on the
 grid.  The Frobenius error stays below 4 delta r^2 / sqrt(Delta).
 
-Membership of a lattice point is decided by searching for a bounded-norm
-PSD witness Y with all row residuals |b_i - a_i.x - <U_i, Y>| within the
-budget 1/(4(n + r^2)); the search is projected gradient on a convex
-hinge objective, so acceptance is certified while rejection is
-best-effort (restarts plus stagnation detection).
+Membership of a lattice point x asks for a witness Y in
+K = {0 <= Y <= cap I}, cap = sqrt(r Delta), with every row residual
+e_i = b_i - a_i.x - <U_i, Y> within the budget 1/(4(n + r^2)).  Both
+answers are certified.  Projected gradient on sum_i hinge(|e_i| - budget)^2
+over K yields the witness of a member.  Its residual turns into the dual
+functional lambda = hinge * sign(e) / ||hinge * sign(e)||_1; for every Y in
+K, lambda.c - <sum_i lambda_i U_i, Y> <= budget when Y is a witness, and
+<S, Y> <= cap tr(S_+), so lambda.c - cap tr((sum_i lambda_i U_i)_+) > budget
+proves that no witness exists (conic duality; Ben-Tal & Nemirovski,
+Lectures on Modern Convex Optimization).  ``reconstruct`` runs one batched
+loop over all of {0,1}^n, stops each point at its first witness or
+certificate, and re-validates both from scratch; a point that has neither
+after MEMBER_MAX_ITERS iterations is inconclusive.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -223,21 +232,21 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
 # Membership oracle
 
 
-# Projected-gradient iterations per start; random starts after the warm ones.
+# Projected-gradient iterations after which a live point is inconclusive.
 MEMBER_MAX_ITERS = 4000
-MEMBER_RESTARTS = 5
-# Hinge objective at or below which a witness counts as found.
-MEMBER_TOL = 1e-14
-# A start stagnates when its objective drops by at most
-# STAGNATION_RTOL * (1 + objective) over STAGNATION_WINDOW iterations.
-STAGNATION_WINDOW = 100
-STAGNATION_RTOL = 1e-12
-# Rejection needs every start stagnant at or above REJECT_RATIO * budget^2.
-REJECT_RATIO = 0.25
+# Relative round-off allowance shared by both certificates: a witness may
+# exceed the budget and the cap by this fraction, a dual value must beat the
+# budget by it.
+MEMBER_RTOL = 1e-9
+# Points decided together; bounds the memory of a sweep over a large cube.
+MEMBER_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
 class MembershipConfig:
+    """Kept for callers that pass a seed; the oracle is deterministic, so
+    the seed changes no verdict."""
+
     seed: int = 11
 
 
@@ -245,43 +254,103 @@ class MembershipConfig:
 class MembershipVerdict:
     point: tuple
     verdict: str  # "member-with-witness" | "rejected" | "inconclusive"
-    witness: np.ndarray | None
-    violation: float  # max_i |residual_i| - budget at the best witness
-    objective: float
+    witness: np.ndarray | None  # the final iterate Y, None when rejected
+    violation: float  # max_i |residual_i| - budget at the final iterate
+    dual_margin: float  # lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen
+    dual: np.ndarray | None  # that lambda (||lambda||_1 = 1), None when accepted
     iterations: int
 
 
-def _pgd_feasibility(y0, u_stack, const, budget, cap):
-    """Projected gradient on sum hinge(|e_i| - budget)^2 over the capped PSD cone."""
-    m = u_stack.shape[0]
-    flat = u_stack.reshape(m, -1)
-    lip = 2.0 * float(np.linalg.norm(flat, 2)) ** 2
-    y = symmat.eig_clip(symmat.as_symmetric(y0), 0.0, cap)
-    history = []
-    stagnant = False
-    it = 0
-    for it in range(MEMBER_MAX_ITERS):
-        e = const - np.einsum("irs,rs->i", u_stack, y)
-        hinge = np.maximum(np.abs(e) - budget, 0.0)
-        obj = float(hinge @ hinge)
-        if not np.isfinite(obj):
+def _dual_values(lam, const, u_flat, cap):
+    """lambda.c - cap tr((sum_i lambda_i U_i)_+) for each row of ``lam``.
+
+    For ||lambda||_1 <= 1 every Y in {0 <= Y <= cap I} has
+    <S, Y> <= cap tr(S_+) for S = sum_i lambda_i U_i, and
+    lambda.c - <S, Y> = lambda.e <= max_i |e_i|; so a value above the
+    budget proves that no Y meets it.
+    """
+    r = math.isqrt(u_flat.shape[1])
+    s = (lam @ u_flat).reshape(-1, r, r)
+    positive = np.clip(np.linalg.eigvalsh(s), 0.0, None).sum(axis=1)
+    return np.einsum("bi,bi->b", lam, const) - cap * positive
+
+
+def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
+    """Decide each point of ``xs`` (B, n) by projected gradient from ``starts`` (B, r, r).
+
+    One loop runs over the stacked iterates of every live point, minimizing
+    sum_i hinge(|e_i| - budget)^2 over {0 <= Y <= cap I}.  Each iteration
+    checks the primal residual and the dual functional lambda = hinge *
+    sign(e) / ||hinge * sign(e)||_1; a point leaves the live set at its
+    first witness or certificate.  Both are re-validated from scratch.
+    """
+    g = system.grid
+    budget, cap = g.budget, g.witness_cap
+    m, r = system.n_rows, g.r
+    u_flat = system.factors.reshape(m, -1)
+    lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
+    step = 1.0 / lip if lip > 0.0 else 0.0
+    const = system.b - xs @ system.a.T
+    y = symmat.eig_clip(starts, 0.0, cap)
+    best = np.full(len(xs), -np.inf)
+    best_lam = np.zeros((len(xs), m))
+    iterations = np.full(len(xs), MEMBER_MAX_ITERS)
+    found = np.zeros(len(xs), dtype=bool)
+    live = np.arange(len(xs))
+    for it in range(1, MEMBER_MAX_ITERS + 1):
+        e = const[live] - y[live].reshape(len(live), -1) @ u_flat.T
+        if not np.isfinite(e).all():
             raise NumericError("NaN/Inf in membership iterates")
-        history.append(obj)
-        if obj <= MEMBER_TOL:
+        push = np.maximum(np.abs(e) - budget, 0.0) * np.sign(e)
+        mass = np.abs(push).sum(axis=1, keepdims=True)
+        lam = push / np.where(mass > 0.0, mass, 1.0)
+        margin = _dual_values(lam, const[live], u_flat, cap) - budget
+        better = margin > best[live]
+        best[live[better]] = margin[better]
+        best_lam[live[better]] = lam[better]
+        member = np.abs(e).max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
+        done = member | (best[live] > budget * MEMBER_RTOL)
+        found[live[member]] = True
+        iterations[live[done]] = it
+        push, live = push[~done], live[~done]
+        if live.size == 0:
             break
-        if len(history) > STAGNATION_WINDOW:
-            past = history[-STAGNATION_WINDOW - 1]
-            if past - obj <= STAGNATION_RTOL * (1.0 + past):
-                stagnant = True
-                break
-        if lip == 0.0:
-            stagnant = True
-            break
-        grad = np.einsum("i,irs->rs", -2.0 * hinge * np.sign(e), u_stack)
-        y = symmat.eig_clip(symmat.as_symmetric(y - grad / lip), 0.0, cap)
-    e = const - np.einsum("irs,rs->i", u_stack, y)
-    hinge = np.maximum(np.abs(e) - budget, 0.0)
-    return y, float(hinge @ hinge), float(np.max(np.abs(e)) - budget), stagnant, it + 1
+        # The gradient of the objective is -2 sum_i push_i U_i.
+        y[live] = symmat.eig_clip(
+            y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), 0.0, cap)
+
+    # Re-validate from scratch: each witness against the budget and the cap
+    # through the full factor stack, each dual functional by its value.
+    witness = symmat.as_symmetric(y)
+    resid = const - np.einsum("irs,brs->bi", system.factors, witness)
+    violation = np.abs(resid).max(axis=1) - budget
+    spectrum = np.linalg.eigvalsh(witness)
+    witness_ok = (
+        found
+        & (violation <= budget * MEMBER_RTOL)
+        & (spectrum[:, 0] >= -cap * MEMBER_RTOL)
+        & (spectrum[:, -1] <= cap * (1.0 + MEMBER_RTOL))
+    )
+    margin = _dual_values(best_lam, const, u_flat, cap) - budget
+    dual_ok = (
+        ~found
+        & (margin > budget * MEMBER_RTOL)
+        & (np.abs(best_lam).sum(axis=1) <= 1.0 + MEMBER_RTOL)
+    )
+    out = []
+    for k, x in enumerate(xs):
+        verdict = ("member-with-witness" if witness_ok[k]
+                   else "rejected" if dual_ok[k] else "inconclusive")
+        out.append(MembershipVerdict(
+            point=tuple(int(v) for v in x),
+            verdict=verdict,
+            witness=None if verdict == "rejected" else witness[k],
+            violation=float(violation[k]),
+            dual_margin=float(margin[k]),
+            dual=None if verdict == "member-with-witness" else best_lam[k],
+            iterations=int(iterations[k]),
+        ))
+    return out
 
 
 def membership_test(
@@ -290,78 +359,57 @@ def membership_test(
     cfg: MembershipConfig = MembershipConfig(),
     warm_starts=(),
 ) -> MembershipVerdict:
-    """Search for a PSD witness Y with ||Y|| <= sqrt(r Delta) certifying x.
+    """Decide one lattice point: a PSD witness Y with ||Y|| <= sqrt(r Delta)
+    certifies membership, a dual functional certifies rejection.
 
-    Acceptance requires a witness whose residuals are all within the
-    budget, re-validated from scratch.  Rejection is reported only when
-    every restart stagnated well above the member level; anything in
-    between is inconclusive.
+    The search starts from the first of ``warm_starts``, else from 0; it is
+    the batched oracle of ``reconstruct`` run on one point.
     """
-    x = np.asarray(x, dtype=float)
-    g = system.grid
-    const = system.b - system.a @ x
-    u_stack = system.factors
-    cap = g.witness_cap
-    budget = g.budget
-    r = g.r
-    rng = np.random.default_rng(cfg.seed)
-
-    starts = [symmat.as_symmetric(w) for w in warm_starts]
-    starts.append(np.zeros((r, r)))
-    for _ in range(MEMBER_RESTARTS):
-        raw = rng.standard_normal((r, r))
-        starts.append(symmat.as_symmetric(raw @ raw.T / r * cap / 2.0))
-
-    best = None
-    all_stagnant = True
-    total_iters = 0
-    for y0 in starts:
-        y, obj, viol, stagnant, iters = _pgd_feasibility(y0, u_stack, const, budget, cap)
-        total_iters += iters
-        if best is None or obj < best[1]:
-            best = (y, obj, viol)
-        if obj <= MEMBER_TOL:
-            all_stagnant = True
-            break
-        if not stagnant:
-            all_stagnant = False
-
-    y, obj, viol = best
-    point = tuple(int(v) for v in np.asarray(x).ravel())
-    if obj <= MEMBER_TOL:
-        # Re-validate the witness from scratch at the stated budget.
-        e = system.b - system.a @ x - np.einsum("irs,rs->i", u_stack, y)
-        if np.max(np.abs(e)) <= budget * (1.0 + 1e-9) and symmat.operator_norm(y) <= cap * (1.0 + 1e-9):
-            return MembershipVerdict(
-                point=point, verdict="member-with-witness", witness=y,
-                violation=float(np.max(np.abs(e)) - budget), objective=obj,
-                iterations=total_iters,
-            )
-        return MembershipVerdict(
-            point=point, verdict="inconclusive", witness=y,
-            violation=viol, objective=obj, iterations=total_iters,
-        )
-    floor = REJECT_RATIO * budget**2
-    if obj >= floor and all_stagnant:
-        return MembershipVerdict(
-            point=point, verdict="rejected", witness=None,
-            violation=viol, objective=obj, iterations=total_iters,
-        )
-    return MembershipVerdict(
-        point=point, verdict="inconclusive", witness=y,
-        violation=viol, objective=obj, iterations=total_iters,
-    )
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    start = next(iter(warm_starts), np.zeros((system.grid.r, system.grid.r)))
+    return _decide(system, x, np.asarray(start, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    accepted: tuple
-    rejected: tuple
-    inconclusive: tuple
-    complete: bool = field(init=False)
+    verdicts: tuple  # one MembershipVerdict per point of {0,1}^n, lexicographic
 
-    def __post_init__(self):
-        object.__setattr__(self, "complete", len(self.inconclusive) == 0)
+    def _kind(self, verdict: str) -> tuple:
+        return tuple(v for v in self.verdicts if v.verdict == verdict)
+
+    @property
+    def accepted(self) -> tuple:
+        return self._kind("member-with-witness")
+
+    @property
+    def rejected(self) -> tuple:
+        return self._kind("rejected")
+
+    @property
+    def inconclusive(self) -> tuple:
+        return self._kind("inconclusive")
+
+    @property
+    def complete(self) -> bool:
+        return not self.inconclusive
+
+    def to_json(self) -> dict:
+        """Point lists by verdict, and one entry per point with its certificate values."""
+        return {
+            "accepted": [list(v.point) for v in self.accepted],
+            "rejected": [list(v.point) for v in self.rejected],
+            "inconclusive": [list(v.point) for v in self.inconclusive],
+            "points": [
+                {
+                    "point": list(v.point),
+                    "verdict": v.verdict,
+                    "violation": v.violation,
+                    "dual_margin": v.dual_margin,
+                    "iterations": v.iterations,
+                }
+                for v in self.verdicts
+            ],
+        }
 
 
 def reconstruct(
@@ -373,25 +421,25 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Run the membership oracle over all of {0,1}^n, lexicographically.
 
-    Inconclusive verdicts are listed, never dropped; their presence marks
-    the reconstruction incomplete.
+    All points are decided together, up to MEMBER_BATCH at a time; a point
+    starts from the first warm start ``warm_start_map`` gives it, else
+    from 0.  Inconclusive verdicts are listed, never dropped; their
+    presence marks the reconstruction incomplete.
     """
     if n > max_dim:
         raise ResourceError(f"2^{n} membership sweep refused (n > {max_dim})")
     if n != system.a.shape[1]:
         raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}")
     warm_start_map = warm_start_map or {}
-    accepted, rejected, inconclusive = [], [], []
-    for idx in range(1 << n):
-        x = np.array([(idx >> (n - 1 - j)) & 1 for j in range(n)], dtype=float)
-        key = tuple(int(v) for v in x)
-        verdict = membership_test(x, system, cfg, warm_starts=warm_start_map.get(key, ()))
-        if verdict.verdict == "member-with-witness":
-            accepted.append(verdict)
-        elif verdict.verdict == "rejected":
-            rejected.append(verdict)
-        else:
-            inconclusive.append(verdict)
-    return ReconstructionReport(
-        accepted=tuple(accepted), rejected=tuple(rejected), inconclusive=tuple(inconclusive)
-    )
+    r = system.grid.r
+    verdicts = []
+    for first in range(0, 1 << n, MEMBER_BATCH):
+        idx = np.arange(first, min(first + MEMBER_BATCH, 1 << n))
+        xs = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+        starts = np.zeros((len(idx), r, r))
+        for k, x in enumerate(xs):
+            warm = next(iter(warm_start_map.get(tuple(int(v) for v in x), ())), None)
+            if warm is not None:
+                starts[k] = warm
+        verdicts.extend(_decide(system, xs, starts))
+    return ReconstructionReport(verdicts=tuple(verdicts))

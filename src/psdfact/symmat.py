@@ -148,11 +148,12 @@ def sqrt_psd(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def eig_clip(m: np.ndarray, min_eig: float = 0.0, max_eig: float | None = None) -> np.ndarray:
-    """Clip the spectrum of a symmetric matrix into [min_eig, max_eig]."""
-    dec = spectral_decompose(m)
-    lam = np.clip(dec.eigenvalues, min_eig, max_eig)
-    v = dec.eigenvectors
-    return as_symmetric((v * lam) @ v.T)
+    """Symmetrize and clip the spectrum into [min_eig, max_eig], batched over a stack.
+
+    One batched ``eigh``; the result is symmetric up to round-off.
+    """
+    lam, vec = np.linalg.eigh(as_symmetric(m))
+    return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, min_eig, max_eig), vec)
 
 
 def image_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:

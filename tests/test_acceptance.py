@@ -165,7 +165,7 @@ def test_criterion_5_rounding_bound():
 @pytest.fixture(scope="module")
 def pipeline_results():
     out = {}
-    for instance, n in [("cube", 2), ("simplex", 3), ("point", 2)]:
+    for instance, n in [("cube", 2), ("simplex", 3), ("point", 2), ("crosspoly_01", 3)]:
         t0 = time.perf_counter()
         rep = run_pipeline(instance, n, PipelineConfig(seed=0))
         out[(instance, n)] = (rep, time.perf_counter() - t0)

@@ -22,6 +22,25 @@ def run_cli(args, capsys):
     return code, json.loads(out) if out.strip().startswith("{") else out
 
 
+def child_env():
+    """Environment in which a child ``python -m psdfact`` imports the same
+    package as this process, installed or not."""
+    src = str(Path(psdfact.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def unrescaled_system(tmp_path, instance, n):
+    """Rounded system of an instance's diagonal embedding, written by the CLI."""
+    slack, fact, system = (tmp_path / f for f in ("slack.json", "fact.json", "system.json"))
+    assert main(["slack", "build", "--instance", instance, "--n", str(n),
+                 "--out", str(slack)]) == 0
+    assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
+    assert main(["round", "run", "--slack", str(slack), "--fact", str(fact),
+                 "--out", str(system)]) == 0
+    return system
+
+
 class TestSlack:
     def test_build_cube(self, capsys):
         code, rep = run_cli(["slack", "build", "--instance", "cube", "--n", "3"], capsys)
@@ -209,6 +228,30 @@ class TestRoundReconstruct:
         assert rep["complete"] is True
         assert sorted(map(tuple, rep["accepted"])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_report_lists_every_point(self, tmp_path, capsys):
+        system = unrescaled_system(tmp_path, "crosspoly_01", 3)
+        capsys.readouterr()
+        code, rep = run_cli(["reconstruct", "--system", str(system), "--n", "3"], capsys)
+        assert code == 0 and rep["complete"] is True
+        assert rep["rejected"] == [[0, 0, 0], [1, 1, 1]]
+        assert [e["point"] for e in rep["points"]] == [
+            [a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        for e in rep["points"]:
+            assert (e["dual_margin"] > 0.0) == (e["verdict"] == "rejected")
+
+    def test_output_into_closed_pipe(self, tmp_path):
+        system = unrescaled_system(tmp_path, "cube", 2)
+        # The reader end closes before the child writes anything.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psdfact", "reconstruct", "--system", str(system), "--n", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        err = err.decode()
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert proc.returncode == 0
+
 
 class TestCheckAndBounds:
     def test_check_derivatives_small(self, tmp_path, capsys):
@@ -258,13 +301,9 @@ class TestPipeline:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child imports the same package as this process, installed or not.
-        src = str(Path(psdfact.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "psdfact", "bounds", "eval", "--formula", "coeff", "--n", "3"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["log2_value"] == 4.0

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from psdfact import symmat
+from psdfact import rounding, symmat
 from psdfact.errors import PreconditionError, ResourceError
 from psdfact.factorization import PsdFactorization, diagonal_embed
 from psdfact.polytopes import build_slack, builtin_instance
+from psdfact.pipeline import PipelineConfig, run_pipeline
 from psdfact.rescaling import rescale
 from psdfact.rounding import (
+    MEMBER_RTOL,
     GridParams,
     MembershipConfig,
     build_rounded_system,
@@ -178,6 +180,29 @@ def rounded_unit_square():
     return h, v, s, res, g, system
 
 
+def rounded_instance(instance, n):
+    h, v = builtin_instance(instance, n)
+    s = build_slack(h, v)
+    res = rescale(diagonal_embed(s), s)
+    g = GridParams.for_slack(n=n, r=res.factorization.side, delta_eff=s.max_entry)
+    return h, v, res, build_rounded_system(h, res.factorization, g)
+
+
+def numpy_dual_margin(system, x, lam):
+    """lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, with plain numpy."""
+    c = system.b - system.a @ np.asarray(x, dtype=float)
+    s = sum(l * u for l, u in zip(lam, system.factors))
+    positive = np.linalg.eigvalsh(s).clip(min=0.0).sum()
+    return float(lam @ c - system.grid.witness_cap * positive - system.grid.budget)
+
+
+def numpy_violation(system, x, y):
+    """max_i |b_i - a_i.x - <U_i, Y>| - budget, with plain numpy."""
+    e = [b - a @ np.asarray(x, dtype=float) - np.sum(u * y)
+         for a, b, u in zip(system.a, system.b, system.factors)]
+    return float(np.max(np.abs(e)) - system.grid.budget)
+
+
 class TestMembership:
     def test_vertices_accepted_with_warm_start(self):
         _, v, _, res, _, system = rounded_unit_square()
@@ -186,14 +211,19 @@ class TestMembership:
                 x.astype(float), system, warm_starts=(res.factorization.col_factors[j],)
             )
             assert verdict.verdict == "member-with-witness"
+            assert verdict.iterations == 1
             assert verdict.violation <= 0.0
+            assert numpy_violation(system, x, verdict.witness) <= 0.0
             assert symmat.operator_norm(verdict.witness) <= system.grid.witness_cap * (1 + 1e-9)
+            assert verdict.dual is None and verdict.dual_margin <= 0.0
 
     def test_vertices_accepted_cold(self):
         _, v, _, _, _, system = rounded_unit_square()
         for x in v.points:
             verdict = membership_test(x.astype(float), system)
             assert verdict.verdict == "member-with-witness"
+            assert numpy_violation(system, x, verdict.witness) <= system.grid.budget * MEMBER_RTOL
+            assert np.linalg.eigvalsh(verdict.witness)[0] >= -1e-12
 
     def test_warm_start_residual_within_budget(self):
         # with the maximal delta the warm-started objective is zero at once
@@ -215,6 +245,31 @@ class TestMembership:
         assert inside.verdict == "member-with-witness"
         assert outside.verdict == "rejected"
         assert outside.violation > 0.0
+        assert outside.witness is None
+        assert np.abs(outside.dual).sum() == pytest.approx(1.0)
+        recomputed = numpy_dual_margin(system, [1.0], outside.dual)
+        assert recomputed > 0.0
+        assert outside.dual_margin == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
+
+    def test_seed_changes_no_verdict(self):
+        _, _, _, system = rounded_instance("simplex", 3)
+        for x in itertools.product((0.0, 1.0), repeat=3):
+            a = membership_test(np.array(x), system, MembershipConfig(seed=0))
+            b = membership_test(np.array(x), system, MembershipConfig(seed=5))
+            assert ((a.verdict, a.iterations, a.dual_margin)
+                    == (b.verdict, b.iterations, b.dual_margin))
+
+    def test_inconclusive_at_the_cap_reports_both_values(self, monkeypatch):
+        # crosspoly_01 n=3 needs hundreds of iterations for its vertices
+        # from a cold start; with a cap of 5 they stay live.
+        monkeypatch.setattr(rounding, "MEMBER_MAX_ITERS", 5)
+        _, _, _, system = rounded_instance("crosspoly_01", 3)
+        verdict = membership_test(np.array([0.0, 1.0, 1.0]), system)
+        assert verdict.verdict == "inconclusive"
+        assert verdict.iterations == 5
+        assert verdict.violation > 0.0
+        assert verdict.dual_margin <= 0.0
+        assert verdict.witness is not None and verdict.dual is not None
 
 
 class TestReconstruct:
@@ -251,11 +306,63 @@ class TestReconstruct:
         got = sorted(ver.point for ver in report.accepted)
         assert got == sorted(tuple(int(a) for a in p) for p in v.points)
 
+    def test_crosspoly_cold_is_complete_and_correct(self):
+        _, v, _, system = rounded_instance("crosspoly_01", 3)
+        report = reconstruct(system, 3)
+        assert report.complete
+        assert sorted(ver.point for ver in report.accepted) == sorted(
+            tuple(int(a) for a in p) for p in v.points)
+        assert sorted(ver.point for ver in report.rejected) == [(0, 0, 0), (1, 1, 1)]
+        tol = system.grid.budget * MEMBER_RTOL
+        for ver in report.accepted:
+            assert numpy_violation(system, ver.point, ver.witness) <= tol
+        for ver in report.rejected:
+            assert numpy_dual_margin(system, ver.point, ver.dual) > 0.0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cube_vertices_never_dual_certified(self, n):
+        # weak duality: a true vertex's dual value never exceeds the budget,
+        # neither at the first lambda (from the residual at Y = 0) nor at
+        # the best one the cold sweep saw
+        _, _, _, system = rounded_instance("cube", n)
+        report = reconstruct(system, n)
+        assert len(report.accepted) == 2**n
+        budget = system.grid.budget
+        for ver in report.accepted:
+            assert ver.dual_margin <= 0.0
+            c = system.b - system.a @ np.asarray(ver.point, dtype=float)
+            push = np.maximum(np.abs(c) - budget, 0.0) * np.sign(c)
+            if np.abs(push).sum() > 0.0:
+                assert numpy_dual_margin(system, ver.point, push / np.abs(push).sum()) <= 0.0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_unbalanced_simplex_rejects_every_non_vertex(self, n):
+        rep = run_pipeline("simplex", n, PipelineConfig(unbalance=1e4))
+        rec = rep["stages"]["reconstruct"]
+        assert rep["verdict"] == "match"
+        assert len(rec["rejected"]) == 2**n - (n + 1)
+        assert rec["inconclusive"] == []
+        for entry in rec["points"]:
+            if entry["verdict"] == "rejected":
+                assert entry["dual_margin"] > 0.0
+
     def test_lexicographic_order(self):
         _, _, _, _, _, system = rounded_unit_square()
         report = reconstruct(system, 2)
         seen = [ver.point for ver in report.accepted]
         assert seen == sorted(seen)
+        assert [ver.point for ver in report.verdicts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_report_lists_every_point(self):
+        _, _, _, system = rounded_instance("simplex", 3)
+        rec = reconstruct(system, 3).to_json()
+        cube = list(itertools.product((0, 1), repeat=3))
+        assert [tuple(e["point"]) for e in rec["points"]] == cube
+        for e in rec["points"]:
+            assert set(e) == {"point", "verdict", "violation", "dual_margin", "iterations"}
+            listed = {"member-with-witness": "accepted", "rejected": "rejected",
+                      "inconclusive": "inconclusive"}[e["verdict"]]
+            assert e["point"] in rec[listed]
 
     def test_dimension_guard(self):
         _, _, _, _, _, system = rounded_unit_square()
