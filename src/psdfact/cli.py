@@ -2,8 +2,9 @@
 
 Subcommands: slack, fact, rescale, round, reconstruct, check, bounds,
 pipeline.  Every run emits a manifest (command line, seed, version, input
-hashes, wall time) inside its JSON report.  Exit codes: 0 success,
-1 verdict failure, 2 precondition error, 3 numeric error.
+hashes, wall time) inside its JSON report; the seed is null for commands
+that draw no random numbers.  Exit codes: 0 success, 1 verdict failure,
+2 precondition error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from .factorization import (
 from .pipeline import PipelineConfig, run_pipeline
 from .polytopes import build_slack, builtin_instance
 from .rescaling import RescaleConfig, rescale
-from .rounding import (
-    GridParams,
-    MembershipConfig,
-    build_rounded_system,
-    grid_delta,
-    reconstruct,
-)
+from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct
 from . import symmat
 
 EXIT_OK = 0
@@ -53,7 +48,7 @@ def _manifest(args, inputs=(), t0=None) -> dict:
             hashes[str(path)] = serialize.sha256_file(path)
     return serialize.RunManifest(
         command=" ".join(sys.argv[1:]) or args.command,
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", None),
         version=__version__,
         input_hashes=hashes,
         wall_time_s=0.0 if t0 is None else time.perf_counter() - t0,
@@ -233,15 +228,11 @@ def _cmd_round_run(args) -> int:
 def _cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
     system = serialize.system_from_json(serialize.load_json(args.system))
-    cfg = MembershipConfig(seed=args.seed)
-    recon = reconstruct(system, args.n, cfg)
+    recon = reconstruct(system, args.n)
     report = recon.to_json()
     report["complete"] = recon.complete
     report["manifest"] = _manifest(args, [args.system], t0)
-    if args.report:
-        serialize.dump_json(report, args.report)
-    else:
-        _emit(report, args)
+    _emit(report, args)
     return EXIT_OK if recon.complete else EXIT_VERDICT
 
 
@@ -339,7 +330,6 @@ def _cmd_pipeline(args) -> int:
         unbalance=args.unbalance,
         seed=args.seed,
         rescale_cfg=RescaleConfig(tol=args.tol, seed=args.seed),
-        membership_cfg=MembershipConfig(seed=args.seed),
     )
     report = run_pipeline(args.instance, args.n, cfg)
     report["manifest"] = _manifest(args, t0=t0)
@@ -351,8 +341,9 @@ def _cmd_pipeline(args) -> int:
 # Parser
 
 
-def _add_common(p, tol=None):
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p, tol=None, seed=False):
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     if tol is not None:
         p.add_argument("--tol", type=float, default=tol)
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     ff = fsub.add_parser("fit")
     ff.add_argument("--slack", required=True)
     ff.add_argument("--r", type=int, required=True)
-    _add_common(ff, tol=1e-7)
+    _add_common(ff, tol=1e-7, seed=True)
     ff.set_defaults(func=_cmd_fact_fit)
 
     p = sub.add_parser("rescale", help="rescale a factorization")
@@ -404,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "row 0 being the balanced start before any descent step; floats "
         "written with repr so they round-trip exactly",
     )
-    _add_common(rr, tol=0.05)
+    _add_common(rr, tol=0.05, seed=True)
     rr.set_defaults(func=_cmd_rescale_run)
 
     p = sub.add_parser("round", help="select a subsystem and round it")
@@ -420,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="sweep {0,1}^n through the membership oracle")
     p.add_argument("--system", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--report", help="write the reconstruction report here")
     _add_common(p)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -430,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     cd.add_argument("--pairs", type=int, default=200)
     cd.add_argument("--side", type=int, default=6)
     cd.add_argument("--report", help="CSV report path")
-    _add_common(cd)
+    _add_common(cd, seed=True)
     cd.set_defaults(func=_cmd_check_derivatives)
 
     p = sub.add_parser("bounds", help="bound calculators")
@@ -452,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-rescale", action="store_true")
     p.add_argument("--unbalance", type=float,
                    help="apply an adversarial congruence of this condition number")
-    _add_common(p, tol=0.05)
+    _add_common(p, tol=0.05, seed=True)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -26,6 +26,8 @@ from . import symmat
 # PSD acceptance slack for constructed factors: min eigenvalue may dip to
 # -PSD_TOL * (1 + lambda_max) from floating-point noise.
 PSD_TOL = 1e-9
+# Projected-gradient steps per side in each sweep of alternating_fit.
+FIT_INNER_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,6 @@ class FitConfig:
 
     tol: float = 1e-7
     sweeps: int = 6000
-    inner_steps: int = 5
     seed: int = 7
 
 
@@ -251,10 +252,8 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
         u_ex = u + beta * (u - u_prev)
         v_ex = v + beta * (v - v_prev)
         u_prev, v_prev = u, v
-        v = _pgd_side(u_ex, v_ex, target, cfg.inner_steps)
-        u = _pgd_side(
-            np.ascontiguousarray(v), u_ex, target.T, cfg.inner_steps
-        )
+        v = _pgd_side(u_ex, v_ex, target, FIT_INNER_STEPS)
+        u = _pgd_side(np.ascontiguousarray(v), u_ex, target.T, FIT_INNER_STEPS)
         residual = float(
             np.max(np.abs(np.einsum("irs,jrs->ij", u, v) - target))
         )

@@ -11,6 +11,11 @@ eps grid converts the descent direction into concrete steps; the loop
 stops once the potential lmax(U) * lmax(V) falls below d * Delta times
 (1 + tol), with d the reduced dimension and Delta the largest entry of
 the factored matrix.
+
+The loop keeps the balanced winner of each line search and M, the
+product of the accepted steps.  The returned transform is the polar part
+P = (M^T M)^(1/2), formed once at the end; M = Q P with Q orthogonal, so
+the congruence by P has the norms of the last winner.
 """
 
 from __future__ import annotations
@@ -220,13 +225,21 @@ def reduce_to_common_space(f: PsdFactorization) -> tuple[PsdFactorization, symma
     return reduced, w
 
 
+def _top_norms(f: PsdFactorization) -> tuple[float, float]:
+    """(lmax(U), lmax(V)): the largest operator norm on each side."""
+    return max_operator_norm(f.row_factors), max_operator_norm(f.col_factors)
+
+
 def balance_scalar(f: PsdFactorization) -> PsdFactorization:
     """Rescale (s^2 U, V / s^2) so both sides attain the same top norm.
 
     The potential is unchanged and afterwards lmax(U) = lmax(V) = sqrt(phi).
     """
-    lmax_u = max_operator_norm(f.row_factors)
-    lmax_v = max_operator_norm(f.col_factors)
+    return _balanced(f, *_top_norms(f))
+
+
+def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactorization:
+    """``balance_scalar`` from the two top norms of ``f``, already measured."""
     if lmax_u == 0.0 or lmax_v == 0.0:
         if lmax_u == lmax_v:
             return f
@@ -294,8 +307,10 @@ def descent_step(
     one broadcast product per side, of shape (len(grid), factors, d, d),
     and measured by one batched eigvalsh per side.  The candidate with the
     lowest potential wins (ties to the smallest eps) and is accepted only
-    on a strict relative decrease of at least 1e-12.  The accepted
-    candidate is re-balanced.  Returns (f, None) on a stall.
+    on a strict relative decrease of at least 1e-12.  Returns the winner
+    balanced by the scalar of ``balance_scalar``, taken from the norms the
+    search measured, and its eps; ``rescale`` keeps that pair as its
+    working state.  Returns (f, None) on a stall.
     """
     z = symmat.as_symmetric(z)
     z_norm = symmat.operator_norm(z)
@@ -309,12 +324,14 @@ def descent_step(
     grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
     rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
     cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
-    phi = operator_norms(rows).max(axis=1) * operator_norms(cols).max(axis=1)
+    lmax_u = operator_norms(rows).max(axis=1)
+    lmax_v = operator_norms(cols).max(axis=1)
+    phi = lmax_u * lmax_v
     best = int(np.argmin(phi))  # first minimum: ties go to the smallest eps
     if phi[best] > potential(f) * (1.0 - 1e-12):
         return f, None
     winner = PsdFactorization(row_factors=rows[best], col_factors=cols[best])
-    return balance_scalar(winner), float(eps[best])
+    return _balanced(winner, float(lmax_u[best]), float(lmax_v[best])), float(eps[best])
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +351,11 @@ class RescaleResult:
     transform_pinv: np.ndarray
     factorization: PsdFactorization
     phi_trajectory: tuple
-    # (lmax_u, lmax_v) per recorded iteration.  Whenever the common space
-    # is nonzero each pair is taken after re-balancing, so the two are
-    # equal up to round-off; the CLI trace records their max.
+    # (lmax_u, lmax_v) per recorded iteration, measured on the working
+    # factorization: the balanced reduced input, then each line-search
+    # winner as descent_step balanced it.  Whenever the common space is
+    # nonzero the two are equal up to round-off; the CLI trace records
+    # their max.
     lmax_trajectory: tuple
     lmax_u: float
     lmax_v: float
@@ -348,21 +367,6 @@ class RescaleResult:
     @property
     def target(self) -> float:
         return self.diagnostics.get("target_lmax", float("nan"))
-
-
-def _balanced_state(reduced: PsdFactorization, a: np.ndarray):
-    """The congruence (A, A^-1) of the reduced factorization, balanced.
-
-    A is rescaled by (lmax_v / lmax_u)^(1/4) so both sides of the result
-    attain one top norm.  Returns A, its inverse, the congruent
-    factorization and its norms (lmax_u, lmax_v).
-    """
-    a_inv = np.linalg.inv(a)
-    fw = congruence(reduced, a, a_inv)
-    s_bal = float((max_operator_norm(fw.col_factors) / max_operator_norm(fw.row_factors)) ** 0.25)
-    a, a_inv = a * s_bal, a_inv / s_bal
-    fw = congruence(reduced, a, a_inv)
-    return a, a_inv, fw, (max_operator_norm(fw.row_factors), max_operator_norm(fw.col_factors))
 
 
 def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleConfig()) -> RescaleResult:
@@ -390,8 +394,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
 
     if d == 0:
-        lmax_u = max_operator_norm(f.row_factors)
-        lmax_v = max_operator_norm(f.col_factors)
+        lmax_u, lmax_v = _top_norms(f)
         eye = np.eye(r)
         return RescaleResult(
             transform=eye,
@@ -416,22 +419,21 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     tau = potential(reduced)
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
 
-    # State: the accumulated PSD congruence on the reduced space, balanced.
-    # Working factors are recomputed from it each iteration; exponential
-    # steps fold in through the PSD polar part of (exp(-eps Z) A).
-    a, a_inv, fw, norms = _balanced_state(reduced, np.eye(d))
-    trajectory = [norms[0] * norms[1]]
-    lmax_traj = [norms]
+    # State: the balanced working factorization fw that descent_step
+    # returns, its norms, and M = exp(-eps_k Z_k) ... exp(-eps_1 Z_1) up to
+    # a positive scalar: fw = (c M U M^T, M^-T V M^-1 / c) for the reduced
+    # (U, V) and some c > 0.
+    fw = balance_scalar(reduced)
+    lmax_traj = [_top_norms(fw)]
+    m = np.eye(d)
     sphere = SPHERE_SAMPLES
     doubled = False
     iterations = 0
     stalled = False
 
-    while iterations < cfg.max_iters:
-        if trajectory[-1] <= target_phi:
-            break
+    while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
         z = perturbation_direction(fw, sphere, rng)
-        _, eps = descent_step(fw, z)
+        step, eps = descent_step(fw, z)
         if eps is None:
             if doubled:
                 stalled = True
@@ -440,27 +442,30 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             sphere *= 2
             iterations += 1
             continue
-        # Fold the accepted step into A via the PSD polar part.
-        zdec = symmat.spectral_decompose(z)
-        e2 = symmat.as_symmetric(
-            (zdec.eigenvectors * np.exp(-2.0 * eps * zdec.eigenvalues))
-            @ zdec.eigenvectors.T
-        )
-        a = symmat.sqrt_psd(symmat.as_symmetric(a @ e2 @ a))
-        lam = np.linalg.eigvalsh(a)
-        if lam[0] <= 0 or lam[-1] / lam[0] > cond_cap:
+        m = symmat.matrix_exponential(-eps * z) @ m
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv[-1] <= 0 or sv[0] / sv[-1] > cond_cap:
             raise NumericError(
                 "rescaling transform is blowing up; the bounded-minimizer "
                 f"diagnostic cap {cond_cap:.3g} was exceeded "
-                f"(condition number {lam[-1] / max(lam[0], 1e-300):.3g})"
+                f"(condition number {sv[0] / max(sv[-1], 1e-300):.3g})"
             )
-        a, a_inv, fw, norms = _balanced_state(reduced, a)
-        trajectory.append(norms[0] * norms[1])
-        lmax_traj.append(norms)
+        # Each step can divide ||M|| by up to e^(1/2); its scale is free, and
+        # holding it at 1 keeps runs with a large max_iters from underflowing.
+        m /= sv[0]
+        fw = step
+        lmax_traj.append(_top_norms(fw))
         iterations += 1
 
-    transform = symmat.as_symmetric(o @ a @ o.T)
-    transform_pinv = symmat.as_symmetric(o @ a_inv @ o.T)
+    # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
+    # M U M^T = Q (P U P) Q^T: the congruence by P has the norms of fw once
+    # balanced by a scalar.  P is lifted by O, so A = W S W^T, W = O R.
+    _, sv, rt = np.linalg.svd(m)
+    p_u, p_v = _top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
+    sv = sv * (p_v / p_u) ** 0.25
+    w = o @ rt.T
+    transform = symmat.as_symmetric((w * sv) @ w.T)
+    transform_pinv = symmat.as_symmetric((w / sv) @ w.T)
     rescaled = congruence(f, transform, transform_pinv)
     final = verify_factorization(rescaled, s, VERIFY_TOL)
     # Congruence by an exact inverse pair preserves the products, so the
@@ -477,7 +482,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         transform=transform,
         transform_pinv=transform_pinv,
         factorization=rescaled,
-        phi_trajectory=tuple(trajectory),
+        phi_trajectory=tuple(u * v for u, v in lmax_traj),
         lmax_trajectory=tuple(lmax_traj),
         lmax_u=lmax_u,
         lmax_v=lmax_v,

@@ -1,9 +1,7 @@
-"""JSON and CSV interchange for matrices, polytopes, factorizations.
+"""JSON interchange for matrices, polytopes, factorizations.
 
-JSON is the canonical format; matrices additionally support a small CSV
-form (header ``side,r`` followed by the rows).  Every CLI run emits a
-manifest with the command line, seed, package version and input hashes so
-results can be reproduced bit for bit.
+Every CLI run emits a manifest with the command line, seed, package
+version and input hashes so results can be reproduced bit for bit.
 """
 
 from __future__ import annotations
@@ -53,27 +51,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"matrix payload has {entries.size} entries, expected {side * side}"
         )
     return entries.reshape(side, side)
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    m = np.asarray(m, dtype=float)
-    lines = [f"side,{m.shape[0]}"]
-    lines += [",".join(repr(float(x)) for x in row) for row in m]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("side,"):
-        raise PreconditionError('matrix CSV must start with a "side,r" header')
-    side = int(lines[0].split(",")[1])
-    if len(lines) - 1 != side:
-        raise PreconditionError(f"matrix CSV has {len(lines) - 1} rows, expected {side}")
-    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
-    m = np.asarray(rows, dtype=float)
-    if m.shape != (side, side):
-        raise PreconditionError("matrix CSV rows have the wrong length")
-    return m
 
 
 def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
@@ -204,7 +181,7 @@ class RunManifest:
     """Reproducibility record attached to every CLI report."""
 
     command: str
-    seed: int
+    seed: int | None  # None for commands that draw no random numbers
     version: str
     input_hashes: dict = field(default_factory=dict)
     wall_time_s: float = 0.0

@@ -203,6 +203,26 @@ class TestBadArguments:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    # Commands that draw no random numbers take no --seed.
+    SEEDLESS = {
+        "slack-build": ["slack", "build", "--instance", "cube", "--n", "2"],
+        "fact-verify": ["fact", "verify", "--slack", "{slack}", "--fact", "{fact}"],
+        "fact-embed": ["fact", "embed", "--slack", "{slack}"],
+        "round-run": ["round", "run", "--slack", "{slack}", "--fact", "{fact}"],
+        "bounds-eval": ["bounds", "eval", "--formula", "coeff"],
+        "reconstruct": ["reconstruct", "--system", "{system}", "--n", "2"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(SEEDLESS))
+    def test_seed_is_not_an_option(self, files, case, capsys):
+        argv = [a.format(**files) for a in self.SEEDLESS[case]]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestRoundReconstruct:
     def test_round_then_reconstruct(self, tmp_path, capsys):
@@ -221,7 +241,7 @@ class TestRoundReconstruct:
         assert main(["round", "run", "--slack", str(slack), "--fact", str(rescaled),
                      "--delta", "max", "--out", str(system)]) == 0
         code = main(["reconstruct", "--system", str(system), "--n", "2",
-                     "--report", str(recon)])
+                     "--out", str(recon)])
         capsys.readouterr()
         assert code == 0
         rep = json.loads(recon.read_text())

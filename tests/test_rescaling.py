@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from psdfact import symmat
+from psdfact import rescaling, symmat
 from psdfact.derivatives import dplus_opnorm_congruence
-from psdfact.errors import PreconditionError
+from psdfact.errors import NumericError, PreconditionError
 from psdfact.factorization import (
     PsdFactorization,
     congruence,
@@ -23,7 +23,7 @@ from psdfact.rescaling import (
     rescale,
 )
 
-from helpers import random_psd, rng, unbalanced_cube
+from helpers import random_orthogonal, random_psd, rng, unbalanced_cube
 
 
 def adversarial_instance():
@@ -32,6 +32,18 @@ def adversarial_instance():
         [np.diag([100.0, 0.0])], [np.diag([0.01, 5.0])]
     )
     return f, s
+
+
+def unbalanced_moment_polygon(d=6, cond=1e4, seed=0):
+    """Diagonal embedding of the moment polygon with d vertices, hit with a
+    seeded congruence whose spectrum is geometric with condition ``cond``."""
+    s = build_slack(*builtin_instance("moment_polygon", d))
+    f = diagonal_embed(s)
+    q = random_orthogonal(rng(seed), f.side)
+    lam = cond ** (0.5 - np.arange(f.side) / (f.side - 1))
+    a = symmat.as_symmetric((q * lam) @ q.T)
+    a_inv = symmat.as_symmetric((q / lam) @ q.T)
+    return congruence(f, a, a_inv), s
 
 
 class TestReduce:
@@ -321,3 +333,27 @@ class TestRescale:
         np.testing.assert_array_equal(
             np.asarray(r1.phi_trajectory), np.asarray(r2.phi_trajectory)
         )
+
+    @pytest.mark.parametrize("make", [lambda: unbalanced_cube(t=100.0), unbalanced_moment_polygon],
+                             ids=["cube", "moment_polygon"])
+    def test_result_matches_last_state(self, make):
+        f, s = make()
+        res = rescale(f, s)
+        assert res.iterations >= 1
+        t, t_pinv = res.transform, res.transform_pinv
+        np.testing.assert_array_equal(t, t.T)
+        np.testing.assert_array_equal(t_pinv, t_pinv.T)
+        assert np.linalg.eigvalsh(t)[0] >= -1e-12 * np.linalg.eigvalsh(t)[-1]
+        _, w = reduce_to_common_space(f)
+        np.testing.assert_allclose(t @ t_pinv, w.projector(), atol=1e-9)
+        phi = max_operator_norm(res.factorization.row_factors) * max_operator_norm(
+            res.factorization.col_factors
+        )
+        assert phi == pytest.approx(res.phi_trajectory[-1], rel=1e-9)
+
+    def test_blow_up_guard_raises(self, monkeypatch):
+        # A step of eps = 1000 drives exp(-eps Z) far past any condition cap.
+        monkeypatch.setattr(rescaling, "descent_step", lambda f, z: (f, 1e3))
+        f, s = unbalanced_cube(t=100.0)
+        with pytest.raises(NumericError, match="diagnostic cap"):
+            rescale(f, s)

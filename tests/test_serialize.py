@@ -26,25 +26,6 @@ class TestMatrixJson:
             serialize.matrix_from_json({"side": 2, "entries": [1.0, 2.0]})
 
 
-class TestMatrixCsv:
-    def test_roundtrip(self):
-        m = random_symmetric(rng(2), 3)
-        back = serialize.matrix_from_csv(serialize.matrix_to_csv(m))
-        np.testing.assert_array_equal(back, m)
-
-    def test_header(self):
-        text = serialize.matrix_to_csv(np.eye(2))
-        assert text.splitlines()[0] == "side,2"
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(PreconditionError):
-            serialize.matrix_from_csv("1.0,0.0\n0.0,1.0\n")
-
-    def test_row_count_checked(self):
-        with pytest.raises(PreconditionError):
-            serialize.matrix_from_csv("side,3\n1.0,0.0,0.0\n")
-
-
 class TestPolytopeJson:
     def test_roundtrip(self):
         h, v = builtin_instance("simplex", 3)
