@@ -12,8 +12,18 @@ stops once the potential lmax(U) * lmax(V) falls below d * Delta times
 (1 + tol), with d the reduced dimension and Delta the largest entry of
 the factored matrix.
 
-The loop keeps the balanced winner of each line search and M, the
-product of the accepted steps.  The returned transform is the polar part
+The line search is exact but measures only candidates that can still
+win.  With E = exp(-eps Z), ||U|| <= ||E^-1||^2 ||E U E|| for symmetric U,
+and likewise on the column side, so every candidate has
+phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))) with phi0 the
+current potential.  The largest eps is measured first, then in one batch
+every smaller eps whose bound does not exceed that candidate's phi (up to
+BOUND_RTOL); the others cannot reach the minimum of the whole grid.
+
+The loop keeps the balanced winner of each line search, the operator
+norms of its factors (measured once per step and shared by the
+direction, the line search and the trajectory) and M, the product of the
+accepted steps.  The returned transform is the polar part
 P = (M^T M)^(1/2), formed once at the end; M = Q P with Q orthogonal, so
 the congruence by P has the norms of the last winner.
 """
@@ -38,6 +48,10 @@ from . import symmat
 
 # Default geometric line-search grid, as multiples of 1 / ||Z||.
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
+# Relative slack on the line search's lower bound, for round-off in phi and
+# in the bound: a candidate is skipped only when bound * (1 - BOUND_RTOL)
+# exceeds a measured phi.
+BOUND_RTOL = 1e-9
 # Random unit samples per degenerate top eigenspace (doubled after a stall).
 SPHERE_SAMPLES = 64
 # Relative gap within which a row factor is tight and the sides balanced.
@@ -82,10 +96,8 @@ def _fold_symmetric(points: np.ndarray) -> np.ndarray:
     coordinate is positive.
     """
     pts = np.array(points, dtype=float)
-    for row in pts:
-        nz = np.nonzero(row)[0]
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    first = np.take_along_axis(pts, np.argmax(pts != 0, axis=1)[:, None], axis=1)[:, 0]
+    pts[first < 0] *= -1.0
     pts = np.unique(pts, axis=0)
     keep = np.linalg.norm(pts, axis=1) > 0
     return pts[keep]
@@ -250,11 +262,19 @@ def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactoriza
     return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
 
 
-def _balanced_mu(f: PsdFactorization) -> tuple[float, np.ndarray]:
-    """Balanced top norm mu and the operator norm of every row factor."""
-    row_norms = operator_norms(f.row_factors)
-    lmax_u = float(row_norms.max(initial=0.0))
-    lmax_v = float(operator_norms(f.col_factors).max(initial=0.0))
+def _side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """The operator norm of every factor, one array per side."""
+    return operator_norms(f.row_factors), operator_norms(f.col_factors)
+
+
+def _tops(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(lmax(U), lmax(V)) from ``_side_norms``."""
+    return float(norms[0].max(initial=0.0)), float(norms[1].max(initial=0.0))
+
+
+def _balanced_mu(norms: tuple[np.ndarray, np.ndarray]) -> float:
+    """Balanced top norm mu, from ``_side_norms``."""
+    lmax_u, lmax_v = _tops(norms)
     mu = max(lmax_u, lmax_v)
     if mu == 0.0:
         raise PreconditionError("cannot perturb a zero factorization")
@@ -262,24 +282,28 @@ def _balanced_mu(f: PsdFactorization) -> tuple[float, np.ndarray]:
         raise PreconditionError(
             f"factorization is not balanced: lmax_u={lmax_u:.6g}, lmax_v={lmax_v:.6g}"
         )
-    return mu, row_norms
+    return mu
 
 
 def perturbation_direction(
     f: PsdFactorization,
     sphere_samples: int = SPHERE_SAMPLES,
     rng: np.random.Generator | None = None,
+    norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Descent direction Z from a John decomposition of top eigenspaces.
 
     Collects the top-eigenspace unit sphere of every row factor at the
     balanced norm mu (exact eigenbasis plus random unit samples per
     space), takes the MVEE of the symmetric hull, and returns its moment
-    matrix Z = sum p(z) z z^T = T T^T / k.
+    matrix Z = sum p(z) z z^T = T T^T / k.  ``norms`` is the operator norm
+    of every factor of ``f``, one array per side; it is measured here when
+    not given.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    mu, row_norms = _balanced_mu(f)
-    tight = f.row_factors[row_norms >= mu * (1.0 - MU_TOL)]
+    norms = _side_norms(f) if norms is None else norms
+    mu = _balanced_mu(norms)
+    tight = f.row_factors[norms[0] >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
     pts = []
@@ -300,38 +324,67 @@ def descent_step(
     f: PsdFactorization,
     z: np.ndarray,
     eps_grid=DEFAULT_EPS_GRID,
+    *,
+    phi0: float | None = None,
+    counts: dict | None = None,
 ) -> tuple[PsdFactorization, float | None]:
     """Line search over (exp(-eps Z) U exp(-eps Z), exp(eps Z) V exp(eps Z)).
 
-    Grid values are multiples of 1 / ||Z||.  All candidates are built in
-    one broadcast product per side, of shape (len(grid), factors, d, d),
-    and measured by one batched eigvalsh per side.  The candidate with the
-    lowest potential wins (ties to the smallest eps) and is accepted only
-    on a strict relative decrease of at least 1e-12.  Returns the winner
-    balanced by the scalar of ``balance_scalar``, taken from the norms the
-    search measured, and its eps; ``rescale`` keeps that pair as its
-    working state.  Returns (f, None) on a stall.
+    Grid values are multiples of 1 / ||Z||.  The candidate with the lowest
+    potential wins (ties to the smallest eps) and is accepted only on a
+    strict relative decrease of at least 1e-12 below ``phi0``, the
+    potential of ``f`` (measured here when not given).
+
+    Only candidates that can still win are measured.  Every candidate obeys
+    phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))), a bound that
+    falls as eps grows.  The largest eps is measured first; then, in one
+    second batch, every smaller eps whose bound times (1 - BOUND_RTOL) is
+    at most that candidate's phi.  A skipped candidate has phi above the
+    largest eps's, hence strictly above the best measured one, so it can be
+    neither the minimum nor a tie: the winner is the one a search of the
+    whole grid picks.  Each batch is one broadcast product per side, of
+    shape (candidates, factors, d, d), measured by one batched eigvalsh per
+    side.  When ``counts`` is given, the number of candidates measured is
+    added to ``counts["line_search_candidates"]``.
+
+    Returns the winner balanced by the scalar of ``balance_scalar``, taken
+    from the norms the search measured, and its eps; ``rescale`` keeps that
+    pair as its working state.  Returns (f, None) on a stall.
     """
     z = symmat.as_symmetric(z)
     z_norm = symmat.operator_norm(z)
     if z_norm == 0.0 or len(eps_grid) == 0:
         return f, None
+    phi0 = potential(f) if phi0 is None else phi0
     dec = symmat.spectral_decompose(z)
     lam, q = dec.eigenvalues, dec.eigenvectors
     eps = np.sort(np.asarray(eps_grid, dtype=float)) / z_norm
-    # Slice k of each stack is exp(-+eps_k Z), written through Z's eigenbasis.
-    shrink = symmat.as_symmetric((q * np.exp(-eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
-    grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
-    rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
-    cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
-    lmax_u = operator_norms(rows).max(axis=1)
-    lmax_v = operator_norms(cols).max(axis=1)
-    phi = lmax_u * lmax_v
-    best = int(np.argmin(phi))  # first minimum: ties go to the smallest eps
-    if phi[best] > potential(f) * (1.0 - 1e-12):
+
+    def measure(k):
+        # Slice i of each stack is exp(-+eps_k[i] Z), written through Z's eigenbasis.
+        e = eps[k]
+        shrink = symmat.as_symmetric((q * np.exp(-e[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+        grow = symmat.as_symmetric((q * np.exp(e[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+        rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
+        cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
+        return rows, cols, operator_norms(rows).max(axis=1), operator_norms(cols).max(axis=1)
+
+    top = len(eps) - 1
+    last = measure(np.array([top]))
+    phi_top = last[2][0] * last[3][0]
+    bound = phi0 * np.exp(-2.0 * eps[:top] * (lam[0] - lam[-1]))
+    live = np.flatnonzero(bound * (1.0 - BOUND_RTOL) <= phi_top)
+    idx = np.append(live, top)
+    if counts is not None:
+        counts["line_search_candidates"] = counts.get("line_search_candidates", 0) + idx.size
+    head = measure(live)
+    phi = np.append(head[2] * head[3], phi_top)
+    best = int(np.argmin(phi))  # first minimum, ascending eps: ties go to the smallest eps
+    if phi[best] > phi0 * (1.0 - 1e-12):
         return f, None
-    winner = PsdFactorization(row_factors=rows[best], col_factors=cols[best])
-    return _balanced(winner, float(lmax_u[best]), float(lmax_v[best])), float(eps[best])
+    rows, cols, lmax_u, lmax_v = (a[best] for a in head) if best < live.size else (a[0] for a in last)
+    winner = PsdFactorization(row_factors=rows, col_factors=cols)
+    return _balanced(winner, float(lmax_u), float(lmax_v)), float(eps[idx[best]])
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +460,11 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             certificate=bool(lmax_u <= target_lmax and lmax_v <= target_lmax),
             iterations=0,
             reduced_dim=0,
-            diagnostics={"target_lmax": target_lmax, "note": "zero common space"},
+            diagnostics={
+                "target_lmax": target_lmax,
+                "note": "zero common space",
+                "line_search_candidates": 0,
+            },
         )
 
     o = subspace.basis
@@ -420,20 +477,23 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
 
     # State: the balanced working factorization fw that descent_step
-    # returns, its norms, and M = exp(-eps_k Z_k) ... exp(-eps_1 Z_1) up to
-    # a positive scalar: fw = (c M U M^T, M^-T V M^-1 / c) for the reduced
-    # (U, V) and some c > 0.
+    # returns, the norms of its factors, and M = exp(-eps_k Z_k) ...
+    # exp(-eps_1 Z_1) up to a positive scalar: fw = (c M U M^T,
+    # M^-T V M^-1 / c) for the reduced (U, V) and some c > 0.
     fw = balance_scalar(reduced)
-    lmax_traj = [_top_norms(fw)]
+    norms = _side_norms(fw)
+    lmax_traj = [_tops(norms)]
     m = np.eye(d)
     sphere = SPHERE_SAMPLES
     doubled = False
     iterations = 0
     stalled = False
+    counts = {"line_search_candidates": 0}
 
     while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
-        z = perturbation_direction(fw, sphere, rng)
-        step, eps = descent_step(fw, z)
+        z = perturbation_direction(fw, sphere, rng, norms)
+        lmax_u, lmax_v = lmax_traj[-1]
+        step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v, counts=counts)
         if eps is None:
             if doubled:
                 stalled = True
@@ -454,7 +514,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         # holding it at 1 keeps runs with a large max_iters from underflowing.
         m /= sv[0]
         fw = step
-        lmax_traj.append(_top_norms(fw))
+        norms = _side_norms(fw)
+        lmax_traj.append(_tops(norms))
         iterations += 1
 
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
@@ -498,5 +559,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             "stalled": stalled,
             "sphere_samples_final": sphere,
             "residual": final.max_abs_residual,
+            **counts,
         },
     )

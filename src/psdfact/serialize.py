@@ -196,12 +196,6 @@ class RunManifest:
         }
 
 
-def dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_json(path):
     """Parse a JSON file; an unreadable or malformed file raises PreconditionError."""
     try:

@@ -110,8 +110,10 @@ class TestFactAndRescale:
         f, s = unbalanced_cube()
         slack = tmp_path / "slack.json"
         fact = tmp_path / "fact.json"
-        serialize.dump_json(serialize.slack_to_json(s), slack)
-        serialize.dump_json(serialize.factorization_to_json(f), fact)
+        for obj, path in ((serialize.slack_to_json(s), slack),
+                          (serialize.factorization_to_json(f), fact)):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
         out = tmp_path / "res.json"
         trace = tmp_path / "trace.csv"
         code = main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdfact.errors import PreconditionError
-from psdfact.rescaling import john_decompose
+from psdfact.rescaling import _fold_symmetric, john_decompose
 
 from helpers import random_orthogonal, rng
 
@@ -68,6 +68,23 @@ class TestJohnDecompose:
     def test_duplicates_folded(self):
         jd = john_decompose([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         assert jd.points.shape == (1, 2)
+
+    def test_fold_matches_row_by_row_flip(self):
+        # zero leading coordinates, antipodal pairs, duplicates and zero rows
+        gen = rng(4)
+        pts = gen.integers(-2, 3, size=(200, 4)).astype(float)
+        pts[::7] = 0.0
+        pts = np.vstack([pts, -pts[:50], gen.standard_normal((20, 4))])
+        expected = pts.copy()
+        for row in expected:
+            nz = np.nonzero(row)[0]
+            if nz.size and row[nz[0]] < 0:
+                row *= -1.0
+        expected = np.unique(expected, axis=0)
+        expected = expected[np.linalg.norm(expected, axis=1) > 0]
+        out = _fold_symmetric(pts)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
     def test_zero_span_rejected(self):
         with pytest.raises(PreconditionError):

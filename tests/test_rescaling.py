@@ -12,8 +12,10 @@ from psdfact.factorization import (
     potential,
     verify_factorization,
 )
+from psdfact.pipeline import PipelineConfig, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import (
+    BOUND_RTOL,
     DEFAULT_EPS_GRID,
     RescaleConfig,
     balance_scalar,
@@ -206,6 +208,53 @@ class TestDescentStep:
         assert out.row_factors.tobytes() == expected.row_factors.tobytes()
         assert out.col_factors.tobytes() == expected.col_factors.tobytes()
 
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_pruned_search_matches_reference_along_rescale(self, seed, monkeypatch):
+        steps = []
+
+        def spy(f, z, *args, **kwargs):
+            out = descent_step(f, z, *args, **kwargs)
+            steps.append((f, z, out))
+            return out
+
+        monkeypatch.setattr(rescaling, "descent_step", spy)
+        f, s = unbalanced_cube(t=100.0, seed=seed)
+        rescale(f, s)
+        assert steps
+        below_largest = 0
+        for f_k, z, (out, eps) in steps:
+            best_phi, best_eps, best = self.reference_step(f_k, z)
+            if eps is None:
+                assert out is f_k
+                assert best_phi > potential(f_k) * (1.0 - 1e-12)
+                continue
+            assert eps == best_eps
+            expected = balance_scalar(best)
+            assert out.row_factors.tobytes() == expected.row_factors.tobytes()
+            assert out.col_factors.tobytes() == expected.col_factors.tobytes()
+            below_largest += eps < max(DEFAULT_EPS_GRID) / symmat.operator_norm(z)
+        # the largest eps does not always win, so the pruning is exercised
+        assert below_largest >= 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidates_obey_congruence_bound(self, seed):
+        # phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))) for every
+        # grid value, and for larger steps than the grid takes
+        gen = rng(seed)
+        f = PsdFactorization.from_factors(
+            [random_psd(gen, 4) for _ in range(3)], [random_psd(gen, 4) for _ in range(2)]
+        )
+        z = random_psd(gen, 4, rank=2 + seed % 3)
+        lam = np.linalg.eigvalsh(z)
+        phi0 = potential(f)
+        for rel in DEFAULT_EPS_GRID + (1.0, 2.0, 4.0):
+            eps = rel / lam[-1]
+            cand = congruence(
+                f, symmat.matrix_exponential(-eps * z), symmat.matrix_exponential(eps * z)
+            )
+            bound = phi0 * np.exp(-2.0 * eps * (lam[-1] - lam[0]))
+            assert potential(cand) >= bound * (1.0 - BOUND_RTOL)
+
     def test_tie_goes_to_smallest_eps(self):
         # Z = diag(1, 0): the tight factors diag(0, 2) and diag(0, 1) lie in
         # its kernel, so phi is exactly 2 * 1 once diag(3, 0) has shrunk
@@ -292,6 +341,7 @@ class TestRescale:
         res = rescale(f, s)
         assert res.reduced_dim == 0
         assert res.iterations == 0
+        assert res.diagnostics["line_search_candidates"] == 0
         np.testing.assert_allclose(res.transform, np.eye(f.side))
         # the identity transform leaves the nonzero side at norm 1, which
         # cannot meet the degenerate target sqrt(0 * Delta) = 0
@@ -351,9 +401,29 @@ class TestRescale:
         )
         assert phi == pytest.approx(res.phi_trajectory[-1], rel=1e-9)
 
+    @pytest.mark.parametrize("make", [lambda: unbalanced_cube(t=100.0), unbalanced_moment_polygon],
+                             ids=["cube", "moment_polygon"])
+    def test_line_search_counter_bounded_and_repeatable(self, make):
+        f, s = make()
+        runs = [rescale(f, s) for _ in range(2)]
+        counts = [res.diagnostics["line_search_candidates"] for res in runs]
+        assert counts[0] == counts[1]
+        assert 1 <= counts[0] <= len(DEFAULT_EPS_GRID) * runs[0].iterations
+
+    def test_line_search_counter_in_pipeline_report(self):
+        # unbalanced cube n=4: the bound prunes candidates on some steps
+        stages = [
+            run_pipeline("cube", 4, PipelineConfig(unbalance=100.0, seed=1))["stages"]["rescale"]
+            for _ in range(2)
+        ]
+        assert stages[0] == stages[1]
+        count, iterations = stages[0]["line_search_candidates"], stages[0]["iterations"]
+        assert iterations >= 1
+        assert count < len(DEFAULT_EPS_GRID) * iterations
+
     def test_blow_up_guard_raises(self, monkeypatch):
         # A step of eps = 1000 drives exp(-eps Z) far past any condition cap.
-        monkeypatch.setattr(rescaling, "descent_step", lambda f, z: (f, 1e3))
+        monkeypatch.setattr(rescaling, "descent_step", lambda f, z, **_: (f, 1e3))
         f, s = unbalanced_cube(t=100.0)
         with pytest.raises(NumericError, match="diagnostic cap"):
             rescale(f, s)
