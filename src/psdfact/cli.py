@@ -212,13 +212,13 @@ def _cmd_round_run(args) -> int:
     report = serialize.system_to_json(system)
     report["rounding"] = [
         {
-            "error_fnorm": rf.error_fnorm,
-            "error_bound": rf.error_bound,
-            "error_bound_ok": rf.error_bound_ok,
-            "entry_bound": rf.entry_bound,
-            "entry_bound_ok": rf.entry_bound_ok,
+            "error_fnorm": err,
+            "error_bound": grid.error_bound,
+            "error_bound_ok": err <= grid.error_bound,
+            "entry_bound": grid.entry_bound,
+            "entry_bound_ok": bool(np.max(np.abs(u)) <= grid.entry_bound),
         }
-        for rf in system.rounding
+        for err, u in zip(system.error_fnorm, system.factors)
     ]
     report["manifest"] = _manifest(args, [args.slack, args.fact], t0)
     _emit(report, args)
@@ -238,6 +238,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_check_derivatives(args) -> int:
     t0 = time.perf_counter()
+    if args.side < 1:
+        raise PreconditionError(f"--side must be at least 1, got {args.side}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0

@@ -43,6 +43,11 @@ class PipelineConfig:
     rescale_cfg: RescaleConfig = field(default_factory=RescaleConfig)
     membership_cfg: MembershipConfig = field(default_factory=MembershipConfig)
 
+    def __post_init__(self):
+        # Written so that NaN fails the check.
+        if self.unbalance is not None and not 0.0 < self.unbalance < np.inf:
+            raise PreconditionError(f"unbalance must be finite and > 0, got {self.unbalance!r}")
+
 
 def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactorization:
     """Apply a random ill-conditioned PSD congruence (for demonstrations)."""
@@ -115,26 +120,24 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
 
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     system = build_rounded_system(h, working, grid)
-    budget_margin = max(
-        (rf.error_fnorm * working.side * np.sqrt(grid.big_delta) for rf in system.rounding),
-        default=0.0,
-    )
+    max_error = max(system.error_fnorm, default=0.0)
+    budget_margin = max_error * working.side * np.sqrt(grid.big_delta)
     report["stages"]["round"] = {
         "delta": grid.delta,
         "Delta": grid.big_delta,
         "grid_step": grid.step,
         "budget": grid.budget,
         "selected_rows": list(system.selected),
-        "error_bound_ok": all(rf.error_bound_ok for rf in system.rounding),
-        "entry_bound_ok": all(rf.entry_bound_ok for rf in system.rounding),
-        "max_error_fnorm": max((rf.error_fnorm for rf in system.rounding), default=0.0),
+        "error_bound_ok": max_error <= grid.error_bound,
+        # The padding rows are zero, so they never exceed the bound.
+        "entry_bound_ok": bool(np.max(np.abs(system.factors)) <= grid.entry_bound),
+        "max_error_fnorm": max_error,
         "warm_budget_ok": bool(budget_margin <= grid.budget),
         "warm_budget_value": float(budget_margin),
     }
 
-    warm = {}
-    for j, point in enumerate(v.points):
-        warm[tuple(int(x) for x in point)] = (working.col_factors[j],)
+    warm = {tuple(int(x) for x in point): working.col_factors[j]
+            for j, point in enumerate(v.points)}
     recon = reconstruct(system, h.dim, cfg.membership_cfg, warm_start_map=warm)
     accepted = sorted(ver.point for ver in recon.accepted)
     expected = sorted(tuple(int(x) for x in p) for p in v.points)

@@ -62,6 +62,8 @@ VERIFY_TOL = 1e-8
 MVEE_VOL_TOL = 1e-7
 MVEE_WEIGHT_FLOOR = 1e-9
 MVEE_MAX_ITERS = 200_000
+# Largest accepted gap in the John identity and in the contact radii.
+JOHN_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +185,16 @@ def john_decompose(points) -> JohnDecomposition:
     return jd
 
 
-def _validate_john(jd: JohnDecomposition, tol: float = 1e-6) -> None:
+def _validate_john(jd: JohnDecomposition) -> None:
     if np.any(jd.weights < 0) or abs(jd.weights.sum() - 1.0) > 1e-9:
         raise NumericError("John weights are not a probability vector")
     t = jd.ellipsoid_map
     identity_gap = np.linalg.norm(jd.moment_matrix() - (t @ t.T) / jd.dim)
-    if identity_gap > tol:
+    if identity_gap > JOHN_TOL:
         raise NumericError(f"John identity violated: gap {identity_gap:.3g}")
     t_pinv = np.linalg.pinv(t)
     radii = np.linalg.norm(jd.points @ t_pinv.T, axis=1)
-    if np.any(np.abs(radii - 1.0) > tol):
+    if np.any(np.abs(radii - 1.0) > JOHN_TOL):
         raise NumericError(
             f"contact point off the ellipsoid boundary by {np.max(np.abs(radii - 1.0)):.3g}"
         )
@@ -396,6 +398,13 @@ class RescaleConfig:
     tol: float = 0.05
     max_iters: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        # Written so that NaN fails the check.
+        if not 0.0 <= self.tol < np.inf:
+            raise PreconditionError(f"tol must be finite and >= 0, got {self.tol!r}")
+        if self.max_iters < 0:
+            raise PreconditionError(f"max_iters must be >= 0, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)

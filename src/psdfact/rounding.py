@@ -4,7 +4,11 @@ A factor U with operator norm at most sqrt(r Delta) is rounded by
 snapping its eigenvalues and eigenvector entries to the nearest integer
 multiple of delta/Delta (ties toward +inf), reassembling, and snapping
 the reassembled entries once more so every entry lands exactly on the
-grid.  The Frobenius error stays below 4 delta r^2 / sqrt(Delta).
+grid.  The selected factors are rounded as one (m, r, r) stack through one
+batched eigendecomposition.  The paper's bounds are the same for every
+factor, so they live on ``GridParams``: a Frobenius error of at most
+``error_bound`` = 4 delta r^2 / sqrt(Delta) and entries of at most
+``entry_bound`` = 8 r^1.5 sqrt(Delta).
 
 Membership of a lattice point x asks for a witness Y in
 K = {0 <= Y <= cap I}, cap = sqrt(r Delta), with every row residual
@@ -78,6 +82,14 @@ class GridParams:
     def witness_cap(self) -> float:
         return float(np.sqrt(self.r * self.big_delta))
 
+    @property
+    def error_bound(self) -> float:
+        return float(4.0 * self.delta * self.r**2 / np.sqrt(self.big_delta))
+
+    @property
+    def entry_bound(self) -> float:
+        return float(8.0 * self.r**1.5 * np.sqrt(self.big_delta))
+
     @classmethod
     def for_slack(cls, n: int, r: int, delta_eff: float, scale: float = 1.0,
                   worst_case: bool = False) -> "GridParams":
@@ -99,31 +111,17 @@ class GridParams:
                    worst_case=worst_case)
 
 
-@dataclass(frozen=True)
-class RoundedFactor:
-    """One rounded factor with its certified error and magnitude checks."""
-
-    matrix: np.ndarray
-    error_fnorm: float
-    error_bound: float
-    entry_bound: float
-    entry_bound_ok: bool
-
-    @property
-    def error_bound_ok(self) -> bool:
-        return self.error_fnorm <= self.error_bound
-
-
 def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
-    """Round a PSD matrix onto the delta/Delta grid via its spectrum.
+    """Round a PSD matrix, or a stack of them, onto the delta/Delta grid via the spectrum.
 
     Eigenvalues and eigenvector entries are snapped first; the reassembled
     matrix is snapped entrywise so that every entry is an exact grid
     multiple.  PSD-ness survives up to the final entrywise snap.
     """
     step = g.step
-    dec = symmat.spectral_decompose(symmat.as_symmetric(u))
-    if step >= 2.0 * max(dec.eigenvalues[0], 0.0) and dec.eigenvalues[0] > 0.0:
+    dec = symmat.spectral_decompose(u)
+    top = dec.eigenvalues[..., 0]
+    if np.any((top > 0.0) & (step >= 2.0 * top)):
         warnings.warn(
             "grid step exceeds twice the top eigenvalue; rounding will "
             "destroy the factor",
@@ -132,41 +130,21 @@ def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
         )
     lam = round_to_grid(dec.eigenvalues, step)
     vec = round_to_grid(dec.eigenvectors, step)
-    rounded = (vec * lam) @ vec.T
-    rounded = round_to_grid((rounded + rounded.T) / 2.0, step)
-    return rounded
-
-
-def round_factorization(factors, g: GridParams) -> tuple:
-    """Round a stack of row factors, recording per-factor certificates."""
-    out = []
-    error_bound = float(4.0 * g.delta * g.r**2 / np.sqrt(g.big_delta))
-    entry_bound = float(8.0 * g.r**1.5 * np.sqrt(g.big_delta))
-    for u in symmat.as_symmetric(factors):
-        rounded = round_factor(u, g)
-        out.append(
-            RoundedFactor(
-                matrix=rounded,
-                error_fnorm=float(np.linalg.norm(rounded - u)),
-                error_bound=error_bound,
-                entry_bound=entry_bound,
-                entry_bound_ok=bool(np.max(np.abs(rounded)) <= entry_bound),
-            )
-        )
-    return tuple(out)
+    rounded = (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
+    return round_to_grid((rounded + rounded.swapaxes(-1, -2)) / 2.0, step)
 
 
 # ---------------------------------------------------------------------------
 # Subsystem selection
 
 
-def select_subsystem(h: HPolytope, f: PsdFactorization, rank_tol: float = 1e-9) -> list[int]:
+def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
     """Greedy max-volume row subset of the stacked vectors (a_i, vec(U_i)).
 
     Pivoted Gram-Schmidt: repeatedly add the row whose residual against the
     span of the selected rows is largest, i.e. the row maximizing the Gram
-    determinant increase, until no residual exceeds rank_tol times the
-    largest row norm.  At most n + r^2 rows are selected.
+    determinant increase, until no residual exceeds symmat.RANK_TOL times
+    the largest row norm.  At most n + r^2 rows are selected.
     """
     if h.n_rows == 0:
         raise PreconditionError("empty inequality system")
@@ -175,10 +153,9 @@ def select_subsystem(h: HPolytope, f: PsdFactorization, rank_tol: float = 1e-9) 
     n, r = h.dim, f.side
     vecs = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
     norms = np.linalg.norm(vecs, axis=1)
-    threshold = rank_tol * max(float(norms.max()), 1.0)
+    threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
     residual = vecs.copy()
     selected: list[int] = []
-    basis = []
     while True:
         res_norms = np.linalg.norm(residual, axis=1)
         res_norms[selected] = 0.0
@@ -186,7 +163,6 @@ def select_subsystem(h: HPolytope, f: PsdFactorization, rank_tol: float = 1e-9) 
         if res_norms[j] <= threshold:
             break
         q = residual[j] / res_norms[j]
-        basis.append(q)
         selected.append(j)
         residual = residual - np.outer(residual @ q, q)
     if len(selected) > n + r * r:
@@ -203,7 +179,9 @@ class RoundedSystem:
     factors: np.ndarray  # (n + r^2, r, r) float
     grid: GridParams
     selected: tuple = ()
-    rounding: tuple = ()  # RoundedFactor records for the selected rows
+    # ||rounded U_i - U_i||_F per selected row, in slot order; empty when
+    # the system was loaded rather than rounded.
+    error_fnorm: tuple = ()
 
     @property
     def n_rows(self) -> int:
@@ -211,20 +189,20 @@ class RoundedSystem:
 
 
 def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> RoundedSystem:
-    """Select the working subsystem, round its factors, pad with zero rows."""
+    """Select the working subsystem, round its factors as one stack, pad with zero rows."""
     selected = select_subsystem(h, f)
-    rounded = round_factorization(f.row_factors[selected], g)
-    total = g.n + g.r**2
-    a = np.zeros((total, h.dim))
-    b = np.zeros(total)
-    mats = np.zeros((total, f.side, f.side))
-    for slot, i in enumerate(selected):
-        a[slot] = h.a[i]
-        b[slot] = h.b[i]
-        mats[slot] = rounded[slot].matrix
+    u = symmat.as_symmetric(f.row_factors[selected])
+    rounded = round_factor(u, g)
+    pad = g.n + g.r**2 - len(selected)
     return RoundedSystem(
-        a=a, b=b, factors=mats, grid=g,
-        selected=tuple(int(i) for i in selected), rounding=rounded,
+        a=np.pad(h.a[selected].astype(float), ((0, pad), (0, 0))),
+        b=np.pad(h.b[selected].astype(float), (0, pad)),
+        factors=np.pad(rounded, ((0, pad), (0, 0), (0, 0))),
+        grid=g,
+        selected=tuple(int(i) for i in selected),
+        # One 2-D norm per factor: a batched norm sums in another order
+        # and moves the last bits.
+        error_fnorm=tuple(float(np.linalg.norm(d)) for d in rounded - u),
     )
 
 
@@ -240,6 +218,8 @@ MEMBER_MAX_ITERS = 4000
 MEMBER_RTOL = 1e-9
 # Points decided together; bounds the memory of a sweep over a large cube.
 MEMBER_BATCH = 1 << 12
+# Largest n whose 2^n-point sweep ``reconstruct`` runs.
+RECONSTRUCT_MAX_DIM = 20
 
 
 @dataclass(frozen=True)
@@ -357,16 +337,16 @@ def membership_test(
     x,
     system: RoundedSystem,
     cfg: MembershipConfig = MembershipConfig(),
-    warm_starts=(),
+    warm_start: np.ndarray | None = None,
 ) -> MembershipVerdict:
     """Decide one lattice point: a PSD witness Y with ||Y|| <= sqrt(r Delta)
     certifies membership, a dual functional certifies rejection.
 
-    The search starts from the first of ``warm_starts``, else from 0; it is
-    the batched oracle of ``reconstruct`` run on one point.
+    The search starts from ``warm_start``, else from 0; it is the batched
+    oracle of ``reconstruct`` run on one point.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    start = next(iter(warm_starts), np.zeros((system.grid.r, system.grid.r)))
+    start = np.zeros((system.grid.r, system.grid.r)) if warm_start is None else warm_start
     return _decide(system, x, np.asarray(start, dtype=float)[None])[0]
 
 
@@ -416,30 +396,26 @@ def reconstruct(
     system: RoundedSystem,
     n: int,
     cfg: MembershipConfig = MembershipConfig(),
-    warm_start_map=None,
-    max_dim: int = 20,
+    warm_start_map: dict | None = None,
 ) -> ReconstructionReport:
     """Run the membership oracle over all of {0,1}^n, lexicographically.
 
     All points are decided together, up to MEMBER_BATCH at a time; a point
-    starts from the first warm start ``warm_start_map`` gives it, else
-    from 0.  Inconclusive verdicts are listed, never dropped; their
-    presence marks the reconstruction incomplete.
+    starts from the matrix ``warm_start_map`` gives its tuple, else from 0.
+    Inconclusive verdicts are listed, never dropped; their presence marks
+    the reconstruction incomplete.
     """
-    if n > max_dim:
-        raise ResourceError(f"2^{n} membership sweep refused (n > {max_dim})")
+    if n > RECONSTRUCT_MAX_DIM:
+        raise ResourceError(f"2^{n} membership sweep refused (n > {RECONSTRUCT_MAX_DIM})")
     if n != system.a.shape[1]:
         raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}")
     warm_start_map = warm_start_map or {}
-    r = system.grid.r
+    zero = np.zeros((system.grid.r, system.grid.r))
     verdicts = []
     for first in range(0, 1 << n, MEMBER_BATCH):
         idx = np.arange(first, min(first + MEMBER_BATCH, 1 << n))
         xs = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-        starts = np.zeros((len(idx), r, r))
-        for k, x in enumerate(xs):
-            warm = next(iter(warm_start_map.get(tuple(int(v) for v in x), ())), None)
-            if warm is not None:
-                starts[k] = warm
+        starts = np.array([warm_start_map.get(tuple(int(v) for v in x), zero) for x in xs],
+                          dtype=float)
         verdicts.extend(_decide(system, xs, starts))
     return ReconstructionReport(verdicts=tuple(verdicts))

@@ -32,6 +32,9 @@ RANK_TOL = 1e-9
 CLUSTER_TOL = 1e-8
 # exp() overflows just above 709; anything near this signals a step-size bug.
 EXP_CAP = 700.0
+# Largest accepted residual ||V diag(lam) V^T - m||_F of an eigendecomposition,
+# relative to 1 + ||m||_F.
+SPECTRAL_TOL = 1e-10
 
 
 def as_symmetric(a) -> np.ndarray:
@@ -46,28 +49,27 @@ def as_symmetric(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues sorted descending with matching orthonormal columns."""
+    """Eigenvalues sorted descending with matching orthonormal columns.
+
+    Holds one matrix, (k,) and (k, k), or a stack, (..., k) and (..., k, k).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def side(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
+        return (v * self.eigenvalues[..., None, :]) @ v.swapaxes(-1, -2)
 
-    def top_cluster(self, rel_tol: float = CLUSTER_TOL) -> np.ndarray:
-        """Orthonormal basis of the eigenspace of the largest eigenvalue.
+    def top_cluster(self) -> np.ndarray:
+        """Orthonormal basis of the eigenspace of the largest eigenvalue, for one matrix.
 
-        Eigenvalues within ``rel_tol`` times the operator norm of the top
+        Eigenvalues within CLUSTER_TOL times the operator norm of the top
         one count as degenerate and are merged into the cluster.
         """
         lam = self.eigenvalues
         scale = max(abs(lam[0]), abs(lam[-1])) if lam.size else 0.0
-        keep = lam >= lam[0] - rel_tol * scale
+        keep = lam >= lam[0] - CLUSTER_TOL * scale
         return self.eigenvectors[:, keep]
 
 
@@ -90,24 +92,27 @@ class Subspace:
 
 
 
-def spectral_decompose(m: np.ndarray, tol: float = 1e-10) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (a 0-d array for one matrix)."""
+    return np.sqrt((m * m).sum(axis=(-2, -1)))
+
+
+def spectral_decompose(m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a symmetric matrix or a stack of them, eigenvalues descending.
 
     Raises ConvergenceError if the eigensolver fails or the reconstruction
-    residual exceeds ``tol * (1 + ||m||_F)``.
+    residual of any matrix exceeds ``SPECTRAL_TOL * (1 + ||m||_F)``.
     """
     m = as_symmetric(m)
     try:
         lam, vec = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=vec)
-    residual = float(np.linalg.norm(dec.reconstruct() - m))
-    if residual > tol * (1.0 + float(np.linalg.norm(m))):
+    dec = SpectralDecomposition(eigenvalues=lam[..., ::-1], eigenvectors=vec[..., ::-1])
+    residual = _frobenius(dec.reconstruct() - m)
+    if (residual > SPECTRAL_TOL * (1.0 + _frobenius(m))).any():
         raise ConvergenceError(
-            "spectral reconstruction residual too large", residual=residual
+            "spectral reconstruction residual too large", residual=float(residual.max())
         )
     return dec
 
@@ -121,25 +126,25 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(lam)))
 
 
-def matrix_exponential(m: np.ndarray, exp_cap: float = EXP_CAP) -> np.ndarray:
+def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) for symmetric m, computed through the eigendecomposition."""
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
-    if lam.size and lam[0] > exp_cap:
+    if lam.size and lam[0] > EXP_CAP:
         raise NumericError(
             f"matrix exponential overflows: top eigenvalue {lam[0]:.3g} "
-            f"exceeds cap {exp_cap:.3g}"
+            f"exceeds cap {EXP_CAP:.3g}"
         )
     v = dec.eigenvectors
     return as_symmetric((v * np.exp(lam)) @ v.T)
 
 
-def sqrt_psd(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """PSD square root; clips eigenvalues below -rank_tol*scale to zero."""
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """PSD square root; eigenvalues in [-RANK_TOL * scale, 0) are clipped to zero."""
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and lam[-1] < -rank_tol * max(scale, 1.0):
+    if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
         raise NotPsdError(
             f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}"
         )
@@ -156,24 +161,24 @@ def eig_clip(m: np.ndarray, min_eig: float = 0.0, max_eig: float | None = None) 
     return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, min_eig, max_eig), vec)
 
 
-def image_basis(m: np.ndarray, rank_tol: float = RANK_TOL) -> Subspace:
+def image_basis(m: np.ndarray) -> Subspace:
     """Orthonormal basis of the image of a PSD matrix.
 
-    Directions with eigenvalue > rank_tol * lambda_max are kept.  A
-    negative eigenvalue below -rank_tol * lambda_max raises NotPsdError.
+    Directions with eigenvalue > RANK_TOL * lambda_max are kept.  A
+    negative eigenvalue below -RANK_TOL * lambda_max raises NotPsdError.
     """
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and lam[-1] < -rank_tol * max(scale, 1.0):
+    if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
     if scale == 0.0:
         return Subspace(basis=np.zeros((m.shape[0], 0)))
-    keep = lam > rank_tol * scale
+    keep = lam > RANK_TOL * scale
     return Subspace(basis=dec.eigenvectors[:, keep].copy())
 
 
-def project_subspace(target: Subspace, other: Subspace, rank_tol: float = RANK_TOL) -> Subspace:
+def project_subspace(target: Subspace, other: Subspace) -> Subspace:
     """Orthonormal basis of the projection of ``other`` onto ``target``."""
     if target.ambient_dim != other.ambient_dim:
         raise DimensionError("subspaces live in different ambient dimensions")
@@ -183,5 +188,5 @@ def project_subspace(target: Subspace, other: Subspace, rank_tol: float = RANK_T
     u, sig, _ = np.linalg.svd(projected, full_matrices=False)
     if sig.size == 0 or sig[0] == 0.0:
         return Subspace(basis=np.zeros((target.ambient_dim, 0)))
-    keep = sig > rank_tol * sig[0]
+    keep = sig > RANK_TOL * sig[0]
     return Subspace(basis=u[:, keep].copy())

@@ -190,20 +190,32 @@ class TestBadArguments:
                      "--out", str(system)]) == 0
         return {"slack": slack, "fact": fact, "system": system}
 
+    RESCALE = ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"]
+    # case: (argv, the flag the error message must name)
     COMMANDS = {
-        "delta-abc": ["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
-        "delta-nan": ["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
-        "reconstruct-n3": ["reconstruct", "--system", "{system}", "--n", "3"],
+        "delta-abc": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
+                      "delta"),
+        "delta-nan": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
+                      "delta"),
+        "reconstruct-n3": (["reconstruct", "--system", "{system}", "--n", "3"], "n"),
+        "side-0": (["check", "derivatives", "--side", "0", "--pairs", "1"], "side"),
+        "unbalance-0": (["pipeline", "--instance", "cube", "--unbalance", "0"], "unbalance"),
+        "unbalance-neg": (["pipeline", "--instance", "cube", "--unbalance", "-5"], "unbalance"),
+        "rescale-tol-nan": (RESCALE + ["--tol", "nan"], "tol"),
+        "rescale-tol-neg": (RESCALE + ["--tol", "-1"], "tol"),
+        "rescale-max-iters-neg": (RESCALE + ["--max-iters", "-1"], "max_iters"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
     def test_exits_2(self, files, case, capsys):
+        argv, flag = self.COMMANDS[case]
         capsys.readouterr()
-        code = main([a.format(**files) for a in self.COMMANDS[case]])
+        code = main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert flag in captured.err
 
     # Commands that draw no random numbers take no --seed.
     SEEDLESS = {

@@ -18,7 +18,6 @@ from psdfact.rounding import (
     membership_test,
     reconstruct,
     round_factor,
-    round_factorization,
     round_to_grid,
     select_subsystem,
 )
@@ -59,6 +58,15 @@ def small_grid(n=2, r=2, big_delta=1.0, scale=1.0):
     return GridParams(n=n, r=r, delta=grid_delta(n, r) * scale, big_delta=big_delta)
 
 
+def reference_round_factor(u, step):
+    """Single-matrix rounding as written before factors were rounded as a stack."""
+    m = symmat.as_symmetric(u)
+    lam, vec = np.linalg.eigh(m)
+    lam, vec = round_to_grid(lam[::-1], step), round_to_grid(vec[:, ::-1], step)
+    rounded = (vec * lam) @ vec.T
+    return round_to_grid((rounded + rounded.T) / 2.0, step)
+
+
 class TestRoundFactor:
     def test_on_grid_fixed_point(self):
         g = small_grid()
@@ -93,13 +101,16 @@ class TestRoundFactor:
         gen = rng(9)
         g = small_grid(n=2, r=3, big_delta=4.0)
         cap = 8.0 * 3**1.5 * np.sqrt(4.0)
+        assert g.entry_bound == pytest.approx(cap)
         for _ in range(50):
             b = gen.standard_normal((3, 3))
             u = b @ b.T
             u *= np.sqrt(3 * 4.0) / max(symmat.operator_norm(u), 1e-12)
-            rf = round_factorization([u], g)[0]
-            assert rf.entry_bound == pytest.approx(cap)
-            assert rf.entry_bound_ok
+            assert np.max(np.abs(round_factor(u, g))) <= g.entry_bound
+
+    def test_error_bound_property(self):
+        g = small_grid(n=3, r=4, big_delta=9.0, scale=0.5)
+        assert g.error_bound == pytest.approx(4.0 * g.delta * 16 / 3.0)
 
     def test_rounded_factor_stays_near_psd(self):
         gen = rng(10)
@@ -115,6 +126,23 @@ class TestRoundFactor:
         tiny = np.eye(2) * g.step / 10.0
         with pytest.warns(RuntimeWarning, match="grid step"):
             round_factor(tiny, g)
+
+    def test_stack_matches_each_matrix(self):
+        # Slice 1 is zero and slice 2 has a grid step above twice its top
+        # eigenvalue; the stack warns once and rounds every slice exactly
+        # as the single-matrix reference does.
+        gen = rng(12)
+        g = small_grid(n=3, r=4, big_delta=2.0)
+        b = gen.standard_normal((6, 4, 4))
+        stack = b @ b.swapaxes(1, 2) / 4.0
+        stack[1] = 0.0
+        stack[2] = np.eye(4) * g.step / 10.0
+        with pytest.warns(RuntimeWarning, match="grid step") as caught:
+            rounded = round_factor(stack, g)
+        assert len(caught) == 1
+        assert rounded.shape == stack.shape
+        for u, got in zip(stack, rounded):
+            assert got.tobytes() == reference_round_factor(u, g.step).tobytes()
 
     def test_delta_cap_enforced(self):
         with pytest.raises(PreconditionError):
@@ -171,6 +199,27 @@ class TestSelectSubsystem:
         assert len(picked) <= 3 + f.side**2
 
 
+class TestBuildRoundedSystem:
+    def test_selected_rows_rounded_and_padded(self):
+        h, v = builtin_instance("simplex", 3)
+        s = build_slack(h, v)
+        f = rescale(diagonal_embed(s), s).factorization
+        g = GridParams.for_slack(n=3, r=f.side, delta_eff=s.max_entry)
+        system = build_rounded_system(h, f, g)
+        k = len(system.selected)
+        assert system.n_rows == 3 + f.side**2
+        np.testing.assert_array_equal(system.a[:k], h.a[list(system.selected)])
+        np.testing.assert_array_equal(system.b[:k], h.b[list(system.selected)])
+        assert not system.a[k:].any() and not system.b[k:].any()
+        assert not system.factors[k:].any()
+        assert len(system.error_fnorm) == k
+        for slot, i in enumerate(system.selected):
+            u = symmat.as_symmetric(f.row_factors[i])
+            assert system.factors[slot].tobytes() == round_factor(u, g).tobytes()
+            assert system.error_fnorm[slot] == float(np.linalg.norm(system.factors[slot] - u))
+            assert system.error_fnorm[slot] <= g.error_bound
+
+
 def rounded_unit_square():
     h, v = builtin_instance("cube", 2)
     s = build_slack(h, v)
@@ -208,7 +257,7 @@ class TestMembership:
         _, v, _, res, _, system = rounded_unit_square()
         for j, x in enumerate(v.points):
             verdict = membership_test(
-                x.astype(float), system, warm_starts=(res.factorization.col_factors[j],)
+                x.astype(float), system, warm_start=res.factorization.col_factors[j]
             )
             assert verdict.verdict == "member-with-witness"
             assert verdict.iterations == 1
@@ -276,7 +325,7 @@ class TestReconstruct:
     def test_unit_square(self):
         h, v, _, res, _, system = rounded_unit_square()
         warm = {
-            tuple(int(a) for a in p): (res.factorization.col_factors[j],)
+            tuple(int(a) for a in p): res.factorization.col_factors[j]
             for j, p in enumerate(v.points)
         }
         report = reconstruct(system, 2, warm_start_map=warm)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from psdfact import symmat
-from psdfact.errors import DimensionError, NotPsdError, NumericError, PreconditionError
+from psdfact.errors import (
+    ConvergenceError,
+    DimensionError,
+    NotPsdError,
+    NumericError,
+    PreconditionError,
+)
 
 from helpers import (
     power_iteration_norm,
@@ -49,6 +55,31 @@ class TestSpectralDecompose:
             dec = symmat.spectral_decompose(m)
             res = np.linalg.norm(dec.reconstruct() - m)
             assert res <= 1e-10 * (1.0 + np.linalg.norm(m))
+
+    def test_stack_matches_each_slice(self):
+        stack = np.stack([random_symmetric(rng(20 + k), 5) for k in range(4)])
+        stack[2] = 0.0
+        dec = symmat.spectral_decompose(stack)
+        assert dec.eigenvalues.shape == (4, 5) and dec.eigenvectors.shape == (4, 5, 5)
+        rebuilt = dec.reconstruct()
+        for k, m in enumerate(stack):
+            one = symmat.spectral_decompose(m)
+            assert dec.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
+            assert dec.eigenvectors[k].tobytes() == one.eigenvectors.tobytes()
+            assert rebuilt[k].tobytes() == one.reconstruct().tobytes()
+
+    def test_stack_raises_when_one_slice_fails(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shift_slice_1(m):
+            lam, vec = eigh(m)
+            lam = lam.copy()
+            lam[1] += 1.0
+            return lam, vec
+
+        monkeypatch.setattr(symmat.np.linalg, "eigh", shift_slice_1)
+        with pytest.raises(ConvergenceError):
+            symmat.spectral_decompose(np.stack([np.eye(3), 2.0 * np.eye(3), 3.0 * np.eye(3)]))
 
     def test_top_cluster_merges_degenerate_eigenvalues(self):
         gen = rng(7)
