@@ -2,9 +2,11 @@
 
 Subcommands: slack, fact, rescale, round, reconstruct, check, bounds,
 pipeline.  Every run emits a manifest (command line, seed, version, input
-hashes, wall time) inside its JSON report; the seed is null for commands
-that draw no random numbers.  Exit codes: 0 success, 1 verdict failure,
-2 precondition error, 3 numeric error.
+hashes, wall time) inside its JSON report.  Only ``fact fit``, ``check
+derivatives`` and ``pipeline`` (for ``--unbalance``) draw random numbers
+and take ``--seed``; every other seed, ``rescale run``'s included, is
+null.  Exit codes: 0 success, 1 verdict failure, 2 precondition error,
+3 numeric error.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _cmd_rescale_run(args) -> int:
     t0 = time.perf_counter()
     s = _load_slack(args.slack)
     f = _load_fact(args.fact)
-    cfg = RescaleConfig(tol=args.tol, max_iters=args.max_iters, seed=args.seed)
+    cfg = RescaleConfig(tol=args.tol, max_iters=args.max_iters)
     res = rescale(f, s, cfg)
     report = {
         "certificate": res.certificate,
@@ -172,9 +174,7 @@ def _cmd_rescale_run(args) -> int:
         "transform": serialize.matrix_to_json(res.transform),
         "transform_pinv": serialize.matrix_to_json(res.transform_pinv),
         "factorization": serialize.factorization_to_json(res.factorization),
-        "diagnostics": {
-            k: v for k, v in res.diagnostics.items() if not isinstance(v, np.ndarray)
-        },
+        "diagnostics": res.diagnostics,
         "manifest": _manifest(args, [args.slack, args.fact], t0),
     }
     _emit(report, args)
@@ -240,6 +240,8 @@ def _cmd_check_derivatives(args) -> int:
     t0 = time.perf_counter()
     if args.side < 1:
         raise PreconditionError(f"--side must be at least 1, got {args.side}")
+    if args.pairs < 1:
+        raise PreconditionError(f"--pairs must be at least 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -331,7 +333,7 @@ def _cmd_pipeline(args) -> int:
         skip_rescale=args.skip_rescale,
         unbalance=args.unbalance,
         seed=args.seed,
-        rescale_cfg=RescaleConfig(tol=args.tol, seed=args.seed),
+        rescale_cfg=RescaleConfig(tol=args.tol),
     )
     report = run_pipeline(args.instance, args.n, cfg)
     report["manifest"] = _manifest(args, t0=t0)
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "row 0 being the balanced start before any descent step; floats "
         "written with repr so they round-trip exactly",
     )
-    _add_common(rr, tol=0.05, seed=True)
+    _add_common(rr, tol=0.05)
     rr.set_defaults(func=_cmd_rescale_run)
 
     p = sub.add_parser("round", help="select a subsystem and round it")
@@ -444,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-rescale", action="store_true")
     p.add_argument("--unbalance", type=float,
                    help="apply an adversarial congruence of this condition number")
-    _add_common(p, tol=0.05, seed=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --unbalance congruence, the only random draw of a run")
+    _add_common(p, tol=0.05)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -133,6 +133,13 @@ class FactorizationReport:
     passed: bool
 
 
+def check_tol(tol: float) -> None:
+    """Raise PreconditionError unless ``tol`` is finite and >= 0."""
+    # Written so that NaN fails the check.
+    if not 0.0 <= tol < np.inf:
+        raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def verify_factorization(
     f: PsdFactorization, s: SlackMatrix, tol: float = 1e-8
 ) -> FactorizationReport:
@@ -141,6 +148,7 @@ def verify_factorization(
     Passes iff the largest absolute residual is at most tol * (1 + Delta)
     with Delta the largest slack entry.
     """
+    check_tol(tol)
     target = s.as_float()
     if (f.n_rows, f.n_cols) != target.shape:
         raise DimensionError(
@@ -190,6 +198,9 @@ class FitConfig:
     tol: float = 1e-7
     sweeps: int = 6000
     seed: int = 7
+
+    def __post_init__(self):
+        check_tol(self.tol)
 
 
 @dataclass(frozen=True)

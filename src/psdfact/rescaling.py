@@ -5,12 +5,12 @@ side-averages, balance the sides by a scalar so both attain the same top
 norm mu, then repeatedly shrink the largest row factors with congruence
 steps exp(-eps Z) (and grow the column side with exp(+eps Z)).  The
 direction Z is the moment matrix of a John decomposition: the minimum
-volume enclosing ellipsoid of the top-eigenspace directions of all row
-factors currently at norm mu.  A monotone line search over a geometric
-eps grid converts the descent direction into concrete steps; the loop
-stops once the potential lmax(U) * lmax(V) falls below d * Delta times
-(1 + tol), with d the reduced dimension and Delta the largest entry of
-the factored matrix.
+volume enclosing ellipsoid of a deterministic contact set, the top
+eigenvectors of all row factors currently at norm mu.  A monotone line
+search over a geometric eps grid converts the descent direction into
+concrete steps; the loop stops once the potential lmax(U) * lmax(V) falls
+below d * Delta times (1 + tol), with d the reduced dimension and Delta
+the largest entry of the factored matrix, or at the first stall.
 
 The line search is exact but measures only candidates that can still
 win.  With E = exp(-eps Z), ||U|| <= ||E^-1||^2 ||E U E|| for symmetric U,
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericError, PreconditionError
 from .factorization import (
     PsdFactorization,
+    check_tol,
     congruence,
     max_operator_norm,
     operator_norms,
@@ -52,8 +53,6 @@ DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
 # in the bound: a candidate is skipped only when bound * (1 - BOUND_RTOL)
 # exceeds a measured phi.
 BOUND_RTOL = 1e-9
-# Random unit samples per degenerate top eigenspace (doubled after a stall).
-SPHERE_SAMPLES = 64
 # Relative gap within which a row factor is tight and the sides balanced.
 MU_TOL = 1e-6
 # Residual tolerance, relative to 1 + Delta, of input and rescaled factors.
@@ -289,37 +288,25 @@ def _balanced_mu(norms: tuple[np.ndarray, np.ndarray]) -> float:
 
 def perturbation_direction(
     f: PsdFactorization,
-    sphere_samples: int = SPHERE_SAMPLES,
-    rng: np.random.Generator | None = None,
     norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Descent direction Z from a John decomposition of top eigenspaces.
 
-    Collects the top-eigenspace unit sphere of every row factor at the
-    balanced norm mu (exact eigenbasis plus random unit samples per
-    space), takes the MVEE of the symmetric hull, and returns its moment
-    matrix Z = sum p(z) z z^T = T T^T / k.  ``norms`` is the operator norm
-    of every factor of ``f``, one array per side; it is measured here when
-    not given.
+    Decomposes the row factors at the balanced norm mu in one batch and
+    returns the moment matrix Z = sum p(z) z z^T = T T^T / k of the MVEE of
+    +- their top-eigenspace eigenvectors.  The eigenbasis of a degenerate
+    eigenspace stands in for its unit sphere: the MVEE of +- an orthonormal
+    basis is the unit ball of its span, so one tight factor 2I gives
+    exactly Z = I / 2.  ``norms`` is the operator norm of every factor of
+    ``f``, one array per side; it is measured here when not given.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     norms = _side_norms(f) if norms is None else norms
     mu = _balanced_mu(norms)
     tight = f.row_factors[norms[0] >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
-    pts = []
-    for u in tight:
-        basis = symmat.spectral_decompose(u).top_cluster()
-        pts.extend(basis.T)
-        width = basis.shape[1]
-        if width > 1:
-            g = rng.standard_normal((sphere_samples, width))
-            norms = np.linalg.norm(g, axis=1)
-            ok = norms > 1e-12
-            pts.extend((g[ok] / norms[ok, None]) @ basis.T)
-    jd = john_decompose(np.asarray(pts))
-    return jd.moment_matrix()
+    dec = symmat.spectral_decompose(tight)
+    return john_decompose(dec.top_cluster().T).moment_matrix()
 
 
 def descent_step(
@@ -397,12 +384,9 @@ def descent_step(
 class RescaleConfig:
     tol: float = 0.05
     max_iters: int = 500
-    seed: int = 0
 
     def __post_init__(self):
-        # Written so that NaN fails the check.
-        if not 0.0 <= self.tol < np.inf:
-            raise PreconditionError(f"tol must be finite and >= 0, got {self.tol!r}")
+        check_tol(self.tol)
         if self.max_iters < 0:
             raise PreconditionError(f"max_iters must be >= 0, got {self.max_iters!r}")
 
@@ -412,7 +396,6 @@ class RescaleResult:
     transform: np.ndarray
     transform_pinv: np.ndarray
     factorization: PsdFactorization
-    phi_trajectory: tuple
     # (lmax_u, lmax_v) per recorded iteration, measured on the working
     # factorization: the balanced reduced input, then each line-search
     # winner as descent_step balanced it.  Whenever the common space is
@@ -425,6 +408,11 @@ class RescaleResult:
     iterations: int
     reduced_dim: int
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def phi_trajectory(self) -> tuple:
+        """The potential lmax_u * lmax_v of every ``lmax_trajectory`` entry."""
+        return tuple(u * v for u, v in self.lmax_trajectory)
 
     @property
     def target(self) -> float:
@@ -448,7 +436,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         )
     delta = s.max_entry
     r = f.side
-    rng = np.random.default_rng(cfg.seed)
 
     reduced, subspace = reduce_to_common_space(f)
     d = subspace.dim
@@ -462,7 +449,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             transform=eye,
             transform_pinv=eye,
             factorization=f,
-            phi_trajectory=(lmax_u * lmax_v,),
             lmax_trajectory=((lmax_u, lmax_v),),
             lmax_u=lmax_u,
             lmax_v=lmax_v,
@@ -493,24 +479,17 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     norms = _side_norms(fw)
     lmax_traj = [_tops(norms)]
     m = np.eye(d)
-    sphere = SPHERE_SAMPLES
-    doubled = False
     iterations = 0
     stalled = False
     counts = {"line_search_candidates": 0}
 
     while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
-        z = perturbation_direction(fw, sphere, rng, norms)
+        z = perturbation_direction(fw, norms)
         lmax_u, lmax_v = lmax_traj[-1]
         step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v, counts=counts)
         if eps is None:
-            if doubled:
-                stalled = True
-                break
-            doubled = True
-            sphere *= 2
-            iterations += 1
-            continue
+            stalled = True
+            break
         m = symmat.matrix_exponential(-eps * z) @ m
         sv = np.linalg.svd(m, compute_uv=False)
         if sv[-1] <= 0 or sv[0] / sv[-1] > cond_cap:
@@ -552,7 +531,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         transform=transform,
         transform_pinv=transform_pinv,
         factorization=rescaled,
-        phi_trajectory=tuple(u * v for u, v in lmax_traj),
         lmax_trajectory=tuple(lmax_traj),
         lmax_u=lmax_u,
         lmax_v=lmax_v,
@@ -566,7 +544,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             "sigma": sigma,
             "tau": tau,
             "stalled": stalled,
-            "sphere_samples_final": sphere,
             "residual": final.max_abs_residual,
             **counts,
         },

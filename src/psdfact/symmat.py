@@ -62,15 +62,17 @@ class SpectralDecomposition:
         return (v * self.eigenvalues[..., None, :]) @ v.swapaxes(-1, -2)
 
     def top_cluster(self) -> np.ndarray:
-        """Orthonormal basis of the eigenspace of the largest eigenvalue, for one matrix.
+        """Eigenvectors of the largest eigenvalue, as the columns of one (k, K) array.
 
         Eigenvalues within CLUSTER_TOL times the operator norm of the top
-        one count as degenerate and are merged into the cluster.
+        one count as degenerate and are merged into the cluster.  For one
+        matrix the columns are an orthonormal basis of that eigenspace; for
+        a stack they are those bases one matrix after another.
         """
         lam = self.eigenvalues
-        scale = max(abs(lam[0]), abs(lam[-1])) if lam.size else 0.0
-        keep = lam >= lam[0] - CLUSTER_TOL * scale
-        return self.eigenvectors[:, keep]
+        scale = np.maximum(abs(lam[..., :1]), abs(lam[..., -1:]))
+        keep = lam >= lam[..., :1] - CLUSTER_TOL * scale
+        return self.eigenvectors.swapaxes(-1, -2)[keep].T
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ import pytest
 import psdfact
 from psdfact import serialize
 from psdfact.cli import main
+from psdfact.factorization import diagonal_embed
+from psdfact.pipeline import _unbalance_congruence
+from psdfact.polytopes import build_slack, builtin_instance
 from psdfact.rescaling import rescale
 
 from helpers import unbalanced_cube
@@ -133,6 +136,24 @@ class TestFactAndRescale:
         res = rescale(f, s)
         assert [float(row["lmax"]) for row in rows] == [max(p) for p in res.lmax_trajectory]
 
+    def test_rescale_run_is_deterministic(self, tmp_path, capsys):
+        s = build_slack(*builtin_instance("cube", 3))
+        f = _unbalance_congruence(diagonal_embed(s), 1e3, 0)
+        slack, fact = tmp_path / "slack.json", tmp_path / "fact.json"
+        slack.write_text(json.dumps(serialize.slack_to_json(s)))
+        fact.write_text(json.dumps(serialize.factorization_to_json(f)))
+        texts = []
+        for k in range(2):
+            out = tmp_path / f"res{k}.json"
+            assert main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
+                         "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        capsys.readouterr()
+        assert json.loads(texts[0])["iterations"] > 0
+        first, second = ([line for line in text.splitlines() if '"wall_time_s"' not in line]
+                         for text in texts)
+        assert first == second
+
     def test_fit_small(self, tmp_path, capsys):
         slack = tmp_path / "s.json"
         assert main(["slack", "build", "--instance", "point", "--n", "1",
@@ -191,6 +212,8 @@ class TestBadArguments:
         return {"slack": slack, "fact": fact, "system": system}
 
     RESCALE = ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"]
+    VERIFY = ["fact", "verify", "--slack", "{slack}", "--fact", "{fact}"]
+    FIT = ["fact", "fit", "--slack", "{slack}", "--r", "2"]
     # case: (argv, the flag the error message must name)
     COMMANDS = {
         "delta-abc": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
@@ -204,6 +227,12 @@ class TestBadArguments:
         "rescale-tol-nan": (RESCALE + ["--tol", "nan"], "tol"),
         "rescale-tol-neg": (RESCALE + ["--tol", "-1"], "tol"),
         "rescale-max-iters-neg": (RESCALE + ["--max-iters", "-1"], "max_iters"),
+        "pairs-0": (["check", "derivatives", "--pairs", "0"], "pairs"),
+        "pairs-neg": (["check", "derivatives", "--pairs", "-1"], "pairs"),
+        "verify-tol-nan": (VERIFY + ["--tol", "nan"], "tol"),
+        "verify-tol-neg": (VERIFY + ["--tol", "-1"], "tol"),
+        "fit-tol-nan": (FIT + ["--tol", "nan"], "tol"),
+        "fit-tol-neg": (FIT + ["--tol", "-1"], "tol"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -225,6 +254,7 @@ class TestBadArguments:
         "round-run": ["round", "run", "--slack", "{slack}", "--fact", "{fact}"],
         "bounds-eval": ["bounds", "eval", "--formula", "coeff"],
         "reconstruct": ["reconstruct", "--system", "{system}", "--n", "2"],
+        "rescale-run": ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"],
     }
 
     @pytest.mark.parametrize("case", sorted(SEEDLESS))
