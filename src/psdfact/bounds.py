@@ -29,6 +29,21 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
+def _finite(flag: str, compute) -> tuple:
+    """The floats ``compute()`` returns, all finite.
+
+    A float overflow inside ``compute`` or an infinite result raises
+    PreconditionError naming ``flag``, the input that is too large.
+    """
+    try:
+        values = compute()
+    except OverflowError:
+        values = (math.inf,)
+    if not all(math.isfinite(v) for v in values):
+        raise PreconditionError(f"{flag} is too large: the bound overflows a float")
+    return values
+
+
 def _decimal(log2_value: float) -> str | None:
     if log2_value < 64.0:
         return f"{2.0 ** log2_value:.6g}"
@@ -51,7 +66,7 @@ def xc01_lower_bound(n: int) -> BoundReport:
     """2^(n/4) / (3 n log2 n)^(1/4): the 0/1-polytope lower bound."""
     if n < 2:
         raise PreconditionError("needs n >= 2")
-    log2_value = n / 4.0 - math.log2(3.0 * n * math.log2(n)) / 4.0
+    (log2_value,) = _finite("n", lambda: (n / 4.0 - math.log2(3.0 * n * math.log2(n)) / 4.0,))
     return _report(
         "xc01_lower_bound",
         {"n": n},
@@ -67,8 +82,10 @@ def worst_case_coeff_bound(n: int) -> BoundReport:
     """
     if n < 1:
         raise PreconditionError("needs n >= 1")
-    log2_value = (n + 1) / 2.0 * math.log2(n + 1)
-    rhs = n * math.log2(n) if n > 1 else 0.0
+    log2_value, rhs = _finite("n", lambda: (
+        (n + 1) / 2.0 * math.log2(n + 1),
+        n * math.log2(n) if n > 1 else 0.0,
+    ))
     return _report(
         "worst_case_coeff_bound",
         {"n": n},
@@ -92,10 +109,11 @@ def counting_capacity(n: int, big_r: int) -> BoundReport:
     if n <= 30:
         left = math.log2(2.0 ** (2**n) - 1.0) if 2**n < 1020 else float(2**n)
     else:
-        left = float(2**n)
+        # 2^n as a float, without forming 2^n as an integer.
+        (left,) = _finite("n", lambda: (math.ldexp(1.0, n),))
     log2_delta = (n + 1) / 2.0 * math.log2(n + 1)
     m = n + big_r**2
-    right = 2.0 * (m + 1) * m * log2_delta
+    (right,) = _finite("R", lambda: (2.0 * (m + 1) * m * log2_delta,))
     return _report(
         "counting_capacity",
         {"n": n, "R": big_r},
@@ -149,7 +167,7 @@ def polygon_instance_params(d: int) -> PolygonParams:
         raise PreconditionError("needs d >= 3")
     n = 2
     big_n = 4 * d * d
-    base = math.log2(12.0 * d * d)
+    (base,) = _finite("d", lambda: (math.log2(12.0 * d * d),))
     return PolygonParams(
         d=d,
         n=n,

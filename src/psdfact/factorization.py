@@ -140,6 +140,21 @@ def check_tol(tol: float) -> None:
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
 
 
+def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int, int]]:
+    """Largest |<U_i, V^j> - S_ij| and its (i, j); (0.0, (0, 0)) when S is empty."""
+    target = s.as_float()
+    if (f.n_rows, f.n_cols) != target.shape:
+        raise DimensionError(
+            f"index sets disagree: factorization {f.n_rows}x{f.n_cols}, "
+            f"slack {target.shape[0]}x{target.shape[1]}"
+        )
+    residual = np.abs(f.products() - target)
+    if not residual.size:
+        return 0.0, (0, 0)
+    loc = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    return float(residual[loc]), (int(loc[0]), int(loc[1]))
+
+
 def verify_factorization(
     f: PsdFactorization, s: SlackMatrix, tol: float = 1e-8
 ) -> FactorizationReport:
@@ -149,23 +164,12 @@ def verify_factorization(
     with Delta the largest slack entry.
     """
     check_tol(tol)
-    target = s.as_float()
-    if (f.n_rows, f.n_cols) != target.shape:
-        raise DimensionError(
-            f"index sets disagree: factorization {f.n_rows}x{f.n_cols}, "
-            f"slack {target.shape[0]}x{target.shape[1]}"
-        )
-    residual = np.abs(f.products() - target)
-    if residual.size:
-        loc = np.unravel_index(int(np.argmax(residual)), residual.shape)
-        max_res = float(residual[loc])
-    else:
-        loc, max_res = (0, 0), 0.0
+    max_res, loc = max_residual(f, s)
     lmax_u = max_operator_norm(f.row_factors) if f.n_rows else 0.0
     lmax_v = max_operator_norm(f.col_factors) if f.n_cols else 0.0
     return FactorizationReport(
         max_abs_residual=max_res,
-        residual_location=(int(loc[0]), int(loc[1])),
+        residual_location=loc,
         lmax_u=lmax_u,
         lmax_v=lmax_v,
         potential=lmax_u * lmax_v,

@@ -21,7 +21,7 @@ from .factorization import (
     alternating_fit,
     congruence,
     diagonal_embed,
-    verify_factorization,
+    max_residual,
 )
 from .polytopes import build_slack, builtin_instance
 from .rescaling import RescaleConfig, rescale
@@ -63,10 +63,19 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
 
 
 def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) -> dict:
-    """Full pipeline on a builtin instance; returns a stage-by-stage report."""
+    """Full pipeline on a builtin instance; returns a stage-by-stage report.
+
+    The reconstruction sweeps {0,1}^n, so an instance whose vertices are
+    not all 0/1 points is refused with PreconditionError.
+    """
     h, v = builtin_instance(instance, n)
     if h.dim > 4:
         raise PreconditionError("reconstruction pipeline supports n <= 4")
+    if not ((v.points == 0) | (v.points == 1)).all():
+        raise PreconditionError(
+            f"instance {instance!r} has vertices outside {{0,1}}^{h.dim}, "
+            "which the reconstruction sweep cannot find"
+        )
     s = build_slack(h, v)
     report: dict = {
         "instance": instance,
@@ -97,9 +106,8 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
 
     if cfg.unbalance is not None:
         f = _unbalance_congruence(f, cfg.unbalance, cfg.seed)
-        check = verify_factorization(f, s)
         report["stages"]["factorize"]["unbalanced"] = True
-        report["stages"]["factorize"]["residual_after_unbalance"] = check.max_abs_residual
+        report["stages"]["factorize"]["residual_after_unbalance"] = max_residual(f, s)[0]
 
     if cfg.skip_rescale:
         working = f
@@ -136,11 +144,10 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         "warm_budget_value": float(budget_margin),
     }
 
-    warm = {tuple(int(x) for x in point): working.col_factors[j]
-            for j, point in enumerate(v.points)}
+    warm = {tuple(point): working.col_factors[j] for j, point in enumerate(v.points.tolist())}
     recon = reconstruct(system, h.dim, cfg.membership_cfg, warm_start_map=warm)
     accepted = sorted(ver.point for ver in recon.accepted)
-    expected = sorted(tuple(int(x) for x in p) for p in v.points)
+    expected = sorted(warm)
     report["stages"]["reconstruct"] = recon.to_json()
     if not recon.complete:
         report["verdict"] = "incomplete"

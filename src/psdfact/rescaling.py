@@ -20,12 +20,17 @@ current potential.  The largest eps is measured first, then in one batch
 every smaller eps whose bound does not exceed that candidate's phi (up to
 BOUND_RTOL); the others cannot reach the minimum of the whole grid.
 
-The loop keeps the balanced winner of each line search, the operator
-norms of its factors (measured once per step and shared by the
-direction, the line search and the trajectory) and M, the product of the
-accepted steps.  The returned transform is the polar part
+The prologue measures every stack once: the input gate checks only the
+residual, sigma comes from the reduction's singularity check, and one
+measurement of the reduced factorization's top norms gives both tau and
+the balancing scalar.  The loop keeps the balanced winner of each line
+search, the operator norms of its factors (measured once per step and
+shared by the direction, the line search and the trajectory) and M, the
+product of the accepted steps.  The returned transform is the polar part
 P = (M^T M)^(1/2), formed once at the end; M = Q P with Q orthogonal, so
-the congruence by P has the norms of the last winner.
+the congruence by P has the norms of the last winner.  With no accepted
+step M = I, and the epilogue reuses the prologue's norms of the reduced
+factorization instead of measuring it again.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .factorization import (
     check_tol,
     congruence,
     max_operator_norm,
+    max_residual,
     operator_norms,
     potential,
     verify_factorization,
@@ -213,12 +219,16 @@ def _side_average(stack: np.ndarray) -> np.ndarray:
     return symmat.as_symmetric(np.add.accumulate(stack, axis=0)[-1] / len(stack))
 
 
-def reduce_to_common_space(f: PsdFactorization) -> tuple[PsdFactorization, symmat.Subspace]:
+def reduce_to_common_space(
+    f: PsdFactorization,
+) -> tuple[PsdFactorization, symmat.Subspace, float]:
     """Compress a factorization onto W = P_{Im(mean U)}(Im(mean V)).
 
-    Returns the reduced factorization (O^T U O, O^T V O) together with the
-    basis subspace O.  On the reduced space both side-averages are
-    nonsingular; dimension zero (all-zero products) yields empty factors.
+    Returns the reduced factorization (O^T U O, O^T V O), the basis
+    subspace O and sigma, the smaller of the two least eigenvalues of the
+    reduced side-averages.  On the reduced space both side-averages are
+    nonsingular (a singular one raises NumericError); dimension zero
+    (all-zero products) yields empty factors and sigma = 0.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
@@ -228,14 +238,17 @@ def reduce_to_common_space(f: PsdFactorization) -> tuple[PsdFactorization, symma
     o = w.basis
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
     reduced = PsdFactorization(row_factors=rows, col_factors=cols)
-    if w.dim > 0:
-        for side, label in ((reduced.row_factors, "row"), (reduced.col_factors, "column")):
-            lam = np.linalg.eigvalsh(_side_average(side))
-            if lam[0] <= symmat.RANK_TOL * max(lam[-1], 0.0):
-                raise NumericError(
-                    f"reduced {label} average is singular (min eigenvalue {lam[0]:.3g})"
-                )
-    return reduced, w
+    if w.dim == 0:
+        return reduced, w, 0.0
+    floors = []
+    for side, label in ((reduced.row_factors, "row"), (reduced.col_factors, "column")):
+        lam = np.linalg.eigvalsh(_side_average(side))
+        if lam[0] <= symmat.RANK_TOL * max(lam[-1], 0.0):
+            raise NumericError(
+                f"reduced {label} average is singular (min eigenvalue {lam[0]:.3g})"
+            )
+        floors.append(float(lam[0]))
+    return reduced, w, min(floors)
 
 
 def _top_norms(f: PsdFactorization) -> tuple[float, float]:
@@ -428,16 +441,17 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     the recomputed norms meet sqrt(d * Delta) * (1 + tol) with d the
     reduced dimension and Delta the largest slack entry.
     """
-    report = verify_factorization(f, s, VERIFY_TOL)
-    if not report.passed:
+    delta = s.max_entry
+    residual_in, _ = max_residual(f, s)
+    # Written so that a NaN residual fails the check.
+    if not (residual_in <= VERIFY_TOL * (1.0 + delta)):
         raise PreconditionError(
             f"input factorization does not reproduce the slack matrix "
-            f"(max residual {report.max_abs_residual:.3g})"
+            f"(max residual {residual_in:.3g})"
         )
-    delta = s.max_entry
     r = f.side
 
-    reduced, subspace = reduce_to_common_space(f)
+    reduced, subspace, sigma = reduce_to_common_space(f)
     d = subspace.dim
     target_phi = d * delta * (1.0 + cfg.tol)
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
@@ -463,19 +477,15 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         )
 
     o = subspace.basis
-    u_bar = _side_average(reduced.row_factors)
-    v_bar = _side_average(reduced.col_factors)
-    sigma = min(
-        float(np.min(np.linalg.eigvalsh(u_bar))), float(np.min(np.linalg.eigvalsh(v_bar)))
-    )
-    tau = potential(reduced)
+    lmax_u0, lmax_v0 = _top_norms(reduced)
+    tau = lmax_u0 * lmax_v0
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
 
     # State: the balanced working factorization fw that descent_step
     # returns, the norms of its factors, and M = exp(-eps_k Z_k) ...
     # exp(-eps_1 Z_1) up to a positive scalar: fw = (c M U M^T,
     # M^-T V M^-1 / c) for the reduced (U, V) and some c > 0.
-    fw = balance_scalar(reduced)
+    fw = _balanced(reduced, lmax_u0, lmax_v0)
     norms = _side_norms(fw)
     lmax_traj = [_tops(norms)]
     m = np.eye(d)
@@ -509,8 +519,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
     # M U M^T = Q (P U P) Q^T: the congruence by P has the norms of fw once
     # balanced by a scalar.  P is lifted by O, so A = W S W^T, W = O R.
-    _, sv, rt = np.linalg.svd(m)
-    p_u, p_v = _top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
+    # With no accepted step M = I, whose SVD is exactly (I, 1, I), and the
+    # congruence by P = I is the reduced factorization, already measured.
+    if iterations:
+        _, sv, rt = np.linalg.svd(m)
+        p_u, p_v = _top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
+    else:
+        sv, rt, p_u, p_v = np.ones(d), np.eye(d), lmax_u0, lmax_v0
     sv = sv * (p_v / p_u) ** 0.25
     w = o @ rt.T
     transform = symmat.as_symmetric((w * sv) @ w.T)
@@ -519,7 +534,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     final = verify_factorization(rescaled, s, VERIFY_TOL)
     # Congruence by an exact inverse pair preserves the products, so the
     # residual may only drift by float error beyond what came in.
-    if final.max_abs_residual > report.max_abs_residual + VERIFY_TOL * (1.0 + delta):
+    if final.max_abs_residual > residual_in + VERIFY_TOL * (1.0 + delta):
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
             f"(max residual {final.max_abs_residual:.3g})"

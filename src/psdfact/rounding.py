@@ -193,11 +193,13 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
     selected = select_subsystem(h, f)
     u = symmat.as_symmetric(f.row_factors[selected])
     rounded = round_factor(u, g)
-    pad = g.n + g.r**2 - len(selected)
+    k, m = len(selected), g.n + g.r**2
+    a, b, factors = np.zeros((m, h.dim)), np.zeros(m), np.zeros((m, f.side, f.side))
+    a[:k], b[:k], factors[:k] = h.a[selected], h.b[selected], rounded
     return RoundedSystem(
-        a=np.pad(h.a[selected].astype(float), ((0, pad), (0, 0))),
-        b=np.pad(h.b[selected].astype(float), (0, pad)),
-        factors=np.pad(rounded, ((0, pad), (0, 0), (0, 0))),
+        a=a,
+        b=b,
+        factors=factors,
         grid=g,
         selected=tuple(int(i) for i in selected),
         # One 2-D norm per factor: a batched norm sums in another order
@@ -255,7 +257,8 @@ def _dual_values(lam, const, u_flat, cap):
     return np.einsum("bi,bi->b", lam, const) - cap * positive
 
 
-def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
+def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray,
+            points: list | None = None) -> list:
     """Decide each point of ``xs`` (B, n) by projected gradient from ``starts`` (B, r, r).
 
     One loop runs over the stacked iterates of every live point, minimizing
@@ -263,13 +266,16 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     checks the primal residual and the dual functional lambda = hinge *
     sign(e) / ||hinge * sign(e)||_1; a point leaves the live set at its
     first witness or certificate.  Both are re-validated from scratch.
+    The step 1 / L, with L = 2 ||U||^2 from a spectral norm of the stacked
+    factors, is computed at the first gradient step, so a batch decided at
+    its first iteration never computes it.  ``points`` are the rows of
+    ``xs`` as int tuples, converted here when not given.
     """
     g = system.grid
     budget, cap = g.budget, g.witness_cap
     m, r = system.n_rows, g.r
     u_flat = system.factors.reshape(m, -1)
-    lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
-    step = 1.0 / lip if lip > 0.0 else 0.0
+    step = None
     const = system.b - xs @ system.a.T
     y = symmat.eig_clip(starts, 0.0, cap)
     best = np.full(len(xs), -np.inf)
@@ -295,6 +301,9 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
         push, live = push[~done], live[~done]
         if live.size == 0:
             break
+        if step is None:
+            lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
+            step = 1.0 / lip if lip > 0.0 else 0.0
         # The gradient of the objective is -2 sum_i push_i U_i.
         y[live] = symmat.eig_clip(
             y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), 0.0, cap)
@@ -317,12 +326,14 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
         & (margin > budget * MEMBER_RTOL)
         & (np.abs(best_lam).sum(axis=1) <= 1.0 + MEMBER_RTOL)
     )
+    if points is None:
+        points = [tuple(p) for p in xs.astype(int).tolist()]
     out = []
-    for k, x in enumerate(xs):
+    for k, point in enumerate(points):
         verdict = ("member-with-witness" if witness_ok[k]
                    else "rejected" if dual_ok[k] else "inconclusive")
         out.append(MembershipVerdict(
-            point=tuple(int(v) for v in x),
+            point=point,
             verdict=verdict,
             witness=None if verdict == "rejected" else witness[k],
             violation=float(violation[k]),
@@ -414,8 +425,8 @@ def reconstruct(
     verdicts = []
     for first in range(0, 1 << n, MEMBER_BATCH):
         idx = np.arange(first, min(first + MEMBER_BATCH, 1 << n))
-        xs = ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-        starts = np.array([warm_start_map.get(tuple(int(v) for v in x), zero) for x in xs],
-                          dtype=float)
-        verdicts.extend(_decide(system, xs, starts))
+        bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        points = [tuple(p) for p in bits.tolist()]
+        starts = np.array([warm_start_map.get(p, zero) for p in points], dtype=float)
+        verdicts.extend(_decide(system, bits.astype(float), starts, points))
     return ReconstructionReport(verdicts=tuple(verdicts))

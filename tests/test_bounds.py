@@ -75,6 +75,12 @@ class TestCountingCapacity:
         rep = bounds.counting_capacity(2, 1)
         assert any("o(1)" in a for a in rep.assumptions)
 
+    def test_largest_n_whose_left_side_is_a_float(self):
+        rep = bounds.counting_capacity(1023, 1)
+        assert rep.extras["left_log2"] == 2.0**1023
+        with pytest.raises(PreconditionError, match="n is too large"):
+            bounds.counting_capacity(1024, 1)
+
 
 class TestPolygon:
     def test_bound_d8(self):

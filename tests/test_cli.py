@@ -214,6 +214,7 @@ class TestBadArguments:
     RESCALE = ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"]
     VERIFY = ["fact", "verify", "--slack", "{slack}", "--fact", "{fact}"]
     FIT = ["fact", "fit", "--slack", "{slack}", "--r", "2"]
+    BOUNDS = ["bounds", "eval", "--formula"]
     # case: (argv, the flag the error message must name)
     COMMANDS = {
         "delta-abc": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
@@ -233,6 +234,14 @@ class TestBadArguments:
         "verify-tol-neg": (VERIFY + ["--tol", "-1"], "tol"),
         "fit-tol-nan": (FIT + ["--tol", "nan"], "tol"),
         "fit-tol-neg": (FIT + ["--tol", "-1"], "tol"),
+        "pipeline-not-01": (["pipeline", "--instance", "moment_polygon", "--n", "5"],
+                            "instance"),
+        "counting-n-1024": (BOUNDS + ["counting", "--n", "1024"], "n"),
+        "counting-n-1100": (BOUNDS + ["counting", "--n", "1100"], "n"),
+        "counting-R-201-digits": (BOUNDS + ["counting", "--n", "1000", "--R", str(10**200)], "R"),
+        "xc01-n-401-digits": (BOUNDS + ["xc01", "--n", str(10**400)], "n"),
+        "coeff-n-401-digits": (BOUNDS + ["coeff", "--n", str(10**400)], "n"),
+        "polygon-params-d-401-digits": (BOUNDS + ["polygon-params", "--d", str(10**400)], "d"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))

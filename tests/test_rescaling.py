@@ -50,7 +50,7 @@ def unbalanced_moment_polygon(d=6, cond=1e4, seed=0):
 class TestReduce:
     def test_rank_one_row_side(self):
         f, s = adversarial_instance()
-        reduced, w = reduce_to_common_space(f)
+        reduced, w, _ = reduce_to_common_space(f)
         assert w.dim == 1
         np.testing.assert_allclose(np.abs(w.basis), [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.row_factors[0], [[100.0]], atol=1e-12)
@@ -60,7 +60,7 @@ class TestReduce:
     def test_full_rank_is_identity_reduction(self):
         s = build_slack(*builtin_instance("cube", 2))
         f = diagonal_embed(s)
-        reduced, w = reduce_to_common_space(f)
+        reduced, w, _ = reduce_to_common_space(f)
         assert w.dim == f.side
         assert verify_factorization(reduced, s).max_abs_residual <= 1e-10
 
@@ -68,7 +68,7 @@ class TestReduce:
         f, s = unbalanced_cube()
         before = verify_factorization(f, s).max_abs_residual
         a = random_psd(rng(8), f.side) + np.eye(f.side)
-        reduced, _ = reduce_to_common_space(f)
+        reduced, _, _ = reduce_to_common_space(f)
         for out in (reduced, congruence(f, a, np.linalg.inv(a))):
             after = verify_factorization(out, s).max_abs_residual
             assert abs(after - before) <= 1e-10 * (1.0 + s.max_entry)
@@ -77,7 +77,7 @@ class TestReduce:
         f = PsdFactorization.from_factors(
             [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]
         )
-        reduced, w = reduce_to_common_space(f)
+        reduced, w, _ = reduce_to_common_space(f)
         assert w.dim == 0
         assert reduced.side == 0
 
@@ -85,6 +85,63 @@ class TestReduce:
         f = PsdFactorization.from_factors([np.eye(2)], [])
         with pytest.raises(PreconditionError):
             reduce_to_common_space(f)
+
+
+class TestZeroStep:
+    """With no accepted step, rescale's epilogue reuses the prologue's norms."""
+
+    @staticmethod
+    def general_epilogue(f):
+        """Transform, pseudo-inverse and factorization by the epilogue of any M, at M = I."""
+        reduced, w, _ = reduce_to_common_space(f)
+        _, sv, rt = np.linalg.svd(np.eye(w.dim))
+        p_u, p_v = rescaling._top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
+        sv = sv * (p_v / p_u) ** 0.25
+        basis = w.basis @ rt.T
+        t = symmat.as_symmetric((basis * sv) @ basis.T)
+        t_pinv = symmat.as_symmetric((basis / sv) @ basis.T)
+        return t, t_pinv, congruence(f, t, t_pinv)
+
+    def assert_matches_general_epilogue(self, res, f):
+        assert res.iterations == 0
+        t, t_pinv, g = self.general_epilogue(f)
+        for got, want in ((res.transform, t), (res.transform_pinv, t_pinv),
+                          (res.factorization.row_factors, g.row_factors),
+                          (res.factorization.col_factors, g.col_factors)):
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def cube3():
+        s = build_slack(*builtin_instance("cube", 3))
+        return diagonal_embed(s), s
+
+    def test_target_met_at_start(self):
+        f, s = self.cube3()
+        res = rescale(f, s)
+        assert not res.diagnostics["stalled"]
+        self.assert_matches_general_epilogue(res, f)
+
+    def test_stall_at_the_first_step(self, monkeypatch):
+        f, s = unbalanced_cube()
+        monkeypatch.setattr(rescaling, "descent_step", lambda fw, z, **kwargs: (fw, None))
+        res = rescale(f, s)
+        assert res.diagnostics["stalled"]
+        self.assert_matches_general_epilogue(res, f)
+
+    def test_each_stack_measured_once(self, monkeypatch):
+        f, s = self.cube3()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        res = rescale(f, s)
+        assert res.iterations == 0
+        # Two side averages, the reduced stacks, their balanced copies, the result.
+        assert len(calls) <= 8
 
 
 class TestBalance:
@@ -411,7 +468,7 @@ class TestRescale:
         np.testing.assert_array_equal(t, t.T)
         np.testing.assert_array_equal(t_pinv, t_pinv.T)
         assert np.linalg.eigvalsh(t)[0] >= -1e-12 * np.linalg.eigvalsh(t)[-1]
-        _, w = reduce_to_common_space(f)
+        _, w, _ = reduce_to_common_space(f)
         np.testing.assert_allclose(t @ t_pinv, w.projector(), atol=1e-9)
         phi = max_operator_norm(res.factorization.row_factors) * max_operator_norm(
             res.factorization.col_factors

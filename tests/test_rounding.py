@@ -395,6 +395,39 @@ class TestReconstruct:
             if entry["verdict"] == "rejected":
                 assert entry["dual_margin"] > 0.0
 
+    # (point, verdict initial, iterations) of the warm-started simplex n=3 sweep.
+    SIMPLEX3 = [((0, 0, 0), "m", 1), ((0, 0, 1), "m", 1), ((0, 1, 0), "m", 1),
+                ((0, 1, 1), "r", 2), ((1, 0, 0), "m", 1), ((1, 0, 1), "r", 2),
+                ((1, 1, 0), "r", 2), ((1, 1, 1), "r", 1)]
+
+    @staticmethod
+    def warm_sweep(instance, n, monkeypatch):
+        """The pipeline's warm-started sweep, and how many spectral norms it took."""
+        _, v, res, system = rounded_instance(instance, n)
+        warm = {tuple(p): res.factorization.col_factors[j] for j, p in enumerate(v.points.tolist())}
+        orders = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            orders.append(ord)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        report = reconstruct(system, n, warm_start_map=warm)
+        return report, orders.count(2)
+
+    def test_warm_started_vertices_take_no_step_norm(self, monkeypatch):
+        report, spectral = self.warm_sweep("cube", 3, monkeypatch)
+        assert len(report.accepted) == 8
+        assert all(ver.iterations == 1 for ver in report.verdicts)
+        assert spectral == 0
+
+    def test_gradient_steps_take_one_step_norm(self, monkeypatch):
+        report, spectral = self.warm_sweep("simplex", 3, monkeypatch)
+        assert spectral == 1
+        got = [(ver.point, ver.verdict[0], ver.iterations) for ver in report.verdicts]
+        assert got == self.SIMPLEX3
+
     def test_lexicographic_order(self):
         _, _, _, _, _, system = rounded_unit_square()
         report = reconstruct(system, 2)
