@@ -155,15 +155,24 @@ def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int,
     return float(residual[loc]), (int(loc[0]), int(loc[1]))
 
 
+def residual_budget(s: SlackMatrix, tol: float) -> float:
+    """The largest residual a factorization of ``s`` may have: tol * (1 + Delta).
+
+    Delta is the largest slack entry.  Every residual check against a slack
+    matrix reads its threshold here.
+    """
+    check_tol(tol)
+    return tol * (1.0 + s.max_entry)
+
+
 def verify_factorization(
     f: PsdFactorization, s: SlackMatrix, tol: float = 1e-8
 ) -> FactorizationReport:
     """Compare all inner products against the slack entries.
 
-    Passes iff the largest absolute residual is at most tol * (1 + Delta)
-    with Delta the largest slack entry.
+    Passes iff the largest absolute residual is within ``residual_budget``.
     """
-    check_tol(tol)
+    budget = residual_budget(s, tol)
     max_res, loc = max_residual(f, s)
     lmax_u = max_operator_norm(f.row_factors) if f.n_rows else 0.0
     lmax_v = max_operator_norm(f.col_factors) if f.n_cols else 0.0
@@ -174,7 +183,7 @@ def verify_factorization(
         lmax_v=lmax_v,
         potential=lmax_u * lmax_v,
         tol=tol,
-        passed=max_res <= tol * (1.0 + s.max_entry),
+        passed=max_res <= budget,
     )
 
 
@@ -256,7 +265,7 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
     u = symmat.eig_clip(rng.standard_normal((m, r, r)) * scale)
     v = symmat.eig_clip(rng.standard_normal((n, r, r)) * scale)
 
-    threshold = cfg.tol * (1.0 + s.max_entry)
+    threshold = residual_budget(s, cfg.tol)
     trace = []
     u_prev, v_prev = u, v
     momentum = 1.0

@@ -48,6 +48,7 @@ from .factorization import (
     max_residual,
     operator_norms,
     potential,
+    residual_budget,
     verify_factorization,
 )
 from .polytopes import SlackMatrix
@@ -442,9 +443,10 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     reduced dimension and Delta the largest slack entry.
     """
     delta = s.max_entry
+    budget = residual_budget(s, VERIFY_TOL)
     residual_in, _ = max_residual(f, s)
     # Written so that a NaN residual fails the check.
-    if not (residual_in <= VERIFY_TOL * (1.0 + delta)):
+    if not (residual_in <= budget):
         raise PreconditionError(
             f"input factorization does not reproduce the slack matrix "
             f"(max residual {residual_in:.3g})"
@@ -534,7 +536,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     final = verify_factorization(rescaled, s, VERIFY_TOL)
     # Congruence by an exact inverse pair preserves the products, so the
     # residual may only drift by float error beyond what came in.
-    if final.max_abs_residual > residual_in + VERIFY_TOL * (1.0 + delta):
+    if final.max_abs_residual > residual_in + budget:
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
             f"(max residual {final.max_abs_residual:.3g})"

@@ -257,8 +257,7 @@ def _dual_values(lam, const, u_flat, cap):
     return np.einsum("bi,bi->b", lam, const) - cap * positive
 
 
-def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray,
-            points: list | None = None) -> list:
+def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     """Decide each point of ``xs`` (B, n) by projected gradient from ``starts`` (B, r, r).
 
     One loop runs over the stacked iterates of every live point, minimizing
@@ -268,8 +267,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray,
     first witness or certificate.  Both are re-validated from scratch.
     The step 1 / L, with L = 2 ||U||^2 from a spectral norm of the stacked
     factors, is computed at the first gradient step, so a batch decided at
-    its first iteration never computes it.  ``points`` are the rows of
-    ``xs`` as int tuples, converted here when not given.
+    its first iteration never computes it.
     """
     g = system.grid
     budget, cap = g.budget, g.witness_cap
@@ -326,10 +324,8 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray,
         & (margin > budget * MEMBER_RTOL)
         & (np.abs(best_lam).sum(axis=1) <= 1.0 + MEMBER_RTOL)
     )
-    if points is None:
-        points = [tuple(p) for p in xs.astype(int).tolist()]
     out = []
-    for k, point in enumerate(points):
+    for k, point in enumerate(tuple(p) for p in xs.astype(int).tolist()):
         verdict = ("member-with-witness" if witness_ok[k]
                    else "rejected" if dual_ok[k] else "inconclusive")
         out.append(MembershipVerdict(
@@ -428,5 +424,5 @@ def reconstruct(
         bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
         points = [tuple(p) for p in bits.tolist()]
         starts = np.array([warm_start_map.get(p, zero) for p in points], dtype=float)
-        verdicts.extend(_decide(system, bits.astype(float), starts, points))
+        verdicts.extend(_decide(system, bits.astype(float), starts))
     return ReconstructionReport(verdicts=tuple(verdicts))
