@@ -25,6 +25,7 @@ from . import __version__, bounds, serialize
 from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence, fd_ladder
 from .errors import NumericError, PreconditionError
 from .factorization import (
+    VERIFY_TOL,
     FitConfig,
     FitFailure,
     alternating_fit,
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     fv = fsub.add_parser("verify")
     fv.add_argument("--slack", required=True)
     fv.add_argument("--fact", required=True)
-    _add_common(fv, tol=1e-8)
+    _add_common(fv, tol=VERIFY_TOL)
     fv.set_defaults(func=_cmd_fact_verify)
     fe = fsub.add_parser("embed")
     fe.add_argument("--slack", required=True)
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ff = fsub.add_parser("fit")
     ff.add_argument("--slack", required=True)
     ff.add_argument("--r", type=int, required=True)
-    _add_common(ff, tol=1e-7, seed=True)
+    _add_common(ff, tol=FitConfig.tol, seed=True)
     ff.set_defaults(func=_cmd_fact_fit)
 
     p = sub.add_parser("rescale", help="rescale a factorization")
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr = rsub.add_parser("run")
     rr.add_argument("--slack", required=True)
     rr.add_argument("--fact", required=True)
-    rr.add_argument("--max-iters", type=int, default=500)
+    rr.add_argument("--max-iters", type=int, default=RescaleConfig.max_iters)
     rr.add_argument(
         "--trace",
         help="write a CSV trace here: header iteration,phi,lmax with "
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "row 0 being the balanced start before any descent step; floats "
         "written with repr so they round-trip exactly",
     )
-    _add_common(rr, tol=0.05)
+    _add_common(rr, tol=RescaleConfig.tol)
     rr.set_defaults(func=_cmd_rescale_run)
 
     p = sub.add_parser("round", help="select a subsystem and round it")
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply an adversarial congruence of this condition number")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --unbalance congruence, the only random draw of a run")
-    _add_common(p, tol=0.05)
+    _add_common(p, tol=RescaleConfig.tol)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

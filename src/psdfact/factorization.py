@@ -26,6 +26,9 @@ from . import symmat
 # PSD acceptance slack for constructed factors: min eigenvalue may dip to
 # -PSD_TOL * (1 + lambda_max) from floating-point noise.
 PSD_TOL = 1e-9
+# Residual tolerance, relative to 1 + Delta, of verify_factorization and of
+# rescale's input and output; residual_budget turns it into a threshold.
+VERIFY_TOL = 1e-8
 # Projected-gradient steps per side in each sweep of alternating_fit.
 FIT_INNER_STEPS = 5
 
@@ -166,7 +169,7 @@ def residual_budget(s: SlackMatrix, tol: float) -> float:
 
 
 def verify_factorization(
-    f: PsdFactorization, s: SlackMatrix, tol: float = 1e-8
+    f: PsdFactorization, s: SlackMatrix, tol: float = VERIFY_TOL
 ) -> FactorizationReport:
     """Compare all inner products against the slack entries.
 

@@ -21,16 +21,17 @@ every smaller eps whose bound does not exceed that candidate's phi (up to
 BOUND_RTOL); the others cannot reach the minimum of the whole grid.
 
 The prologue measures every stack once: the input gate checks only the
-residual, sigma comes from the reduction's singularity check, and one
-measurement of the reduced factorization's top norms gives both tau and
-the balancing scalar.  The loop keeps the balanced winner of each line
-search, the operator norms of its factors (measured once per step and
-shared by the direction, the line search and the trajectory) and M, the
-product of the accepted steps.  The returned transform is the polar part
-P = (M^T M)^(1/2), formed once at the end; M = Q P with Q orthogonal, so
-the congruence by P has the norms of the last winner.  With no accepted
-step M = I, and the epilogue reuses the prologue's norms of the reduced
-factorization instead of measuring it again.
+residual, the reduction averages each side once, finds the common space
+from two eigendecompositions and takes sigma from its singularity check,
+and one measurement of the reduced factorization's top norms gives both
+tau and the balancing scalar.  The loop keeps the balanced winner of
+each line search, the operator norms of its factors (measured once per
+step and shared by the direction, the line search and the trajectory)
+and M, the product of the accepted steps.  The returned transform is the
+polar part P = (M^T M)^(1/2), formed once at the end; M = Q P with Q
+orthogonal, so the congruence by P has the norms of the last winner.
+With no accepted step M = I, and the epilogue reuses the prologue's
+norms of the reduced factorization instead of measuring it again.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericError, PreconditionError
 from .factorization import (
+    VERIFY_TOL,
     PsdFactorization,
     check_tol,
     congruence,
@@ -62,8 +64,6 @@ DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
 BOUND_RTOL = 1e-9
 # Relative gap within which a row factor is tight and the sides balanced.
 MU_TOL = 1e-6
-# Residual tolerance, relative to 1 + Delta, of input and rescaled factors.
-VERIFY_TOL = 1e-8
 # MVEE: relative volume gap, contact-weight floor, iteration cap.
 MVEE_VOL_TOL = 1e-7
 MVEE_WEIGHT_FLOOR = 1e-9
@@ -210,46 +210,37 @@ def _validate_john(jd: JohnDecomposition) -> None:
 # Reduction, balancing, descent
 
 
-def _side_average(stack: np.ndarray) -> np.ndarray:
-    """Symmetrized mean of one side's factors, summed one after another.
-
-    A plain sum over the factor index; np.sum's pairwise blocking rounds
-    differently and would move the reduced space, and with it every
-    rescaling trajectory, in the last bits.
-    """
-    return symmat.as_symmetric(np.add.accumulate(stack, axis=0)[-1] / len(stack))
-
-
 def reduce_to_common_space(
     f: PsdFactorization,
-) -> tuple[PsdFactorization, symmat.Subspace, float]:
+) -> tuple[PsdFactorization, np.ndarray, float]:
     """Compress a factorization onto W = P_{Im(mean U)}(Im(mean V)).
 
-    Returns the reduced factorization (O^T U O, O^T V O), the basis
-    subspace O and sigma, the smaller of the two least eigenvalues of the
-    reduced side-averages.  On the reduced space both side-averages are
-    nonsingular (a singular one raises NumericError); dimension zero
-    (all-zero products) yields empty factors and sigma = 0.
+    With B an orthonormal basis of Im(mean U) and V PSD,
+    Im(B^T V) = Im(B^T V^(1/2)) = Im(B^T V B), so W = B Im(B^T (mean V) B),
+    and two eigendecompositions give its orthonormal basis O, an (r, d)
+    array.  Returns the reduced factorization (O^T U O, O^T V O), O and
+    sigma, the least eigenvalue of the two reduced side-averages
+    O^T (mean U) O and O^T (mean V) O.  Both are nonsingular (a singular
+    one raises NumericError); dimension zero (all-zero products) yields
+    empty factors and sigma = 0.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    u_bar = _side_average(f.row_factors)
-    v_bar = _side_average(f.col_factors)
-    w = symmat.project_subspace(symmat.image_basis(u_bar), symmat.image_basis(v_bar))
-    o = w.basis
+    bars = symmat.as_symmetric(np.stack([f.row_factors.mean(axis=0), f.col_factors.mean(axis=0)]))
+    b = symmat.image_basis(bars[0])
+    o = b @ symmat.image_basis(b.T @ bars[1] @ b)
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
     reduced = PsdFactorization(row_factors=rows, col_factors=cols)
-    if w.dim == 0:
-        return reduced, w, 0.0
-    floors = []
-    for side, label in ((reduced.row_factors, "row"), (reduced.col_factors, "column")):
-        lam = np.linalg.eigvalsh(_side_average(side))
-        if lam[0] <= symmat.RANK_TOL * max(lam[-1], 0.0):
-            raise NumericError(
-                f"reduced {label} average is singular (min eigenvalue {lam[0]:.3g})"
-            )
-        floors.append(float(lam[0]))
-    return reduced, w, min(floors)
+    if not o.shape[1]:
+        return reduced, o, 0.0
+    lam = np.linalg.eigvalsh(symmat.as_symmetric(o.T @ bars @ o))
+    singular = np.flatnonzero(lam[:, 0] <= symmat.RANK_TOL * np.maximum(lam[:, -1], 0.0))
+    if singular.size:
+        k = singular[0]
+        raise NumericError(
+            f"reduced {('row', 'column')[k]} average is singular (min eigenvalue {lam[k, 0]:.3g})"
+        )
+    return reduced, o, float(lam[:, 0].min())
 
 
 def _top_norms(f: PsdFactorization) -> tuple[float, float]:
@@ -453,8 +444,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         )
     r = f.side
 
-    reduced, subspace, sigma = reduce_to_common_space(f)
-    d = subspace.dim
+    reduced, o, sigma = reduce_to_common_space(f)
+    d = o.shape[1]
     target_phi = d * delta * (1.0 + cfg.tol)
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
 
@@ -478,7 +469,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             },
         )
 
-    o = subspace.basis
     lmax_u0, lmax_v0 = _top_norms(reduced)
     tau = lmax_u0 * lmax_v0
     cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)

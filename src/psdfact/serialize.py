@@ -111,7 +111,7 @@ def factorization_to_json(f: PsdFactorization) -> dict:
 def factorization_from_json(obj: dict) -> PsdFactorization:
     rows = _field(obj, "U", lambda ms: [matrix_from_json(m) for m in ms])
     cols = _field(obj, "V", lambda ms: [matrix_from_json(m) for m in ms])
-    return PsdFactorization(row_factors=rows, col_factors=cols)
+    return PsdFactorization.from_factors(rows, cols)
 
 
 def grid_to_json(g: GridParams) -> dict:
@@ -162,6 +162,14 @@ def system_from_json(obj: dict) -> RoundedSystem:
         return a, b, factors
 
     a, b, factors = _field(obj, "rows", padded_rows)
+    # The oracle's eigvalsh reads one triangle, so factors must be exactly symmetric.
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b) & np.isfinite(factors).all(axis=(1, 2))
+    symmetric = (factors == factors.swapaxes(1, 2)).all(axis=(1, 2))
+    for ok, defect in ((finite, "has non-finite entries"),
+                       (symmetric, "has a factor U that is not exactly symmetric")):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise PreconditionError(f"row {bad[0]} of the rounded system {defect}")
     return RoundedSystem(
         a=a, b=b, factors=factors, grid=grid,
         selected=_field(obj, "selected", lambda s: tuple(int(i) for i in s), default=[]),

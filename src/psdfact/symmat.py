@@ -2,7 +2,7 @@
 
 All numerical work in the package funnels through here: spectral
 decompositions, matrix exponentials and square roots, norms, and image
-subspaces.  Matrices are plain float ndarrays; ``as_symmetric`` is the
+bases.  Matrices are plain float ndarrays; ``as_symmetric`` is the
 canonical constructor and enforces the two invariants every routine
 assumes, exact symmetry and finite entries.
 
@@ -75,25 +75,6 @@ class SpectralDecomposition:
         return self.eigenvectors.swapaxes(-1, -2)[keep].T
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace given by an orthonormal basis matrix (columns)."""
-
-    basis: np.ndarray  # shape (ambient_dim, dim)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-
-
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack (a 0-d array for one matrix)."""
     return np.sqrt((m * m).sum(axis=(-2, -1)))
@@ -163,32 +144,16 @@ def eig_clip(m: np.ndarray, min_eig: float = 0.0, max_eig: float | None = None) 
     return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, min_eig, max_eig), vec)
 
 
-def image_basis(m: np.ndarray) -> Subspace:
-    """Orthonormal basis of the image of a PSD matrix.
+def image_basis(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the image of a PSD matrix, as the columns of a (k, d) array.
 
-    Directions with eigenvalue > RANK_TOL * lambda_max are kept.  A
-    negative eigenvalue below -RANK_TOL * lambda_max raises NotPsdError.
+    Directions with eigenvalue > RANK_TOL * lambda_max are kept; the zero
+    matrix gives d = 0.  A negative eigenvalue below -RANK_TOL * lambda_max
+    raises NotPsdError.
     """
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    if scale == 0.0:
-        return Subspace(basis=np.zeros((m.shape[0], 0)))
-    keep = lam > RANK_TOL * scale
-    return Subspace(basis=dec.eigenvectors[:, keep].copy())
-
-
-def project_subspace(target: Subspace, other: Subspace) -> Subspace:
-    """Orthonormal basis of the projection of ``other`` onto ``target``."""
-    if target.ambient_dim != other.ambient_dim:
-        raise DimensionError("subspaces live in different ambient dimensions")
-    if target.dim == 0 or other.dim == 0:
-        return Subspace(basis=np.zeros((target.ambient_dim, 0)))
-    projected = target.projector() @ other.basis
-    u, sig, _ = np.linalg.svd(projected, full_matrices=False)
-    if sig.size == 0 or sig[0] == 0.0:
-        return Subspace(basis=np.zeros((target.ambient_dim, 0)))
-    keep = sig > RANK_TOL * sig[0]
-    return Subspace(basis=u[:, keep].copy())
+    return dec.eigenvectors[:, lam > RANK_TOL * scale]

@@ -10,11 +10,11 @@ import pytest
 
 import psdfact
 from psdfact import serialize
-from psdfact.cli import main
-from psdfact.factorization import diagonal_embed
+from psdfact.cli import build_parser, main
+from psdfact.factorization import VERIFY_TOL, FitConfig, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
-from psdfact.rescaling import rescale
+from psdfact.rescaling import RescaleConfig, rescale
 
 from helpers import unbalanced_cube
 
@@ -194,6 +194,86 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.fixture()
+    def non_psd_fact(self, files, tmp_path):
+        # 5 (e0 e1^T + e1 e0^T) leaves every <U_0, V^j> with diagonal V^j as it was
+        # and makes U_0 indefinite.
+        obj = json.loads(files["fact"].read_text())
+        entries = obj["U"][0]["entries"]
+        side = obj["U"][0]["side"]
+        entries[1] += 5.0
+        entries[side] += 5.0
+        path = tmp_path / "non_psd.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    NON_PSD = {
+        "fact-verify": ["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
+        "rescale-run": ["rescale", "run", "--slack", "{slack}", "--fact", "{bad}"],
+        "round-run": ["round", "run", "--slack", "{slack}", "--fact", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_PSD))
+    def test_non_psd_factor_exits_2(self, files, non_psd_fact, case, capsys):
+        argv = [a.format(bad=non_psd_fact, slack=files["slack"]) for a in self.NON_PSD[case]]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "row factor 0" in err
+
+    # case: (row named by the error, entry spoilt, value), on the rounded cube n=2 system
+    MALFORMED_SYSTEMS = {
+        "nan-in-U": (1, "U", float("nan")),
+        "inf-in-a": (2, "a", float("inf")),
+        "skew-U": (0, "skew", 5.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SYSTEMS))
+    def test_malformed_system_exits_2(self, files, tmp_path, case, capsys):
+        system = tmp_path / "system.json"
+        assert main(["round", "run", "--slack", str(files["slack"]), "--fact", str(files["fact"]),
+                     "--out", str(system)]) == 0
+        obj = json.loads(system.read_text())
+        row, entry, value = self.MALFORMED_SYSTEMS[case]
+        if entry == "skew":
+            # A skew part on every factor changes no <U_i, Y> for symmetric Y.
+            for r in obj["rows"]:
+                r["U"]["entries"][1] += value
+                r["U"]["entries"][r["U"]["side"]] -= value
+        elif entry == "U":
+            obj["rows"][row]["U"]["entries"][0] = value
+        else:
+            obj["rows"][row]["a"][0] = value
+        system.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert f"row {row} " in captured.err
+
+
+class TestDefaults:
+    """Each CLI default is read from the one place that defines it."""
+
+    CASES = {
+        "fact-verify-tol": (["fact", "verify", "--slack", "s", "--fact", "f"], "tol", VERIFY_TOL),
+        "fact-fit-tol": (["fact", "fit", "--slack", "s", "--r", "2"], "tol", FitConfig().tol),
+        "rescale-run-tol": (["rescale", "run", "--slack", "s", "--fact", "f"], "tol",
+                            RescaleConfig().tol),
+        "rescale-run-max-iters": (["rescale", "run", "--slack", "s", "--fact", "f"], "max_iters",
+                                  RescaleConfig().max_iters),
+        "pipeline-tol": (["pipeline", "--instance", "cube"], "tol", RescaleConfig().tol),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_default_is_the_config_default(self, case):
+        argv, dest, want = self.CASES[case]
+        assert getattr(build_parser().parse_args(argv), dest) == want
 
 
 class TestBadArguments:

@@ -12,7 +12,7 @@ from psdfact.factorization import (
     potential,
     verify_factorization,
 )
-from psdfact.pipeline import PipelineConfig, run_pipeline
+from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import (
     BOUND_RTOL,
@@ -47,12 +47,74 @@ def unbalanced_moment_polygon(d=6, cond=1e4, seed=0):
     return congruence(f, a, a_inv), s
 
 
+def reference_common_space(f):
+    """P_{Im(mean U)}(Im(mean V)) by the two-sided construction.
+
+    Orthonormal bases B_u and B_v of the images of both side-averages, then
+    the left singular vectors of B_u B_u^T B_v above the rank cutoff.
+    """
+    def image(m):
+        lam, vec = np.linalg.eigh(m)
+        return vec[:, lam > symmat.RANK_TOL * np.abs(lam).max(initial=0.0)]
+
+    b_u, b_v = (image(side.mean(axis=0)) for side in (f.row_factors, f.col_factors))
+    if not b_u.shape[1] or not b_v.shape[1]:
+        return np.zeros((f.side, 0))
+    u, sig, _ = np.linalg.svd(b_u @ b_u.T @ b_v, full_matrices=False)
+    return u[:, sig > symmat.RANK_TOL * sig[0]]
+
+
+REDUCE_INSTANCES = (
+    [("cube", n) for n in range(1, 5)] + [("simplex", n) for n in range(1, 5)]
+    + [("crosspoly_01", 2), ("crosspoly_01", 3), ("segment", 1), ("point", 1), ("point", 2)]
+    + [("moment_polygon", d) for d in (3, 6, 8, 12)]
+)
+
+
 class TestReduce:
+    def test_projected_hand_example(self):
+        # Im(mean U) = span{e1, e2}, Im(mean V) = span{(1,0,1)}: the common space is span{e1}
+        v = np.array([1.0, 0.0, 1.0])
+        f = PsdFactorization.from_factors(
+            [np.diag([2.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])], [np.outer(v, v)]
+        )
+        reduced, o, _ = reduce_to_common_space(f)
+        assert o.shape == (3, 1)
+        np.testing.assert_allclose(np.abs(o), [[1.0], [0.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(reduced.products(), f.products(), atol=1e-12)
+
+    @pytest.mark.parametrize("instance, n", REDUCE_INSTANCES,
+                             ids=[f"{name}-{n}" for name, n in REDUCE_INSTANCES])
+    def test_matches_two_sided_reference(self, instance, n):
+        f = diagonal_embed(build_slack(*builtin_instance(instance, n)))
+        inputs = [f] + [_unbalance_congruence(f, t, seed)
+                        for t in (1e2, 1e3, 1e4) for seed in range(3)]
+        for g in inputs:
+            _, o, _ = reduce_to_common_space(g)
+            ref = reference_common_space(g)
+            assert o.shape == ref.shape
+            assert np.abs(o @ o.T - ref @ ref.T).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("ku, kv", [(4, 3), (3, 4), (2, 2)])
+    def test_matches_two_sided_reference_on_partial_images(self, ku, kv):
+        # Factors confined to random subspaces of dimensions ku and kv in R^6,
+        # so the common space is a proper subspace that neither image contains.
+        gen = rng(ku * 10 + kv)
+        b_u, b_v = (random_orthogonal(gen, 6)[:, :k] for k in (ku, kv))
+        f = PsdFactorization.from_factors(
+            [b_u @ random_psd(gen, ku) @ b_u.T for _ in range(5)],
+            [b_v @ random_psd(gen, kv) @ b_v.T for _ in range(4)],
+        )
+        _, o, _ = reduce_to_common_space(f)
+        ref = reference_common_space(f)
+        assert o.shape == ref.shape == (6, min(ku, kv))
+        assert np.abs(o @ o.T - ref @ ref.T).max() <= 1e-12
+
     def test_rank_one_row_side(self):
         f, s = adversarial_instance()
-        reduced, w, _ = reduce_to_common_space(f)
-        assert w.dim == 1
-        np.testing.assert_allclose(np.abs(w.basis), [[1.0], [0.0]], atol=1e-12)
+        reduced, o, _ = reduce_to_common_space(f)
+        assert o.shape[1] == 1
+        np.testing.assert_allclose(np.abs(o), [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.row_factors[0], [[100.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.col_factors[0], [[0.01]], atol=1e-12)
         assert verify_factorization(reduced, s).max_abs_residual <= 1e-12
@@ -60,8 +122,8 @@ class TestReduce:
     def test_full_rank_is_identity_reduction(self):
         s = build_slack(*builtin_instance("cube", 2))
         f = diagonal_embed(s)
-        reduced, w, _ = reduce_to_common_space(f)
-        assert w.dim == f.side
+        reduced, o, _ = reduce_to_common_space(f)
+        assert o.shape[1] == f.side
         assert verify_factorization(reduced, s).max_abs_residual <= 1e-10
 
     def test_residual_preserved(self):
@@ -77,8 +139,8 @@ class TestReduce:
         f = PsdFactorization.from_factors(
             [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]
         )
-        reduced, w, _ = reduce_to_common_space(f)
-        assert w.dim == 0
+        reduced, o, _ = reduce_to_common_space(f)
+        assert o.shape[1] == 0
         assert reduced.side == 0
 
     def test_empty_side_rejected(self):
@@ -93,11 +155,11 @@ class TestZeroStep:
     @staticmethod
     def general_epilogue(f):
         """Transform, pseudo-inverse and factorization by the epilogue of any M, at M = I."""
-        reduced, w, _ = reduce_to_common_space(f)
-        _, sv, rt = np.linalg.svd(np.eye(w.dim))
+        reduced, o, _ = reduce_to_common_space(f)
+        _, sv, rt = np.linalg.svd(np.eye(o.shape[1]))
         p_u, p_v = rescaling._top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
         sv = sv * (p_v / p_u) ** 0.25
-        basis = w.basis @ rt.T
+        basis = o @ rt.T
         t = symmat.as_symmetric((basis * sv) @ basis.T)
         t_pinv = symmat.as_symmetric((basis / sv) @ basis.T)
         return t, t_pinv, congruence(f, t, t_pinv)
@@ -468,8 +530,8 @@ class TestRescale:
         np.testing.assert_array_equal(t, t.T)
         np.testing.assert_array_equal(t_pinv, t_pinv.T)
         assert np.linalg.eigvalsh(t)[0] >= -1e-12 * np.linalg.eigvalsh(t)[-1]
-        _, w, _ = reduce_to_common_space(f)
-        np.testing.assert_allclose(t @ t_pinv, w.projector(), atol=1e-9)
+        _, o, _ = reduce_to_common_space(f)
+        np.testing.assert_allclose(t @ t_pinv, o @ o.T, atol=1e-9)
         phi = max_operator_norm(res.factorization.row_factors) * max_operator_norm(
             res.factorization.col_factors
         )
