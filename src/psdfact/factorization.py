@@ -107,8 +107,14 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
 
 
 def operator_norms(factors) -> np.ndarray:
-    """Operator norm of every matrix in a stack, from one batched eigvalsh."""
-    return np.abs(np.linalg.eigvalsh(symmat.as_symmetric(factors))).max(axis=-1, initial=0.0)
+    """Operator norm of every matrix in a stack, from one batched eigvalsh.
+
+    The stack must be exactly symmetric and finite, as every factorization
+    the package builds or loads is; it is not checked here, and eigvalsh
+    reads one triangle only.  Symmetrise a raw input with
+    ``symmat.as_symmetric`` first.
+    """
+    return np.abs(np.linalg.eigvalsh(factors)).max(axis=-1, initial=0.0)
 
 
 def max_operator_norm(factors) -> float:
@@ -290,5 +296,8 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
         last = residual
         trace.append(residual)
         if residual <= threshold:
-            return PsdFactorization(row_factors=u, col_factors=v)
+            # eig_clip leaves its result symmetric only up to round-off.
+            return PsdFactorization(
+                row_factors=symmat.as_symmetric(u), col_factors=symmat.as_symmetric(v)
+            )
     return FitFailure(residual=trace[-1] if trace else float("inf"), trace=tuple(trace))

@@ -12,6 +12,15 @@ concrete steps; the loop stops once the potential lmax(U) * lmax(V) falls
 below d * Delta times (1 + tol), with d the reduced dimension and Delta
 the largest entry of the factored matrix, or at the first stall.
 
+The John decomposition is closed-form in the common case of a contact set
+of k independent points (one tight factor with a simple top eigenvalue
+gives k = 1).  With Y the points in an orthonormal basis of their span,
+Y is square and invertible, and log det(Y^T diag(u) Y) =
+2 log|det Y| + sum log u_i is largest on the simplex at u = 1/k: the
+uniform design is the exact D-optimum (Kiefer-Wolfowitz), so no MVEE
+iteration and no square root are needed.  Any other contact set goes to
+the MVEE solver.
+
 The line search is exact but measures only candidates that can still
 win.  With E = exp(-eps Z), ||U|| <= ||E^-1||^2 ||E U E|| for symmetric U,
 and likewise on the column side, so every candidate has
@@ -96,19 +105,29 @@ class JohnDecomposition:
         )
 
 
-def _fold_symmetric(points: np.ndarray) -> np.ndarray:
-    """One representative per antipodal pair, duplicates removed.
+def _flip_signs(points: np.ndarray) -> np.ndarray:
+    """Flip each point so its first nonzero coordinate is positive.
 
-    The input is read as the generators of a symmetric set conv(+-points),
-    so folding is canonical: flip each point so its first nonzero
-    coordinate is positive.
+    Points generate the symmetric set conv(+-points), so this picks one
+    canonical representative of every antipodal pair.
     """
     pts = np.array(points, dtype=float)
     first = np.take_along_axis(pts, np.argmax(pts != 0, axis=1)[:, None], axis=1)[:, 0]
     pts[first < 0] *= -1.0
-    pts = np.unique(pts, axis=0)
-    keep = np.linalg.norm(pts, axis=1) > 0
-    return pts[keep]
+    return pts
+
+
+def _fold_symmetric(points: np.ndarray) -> np.ndarray:
+    """One representative per antipodal pair, duplicates and zero rows removed, rows sorted."""
+    pts = np.unique(_flip_signs(points), axis=0)
+    return pts[np.linalg.norm(pts, axis=1) > 0]
+
+
+def _span(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the row span, an (ambient, k) array, and its k singular values."""
+    _, sig, vt = np.linalg.svd(pts, full_matrices=False)
+    keep = sig > symmat.RANK_TOL * sig[0]
+    return vt[keep].T, sig[keep]
 
 
 def _mvee_weights(y: np.ndarray, eps_g: float) -> np.ndarray:
@@ -166,27 +185,45 @@ def john_decompose(points) -> JohnDecomposition:
     the points to span a subspace of dimension at least one.  The result
     is validated (probability weights, John identity, contact points on
     the boundary) before it is returned.
+
+    Signs are folded first.  When the k folded points have rank k they are
+    distinct, nonzero and independent, and the decomposition is
+    closed-form.  With Y the points in an orthonormal basis of their span,
+    a square invertible matrix, log det(Y^T diag(u) Y) =
+    2 log|det Y| + sum log u_i is largest on the simplex at u = 1/k, so the
+    weights are exactly 1/k.  From the SVD points = L S R^T, T = R S gives
+    T T^T = R S^2 R^T = k * moment, and every point lies on the boundary
+    (its coordinates under T are a row of the orthogonal L).  Any other set
+    is deduplicated and weighted by the MVEE solver.  Contact points come
+    in ascending lexicographic order either way.
     """
-    pts = _fold_symmetric(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
+    pts = _flip_signs(points)
+    if not pts.any():
         raise PreconditionError("point set spans the zero subspace")
-    # Orthonormal basis of the span; all MVEE work happens in coordinates.
-    _, sig, vt = np.linalg.svd(pts, full_matrices=False)
-    keep = sig > symmat.RANK_TOL * sig[0]
-    basis = vt[keep].T  # (ambient, k)
+    basis, sig = _span(pts)
     k = basis.shape[1]
-    y = pts @ basis
-    # Leverage tolerance tight enough for the target relative volume gap.
-    eps_g = min(1e-8, 2.0 * MVEE_VOL_TOL / k)
-    u = _mvee_weights(y, eps_g)
-    kept = u > MVEE_WEIGHT_FLOOR
-    w = u[kept] / u[kept].sum()
-    yk = y[kept]
-    moment = (yk * w[:, None]).T @ yk
-    t_map = basis @ symmat.sqrt_psd(k * moment)
-    jd = JohnDecomposition(
-        dim=k, ellipsoid_map=t_map, points=pts[kept], weights=w
-    )
+    if k == pts.shape[0]:
+        jd = JohnDecomposition(
+            dim=k,
+            ellipsoid_map=basis * sig,
+            points=pts[np.lexsort(pts.T[::-1])],
+            weights=np.full(k, 1.0 / k),
+        )
+    else:
+        pts = _fold_symmetric(pts)
+        # All MVEE work happens in coordinates of an orthonormal basis of the span.
+        basis, _ = _span(pts)
+        k = basis.shape[1]
+        y = pts @ basis
+        # Leverage tolerance tight enough for the target relative volume gap.
+        eps_g = min(1e-8, 2.0 * MVEE_VOL_TOL / k)
+        u = _mvee_weights(y, eps_g)
+        kept = u > MVEE_WEIGHT_FLOOR
+        w = u[kept] / u[kept].sum()
+        yk = y[kept]
+        moment = (yk * w[:, None]).T @ yk
+        t_map = basis @ symmat.sqrt_psd(k * moment)
+        jd = JohnDecomposition(dim=k, ellipsoid_map=t_map, points=pts[kept], weights=w)
     _validate_john(jd)
     return jd
 
@@ -450,7 +487,10 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
 
     if d == 0:
-        lmax_u, lmax_v = _top_norms(f)
+        # The only measurement of a raw input, which need not be exactly symmetric.
+        lmax_u, lmax_v = (
+            max_operator_norm(symmat.as_symmetric(side)) for side in (f.row_factors, f.col_factors)
+        )
         eye = np.eye(r)
         return RescaleResult(
             transform=eye,

@@ -111,7 +111,14 @@ def factorization_to_json(f: PsdFactorization) -> dict:
 def factorization_from_json(obj: dict) -> PsdFactorization:
     rows = _field(obj, "U", lambda ms: [matrix_from_json(m) for m in ms])
     cols = _field(obj, "V", lambda ms: [matrix_from_json(m) for m in ms])
-    return PsdFactorization.from_factors(rows, cols)
+    f = PsdFactorization(row_factors=rows, col_factors=cols)
+    # The PSD check and every operator norm read one triangle, so factors
+    # must be exactly symmetric.
+    for stack, label in ((f.row_factors, "row factor"), (f.col_factors, "column factor")):
+        bad = np.flatnonzero((stack != stack.swapaxes(1, 2)).any(axis=(1, 2)))
+        if bad.size:
+            raise PreconditionError(f"{label} {bad[0]} is not exactly symmetric")
+    return PsdFactorization.from_factors(f.row_factors, f.col_factors)
 
 
 def grid_to_json(g: GridParams) -> dict:

@@ -22,13 +22,27 @@ def test_traced_name_is_a_program_function(home, name):
     assert callable(getattr(module, name, None))
 
 
-@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_first_call_passes_its_check_under_the_tracer(workload):
-    call = workloads.WORKLOADS[workload](0)[0]
+def run_traced(call):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        out = call.run()
+        return call.run()
     finally:
         tracer.uninstall()
-    assert call.check(out) is True
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_first_call_passes_its_check_under_the_tracer(workload):
+    call = workloads.WORKLOADS[workload](0)[0]
+    assert call.check(run_traced(call)) is True
+
+
+# The first call of every rescale group, so that one instance failing on its
+# own fails here rather than only in a benchmark run.
+RESCALE_GROUP_HEADS = [c.label for c in workloads.rescale_calls(0) if c.label.endswith("-c0")]
+
+
+@pytest.mark.parametrize("label", RESCALE_GROUP_HEADS)
+def test_first_call_of_each_rescale_group_passes_under_the_tracer(label):
+    call = next(c for c in workloads.rescale_calls(0) if c.label == label)
+    assert call.check(run_traced(call)) is True

@@ -162,6 +162,19 @@ class TestFactAndRescale:
         assert code == 0
         assert rep["found"] is True
 
+    def test_fit_output_passes_verify(self, tmp_path, capsys):
+        # eig_clip leaves the fitted factors asymmetric by round-off; the
+        # loader refuses such factors, so fit must write exactly symmetric ones.
+        # Verified at the tolerance the fit ran at, fit's default --tol.
+        slack, fact = tmp_path / "s.json", tmp_path / "f.json"
+        assert main(["slack", "build", "--instance", "point", "--n", "1",
+                     "--out", str(slack)]) == 0
+        assert main(["fact", "fit", "--slack", str(slack), "--r", "3", "--out", str(fact)]) == 0
+        code, rep = run_cli(["fact", "verify", "--slack", str(slack), "--fact", str(fact),
+                             "--tol", str(FitConfig().tol)], capsys)
+        assert code == 0
+        assert rep["passed"] is True
+
 
 class TestLoaderErrors:
     """Every JSON loader maps a bad file to exit code 2 without a traceback."""
@@ -223,6 +236,27 @@ class TestLoaderErrors:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert "row factor 0" in err
+
+    @pytest.fixture()
+    def asymmetric_fact(self, files, tmp_path):
+        # Only entry (0, 1) of U_0 changes.  eigvalsh reads the lower triangle,
+        # where U_0 is still PSD, but the symmetric part [[1, 2.5], [2.5, 0]]
+        # that the program would use is not.
+        obj = json.loads(files["fact"].read_text())
+        obj["U"][0]["entries"][1] = 5.0
+        path = tmp_path / "asymmetric.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("case", sorted(NON_PSD))
+    def test_asymmetric_factor_exits_2(self, files, asymmetric_fact, case, capsys):
+        argv = [a.format(bad=asymmetric_fact, slack=files["slack"]) for a in self.NON_PSD[case]]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "row factor 0 is not exactly symmetric" in err
 
     # case: (row named by the error, entry spoilt, value), on the rounded cube n=2 system
     MALFORMED_SYSTEMS = {

@@ -7,14 +7,23 @@ from psdfact.factorization import (
     FitFailure,
     PsdFactorization,
     alternating_fit,
+    congruence,
     diagonal_embed,
     max_operator_norm,
     potential,
     verify_factorization,
 )
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
+from psdfact.rescaling import (
+    balance_scalar,
+    descent_step,
+    perturbation_direction,
+    reduce_to_common_space,
+    rescale,
+)
+from psdfact.serialize import factorization_from_json, factorization_to_json
 
-from helpers import random_psd, rng
+from helpers import random_orthogonal, random_psd, rng
 
 
 def unit_square_slack():
@@ -181,3 +190,54 @@ class TestAlternatingFit:
     def test_invalid_side(self):
         with pytest.raises(PreconditionError):
             alternating_fit(unit_square_slack(), 0)
+
+
+def raw_unbalanced_cube():
+    """The unit square's embedding under a congruence, products left unsymmetrised."""
+    s = unit_square_slack()
+    f = diagonal_embed(s)
+    q = random_orthogonal(rng(3), f.side)
+    a = (q * np.array([10.0, 0.1, 1.0, 1.0])) @ q.T
+    a_inv = (q / np.array([10.0, 0.1, 1.0, 1.0])) @ q.T
+    raw = PsdFactorization(
+        row_factors=a @ f.row_factors @ a, col_factors=a_inv @ f.col_factors @ a_inv
+    )
+    # Really asymmetric, so the exact symmetry of what is built from it is the program's doing.
+    assert not np.array_equal(raw.row_factors, raw.row_factors.swapaxes(1, 2))
+    return raw, s, a, a_inv
+
+
+def balanced_reduced():
+    raw, _, _, _ = raw_unbalanced_cube()
+    return balance_scalar(reduce_to_common_space(raw)[0])
+
+
+def descent_winner():
+    f = balanced_reduced()
+    winner, eps = descent_step(f, perturbation_direction(f))
+    assert eps is not None
+    return winner
+
+
+BUILDERS = {
+    "diagonal_embed": lambda: diagonal_embed(unit_square_slack()),
+    "congruence": lambda: congruence(
+        diagonal_embed(unit_square_slack()), *raw_unbalanced_cube()[2:]),
+    "reduce_to_common_space": lambda: reduce_to_common_space(raw_unbalanced_cube()[0])[0],
+    "balance_scalar": balanced_reduced,
+    "descent_step": descent_winner,
+    "rescale": lambda: rescale(*raw_unbalanced_cube()[:2]).factorization,
+    "alternating_fit": lambda: alternating_fit(build_slack(*builtin_instance("point", 1)), 2),
+    "factorization_from_json": lambda: factorization_from_json(
+        factorization_to_json(diagonal_embed(unit_square_slack()))),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_built_factorization_is_exactly_symmetric(builder):
+    # operator_norms takes exactly symmetric stacks and does not symmetrise them.
+    f = BUILDERS[builder]()
+    assert isinstance(f, PsdFactorization)
+    for stack in (f.row_factors, f.col_factors):
+        assert np.array_equal(stack, stack.swapaxes(1, 2))
+

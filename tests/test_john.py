@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from psdfact import rescaling, symmat
 from psdfact.errors import PreconditionError
-from psdfact.rescaling import _fold_symmetric, john_decompose
+from psdfact.rescaling import (
+    MVEE_VOL_TOL,
+    MVEE_WEIGHT_FLOOR,
+    _fold_symmetric,
+    _mvee_weights,
+    john_decompose,
+)
 
 from helpers import random_orthogonal, rng
 
@@ -95,4 +102,81 @@ class TestJohnDecompose:
         np.testing.assert_allclose(
             jd.ellipsoid_map @ jd.ellipsoid_map.T, np.diag([4.0, 0.25]), atol=1e-6
         )
+        check_invariants(jd)
+
+
+def mvee_reference(points):
+    """(points, weights, T) from the MVEE solver on any set: fold, weight, square root."""
+    pts = _fold_symmetric(points)
+    _, sig, vt = np.linalg.svd(pts, full_matrices=False)
+    basis = vt[sig > symmat.RANK_TOL * sig[0]].T
+    k = basis.shape[1]
+    y = pts @ basis
+    u = _mvee_weights(y, min(1e-8, 2.0 * MVEE_VOL_TOL / k))
+    kept = u > MVEE_WEIGHT_FLOOR
+    w = u[kept] / u[kept].sum()
+    yk = y[kept]
+    return pts[kept], w, basis @ symmat.sqrt_psd(k * ((yk * w[:, None]).T @ yk))
+
+
+@pytest.fixture()
+def mvee_calls(monkeypatch):
+    calls = []
+
+    def spy(y, eps_g):
+        calls.append(y.shape)
+        return _mvee_weights(y, eps_g)
+
+    monkeypatch.setattr(rescaling, "_mvee_weights", spy)
+    return calls
+
+
+def independent_set(gen, k, ambient):
+    """k independent points with mixed signs; small integers make rows share
+    leading coordinates, so the row order rests on later ones too."""
+    while True:
+        pts = gen.integers(-2, 3, size=(k, ambient)).astype(float)
+        if np.linalg.matrix_rank(pts) == k:
+            return pts * gen.choice([1.0, 0.5, 3.0])
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("ambient", [1, 2, 3, 5, 8])
+    def test_independent_set_has_uniform_weights(self, seed, ambient, mvee_calls):
+        gen = rng(100 + seed)
+        for k in range(1, ambient + 1):
+            pts = independent_set(gen, k, ambient)
+            jd = john_decompose(pts)
+            assert jd.dim == k
+            assert np.array_equal(jd.weights, np.full(k, 1.0 / k))
+            ref_pts, ref_w, _ = mvee_reference(pts)
+            # Same contact points in the same order as the fold gives them.
+            assert jd.points.tobytes() == ref_pts.tobytes()
+            ref_moment = np.einsum("m,mi,mj->ij", ref_w, ref_pts, ref_pts)
+            np.testing.assert_allclose(jd.moment_matrix(), ref_moment, rtol=0, atol=1e-12)
+            check_invariants(jd)
+        assert not mvee_calls
+
+    def test_orthonormal_set_gives_projection_over_k(self, mvee_calls):
+        q = random_orthogonal(rng(7), 6)
+        jd = john_decompose(-q[:, :4].T)
+        np.testing.assert_allclose(jd.moment_matrix(), q[:, :4] @ q[:, :4].T / 4, atol=1e-15)
+        assert not mvee_calls
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],  # duplicate
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]],  # antipodal pair
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],  # zero row
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],  # more points than dimensions
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -1.0, 0.0]],  # dependent, fewer than ambient
+        [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]],  # zero row beside one point
+    ], ids=["duplicate", "antipode", "zero-row", "overcomplete", "dependent", "zero-and-one"])
+    def test_other_sets_take_the_mvee_path(self, points, mvee_calls):
+        ref_pts, ref_w, ref_t = mvee_reference(points)
+        jd = john_decompose(points)
+        assert len(mvee_calls) == 1
+        assert jd.points.tobytes() == ref_pts.tobytes()
+        assert jd.weights.tobytes() == ref_w.tobytes()
+        assert jd.ellipsoid_map.tobytes() == ref_t.tobytes()
         check_invariants(jd)
