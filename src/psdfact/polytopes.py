@@ -18,6 +18,10 @@ _INT_GUARD = 2**62
 
 BUILTIN_NAMES = ("cube", "simplex", "crosspoly_01", "segment", "point", "moment_polygon")
 
+# Largest moment_polygon vertex count: its d x d slack matrix has a diagonal
+# embedding of d^3 floats, 128 MiB at d = 256.
+MOMENT_POLYGON_MAX_D = 256
+
 
 def _as_int_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a)
@@ -211,13 +215,18 @@ def _point(n: int) -> tuple[HPolytope, VPolytope]:
 
 
 def _moment_polygon(d: int) -> tuple[HPolytope, VPolytope]:
-    """d-gon with vertices (z, z^2) for even z in [2d].
+    """d-gon with vertices (z, z^2) for even z in [2d], for 3 <= d <= MOMENT_POLYGON_MAX_D.
 
     Edges between consecutive vertices carry the inequality
     -y + (z1+z2) x - z1 z2 <= 0; the top chord closes the polygon.
     """
     if d < 3:
         raise PreconditionError("moment_polygon needs d >= 3")
+    if d > MOMENT_POLYGON_MAX_D:
+        raise ResourceError(
+            f"moment_polygon d = {d} refused (--n above {MOMENT_POLYGON_MAX_D}): "
+            "its diagonal embedding would hold d^3 floats"
+        )
     z = np.arange(1, d + 1, dtype=np.int64) * 2
     pts = np.stack([z, z * z], axis=1)
     rows = []

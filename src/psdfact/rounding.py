@@ -19,10 +19,21 @@ functional lambda = hinge * sign(e) / ||hinge * sign(e)||_1; for every Y in
 K, lambda.c - <sum_i lambda_i U_i, Y> <= budget when Y is a witness, and
 <S, Y> <= cap tr(S_+), so lambda.c - cap tr((sum_i lambda_i U_i)_+) > budget
 proves that no witness exists (conic duality; Ben-Tal & Nemirovski,
-Lectures on Modern Convex Optimization).  ``reconstruct`` runs one batched
-loop over all of {0,1}^n, stops each point at its first witness or
-certificate, and re-validates both from scratch; a point that has neither
-after MEMBER_MAX_ITERS iterations is inconclusive.
+Lectures on Modern Convex Optimization).
+
+The single-row duals lambda = +-e_i are such functionals too; with
+c = b - A x their value +-c_i - cap tr((+-U_i)_+) needs no iterate.  The
+rounded subsystem determines the vertex set, so a 0/1 point outside the
+polytope violates some integer inequality; when that is a selected row i,
+-e_i proves rejection at once, as +e_i does when row i's slack exceeds
+cap tr(U_i) + budget.  Other points (on crosspoly_01 n=2 the violated
+rows are combinations of the selected ones) are left to projected
+gradient.
+
+``reconstruct`` runs one batched loop over all of {0,1}^n, stops each
+point at its first witness or certificate, and re-validates both from
+scratch; a point that has neither after MEMBER_MAX_ITERS iterations is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -239,7 +250,9 @@ class MembershipVerdict:
     witness: np.ndarray | None  # the final iterate Y, None when rejected
     violation: float  # max_i |residual_i| - budget at the final iterate
     dual_margin: float  # lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen
-    dual: np.ndarray | None  # that lambda (||lambda||_1 = 1), None when accepted
+    # that lambda (||lambda||_1 = 1), None when accepted; a single-row dual
+    # has one +-1 entry
+    dual: np.ndarray | None
     iterations: int
 
 
@@ -257,6 +270,28 @@ def _dual_values(lam, const, u_flat, cap):
     return np.einsum("bi,bi->b", lam, const) - cap * positive
 
 
+def _single_row_duals(factors, const, cap):
+    """Each point's best single-row dual lambda = +-e_i, and its value.
+
+    The value of +-e_i is +-c_i - cap tr((+-U_i)_+); it needs no iterate,
+    and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  One
+    ``eigvalsh`` covers the rows with a nonzero factor; a zero row's traces
+    are 0.
+    """
+    m = factors.shape[0]
+    nonzero = np.flatnonzero(factors.reshape(m, -1).any(axis=1))
+    spectrum = np.linalg.eigvalsh(factors[nonzero])
+    trace = np.zeros((2, m))
+    trace[0, nonzero] = spectrum.clip(min=0.0).sum(axis=1)
+    trace[1, nonzero] = -spectrum.clip(max=0.0).sum(axis=1)
+    values = np.concatenate([const - cap * trace[0], -const - cap * trace[1]], axis=1)
+    pick = values.argmax(axis=1)
+    points = np.arange(len(const))
+    lam = np.zeros((len(const), m))
+    lam[points, pick % m] = np.where(pick < m, 1.0, -1.0)
+    return lam, values[points, pick]
+
+
 def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     """Decide each point of ``xs`` (B, n) by projected gradient from ``starts`` (B, r, r).
 
@@ -265,9 +300,13 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     checks the primal residual and the dual functional lambda = hinge *
     sign(e) / ||hinge * sign(e)||_1; a point leaves the live set at its
     first witness or certificate.  Both are re-validated from scratch.
-    The step 1 / L, with L = 2 ||U||^2 from a spectral norm of the stacked
-    factors, is computed at the first gradient step, so a batch decided at
-    its first iteration never computes it.
+    Points still live after the first iteration's checks are also tried
+    against every single-row dual +-e_i, whose value needs no iterate; one
+    ``eigvalsh`` of the factors serves the whole batch, and a batch whose
+    points all have witnesses at once, as warm-started vertices do, never
+    takes it.  The step 1 / L, with L = 2 ||U||^2 from a spectral norm of
+    the stacked factors, is computed at the first gradient step, so a batch
+    decided at its first iteration never computes it.
     """
     g = system.grid
     budget, cap = g.budget, g.witness_cap
@@ -294,6 +333,14 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
         best_lam[live[better]] = lam[better]
         member = np.abs(e).max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
         done = member | (best[live] > budget * MEMBER_RTOL)
+        if it == 1 and not done.all():
+            rest = live[~done]
+            lam, margin = _single_row_duals(system.factors, const[rest], cap)
+            margin -= budget
+            better = margin > best[rest]
+            best[rest[better]] = margin[better]
+            best_lam[rest[better]] = lam[better]
+            done = member | (best[live] > budget * MEMBER_RTOL)
         found[live[member]] = True
         iterations[live[done]] = it
         push, live = push[~done], live[~done]

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; any assertion failure marks the criterion red.
 """
 
+import itertools
 import math
 import time
 
@@ -15,9 +16,9 @@ from psdfact.bounds import polygon_instance_params, worst_case_coeff_bound, xc01
 from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from psdfact.factorization import PsdFactorization, diagonal_embed, verify_factorization
 from psdfact.pipeline import PipelineConfig, run_pipeline
-from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
+from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance, enumerate_01_vertices
 from psdfact.rescaling import RescaleConfig, john_decompose, rescale
-from psdfact.rounding import GridParams, grid_delta, round_factor
+from psdfact.rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_factor
 
 from helpers import random_orthogonal, random_psd_with_gap, random_symmetric, rng
 
@@ -219,3 +220,49 @@ def test_criterion_8_determinism(rescale_results, pipeline_results):
                     == rep["stages"]["rescale"]["certificate"])
     print("[acceptance 8] determinism under fixed seed: PASS "
           "(identical certificates, iteration counts, verdicts)")
+
+
+# Every instance the plain pipeline reconstructs, and the oracle iterations
+# its rejections take.  On crosspoly_01 n=2 the violated sum rows are
+# combinations of the three selected rows, so no single row certifies
+# rejection and projected gradient still runs.
+ONE_ROW_SWEEPS = {("cube", n): 1 for n in (1, 2, 3, 4)}
+ONE_ROW_SWEEPS.update({("simplex", n): 1 for n in (1, 2, 3, 4)})
+ONE_ROW_SWEEPS.update({("crosspoly_01", 2): 2, ("crosspoly_01", 3): 1, ("segment", 1): 1,
+                       ("point", 1): 1, ("point", 2): 1})
+
+
+def test_criterion_9_single_row_rejection(monkeypatch):
+    rejected = 0
+    for (instance, n), iterations in ONE_ROW_SWEEPS.items():
+        rep = run_pipeline(instance, n)
+        rec = rep["stages"]["reconstruct"]
+        h, _ = builtin_instance(instance, n)
+        vertices = sorted(enumerate_01_vertices(h).points.tolist())
+        cube = [list(p) for p in itertools.product((0, 1), repeat=n)]
+        assert sorted(rec["accepted"]) == vertices, f"{instance} n={n}"
+        assert sorted(rec["rejected"]) == [p for p in cube if p not in vertices]
+        for entry in rec["points"]:
+            if entry["verdict"] == "rejected":
+                assert entry["iterations"] == iterations, f"{instance} n={n}: {entry}"
+                rejected += 1
+    # Warm-started vertices are decided by their witnesses, so the sweep
+    # takes no single-row eigendecomposition: one eigvalsh for the first
+    # hinge dual and two for re-validation.
+    h, v = builtin_instance("cube", 3)
+    s = build_slack(h, v)
+    f = rescale(diagonal_embed(s), s).factorization
+    system = build_rounded_system(h, f, GridParams.for_slack(n=3, r=f.side, delta_eff=s.max_entry))
+    warm = {tuple(p): f.col_factors[j] for j, p in enumerate(v.points.tolist())}
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert len(reconstruct(system, 3, warm_start_map=warm).accepted) == 8
+    assert len(calls) == 3
+    print(f"[acceptance 9] single-row rejection on {len(ONE_ROW_SWEEPS)} instances: PASS "
+          f"({rejected} rejections, 3 eigvalsh on the warm cube n=3 sweep)")

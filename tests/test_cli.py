@@ -350,6 +350,8 @@ class TestBadArguments:
         "fit-tol-neg": (FIT + ["--tol", "-1"], "tol"),
         "pipeline-not-01": (["pipeline", "--instance", "moment_polygon", "--n", "5"],
                             "instance"),
+        "slack-build-polygon-257": (["slack", "build", "--instance", "moment_polygon",
+                                     "--n", "257"], "--n"),
         "counting-n-1024": (BOUNDS + ["counting", "--n", "1024"], "n"),
         "counting-n-1100": (BOUNDS + ["counting", "--n", "1100"], "n"),
         "counting-R-201-digits": (BOUNDS + ["counting", "--n", "1000", "--R", str(10**200)], "R"),

@@ -161,6 +161,13 @@ class TestBuiltins:
         # each of the d edges is tight at exactly two vertices
         assert np.all((s.entries == 0).sum(axis=1) == 2)
 
+    def test_moment_polygon_size_limit(self):
+        d = polytopes.MOMENT_POLYGON_MAX_D
+        h, v = builtin_instance("moment_polygon", d)
+        assert h.n_rows == v.n_points == d
+        with pytest.raises(ResourceError, match="--n"):
+            builtin_instance("moment_polygon", d + 1)
+
     def test_builtins_nonnegative_integral_through_n6(self):
         cases = [("cube", range(1, 7)), ("simplex", range(1, 7)), ("crosspoly_01", (2, 3))]
         for name, dims in cases:

@@ -321,6 +321,71 @@ class TestMembership:
         assert verdict.witness is not None and verdict.dual is not None
 
 
+def hand_system(rows, factors):
+    """A RoundedSystem with n = 1, r = 2, cap 1 and budget 0.05, from
+    (a_i, b_i) rows and diagonal factors."""
+    g = GridParams(n=1, r=2, delta=grid_delta(1, 2), big_delta=0.5)
+    return rounding.RoundedSystem(
+        a=np.array([a for a, _ in rows], dtype=float),
+        b=np.array([b for _, b in rows], dtype=float),
+        factors=np.array([np.diag(f) for f in factors], dtype=float),
+        grid=g,
+    )
+
+
+class TestSingleRowDuals:
+    # At x = 1 row 0 reads x <= 0 with U_0 = 0, so -e_0 has value 1; at
+    # x = 0 row 0 has slack 5 against cap tr(U_0) = 1, so +e_0 has value 4.
+    # In both, row 1's large slack and large factor make the hinge dual
+    # at Y = 0 mix the two rows with a negative value.
+    CASES = {
+        "violated-row": ([([1.0], 0.0), ([0.0], 5.0)], [(0.0, 0.0), (5.0, 5.0)], 1.0, -1.0),
+        "slack-above-cap": ([([0.0], 5.0), ([0.0], 50.0)], [(0.5, 0.5), (50.0, 50.0)], 0.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejects_at_iteration_1_with_one_row(self, case):
+        rows, factors, x, sign = self.CASES[case]
+        system = hand_system(rows, factors)
+        c = system.b - system.a @ [x]
+        push = np.maximum(np.abs(c) - system.grid.budget, 0.0) * np.sign(c)
+        assert numpy_dual_margin(system, [x], push / np.abs(push).sum()) < 0.0
+        verdict = membership_test(np.array([x]), system)
+        assert verdict.verdict == "rejected"
+        assert verdict.iterations == 1
+        np.testing.assert_array_equal(verdict.dual, [sign, 0.0])
+        recomputed = numpy_dual_margin(system, [x], verdict.dual)
+        assert recomputed > 0.0
+        assert verdict.dual_margin == pytest.approx(recomputed, rel=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flipped_sign_is_caught_by_revalidation(self, case, monkeypatch):
+        rows, factors, x, _ = self.CASES[case]
+        screen = rounding._single_row_duals
+
+        def flipped(*args):
+            lam, value = screen(*args)
+            return -lam, value
+
+        monkeypatch.setattr(rounding, "_single_row_duals", flipped)
+        verdict = membership_test(np.array([x]), hand_system(rows, factors))
+        assert verdict.verdict != "rejected"
+        assert verdict.dual_margin <= 0.0
+
+    @pytest.mark.parametrize("instance,n", [
+        ("cube", 1), ("cube", 2), ("cube", 3), ("cube", 4), ("simplex", 1), ("simplex", 2),
+        ("simplex", 3), ("simplex", 4), ("crosspoly_01", 2), ("crosspoly_01", 3),
+        ("segment", 1), ("point", 1), ("point", 2)])
+    def test_cold_sweep_never_rejects_a_vertex(self, instance, n):
+        _, v, _, system = rounded_instance(instance, n)
+        report = reconstruct(system, n)
+        vertices = {tuple(p) for p in v.points.tolist()}
+        assert not vertices & {ver.point for ver in report.rejected}
+        for ver in report.verdicts:
+            if ver.point in vertices:
+                assert ver.dual_margin <= 0.0
+
+
 class TestReconstruct:
     def test_unit_square(self):
         h, v, _, res, _, system = rounded_unit_square()
@@ -395,16 +460,19 @@ class TestReconstruct:
             if entry["verdict"] == "rejected":
                 assert entry["dual_margin"] > 0.0
 
-    # (point, verdict initial, iterations) of the warm-started simplex n=3 sweep.
+    # (point, verdict initial, iterations) of the warm-started simplex n=3 sweep:
+    # the vertices keep their warm starts and every non-vertex violates a
+    # selected row, so single-row duals reject it at iteration 1.
     SIMPLEX3 = [((0, 0, 0), "m", 1), ((0, 0, 1), "m", 1), ((0, 1, 0), "m", 1),
-                ((0, 1, 1), "r", 2), ((1, 0, 0), "m", 1), ((1, 0, 1), "r", 2),
-                ((1, 1, 0), "r", 2), ((1, 1, 1), "r", 1)]
+                ((0, 1, 1), "r", 1), ((1, 0, 0), "m", 1), ((1, 0, 1), "r", 1),
+                ((1, 1, 0), "r", 1), ((1, 1, 1), "r", 1)]
 
     @staticmethod
-    def warm_sweep(instance, n, monkeypatch):
-        """The pipeline's warm-started sweep, and how many spectral norms it took."""
+    def sweep(instance, n, monkeypatch, warm=True):
+        """The pipeline's sweep, warm-started unless ``warm`` is false, and
+        how many spectral norms it took."""
         _, v, res, system = rounded_instance(instance, n)
-        warm = {tuple(p): res.factorization.col_factors[j] for j, p in enumerate(v.points.tolist())}
+        starts = {tuple(p): res.factorization.col_factors[j] for j, p in enumerate(v.points.tolist())}
         orders = []
         norm = np.linalg.norm
 
@@ -413,20 +481,27 @@ class TestReconstruct:
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        report = reconstruct(system, n, warm_start_map=warm)
+        report = reconstruct(system, n, warm_start_map=starts if warm else None)
         return report, orders.count(2)
 
     def test_warm_started_vertices_take_no_step_norm(self, monkeypatch):
-        report, spectral = self.warm_sweep("cube", 3, monkeypatch)
+        report, spectral = self.sweep("cube", 3, monkeypatch)
         assert len(report.accepted) == 8
         assert all(ver.iterations == 1 for ver in report.verdicts)
         assert spectral == 0
 
-    def test_gradient_steps_take_one_step_norm(self, monkeypatch):
-        report, spectral = self.warm_sweep("simplex", 3, monkeypatch)
-        assert spectral == 1
+    def test_warm_simplex_sweep_decides_every_point_at_iteration_1(self, monkeypatch):
+        report, spectral = self.sweep("simplex", 3, monkeypatch)
+        assert spectral == 0
         got = [(ver.point, ver.verdict[0], ver.iterations) for ver in report.verdicts]
         assert got == self.SIMPLEX3
+
+    def test_gradient_steps_take_one_step_norm(self, monkeypatch):
+        # from cold starts the vertices need gradient steps
+        report, spectral = self.sweep("simplex", 3, monkeypatch, warm=False)
+        assert spectral == 1
+        assert [ver.verdict[0] for ver in report.verdicts] == [m for _, m, _ in self.SIMPLEX3]
+        assert max(ver.iterations for ver in report.accepted) > 1
 
     def test_lexicographic_order(self):
         _, _, _, _, _, system = rounded_unit_square()
