@@ -33,14 +33,15 @@ def _finite(flag: str, compute) -> tuple:
     """The floats ``compute()`` returns, all finite.
 
     A float overflow inside ``compute`` or an infinite result raises
-    PreconditionError naming ``flag``, the input that is too large.
+    PreconditionError naming the command-line flag ``--flag`` of the input
+    that is too large.
     """
     try:
         values = compute()
     except OverflowError:
         values = (math.inf,)
     if not all(math.isfinite(v) for v in values):
-        raise PreconditionError(f"{flag} is too large: the bound overflows a float")
+        raise PreconditionError(f"--{flag} is too large: the bound overflows a float")
     return values
 
 

@@ -229,6 +229,10 @@ def _cmd_round_run(args) -> int:
 def _cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
     system = serialize.system_from_json(serialize.load_json(args.system))
+    if args.n != system.a.shape[1]:
+        raise PreconditionError(
+            f"--n {args.n} disagrees with the system's dimension {system.a.shape[1]}"
+        )
     recon = reconstruct(system, args.n)
     report = recon.to_json()
     report["complete"] = recon.complete
@@ -397,8 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         help="write a CSV trace here: header iteration,phi,lmax with "
         "lmax = max(lmax_u, lmax_v); one row per phi_trajectory entry, "
-        "row 0 being the balanced start before any descent step; floats "
-        "written with repr so they round-trip exactly",
+        "row 0 being the balanced input and, when rescale starts at the "
+        "geometric mean of the two side averages, row 1 that start, both "
+        "before any descent step; floats written with repr so they "
+        "round-trip exactly",
     )
     _add_common(rr, tol=RescaleConfig.tol)
     rr.set_defaults(func=_cmd_rescale_run)

@@ -119,6 +119,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
             "skipped": False,
             "certificate": res.certificate,
             "iterations": res.iterations,
+            "start": res.diagnostics["start"],
             "reduced_dim": res.reduced_dim,
             "lmax_u": res.lmax_u,
             "lmax_v": res.lmax_v,

@@ -1,7 +1,8 @@
 """Congruence rescaling of semidefinite factorizations.
 
 Pipeline: reduce a factorization onto the common image space of its two
-side-averages, balance the sides by a scalar so both attain the same top
+side-averages, start at the geometric-mean congruence of those averages
+when it helps, balance the sides by a scalar so both attain the same top
 norm mu, then repeatedly shrink the largest row factors with congruence
 steps exp(-eps Z) (and grow the column side with exp(+eps Z)).  The
 direction Z is the moment matrix of a John decomposition: the minimum
@@ -11,6 +12,20 @@ search over a geometric eps grid converts the descent direction into
 concrete steps; the loop stops once the potential lmax(U) * lmax(V) falls
 below d * Delta times (1 + tol), with d the reduced dimension and Delta
 the largest entry of the factored matrix, or at the first stall.
+
+The start is closed-form.  With mU and mV the reduced averages, the matrix
+geometric mean X = mU^-1 # mV is the positive definite solution of
+X mU X = mV; from mU = Q L Q^T and mU^1/2 mV mU^1/2 = R G R^T,
+A = G^1/4 R^T mU^-1/2 satisfies A^T A = X and A mU A^T = A^-T mV A^-1 =
+G^1/2, and its symmetric polar factor P = X^1/2 has the same norms.  This
+is one balancing step of operator scaling (Gurvits 2004; Garg, Gurvits,
+Oliveira and Wigderson 2016).  It is congruence-invariant:
+(B^T Y B) # (B^T W B) = B^T (Y # W) B (Bhatia 2007, ch. 4), so for an
+input (B U B^T, B^-T V B^-1) the start lands on the same norms whatever B
+is, and a congruence of a diagonal embedding is undone exactly.  It is
+formed only when the input's potential tau exceeds the target, and kept
+only when it lowers phi: on some inputs phi is higher at the mean than at
+the input, and the loop then starts from the input.
 
 The John decomposition is closed-form in the common case of a contact set
 of k independent points (one tight factor with a simple top eigenvalue
@@ -31,16 +46,20 @@ BOUND_RTOL); the others cannot reach the minimum of the whole grid.
 
 The prologue measures every stack once: the input gate checks only the
 residual, the reduction averages each side once, finds the common space
-from two eigendecompositions and takes sigma from its singularity check,
-and one measurement of the reduced factorization's top norms gives both
-tau and the balancing scalar.  The loop keeps the balanced winner of
-each line search, the operator norms of its factors (measured once per
-step and shared by the direction, the line search and the trajectory)
-and M, the product of the accepted steps.  The returned transform is the
-polar part P = (M^T M)^(1/2), formed once at the end; M = Q P with Q
-orthogonal, so the congruence by P has the norms of the last winner.
-With no accepted step M = I, and the epilogue reuses the prologue's
-norms of the reduced factorization instead of measuring it again.
+from two eigendecompositions and takes sigma and the reduced averages
+from its singularity check, one measurement of the reduced
+factorization's top norms gives tau, and one of the mean start's gives
+its potential.  The top norms of a factorization balanced by a scalar are
+both the square root of its potential, so the factors of the start are
+measured one by one only when the loop runs.  The loop keeps the
+balanced winner of each line search, the operator norms of its factors
+(measured once per step and shared by the direction, the line search and
+the trajectory) and M, the start times the product of the accepted
+steps.  The returned transform is the polar part P = (M^T M)^(1/2),
+formed once at the end; M = Q P with Q orthogonal, so the congruence by P
+has the norms of the last winner.  With no accepted step M is the start,
+and the epilogue reuses its polar factor and top norms instead of
+measuring again.
 """
 
 from __future__ import annotations
@@ -249,17 +268,18 @@ def _validate_john(jd: JohnDecomposition) -> None:
 
 def reduce_to_common_space(
     f: PsdFactorization,
-) -> tuple[PsdFactorization, np.ndarray, float]:
+) -> tuple[PsdFactorization, np.ndarray, float, np.ndarray]:
     """Compress a factorization onto W = P_{Im(mean U)}(Im(mean V)).
 
     With B an orthonormal basis of Im(mean U) and V PSD,
     Im(B^T V) = Im(B^T V^(1/2)) = Im(B^T V B), so W = B Im(B^T (mean V) B),
     and two eigendecompositions give its orthonormal basis O, an (r, d)
-    array.  Returns the reduced factorization (O^T U O, O^T V O), O and
+    array.  Returns the reduced factorization (O^T U O, O^T V O), O,
     sigma, the least eigenvalue of the two reduced side-averages
-    O^T (mean U) O and O^T (mean V) O.  Both are nonsingular (a singular
-    one raises NumericError); dimension zero (all-zero products) yields
-    empty factors and sigma = 0.
+    O^T (mean U) O and O^T (mean V) O, and those two averages stacked, a
+    (2, d, d) array.  Both are nonsingular (a singular one raises
+    NumericError); dimension zero (all-zero products) yields empty factors
+    and sigma = 0.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
@@ -268,16 +288,40 @@ def reduce_to_common_space(
     o = b @ symmat.image_basis(b.T @ bars[1] @ b)
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
     reduced = PsdFactorization(row_factors=rows, col_factors=cols)
+    means = symmat.as_symmetric(o.T @ bars @ o)
     if not o.shape[1]:
-        return reduced, o, 0.0
-    lam = np.linalg.eigvalsh(symmat.as_symmetric(o.T @ bars @ o))
+        return reduced, o, 0.0, means
+    lam = np.linalg.eigvalsh(means)
     singular = np.flatnonzero(lam[:, 0] <= symmat.RANK_TOL * np.maximum(lam[:, -1], 0.0))
     if singular.size:
         k = singular[0]
         raise NumericError(
             f"reduced {('row', 'column')[k]} average is singular (min eigenvalue {lam[k, 0]:.3g})"
         )
-    return reduced, o, float(lam[:, 0].min())
+    return reduced, o, float(lam[:, 0].min()), means
+
+
+def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The symmetric congruence that makes the two reduced averages equal.
+
+    ``means`` stacks mU and mV, both positive definite.  With
+    mU = Q L Q^T and mU^1/2 mV mU^1/2 = R G R^T, the matrix
+    A = G^1/4 R^T mU^-1/2 gives A mU A^T = A^-T mV A^-1 = G^1/2, and
+    A^T A = mU^-1/2 (mU^1/2 mV mU^1/2)^1/2 mU^-1/2 = X, the matrix
+    geometric mean mU^-1 # mV: the positive definite solution of
+    X mU X = mV.  Its symmetric polar factor P = (A^T A)^1/2 = X^1/2 has
+    A's norms, since A = W P with W orthogonal.  Returns (s, rt) with
+    P = rt^T diag(s) rt and ||P|| = s[0] = 1, from the SVD of A; None when
+    G is not numerically positive.
+    """
+    lam, q = np.linalg.eigh(means[0])
+    root = np.sqrt(lam)
+    half = (q * root) @ q.T
+    g, r = np.linalg.eigh(symmat.as_symmetric(half @ means[1] @ half))
+    if not g[0] > 0.0:
+        return None
+    _, s, rt = np.linalg.svd((r * g ** 0.25).T @ ((q / root) @ q.T))
+    return s / s[0], rt
 
 
 def _top_norms(f: PsdFactorization) -> tuple[float, float]:
@@ -303,6 +347,11 @@ def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactoriza
         )
     s2 = np.sqrt(lmax_v / lmax_u)
     return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
+
+
+def _polar_congruence(f: PsdFactorization, sv: np.ndarray, rt: np.ndarray) -> PsdFactorization:
+    """``congruence(f, P, P^-1)`` for P = rt^T diag(sv) rt, rt orthogonal and sv > 0."""
+    return congruence(f, (rt.T * sv) @ rt, (rt.T / sv) @ rt)
 
 
 def _side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
@@ -438,11 +487,11 @@ class RescaleResult:
     transform: np.ndarray
     transform_pinv: np.ndarray
     factorization: PsdFactorization
-    # (lmax_u, lmax_v) per recorded iteration, measured on the working
-    # factorization: the balanced reduced input, then each line-search
-    # winner as descent_step balanced it.  Whenever the common space is
-    # nonzero the two are equal up to round-off; the CLI trace records
-    # their max.
+    # (lmax_u, lmax_v) of the balanced working factorization: the reduced
+    # input, then the geometric-mean start when rescale keeps it (also at
+    # iteration 0, so ``iterations`` counts only the entries after it),
+    # then each line-search winner as descent_step balanced it.  The two
+    # are equal up to round-off; the CLI trace records their max.
     lmax_trajectory: tuple
     lmax_u: float
     lmax_v: float
@@ -469,6 +518,14 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     reproduces the slack matrix.  The certificate flag is set only when
     the recomputed norms meet sqrt(d * Delta) * (1 + tol) with d the
     reduced dimension and Delta the largest slack entry.
+
+    When the reduced input's potential tau exceeds the target, rescale
+    forms the congruence P = (mU^-1 # mV)^1/2 of ``mean_congruence``, the
+    geometric mean of the two reduced averages, and starts from it if it
+    lowers phi.  Being congruence-invariant, it undoes any congruence
+    applied to the input.  ``diagnostics["start"]`` says which start was
+    taken, "mean" or "input"; the descent loop runs from there while phi
+    is above the target.  With d = 0 the transform is the zero matrix.
     """
     delta = s.max_entry
     budget = residual_budget(s, VERIFY_TOL)
@@ -479,51 +536,43 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             f"input factorization does not reproduce the slack matrix "
             f"(max residual {residual_in:.3g})"
         )
-    r = f.side
 
-    reduced, o, sigma = reduce_to_common_space(f)
+    reduced, o, sigma, means = reduce_to_common_space(f)
     d = o.shape[1]
     target_phi = d * delta * (1.0 + cfg.tol)
     target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
 
-    if d == 0:
-        # The only measurement of a raw input, which need not be exactly symmetric.
-        lmax_u, lmax_v = (
-            max_operator_norm(symmat.as_symmetric(side)) for side in (f.row_factors, f.col_factors)
-        )
-        eye = np.eye(r)
-        return RescaleResult(
-            transform=eye,
-            transform_pinv=eye,
-            factorization=f,
-            lmax_trajectory=((lmax_u, lmax_v),),
-            lmax_u=lmax_u,
-            lmax_v=lmax_v,
-            certificate=bool(lmax_u <= target_lmax and lmax_v <= target_lmax),
-            iterations=0,
-            reduced_dim=0,
-            diagnostics={
-                "target_lmax": target_lmax,
-                "note": "zero common space",
-                "line_search_candidates": 0,
-            },
-        )
-
-    lmax_u0, lmax_v0 = _top_norms(reduced)
-    tau = lmax_u0 * lmax_v0
-    cond_cap = max(1e12, 100.0 * tau / max(sigma, 1e-300) ** 2)
+    # The start: a congruence P = rt^T diag(sv) rt of the reduced
+    # factorization, the factorization fw it gives and fw's top norms
+    # (p_u, p_v).  P is the identity, or the geometric-mean congruence when
+    # the input misses the target and the mean lowers phi.  Balanced by a
+    # scalar, each has both top norms at the square root of its potential.
+    p_u, p_v = _top_norms(reduced)
+    tau = p_u * p_v
+    sv, rt, start, fw = np.ones(d), np.eye(d), "input", reduced
+    lmax_traj = [(float(np.sqrt(tau)),) * 2]
+    polar = mean_congruence(means) if tau > target_phi else None
+    if polar is not None:
+        trial = _polar_congruence(reduced, *polar)
+        tops = _top_norms(trial)
+        if tops[0] * tops[1] < tau:
+            (sv, rt), start, fw, (p_u, p_v) = polar, "mean", trial, tops
+            lmax_traj.append((float(np.sqrt(p_u * p_v)),) * 2)
 
     # State: the balanced working factorization fw that descent_step
     # returns, the norms of its factors, and M = exp(-eps_k Z_k) ...
-    # exp(-eps_1 Z_1) up to a positive scalar: fw = (c M U M^T,
-    # M^-T V M^-1 / c) for the reduced (U, V) and some c > 0.
-    fw = _balanced(reduced, lmax_u0, lmax_v0)
-    norms = _side_norms(fw)
-    lmax_traj = [_tops(norms)]
-    m = np.eye(d)
+    # exp(-eps_1 Z_1) P up to a positive scalar: fw = (c M U M^T,
+    # M^-T V M^-1 / c) for the reduced (U, V) and some c > 0.  They are
+    # formed only when the loop runs, and then d > 0 and sigma > 0; the cap
+    # divides by sigma twice so that a tiny sigma cannot underflow to 0.
     iterations = 0
     stalled = False
     counts = {"line_search_candidates": 0}
+    if cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
+        fw = _balanced(fw, p_u, p_v)
+        norms = _side_norms(fw)
+        m = (rt.T * sv) @ rt
+        cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
 
     while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
         z = perturbation_direction(fw, norms)
@@ -551,14 +600,14 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
     # M U M^T = Q (P U P) Q^T: the congruence by P has the norms of fw once
     # balanced by a scalar.  P is lifted by O, so A = W S W^T, W = O R.
-    # With no accepted step M = I, whose SVD is exactly (I, 1, I), and the
-    # congruence by P = I is the reduced factorization, already measured.
+    # With no accepted step M is the start, whose polar factor and norms
+    # are already at hand.
     if iterations:
         _, sv, rt = np.linalg.svd(m)
-        p_u, p_v = _top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
-    else:
-        sv, rt, p_u, p_v = np.ones(d), np.eye(d), lmax_u0, lmax_v0
-    sv = sv * (p_v / p_u) ** 0.25
+        p_u, p_v = _top_norms(_polar_congruence(reduced, sv, rt))
+    # At d = 0 both norms are 0 and every factor is the empty matrix.
+    if p_u:
+        sv = sv * (p_v / p_u) ** 0.25
     w = o @ rt.T
     transform = symmat.as_symmetric((w * sv) @ w.T)
     transform_pinv = symmat.as_symmetric((w / sv) @ w.T)
@@ -591,6 +640,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             "sigma": sigma,
             "tau": tau,
             "stalled": stalled,
+            "start": start,
             "residual": final.max_abs_residual,
             **counts,
         },

@@ -9,7 +9,8 @@ import numpy as np
 
 from psdfact import symmat
 from psdfact.factorization import PsdFactorization, diagonal_embed
-from psdfact.polytopes import build_slack, builtin_instance
+from psdfact.pipeline import _unbalance_congruence
+from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 
 
 def rng(seed):
@@ -54,6 +55,48 @@ def unbalanced_cube(t=100.0, seed=3):
     rows = [symmat.as_symmetric(a @ u @ a) for u in f.row_factors]
     cols = [symmat.as_symmetric(a_inv @ v @ a_inv) for v in f.col_factors]
     return PsdFactorization.from_factors(rows, cols), s
+
+
+def two_row_embedding(cols=100):
+    """Diagonal embedding of S = [[1, 0, ..., 0], [1, 1, ..., 1]], 2 x cols.
+
+    phi is 1 at the input and sqrt(cols) at rescale's geometric-mean start,
+    against d Delta = 2, so after a congruence rescale's descent loop still
+    runs: from the input when the congruence is mild, else from the mean.
+    """
+    entries = np.zeros((2, cols))
+    entries[0, 0] = 1.0
+    entries[1] = 1.0
+    s = SlackMatrix.from_entries(entries)
+    return diagonal_embed(s), s
+
+
+def corner_diagonal(m=100):
+    """Factors u_i = diag(1, [i = 0]) and v_j = diag([j = 0], 1), m of each.
+
+    phi is 1 at the input and m at rescale's geometric-mean start, against
+    d Delta = 4, so after a congruence rescale's descent loop still runs.
+    """
+    f = PsdFactorization.from_factors(
+        [np.diag([1.0, float(i == 0)]) for i in range(m)],
+        [np.diag([float(j == 0), 1.0]) for j in range(m)],
+    )
+    return f, SlackMatrix.from_entries(f.products())
+
+
+def loop_from_input():
+    """``two_row_embedding`` after a mild congruence: tau is above the
+    target and below the mean's phi, so rescale keeps the input and its
+    loop takes 2 steps, measuring 40 line-search candidates."""
+    f, s = two_row_embedding()
+    return _unbalance_congruence(f, 2.0, 1), s
+
+
+def loop_from_mean():
+    """``corner_diagonal`` after a 1e2 congruence: the mean start lowers
+    phi from 1e4 to 100 and rescale's loop takes 4 steps from there."""
+    f, s = corner_diagonal()
+    return _unbalance_congruence(f, 100.0, 0), s
 
 
 def power_iteration_norm(a, iters=20000, tol=1e-14, seed=123):

@@ -16,7 +16,7 @@ from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
 from psdfact.rescaling import RescaleConfig, rescale
 
-from helpers import unbalanced_cube
+from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
 
 def run_cli(args, capsys):
@@ -109,50 +109,60 @@ class TestFactAndRescale:
         assert lines[0] == "iteration,phi,lmax"
         assert len(lines) == len(rep["phi_trajectory"]) + 1
 
-    def test_rescale_trace_on_descending_run(self, tmp_path, capsys):
-        f, s = unbalanced_cube()
-        slack = tmp_path / "slack.json"
-        fact = tmp_path / "fact.json"
-        for obj, path in ((serialize.slack_to_json(s), slack),
-                          (serialize.factorization_to_json(f), fact)):
-            with open(path, "w") as fh:
-                json.dump(obj, fh)
-        out = tmp_path / "res.json"
-        trace = tmp_path / "trace.csv"
-        code = main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
-                     "--out", str(out), "--trace", str(trace)])
-        capsys.readouterr()
-        assert code == 0
-        rep = json.loads(out.read_text())
-        assert rep["iterations"] > 0
-        with open(trace, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [int(row["iteration"]) for row in rows] == list(range(len(rows)))
-        assert [float(row["phi"]) for row in rows] == rep["phi_trajectory"]
-        for row in rows:
-            assert float(row["lmax"]) ** 2 == pytest.approx(float(row["phi"]), rel=1e-9)
-        # the CLI runs rescale with its default config, so the library
-        # call reproduces the same trajectory
-        res = rescale(f, s)
-        assert [float(row["lmax"]) for row in rows] == [max(p) for p in res.lmax_trajectory]
-
-    def test_rescale_run_is_deterministic(self, tmp_path, capsys):
-        s = build_slack(*builtin_instance("cube", 3))
-        f = _unbalance_congruence(diagonal_embed(s), 1e3, 0)
+    @staticmethod
+    def write_inputs(tmp_path, f, s):
+        """Slack and factorization JSON files for ``rescale run``."""
         slack, fact = tmp_path / "slack.json", tmp_path / "fact.json"
         slack.write_text(json.dumps(serialize.slack_to_json(s)))
         fact.write_text(json.dumps(serialize.factorization_to_json(f)))
-        texts = []
-        for k in range(2):
+        return slack, fact
+
+    def test_rescale_trace_on_descending_run(self, tmp_path, capsys):
+        # The unbalanced square certifies at the mean start (row 1); from
+        # the mean start the corner-diagonal input still takes loop steps.
+        for k, (make, loop) in enumerate(((unbalanced_cube, False), (loop_from_mean, True))):
+            f, s = make()
+            slack, fact = self.write_inputs(tmp_path, f, s)
             out = tmp_path / f"res{k}.json"
-            assert main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
-                         "--out", str(out)]) == 0
-            texts.append(out.read_text())
-        capsys.readouterr()
-        assert json.loads(texts[0])["iterations"] > 0
-        first, second = ([line for line in text.splitlines() if '"wall_time_s"' not in line]
-                         for text in texts)
-        assert first == second
+            trace = tmp_path / f"trace{k}.csv"
+            code = main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
+                         "--out", str(out), "--trace", str(trace)])
+            capsys.readouterr()
+            assert code == 0
+            rep = json.loads(out.read_text())
+            assert (rep["iterations"] > 0) == loop
+            assert rep["diagnostics"]["start"] == "mean"
+            with open(trace, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2 + rep["iterations"]
+            assert [int(row["iteration"]) for row in rows] == list(range(len(rows)))
+            assert [float(row["phi"]) for row in rows] == rep["phi_trajectory"]
+            phis = [float(row["phi"]) for row in rows]
+            assert all(b < a for a, b in zip(phis, phis[1:]))
+            for row in rows:
+                assert float(row["lmax"]) ** 2 == pytest.approx(float(row["phi"]), rel=1e-9)
+            # the CLI runs rescale with its default config, so the library
+            # call reproduces the same trajectory
+            res = rescale(f, s)
+            assert [float(row["lmax"]) for row in rows] == [max(p) for p in res.lmax_trajectory]
+
+    def test_rescale_run_is_deterministic(self, tmp_path, capsys):
+        s = build_slack(*builtin_instance("cube", 3))
+        cube = _unbalance_congruence(diagonal_embed(s), 1e3, 0), s
+        # The cube certifies at the mean start; the two-row input takes loop steps.
+        for (f, s), loop in ((cube, False), (loop_from_input(), True)):
+            slack, fact = self.write_inputs(tmp_path, f, s)
+            texts = []
+            for k in range(2):
+                out = tmp_path / f"res{k}.json"
+                assert main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
+                             "--out", str(out)]) == 0
+                texts.append(out.read_text())
+            capsys.readouterr()
+            assert (json.loads(texts[0])["iterations"] > 0) == loop
+            first, second = ([line for line in text.splitlines() if '"wall_time_s"' not in line]
+                             for text in texts)
+            assert first == second
 
     def test_fit_small(self, tmp_path, capsys):
         slack = tmp_path / "s.json"
@@ -329,13 +339,14 @@ class TestBadArguments:
     VERIFY = ["fact", "verify", "--slack", "{slack}", "--fact", "{fact}"]
     FIT = ["fact", "fit", "--slack", "{slack}", "--r", "2"]
     BOUNDS = ["bounds", "eval", "--formula"]
-    # case: (argv, the flag the error message must name)
+    # case: (argv, the flag the error message must name; one-letter flags
+    # with their dashes, since the bare letter occurs in most messages)
     COMMANDS = {
         "delta-abc": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "abc"],
                       "delta"),
         "delta-nan": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
                       "delta"),
-        "reconstruct-n3": (["reconstruct", "--system", "{system}", "--n", "3"], "n"),
+        "reconstruct-n3": (["reconstruct", "--system", "{system}", "--n", "3"], "--n"),
         "side-0": (["check", "derivatives", "--side", "0", "--pairs", "1"], "side"),
         "unbalance-0": (["pipeline", "--instance", "cube", "--unbalance", "0"], "unbalance"),
         "unbalance-neg": (["pipeline", "--instance", "cube", "--unbalance", "-5"], "unbalance"),
@@ -352,12 +363,12 @@ class TestBadArguments:
                             "instance"),
         "slack-build-polygon-257": (["slack", "build", "--instance", "moment_polygon",
                                      "--n", "257"], "--n"),
-        "counting-n-1024": (BOUNDS + ["counting", "--n", "1024"], "n"),
-        "counting-n-1100": (BOUNDS + ["counting", "--n", "1100"], "n"),
-        "counting-R-201-digits": (BOUNDS + ["counting", "--n", "1000", "--R", str(10**200)], "R"),
-        "xc01-n-401-digits": (BOUNDS + ["xc01", "--n", str(10**400)], "n"),
-        "coeff-n-401-digits": (BOUNDS + ["coeff", "--n", str(10**400)], "n"),
-        "polygon-params-d-401-digits": (BOUNDS + ["polygon-params", "--d", str(10**400)], "d"),
+        "counting-n-1024": (BOUNDS + ["counting", "--n", "1024"], "--n"),
+        "counting-n-1100": (BOUNDS + ["counting", "--n", "1100"], "--n"),
+        "counting-R-201-digits": (BOUNDS + ["counting", "--n", "1000", "--R", str(10**200)], "--R"),
+        "xc01-n-401-digits": (BOUNDS + ["xc01", "--n", str(10**400)], "--n"),
+        "coeff-n-401-digits": (BOUNDS + ["coeff", "--n", str(10**400)], "--n"),
+        "polygon-params-d-401-digits": (BOUNDS + ["polygon-params", "--d", str(10**400)], "--d"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))

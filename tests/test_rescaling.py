@@ -19,12 +19,21 @@ from psdfact.rescaling import (
     DEFAULT_EPS_GRID,
     balance_scalar,
     descent_step,
+    mean_congruence,
     perturbation_direction,
     reduce_to_common_space,
     rescale,
 )
 
-from helpers import random_orthogonal, random_psd, rng, unbalanced_cube
+from helpers import (
+    loop_from_input,
+    loop_from_mean,
+    random_orthogonal,
+    random_psd,
+    rng,
+    two_row_embedding,
+    unbalanced_cube,
+)
 
 
 def adversarial_instance():
@@ -35,16 +44,38 @@ def adversarial_instance():
     return f, s
 
 
-def unbalanced_moment_polygon(d=6, cond=1e4, seed=0):
-    """Diagonal embedding of the moment polygon with d vertices, hit with a
-    seeded congruence whose spectrum is geometric with condition ``cond``."""
-    s = build_slack(*builtin_instance("moment_polygon", d))
-    f = diagonal_embed(s)
+def geometric_congruence(f, cond=1e4, seed=0):
+    """``f`` hit with a seeded congruence whose spectrum is geometric with
+    condition ``cond`` and determinant 1."""
     q = random_orthogonal(rng(seed), f.side)
     lam = cond ** (0.5 - np.arange(f.side) / (f.side - 1))
     a = symmat.as_symmetric((q * lam) @ q.T)
     a_inv = symmat.as_symmetric((q / lam) @ q.T)
-    return congruence(f, a, a_inv), s
+    return congruence(f, a, a_inv)
+
+
+def unbalanced_moment_polygon(d=6, cond=1e4, seed=0):
+    """Diagonal embedding of the moment polygon with d vertices, hit with
+    ``geometric_congruence``."""
+    s = build_slack(*builtin_instance("moment_polygon", d))
+    return geometric_congruence(diagonal_embed(s), cond, seed), s
+
+
+def no_mean_start(monkeypatch):
+    """Make rescale keep its input, as it does when the mean is singular."""
+    monkeypatch.setattr(rescaling, "mean_congruence", lambda means: None)
+
+
+# Inputs for the loop tests, and whether the descent loop runs on them.
+# The unbalanced square and moment polygon certify at the geometric-mean
+# start; the two constructed families, after a congruence, need the loop.
+LOOP_INPUTS = [
+    (lambda: unbalanced_cube(t=100.0), False),
+    (unbalanced_moment_polygon, False),
+    (loop_from_input, True),
+    (loop_from_mean, True),
+]
+LOOP_IDS = ["cube", "moment_polygon", "two_row", "corner_diagonal"]
 
 
 def reference_common_space(f):
@@ -78,7 +109,7 @@ class TestReduce:
         f = PsdFactorization.from_factors(
             [np.diag([2.0, 0.0, 0.0]), np.diag([0.0, 2.0, 0.0])], [np.outer(v, v)]
         )
-        reduced, o, _ = reduce_to_common_space(f)
+        reduced, o, _, _ = reduce_to_common_space(f)
         assert o.shape == (3, 1)
         np.testing.assert_allclose(np.abs(o), [[1.0], [0.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.products(), f.products(), atol=1e-12)
@@ -90,7 +121,7 @@ class TestReduce:
         inputs = [f] + [_unbalance_congruence(f, t, seed)
                         for t in (1e2, 1e3, 1e4) for seed in range(3)]
         for g in inputs:
-            _, o, _ = reduce_to_common_space(g)
+            _, o, _, _ = reduce_to_common_space(g)
             ref = reference_common_space(g)
             assert o.shape == ref.shape
             assert np.abs(o @ o.T - ref @ ref.T).max(initial=0.0) <= 1e-12
@@ -105,14 +136,14 @@ class TestReduce:
             [b_u @ random_psd(gen, ku) @ b_u.T for _ in range(5)],
             [b_v @ random_psd(gen, kv) @ b_v.T for _ in range(4)],
         )
-        _, o, _ = reduce_to_common_space(f)
+        _, o, _, _ = reduce_to_common_space(f)
         ref = reference_common_space(f)
         assert o.shape == ref.shape == (6, min(ku, kv))
         assert np.abs(o @ o.T - ref @ ref.T).max() <= 1e-12
 
     def test_rank_one_row_side(self):
         f, s = adversarial_instance()
-        reduced, o, _ = reduce_to_common_space(f)
+        reduced, o, _, _ = reduce_to_common_space(f)
         assert o.shape[1] == 1
         np.testing.assert_allclose(np.abs(o), [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.row_factors[0], [[100.0]], atol=1e-12)
@@ -122,7 +153,7 @@ class TestReduce:
     def test_full_rank_is_identity_reduction(self):
         s = build_slack(*builtin_instance("cube", 2))
         f = diagonal_embed(s)
-        reduced, o, _ = reduce_to_common_space(f)
+        reduced, o, _, _ = reduce_to_common_space(f)
         assert o.shape[1] == f.side
         assert verify_factorization(reduced, s).max_abs_residual <= 1e-10
 
@@ -130,7 +161,7 @@ class TestReduce:
         f, s = unbalanced_cube()
         before = verify_factorization(f, s).max_abs_residual
         a = random_psd(rng(8), f.side) + np.eye(f.side)
-        reduced, _, _ = reduce_to_common_space(f)
+        reduced, _, _, _ = reduce_to_common_space(f)
         for out in (reduced, congruence(f, a, np.linalg.inv(a))):
             after = verify_factorization(out, s).max_abs_residual
             assert abs(after - before) <= 1e-10 * (1.0 + s.max_entry)
@@ -139,7 +170,7 @@ class TestReduce:
         f = PsdFactorization.from_factors(
             [np.diag([1.0, 0.0])], [np.diag([0.0, 1.0])]
         )
-        reduced, o, _ = reduce_to_common_space(f)
+        reduced, o, _, _ = reduce_to_common_space(f)
         assert o.shape[1] == 0
         assert reduced.side == 0
 
@@ -155,7 +186,7 @@ class TestZeroStep:
     @staticmethod
     def general_epilogue(f):
         """Transform, pseudo-inverse and factorization by the epilogue of any M, at M = I."""
-        reduced, o, _ = reduce_to_common_space(f)
+        reduced, o, _, _ = reduce_to_common_space(f)
         _, sv, rt = np.linalg.svd(np.eye(o.shape[1]))
         p_u, p_v = rescaling._top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
         sv = sv * (p_v / p_u) ** 0.25
@@ -184,10 +215,11 @@ class TestZeroStep:
         self.assert_matches_general_epilogue(res, f)
 
     def test_stall_at_the_first_step(self, monkeypatch):
-        f, s = unbalanced_cube()
+        f, s = loop_from_input()
         monkeypatch.setattr(rescaling, "descent_step", lambda fw, z, **kwargs: (fw, None))
         res = rescale(f, s)
         assert res.diagnostics["stalled"]
+        assert res.diagnostics["start"] == "input"
         self.assert_matches_general_epilogue(res, f)
 
     def test_each_stack_measured_once(self, monkeypatch):
@@ -202,8 +234,15 @@ class TestZeroStep:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         res = rescale(f, s)
         assert res.iterations == 0
-        # Two side averages, the reduced stacks, their balanced copies, the result.
-        assert len(calls) <= 8
+        # Two side averages, the reduced stacks, the result.
+        assert len(calls) <= 5
+        # The same, and the stacks of the mean start, whose norms the
+        # epilogue reuses.
+        f, s = unbalanced_cube()
+        calls.clear()
+        res = rescale(f, s)
+        assert res.iterations == 0 and res.diagnostics["start"] == "mean"
+        assert len(calls) <= 7
 
 
 class TestBalance:
@@ -336,8 +375,10 @@ class TestDescentStep:
             return out
 
         monkeypatch.setattr(rescaling, "descent_step", spy)
-        f, s = unbalanced_cube(t=100.0, seed=seed)
-        rescale(f, s)
+        # Mild congruences of the two-row embedding start the loop from the input.
+        f, s = two_row_embedding()
+        for t in (2.0, 2.6):
+            rescale(_unbalance_congruence(f, t, seed), s)
         assert steps
         below_largest = 0
         for f_k, z, (out, eps) in steps:
@@ -416,26 +457,31 @@ class TestRescale:
         assert res.lmax_u <= target and res.lmax_v <= target
 
     def test_unbalanced_cube_descends_to_certificate(self):
-        f, s = unbalanced_cube(t=100.0)
-        assert potential(f) > 4.0 * s.max_entry * 1.05  # starts above target
-        res = rescale(f, s)
-        assert res.certificate
-        assert res.iterations >= 1
-        # monotone trajectory
-        traj = np.asarray(res.phi_trajectory)
-        assert np.all(np.diff(traj) <= 1e-9 * traj[:-1])
-        # preservation, re-verified from scratch
-        rep = verify_factorization(res.factorization, s)
-        assert rep.max_abs_residual <= 1e-8 * (1.0 + s.max_entry)
+        for make, loop in (LOOP_INPUTS[0], *LOOP_INPUTS[2:]):
+            f, s = make()
+            d = reduce_to_common_space(f)[1].shape[1]
+            assert potential(f) > d * s.max_entry * 1.05  # starts above target
+            res = rescale(f, s)
+            assert res.certificate
+            assert (res.iterations >= 1) == loop
+            # monotone trajectory
+            traj = np.asarray(res.phi_trajectory)
+            assert np.all(np.diff(traj) <= 1e-9 * traj[:-1])
+            # preservation, re-verified from scratch
+            rep = verify_factorization(res.factorization, s)
+            assert rep.max_abs_residual <= 1e-8 * (1.0 + s.max_entry)
 
     def test_trajectory_records_balanced_norms(self):
-        f, s = unbalanced_cube(t=100.0)
-        res = rescale(f, s)
-        assert res.iterations >= 1
-        assert len(res.phi_trajectory) == len(res.lmax_trajectory)
-        for phi, (lmax_u, lmax_v) in zip(res.phi_trajectory, res.lmax_trajectory):
-            assert phi == lmax_u * lmax_v
-            assert lmax_u == pytest.approx(lmax_v, rel=1e-9)
+        for make, loop in LOOP_INPUTS:
+            res = rescale(*make())
+            assert (res.iterations >= 1) == loop
+            # the input, the mean start when kept, then one entry per step
+            mean = res.diagnostics["start"] == "mean"
+            assert len(res.lmax_trajectory) == 1 + mean + res.iterations
+            assert len(res.phi_trajectory) == len(res.lmax_trajectory)
+            for phi, (lmax_u, lmax_v) in zip(res.phi_trajectory, res.lmax_trajectory):
+                assert phi == lmax_u * lmax_v
+                assert lmax_u == pytest.approx(lmax_v, rel=1e-9)
 
     def test_certificate_soundness_recomputed(self):
         f, s = unbalanced_cube(t=30.0, seed=11)
@@ -460,10 +506,14 @@ class TestRescale:
         assert res.reduced_dim == 0
         assert res.iterations == 0
         assert res.diagnostics["line_search_candidates"] == 0
-        np.testing.assert_allclose(res.transform, np.eye(f.side))
-        # the identity transform leaves the nonzero side at norm 1, which
-        # cannot meet the degenerate target sqrt(0 * Delta) = 0
-        assert not res.certificate
+        # The common space is {0}, so the transform O diag(sv) O^T is the
+        # zero matrix: every rescaled factor is 0 and meets the target
+        # sqrt(0 * Delta) = 0.
+        zero = np.zeros((f.side, f.side))
+        np.testing.assert_array_equal(res.transform, zero)
+        np.testing.assert_array_equal(res.transform_pinv, zero)
+        assert res.lmax_u == res.lmax_v == 0.0
+        assert res.certificate
         assert verify_factorization(res.factorization, s).passed
 
     def test_rejects_wrong_factorization(self):
@@ -505,71 +555,197 @@ class TestRescale:
     @pytest.mark.parametrize("rows, cols", [((100.0, 100.0, 1.0), (1.0, 1.0, 100.0)),
                                             ((50.0, 50.0, 50.0, 1.0), (1.0, 1.0, 1.0, 50.0))],
                              ids=["width2", "width3"])
-    def test_degenerate_top_eigenspaces(self, rows, cols):
-        # The one row factor is tight at every step, with a top eigenspace
-        # of width 2 or 3, so every direction comes from a whole eigenbasis.
+    def test_degenerate_top_eigenspaces(self, rows, cols, monkeypatch):
         f = PsdFactorization.from_factors([np.diag(rows)], [np.diag(cols)])
         s = SlackMatrix.from_entries(f.products())
-        r1, r2 = rescale(f, s), rescale(f, s)
-        assert r1.certificate and not r1.diagnostics["stalled"]
-        assert r1.iterations >= 1
-        assert r1.lmax_trajectory == r2.lmax_trajectory
-        assert r1.iterations == r2.iterations
-        for a, b in ((r1.transform, r2.transform),
-                     (r1.factorization.row_factors, r2.factorization.row_factors),
-                     (r1.factorization.col_factors, r2.factorization.col_factors)):
-            assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("make", [lambda: unbalanced_cube(t=100.0), unbalanced_moment_polygon],
-                             ids=["cube", "moment_polygon"])
-    def test_result_matches_last_state(self, make):
+        def assert_certified_and_repeatable():
+            r1, r2 = rescale(f, s), rescale(f, s)
+            assert r1.certificate and not r1.diagnostics["stalled"]
+            assert r1.lmax_trajectory == r2.lmax_trajectory
+            assert r1.iterations == r2.iterations
+            for a, b in ((r1.transform, r2.transform),
+                         (r1.factorization.row_factors, r2.factorization.row_factors),
+                         (r1.factorization.col_factors, r2.factorization.col_factors)):
+                assert a.tobytes() == b.tobytes()
+            return r1
+
+        # The mean start makes the one row and the one column factor equal,
+        # at phi <= Delta.
+        assert assert_certified_and_repeatable().iterations == 0
+        # From the input, the one row factor is tight at every step, with a
+        # top eigenspace of width 2 or 3, so every direction comes from a
+        # whole eigenbasis.  No input of the two constructed families has
+        # such a tight factor, so this one runs without the start.
+        no_mean_start(monkeypatch)
+        assert assert_certified_and_repeatable().iterations >= 1
+
+    @pytest.mark.parametrize("make, loop", LOOP_INPUTS, ids=LOOP_IDS)
+    def test_result_matches_last_state(self, make, loop):
         f, s = make()
         res = rescale(f, s)
-        assert res.iterations >= 1
+        assert (res.iterations >= 1) == loop
         t, t_pinv = res.transform, res.transform_pinv
         np.testing.assert_array_equal(t, t.T)
         np.testing.assert_array_equal(t_pinv, t_pinv.T)
         assert np.linalg.eigvalsh(t)[0] >= -1e-12 * np.linalg.eigvalsh(t)[-1]
-        _, o, _ = reduce_to_common_space(f)
+        _, o, _, _ = reduce_to_common_space(f)
         np.testing.assert_allclose(t @ t_pinv, o @ o.T, atol=1e-9)
         phi = max_operator_norm(res.factorization.row_factors) * max_operator_norm(
             res.factorization.col_factors
         )
         assert phi == pytest.approx(res.phi_trajectory[-1], rel=1e-9)
 
-    @pytest.mark.parametrize("make", [lambda: unbalanced_cube(t=100.0), unbalanced_moment_polygon],
-                             ids=["cube", "moment_polygon"])
-    def test_line_search_counter_bounded_and_repeatable(self, make):
+    @pytest.mark.parametrize("make, loop", LOOP_INPUTS, ids=LOOP_IDS)
+    def test_line_search_counter_bounded_and_repeatable(self, make, loop):
         f, s = make()
         runs = [rescale(f, s) for _ in range(2)]
         counts = [res.diagnostics["line_search_candidates"] for res in runs]
         assert counts[0] == counts[1]
-        assert 1 <= counts[0] <= len(DEFAULT_EPS_GRID) * runs[0].iterations
+        assert (runs[0].iterations >= 1) == loop
+        # at least one candidate per step, at most the whole grid
+        assert runs[0].iterations <= counts[0] <= len(DEFAULT_EPS_GRID) * runs[0].iterations
 
-    def test_line_search_counter_in_pipeline_report(self):
-        # unbalanced cube n=4: the bound prunes candidates on some steps
-        stages = [
-            run_pipeline("cube", 4, PipelineConfig(unbalance=100.0, seed=1))["stages"]["rescale"]
-            for _ in range(2)
-        ]
-        assert stages[0] == stages[1]
-        count, iterations = stages[0]["line_search_candidates"], stages[0]["iterations"]
+    def test_line_search_counter_in_pipeline_report(self, monkeypatch):
+        def stages():
+            return [
+                run_pipeline("cube", 4, PipelineConfig(unbalance=100.0, seed=1))["stages"]["rescale"]
+                for _ in range(2)
+            ]
+
+        # unbalanced cube n=4 certifies at the mean start: no step, no candidate
+        first, second = stages()
+        assert first == second
+        assert first["start"] == "mean"
+        assert first["iterations"] == first["line_search_candidates"] == 0
+        # From the input the loop runs and the bound prunes candidates on some
+        # steps.  run_pipeline takes builtin instances only, and the mean
+        # certifies every one, so this runs without the start.
+        no_mean_start(monkeypatch)
+        first, second = stages()
+        assert first == second
+        assert first["start"] == "input"
+        count, iterations = first["line_search_candidates"], first["iterations"]
         assert iterations >= 1
         assert count < len(DEFAULT_EPS_GRID) * iterations
 
     def test_blow_up_guard_raises(self, monkeypatch):
         # A step of eps = 1000 drives exp(-eps Z) far past any condition cap.
         monkeypatch.setattr(rescaling, "descent_step", lambda f, z, **_: (f, 1e3))
-        f, s = unbalanced_cube(t=100.0)
-        with pytest.raises(NumericError, match="diagnostic cap"):
-            rescale(f, s)
+        for make in (loop_from_input, loop_from_mean):
+            f, s = make()
+            with pytest.raises(NumericError, match="diagnostic cap"):
+                rescale(f, s)
 
     def test_stall_ends_the_loop(self, monkeypatch):
         # A stall is not retried and not counted as an iteration.
         monkeypatch.setattr(rescaling, "descent_step", lambda f, z, **_: (f, None))
-        f, s = unbalanced_cube(t=100.0)
+        for make, start in ((loop_from_input, "input"), (loop_from_mean, "mean")):
+            res = rescale(*make())
+            assert res.diagnostics["stalled"]
+            assert res.iterations == 0
+            assert res.diagnostics["start"] == start
+            # the input, and the mean start when kept
+            assert len(res.lmax_trajectory) == 1 + (start == "mean")
+            assert not res.certificate
+
+
+class TestMeanStart:
+    """rescale starts at the geometric-mean congruence when it helps."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_equalizes_the_averages(self, seed):
+        gen = rng(seed)
+        d = 1 + seed
+        means = np.stack([random_psd(gen, d) + 0.1 * np.eye(d) for _ in range(2)])
+        sv, rt = mean_congruence(means)
+        assert sv[0] == 1.0 and np.all(sv > 0)
+        p = (rt.T * sv) @ rt
+        p_inv = (rt.T / sv) @ rt
+        np.testing.assert_allclose(p @ p_inv, np.eye(d), atol=1e-12)
+        # P mU P and P^-1 mV P^-1 agree up to the free scale of P
+        left, right = p @ means[0] @ p, p_inv @ means[1] @ p_inv
+        np.testing.assert_allclose(left / np.linalg.norm(left), right / np.linalg.norm(right),
+                                   atol=1e-12)
+        # X = P^2 solves X mU X = mV up to that scale
+        x = p @ p
+        sol = x @ means[0] @ x
+        np.testing.assert_allclose(sol / np.linalg.norm(sol),
+                                   means[1] / np.linalg.norm(means[1]), atol=1e-12)
+
+    def test_refused_when_the_balanced_average_is_singular(self):
+        # Least eigenvalues at 2e-9 of the largest in a common direction put
+        # that of mU^1/2 mV mU^1/2 near 4e-18 of its largest, within
+        # round-off of 0: no start is formed from a non-positive G.
+        refused = 0
+        for seed in range(50):
+            q = random_orthogonal(rng(seed), 3)
+            means = np.stack([symmat.as_symmetric((q * lam) @ q.T)
+                              for lam in ([1.0, 0.5, 2e-9], [1.0, 0.3, 2e-9])])
+            polar = mean_congruence(means)
+            if polar is None:
+                refused += 1
+            else:
+                assert np.all(polar[0] > 0) and np.all(np.isfinite(polar[1]))
+        assert refused >= 1
+
+    @pytest.mark.parametrize("instance, n, seed",
+                             [("cube", 4, 6), ("moment_polygon", 8, 0), ("moment_polygon", 8, 1)],
+                             ids=["cube-4-seed6", "moment_polygon-8-seed0", "moment_polygon-8-seed1"])
+    def test_certifies_where_the_loop_stalls(self, instance, n, seed):
+        # The descent loop alone ran 500 steps on each of these without a
+        # certificate, ending at phi / Delta = 51.0, 27.4 and 81.6.
+        s = build_slack(*builtin_instance(instance, n))
+        f = _unbalance_congruence(diagonal_embed(s), 1e4, seed)
         res = rescale(f, s)
-        assert res.diagnostics["stalled"]
+        assert res.diagnostics["start"] == "mean"
         assert res.iterations == 0
-        assert len(res.lmax_trajectory) == 1
-        assert not res.certificate
+        assert res.certificate
+        assert res.lmax_u * res.lmax_v <= res.reduced_dim * s.max_entry
+
+    @pytest.mark.parametrize("instance, n", [("simplex", 4), ("cube", 4), ("moment_polygon", 12)])
+    def test_congruence_invariance(self, instance, n):
+        # (B mU B^T) # (B^-T mV B^-1) is the congruence of mU # mV, so the
+        # start undoes B.  Round-off grows with cond(B)^2 * 2.2e-16 = 2.2e-8.
+        s = build_slack(*builtin_instance(instance, n))
+        f = diagonal_embed(s)
+        base = rescale(f, s)
+        for seed in range(3):
+            res = rescale(geometric_congruence(f, 1e4, seed), s)
+            assert res.certificate
+            assert res.lmax_u == pytest.approx(base.lmax_u, rel=2e-8)
+            assert res.lmax_v == pytest.approx(base.lmax_v, rel=2e-8)
+
+    def test_skipped_when_the_input_meets_the_target(self, monkeypatch):
+        def refuse(means):
+            raise AssertionError("mean start formed for an input within the target")
+
+        monkeypatch.setattr(rescaling, "mean_congruence", refuse)
+        s = build_slack(*builtin_instance("cube", 3))
+        res = rescale(diagonal_embed(s), s)
+        assert res.certificate
+        assert res.diagnostics["start"] == "input"
+
+    def test_kept_only_when_it_lowers_phi(self, monkeypatch):
+        calls = []
+
+        def spy(means):
+            calls.append(means)
+            return mean_congruence(means)
+
+        monkeypatch.setattr(rescaling, "mean_congruence", spy)
+        f, s = loop_from_input()
+        res = rescale(f, s)
+        assert len(calls) == 1
+        assert res.diagnostics["start"] == "input"
+        tau = res.diagnostics["tau"]
+        assert res.lmax_trajectory[0] == (np.sqrt(tau),) * 2
+        assert res.phi_trajectory[1] < tau
+
+    def test_pipeline_matches_where_the_loop_stalled(self):
+        # The loop alone left 8 vertices of this run inconclusive.
+        rep = run_pipeline("cube", 4, PipelineConfig(unbalance=1e3, seed=0))
+        assert rep["stages"]["rescale"]["start"] == "mean"
+        assert rep["stages"]["rescale"]["certificate"]
+        assert rep["stages"]["rescale"]["iterations"] == 0
+        assert rep["verdict"] == "match"
