@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__, bounds, serialize
 from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence, fd_ladder
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, ResourceError
 from .factorization import (
+    FIT_MAX_SIDE,
     VERIFY_TOL,
     FitConfig,
     FitFailure,
@@ -42,6 +43,11 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
+
+# Largest --side of ``check derivatives``: every pair draws, decomposes and
+# exponentiates dense side x side matrices, and symmat's dense paths are
+# meant for side <= ~200.
+DERIVATIVES_MAX_SIDE = 200
 
 
 def _manifest(args, inputs=(), t0=None) -> dict:
@@ -245,6 +251,8 @@ def _cmd_check_derivatives(args) -> int:
     t0 = time.perf_counter()
     if args.side < 1:
         raise PreconditionError(f"--side must be at least 1, got {args.side}")
+    if args.side > DERIVATIVES_MAX_SIDE:
+        raise ResourceError(f"--side must be at most {DERIVATIVES_MAX_SIDE}, got {args.side}")
     if args.pairs < 1:
         raise PreconditionError(f"--pairs must be at least 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
@@ -387,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     fe.set_defaults(func=_cmd_fact_embed)
     ff = fsub.add_parser("fit")
     ff.add_argument("--slack", required=True)
-    ff.add_argument("--r", type=int, required=True)
+    ff.add_argument("--r", type=int, required=True,
+                    help=f"side of the fitted factors, 1 to {FIT_MAX_SIDE}")
     _add_common(ff, tol=FitConfig.tol, seed=True)
     ff.set_defaults(func=_cmd_fact_fit)
 
@@ -429,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="subcommand", required=True)
     cd = csub.add_parser("derivatives")
     cd.add_argument("--pairs", type=int, default=200)
-    cd.add_argument("--side", type=int, default=6)
+    cd.add_argument("--side", type=int, default=6,
+                    help=f"side of the sampled matrices, 1 to {DERIVATIVES_MAX_SIDE}")
     cd.add_argument("--report", help="CSV report path")
     _add_common(cd, seed=True)
     cd.set_defaults(func=_cmd_check_derivatives)
@@ -449,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full slack->reconstruct pipeline")
     p.add_argument("--instance", required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, help="use alternating_fit at this side")
+    p.add_argument("--r", type=int,
+                   help=f"use alternating_fit at this side, 1 to {FIT_MAX_SIDE}")
     p.add_argument("--skip-rescale", action="store_true")
     p.add_argument("--unbalance", type=float,
                    help="apply an adversarial congruence of this condition number")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, PreconditionError
+from .errors import DimensionError, NumericError, PreconditionError, ResourceError
 from .polytopes import SlackMatrix
 from . import symmat
 
@@ -31,6 +31,10 @@ PSD_TOL = 1e-9
 VERIFY_TOL = 1e-8
 # Projected-gradient steps per side in each sweep of alternating_fit.
 FIT_INNER_STEPS = 5
+# Largest side alternating_fit accepts: it draws m + n random r x r factors
+# and eigendecomposes every one at each of its up to 2 * FIT_INNER_STEPS *
+# sweeps projections, O(r^3) apiece.
+FIT_MAX_SIDE = 64
 
 
 @dataclass(frozen=True)
@@ -261,12 +265,15 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
 
     Sweeps alternate projected-gradient updates of the two sides with an
     extrapolation step between sweeps (reset whenever the residual jumps),
-    which repairs the 1/k tail plain alternation suffers from.  Returns a
-    PsdFactorization once the max residual drops to cfg.tol * (1 + Delta),
-    else a FitFailure carrying the residual trace.
+    which repairs the 1/k tail plain alternation suffers from.  The side
+    must lie in [1, FIT_MAX_SIDE], checked before anything is drawn.
+    Returns a PsdFactorization once the max residual drops to
+    cfg.tol * (1 + Delta), else a FitFailure carrying the residual trace.
     """
     if r < 1:
         raise PreconditionError("side must be at least 1")
+    if r > FIT_MAX_SIDE:
+        raise ResourceError(f"side r = {r} refused (--r above {FIT_MAX_SIDE})")
     target = s.as_float()
     m, n = target.shape
     rng = np.random.default_rng(cfg.seed)

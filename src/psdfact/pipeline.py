@@ -124,7 +124,6 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
             "lmax_u": res.lmax_u,
             "lmax_v": res.lmax_v,
             "target_lmax": res.target,
-            "line_search_candidates": res.diagnostics["line_search_candidates"],
         }
 
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)

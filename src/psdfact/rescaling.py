@@ -8,10 +8,11 @@ steps exp(-eps Z) (and grow the column side with exp(+eps Z)).  The
 direction Z is the moment matrix of a John decomposition: the minimum
 volume enclosing ellipsoid of a deterministic contact set, the top
 eigenvectors of all row factors currently at norm mu.  A monotone line
-search over a geometric eps grid converts the descent direction into
-concrete steps; the loop stops once the potential lmax(U) * lmax(V) falls
-below d * Delta times (1 + tol), with d the reduced dimension and Delta
-the largest entry of the factored matrix, or at the first stall.
+search over a geometric eps grid, measured in one batch, converts the
+descent direction into concrete steps; the loop stops once the potential
+lmax(U) * lmax(V) falls below d * Delta times (1 + tol), with d the
+reduced dimension and Delta the largest entry of the factored matrix, or
+at the first stall.
 
 The start is closed-form.  With mU and mV the reduced averages, the matrix
 geometric mean X = mU^-1 # mV is the positive definite solution of
@@ -27,29 +28,11 @@ formed only when the input's potential tau exceeds the target, and kept
 only when it lowers phi: on some inputs phi is higher at the mean than at
 the input, and the loop then starts from the input.
 
-The John decomposition is closed-form in the common case of a contact set
-of k independent points (one tight factor with a simple top eigenvalue
-gives k = 1).  With Y the points in an orthonormal basis of their span,
-Y is square and invertible, and log det(Y^T diag(u) Y) =
-2 log|det Y| + sum log u_i is largest on the simplex at u = 1/k: the
-uniform design is the exact D-optimum (Kiefer-Wolfowitz), so no MVEE
-iteration and no square root are needed.  Any other contact set goes to
-the MVEE solver.
-
-The line search is exact but measures only candidates that can still
-win.  With E = exp(-eps Z), ||U|| <= ||E^-1||^2 ||E U E|| for symmetric U,
-and likewise on the column side, so every candidate has
-phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))) with phi0 the
-current potential.  The largest eps is measured first, then in one batch
-every smaller eps whose bound does not exceed that candidate's phi (up to
-BOUND_RTOL); the others cannot reach the minimum of the whole grid.
-
 The prologue measures every stack once: the input gate checks only the
 residual, the reduction averages each side once, finds the common space
-from two eigendecompositions and takes sigma and the reduced averages
-from its singularity check, one measurement of the reduced
-factorization's top norms gives tau, and one of the mean start's gives
-its potential.  The top norms of a factorization balanced by a scalar are
+from two eigendecompositions and sigma from one batched eigvalsh of the
+reduced averages, one measurement of the reduced factorization's top
+norms gives tau, and one of the mean start's gives its potential.  The top norms of a factorization balanced by a scalar are
 both the square root of its potential, so the factors of the start are
 measured one by one only when the loop runs.  The loop keeps the
 balanced winner of each line search, the operator norms of its factors
@@ -86,10 +69,6 @@ from . import symmat
 
 # Default geometric line-search grid, as multiples of 1 / ||Z||.
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
-# Relative slack on the line search's lower bound, for round-off in phi and
-# in the bound: a candidate is skipped only when bound * (1 - BOUND_RTOL)
-# exceeds a measured phi.
-BOUND_RTOL = 1e-9
 # Relative gap within which a row factor is tight and the sides balanced.
 MU_TOL = 1e-6
 # MVEE: relative volume gap, contact-weight floor, iteration cap.
@@ -124,29 +103,17 @@ class JohnDecomposition:
         )
 
 
-def _flip_signs(points: np.ndarray) -> np.ndarray:
-    """Flip each point so its first nonzero coordinate is positive.
+def _fold_symmetric(points: np.ndarray) -> np.ndarray:
+    """One representative per antipodal pair, duplicates and zero rows removed, rows sorted.
 
-    Points generate the symmetric set conv(+-points), so this picks one
-    canonical representative of every antipodal pair.
+    Points generate the symmetric set conv(+-points); each is flipped so its
+    first nonzero coordinate is positive.
     """
     pts = np.array(points, dtype=float)
     first = np.take_along_axis(pts, np.argmax(pts != 0, axis=1)[:, None], axis=1)[:, 0]
     pts[first < 0] *= -1.0
-    return pts
-
-
-def _fold_symmetric(points: np.ndarray) -> np.ndarray:
-    """One representative per antipodal pair, duplicates and zero rows removed, rows sorted."""
-    pts = np.unique(_flip_signs(points), axis=0)
+    pts = np.unique(pts, axis=0)
     return pts[np.linalg.norm(pts, axis=1) > 0]
-
-
-def _span(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the row span, an (ambient, k) array, and its k singular values."""
-    _, sig, vt = np.linalg.svd(pts, full_matrices=False)
-    keep = sig > symmat.RANK_TOL * sig[0]
-    return vt[keep].T, sig[keep]
 
 
 def _mvee_weights(y: np.ndarray, eps_g: float) -> np.ndarray:
@@ -201,48 +168,29 @@ def john_decompose(points) -> JohnDecomposition:
     """John decomposition of the symmetric hull of a finite point set.
 
     Points are generators: the body is conv(points U -points).  Requires
-    the points to span a subspace of dimension at least one.  The result
-    is validated (probability weights, John identity, contact points on
-    the boundary) before it is returned.
-
-    Signs are folded first.  When the k folded points have rank k they are
-    distinct, nonzero and independent, and the decomposition is
-    closed-form.  With Y the points in an orthonormal basis of their span,
-    a square invertible matrix, log det(Y^T diag(u) Y) =
-    2 log|det Y| + sum log u_i is largest on the simplex at u = 1/k, so the
-    weights are exactly 1/k.  From the SVD points = L S R^T, T = R S gives
-    T T^T = R S^2 R^T = k * moment, and every point lies on the boundary
-    (its coordinates under T are a row of the orthogonal L).  Any other set
-    is deduplicated and weighted by the MVEE solver.  Contact points come
-    in ascending lexicographic order either way.
+    the points to span a subspace of dimension at least one.  Signs are
+    folded, the MVEE solver weights the folded points, and the result is
+    validated (probability weights, John identity, contact points on the
+    boundary) before it is returned.  Contact points come in ascending
+    lexicographic order.
     """
-    pts = _flip_signs(points)
-    if not pts.any():
+    pts = _fold_symmetric(points)
+    if not len(pts):
         raise PreconditionError("point set spans the zero subspace")
-    basis, sig = _span(pts)
+    # All MVEE work happens in coordinates of an orthonormal basis of the span.
+    _, sig, vt = np.linalg.svd(pts, full_matrices=False)
+    basis = vt[sig > symmat.RANK_TOL * sig[0]].T
     k = basis.shape[1]
-    if k == pts.shape[0]:
-        jd = JohnDecomposition(
-            dim=k,
-            ellipsoid_map=basis * sig,
-            points=pts[np.lexsort(pts.T[::-1])],
-            weights=np.full(k, 1.0 / k),
-        )
-    else:
-        pts = _fold_symmetric(pts)
-        # All MVEE work happens in coordinates of an orthonormal basis of the span.
-        basis, _ = _span(pts)
-        k = basis.shape[1]
-        y = pts @ basis
-        # Leverage tolerance tight enough for the target relative volume gap.
-        eps_g = min(1e-8, 2.0 * MVEE_VOL_TOL / k)
-        u = _mvee_weights(y, eps_g)
-        kept = u > MVEE_WEIGHT_FLOOR
-        w = u[kept] / u[kept].sum()
-        yk = y[kept]
-        moment = (yk * w[:, None]).T @ yk
-        t_map = basis @ symmat.sqrt_psd(k * moment)
-        jd = JohnDecomposition(dim=k, ellipsoid_map=t_map, points=pts[kept], weights=w)
+    y = pts @ basis
+    # Leverage tolerance tight enough for the target relative volume gap.
+    eps_g = min(1e-8, 2.0 * MVEE_VOL_TOL / k)
+    u = _mvee_weights(y, eps_g)
+    kept = u > MVEE_WEIGHT_FLOOR
+    w = u[kept] / u[kept].sum()
+    yk = y[kept]
+    moment = (yk * w[:, None]).T @ yk
+    t_map = basis @ symmat.sqrt_psd(k * moment)
+    jd = JohnDecomposition(dim=k, ellipsoid_map=t_map, points=pts[kept], weights=w)
     _validate_john(jd)
     return jd
 
@@ -277,9 +225,10 @@ def reduce_to_common_space(
     array.  Returns the reduced factorization (O^T U O, O^T V O), O,
     sigma, the least eigenvalue of the two reduced side-averages
     O^T (mean U) O and O^T (mean V) O, and those two averages stacked, a
-    (2, d, d) array.  Both are nonsingular (a singular one raises
-    NumericError); dimension zero (all-zero products) yields empty factors
-    and sigma = 0.
+    (2, d, d) array.  Both images are cut at round-off
+    (``symmat.IMAGE_TOL``), so an ill-conditioned congruence of the input
+    keeps the directions of its common space.  Dimension zero (all-zero
+    products) yields empty factors and sigma = 0.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
@@ -291,14 +240,7 @@ def reduce_to_common_space(
     means = symmat.as_symmetric(o.T @ bars @ o)
     if not o.shape[1]:
         return reduced, o, 0.0, means
-    lam = np.linalg.eigvalsh(means)
-    singular = np.flatnonzero(lam[:, 0] <= symmat.RANK_TOL * np.maximum(lam[:, -1], 0.0))
-    if singular.size:
-        k = singular[0]
-        raise NumericError(
-            f"reduced {('row', 'column')[k]} average is singular (min eigenvalue {lam[k, 0]:.3g})"
-        )
-    return reduced, o, float(lam[:, 0].min()), means
+    return reduced, o, float(np.linalg.eigvalsh(means)[:, 0].min()), means
 
 
 def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -406,26 +348,15 @@ def descent_step(
     eps_grid=DEFAULT_EPS_GRID,
     *,
     phi0: float | None = None,
-    counts: dict | None = None,
 ) -> tuple[PsdFactorization, float | None]:
     """Line search over (exp(-eps Z) U exp(-eps Z), exp(eps Z) V exp(eps Z)).
 
     Grid values are multiples of 1 / ||Z||.  The candidate with the lowest
     potential wins (ties to the smallest eps) and is accepted only on a
     strict relative decrease of at least 1e-12 below ``phi0``, the
-    potential of ``f`` (measured here when not given).
-
-    Only candidates that can still win are measured.  Every candidate obeys
-    phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))), a bound that
-    falls as eps grows.  The largest eps is measured first; then, in one
-    second batch, every smaller eps whose bound times (1 - BOUND_RTOL) is
-    at most that candidate's phi.  A skipped candidate has phi above the
-    largest eps's, hence strictly above the best measured one, so it can be
-    neither the minimum nor a tie: the winner is the one a search of the
-    whole grid picks.  Each batch is one broadcast product per side, of
-    shape (candidates, factors, d, d), measured by one batched eigvalsh per
-    side.  When ``counts`` is given, the number of candidates measured is
-    added to ``counts["line_search_candidates"]``.
+    potential of ``f`` (measured here when not given).  The whole grid is
+    one broadcast product per side, of shape (candidates, factors, d, d),
+    measured by one batched eigvalsh per side.
 
     Returns the winner balanced by the scalar of ``balance_scalar``, taken
     from the norms the search measured, and its eps; ``rescale`` keeps that
@@ -439,32 +370,18 @@ def descent_step(
     dec = symmat.spectral_decompose(z)
     lam, q = dec.eigenvalues, dec.eigenvectors
     eps = np.sort(np.asarray(eps_grid, dtype=float)) / z_norm
-
-    def measure(k):
-        # Slice i of each stack is exp(-+eps_k[i] Z), written through Z's eigenbasis.
-        e = eps[k]
-        shrink = symmat.as_symmetric((q * np.exp(-e[:, None] * lam)[:, None, :]) @ q.T)[:, None]
-        grow = symmat.as_symmetric((q * np.exp(e[:, None] * lam)[:, None, :]) @ q.T)[:, None]
-        rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
-        cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
-        return rows, cols, operator_norms(rows).max(axis=1), operator_norms(cols).max(axis=1)
-
-    top = len(eps) - 1
-    last = measure(np.array([top]))
-    phi_top = last[2][0] * last[3][0]
-    bound = phi0 * np.exp(-2.0 * eps[:top] * (lam[0] - lam[-1]))
-    live = np.flatnonzero(bound * (1.0 - BOUND_RTOL) <= phi_top)
-    idx = np.append(live, top)
-    if counts is not None:
-        counts["line_search_candidates"] = counts.get("line_search_candidates", 0) + idx.size
-    head = measure(live)
-    phi = np.append(head[2] * head[3], phi_top)
+    # Slice i of each stack is exp(-+eps[i] Z), written through Z's eigenbasis.
+    shrink = symmat.as_symmetric((q * np.exp(-eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+    grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+    rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
+    cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
+    lmax_u, lmax_v = operator_norms(rows).max(axis=1), operator_norms(cols).max(axis=1)
+    phi = lmax_u * lmax_v
     best = int(np.argmin(phi))  # first minimum, ascending eps: ties go to the smallest eps
     if phi[best] > phi0 * (1.0 - 1e-12):
         return f, None
-    rows, cols, lmax_u, lmax_v = (a[best] for a in head) if best < live.size else (a[0] for a in last)
-    winner = PsdFactorization(row_factors=rows, col_factors=cols)
-    return _balanced(winner, float(lmax_u), float(lmax_v)), float(eps[idx[best]])
+    winner = PsdFactorization(row_factors=rows[best], col_factors=cols[best])
+    return _balanced(winner, float(lmax_u[best]), float(lmax_v[best])), float(eps[best])
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +484,6 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # divides by sigma twice so that a tiny sigma cannot underflow to 0.
     iterations = 0
     stalled = False
-    counts = {"line_search_candidates": 0}
     if cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
         fw = _balanced(fw, p_u, p_v)
         norms = _side_norms(fw)
@@ -577,7 +493,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
         z = perturbation_direction(fw, norms)
         lmax_u, lmax_v = lmax_traj[-1]
-        step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v, counts=counts)
+        step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v)
         if eps is None:
             stalled = True
             break
@@ -642,6 +558,5 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             "stalled": stalled,
             "start": start,
             "residual": final.max_abs_residual,
-            **counts,
         },
     )

@@ -26,6 +26,10 @@ from .errors import (
 
 # Relative eigenvalue cutoff below which a direction counts as kernel.
 RANK_TOL = 1e-9
+# Relative cutoff of ``image_basis``: round-off only.  A congruence of
+# condition c spreads a PSD matrix's spectrum by up to c^2, so a cut at
+# RANK_TOL drops real directions of its image once c nears 1e4.
+IMAGE_TOL = 1e-14
 # Eigenvalues closer than this (relative to the operator norm) are treated
 # as one degenerate cluster; shared with the derivative and rescaling code
 # so both see identical eigenspaces.
@@ -147,7 +151,7 @@ def eig_clip(m: np.ndarray, min_eig: float = 0.0, max_eig: float | None = None) 
 def image_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the image of a PSD matrix, as the columns of a (k, d) array.
 
-    Directions with eigenvalue > RANK_TOL * lambda_max are kept; the zero
+    Directions with eigenvalue > IMAGE_TOL * lambda_max are kept; the zero
     matrix gives d = 0.  A negative eigenvalue below -RANK_TOL * lambda_max
     raises NotPsdError.
     """
@@ -156,4 +160,4 @@ def image_basis(m: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
     if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    return dec.eigenvectors[:, lam > RANK_TOL * scale]
+    return dec.eigenvectors[:, lam > IMAGE_TOL * scale]

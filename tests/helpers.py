@@ -87,7 +87,7 @@ def corner_diagonal(m=100):
 def loop_from_input():
     """``two_row_embedding`` after a mild congruence: tau is above the
     target and below the mean's phi, so rescale keeps the input and its
-    loop takes 2 steps, measuring 40 line-search candidates."""
+    loop takes 2 steps."""
     f, s = two_row_embedding()
     return _unbalance_congruence(f, 2.0, 1), s
 

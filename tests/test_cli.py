@@ -10,8 +10,8 @@ import pytest
 
 import psdfact
 from psdfact import serialize
-from psdfact.cli import build_parser, main
-from psdfact.factorization import VERIFY_TOL, FitConfig, diagonal_embed
+from psdfact.cli import DERIVATIVES_MAX_SIDE, build_parser, main
+from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, FitConfig, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
 from psdfact.rescaling import RescaleConfig, rescale
@@ -381,6 +381,35 @@ class TestBadArguments:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert flag in captured.err
+
+    # case: (argv without the size, its limit, the flag the error names)
+    LIMITS = {
+        "side": (["check", "derivatives", "--pairs", "1", "--side"], DERIVATIVES_MAX_SIDE,
+                 "--side"),
+        "fit-r": (["fact", "fit", "--slack", "{slack}", "--r"], FIT_MAX_SIDE, "--r"),
+        "pipeline-r": (["pipeline", "--instance", "cube", "--r"], FIT_MAX_SIDE, "--r"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LIMITS))
+    def test_size_limit_checked_before_any_draw(self, files, case, monkeypatch, capsys):
+        argv, limit, flag = self.LIMITS[case]
+        argv = [a.format(**files) for a in argv]
+
+        class Drawn(Exception):
+            pass
+
+        def no_generator(*args, **kwargs):
+            raise Drawn
+
+        # Every matrix these commands draw comes from one generator; none is made.
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(Drawn):
+            main(argv + [str(limit)])
+        capsys.readouterr()
+        assert main(argv + [str(limit + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and flag in captured.err
 
     # Commands that draw no random numbers take no --seed.
     SEEDLESS = {

@@ -15,7 +15,6 @@ from psdfact.factorization import (
 from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import (
-    BOUND_RTOL,
     DEFAULT_EPS_GRID,
     balance_scalar,
     descent_step,
@@ -26,6 +25,7 @@ from psdfact.rescaling import (
 )
 
 from helpers import (
+    corner_diagonal,
     loop_from_input,
     loop_from_mean,
     random_orthogonal,
@@ -82,17 +82,18 @@ def reference_common_space(f):
     """P_{Im(mean U)}(Im(mean V)) by the two-sided construction.
 
     Orthonormal bases B_u and B_v of the images of both side-averages, then
-    the left singular vectors of B_u B_u^T B_v above the rank cutoff.
+    the left singular vectors of B_u B_u^T B_v, each cut at image_basis's
+    round-off tolerance.
     """
     def image(m):
         lam, vec = np.linalg.eigh(m)
-        return vec[:, lam > symmat.RANK_TOL * np.abs(lam).max(initial=0.0)]
+        return vec[:, lam > symmat.IMAGE_TOL * np.abs(lam).max(initial=0.0)]
 
     b_u, b_v = (image(side.mean(axis=0)) for side in (f.row_factors, f.col_factors))
     if not b_u.shape[1] or not b_v.shape[1]:
         return np.zeros((f.side, 0))
     u, sig, _ = np.linalg.svd(b_u @ b_u.T @ b_v, full_matrices=False)
-    return u[:, sig > symmat.RANK_TOL * sig[0]]
+    return u[:, sig > symmat.IMAGE_TOL * sig[0]]
 
 
 REDUCE_INSTANCES = (
@@ -178,6 +179,18 @@ class TestReduce:
         f = PsdFactorization.from_factors([np.eye(2)], [])
         with pytest.raises(PreconditionError):
             reduce_to_common_space(f)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [two_row_embedding, corner_diagonal],
+                             ids=["two_row", "corner_diagonal"])
+    def test_congruence_keeps_the_common_space(self, make, seed):
+        # A 1e4 congruence spreads each average's spectrum past 1e8; a cut at
+        # RANK_TOL of the top eigenvalue dropped a real direction on seeds 1,
+        # 3 and 5, and rescale exited with "drifted off the slack matrix".
+        f, s = make()
+        res = rescale(_unbalance_congruence(f, 1e4, seed), s)
+        assert res.reduced_dim == reduce_to_common_space(f)[1].shape[1]
+        assert res.certificate
 
 
 class TestZeroStep:
@@ -392,27 +405,8 @@ class TestDescentStep:
             assert out.row_factors.tobytes() == expected.row_factors.tobytes()
             assert out.col_factors.tobytes() == expected.col_factors.tobytes()
             below_largest += eps < max(DEFAULT_EPS_GRID) / symmat.operator_norm(z)
-        # the largest eps does not always win, so the pruning is exercised
+        # the largest eps does not always win, so smaller winners are compared too
         assert below_largest >= 1
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_candidates_obey_congruence_bound(self, seed):
-        # phi(eps) >= phi0 exp(-2 eps (lam_max(Z) - lam_min(Z))) for every
-        # grid value, and for larger steps than the grid takes
-        gen = rng(seed)
-        f = PsdFactorization.from_factors(
-            [random_psd(gen, 4) for _ in range(3)], [random_psd(gen, 4) for _ in range(2)]
-        )
-        z = random_psd(gen, 4, rank=2 + seed % 3)
-        lam = np.linalg.eigvalsh(z)
-        phi0 = potential(f)
-        for rel in DEFAULT_EPS_GRID + (1.0, 2.0, 4.0):
-            eps = rel / lam[-1]
-            cand = congruence(
-                f, symmat.matrix_exponential(-eps * z), symmat.matrix_exponential(eps * z)
-            )
-            bound = phi0 * np.exp(-2.0 * eps * (lam[-1] - lam[0]))
-            assert potential(cand) >= bound * (1.0 - BOUND_RTOL)
 
     def test_tie_goes_to_smallest_eps(self):
         # Z = diag(1, 0): the tight factors diag(0, 2) and diag(0, 1) lie in
@@ -471,6 +465,13 @@ class TestRescale:
             rep = verify_factorization(res.factorization, s)
             assert rep.max_abs_residual <= 1e-8 * (1.0 + s.max_entry)
 
+    @pytest.mark.parametrize("make, steps", [(loop_from_input, 2), (loop_from_mean, 4)],
+                             ids=["two_row", "corner_diagonal"])
+    def test_loop_families_take_their_steps(self, make, steps):
+        res = rescale(*make())
+        assert res.iterations == steps
+        assert res.certificate
+
     def test_trajectory_records_balanced_norms(self):
         for make, loop in LOOP_INPUTS:
             res = rescale(*make())
@@ -505,7 +506,6 @@ class TestRescale:
         res = rescale(f, s)
         assert res.reduced_dim == 0
         assert res.iterations == 0
-        assert res.diagnostics["line_search_candidates"] == 0
         # The common space is {0}, so the transform O diag(sv) O^T is the
         # zero matrix: every rescaled factor is 0 and meets the target
         # sqrt(0 * Delta) = 0.
@@ -595,39 +595,6 @@ class TestRescale:
             res.factorization.col_factors
         )
         assert phi == pytest.approx(res.phi_trajectory[-1], rel=1e-9)
-
-    @pytest.mark.parametrize("make, loop", LOOP_INPUTS, ids=LOOP_IDS)
-    def test_line_search_counter_bounded_and_repeatable(self, make, loop):
-        f, s = make()
-        runs = [rescale(f, s) for _ in range(2)]
-        counts = [res.diagnostics["line_search_candidates"] for res in runs]
-        assert counts[0] == counts[1]
-        assert (runs[0].iterations >= 1) == loop
-        # at least one candidate per step, at most the whole grid
-        assert runs[0].iterations <= counts[0] <= len(DEFAULT_EPS_GRID) * runs[0].iterations
-
-    def test_line_search_counter_in_pipeline_report(self, monkeypatch):
-        def stages():
-            return [
-                run_pipeline("cube", 4, PipelineConfig(unbalance=100.0, seed=1))["stages"]["rescale"]
-                for _ in range(2)
-            ]
-
-        # unbalanced cube n=4 certifies at the mean start: no step, no candidate
-        first, second = stages()
-        assert first == second
-        assert first["start"] == "mean"
-        assert first["iterations"] == first["line_search_candidates"] == 0
-        # From the input the loop runs and the bound prunes candidates on some
-        # steps.  run_pipeline takes builtin instances only, and the mean
-        # certifies every one, so this runs without the start.
-        no_mean_start(monkeypatch)
-        first, second = stages()
-        assert first == second
-        assert first["start"] == "input"
-        count, iterations = first["line_search_candidates"], first["iterations"]
-        assert iterations >= 1
-        assert count < len(DEFAULT_EPS_GRID) * iterations
 
     def test_blow_up_guard_raises(self, monkeypatch):
         # A step of eps = 1000 drives exp(-eps Z) far past any condition cap.
