@@ -34,7 +34,7 @@ from .factorization import (
     verify_factorization,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .polytopes import build_slack, builtin_instance
+from .polytopes import BUILTIN_MAX_N, build_slack, builtin_instance
 from .rescaling import RescaleConfig, rescale
 from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct
 from . import symmat
@@ -48,6 +48,9 @@ EXIT_NUMERIC = 3
 # exponentiates dense side x side matrices, and symmat's dense paths are
 # meant for side <= ~200.
 DERIVATIVES_MAX_SIDE = 200
+# Largest --pairs of ``check derivatives``, 50 times the default: about 7 s
+# at the default side of 6.
+DERIVATIVES_MAX_PAIRS = 10_000
 
 
 def _manifest(args, inputs=(), t0=None) -> dict:
@@ -255,6 +258,8 @@ def _cmd_check_derivatives(args) -> int:
         raise ResourceError(f"--side must be at most {DERIVATIVES_MAX_SIDE}, got {args.side}")
     if args.pairs < 1:
         raise PreconditionError(f"--pairs must be at least 1, got {args.pairs}")
+    if args.pairs > DERIVATIVES_MAX_PAIRS:
+        raise ResourceError(f"--pairs must be at most {DERIVATIVES_MAX_PAIRS}, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -377,7 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="subcommand", required=True)
     b = ssub.add_parser("build")
     b.add_argument("--instance")
-    b.add_argument("--n", type=int, default=2)
+    b.add_argument(
+        "--n", type=int, default=2,
+        help="size of the builtin, its dimension or moment_polygon's vertex count: at most "
+        + ", ".join(f"{limit} for {name}" for name, limit in BUILTIN_MAX_N.items())
+        + "; crosspoly_01 takes 2 or 3 and segment 1",
+    )
     b.add_argument("--file", help="polytope JSON instead of a builtin")
     _add_common(b)
     b.set_defaults(func=_cmd_slack_build)
@@ -437,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verification harnesses")
     csub = p.add_subparsers(dest="subcommand", required=True)
     cd = csub.add_parser("derivatives")
-    cd.add_argument("--pairs", type=int, default=200)
+    cd.add_argument("--pairs", type=int, default=200,
+                    help=f"sampled pairs, 1 to {DERIVATIVES_MAX_PAIRS}")
     cd.add_argument("--side", type=int, default=6,
                     help=f"side of the sampled matrices, 1 to {DERIVATIVES_MAX_SIDE}")
     cd.add_argument("--report", help="CSV report path")
@@ -458,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full slack->reconstruct pipeline")
     p.add_argument("--instance", required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2,
+                   help="dimension of the builtin, 1 to 4 (the sweep covers {0,1}^n)")
     p.add_argument("--r", type=int,
                    help=f"use alternating_fit at this side, 1 to {FIT_MAX_SIDE}")
     p.add_argument("--skip-rescale", action="store_true")
@@ -476,6 +488,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numpy's generators take non-negative seeds only.
+        if getattr(args, "seed", 0) < 0:
+            raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,12 +113,31 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
 def operator_norms(factors) -> np.ndarray:
     """Operator norm of every matrix in a stack, from one batched eigvalsh.
 
-    The stack must be exactly symmetric and finite, as every factorization
-    the package builds or loads is; it is not checked here, and eigvalsh
-    reads one triangle only.  Symmetrise a raw input with
-    ``symmat.as_symmetric`` first.
+    The spectrum comes back ascending, so max |lambda| is read off its two
+    ends; ``+ 0.0`` turns a zero factor's -0.0 into 0.0, and matrices of
+    side 0 have norm 0.  The stack must be exactly symmetric and finite,
+    as every factorization the package builds or loads is; it is not
+    checked here, and eigvalsh reads one triangle only.  Symmetrise a raw
+    input with ``symmat.as_symmetric`` first.
     """
-    return np.abs(np.linalg.eigvalsh(factors)).max(axis=-1, initial=0.0)
+    lam = np.linalg.eigvalsh(factors)
+    if not lam.shape[-1]:
+        return np.zeros(lam.shape[:-1])
+    return np.maximum(lam[..., -1], -lam[..., 0]) + 0.0
+
+
+def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """The operator norm of every factor, one array per side.
+
+    Both stacks go through one eigvalsh, at the cost of one copy of them.
+    """
+    norms = operator_norms(np.concatenate([f.row_factors, f.col_factors]))
+    return norms[:f.n_rows], norms[f.n_rows:]
+
+
+def top_norms(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(lmax(U), lmax(V)) from ``side_norms``; an empty side gives 0."""
+    return float(norms[0].max(initial=0.0)), float(norms[1].max(initial=0.0))
 
 
 def max_operator_norm(factors) -> float:
@@ -164,8 +183,8 @@ def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int,
     residual = np.abs(f.products() - target)
     if not residual.size:
         return 0.0, (0, 0)
-    loc = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    return float(residual[loc]), (int(loc[0]), int(loc[1]))
+    i, j = divmod(int(residual.argmax()), residual.shape[1])
+    return float(residual[i, j]), (i, j)
 
 
 def residual_budget(s: SlackMatrix, tol: float) -> float:
@@ -187,8 +206,7 @@ def verify_factorization(
     """
     budget = residual_budget(s, tol)
     max_res, loc = max_residual(f, s)
-    lmax_u = max_operator_norm(f.row_factors) if f.n_rows else 0.0
-    lmax_v = max_operator_norm(f.col_factors) if f.n_cols else 0.0
+    lmax_u, lmax_v = top_norms(side_norms(f))
     return FactorizationReport(
         max_abs_residual=max_res,
         residual_location=loc,

@@ -59,18 +59,28 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
     if r > 1:
         diag[1] = 1.0 / np.sqrt(t)
     a = symmat.as_symmetric((q * diag) @ q.T)
-    return congruence(f, a, np.linalg.inv(a))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # 1 / sqrt(t) is lost against entries of order sqrt(t).
+        raise PreconditionError(
+            f"--unbalance {t:g} makes the congruence numerically singular"
+        ) from None
+    return congruence(f, a, a_inv)
 
 
 def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) -> dict:
     """Full pipeline on a builtin instance; returns a stage-by-stage report.
 
-    The reconstruction sweeps {0,1}^n, so an instance whose vertices are
-    not all 0/1 points is refused with PreconditionError.
+    The reconstruction sweeps {0,1}^n, so a dimension above 4 is refused
+    before the instance is built, and an instance whose vertices are not
+    all 0/1 points is refused with PreconditionError.
     """
+    # n is the dimension of every builtin but moment_polygon, whose n
+    # counts the vertices of a polygon.
+    if (2 if instance == "moment_polygon" else n) > 4:
+        raise PreconditionError(f"reconstruction pipeline supports n <= 4, got --n {n}")
     h, v = builtin_instance(instance, n)
-    if h.dim > 4:
-        raise PreconditionError("reconstruction pipeline supports n <= 4")
     if not ((v.points == 0) | (v.points == 1)).all():
         raise PreconditionError(
             f"instance {instance!r} has vertices outside {{0,1}}^{h.dim}, "

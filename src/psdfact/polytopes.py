@@ -21,6 +21,14 @@ BUILTIN_NAMES = ("cube", "simplex", "crosspoly_01", "segment", "point", "moment_
 # Largest moment_polygon vertex count: its d x d slack matrix has a diagonal
 # embedding of d^3 floats, 128 MiB at d = 256.
 MOMENT_POLYGON_MAX_D = 256
+# Largest n of each builtin family whose arrays grow with n, checked before
+# anything is allocated.  The diagonal embedding holds 2^n (2n)^2 floats
+# for cube n and (n + 1)^3 for simplex n, at most 2^24 (128 MiB) as for
+# moment_polygon.  point n embeds into one factor of side 1, but its
+# 2n x n inequality matrix is written out in full by ``slack build``;
+# n = 256 keeps it at 2^17 entries.  crosspoly_01 and segment take fixed
+# sizes only.
+BUILTIN_MAX_N = {"cube": 14, "simplex": 255, "point": 256, "moment_polygon": MOMENT_POLYGON_MAX_D}
 
 
 def _as_int_array(a, name: str) -> np.ndarray:
@@ -215,18 +223,13 @@ def _point(n: int) -> tuple[HPolytope, VPolytope]:
 
 
 def _moment_polygon(d: int) -> tuple[HPolytope, VPolytope]:
-    """d-gon with vertices (z, z^2) for even z in [2d], for 3 <= d <= MOMENT_POLYGON_MAX_D.
+    """d-gon with vertices (z, z^2) for even z in [2d], for d >= 3.
 
     Edges between consecutive vertices carry the inequality
     -y + (z1+z2) x - z1 z2 <= 0; the top chord closes the polygon.
     """
     if d < 3:
         raise PreconditionError("moment_polygon needs d >= 3")
-    if d > MOMENT_POLYGON_MAX_D:
-        raise ResourceError(
-            f"moment_polygon d = {d} refused (--n above {MOMENT_POLYGON_MAX_D}): "
-            "its diagonal embedding would hold d^3 floats"
-        )
     z = np.arange(1, d + 1, dtype=np.int64) * 2
     pts = np.stack([z, z * z], axis=1)
     rows = []
@@ -243,7 +246,9 @@ def _moment_polygon(d: int) -> tuple[HPolytope, VPolytope]:
 def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
     """Hand-written H- and V-representations of the test instances.
 
-    For ``moment_polygon`` the second argument is the vertex count d.
+    For ``moment_polygon`` the second argument is the vertex count d.  An
+    n above the family's ``BUILTIN_MAX_N`` is refused before anything is
+    allocated.
     """
     builders = {
         "cube": _cube,
@@ -259,4 +264,8 @@ def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
         )
     if n < 1:
         raise PreconditionError("dimension must be positive")
+    if n > BUILTIN_MAX_N.get(name, n):
+        raise ResourceError(
+            f"{name} n = {n} refused (--n above {BUILTIN_MAX_N[name]} for {name})"
+        )
     return builders[name](n)

@@ -32,9 +32,11 @@ The prologue measures every stack once: the input gate checks only the
 residual, the reduction averages each side once, finds the common space
 from two eigendecompositions and sigma from one batched eigvalsh of the
 reduced averages, one measurement of the reduced factorization's top
-norms gives tau, and one of the mean start's gives its potential.  The top norms of a factorization balanced by a scalar are
-both the square root of its potential, so the factors of the start are
-measured one by one only when the loop runs.  The loop keeps the
+norms gives tau, and one of the mean start's gives its potential; each
+measurement of a factorization is one eigvalsh of both sides.  The top
+norms of a factorization balanced by a scalar are both the square root
+of its potential, so the factors of the start are measured one by one
+only when the loop runs.  The loop keeps the
 balanced winner of each line search, the operator norms of its factors
 (measured once per step and shared by the direction, the line search and
 the trajectory) and M, the start times the product of the accepted
@@ -57,11 +59,12 @@ from .factorization import (
     PsdFactorization,
     check_tol,
     congruence,
-    max_operator_norm,
     max_residual,
     operator_norms,
     potential,
     residual_budget,
+    side_norms,
+    top_norms,
     verify_factorization,
 )
 from .polytopes import SlackMatrix
@@ -232,7 +235,8 @@ def reduce_to_common_space(
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    bars = symmat.as_symmetric(np.stack([f.row_factors.mean(axis=0), f.col_factors.mean(axis=0)]))
+    bars = symmat.as_symmetric(np.stack([f.row_factors.sum(axis=0) / f.n_rows,
+                                         f.col_factors.sum(axis=0) / f.n_cols]))
     b = symmat.image_basis(bars[0])
     o = b @ symmat.image_basis(b.T @ bars[1] @ b)
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
@@ -267,8 +271,8 @@ def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _top_norms(f: PsdFactorization) -> tuple[float, float]:
-    """(lmax(U), lmax(V)): the largest operator norm on each side."""
-    return max_operator_norm(f.row_factors), max_operator_norm(f.col_factors)
+    """(lmax(U), lmax(V)): the largest operator norm on each side, from one eigvalsh."""
+    return top_norms(side_norms(f))
 
 
 def balance_scalar(f: PsdFactorization) -> PsdFactorization:
@@ -296,19 +300,9 @@ def _polar_congruence(f: PsdFactorization, sv: np.ndarray, rt: np.ndarray) -> Ps
     return congruence(f, (rt.T * sv) @ rt, (rt.T / sv) @ rt)
 
 
-def _side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
-    """The operator norm of every factor, one array per side."""
-    return operator_norms(f.row_factors), operator_norms(f.col_factors)
-
-
-def _tops(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """(lmax(U), lmax(V)) from ``_side_norms``."""
-    return float(norms[0].max(initial=0.0)), float(norms[1].max(initial=0.0))
-
-
 def _balanced_mu(norms: tuple[np.ndarray, np.ndarray]) -> float:
-    """Balanced top norm mu, from ``_side_norms``."""
-    lmax_u, lmax_v = _tops(norms)
+    """Balanced top norm mu, from ``side_norms``."""
+    lmax_u, lmax_v = top_norms(norms)
     mu = max(lmax_u, lmax_v)
     if mu == 0.0:
         raise PreconditionError("cannot perturb a zero factorization")
@@ -333,7 +327,7 @@ def perturbation_direction(
     exactly Z = I / 2.  ``norms`` is the operator norm of every factor of
     ``f``, one array per side; it is measured here when not given.
     """
-    norms = _side_norms(f) if norms is None else norms
+    norms = side_norms(f) if norms is None else norms
     mu = _balanced_mu(norms)
     tight = f.row_factors[norms[0] >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
@@ -484,13 +478,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # divides by sigma twice so that a tiny sigma cannot underflow to 0.
     iterations = 0
     stalled = False
-    if cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
+    if cfg.max_iters and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
         fw = _balanced(fw, p_u, p_v)
-        norms = _side_norms(fw)
+        norms = side_norms(fw)
         m = (rt.T * sv) @ rt
         cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
 
-    while iterations < cfg.max_iters and np.prod(lmax_traj[-1]) > target_phi:
+    while iterations < cfg.max_iters and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
         z = perturbation_direction(fw, norms)
         lmax_u, lmax_v = lmax_traj[-1]
         step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v)
@@ -509,8 +503,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
         # holding it at 1 keeps runs with a large max_iters from underflowing.
         m /= sv[0]
         fw = step
-        norms = _side_norms(fw)
-        lmax_traj.append(_tops(norms))
+        norms = side_norms(fw)
+        lmax_traj.append(top_norms(norms))
         iterations += 1
 
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so

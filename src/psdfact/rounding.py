@@ -162,20 +162,20 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
     if h.n_rows != f.n_rows:
         raise DimensionError("inequality rows and row factors are misaligned")
     n, r = h.dim, f.side
-    vecs = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
-    norms = np.linalg.norm(vecs, axis=1)
+    residual = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
+    # np.linalg.norm(., axis=1)'s own formula, without its wrapper.
+    norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
     threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
-    residual = vecs.copy()
     selected: list[int] = []
     while True:
-        res_norms = np.linalg.norm(residual, axis=1)
-        res_norms[selected] = 0.0
-        j = int(np.argmax(res_norms))
-        if res_norms[j] <= threshold:
+        norms[selected] = 0.0
+        j = int(norms.argmax())
+        if norms[j] <= threshold:
             break
-        q = residual[j] / res_norms[j]
+        q = residual[j] / norms[j]
         selected.append(j)
-        residual = residual - np.outer(residual @ q, q)
+        residual = residual - (residual @ q)[:, None] * q
+        norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
     if len(selected) > n + r * r:
         raise NumericError("selected subsystem exceeds n + r^2 rows")
     return selected
@@ -207,15 +207,17 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
     k, m = len(selected), g.n + g.r**2
     a, b, factors = np.zeros((m, h.dim)), np.zeros(m), np.zeros((m, f.side, f.side))
     a[:k], b[:k], factors[:k] = h.a[selected], h.b[selected], rounded
+    # Row-by-row dot products, as the 2-D np.linalg.norm of each factor
+    # takes them; a batched norm sums in another order and moves the last
+    # bits.
+    err = (rounded - u).reshape(k, 1, f.side**2)
     return RoundedSystem(
         a=a,
         b=b,
         factors=factors,
         grid=g,
         selected=tuple(int(i) for i in selected),
-        # One 2-D norm per factor: a batched norm sums in another order
-        # and moves the last bits.
-        error_fnorm=tuple(float(np.linalg.norm(d)) for d in rounded - u),
+        error_fnorm=tuple(np.sqrt(err @ err.swapaxes(1, 2)).ravel().tolist()),
     )
 
 
@@ -266,7 +268,11 @@ def _dual_values(lam, const, u_flat, cap):
     """
     r = math.isqrt(u_flat.shape[1])
     s = (lam @ u_flat).reshape(-1, r, r)
-    positive = np.clip(np.linalg.eigvalsh(s), 0.0, None).sum(axis=1)
+    # A zero lambda has value exactly 0 and needs no spectrum.
+    nonzero = lam.any(axis=1)
+    positive = np.zeros(len(lam))
+    if nonzero.any():
+        positive[nonzero] = np.clip(np.linalg.eigvalsh(s[nonzero]), 0.0, None).sum(axis=1)
     return np.einsum("bi,bi->b", lam, const) - cap * positive
 
 
@@ -304,7 +310,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     against every single-row dual +-e_i, whose value needs no iterate; one
     ``eigvalsh`` of the factors serves the whole batch, and a batch whose
     points all have witnesses at once, as warm-started vertices do, never
-    takes it.  The step 1 / L, with L = 2 ||U||^2 from a spectral norm of
+    takes it; their hinge duals are zero, which takes no spectrum either.  The step 1 / L, with L = 2 ||U||^2 from a spectral norm of
     the stacked factors, is computed at the first gradient step, so a batch
     decided at its first iteration never computes it.
     """

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import psdfact
-from psdfact import serialize
-from psdfact.cli import DERIVATIVES_MAX_SIDE, build_parser, main
+from psdfact import pipeline, serialize
+from psdfact.cli import DERIVATIVES_MAX_PAIRS, DERIVATIVES_MAX_SIDE, build_parser, main
 from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, FitConfig, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
@@ -369,6 +369,18 @@ class TestBadArguments:
         "xc01-n-401-digits": (BOUNDS + ["xc01", "--n", str(10**400)], "--n"),
         "coeff-n-401-digits": (BOUNDS + ["coeff", "--n", str(10**400)], "--n"),
         "polygon-params-d-401-digits": (BOUNDS + ["polygon-params", "--d", str(10**400)], "--d"),
+        "fit-seed-neg": (FIT + ["--seed", "-1"], "--seed"),
+        "derivatives-seed-neg": (["check", "derivatives", "--seed", "-1"], "--seed"),
+        "pipeline-seed-neg": (["pipeline", "--instance", "cube", "--unbalance", "10",
+                               "--seed", "-1"], "--seed"),
+        "unbalance-1e200": (["pipeline", "--instance", "cube", "--n", "2", "--unbalance", "1e200"],
+                            "--unbalance"),
+        "slack-build-simplex-100000": (["slack", "build", "--instance", "simplex",
+                                        "--n", "100000"], "--n"),
+        "pipeline-simplex-100000": (["pipeline", "--instance", "simplex", "--n", "100000"], "--n"),
+        "slack-build-cube-301-digits": (["slack", "build", "--instance", "cube",
+                                         "--n", str(10**300)], "--n"),
+        "pairs-301-digits": (["check", "derivatives", "--pairs", str(10**300)], "--pairs"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -388,6 +400,8 @@ class TestBadArguments:
                  "--side"),
         "fit-r": (["fact", "fit", "--slack", "{slack}", "--r"], FIT_MAX_SIDE, "--r"),
         "pipeline-r": (["pipeline", "--instance", "cube", "--r"], FIT_MAX_SIDE, "--r"),
+        "pairs": (["check", "derivatives", "--side", "1", "--pairs"], DERIVATIVES_MAX_PAIRS,
+                  "--pairs"),
     }
 
     @pytest.mark.parametrize("case", sorted(LIMITS))
@@ -410,6 +424,15 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and flag in captured.err
+
+    def test_pipeline_refuses_its_dimension_before_building(self, monkeypatch, capsys):
+        def no_instance(*args):
+            raise AssertionError("builtin_instance called")
+
+        monkeypatch.setattr(pipeline, "builtin_instance", no_instance)
+        assert main(["pipeline", "--instance", "cube", "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--n" in captured.err
 
     # Commands that draw no random numbers take no --seed.
     SEEDLESS = {

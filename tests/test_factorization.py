@@ -10,7 +10,9 @@ from psdfact.factorization import (
     congruence,
     diagonal_embed,
     max_operator_norm,
+    operator_norms,
     potential,
+    side_norms,
     verify_factorization,
 )
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
@@ -23,7 +25,7 @@ from psdfact.rescaling import (
 )
 from psdfact.serialize import factorization_from_json, factorization_to_json
 
-from helpers import random_orthogonal, random_psd, rng
+from helpers import random_orthogonal, random_psd, random_symmetric, rng
 
 
 def unit_square_slack():
@@ -116,6 +118,29 @@ class TestNormsAndPotential:
     def test_empty_list_rejected(self):
         with pytest.raises(PreconditionError):
             max_operator_norm([])
+
+    def test_spectrum_ends_match_the_largest_absolute_eigenvalue(self):
+        gen = rng(8)
+        for side in range(1, 7):
+            stack = np.stack([random_symmetric(gen, side, scale=10.0) for _ in range(20)]
+                             + [np.zeros((side, side)), -np.eye(side)])
+            reference = np.abs(np.linalg.eigvalsh(stack)).max(axis=-1, initial=0.0)
+            assert operator_norms(stack).tobytes() == reference.tobytes()
+
+    def test_zero_factor_has_positive_zero_norm(self):
+        norms = operator_norms(np.zeros((2, 3, 3)))
+        assert norms.tolist() == [0.0, 0.0] and not np.signbit(norms).any()
+
+    def test_side_zero_has_norm_zero(self):
+        assert operator_norms(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
+
+    def test_side_norms_match_each_side_alone(self):
+        gen = rng(9)
+        f = PsdFactorization.from_factors([random_psd(gen, 3) for _ in range(4)],
+                                          [random_psd(gen, 3) for _ in range(5)])
+        norms_u, norms_v = side_norms(f)
+        assert norms_u.tobytes() == operator_norms(f.row_factors).tobytes()
+        assert norms_v.tobytes() == operator_norms(f.col_factors).tobytes()
 
     def test_potential_invariant_under_scalar_swap(self):
         gen = rng(4)

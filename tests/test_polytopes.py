@@ -168,6 +168,24 @@ class TestBuiltins:
         with pytest.raises(ResourceError, match="--n"):
             builtin_instance("moment_polygon", d + 1)
 
+    @pytest.mark.parametrize("name", sorted(polytopes.BUILTIN_MAX_N))
+    def test_size_limit_checked_before_anything_is_built(self, name, monkeypatch):
+        limit = polytopes.BUILTIN_MAX_N[name]
+
+        class Built(Exception):
+            pass
+
+        def no_builder(n):
+            raise Built
+
+        # Every array of a builtin is made by its builder; none is made here.
+        monkeypatch.setattr(polytopes, f"_{name}", no_builder)
+        with pytest.raises(Built):
+            builtin_instance(name, limit)
+        for n in (limit + 1, 10**300):
+            with pytest.raises(ResourceError, match="--n"):
+                builtin_instance(name, n)
+
     def test_builtins_nonnegative_integral_through_n6(self):
         cases = [("cube", range(1, 7)), ("simplex", range(1, 7)), ("crosspoly_01", (2, 3))]
         for name, dims in cases:

@@ -22,7 +22,7 @@ from psdfact.rounding import (
     select_subsystem,
 )
 
-from helpers import random_orthogonal, rng
+from helpers import random_orthogonal, random_psd, rng
 
 
 class TestGridDelta:
@@ -198,6 +198,64 @@ class TestSelectSubsystem:
         picked = select_subsystem(h, f)
         assert len(picked) <= 3 + f.side**2
 
+    @staticmethod
+    def reference_selection(h, f):
+        """Pivoted Gram-Schmidt through np.linalg.norm and np.outer."""
+        vecs = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
+        threshold = symmat.RANK_TOL * max(float(np.linalg.norm(vecs, axis=1).max()), 1.0)
+        selected = []
+        while True:
+            res_norms = np.linalg.norm(vecs, axis=1)
+            res_norms[selected] = 0.0
+            j = int(np.argmax(res_norms))
+            if res_norms[j] <= threshold:
+                return selected
+            q = vecs[j] / res_norms[j]
+            selected.append(j)
+            vecs = vecs - np.outer(vecs @ q, q)
+
+    def test_matches_the_reference_on_random_stacks(self):
+        from psdfact.polytopes import HPolytope
+
+        gen = rng(21)
+        for _ in range(200):
+            m, n, r = (int(k) for k in gen.integers(1, 9, size=3))
+            rank = int(gen.integers(1, r + 1))
+            rows = [random_psd(gen, r, rank=rank) for _ in range(m)]
+            f = PsdFactorization.from_factors(rows, [np.eye(r)])
+            h = HPolytope(a=gen.integers(-2, 3, size=(m, n)), b=np.arange(m))
+            assert select_subsystem(h, f) == self.reference_selection(h, f)
+
+    # The rows, in pivot order, that the pipeline selects on each builtin
+    # 0/1 instance from its rescaled diagonal embedding.
+    PIPELINE_ROWS = {
+        ("cube", 1): [0, 1], ("cube", 2): [0, 1, 2, 3], ("cube", 3): [0, 1, 2, 3, 4, 5],
+        ("cube", 4): [0, 1, 2, 3, 4, 5, 6, 7],
+        ("simplex", 1): [0, 1], ("simplex", 2): [2, 0, 1], ("simplex", 3): [3, 0, 1, 2],
+        ("simplex", 4): [4, 0, 1, 2, 3],
+        ("crosspoly_01", 2): [0, 1, 2], ("crosspoly_01", 3): [6, 7, 0, 1],
+        ("segment", 1): [0, 1],
+        ("point", 1): [0], ("point", 2): [0, 1], ("point", 3): [0, 1, 2],
+        ("point", 4): [0, 1, 2, 3],
+    }
+
+    @pytest.mark.parametrize("instance, n", sorted(PIPELINE_ROWS))
+    def test_pipeline_rows_pinned(self, instance, n):
+        """The selection on every builtin 0/1 instance, dependent rows left out.
+
+        crosspoly_01 has rows that are combinations of others: on n = 2 the
+        rows 1 <= x1 + x2 <= 1 lie in the span of the bounds.  A selection
+        that downdates the residual norms instead of recomputing them must
+        recompute a norm once cancellation sets in, as LAPACK's pivoted QR
+        (xGEQP3) does: a dependent row's downdated norm stops near
+        sqrt(eps) times its length, far above the RANK_TOL cut, and a pure
+        downdate selects all 6 rows of crosspoly_01 n = 2.
+        """
+        h, v = builtin_instance(instance, n)
+        s = build_slack(h, v)
+        f = rescale(diagonal_embed(s), s).factorization
+        assert select_subsystem(h, f) == self.PIPELINE_ROWS[(instance, n)]
+
 
 class TestBuildRoundedSystem:
     def test_selected_rows_rounded_and_padded(self):
@@ -218,6 +276,38 @@ class TestBuildRoundedSystem:
             assert system.factors[slot].tobytes() == round_factor(u, g).tobytes()
             assert system.error_fnorm[slot] == float(np.linalg.norm(system.factors[slot] - u))
             assert system.error_fnorm[slot] <= g.error_bound
+
+    @staticmethod
+    def reference_error_fnorm(f, g, selected):
+        """One 2-D np.linalg.norm per selected factor: the batched product's reference."""
+        u = symmat.as_symmetric(f.row_factors[list(selected)])
+        return tuple(float(np.linalg.norm(d)) for d in round_factor(u, g) - u)
+
+    @pytest.mark.parametrize("instance, n", [("cube", 4), ("simplex", 4), ("crosspoly_01", 3),
+                                             ("moment_polygon", 12)])
+    def test_error_fnorm_matches_per_factor_norm_on_builtins(self, instance, n):
+        h, v = builtin_instance(instance, n)
+        s = build_slack(h, v)
+        for f in (diagonal_embed(s), rescale(diagonal_embed(s), s).factorization):
+            g = GridParams.for_slack(n=h.dim, r=f.side, delta_eff=s.max_entry)
+            system = build_rounded_system(h, f, g)
+            assert system.error_fnorm == self.reference_error_fnorm(f, g, system.selected)
+
+    def test_error_fnorm_matches_per_factor_norm_on_random_stacks(self):
+        from psdfact.polytopes import HPolytope
+
+        gen = rng(20)
+        for _ in range(200):
+            m, n, r = (int(k) for k in gen.integers(1, 9, size=3))
+            rows = [random_psd(gen, r, scale=float(gen.uniform(0.01, 100.0)))
+                    for _ in range(m)]
+            f = PsdFactorization.from_factors(rows, [np.eye(r)])
+            # Distinct offsets keep the rows distinct.
+            h = HPolytope(a=gen.integers(-3, 4, size=(m, n)), b=np.arange(m))
+            g = GridParams.for_slack(n=n, r=r, delta_eff=float(gen.integers(1, 50)),
+                                     scale=float(gen.uniform(0.1, 1.0)))
+            system = build_rounded_system(h, f, g)
+            assert system.error_fnorm == self.reference_error_fnorm(f, g, system.selected)
 
 
 def rounded_unit_square():
@@ -243,6 +333,38 @@ def numpy_dual_margin(system, x, lam):
     s = sum(l * u for l, u in zip(lam, system.factors))
     positive = np.linalg.eigvalsh(s).clip(min=0.0).sum()
     return float(lam @ c - system.grid.witness_cap * positive - system.grid.budget)
+
+
+class TestDualValues:
+    def test_zero_multipliers_take_no_spectrum(self, monkeypatch):
+        _, _, _, _, _, system = rounded_unit_square()
+        m = system.n_rows
+        u_flat = system.factors.reshape(m, -1)
+        gen = rng(5)
+        lam = gen.standard_normal((6, m))
+        lam /= np.abs(lam).sum(axis=1, keepdims=True)
+        lam[[1, 4]] = 0.0
+        const = gen.standard_normal((6, m))
+        cap = system.grid.witness_cap
+        expected = np.einsum("bi,bi->b", lam, const) - cap * np.clip(
+            np.linalg.eigvalsh((lam @ u_flat).reshape(-1, system.grid.r, system.grid.r)),
+            0.0, None).sum(axis=1)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        values = rounding._dual_values(lam, const, u_flat, cap)
+        assert shapes == [(4, system.grid.r, system.grid.r)]
+        assert values[[1, 4]].tolist() == [0.0, 0.0]
+        keep = [0, 2, 3, 5]
+        assert values[keep].tobytes() == expected[keep].tobytes()
+        shapes.clear()
+        assert rounding._dual_values(np.zeros((3, m)), const[:3], u_flat, cap).tolist() == [0.0] * 3
+        assert shapes == []
 
 
 def numpy_violation(system, x, y):
