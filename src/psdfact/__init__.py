@@ -21,11 +21,10 @@ from .polytopes import (
 )
 from .factorization import (
     FactorizationReport,
-    FitConfig,
-    FitFailure,
+    FitResult,
     PsdFactorization,
-    alternating_fit,
     diagonal_embed,
+    fit_factorization,
     max_operator_norm,
     potential,
     verify_factorization,

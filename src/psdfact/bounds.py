@@ -196,18 +196,3 @@ def polygon_params_report(d: int) -> BoundReport:
             "delta_log2_quadratic": p.delta_log2_quadratic,
         },
     )
-
-
-def lemma_grid_delta(n: int, big_n: int) -> BoundReport:
-    """log2 of ((n+1) N)^(2n), the bounded-box Delta parameter."""
-    if n < 1 or big_n < 1:
-        raise PreconditionError("needs n >= 1 and N >= 1")
-    log2_value = 2.0 * n * math.log2((n + 1.0) * big_n)
-    exact = ((n + 1) * big_n) ** (2 * n)
-    return _report(
-        "box_delta",
-        {"n": n, "N": big_n},
-        log2_value,
-        ("Delta = ((n+1) N)^(2n) for integer points in [-N, N]^n",),
-        extras={"exact": exact if exact < 2**63 else None},
-    )

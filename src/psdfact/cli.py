@@ -27,10 +27,8 @@ from .errors import NumericError, PreconditionError, ResourceError
 from .factorization import (
     FIT_MAX_SIDE,
     VERIFY_TOL,
-    FitConfig,
-    FitFailure,
-    alternating_fit,
     diagonal_embed,
+    fit_factorization,
     verify_factorization,
 )
 from .pipeline import PipelineConfig, run_pipeline
@@ -44,13 +42,15 @@ EXIT_VERDICT = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
 
-# Largest --side of ``check derivatives``: every pair draws, decomposes and
-# exponentiates dense side x side matrices, and symmat's dense paths are
-# meant for side <= ~200.
-DERIVATIVES_MAX_SIDE = 200
-# Largest --pairs of ``check derivatives``, 50 times the default: about 7 s
-# at the default side of 6.
-DERIVATIVES_MAX_PAIRS = 10_000
+# Largest cost of one ``check derivatives`` run.  A pair draws,
+# decomposes and exponentiates dense side x side matrices, so its time is
+# modelled as (side + 40)^3 units: the cube of the side plus a fixed
+# overhead.  Measured per-pair times on one Intel Xeon core with one BLAS
+# thread: 0.63 ms at side 1, 0.73 at 6, 1.1 at 12, 2.0 at 25, 5.8 at 50,
+# 14 at 100 and 66 at 200: 4.8 to 9.1 ns per unit.  So the cap is a run of
+# at most about 9 s, such as 10^4 pairs at the default side 6 or 72 pairs
+# at side 200.
+DERIVATIVES_MAX_COST = 10**9
 
 
 def _manifest(args, inputs=(), t0=None) -> dict:
@@ -150,22 +150,20 @@ def _cmd_fact_embed(args) -> int:
 def _cmd_fact_fit(args) -> int:
     t0 = time.perf_counter()
     s = _load_slack(args.slack)
-    cfg = FitConfig(tol=args.tol, seed=args.seed)
-    result = alternating_fit(s, args.r, cfg)
-    if isinstance(result, FitFailure):
+    fit = fit_factorization(s, args.r, seed=args.seed)
+    if fit.factorization is None:
         report = {
             "found": False,
-            "residual": result.residual,
             "note": "no factorization found at this side; not a nonexistence proof",
-            "manifest": _manifest(args, [args.slack], t0),
         }
-        _emit(report, args)
-        return EXIT_VERDICT
-    report = serialize.factorization_to_json(result)
-    report["found"] = True
+    else:
+        report = serialize.factorization_to_json(fit.factorization)
+        report["found"] = True
+    report["residual"] = fit.residual
+    report["steps"] = fit.steps
     report["manifest"] = _manifest(args, [args.slack], t0)
     _emit(report, args)
-    return EXIT_OK
+    return EXIT_OK if fit.factorization is not None else EXIT_VERDICT
 
 
 def _cmd_rescale_run(args) -> int:
@@ -254,12 +252,13 @@ def _cmd_check_derivatives(args) -> int:
     t0 = time.perf_counter()
     if args.side < 1:
         raise PreconditionError(f"--side must be at least 1, got {args.side}")
-    if args.side > DERIVATIVES_MAX_SIDE:
-        raise ResourceError(f"--side must be at most {DERIVATIVES_MAX_SIDE}, got {args.side}")
     if args.pairs < 1:
         raise PreconditionError(f"--pairs must be at least 1, got {args.pairs}")
-    if args.pairs > DERIVATIVES_MAX_PAIRS:
-        raise ResourceError(f"--pairs must be at most {DERIVATIVES_MAX_PAIRS}, got {args.pairs}")
+    if args.pairs * (args.side + 40) ** 3 > DERIVATIVES_MAX_COST:
+        raise ResourceError(
+            f"--pairs {args.pairs} at --side {args.side} refused: the run would cost "
+            f"--pairs * (--side + 40)^3 above {DERIVATIVES_MAX_COST:.0e}"
+        )
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     ff.add_argument("--slack", required=True)
     ff.add_argument("--r", type=int, required=True,
                     help=f"side of the fitted factors, 1 to {FIT_MAX_SIDE}")
-    _add_common(ff, tol=FitConfig.tol, seed=True)
+    _add_common(ff, seed=True)
     ff.set_defaults(func=_cmd_fact_fit)
 
     p = sub.add_parser("rescale", help="rescale a factorization")
@@ -447,10 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verification harnesses")
     csub = p.add_subparsers(dest="subcommand", required=True)
     cd = csub.add_parser("derivatives")
-    cd.add_argument("--pairs", type=int, default=200,
-                    help=f"sampled pairs, 1 to {DERIVATIVES_MAX_PAIRS}")
+    cost = f"--pairs * (--side + 40)^3 at most {DERIVATIVES_MAX_COST:.0e}"
+    cd.add_argument("--pairs", type=int, default=200, help=f"sampled pairs, {cost}")
     cd.add_argument("--side", type=int, default=6,
-                    help=f"side of the sampled matrices, 1 to {DERIVATIVES_MAX_SIDE}")
+                    help=f"side of the sampled matrices, {cost}")
     cd.add_argument("--report", help="CSV report path")
     _add_common(cd, seed=True)
     cd.set_defaults(func=_cmd_check_derivatives)
@@ -472,12 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2,
                    help="dimension of the builtin, 1 to 4 (the sweep covers {0,1}^n)")
     p.add_argument("--r", type=int,
-                   help=f"use alternating_fit at this side, 1 to {FIT_MAX_SIDE}")
+                   help="factorize by a Levenberg-Marquardt fit at this side, 1 to "
+                   f"{FIT_MAX_SIDE}, instead of the diagonal embedding; a fit that "
+                   'misses its residual target ends the run at "factorization not found"')
     p.add_argument("--skip-rescale", action="store_true")
     p.add_argument("--unbalance", type=float,
                    help="apply an adversarial congruence of this condition number")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the --unbalance congruence, the only random draw of a run")
+                   help="seed of the --unbalance congruence; the --r fit draws at a fixed seed")
     _add_common(p, tol=RescaleConfig.tol)
     p.set_defaults(func=_cmd_pipeline)
 

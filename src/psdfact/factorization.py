@@ -8,18 +8,18 @@ validates both once (square factors, one common side, finite entries),
 so every routine here works on whole stacks.  This module holds the
 data model, the congruence that rescaling applies to a whole
 factorization, verification against a slack matrix, the canonical
-diagonal embedding, a numerical search for low-rank factorizations, and
-the potential function (product of the two largest operator norms) that
-the rescaler drives down.
+diagonal embedding, a Levenberg-Marquardt search for factorizations of a
+given side, and the potential function (product of the two largest
+operator norms) that the rescaler drives down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, PreconditionError, ResourceError
+from .errors import DimensionError, PreconditionError, ResourceError
 from .polytopes import SlackMatrix
 from . import symmat
 
@@ -29,12 +29,14 @@ PSD_TOL = 1e-9
 # Residual tolerance, relative to 1 + Delta, of verify_factorization and of
 # rescale's input and output; residual_budget turns it into a threshold.
 VERIFY_TOL = 1e-8
-# Projected-gradient steps per side in each sweep of alternating_fit.
-FIT_INNER_STEPS = 5
-# Largest side alternating_fit accepts: it draws m + n random r x r factors
-# and eigendecomposes every one at each of its up to 2 * FIT_INNER_STEPS *
-# sweeps projections, O(r^3) apiece.
+# Largest side fit_factorization accepts: each of its steps forms m n
+# Jacobian blocks of r x r products, O(m n r^3) in all.
 FIT_MAX_SIDE = 64
+# Largest number m * n of slack entries fit_factorization accepts: each step
+# solves one mn x mn system, 8 MiB of float64 and O((m n)^3) work at 1024.
+FIT_MAX_ENTRIES = 1024
+# Steps, kept or not, after which fit_factorization gives up.
+FIT_MAX_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -236,57 +238,39 @@ def diagonal_embed(s: SlackMatrix) -> PsdFactorization:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the alternating projected-gradient search."""
+class FitResult:
+    """Outcome of ``fit_factorization``, found or not.
 
-    tol: float = 1e-7
-    sweeps: int = 6000
-    seed: int = 7
-
-    def __post_init__(self):
-        check_tol(self.tol)
-
-
-@dataclass(frozen=True)
-class FitFailure:
-    """Search outcome when no factorization at the target residual was found.
-
-    Not evidence that none exists; the report must read "not found".
+    ``trace`` holds the max residual after every step, so ``steps`` is its
+    length and ``residual`` its last entry.  ``factorization`` is None when
+    no factorization at the target residual was found; that is not
+    evidence that none exists, and the report must read "not found".
     """
 
-    residual: float
-    trace: tuple = field(default_factory=tuple)
+    factorization: PsdFactorization | None
+    trace: tuple
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
+
+    @property
+    def residual(self) -> float:
+        return self.trace[-1]
 
 
-def _pgd_side(fixed: np.ndarray, moving: np.ndarray, target: np.ndarray, steps: int) -> np.ndarray:
-    """Projected-gradient steps on one side of the factorization.
+def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
+    """Search for a side-r factorization by Levenberg-Marquardt on square roots.
 
-    ``fixed`` has shape (m, r, r); ``moving`` (n, r, r); ``target`` (m, n).
-    Minimizes sum of squared residuals over PSD ``moving`` via eigenvalue
-    clipping after each gradient step.
-    """
-    m = fixed.shape[0]
-    flat = fixed.reshape(m, -1)
-    lip = 2.0 * float(np.linalg.norm(flat, 2)) ** 2
-    if lip == 0.0:
-        return moving
-    step = 1.0 / lip
-    for _ in range(steps):
-        err = np.einsum("irs,jrs->ij", fixed, moving) - target
-        grad = 2.0 * np.einsum("ij,irs->jrs", err, fixed)
-        moving = symmat.eig_clip(moving - step * grad)
-    return moving
-
-
-def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
-    """Search for a side-r factorization by alternating projected gradient.
-
-    Sweeps alternate projected-gradient updates of the two sides with an
-    extrapolation step between sweeps (reset whenever the residual jumps),
-    which repairs the 1/k tail plain alternation suffers from.  The side
-    must lie in [1, FIT_MAX_SIDE], checked before anything is drawn.
-    Returns a PsdFactorization once the max residual drops to
-    cfg.tol * (1 + Delta), else a FitFailure carrying the residual trace.
+    U_i = L_i L_i^T and V^j = K_j K_j^T, with full r x r roots drawn from
+    ``default_rng(seed)``, so every iterate is PSD (Burer & Monteiro 2003).
+    Each step is -J^T (J J^T + mu I)^-1 res on the residuals
+    <U_i, V^j> - S_ij (Levenberg 1944, Marquardt 1963), one mn x mn solve;
+    it is kept only if the sum of squared residuals falls, and mu is then
+    divided by 3, else multiplied by 4.  The fit is found once the max
+    residual is within ``residual_budget(s, VERIFY_TOL / 10)``, and is not
+    found after FIT_MAX_STEPS steps or once the step is lost in round-off.
+    The side and the size of S are checked before anything is drawn.
     """
     if r < 1:
         raise PreconditionError("side must be at least 1")
@@ -294,35 +278,57 @@ def alternating_fit(s: SlackMatrix, r: int, cfg: FitConfig = FitConfig()):
         raise ResourceError(f"side r = {r} refused (--r above {FIT_MAX_SIDE})")
     target = s.as_float()
     m, n = target.shape
-    rng = np.random.default_rng(cfg.seed)
-    scale = np.sqrt(max(target.mean(), 1e-3) / r)
-    u = symmat.eig_clip(rng.standard_normal((m, r, r)) * scale)
-    v = symmat.eig_clip(rng.standard_normal((n, r, r)) * scale)
-
-    threshold = residual_budget(s, cfg.tol)
-    trace = []
-    u_prev, v_prev = u, v
-    momentum = 1.0
-    last = np.inf
-    for _ in range(cfg.sweeps):
-        m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-        beta = (momentum - 1.0) / m_next
-        u_ex = u + beta * (u - u_prev)
-        v_ex = v + beta * (v - v_prev)
-        u_prev, v_prev = u, v
-        v = _pgd_side(u_ex, v_ex, target, FIT_INNER_STEPS)
-        u = _pgd_side(np.ascontiguousarray(v), u_ex, target.T, FIT_INNER_STEPS)
-        residual = float(
-            np.max(np.abs(np.einsum("irs,jrs->ij", u, v) - target))
+    if not m * n:
+        raise PreconditionError("slack matrix has no entries to fit")
+    if m * n > FIT_MAX_ENTRIES:
+        raise ResourceError(
+            f"slack matrix of {m} x {n} = {m * n} entries refused (above {FIT_MAX_ENTRIES})"
         )
-        if not np.isfinite(residual):
-            raise NumericError("NaN/Inf in alternating-fit iterates")
-        momentum = 1.0 if residual > last * 1.2 else m_next
-        last = residual
-        trace.append(residual)
-        if residual <= threshold:
-            # eig_clip leaves its result symmetric only up to round-off.
-            return PsdFactorization(
-                row_factors=symmat.as_symmetric(u), col_factors=symmat.as_symmetric(v)
-            )
-    return FitFailure(residual=trace[-1] if trace else float("inf"), trace=tuple(trace))
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(max(target.mean(), 1e-3) / r)
+    l, k = rng.standard_normal((m, r, r)) * scale, rng.standard_normal((n, r, r)) * scale
+
+    def evaluate(l, k):
+        u, v = l @ l.swapaxes(1, 2), k @ k.swapaxes(1, 2)
+        return u, v, np.einsum("irs,jrs->ij", u, v) - target
+
+    def linearize(l, k, u, v):
+        # Jacobian blocks of residual (i, j): a[i, j] = 2 V^j L_i, b[i, j] = 2 U_i K_j.
+        a = 2.0 * (v[None] @ l[:, None])
+        b = 2.0 * (u[:, None] @ k[None])
+        flat_a = a.reshape(m, n, r * r)
+        flat_b = b.swapaxes(0, 1).reshape(n, m, r * r)
+        # J J^T couples residuals that share a row (a-blocks) or a column (b-blocks).
+        jjt = np.zeros((m, n, m, n))
+        jjt[np.arange(m), :, np.arange(m), :] = flat_a @ flat_a.swapaxes(1, 2)
+        jjt[:, np.arange(n), :, np.arange(n)] += flat_b @ flat_b.swapaxes(1, 2)
+        return a, b, jjt.reshape(m * n, m * n)
+
+    threshold = residual_budget(s, VERIFY_TOL / 10)
+    u, v, res = evaluate(l, k)
+    a, b, jjt = linearize(l, k, u, v)
+    mu = 1e-3
+    trace = []
+    for _ in range(FIT_MAX_STEPS):
+        y = np.linalg.solve(jjt + mu * np.eye(m * n), res.ravel()).reshape(m, n)
+        trial_l = l - np.einsum("ij,ijrs->irs", y, a)
+        trial_k = k - np.einsum("ij,ijrs->jrs", y, b)
+        # Once mu is so large that the step is lost in round-off, the fit has stalled.
+        stalled = np.array_equal(trial_l, l) and np.array_equal(trial_k, k)
+        trial = evaluate(trial_l, trial_k)
+        # A non-finite trial fails this test and is rejected.
+        if np.sum(trial[2] ** 2) < np.sum(res**2):
+            l, k, (u, v, res) = trial_l, trial_k, trial
+            a, b, jjt = linearize(l, k, u, v)
+            mu /= 3.0
+        else:
+            mu *= 4.0
+        trace.append(float(np.max(np.abs(res))))
+        if trace[-1] <= threshold:
+            # l @ l^T is symmetric only up to round-off.
+            f = PsdFactorization(row_factors=symmat.as_symmetric(u),
+                                 col_factors=symmat.as_symmetric(v))
+            return FitResult(factorization=f, trace=tuple(trace))
+        if stalled:
+            break
+    return FitResult(factorization=None, trace=tuple(trace))

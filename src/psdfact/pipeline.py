@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .factorization import (
-    FitFailure,
     PsdFactorization,
-    alternating_fit,
     congruence,
     diagonal_embed,
+    fit_factorization,
     max_residual,
 )
 from .polytopes import build_slack, builtin_instance
@@ -36,7 +35,7 @@ from . import symmat
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    r: int | None = None  # None: diagonal embedding; otherwise alternating fit
+    r: int | None = None  # None: diagonal embedding; otherwise fit_factorization at side r
     skip_rescale: bool = False
     unbalance: float | None = None  # condition number of an adversarial congruence
     seed: int = 0
@@ -66,7 +65,12 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
         raise PreconditionError(
             f"--unbalance {t:g} makes the congruence numerically singular"
         ) from None
-    return congruence(f, a, a_inv)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return congruence(f, a, a_inv)
+    except PreconditionError:
+        # Entries of A U_i A grow like t and overflow near the float range.
+        raise PreconditionError(f"--unbalance {t:g} overflows the congruent factors") from None
 
 
 def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) -> dict:
@@ -101,18 +105,19 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         f = diagonal_embed(s)
         report["stages"]["factorize"] = {"method": "diagonal_embed", "r": f.side}
     else:
-        fit = alternating_fit(s, cfg.r)
-        if isinstance(fit, FitFailure):
-            report["stages"]["factorize"] = {
-                "method": "alternating_fit",
-                "r": cfg.r,
-                "found": False,
-                "residual": fit.residual,
-            }
+        fit = fit_factorization(s, cfg.r)
+        found = fit.factorization is not None
+        report["stages"]["factorize"] = {
+            "method": "levenberg_marquardt",
+            "r": cfg.r,
+            "found": found,
+            "residual": fit.residual,
+            "steps": fit.steps,
+        }
+        if not found:
             report["verdict"] = "factorization not found"
             return report
-        f = fit
-        report["stages"]["factorize"] = {"method": "alternating_fit", "r": f.side, "found": True}
+        f = fit.factorization
 
     if cfg.unbalance is not None:
         f = _unbalance_congruence(f, cfg.unbalance, cfg.seed)

@@ -107,18 +107,6 @@ class TestPolygon:
         rep = bounds.polygon_params_report(4)
         assert rep.extras["delta_log2_general"] != rep.extras["delta_log2_quadratic"]
 
-    def test_lemma_grid_delta_small_case(self):
-        # Delta = ((n+1) N)^(2n) at n=2, N=4 is 12^4 = 20736
-        rep = bounds.lemma_grid_delta(2, 4)
-        assert rep.extras["exact"] == 20736
-        assert rep.log2_value == pytest.approx(math.log2(20736.0), rel=1e-12)
-
-    def test_lemma_grid_delta_matches_big_integer_through_n12(self):
-        for n in range(1, 13):
-            rep = bounds.lemma_grid_delta(n, 3)
-            exact = math.log2(((n + 1) * 3) ** (2 * n))
-            assert abs(rep.log2_value - exact) <= 1e-12 * max(exact, 1.0)
-
 
 class TestReports:
     def test_every_report_carries_log_base_note(self):
@@ -128,7 +116,6 @@ class TestReports:
             bounds.counting_capacity(4, 2),
             bounds.polygon_bound(16),
             bounds.polygon_params_report(5),
-            bounds.lemma_grid_delta(2, 4),
         ]
         for rep in reps:
             assert any("log2" in a for a in rep.assumptions)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 
 import psdfact
 from psdfact import pipeline, serialize
-from psdfact.cli import DERIVATIVES_MAX_PAIRS, DERIVATIVES_MAX_SIDE, build_parser, main
-from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, FitConfig, diagonal_embed
+from psdfact.cli import DERIVATIVES_MAX_COST, build_parser, main
+from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
 from psdfact.rescaling import RescaleConfig, rescale
@@ -171,17 +172,26 @@ class TestFactAndRescale:
         code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "1"], capsys)
         assert code == 0
         assert rep["found"] is True
+        assert rep["residual"] <= VERIFY_TOL and rep["steps"] >= 1
+
+    def test_fit_not_found_reports_residual_and_steps(self, tmp_path, capsys):
+        # No side-1 PSD factorization of the 2 x 2 identity exists.
+        slack = tmp_path / "s.json"
+        slack.write_text(json.dumps({"entries": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "1"], capsys)
+        assert code == 1
+        assert rep["found"] is False
+        assert rep["residual"] > 0.1 and rep["steps"] >= 1
 
     def test_fit_output_passes_verify(self, tmp_path, capsys):
-        # eig_clip leaves the fitted factors asymmetric by round-off; the
-        # loader refuses such factors, so fit must write exactly symmetric ones.
-        # Verified at the tolerance the fit ran at, fit's default --tol.
+        # The loader refuses factors that are not exactly symmetric, so fit
+        # must write exactly symmetric ones.
         slack, fact = tmp_path / "s.json", tmp_path / "f.json"
-        assert main(["slack", "build", "--instance", "point", "--n", "1",
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
                      "--out", str(slack)]) == 0
         assert main(["fact", "fit", "--slack", str(slack), "--r", "3", "--out", str(fact)]) == 0
-        code, rep = run_cli(["fact", "verify", "--slack", str(slack), "--fact", str(fact),
-                             "--tol", str(FitConfig().tol)], capsys)
+        code, rep = run_cli(["fact", "verify", "--slack", str(slack), "--fact", str(fact)],
+                            capsys)
         assert code == 0
         assert rep["passed"] is True
 
@@ -306,7 +316,6 @@ class TestDefaults:
 
     CASES = {
         "fact-verify-tol": (["fact", "verify", "--slack", "s", "--fact", "f"], "tol", VERIFY_TOL),
-        "fact-fit-tol": (["fact", "fit", "--slack", "s", "--r", "2"], "tol", FitConfig().tol),
         "rescale-run-tol": (["rescale", "run", "--slack", "s", "--fact", "f"], "tol",
                             RescaleConfig().tol),
         "rescale-run-max-iters": (["rescale", "run", "--slack", "s", "--fact", "f"], "max_iters",
@@ -357,8 +366,6 @@ class TestBadArguments:
         "pairs-neg": (["check", "derivatives", "--pairs", "-1"], "pairs"),
         "verify-tol-nan": (VERIFY + ["--tol", "nan"], "tol"),
         "verify-tol-neg": (VERIFY + ["--tol", "-1"], "tol"),
-        "fit-tol-nan": (FIT + ["--tol", "nan"], "tol"),
-        "fit-tol-neg": (FIT + ["--tol", "-1"], "tol"),
         "pipeline-not-01": (["pipeline", "--instance", "moment_polygon", "--n", "5"],
                             "instance"),
         "slack-build-polygon-257": (["slack", "build", "--instance", "moment_polygon",
@@ -394,14 +401,16 @@ class TestBadArguments:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert flag in captured.err
 
-    # case: (argv without the size, its limit, the flag the error names)
+    # case: (argv without the size, its limit, the flag the error names).
+    # check derivatives costs --pairs * (--side + 40)^3; at one pair the side
+    # reaches 960, and at side 1 the pairs reach DERIVATIVES_MAX_COST // 41^3.
     LIMITS = {
-        "side": (["check", "derivatives", "--pairs", "1", "--side"], DERIVATIVES_MAX_SIDE,
-                 "--side"),
+        "side": (["check", "derivatives", "--pairs", "1", "--side"],
+                 round(DERIVATIVES_MAX_COST ** (1 / 3)) - 40, "--side"),
         "fit-r": (["fact", "fit", "--slack", "{slack}", "--r"], FIT_MAX_SIDE, "--r"),
         "pipeline-r": (["pipeline", "--instance", "cube", "--r"], FIT_MAX_SIDE, "--r"),
-        "pairs": (["check", "derivatives", "--side", "1", "--pairs"], DERIVATIVES_MAX_PAIRS,
-                  "--pairs"),
+        "pairs": (["check", "derivatives", "--side", "1", "--pairs"],
+                  DERIVATIVES_MAX_COST // 41**3, "--pairs"),
     }
 
     @pytest.mark.parametrize("case", sorted(LIMITS))
@@ -424,6 +433,24 @@ class TestBadArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and flag in captured.err
+
+    def test_derivatives_cost_refused_before_any_draw(self, monkeypatch, capsys):
+        # Each size is small enough alone; together they would run for minutes.
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        assert main(["check", "derivatives", "--side", "200", "--pairs", "10000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--side" in captured.err and "--pairs" in captured.err
+
+    @pytest.mark.parametrize("argv", [[], ["--side", "200", "--pairs", "1"]],
+                             ids=["defaults", "side-200"])
+    def test_derivatives_within_cost_run(self, argv, capsys):
+        assert main(["check", "derivatives"] + argv) == 0
+        capsys.readouterr()
 
     def test_pipeline_refuses_its_dimension_before_building(self, monkeypatch, capsys):
         def no_instance(*args):
@@ -542,6 +569,44 @@ class TestPipeline:
         assert rep["verdict"] != "match"
         assert rep["stages"]["round"]["warm_budget_ok"] is False
         assert rep["stages"]["round"]["error_bound_ok"] is False
+
+    def test_overflowing_unbalance_exits_2_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["pipeline", "--instance", "cube", "--n", "1", "--unbalance", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--unbalance" in captured.err
+
+    # (instance, n, r): fits that are not diagonal embeddings, from factor
+    # sides 3 to 6, run through rescale, round and reconstruct.
+    FITTED = [("cube", 2, 3), ("cube", 2, 4), ("simplex", 2, 3), ("simplex", 3, 4),
+              ("crosspoly_01", 3, 4), ("cube", 3, 5), ("cube", 3, 6), ("crosspoly_01", 3, 5),
+              ("cube", 3, 4)]
+
+    @pytest.mark.parametrize("unbalance", [[], ["--unbalance", "1e4", "--seed", "0"],
+                                           ["--unbalance", "1e4", "--seed", "1"],
+                                           ["--unbalance", "1e4", "--seed", "2"]],
+                             ids=["plain", "unbalanced-0", "unbalanced-1", "unbalanced-2"])
+    @pytest.mark.parametrize("instance,n,r", FITTED)
+    def test_fitted_factorization_matches(self, instance, n, r, unbalance, capsys):
+        code, rep = run_cli(["pipeline", "--instance", instance, "--n", str(n),
+                             "--r", str(r)] + unbalance, capsys)
+        factorize = rep["stages"]["factorize"]
+        assert factorize["method"] == "levenberg_marquardt" and factorize["found"] is True
+        assert factorize["residual"] <= VERIFY_TOL and factorize["steps"] >= 1
+        assert rep["stages"]["rescale"]["certificate"] is True
+        assert rep["verdict"] == "match" and code == 0
+
+    def test_fit_not_found_reports_residual_and_steps(self, capsys):
+        # The unit square has PSD rank 3 > 1.
+        code, rep = run_cli(["pipeline", "--instance", "cube", "--n", "2", "--r", "1"], capsys)
+        factorize = rep["stages"]["factorize"]
+        assert code == 1 and rep["verdict"] == "factorization not found"
+        assert factorize["found"] is False
+        assert factorize["residual"] > VERIFY_TOL and factorize["steps"] >= 1
+        assert "rescale" not in rep["stages"]
 
     def test_deterministic_reports(self, capsys):
         _, rep1 = run_cli(["pipeline", "--instance", "simplex", "--n", "3"], capsys)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from psdfact.errors import DimensionError, PreconditionError
+from psdfact.errors import DimensionError, PreconditionError, ResourceError
 from psdfact.factorization import (
-    FitConfig,
-    FitFailure,
+    FIT_MAX_ENTRIES,
+    FIT_MAX_STEPS,
+    VERIFY_TOL,
     PsdFactorization,
-    alternating_fit,
     congruence,
     diagonal_embed,
+    fit_factorization,
     max_operator_norm,
     operator_norms,
     potential,
@@ -181,40 +182,57 @@ class TestStackedRepresentation:
 
 
 class TestAlternatingFit:
+    """fit_factorization: Levenberg-Marquardt on square-root factors."""
+
     def test_unit_square_r4_succeeds(self):
         s = unit_square_slack()
-        result = alternating_fit(s, 4)
-        assert isinstance(result, PsdFactorization)
-        rep = verify_factorization(s=s, f=result, tol=FitConfig().tol)
-        assert rep.passed
+        fit = fit_factorization(s, 4)
+        assert isinstance(fit.factorization, PsdFactorization)
+        assert verify_factorization(fit.factorization, s, tol=VERIFY_TOL).passed
+        assert fit.residual <= VERIFY_TOL / 10 * (1 + s.max_entry)
+        assert 0 < fit.steps <= FIT_MAX_STEPS
 
     def test_identity_r1_fails(self):
         s = SlackMatrix.from_entries(np.eye(2))
-        result = alternating_fit(s, 1, FitConfig(sweeps=60))
+        fit = fit_factorization(s, 1)
         # rank-1 PSD factorization of the identity is impossible: with
         # u_i, v_j >= 0 scalars, zeros off the diagonal force a zero row
-        assert isinstance(result, FitFailure)
-        assert result.residual > 0.1
-        assert len(result.trace) == 60
+        assert fit.factorization is None
+        assert fit.residual > 0.1
+        assert 0 < len(fit.trace) <= FIT_MAX_STEPS
+        assert fit.steps == len(fit.trace) and fit.residual == fit.trace[-1]
 
     def test_all_ones_r1_succeeds(self):
         s = SlackMatrix.from_entries(np.ones((3, 3)))
-        result = alternating_fit(s, 1)
-        assert isinstance(result, PsdFactorization)
-        assert verify_factorization(result, s, tol=1e-6).passed
+        fit = fit_factorization(s, 1)
+        assert isinstance(fit.factorization, PsdFactorization)
+        assert verify_factorization(fit.factorization, s).passed
 
     def test_deterministic_under_seed(self):
         s = unit_square_slack()
-        a = alternating_fit(s, 4, FitConfig(seed=9, sweeps=50))
-        b = alternating_fit(s, 4, FitConfig(seed=9, sweeps=50))
-        assert type(a) is type(b)
-        if isinstance(a, PsdFactorization):
-            for ua, ub in zip(a.row_factors, b.row_factors):
-                np.testing.assert_array_equal(ua, ub)
+        a, b = fit_factorization(s, 4, seed=9), fit_factorization(s, 4, seed=9)
+        assert a.trace == b.trace
+        for stack_a, stack_b in ((a.factorization.row_factors, b.factorization.row_factors),
+                                 (a.factorization.col_factors, b.factorization.col_factors)):
+            np.testing.assert_array_equal(stack_a, stack_b)
 
     def test_invalid_side(self):
         with pytest.raises(PreconditionError):
-            alternating_fit(unit_square_slack(), 0)
+            fit_factorization(unit_square_slack(), 0)
+
+    def test_empty_slack_refused(self):
+        with pytest.raises(PreconditionError, match="no entries"):
+            fit_factorization(SlackMatrix.from_entries(np.zeros((1, 0))), 2)
+
+    def test_entry_cap_checked_before_any_draw(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(AssertionError, match="generator"):
+            fit_factorization(SlackMatrix.from_entries(np.ones((32, 32))), 1)
+        with pytest.raises(ResourceError, match=str(FIT_MAX_ENTRIES)):
+            fit_factorization(SlackMatrix.from_entries(np.ones((32, 33))), 1)
 
 
 def raw_unbalanced_cube():
@@ -252,7 +270,8 @@ BUILDERS = {
     "balance_scalar": balanced_reduced,
     "descent_step": descent_winner,
     "rescale": lambda: rescale(*raw_unbalanced_cube()[:2]).factorization,
-    "alternating_fit": lambda: alternating_fit(build_slack(*builtin_instance("point", 1)), 2),
+    "alternating_fit": lambda: fit_factorization(
+        build_slack(*builtin_instance("point", 1)), 2).factorization,
     "factorization_from_json": lambda: factorization_from_json(
         factorization_to_json(diagonal_embed(unit_square_slack()))),
 }
