@@ -1,8 +1,10 @@
 """Command-line entry point binding all modules into pipelines.
 
 Subcommands: slack, fact, rescale, round, reconstruct, check, bounds,
-pipeline.  Every run emits a manifest (command line, seed, version, input
-hashes, wall time) inside its JSON report.  Only ``fact fit``, ``check
+pipeline.  Each handler returns its report and exit code; ``main`` times
+the handler, stamps the report with a manifest (command line, seed,
+version, input hashes, wall time) and writes it as JSON, or as one CSV
+row for ``bounds eval --format csv``.  Only ``fact fit``, ``check
 derivatives`` and ``pipeline`` (for ``--unbalance``) draw random numbers
 and take ``--seed``; every other seed, ``rescale run``'s included, is
 null.  Exit codes: 0 success, 1 verdict failure, 2 precondition error,
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -53,18 +56,16 @@ EXIT_NUMERIC = 3
 DERIVATIVES_MAX_COST = 10**9
 
 
-def _manifest(args, inputs=(), t0=None) -> dict:
-    hashes = {}
-    for path in inputs:
-        if path:
-            hashes[str(path)] = serialize.sha256_file(path)
-    return serialize.RunManifest(
-        command=" ".join(sys.argv[1:]) or args.command,
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        input_hashes=hashes,
-        wall_time_s=0.0 if t0 is None else time.perf_counter() - t0,
-    ).to_json()
+def _manifest(args, t0: float) -> dict:
+    """Command line, seed, version, hashes of the input files and wall time since ``t0``."""
+    paths = (getattr(args, flag, None) for flag in _READERS)
+    return {
+        "command": " ".join(sys.argv[1:]) or args.command,
+        "seed": getattr(args, "seed", None),  # None for commands that draw no random numbers
+        "version": __version__,
+        "input_hashes": {str(path): serialize.sha256_file(path) for path in paths if path},
+        "wall_time_s": time.perf_counter() - t0,
+    }
 
 
 def _write(text: str, args) -> None:
@@ -81,76 +82,66 @@ def _write(text: str, args) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(report: dict, args) -> None:
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args)
+def _bounds_csv(report: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["formula", "inputs", "log2_value", "decimal"])
+    writer.writerow([report["formula"], json.dumps(report["inputs"]),
+                     repr(report["log2_value"]), report["decimal"]])
+    return buf.getvalue()
 
 
-def _load_slack(path):
-    return serialize.slack_from_json(serialize.load_json(path))
+def _polytope_with_points(obj):
+    h, v = serialize.polytope_from_json(obj)
+    if v is None:
+        raise PreconditionError("polytope file carries no points")
+    return h, v
 
 
-def _load_fact(path):
-    return serialize.factorization_from_json(serialize.load_json(path))
+# Each input-file flag and the reader of its JSON.
+_READERS = {
+    "file": _polytope_with_points,
+    "slack": serialize.slack_from_json,
+    "fact": serialize.factorization_from_json,
+    "system": serialize.system_from_json,
+}
 
 
-def _instance_or_file(args):
-    if getattr(args, "file", None):
-        h, v = serialize.polytope_from_json(serialize.load_json(args.file))
-        if v is None:
-            raise PreconditionError("polytope file carries no points")
-        return h, v
-    if not getattr(args, "instance", None):
-        raise PreconditionError("pass --instance NAME or --file polytope.json")
-    return builtin_instance(args.instance, args.n)
+def _load(args, flag: str):
+    """Read the file given to ``--flag``; an error names the flag and the file."""
+    path = getattr(args, flag)
+    try:
+        return _READERS[flag](serialize.load_json(path))
+    except PreconditionError as exc:
+        raise type(exc)(f"--{flag} {path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns its report and exit code.
 
 
-def _cmd_slack_build(args) -> int:
-    t0 = time.perf_counter()
-    h, v = _instance_or_file(args)
-    s = build_slack(h, v)
-    report = serialize.slack_to_json(s)
-    report["manifest"] = _manifest(args, [getattr(args, "file", None)], t0)
-    _emit(report, args)
-    return EXIT_OK
+def _cmd_slack_build(args):
+    if args.file:
+        h, v = _load(args, "file")
+    elif args.instance:
+        h, v = builtin_instance(args.instance, args.n)
+    else:
+        raise PreconditionError("pass --instance NAME or --file polytope.json")
+    return serialize.slack_to_json(build_slack(h, v)), EXIT_OK
 
 
-def _cmd_fact_verify(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_slack(args.slack)
-    f = _load_fact(args.fact)
-    rep = verify_factorization(f, s, args.tol)
-    report = {
-        "passed": rep.passed,
-        "max_abs_residual": rep.max_abs_residual,
-        "residual_location": list(rep.residual_location),
-        "lmax_u": rep.lmax_u,
-        "lmax_v": rep.lmax_v,
-        "potential": rep.potential,
-        "tol": rep.tol,
-        "manifest": _manifest(args, [args.slack, args.fact], t0),
-    }
-    _emit(report, args)
-    return EXIT_OK if rep.passed else EXIT_VERDICT
+def _cmd_fact_verify(args):
+    s = _load(args, "slack")
+    rep = verify_factorization(_load(args, "fact"), s, args.tol)
+    return dataclasses.asdict(rep), EXIT_OK if rep.passed else EXIT_VERDICT
 
 
-def _cmd_fact_embed(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_slack(args.slack)
-    f = diagonal_embed(s)
-    report = serialize.factorization_to_json(f)
-    report["manifest"] = _manifest(args, [args.slack], t0)
-    _emit(report, args)
-    return EXIT_OK
+def _cmd_fact_embed(args):
+    return serialize.factorization_to_json(diagonal_embed(_load(args, "slack"))), EXIT_OK
 
 
-def _cmd_fact_fit(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_slack(args.slack)
-    fit = fit_factorization(s, args.r, seed=args.seed)
+def _cmd_fact_fit(args):
+    fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
     if fit.factorization is None:
         report = {
             "found": False,
@@ -161,15 +152,12 @@ def _cmd_fact_fit(args) -> int:
         report["found"] = True
     report["residual"] = fit.residual
     report["steps"] = fit.steps
-    report["manifest"] = _manifest(args, [args.slack], t0)
-    _emit(report, args)
-    return EXIT_OK if fit.factorization is not None else EXIT_VERDICT
+    return report, EXIT_OK if fit.factorization is not None else EXIT_VERDICT
 
 
-def _cmd_rescale_run(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_slack(args.slack)
-    f = _load_fact(args.fact)
+def _cmd_rescale_run(args):
+    s = _load(args, "slack")
+    f = _load(args, "fact")
     cfg = RescaleConfig(tol=args.tol, max_iters=args.max_iters)
     res = rescale(f, s, cfg)
     report = {
@@ -183,9 +171,7 @@ def _cmd_rescale_run(args) -> int:
         "transform_pinv": serialize.matrix_to_json(res.transform_pinv),
         "factorization": serialize.factorization_to_json(res.factorization),
         "diagnostics": res.diagnostics,
-        "manifest": _manifest(args, [args.slack, args.fact], t0),
     }
-    _emit(report, args)
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -196,13 +182,12 @@ def _cmd_rescale_run(args) -> int:
                 zip(res.phi_trajectory, res.lmax_trajectory)
             ):
                 writer.writerow([i, repr(phi), repr(max(lmaxes))])
-    return EXIT_OK if res.certificate else EXIT_VERDICT
+    return report, EXIT_OK if res.certificate else EXIT_VERDICT
 
 
-def _cmd_round_run(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_slack(args.slack)
-    f = _load_fact(args.fact)
+def _cmd_round_run(args):
+    s = _load(args, "slack")
+    f = _load(args, "fact")
     if s.h is None:
         raise PreconditionError("slack file lacks polytope provenance needed for rounding")
     h = s.h
@@ -228,14 +213,11 @@ def _cmd_round_run(args) -> int:
         }
         for err, u in zip(system.error_fnorm, system.factors)
     ]
-    report["manifest"] = _manifest(args, [args.slack, args.fact], t0)
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_reconstruct(args) -> int:
-    t0 = time.perf_counter()
-    system = serialize.system_from_json(serialize.load_json(args.system))
+def _cmd_reconstruct(args):
+    system = _load(args, "system")
     if args.n != system.a.shape[1]:
         raise PreconditionError(
             f"--n {args.n} disagrees with the system's dimension {system.a.shape[1]}"
@@ -243,13 +225,10 @@ def _cmd_reconstruct(args) -> int:
     recon = reconstruct(system, args.n)
     report = recon.to_json()
     report["complete"] = recon.complete
-    report["manifest"] = _manifest(args, [args.system], t0)
-    _emit(report, args)
-    return EXIT_OK if recon.complete else EXIT_VERDICT
+    return report, EXIT_OK if recon.complete else EXIT_VERDICT
 
 
-def _cmd_check_derivatives(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_check_derivatives(args):
     if args.side < 1:
         raise PreconditionError(f"--side must be at least 1, got {args.side}")
     if args.pairs < 1:
@@ -294,10 +273,8 @@ def _cmd_check_derivatives(args) -> int:
         "pairs": args.pairs,
         "worst_deviation": worst,
         "passed": passed,
-        "manifest": _manifest(args, t0=t0),
     }
-    _emit(report, args)
-    return EXIT_OK if passed else EXIT_VERDICT
+    return report, EXIT_OK if passed else EXIT_VERDICT
 
 
 def _random_gapped_psd(rng, side, gap):
@@ -309,42 +286,20 @@ def _random_gapped_psd(rng, side, gap):
     return symmat.as_symmetric((q * lam) @ q.T)
 
 
-def _cmd_bounds_eval(args) -> int:
-    t0 = time.perf_counter()
-    if args.formula == "xc01":
-        rep = bounds.xc01_lower_bound(args.n)
-    elif args.formula == "coeff":
-        rep = bounds.worst_case_coeff_bound(args.n)
-    elif args.formula == "counting":
-        rep = bounds.counting_capacity(args.n, args.R)
-    elif args.formula == "polygon":
-        rep = bounds.polygon_bound(args.d)
-    elif args.formula == "polygon-params":
-        rep = bounds.polygon_params_report(args.d)
-    else:
-        raise PreconditionError(f"unknown formula {args.formula!r}")
-    report = {
-        "formula": rep.formula,
-        "inputs": rep.inputs,
-        "log2_value": rep.log2_value,
-        "decimal": rep.decimal,
-        "assumptions": list(rep.assumptions),
-        "extras": rep.extras,
-        "manifest": _manifest(args, t0=t0),
-    }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["formula", "inputs", "log2_value", "decimal"])
-        writer.writerow([rep.formula, json.dumps(rep.inputs), repr(rep.log2_value), rep.decimal])
-        _write(buf.getvalue(), args)
-    else:
-        _emit(report, args)
-    return EXIT_OK
+FORMULAS = {
+    "xc01": lambda args: bounds.xc01_lower_bound(args.n),
+    "coeff": lambda args: bounds.worst_case_coeff_bound(args.n),
+    "counting": lambda args: bounds.counting_capacity(args.n, args.R),
+    "polygon": lambda args: bounds.polygon_bound(args.d),
+    "polygon-params": lambda args: bounds.polygon_params_report(args.d),
+}
 
 
-def _cmd_pipeline(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bounds_eval(args):
+    return dataclasses.asdict(FORMULAS[args.formula](args)), EXIT_OK
+
+
+def _cmd_pipeline(args):
     cfg = PipelineConfig(
         r=args.r,
         skip_rescale=args.skip_rescale,
@@ -353,9 +308,7 @@ def _cmd_pipeline(args) -> int:
         rescale_cfg=RescaleConfig(tol=args.tol),
     )
     report = run_pipeline(args.instance, args.n, cfg)
-    report["manifest"] = _manifest(args, t0=t0)
-    _emit(report, args)
-    return EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
+    return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound calculators")
     bsub = p.add_subparsers(dest="subcommand", required=True)
     be = bsub.add_parser("eval")
-    be.add_argument("--formula", required=True,
-                    choices=("xc01", "coeff", "counting", "polygon", "polygon-params"))
+    be.add_argument("--formula", required=True, choices=tuple(FORMULAS))
     be.add_argument("--n", type=int, default=2)
     be.add_argument("--R", type=int, default=1)
     be.add_argument("--d", type=int, default=4)
@@ -486,13 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # numpy's generators take non-negative seeds only.
         if getattr(args, "seed", 0) < 0:
             raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        t0 = time.perf_counter()
+        report, code = args.func(args)
+        if getattr(args, "format", "json") == "csv":
+            text = _bounds_csv(report)
+        else:
+            report["manifest"] = _manifest(args, t0)
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _write(text, args)
+        return code
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -16,11 +16,13 @@ import numpy as np
 
 from .errors import PreconditionError
 from .factorization import (
+    VERIFY_TOL,
     PsdFactorization,
     congruence,
     diagonal_embed,
     fit_factorization,
     max_residual,
+    residual_budget,
 )
 from .polytopes import build_slack, builtin_instance
 from .rescaling import RescaleConfig, rescale
@@ -78,7 +80,9 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
 
     The reconstruction sweeps {0,1}^n, so a dimension above 4 is refused
     before the instance is built, and an instance whose vertices are not
-    all 0/1 points is refused with PreconditionError.
+    all 0/1 points is refused with PreconditionError.  So is an
+    ``unbalance`` congruence after which the factorization misses the
+    slack matrix by more than ``residual_budget(s, VERIFY_TOL)``.
     """
     # n is the dimension of every builtin but moment_polygon, whose n
     # counts the vertices of a polygon.
@@ -121,8 +125,16 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
 
     if cfg.unbalance is not None:
         f = _unbalance_congruence(f, cfg.unbalance, cfg.seed)
+        residual = max_residual(f, s)[0]
+        budget = residual_budget(s, VERIFY_TOL)
+        # Written so that a NaN residual fails the check.
+        if not residual <= budget:
+            raise PreconditionError(
+                f"--unbalance {cfg.unbalance:g} loses the slack matrix to round-off "
+                f"(max residual {residual:.3g} above {budget:.3g})"
+            )
         report["stages"]["factorize"]["unbalanced"] = True
-        report["stages"]["factorize"]["residual_after_unbalance"] = max_residual(f, s)[0]
+        report["stages"]["factorize"]["residual_after_unbalance"] = residual
 
     if cfg.skip_rescale:
         working = f

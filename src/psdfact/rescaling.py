@@ -49,6 +49,7 @@ measuring again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -450,8 +451,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
 
     reduced, o, sigma, means = reduce_to_common_space(f)
     d = o.shape[1]
+    # In Python floats, which overflow to inf without a warning.
     target_phi = d * delta * (1.0 + cfg.tol)
-    target_lmax = np.sqrt(d * delta) * (1.0 + cfg.tol)
+    target_lmax = math.sqrt(d * delta) * (1.0 + cfg.tol)
+    if not math.isfinite(target_phi) or not math.isfinite(target_lmax):
+        raise PreconditionError(
+            f"tol {cfg.tol!r} overflows the certificate bound sqrt(d * Delta) * (1 + tol)"
+        )
 
     # The start: a congruence P = rt^T diag(sv) rt of the reduced
     # factorization, the factorization fw it gives and fw's top norms

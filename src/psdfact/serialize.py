@@ -1,14 +1,13 @@
 """JSON interchange for matrices, polytopes, factorizations.
 
-Every CLI run emits a manifest with the command line, seed, package
-version and input hashes so results can be reproduced bit for bit.
+``sha256_file`` gives the input hashes that the CLI's run manifest
+records, so results can be reproduced bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,26 +190,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record attached to every CLI report."""
-
-    command: str
-    seed: int | None  # None for commands that draw no random numbers
-    version: str
-    input_hashes: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "version": self.version,
-            "input_hashes": dict(self.input_hashes),
-            "wall_time_s": self.wall_time_s,
-        }
-
-
 def load_json(path):
     """Parse a JSON file; an unreadable or malformed file raises PreconditionError."""
     try:
@@ -219,4 +198,4 @@ def load_json(path):
     except OSError as exc:
         raise PreconditionError(f"cannot read JSON file: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"{path} is not valid JSON: {exc}") from None
+        raise PreconditionError(f"not valid JSON: {exc}") from None

@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ import pytest
 
 import psdfact
 from psdfact import pipeline, serialize
-from psdfact.cli import DERIVATIVES_MAX_COST, build_parser, main
+from psdfact.cli import DERIVATIVES_MAX_COST, FORMULAS, build_parser, main
 from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import build_slack, builtin_instance
@@ -211,22 +213,24 @@ class TestLoaderErrors:
         return {"slack": slack, "fact": fact, "truncated": truncated,
                 "missing": tmp_path / "missing.json"}
 
+    # loader: (argv, a file of the wrong kind, the flag the error names)
     COMMANDS = {
-        "slack": (["fact", "embed", "--slack", "{bad}"], "fact"),
-        "fact": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "slack"),
-        "system": (["reconstruct", "--system", "{bad}", "--n", "2"], "slack"),
-        "polytope": (["slack", "build", "--file", "{bad}"], "fact"),
+        "slack": (["fact", "embed", "--slack", "{bad}"], "fact", "--slack"),
+        "fact": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "slack", "--fact"),
+        "system": (["reconstruct", "--system", "{bad}", "--n", "2"], "slack", "--system"),
+        "polytope": (["slack", "build", "--file", "{bad}"], "fact", "--file"),
     }
 
     @pytest.mark.parametrize("loader", sorted(COMMANDS))
     @pytest.mark.parametrize("defect", ["missing", "truncated", "wrong-kind"])
     def test_bad_file_exits_2(self, files, loader, defect, capsys):
-        argv, wrong_kind = self.COMMANDS[loader]
+        argv, wrong_kind, flag = self.COMMANDS[loader]
         bad = files[wrong_kind if defect == "wrong-kind" else defect]
         code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith(f"error: {flag} {bad}: ")
 
     @pytest.fixture()
     def non_psd_fact(self, files, tmp_path):
@@ -388,14 +392,25 @@ class TestBadArguments:
         "slack-build-cube-301-digits": (["slack", "build", "--instance", "cube",
                                          "--n", str(10**300)], "--n"),
         "pairs-301-digits": (["check", "derivatives", "--pairs", str(10**300)], "--pairs"),
+        # A 1e5 congruence loses the products of every builtin but point.
+        "unbalance-1e5": (["pipeline", "--instance", "cube", "--n", "2", "--unbalance", "1e5"],
+                          "--unbalance"),
+        "unbalance-1e5-skip-rescale": (["pipeline", "--instance", "cube", "--n", "2",
+                                        "--unbalance", "1e5", "--skip-rescale"], "--unbalance"),
+        "rescale-tol-1e308": (RESCALE + ["--tol", "1e308"], "tol"),
+        "pipeline-tol-1e308": (["pipeline", "--instance", "cube", "--n", "2", "--tol", "1e308"],
+                               "tol"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
     def test_exits_2(self, files, case, capsys):
         argv, flag = self.COMMANDS[case]
         capsys.readouterr()
-        code = main([a.format(**files) for a in argv])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([a.format(**files) for a in argv])
         captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
@@ -481,6 +496,116 @@ class TestBadArguments:
             main(argv + ["--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def leaf_parsers(parser, words=()):
+    """(subcommand words, parser) of every runnable subcommand under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_parsers(sub, words + (name,))
+            return
+    yield words, parser
+
+
+class TestBadInputSweep:
+    """Every option that takes a value, fed bad values, ends at a documented exit code."""
+
+    # The valid runs each bad value is put into, one list per subcommand;
+    # bounds eval runs every formula, so each reads its own inputs.
+    BASE = {
+        ("slack", "build"): [["--instance", "cube"]],
+        ("fact", "verify"): [["--slack", "{slack}", "--fact", "{fact}"]],
+        ("fact", "embed"): [["--slack", "{slack}"]],
+        ("fact", "fit"): [["--slack", "{slack}", "--r", "3"]],
+        ("rescale", "run"): [["--slack", "{slack}", "--fact", "{fact}"]],
+        ("round", "run"): [["--slack", "{slack}", "--fact", "{fact}"]],
+        ("reconstruct",): [["--system", "{system}", "--n", "2"]],
+        ("check", "derivatives"): [["--pairs", "1"]],
+        ("bounds", "eval"): [["--formula", name] for name in FORMULAS],
+        ("pipeline",): [["--instance", "cube"]],
+    }
+    FILE_FLAGS = {"--file": "polytope", "--slack": "slack", "--fact": "fact",
+                  "--system": "system"}
+    VALUES = ["0", "-1", "nan", "inf", "1e308", "1" + "0" * 300, "abc", ""]
+
+    # Every option that takes a value but names an output file.
+    CASES = [
+        (words, action.option_strings[0])
+        for words, parser in leaf_parsers(build_parser())
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+        and action.option_strings[0] not in ("--out", "--report", "--trace")
+    ]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("sweep")
+        paths = {kind: tmp / f"{kind}.json" for kind in self.FILE_FLAGS.values()}
+        paths["polytope"].write_text(json.dumps(
+            serialize.polytope_to_json(*builtin_instance("cube", 2))))
+        assert main(["slack", "build", "--file", str(paths["polytope"]),
+                     "--out", str(paths["slack"])]) == 0
+        assert main(["fact", "embed", "--slack", str(paths["slack"]),
+                     "--out", str(paths["fact"])]) == 0
+        assert main(["round", "run", "--slack", str(paths["slack"]), "--fact", str(paths["fact"]),
+                     "--out", str(paths["system"])]) == 0
+        paths["missing"] = tmp / "missing.json"
+        return paths
+
+    def test_every_subcommand_has_a_base_run(self):
+        assert sorted(words for words, _ in leaf_parsers(build_parser())) == sorted(self.BASE)
+
+    @pytest.mark.parametrize("words,flag", CASES,
+                             ids=[" ".join(words) + " " + flag for words, flag in CASES])
+    def test_bad_values(self, files, words, flag, capsys):
+        values = self.VALUES + [str(files["missing"])] + [
+            str(files[kind]) for kind in self.FILE_FLAGS.values()
+            if kind != self.FILE_FLAGS.get(flag)]
+        capsys.readouterr()
+        failures = []
+        for base in self.BASE[words]:
+            base = [a.format(**files) for a in base]
+            for value in values:
+                argv = list(words) + base
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv += [flag, value]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # the parser refused the value
+                        code = exc.code
+                    except Exception as exc:
+                        code = f"raised {exc!r}"
+                err = capsys.readouterr().err
+                if caught:
+                    failures.append((argv, f"warned {caught[0].message}"))
+                elif code not in (0, 1, 2, 3):
+                    failures.append((argv, code))
+                elif "Traceback" in err or "Warning" in err:
+                    failures.append((argv, err))
+                elif code == 2 and flag in self.FILE_FLAGS and flag not in err.splitlines()[-1]:
+                    failures.append((argv, err))
+        assert failures == []
+
+
+class TestManifest:
+    def test_fields(self, tmp_path, capsys):
+        slack = tmp_path / "slack.json"
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "3", "--seed", "7"],
+                            capsys)
+        assert code == 0
+        manifest = rep["manifest"]
+        assert manifest["seed"] == 7
+        assert manifest["version"] == psdfact.__version__
+        (digest,) = manifest["input_hashes"].values()
+        assert re.fullmatch("[0-9a-f]{64}", digest)
+        assert manifest["wall_time_s"] >= 0
 
 
 class TestRoundReconstruct:

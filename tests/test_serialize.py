@@ -73,20 +73,6 @@ class TestSlackAndFactorization:
 
 
 class TestManifest:
-    def test_fields(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text("{}")
-        m = serialize.RunManifest(
-            command="slack build",
-            seed=7,
-            version="0.1.0",
-            input_hashes={"x.json": serialize.sha256_file(p)},
-            wall_time_s=0.25,
-        )
-        obj = m.to_json()
-        assert obj["seed"] == 7
-        assert len(obj["input_hashes"]["x.json"]) == 64
-
     def test_hash_stable(self, tmp_path):
         p = tmp_path / "y.bin"
         p.write_bytes(b"abc123")
