@@ -35,7 +35,7 @@ from .factorization import (
     verify_factorization,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .polytopes import BUILTIN_MAX_N, build_slack, builtin_instance
+from .polytopes import BUILTIN_MAX_N, BUILTIN_NAMES, build_slack, builtin_instance
 from .rescaling import RescaleConfig, rescale
 from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct
 from . import symmat
@@ -56,11 +56,11 @@ EXIT_NUMERIC = 3
 DERIVATIVES_MAX_COST = 10**9
 
 
-def _manifest(args, t0: float) -> dict:
-    """Command line, seed, version, hashes of the input files and wall time since ``t0``."""
+def _manifest(args, argv: list[str], t0: float) -> dict:
+    """Command line ``argv``, seed, version, hashes of the input files and wall time since ``t0``."""
     paths = (getattr(args, flag, None) for flag in _READERS)
     return {
-        "command": " ".join(sys.argv[1:]) or args.command,
+        "command": " ".join(argv),
         "seed": getattr(args, "seed", None),  # None for commands that draw no random numbers
         "version": __version__,
         "input_hashes": {str(path): serialize.sha256_file(path) for path in paths if path},
@@ -68,10 +68,19 @@ def _manifest(args, t0: float) -> dict:
     }
 
 
+def _open_out(args, flag: str):
+    """Open the file given to ``--flag`` for writing; an error names the flag and the file."""
+    path = getattr(args, flag)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise PreconditionError(f"--{flag} {path}: {exc.strerror or exc}") from None
+
+
 def _write(text: str, args) -> None:
     """Write to ``--out`` or standard output; a reader that closed early ends output quietly."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with _open_out(args, "out") as fh:
             fh.write(text)
         return
     try:
@@ -116,6 +125,15 @@ def _load(args, flag: str):
         raise type(exc)(f"--{flag} {path}: {exc}") from None
 
 
+def _instance(args) -> str:
+    """The name given to ``--instance``; an unknown one is refused with the flag named."""
+    if args.instance not in BUILTIN_NAMES:
+        raise PreconditionError(
+            f"--instance {args.instance!r}: unknown; choose from {', '.join(BUILTIN_NAMES)}"
+        )
+    return args.instance
+
+
 # --------------------------------------------------------------------------
 # Subcommand handlers: each returns its report and exit code.
 
@@ -124,7 +142,7 @@ def _cmd_slack_build(args):
     if args.file:
         h, v = _load(args, "file")
     elif args.instance:
-        h, v = builtin_instance(args.instance, args.n)
+        h, v = builtin_instance(_instance(args), args.n)
     else:
         raise PreconditionError("pass --instance NAME or --file polytope.json")
     return serialize.slack_to_json(build_slack(h, v)), EXIT_OK
@@ -173,7 +191,7 @@ def _cmd_rescale_run(args):
         "diagnostics": res.diagnostics,
     }
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
+        with _open_out(args, "trace") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "phi", "lmax"])
             # The loop re-balances before recording, so lmax_u == lmax_v up
@@ -265,7 +283,7 @@ def _cmd_check_derivatives(args):
     header = ["pair", "gap", "additive_analytic", "additive_fd", "additive_dev",
               "congruence_analytic", "congruence_fd", "congruence_dev", "tol", "pass"]
     if args.report:
-        with open(args.report, "w", newline="") as fh:
+        with _open_out(args, "report") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -307,12 +325,15 @@ def _cmd_pipeline(args):
         seed=args.seed,
         rescale_cfg=RescaleConfig(tol=args.tol),
     )
-    report = run_pipeline(args.instance, args.n, cfg)
+    report = run_pipeline(_instance(args), args.n, cfg)
     return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
 
 
 # --------------------------------------------------------------------------
 # Parser
+
+
+INSTANCE_HELP = "builtin polytope: " + ", ".join(BUILTIN_NAMES)
 
 
 def _add_common(p, tol=None, seed=False):
@@ -333,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slack", help="build slack matrices")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     b = ssub.add_parser("build")
-    b.add_argument("--instance")
+    b.add_argument("--instance", help=INSTANCE_HELP)
     b.add_argument(
         "--n", type=int, default=2,
         help="size of the builtin, its dimension or moment_polygon's vertex count: at most "
@@ -419,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.set_defaults(func=_cmd_bounds_eval)
 
     p = sub.add_parser("pipeline", help="full slack->reconstruct pipeline")
-    p.add_argument("--instance", required=True)
+    p.add_argument("--instance", required=True, help=INSTANCE_HELP)
     p.add_argument("--n", type=int, default=2,
                    help="dimension of the builtin, 1 to 4 (the sweep covers {0,1}^n)")
     p.add_argument("--r", type=int,
@@ -438,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
         # numpy's generators take non-negative seeds only.
@@ -448,7 +470,7 @@ def main(argv=None) -> int:
         if getattr(args, "format", "json") == "csv":
             text = _bounds_csv(report)
         else:
-            report["manifest"] = _manifest(args, t0)
+            report["manifest"] = _manifest(args, argv, t0)
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         _write(text, args)
         return code

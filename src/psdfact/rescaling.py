@@ -29,14 +29,16 @@ only when it lowers phi: on some inputs phi is higher at the mean than at
 the input, and the loop then starts from the input.
 
 The prologue measures every stack once: the input gate checks only the
-residual, the reduction averages each side once, finds the common space
-from two eigendecompositions and sigma from one batched eigvalsh of the
-reduced averages, one measurement of the reduced factorization's top
-norms gives tau, and one of the mean start's gives its potential; each
-measurement of a factorization is one eigvalsh of both sides.  The top
-norms of a factorization balanced by a scalar are both the square root
-of its potential, so the factors of the start are measured one by one
-only when the loop runs.  The loop keeps the
+residual, the reduction averages each side once and takes one batched
+eigvalsh of the two averages.  When both are nonsingular the common
+space is R^r and that spectrum gives sigma; only otherwise do two
+eigendecompositions find the common space and one more eigvalsh of the
+reduced averages give sigma.  One measurement of the reduced
+factorization's top norms gives tau, and one of the mean start's gives
+its potential; each measurement of a factorization is one eigvalsh of
+both sides.  The top norms of a factorization balanced by a scalar are
+both the square root of its potential, so the factors of the start are
+measured one by one only when the loop runs.  The loop keeps the
 balanced winner of each line search, the operator norms of its factors
 (measured once per step and shared by the direction, the line search and
 the trajectory) and M, the start times the product of the accepted
@@ -233,11 +235,23 @@ def reduce_to_common_space(
     (``symmat.IMAGE_TOL``), so an ill-conditioned congruence of the input
     keeps the directions of its common space.  Dimension zero (all-zero
     products) yields empty factors and sigma = 0.
+
+    One eigvalsh of both averages comes first.  When each average's least
+    eigenvalue exceeds IMAGE_TOL times its largest, both are nonsingular,
+    W = R^r and O = I: the factors come back symmetrized, the averages
+    are the reduced averages and sigma is read from that spectrum, with no
+    eigendecomposition.  Otherwise the construction above runs, and one
+    more eigvalsh of the reduced averages gives sigma.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
     bars = symmat.as_symmetric(np.stack([f.row_factors.sum(axis=0) / f.n_rows,
                                          f.col_factors.sum(axis=0) / f.n_cols]))
+    lam = np.linalg.eigvalsh(bars)
+    if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
+        rows, cols = (symmat.as_symmetric(side) for side in (f.row_factors, f.col_factors))
+        reduced = PsdFactorization(row_factors=rows, col_factors=cols)
+        return reduced, np.eye(f.side), float(lam[:, 0].min()), bars
     b = symmat.image_basis(bars[0])
     o = b @ symmat.image_basis(b.T @ bars[1] @ b)
     rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))

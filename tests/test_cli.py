@@ -155,9 +155,10 @@ class TestFactAndRescale:
         # The cube certifies at the mean start; the two-row input takes loop steps.
         for (f, s), loop in ((cube, False), (loop_from_input(), True)):
             slack, fact = self.write_inputs(tmp_path, f, s)
+            # One --out path, so the manifest's command line is the same too.
+            out = tmp_path / "res.json"
             texts = []
-            for k in range(2):
-                out = tmp_path / f"res{k}.json"
+            for _ in range(2):
                 assert main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
                              "--out", str(out)]) == 0
                 texts.append(out.read_text())
@@ -508,6 +509,10 @@ def leaf_parsers(parser, words=()):
     yield words, parser
 
 
+# Options that name a file the command writes.
+OUTPUT_FLAGS = ("--out", "--report", "--trace")
+
+
 class TestBadInputSweep:
     """Every option that takes a value, fed bad values, ends at a documented exit code."""
 
@@ -527,6 +532,8 @@ class TestBadInputSweep:
     }
     FILE_FLAGS = {"--file": "polytope", "--slack": "slack", "--fact": "fact",
                   "--system": "system"}
+    # Flags whose exit-2 line must name them.
+    NAMED_FLAGS = {*FILE_FLAGS, "--instance"}
     VALUES = ["0", "-1", "nan", "inf", "1e308", "1" + "0" * 300, "abc", ""]
 
     # Every option that takes a value but names an output file.
@@ -535,7 +542,13 @@ class TestBadInputSweep:
         for words, parser in leaf_parsers(build_parser())
         for action in parser._actions
         if action.option_strings and action.nargs != 0
-        and action.option_strings[0] not in ("--out", "--report", "--trace")
+        and action.option_strings[0] not in OUTPUT_FLAGS
+    ]
+    OUTPUT_CASES = [
+        (words, action.option_strings[0])
+        for words, parser in leaf_parsers(build_parser())
+        for action in parser._actions
+        if action.option_strings and action.option_strings[0] in OUTPUT_FLAGS
     ]
 
     @pytest.fixture(scope="class")
@@ -587,12 +600,28 @@ class TestBadInputSweep:
                     failures.append((argv, code))
                 elif "Traceback" in err or "Warning" in err:
                     failures.append((argv, err))
-                elif code == 2 and flag in self.FILE_FLAGS and flag not in err.splitlines()[-1]:
+                elif code == 2 and flag in self.NAMED_FLAGS and flag not in err.splitlines()[-1]:
                     failures.append((argv, err))
         assert failures == []
 
+    @pytest.mark.parametrize("words,flag", OUTPUT_CASES,
+                             ids=[" ".join(words) + " " + flag for words, flag in OUTPUT_CASES])
+    def test_unwritable_output_path(self, files, words, flag, capsys):
+        path = str(files["missing"].parent / "no-such-dir" / "x.out")
+        capsys.readouterr()
+        for base in self.BASE[words]:
+            argv = list(words) + [a.format(**files) for a in base] + [flag, path]
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {flag} {path}: ")
+
 
 class TestManifest:
+    def test_command_is_the_argv_given_to_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["prog", "foo"])
+        code, rep = run_cli(["bounds", "eval", "--formula", "coeff"], capsys)
+        assert code == 0
+        assert rep["manifest"]["command"] == "bounds eval --formula coeff"
+
     def test_fields(self, tmp_path, capsys):
         slack = tmp_path / "slack.json"
         assert main(["slack", "build", "--instance", "cube", "--n", "2",

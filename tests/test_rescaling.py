@@ -127,10 +127,11 @@ class TestReduce:
             assert o.shape == ref.shape
             assert np.abs(o @ o.T - ref @ ref.T).max(initial=0.0) <= 1e-12
 
-    @pytest.mark.parametrize("ku, kv", [(4, 3), (3, 4), (2, 2)])
+    @pytest.mark.parametrize("ku, kv", [(4, 3), (3, 4), (2, 2), (6, 4), (4, 6)])
     def test_matches_two_sided_reference_on_partial_images(self, ku, kv):
         # Factors confined to random subspaces of dimensions ku and kv in R^6,
-        # so the common space is a proper subspace that neither image contains.
+        # so the common space is a proper subspace that neither image contains;
+        # at ku or kv = 6 one average is nonsingular and the other is not.
         gen = rng(ku * 10 + kv)
         b_u, b_v = (random_orthogonal(gen, 6)[:, :k] for k in (ku, kv))
         f = PsdFactorization.from_factors(
@@ -150,6 +151,29 @@ class TestReduce:
         np.testing.assert_allclose(reduced.row_factors[0], [[100.0]], atol=1e-12)
         np.testing.assert_allclose(reduced.col_factors[0], [[0.01]], atol=1e-12)
         assert verify_factorization(reduced, s).max_abs_residual <= 1e-12
+
+    @pytest.mark.parametrize("cond", [None, 1e4])
+    def test_nonsingular_averages_take_the_identity_basis(self, cond, monkeypatch):
+        f = diagonal_embed(build_slack(*builtin_instance("cube", 3)))
+        if cond is not None:
+            f = _unbalance_congruence(f, cond, 0)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        reduced, o, sigma, means = reduce_to_common_space(f)
+        assert calls == []
+        assert np.array_equal(o, np.eye(f.side))
+        for got, side in ((reduced.row_factors, f.row_factors),
+                          (reduced.col_factors, f.col_factors)):
+            assert np.array_equal(got, symmat.as_symmetric(side))
+        averages = [symmat.as_symmetric(side.mean(axis=0)) for side in (f.row_factors, f.col_factors)]
+        assert np.array_equal(means, averages)
+        assert sigma == np.linalg.eigvalsh(means)[:, 0].min() > 0.0
 
     def test_full_rank_is_identity_reduction(self):
         s = build_slack(*builtin_instance("cube", 2))
@@ -247,8 +271,9 @@ class TestZeroStep:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         res = rescale(f, s)
         assert res.iterations == 0
-        # The two reduced side averages, the reduced stacks, the result:
-        # both sides of a factorization go through one eigvalsh.
+        # The two side averages, which a nonsingular common space leaves
+        # unreduced, the reduced stacks, the result: both sides of a
+        # factorization go through one eigvalsh.
         assert len(calls) == 3
         # The same, and the stacks of the mean start, whose norms the
         # epilogue reuses.
