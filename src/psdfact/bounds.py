@@ -10,23 +10,26 @@ asymptotics are base-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
+from .record import Record
 
 _LOG_BASE_NOTE = "log = log2 throughout; the asymptotic statements are base-free"
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    formula: str
-    inputs: dict
-    log2_value: float
-    decimal: str | None
-    assumptions: tuple
-    extras: dict = field(default_factory=dict)
+class BoundReport(Record):
+    __slots__ = ("formula", "inputs", "log2_value", "decimal", "assumptions", "extras")
+
+    def __init__(self, formula: str, inputs: dict, log2_value: float, decimal: str | None,
+                 assumptions: tuple, extras: dict | None = None):
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "log2_value", log2_value)
+        object.__setattr__(self, "decimal", decimal)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "extras", {} if extras is None else extras)
 
 
 def _finite(flag: str, compute) -> tuple:
@@ -66,7 +69,7 @@ def _report(formula, inputs, log2_value, assumptions, extras=None) -> BoundRepor
 def xc01_lower_bound(n: int) -> BoundReport:
     """2^(n/4) / (3 n log2 n)^(1/4): the 0/1-polytope lower bound."""
     if n < 2:
-        raise PreconditionError("needs n >= 2")
+        raise PreconditionError("needs n >= 2", arg="n")
     (log2_value,) = _finite("n", lambda: (n / 4.0 - math.log2(3.0 * n * math.log2(n)) / 4.0,))
     return _report(
         "xc01_lower_bound",
@@ -82,7 +85,7 @@ def worst_case_coeff_bound(n: int) -> BoundReport:
     Also reports the comparison against n log2 n, which holds from n = 3 on.
     """
     if n < 1:
-        raise PreconditionError("needs n >= 1")
+        raise PreconditionError("needs n >= 1", arg="n")
     log2_value, rhs = _finite("n", lambda: (
         (n + 1) / 2.0 * math.log2(n + 1),
         n * math.log2(n) if n > 1 else 0.0,
@@ -105,8 +108,10 @@ def counting_capacity(n: int, big_r: int) -> BoundReport:
     Pure calculator: the o(1) exponent correction is dropped and recorded
     as an assumption; Delta is the worst case (n+1)^((n+1)/2).
     """
-    if n < 1 or big_r < 0:
-        raise PreconditionError("needs n >= 1 and R >= 0")
+    if n < 1:
+        raise PreconditionError("needs n >= 1", arg="n")
+    if big_r < 0:
+        raise PreconditionError("needs R >= 0", arg="big_r")
     if n <= 30:
         left = math.log2(2.0 ** (2**n) - 1.0) if 2**n < 1020 else float(2**n)
     else:
@@ -134,7 +139,7 @@ def counting_capacity(n: int, big_r: int) -> BoundReport:
 def polygon_bound(d: int) -> BoundReport:
     """(d / log2 d)^(1/4): the integral-polygon lower bound, constant-free."""
     if d < 3:
-        raise PreconditionError("needs d >= 3")
+        raise PreconditionError("needs d >= 3", arg="d")
     log2_value = (math.log2(d) - math.log2(math.log2(d))) / 4.0
     return _report(
         "polygon_bound",
@@ -144,8 +149,7 @@ def polygon_bound(d: int) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class PolygonParams:
+class PolygonParams(Record):
     """Parameters of the d-gon instance on the parabola.
 
     Two Delta readings coexist in the source material: the general grid
@@ -154,18 +158,22 @@ class PolygonParams:
     silent choice is made.
     """
 
-    d: int
-    n: int
-    big_n: int
-    box: tuple
-    delta_log2_general: float
-    delta_log2_quadratic: float
+    __slots__ = ("d", "n", "big_n", "box", "delta_log2_general", "delta_log2_quadratic")
+
+    def __init__(self, d: int, n: int, big_n: int, box: tuple, delta_log2_general: float,
+                 delta_log2_quadratic: float):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "big_n", big_n)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "delta_log2_general", delta_log2_general)
+        object.__setattr__(self, "delta_log2_quadratic", delta_log2_quadratic)
 
 
 def polygon_instance_params(d: int) -> PolygonParams:
     """N = 4 d^2, vertex box [2d] x [4d^2], and both Delta readings."""
     if d < 3:
-        raise PreconditionError("needs d >= 3")
+        raise PreconditionError("needs d >= 3", arg="d")
     n = 2
     big_n = 4 * d * d
     (base,) = _finite("d", lambda: (math.log2(12.0 * d * d),))

@@ -14,8 +14,8 @@ null.  Exit codes: 0 success, 1 verdict failure, 2 precondition error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -91,6 +91,11 @@ def _write(text: str, args) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _fields(record) -> dict:
+    """A record's fields by name, the keys of its JSON report."""
+    return {name: getattr(record, name) for name in record.__slots__}
+
+
 def _bounds_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -125,6 +130,24 @@ def _load(args, flag: str):
         raise type(exc)(f"--{flag} {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _naming(args, **flags):
+    """Name the flag behind a refused argument.
+
+    ``flags`` maps library argument names to the flags whose values the
+    calls inside pass for them.  A PreconditionError whose ``arg`` is one
+    of them is raised again as ``--FLAG VALUE: message``.
+    """
+    try:
+        yield
+    except PreconditionError as exc:
+        flag = flags.get(exc.arg)
+        if flag is None:
+            raise
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        raise type(exc)(f"{flag} {value}: {exc}", exc.arg) from None
+
+
 def _instance(args) -> str:
     """The name given to ``--instance``; an unknown one is refused with the flag named."""
     if args.instance not in BUILTIN_NAMES:
@@ -142,7 +165,8 @@ def _cmd_slack_build(args):
     if args.file:
         h, v = _load(args, "file")
     elif args.instance:
-        h, v = builtin_instance(_instance(args), args.n)
+        with _naming(args, n="--n"):
+            h, v = builtin_instance(_instance(args), args.n)
     else:
         raise PreconditionError("pass --instance NAME or --file polytope.json")
     return serialize.slack_to_json(build_slack(h, v)), EXIT_OK
@@ -150,8 +174,9 @@ def _cmd_slack_build(args):
 
 def _cmd_fact_verify(args):
     s = _load(args, "slack")
-    rep = verify_factorization(_load(args, "fact"), s, args.tol)
-    return dataclasses.asdict(rep), EXIT_OK if rep.passed else EXIT_VERDICT
+    with _naming(args, tol="--tol"):
+        rep = verify_factorization(_load(args, "fact"), s, args.tol)
+    return _fields(rep), EXIT_OK if rep.passed else EXIT_VERDICT
 
 
 def _cmd_fact_embed(args):
@@ -159,7 +184,8 @@ def _cmd_fact_embed(args):
 
 
 def _cmd_fact_fit(args):
-    fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
+    with _naming(args, r="--r"):
+        fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
     if fit.factorization is None:
         report = {
             "found": False,
@@ -176,8 +202,8 @@ def _cmd_fact_fit(args):
 def _cmd_rescale_run(args):
     s = _load(args, "slack")
     f = _load(args, "fact")
-    cfg = RescaleConfig(tol=args.tol, max_iters=args.max_iters)
-    res = rescale(f, s, cfg)
+    with _naming(args, tol="--tol", max_iters="--max-iters"):
+        res = rescale(f, s, RescaleConfig(tol=args.tol, max_iters=args.max_iters))
     report = {
         "certificate": res.certificate,
         "iterations": res.iterations,
@@ -215,10 +241,11 @@ def _cmd_round_run(args):
             scale = float(args.delta) / grid_delta(h.dim, f.side)
         except ValueError:
             raise PreconditionError(f"--delta {args.delta!r} is not a number") from None
-    grid = GridParams.for_slack(
-        n=h.dim, r=f.side, delta_eff=s.max_entry,
-        scale=scale, worst_case=args.worst_case,
-    )
+    with _naming(args, delta="--delta"):
+        grid = GridParams.for_slack(
+            n=h.dim, r=f.side, delta_eff=s.max_entry,
+            scale=scale, worst_case=args.worst_case,
+        )
     system = build_rounded_system(h, f, grid)
     report = serialize.system_to_json(system)
     report["rounding"] = [
@@ -314,18 +341,20 @@ FORMULAS = {
 
 
 def _cmd_bounds_eval(args):
-    return dataclasses.asdict(FORMULAS[args.formula](args)), EXIT_OK
+    with _naming(args, n="--n", big_r="--R", d="--d"):
+        return _fields(FORMULAS[args.formula](args)), EXIT_OK
 
 
 def _cmd_pipeline(args):
-    cfg = PipelineConfig(
-        r=args.r,
-        skip_rescale=args.skip_rescale,
-        unbalance=args.unbalance,
-        seed=args.seed,
-        rescale_cfg=RescaleConfig(tol=args.tol),
-    )
-    report = run_pipeline(_instance(args), args.n, cfg)
+    with _naming(args, n="--n", r="--r", tol="--tol", unbalance="--unbalance"):
+        cfg = PipelineConfig(
+            r=args.r,
+            skip_rescale=args.skip_rescale,
+            unbalance=args.unbalance,
+            seed=args.seed,
+            rescale_cfg=RescaleConfig(tol=args.tol),
+        )
+        report = run_pipeline(_instance(args), args.n, cfg)
     return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
 
 
@@ -350,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slack matrices, semidefinite factorizations, rescaling, rounding",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rescale_defaults = RescaleConfig()
 
     p = sub.add_parser("slack", help="build slack matrices")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -388,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr = rsub.add_parser("run")
     rr.add_argument("--slack", required=True)
     rr.add_argument("--fact", required=True)
-    rr.add_argument("--max-iters", type=int, default=RescaleConfig.max_iters)
+    rr.add_argument("--max-iters", type=int, default=rescale_defaults.max_iters)
     rr.add_argument(
         "--trace",
         help="write a CSV trace here: header iteration,phi,lmax with "
@@ -398,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "before any descent step; floats written with repr so they "
         "round-trip exactly",
     )
-    _add_common(rr, tol=RescaleConfig.tol)
+    _add_common(rr, tol=rescale_defaults.tol)
     rr.set_defaults(func=_cmd_rescale_run)
 
     p = sub.add_parser("round", help="select a subsystem and round it")
@@ -452,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply an adversarial congruence of this condition number")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --unbalance congruence; the --r fit draws at a fixed seed")
-    _add_common(p, tol=RescaleConfig.tol)
+    _add_common(p, tol=rescale_defaults.tol)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -9,11 +9,10 @@ eigenspace, and a finite-difference ladder harness cross-checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, PreconditionError
+from .record import Record
 from . import symmat
 
 
@@ -45,13 +44,16 @@ def dplus_opnorm_congruence(x: np.ndarray, z: np.ndarray) -> float:
     return 2.0 * lam1 * top
 
 
-@dataclass(frozen=True)
-class DerivativeCheck:
+class DerivativeCheck(Record):
     """Finite-difference slopes on a decreasing eps ladder vs an analytic value."""
 
-    analytic: float
-    slopes: tuple  # ((eps, slope), ...) with eps strictly decreasing
-    max_deviation: float
+    __slots__ = ("analytic", "slopes", "max_deviation")
+
+    def __init__(self, analytic: float, slopes: tuple, max_deviation: float):
+        object.__setattr__(self, "analytic", analytic)
+        # ((eps, slope), ...) with eps strictly decreasing
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "max_deviation", max_deviation)
 
 
 def fd_ladder(f, analytic: float, eps_ladder=(1e-3, 1e-4, 1e-5, 1e-6)) -> DerivativeCheck:

@@ -10,7 +10,15 @@ class PsdfactError(Exception):
 
 
 class PreconditionError(PsdfactError):
-    """An operation was called on inputs violating its contract."""
+    """An operation was called on inputs violating its contract.
+
+    ``arg`` names the one argument at fault, when one is, so that a caller
+    can say where its value came from.
+    """
+
+    def __init__(self, message="", arg=None):
+        super().__init__(message)
+        self.arg = arg
 
 
 class DimensionError(PreconditionError):

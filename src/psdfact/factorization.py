@@ -15,12 +15,11 @@ operator norms) that the rescaler drives down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ResourceError
 from .polytopes import SlackMatrix
+from .record import Record
 from . import symmat
 
 # PSD acceptance slack for constructed factors: min eigenvalue may dip to
@@ -39,8 +38,7 @@ FIT_MAX_ENTRIES = 1024
 FIT_MAX_STEPS = 2000
 
 
-@dataclass(frozen=True)
-class PsdFactorization:
+class PsdFactorization(Record):
     """Row factors (U_i) and column factors (V^j), all PSD of one side r.
 
     ``row_factors`` and ``col_factors`` are float arrays of shapes
@@ -51,12 +49,11 @@ class PsdFactorization:
     checked only by ``from_factors``.
     """
 
-    row_factors: np.ndarray
-    col_factors: np.ndarray
+    __slots__ = ("row_factors", "col_factors")
 
-    def __post_init__(self):
+    def __init__(self, row_factors, col_factors):
         try:
-            rows, cols = (np.asarray(s, dtype=float) for s in (self.row_factors, self.col_factors))
+            rows, cols = (np.asarray(s, dtype=float) for s in (row_factors, col_factors))
         except ValueError:
             raise DimensionError("factor sides disagree") from None
         r = next((s.shape[-1] for s in (rows, cols) if s.shape != (0,)), 0)
@@ -154,24 +151,28 @@ def potential(f: PsdFactorization) -> float:
     return max_operator_norm(f.row_factors) * max_operator_norm(f.col_factors)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(Record):
     """Result of checking <U_i, V^j> against a slack matrix."""
 
-    max_abs_residual: float
-    residual_location: tuple[int, int]
-    lmax_u: float
-    lmax_v: float
-    potential: float
-    tol: float
-    passed: bool
+    __slots__ = ("max_abs_residual", "residual_location", "lmax_u", "lmax_v", "potential",
+                 "tol", "passed")
+
+    def __init__(self, max_abs_residual: float, residual_location: tuple[int, int],
+                 lmax_u: float, lmax_v: float, potential: float, tol: float, passed: bool):
+        object.__setattr__(self, "max_abs_residual", max_abs_residual)
+        object.__setattr__(self, "residual_location", residual_location)
+        object.__setattr__(self, "lmax_u", lmax_u)
+        object.__setattr__(self, "lmax_v", lmax_v)
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "passed", passed)
 
 
 def check_tol(tol: float) -> None:
     """Raise PreconditionError unless ``tol`` is finite and >= 0."""
     # Written so that NaN fails the check.
     if not 0.0 <= tol < np.inf:
-        raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}")
+        raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}", arg="tol")
 
 
 def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int, int]]:
@@ -237,8 +238,7 @@ def diagonal_embed(s: SlackMatrix) -> PsdFactorization:
     return PsdFactorization(row_factors=rows[:, :, None] * eye, col_factors=cols[:, :, None] * eye)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of ``fit_factorization``, found or not.
 
     ``trace`` holds the max residual after every step, so ``steps`` is its
@@ -247,8 +247,11 @@ class FitResult:
     evidence that none exists, and the report must read "not found".
     """
 
-    factorization: PsdFactorization | None
-    trace: tuple
+    __slots__ = ("factorization", "trace")
+
+    def __init__(self, factorization: PsdFactorization | None, trace: tuple):
+        object.__setattr__(self, "factorization", factorization)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def steps(self) -> int:
@@ -273,7 +276,7 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
     The side and the size of S are checked before anything is drawn.
     """
     if r < 1:
-        raise PreconditionError("side must be at least 1")
+        raise PreconditionError("side must be at least 1", arg="r")
     if r > FIT_MAX_SIDE:
         raise ResourceError(f"side r = {r} refused (--r above {FIT_MAX_SIDE})")
     target = s.as_float()

@@ -10,8 +10,6 @@ witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import PreconditionError
@@ -25,6 +23,7 @@ from .factorization import (
     residual_budget,
 )
 from .polytopes import build_slack, builtin_instance
+from .record import Record
 from .rescaling import RescaleConfig, rescale
 from .rounding import (
     GridParams,
@@ -35,19 +34,27 @@ from .rounding import (
 from . import symmat
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    r: int | None = None  # None: diagonal embedding; otherwise fit_factorization at side r
-    skip_rescale: bool = False
-    unbalance: float | None = None  # condition number of an adversarial congruence
-    seed: int = 0
-    rescale_cfg: RescaleConfig = field(default_factory=RescaleConfig)
-    membership_cfg: MembershipConfig = field(default_factory=MembershipConfig)
+class PipelineConfig(Record):
+    __slots__ = ("r", "skip_rescale", "unbalance", "seed", "rescale_cfg", "membership_cfg")
 
-    def __post_init__(self):
+    def __init__(self, r: int | None = None, skip_rescale: bool = False,
+                 unbalance: float | None = None, seed: int = 0,
+                 rescale_cfg: RescaleConfig | None = None,
+                 membership_cfg: MembershipConfig | None = None):
         # Written so that NaN fails the check.
-        if self.unbalance is not None and not 0.0 < self.unbalance < np.inf:
-            raise PreconditionError(f"unbalance must be finite and > 0, got {self.unbalance!r}")
+        if unbalance is not None and not 0.0 < unbalance < np.inf:
+            raise PreconditionError(f"unbalance must be finite and > 0, got {unbalance!r}",
+                                    arg="unbalance")
+        # None: diagonal embedding; otherwise fit_factorization at side r
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "skip_rescale", skip_rescale)
+        # condition number of an adversarial congruence
+        object.__setattr__(self, "unbalance", unbalance)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "rescale_cfg",
+                           RescaleConfig() if rescale_cfg is None else rescale_cfg)
+        object.__setattr__(self, "membership_cfg",
+                           MembershipConfig() if membership_cfg is None else membership_cfg)
 
 
 def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactorization:

@@ -7,11 +7,10 @@ facet enumeration is deliberately not provided.  Slack entries are exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ResourceError
+from .record import Record
 
 # Guard so that b - a.x plus intermediate sums stay well inside int64.
 _INT_GUARD = 2**62
@@ -39,16 +38,14 @@ def _as_int_array(a, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Record):
     """Inequality description a_i . x <= b_i with integer coefficients."""
 
-    a: np.ndarray  # (m, n) int64
-    b: np.ndarray  # (m,) int64
+    __slots__ = ("a", "b")  # (m, n) and (m,) int64
 
-    def __post_init__(self):
-        a = _as_int_array(self.a, "a")
-        b = _as_int_array(self.b, "b")
+    def __init__(self, a, b):
+        a = _as_int_array(a, "a")
+        b = _as_int_array(b, "b")
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
             raise DimensionError("inequality rows and offsets disagree")
         rows = {tuple(row) + (off,) for row, off in zip(a.tolist(), b.tolist())}
@@ -66,14 +63,13 @@ class HPolytope:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(Record):
     """Point description: distinct integer points, one per row."""
 
-    points: np.ndarray  # (j, n) int64
+    __slots__ = ("points",)  # (j, n) int64
 
-    def __post_init__(self):
-        pts = _as_int_array(self.points, "points")
+    def __init__(self, points):
+        pts = _as_int_array(points, "points")
         if pts.ndim != 2:
             raise DimensionError("points must be a 2-d array")
         if len({tuple(p) for p in pts.tolist()}) != pts.shape[0]:
@@ -89,16 +85,13 @@ class VPolytope:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class SlackMatrix:
+class SlackMatrix(Record):
     """Nonnegative matrix of inequality slacks, with optional provenance."""
 
-    entries: np.ndarray
-    h: HPolytope | None = None
-    v: VPolytope | None = None
+    __slots__ = ("entries", "h", "v")
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
+    def __init__(self, entries, h: HPolytope | None = None, v: VPolytope | None = None):
+        entries = np.asarray(entries)
         if entries.ndim != 2:
             raise DimensionError("slack entries must be a 2-d array")
         if not np.all(np.isfinite(entries.astype(float))):
@@ -106,6 +99,8 @@ class SlackMatrix:
         if np.any(entries.astype(float) < 0):
             raise PreconditionError("slack entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "v", v)
 
     @classmethod
     def from_entries(cls, raw) -> "SlackMatrix":
@@ -187,7 +182,8 @@ def _crosspoly_01(n: int) -> tuple[HPolytope, VPolytope]:
     # Vertices e_k and 1 - e_k inside the unit cube; the hand-written facet
     # list 0 <= x <= 1, 1 <= sum(x) <= n-1 is exact only for n in {2, 3}.
     if n not in (2, 3):
-        raise PreconditionError("crosspoly_01 has a hand-written H-rep for n in {2, 3} only")
+        raise PreconditionError("crosspoly_01 has a hand-written H-rep for n in {2, 3} only",
+                                arg="n")
     eye = np.eye(n, dtype=np.int64)
     ones = np.ones((1, n), dtype=np.int64)
     a = np.concatenate([-eye, eye, -ones, ones], axis=0)
@@ -207,7 +203,7 @@ def _crosspoly_01(n: int) -> tuple[HPolytope, VPolytope]:
 
 def _segment(n: int) -> tuple[HPolytope, VPolytope]:
     if n != 1:
-        raise PreconditionError("segment is one-dimensional; pass n=1")
+        raise PreconditionError("segment is one-dimensional; pass n=1", arg="n")
     a = np.asarray([[-1], [1]], dtype=np.int64)
     b = np.asarray([0, 1], dtype=np.int64)
     pts = np.asarray([[0], [1]], dtype=np.int64)
@@ -229,7 +225,7 @@ def _moment_polygon(d: int) -> tuple[HPolytope, VPolytope]:
     -y + (z1+z2) x - z1 z2 <= 0; the top chord closes the polygon.
     """
     if d < 3:
-        raise PreconditionError("moment_polygon needs d >= 3")
+        raise PreconditionError("moment_polygon needs d >= 3", arg="n")
     z = np.arange(1, d + 1, dtype=np.int64) * 2
     pts = np.stack([z, z * z], axis=1)
     rows = []
@@ -263,7 +259,7 @@ def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
             f"unknown instance {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         )
     if n < 1:
-        raise PreconditionError("dimension must be positive")
+        raise PreconditionError("dimension must be positive", arg="n")
     if n > BUILTIN_MAX_N.get(name, n):
         raise ResourceError(
             f"{name} n = {n} refused (--n above {BUILTIN_MAX_N[name]} for {name})"

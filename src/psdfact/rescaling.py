@@ -52,7 +52,6 @@ measuring again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +70,7 @@ from .factorization import (
     verify_factorization,
 )
 from .polytopes import SlackMatrix
+from .record import Record
 from . import symmat
 
 # Default geometric line-search grid, as multiples of 1 / ||Z||.
@@ -89,8 +89,7 @@ JOHN_TOL = 1e-6
 # John decomposition (minimum-volume enclosing ellipsoid of a symmetric set)
 
 
-@dataclass(frozen=True)
-class JohnDecomposition:
+class JohnDecomposition(Record):
     """MVEE of a centrally symmetric point set, with contact points.
 
     T maps the unit ball of R^k onto the ellipsoid inside the ambient
@@ -98,10 +97,14 @@ class JohnDecomposition:
     satisfy sum p z z^T = T T^T / k.
     """
 
-    dim: int
-    ellipsoid_map: np.ndarray  # (ambient, k)
-    points: np.ndarray  # (m, ambient)
-    weights: np.ndarray  # (m,)
+    __slots__ = ("dim", "ellipsoid_map", "points", "weights")
+
+    def __init__(self, dim: int, ellipsoid_map: np.ndarray, points: np.ndarray,
+                 weights: np.ndarray):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ellipsoid_map", ellipsoid_map)  # (ambient, k)
+        object.__setattr__(self, "points", points)  # (m, ambient)
+        object.__setattr__(self, "weights", weights)  # (m,)
 
     def moment_matrix(self) -> np.ndarray:
         return symmat.as_symmetric(
@@ -397,34 +400,40 @@ def descent_step(
 # The full rescaling loop
 
 
-@dataclass(frozen=True)
-class RescaleConfig:
-    tol: float = 0.05
-    max_iters: int = 500
+class RescaleConfig(Record):
+    __slots__ = ("tol", "max_iters")
 
-    def __post_init__(self):
-        check_tol(self.tol)
-        if self.max_iters < 0:
-            raise PreconditionError(f"max_iters must be >= 0, got {self.max_iters!r}")
+    def __init__(self, tol: float = 0.05, max_iters: int = 500):
+        check_tol(tol)
+        if max_iters < 0:
+            raise PreconditionError(f"max_iters must be >= 0, got {max_iters!r}", arg="max_iters")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iters", max_iters)
 
 
-@dataclass(frozen=True)
-class RescaleResult:
-    transform: np.ndarray
-    transform_pinv: np.ndarray
-    factorization: PsdFactorization
-    # (lmax_u, lmax_v) of the balanced working factorization: the reduced
-    # input, then the geometric-mean start when rescale keeps it (also at
-    # iteration 0, so ``iterations`` counts only the entries after it),
-    # then each line-search winner as descent_step balanced it.  The two
-    # are equal up to round-off; the CLI trace records their max.
-    lmax_trajectory: tuple
-    lmax_u: float
-    lmax_v: float
-    certificate: bool
-    iterations: int
-    reduced_dim: int
-    diagnostics: dict = field(default_factory=dict)
+class RescaleResult(Record):
+    __slots__ = ("transform", "transform_pinv", "factorization", "lmax_trajectory", "lmax_u",
+                 "lmax_v", "certificate", "iterations", "reduced_dim", "diagnostics")
+
+    def __init__(self, transform: np.ndarray, transform_pinv: np.ndarray,
+                 factorization: PsdFactorization, lmax_trajectory: tuple, lmax_u: float,
+                 lmax_v: float, certificate: bool, iterations: int, reduced_dim: int,
+                 diagnostics: dict | None = None):
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "transform_pinv", transform_pinv)
+        object.__setattr__(self, "factorization", factorization)
+        # (lmax_u, lmax_v) of the balanced working factorization: the reduced
+        # input, then the geometric-mean start when rescale keeps it (also at
+        # iteration 0, so ``iterations`` counts only the entries after it),
+        # then each line-search winner as descent_step balanced it.  The two
+        # are equal up to round-off; the CLI trace records their max.
+        object.__setattr__(self, "lmax_trajectory", lmax_trajectory)
+        object.__setattr__(self, "lmax_u", lmax_u)
+        object.__setattr__(self, "lmax_v", lmax_v)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "reduced_dim", reduced_dim)
+        object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
 
     @property
     def phi_trajectory(self) -> tuple:
@@ -470,7 +479,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     target_lmax = math.sqrt(d * delta) * (1.0 + cfg.tol)
     if not math.isfinite(target_phi) or not math.isfinite(target_lmax):
         raise PreconditionError(
-            f"tol {cfg.tol!r} overflows the certificate bound sqrt(d * Delta) * (1 + tol)"
+            f"tol {cfg.tol!r} overflows the certificate bound sqrt(d * Delta) * (1 + tol)",
+            arg="tol",
         )
 
     # The start: a congruence P = rt^T diag(sv) rt of the reduced

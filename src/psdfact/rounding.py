@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, PreconditionError, ResourceError
 from .factorization import PsdFactorization
 from .polytopes import HPolytope
+from .record import Record
 from . import symmat
 
 
@@ -62,24 +62,22 @@ def round_to_grid(x, step: float):
     return np.floor(np.asarray(x, dtype=float) / step + 0.5) * step
 
 
-@dataclass(frozen=True)
-class GridParams:
+class GridParams(Record):
     """Rounding grid, tolerance budget, and which Delta convention is used."""
 
-    n: int
-    r: int
-    delta: float
-    big_delta: float
-    worst_case: bool = False
+    __slots__ = ("n", "r", "delta", "big_delta", "worst_case")
 
-    def __post_init__(self):
+    def __init__(self, n: int, r: int, delta: float, big_delta: float, worst_case: bool = False):
         # Written so that NaN fails both checks.
-        if not self.big_delta > 0:
+        if not big_delta > 0:
             raise PreconditionError("Delta must be positive")
-        if not 0 < self.delta <= grid_delta(self.n, self.r) * (1 + 1e-12):
-            raise PreconditionError(
-                f"delta must lie in (0, {grid_delta(self.n, self.r):.3g}]"
-            )
+        if not 0 < delta <= grid_delta(n, r) * (1 + 1e-12):
+            raise PreconditionError(f"delta must lie in (0, {grid_delta(n, r):.3g}]", arg="delta")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "big_delta", big_delta)
+        object.__setattr__(self, "worst_case", worst_case)
 
     @property
     def step(self) -> float:
@@ -181,18 +179,21 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
     return selected
 
 
-@dataclass(frozen=True)
-class RoundedSystem:
+class RoundedSystem(Record):
     """Padded subsystem (a_i, b_i, rounded U_i) driving the membership oracle."""
 
-    a: np.ndarray  # (n + r^2, n) float
-    b: np.ndarray  # (n + r^2,) float
-    factors: np.ndarray  # (n + r^2, r, r) float
-    grid: GridParams
-    selected: tuple = ()
-    # ||rounded U_i - U_i||_F per selected row, in slot order; empty when
-    # the system was loaded rather than rounded.
-    error_fnorm: tuple = ()
+    __slots__ = ("a", "b", "factors", "grid", "selected", "error_fnorm")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, factors: np.ndarray, grid: GridParams,
+                 selected: tuple = (), error_fnorm: tuple = ()):
+        object.__setattr__(self, "a", a)  # (n + r^2, n) float
+        object.__setattr__(self, "b", b)  # (n + r^2,) float
+        object.__setattr__(self, "factors", factors)  # (n + r^2, r, r) float
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "selected", selected)
+        # ||rounded U_i - U_i||_F per selected row, in slot order; empty when
+        # the system was loaded rather than rounded.
+        object.__setattr__(self, "error_fnorm", error_fnorm)
 
     @property
     def n_rows(self) -> int:
@@ -237,25 +238,34 @@ MEMBER_BATCH = 1 << 12
 RECONSTRUCT_MAX_DIM = 20
 
 
-@dataclass(frozen=True)
-class MembershipConfig:
+class MembershipConfig(Record):
     """Kept for callers that pass a seed; the oracle is deterministic, so
     the seed changes no verdict."""
 
-    seed: int = 11
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int = 11):
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    point: tuple
-    verdict: str  # "member-with-witness" | "rejected" | "inconclusive"
-    witness: np.ndarray | None  # the final iterate Y, None when rejected
-    violation: float  # max_i |residual_i| - budget at the final iterate
-    dual_margin: float  # lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen
-    # that lambda (||lambda||_1 = 1), None when accepted; a single-row dual
-    # has one +-1 entry
-    dual: np.ndarray | None
-    iterations: int
+class MembershipVerdict(Record):
+    __slots__ = ("point", "verdict", "witness", "violation", "dual_margin", "dual", "iterations")
+
+    def __init__(self, point: tuple, verdict: str, witness: np.ndarray | None, violation: float,
+                 dual_margin: float, dual: np.ndarray | None, iterations: int):
+        object.__setattr__(self, "point", point)
+        # "member-with-witness" | "rejected" | "inconclusive"
+        object.__setattr__(self, "verdict", verdict)
+        # the final iterate Y, None when rejected
+        object.__setattr__(self, "witness", witness)
+        # max_i |residual_i| - budget at the final iterate
+        object.__setattr__(self, "violation", violation)
+        # lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen
+        object.__setattr__(self, "dual_margin", dual_margin)
+        # that lambda (||lambda||_1 = 1), None when accepted; a single-row
+        # dual has one +-1 entry
+        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "iterations", iterations)
 
 
 def _dual_values(lam, const, u_flat, cap):
@@ -410,9 +420,12 @@ def membership_test(
     return _decide(system, x, np.asarray(start, dtype=float)[None])[0]
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
-    verdicts: tuple  # one MembershipVerdict per point of {0,1}^n, lexicographic
+class ReconstructionReport(Record):
+    __slots__ = ("verdicts",)
+
+    def __init__(self, verdicts: tuple):
+        # one MembershipVerdict per point of {0,1}^n, lexicographic
+        object.__setattr__(self, "verdicts", verdicts)
 
     def _kind(self, verdict: str) -> tuple:
         return tuple(v for v in self.verdicts if v.verdict == verdict)

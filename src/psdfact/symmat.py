@@ -12,8 +12,6 @@ via numpy and favours determinism over speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -23,6 +21,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
+from .record import Record
 
 # Relative eigenvalue cutoff below which a direction counts as kernel.
 RANK_TOL = 1e-9
@@ -51,15 +50,17 @@ def as_symmetric(a) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Eigenvalues sorted descending with matching orthonormal columns.
 
     Holds one matrix, (k,) and (k, k), or a stack, (..., k) and (..., k, k).
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

@@ -85,6 +85,8 @@ class TestFactAndRescale:
         assert code == 0
         assert rep["passed"] is True
         assert rep["max_abs_residual"] == 0.0
+        assert set(rep) == {"max_abs_residual", "residual_location", "lmax_u", "lmax_v",
+                            "potential", "tol", "passed", "manifest"}
 
     def test_verify_mismatch_exits_1(self, square_files, tmp_path, capsys):
         slack, fact = square_files
@@ -514,7 +516,8 @@ OUTPUT_FLAGS = ("--out", "--report", "--trace")
 
 
 class TestBadInputSweep:
-    """Every option that takes a value, fed bad values, ends at a documented exit code."""
+    """Every option that takes a value, fed bad values, ends at a documented exit code;
+    an exit-2 line names the option."""
 
     # The valid runs each bad value is put into, one list per subcommand;
     # bounds eval runs every formula, so each reads its own inputs.
@@ -532,8 +535,6 @@ class TestBadInputSweep:
     }
     FILE_FLAGS = {"--file": "polytope", "--slack": "slack", "--fact": "fact",
                   "--system": "system"}
-    # Flags whose exit-2 line must name them.
-    NAMED_FLAGS = {*FILE_FLAGS, "--instance"}
     VALUES = ["0", "-1", "nan", "inf", "1e308", "1" + "0" * 300, "abc", ""]
 
     # Every option that takes a value but names an output file.
@@ -600,7 +601,7 @@ class TestBadInputSweep:
                     failures.append((argv, code))
                 elif "Traceback" in err or "Warning" in err:
                     failures.append((argv, err))
-                elif code == 2 and flag in self.NAMED_FLAGS and flag not in err.splitlines()[-1]:
+                elif code == 2 and flag not in err.splitlines()[-1]:
                     failures.append((argv, err))
         assert failures == []
 
@@ -700,6 +701,14 @@ class TestCheckAndBounds:
         code, rep = run_cli(["bounds", "eval", "--formula", "xc01", "--n", "16"], capsys)
         assert code == 0
         assert 4.25 <= float(rep["decimal"]) <= 4.35
+
+    @pytest.mark.parametrize("formula", sorted(FORMULAS))
+    def test_bounds_eval_report_keys(self, formula, capsys):
+        code, rep = run_cli(["bounds", "eval", "--formula", formula, "--n", "4", "--d", "5"],
+                            capsys)
+        assert code == 0
+        assert set(rep) == {"formula", "inputs", "log2_value", "decimal", "assumptions",
+                            "extras", "manifest"}
 
     def test_bounds_eval_csv(self, capsys):
         code = main(["bounds", "eval", "--formula", "polygon", "--d", "64",
