@@ -36,7 +36,7 @@ from .factorization import (
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .polytopes import BUILTIN_MAX_N, BUILTIN_NAMES, build_slack, builtin_instance
-from .rescaling import RescaleConfig, rescale
+from .rescaling import rescale
 from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct
 from . import symmat
 
@@ -145,7 +145,9 @@ def _naming(args, **flags):
         if flag is None:
             raise
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        raise type(exc)(f"{flag} {value}: {exc}", exc.arg) from None
+        # A switch that is set has no value to show.
+        named = flag if value is True else f"{flag} {value}"
+        raise type(exc)(f"{named}: {exc}", exc.arg) from None
 
 
 def _instance(args) -> str:
@@ -184,7 +186,7 @@ def _cmd_fact_embed(args):
 
 
 def _cmd_fact_fit(args):
-    with _naming(args, r="--r"):
+    with _naming(args, r="--r", s="--slack"):
         fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
     if fit.factorization is None:
         report = {
@@ -202,8 +204,8 @@ def _cmd_fact_fit(args):
 def _cmd_rescale_run(args):
     s = _load(args, "slack")
     f = _load(args, "fact")
-    with _naming(args, tol="--tol", max_iters="--max-iters"):
-        res = rescale(f, s, RescaleConfig(tol=args.tol, max_iters=args.max_iters))
+    with _naming(args, f="--fact", s="--slack"):
+        res = rescale(f, s)
     report = {
         "certificate": res.certificate,
         "iterations": res.iterations,
@@ -233,7 +235,8 @@ def _cmd_round_run(args):
     s = _load(args, "slack")
     f = _load(args, "fact")
     if s.h is None:
-        raise PreconditionError("slack file lacks polytope provenance needed for rounding")
+        raise PreconditionError(
+            f"--slack {args.slack}: slack file lacks polytope provenance needed for rounding")
     h = s.h
     scale = {"max": 1.0, "max/10": 0.1}.get(args.delta)
     if scale is None:
@@ -241,7 +244,7 @@ def _cmd_round_run(args):
             scale = float(args.delta) / grid_delta(h.dim, f.side)
         except ValueError:
             raise PreconditionError(f"--delta {args.delta!r} is not a number") from None
-    with _naming(args, delta="--delta"):
+    with _naming(args, delta="--delta", worst_case="--worst-case"):
         grid = GridParams.for_slack(
             n=h.dim, r=f.side, delta_eff=s.max_entry,
             scale=scale, worst_case=args.worst_case,
@@ -263,11 +266,8 @@ def _cmd_round_run(args):
 
 def _cmd_reconstruct(args):
     system = _load(args, "system")
-    if args.n != system.a.shape[1]:
-        raise PreconditionError(
-            f"--n {args.n} disagrees with the system's dimension {system.a.shape[1]}"
-        )
-    recon = reconstruct(system, args.n)
+    with _naming(args, n="--n"):
+        recon = reconstruct(system, args.n)
     report = recon.to_json()
     report["complete"] = recon.complete
     return report, EXIT_OK if recon.complete else EXIT_VERDICT
@@ -346,13 +346,12 @@ def _cmd_bounds_eval(args):
 
 
 def _cmd_pipeline(args):
-    with _naming(args, n="--n", r="--r", tol="--tol", unbalance="--unbalance"):
+    with _naming(args, n="--n", r="--r", unbalance="--unbalance"):
         cfg = PipelineConfig(
             r=args.r,
             skip_rescale=args.skip_rescale,
             unbalance=args.unbalance,
             seed=args.seed,
-            rescale_cfg=RescaleConfig(tol=args.tol),
         )
         report = run_pipeline(_instance(args), args.n, cfg)
     return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
@@ -365,12 +364,10 @@ def _cmd_pipeline(args):
 INSTANCE_HELP = "builtin polytope: " + ", ".join(BUILTIN_NAMES)
 
 
-def _add_common(p, tol=None, seed=False):
+def _add_common(p, seed=False):
     if seed:
         p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slack matrices, semidefinite factorizations, rescaling, rounding",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    rescale_defaults = RescaleConfig()
 
     p = sub.add_parser("slack", help="build slack matrices")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -400,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     fv = fsub.add_parser("verify")
     fv.add_argument("--slack", required=True)
     fv.add_argument("--fact", required=True)
-    _add_common(fv, tol=VERIFY_TOL)
+    fv.add_argument("--tol", type=float, default=VERIFY_TOL)
+    _add_common(fv)
     fv.set_defaults(func=_cmd_fact_verify)
     fe = fsub.add_parser("embed")
     fe.add_argument("--slack", required=True)
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     rr = rsub.add_parser("run")
     rr.add_argument("--slack", required=True)
     rr.add_argument("--fact", required=True)
-    rr.add_argument("--max-iters", type=int, default=rescale_defaults.max_iters)
     rr.add_argument(
         "--trace",
         help="write a CSV trace here: header iteration,phi,lmax with "
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "before any descent step; floats written with repr so they "
         "round-trip exactly",
     )
-    _add_common(rr, tol=rescale_defaults.tol)
+    _add_common(rr)
     rr.set_defaults(func=_cmd_rescale_run)
 
     p = sub.add_parser("round", help="select a subsystem and round it")
@@ -482,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply an adversarial congruence of this condition number")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --unbalance congruence; the --r fit draws at a fixed seed")
-    _add_common(p, tol=rescale_defaults.tol)
+    _add_common(p)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -21,6 +21,7 @@ from .errors import DimensionError, PreconditionError, ResourceError
 from .polytopes import SlackMatrix
 from .record import Record
 from . import symmat
+from .symmat import operator_norms
 
 # PSD acceptance slack for constructed factors: min eigenvalue may dip to
 # -PSD_TOL * (1 + lambda_max) from floating-point noise.
@@ -109,22 +110,6 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
     return PsdFactorization(row_factors=rows, col_factors=cols)
 
 
-def operator_norms(factors) -> np.ndarray:
-    """Operator norm of every matrix in a stack, from one batched eigvalsh.
-
-    The spectrum comes back ascending, so max |lambda| is read off its two
-    ends; ``+ 0.0`` turns a zero factor's -0.0 into 0.0, and matrices of
-    side 0 have norm 0.  The stack must be exactly symmetric and finite,
-    as every factorization the package builds or loads is; it is not
-    checked here, and eigvalsh reads one triangle only.  Symmetrise a raw
-    input with ``symmat.as_symmetric`` first.
-    """
-    lam = np.linalg.eigvalsh(factors)
-    if not lam.shape[-1]:
-        return np.zeros(lam.shape[:-1])
-    return np.maximum(lam[..., -1], -lam[..., 0]) + 0.0
-
-
 def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
     """The operator norm of every factor, one array per side.
 
@@ -147,8 +132,9 @@ def max_operator_norm(factors) -> float:
 
 
 def potential(f: PsdFactorization) -> float:
-    """Product of the largest operator norms of the two sides."""
-    return max_operator_norm(f.row_factors) * max_operator_norm(f.col_factors)
+    """Product of the largest operator norms of the two sides; an empty side gives 0."""
+    lmax_u, lmax_v = top_norms(side_norms(f))
+    return lmax_u * lmax_v
 
 
 class FactorizationReport(Record):
@@ -282,10 +268,11 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
     target = s.as_float()
     m, n = target.shape
     if not m * n:
-        raise PreconditionError("slack matrix has no entries to fit")
+        raise PreconditionError("slack matrix has no entries to fit", arg="s")
     if m * n > FIT_MAX_ENTRIES:
         raise ResourceError(
-            f"slack matrix of {m} x {n} = {m * n} entries refused (above {FIT_MAX_ENTRIES})"
+            f"slack matrix of {m} x {n} = {m * n} entries refused (above {FIT_MAX_ENTRIES})",
+            arg="s",
         )
     rng = np.random.default_rng(seed)
     scale = np.sqrt(max(target.mean(), 1e-3) / r)

@@ -24,23 +24,16 @@ from .factorization import (
 )
 from .polytopes import build_slack, builtin_instance
 from .record import Record
-from .rescaling import RescaleConfig, rescale
-from .rounding import (
-    GridParams,
-    MembershipConfig,
-    build_rounded_system,
-    reconstruct,
-)
+from .rescaling import rescale
+from .rounding import GridParams, build_rounded_system, reconstruct
 from . import symmat
 
 
 class PipelineConfig(Record):
-    __slots__ = ("r", "skip_rescale", "unbalance", "seed", "rescale_cfg", "membership_cfg")
+    __slots__ = ("r", "skip_rescale", "unbalance", "seed", "membership_cfg")
 
     def __init__(self, r: int | None = None, skip_rescale: bool = False,
-                 unbalance: float | None = None, seed: int = 0,
-                 rescale_cfg: RescaleConfig | None = None,
-                 membership_cfg: MembershipConfig | None = None):
+                 unbalance: float | None = None, seed: int = 0, membership_cfg=None):
         # Written so that NaN fails the check.
         if unbalance is not None and not 0.0 < unbalance < np.inf:
             raise PreconditionError(f"unbalance must be finite and > 0, got {unbalance!r}",
@@ -51,10 +44,8 @@ class PipelineConfig(Record):
         # condition number of an adversarial congruence
         object.__setattr__(self, "unbalance", unbalance)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "rescale_cfg",
-                           RescaleConfig() if rescale_cfg is None else rescale_cfg)
-        object.__setattr__(self, "membership_cfg",
-                           MembershipConfig() if membership_cfg is None else membership_cfg)
+        # Set by perfbench/workloads.py only; run_pipeline does not read it.
+        object.__setattr__(self, "membership_cfg", membership_cfg)
 
 
 def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactorization:
@@ -147,7 +138,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         working = f
         report["stages"]["rescale"] = {"skipped": True}
     else:
-        res = rescale(f, s, cfg.rescale_cfg)
+        res = rescale(f, s)
         working = res.factorization
         report["stages"]["rescale"] = {
             "skipped": False,
@@ -179,7 +170,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     }
 
     warm = {tuple(point): working.col_factors[j] for j, point in enumerate(v.points.tolist())}
-    recon = reconstruct(system, h.dim, cfg.membership_cfg, warm_start_map=warm)
+    recon = reconstruct(system, h.dim, warm_start_map=warm)
     accepted = sorted(ver.point for ver in recon.accepted)
     expected = sorted(warm)
     report["stages"]["reconstruct"] = recon.to_json()

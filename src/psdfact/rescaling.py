@@ -10,9 +10,9 @@ volume enclosing ellipsoid of a deterministic contact set, the top
 eigenvectors of all row factors currently at norm mu.  A monotone line
 search over a geometric eps grid, measured in one batch, converts the
 descent direction into concrete steps; the loop stops once the potential
-lmax(U) * lmax(V) falls below d * Delta times (1 + tol), with d the
-reduced dimension and Delta the largest entry of the factored matrix, or
-at the first stall.
+lmax(U) * lmax(V) falls below d * Delta times (1 + CERTIFICATE_TOL), with
+d the reduced dimension and Delta the largest entry of the factored
+matrix, at the first stall, or after DESCENT_MAX_ITERS steps.
 
 The start is closed-form.  With mU and mV the reduced averages, the matrix
 geometric mean X = mU^-1 # mV is the positive definite solution of
@@ -59,10 +59,8 @@ from .errors import ConvergenceError, NumericError, PreconditionError
 from .factorization import (
     VERIFY_TOL,
     PsdFactorization,
-    check_tol,
     congruence,
     max_residual,
-    operator_norms,
     potential,
     residual_budget,
     side_norms,
@@ -73,6 +71,11 @@ from .polytopes import SlackMatrix
 from .record import Record
 from . import symmat
 
+# Relative slack of the certificate: lmax(U) and lmax(V) may reach
+# sqrt(d Delta) (1 + CERTIFICATE_TOL).
+CERTIFICATE_TOL = 0.05
+# Descent steps after which rescale stops, certified or not.
+DESCENT_MAX_ITERS = 500
 # Default geometric line-search grid, as multiples of 1 / ||Z||.
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
 # Relative gap within which a row factor is tight and the sides balanced.
@@ -288,17 +291,12 @@ def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return s / s[0], rt
 
 
-def _top_norms(f: PsdFactorization) -> tuple[float, float]:
-    """(lmax(U), lmax(V)): the largest operator norm on each side, from one eigvalsh."""
-    return top_norms(side_norms(f))
-
-
 def balance_scalar(f: PsdFactorization) -> PsdFactorization:
     """Rescale (s^2 U, V / s^2) so both sides attain the same top norm.
 
     The potential is unchanged and afterwards lmax(U) = lmax(V) = sqrt(phi).
     """
-    return _balanced(f, *_top_norms(f))
+    return _balanced(f, *top_norms(side_norms(f)))
 
 
 def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactorization:
@@ -387,7 +385,7 @@ def descent_step(
     grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
     rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
     cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
-    lmax_u, lmax_v = operator_norms(rows).max(axis=1), operator_norms(cols).max(axis=1)
+    lmax_u, lmax_v = (symmat.operator_norms(side).max(axis=1) for side in (rows, cols))
     phi = lmax_u * lmax_v
     best = int(np.argmin(phi))  # first minimum, ascending eps: ties go to the smallest eps
     if phi[best] > phi0 * (1.0 - 1e-12):
@@ -401,14 +399,13 @@ def descent_step(
 
 
 class RescaleConfig(Record):
-    __slots__ = ("tol", "max_iters")
+    """CERTIFICATE_TOL as ``RescaleConfig().tol``, which perfbench/workloads.py
+    reads; nothing in the package constructs or reads it."""
 
-    def __init__(self, tol: float = 0.05, max_iters: int = 500):
-        check_tol(tol)
-        if max_iters < 0:
-            raise PreconditionError(f"max_iters must be >= 0, got {max_iters!r}", arg="max_iters")
+    __slots__ = ("tol",)
+
+    def __init__(self, tol: float = CERTIFICATE_TOL):
         object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "max_iters", max_iters)
 
 
 class RescaleResult(Record):
@@ -445,14 +442,14 @@ class RescaleResult(Record):
         return self.diagnostics.get("target_lmax", float("nan"))
 
 
-def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleConfig()) -> RescaleResult:
+def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     """Find a PSD congruence A with lmax(A U A), lmax(A+ V A+) <= sqrt(d Delta).
 
     The returned transform acts on the original side r; its pseudo-inverse
     handles the column factors, so the rescaled factorization still
     reproduces the slack matrix.  The certificate flag is set only when
-    the recomputed norms meet sqrt(d * Delta) * (1 + tol) with d the
-    reduced dimension and Delta the largest slack entry.
+    the recomputed norms meet sqrt(d * Delta) * (1 + CERTIFICATE_TOL) with
+    d the reduced dimension and Delta the largest slack entry.
 
     When the reduced input's potential tau exceeds the target, rescale
     forms the congruence P = (mU^-1 # mV)^1/2 of ``mean_congruence``, the
@@ -460,7 +457,12 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     lowers phi.  Being congruence-invariant, it undoes any congruence
     applied to the input.  ``diagnostics["start"]`` says which start was
     taken, "mean" or "input"; the descent loop runs from there while phi
-    is above the target.  With d = 0 the transform is the zero matrix.
+    is above the target, for at most DESCENT_MAX_ITERS steps.  With d = 0
+    the transform is the zero matrix.
+
+    Factor entries that overflow when the sides are averaged or
+    symmetrized raise PreconditionError naming ``f``, and a Delta for which
+    the target overflows raises one naming ``s``.
     """
     delta = s.max_entry
     budget = residual_budget(s, VERIFY_TOL)
@@ -472,15 +474,24 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
             f"(max residual {residual_in:.3g})"
         )
 
-    reduced, o, sigma, means = reduce_to_common_space(f)
+    try:
+        with np.errstate(over="raise"):
+            reduced, o, sigma, means = reduce_to_common_space(f)
+    except FloatingPointError:
+        top = max(float(np.abs(side).max()) for side in (f.row_factors, f.col_factors))
+        raise PreconditionError(
+            f"factor entries up to {top:.3g} overflow when the factors are summed or symmetrized",
+            arg="f",
+        ) from None
     d = o.shape[1]
     # In Python floats, which overflow to inf without a warning.
-    target_phi = d * delta * (1.0 + cfg.tol)
-    target_lmax = math.sqrt(d * delta) * (1.0 + cfg.tol)
+    target_phi = d * delta * (1.0 + CERTIFICATE_TOL)
+    target_lmax = math.sqrt(d * delta) * (1.0 + CERTIFICATE_TOL)
     if not math.isfinite(target_phi) or not math.isfinite(target_lmax):
         raise PreconditionError(
-            f"tol {cfg.tol!r} overflows the certificate bound sqrt(d * Delta) * (1 + tol)",
-            arg="tol",
+            f"Delta = {delta:.3g} at d = {d} overflows the certificate bound "
+            f"sqrt(d * Delta) * (1 + {CERTIFICATE_TOL})",
+            arg="s",
         )
 
     # The start: a congruence P = rt^T diag(sv) rt of the reduced
@@ -488,14 +499,14 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # (p_u, p_v).  P is the identity, or the geometric-mean congruence when
     # the input misses the target and the mean lowers phi.  Balanced by a
     # scalar, each has both top norms at the square root of its potential.
-    p_u, p_v = _top_norms(reduced)
+    p_u, p_v = top_norms(side_norms(reduced))
     tau = p_u * p_v
     sv, rt, start, fw = np.ones(d), np.eye(d), "input", reduced
     lmax_traj = [(float(np.sqrt(tau)),) * 2]
     polar = mean_congruence(means) if tau > target_phi else None
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
-        tops = _top_norms(trial)
+        tops = top_norms(side_norms(trial))
         if tops[0] * tops[1] < tau:
             (sv, rt), start, fw, (p_u, p_v) = polar, "mean", trial, tops
             lmax_traj.append((float(np.sqrt(p_u * p_v)),) * 2)
@@ -508,13 +519,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # divides by sigma twice so that a tiny sigma cannot underflow to 0.
     iterations = 0
     stalled = False
-    if cfg.max_iters and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
+    if lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
         fw = _balanced(fw, p_u, p_v)
         norms = side_norms(fw)
         m = (rt.T * sv) @ rt
         cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
 
-    while iterations < cfg.max_iters and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
+    while iterations < DESCENT_MAX_ITERS and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
         z = perturbation_direction(fw, norms)
         lmax_u, lmax_v = lmax_traj[-1]
         step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v)
@@ -530,7 +541,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
                 f"(condition number {sv[0] / max(sv[-1], 1e-300):.3g})"
             )
         # Each step can divide ||M|| by up to e^(1/2); its scale is free, and
-        # holding it at 1 keeps runs with a large max_iters from underflowing.
+        # holding it at 1 keeps long runs from underflowing.
         m /= sv[0]
         fw = step
         norms = side_norms(fw)
@@ -544,7 +555,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix, cfg: RescaleConfig = RescaleCon
     # are already at hand.
     if iterations:
         _, sv, rt = np.linalg.svd(m)
-        p_u, p_v = _top_norms(_polar_congruence(reduced, sv, rt))
+        p_u, p_v = top_norms(side_norms(_polar_congruence(reduced, sv, rt)))
     # At d = 0 both norms are 0 and every factor is the empty matrix.
     if p_u:
         sv = sv * (p_v / p_u) ** 0.25

@@ -110,7 +110,8 @@ class GridParams(Record):
         """
         if worst_case:
             if n > 12:
-                raise PreconditionError("worst-case Delta supported for n <= 12 only")
+                raise PreconditionError(
+                    f"worst-case Delta supported for n <= 12 only, got n = {n}", arg="worst_case")
             big = float((n + 1) ** ((n + 1) / 2.0))
         else:
             # Integral slack matrices are either zero or have max entry >= 1;
@@ -239,8 +240,9 @@ RECONSTRUCT_MAX_DIM = 20
 
 
 class MembershipConfig(Record):
-    """Kept for callers that pass a seed; the oracle is deterministic, so
-    the seed changes no verdict."""
+    """A seed that perfbench/workloads.py passes as
+    ``PipelineConfig(membership_cfg=MembershipConfig(seed=...))``; the
+    oracle is deterministic, and nothing in the package reads it."""
 
     __slots__ = ("seed",)
 
@@ -403,12 +405,8 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     return out
 
 
-def membership_test(
-    x,
-    system: RoundedSystem,
-    cfg: MembershipConfig = MembershipConfig(),
-    warm_start: np.ndarray | None = None,
-) -> MembershipVerdict:
+def membership_test(x, system: RoundedSystem,
+                    warm_start: np.ndarray | None = None) -> MembershipVerdict:
     """Decide one lattice point: a PSD witness Y with ||Y|| <= sqrt(r Delta)
     certifies membership, a dual functional certifies rejection.
 
@@ -465,12 +463,8 @@ class ReconstructionReport(Record):
         }
 
 
-def reconstruct(
-    system: RoundedSystem,
-    n: int,
-    cfg: MembershipConfig = MembershipConfig(),
-    warm_start_map: dict | None = None,
-) -> ReconstructionReport:
+def reconstruct(system: RoundedSystem, n: int,
+                warm_start_map: dict | None = None) -> ReconstructionReport:
     """Run the membership oracle over all of {0,1}^n, lexicographically.
 
     All points are decided together, up to MEMBER_BATCH at a time; a point
@@ -479,9 +473,11 @@ def reconstruct(
     the reconstruction incomplete.
     """
     if n > RECONSTRUCT_MAX_DIM:
-        raise ResourceError(f"2^{n} membership sweep refused (n > {RECONSTRUCT_MAX_DIM})")
+        raise ResourceError(f"2^{n} membership sweep refused (n > {RECONSTRUCT_MAX_DIM})",
+                            arg="n")
     if n != system.a.shape[1]:
-        raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}")
+        raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}",
+                             arg="n")
     warm_start_map = warm_start_map or {}
     zero = np.zeros((system.grid.r, system.grid.r))
     verdicts = []

@@ -17,7 +17,7 @@ from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from psdfact.factorization import PsdFactorization, diagonal_embed, verify_factorization
 from psdfact.pipeline import PipelineConfig, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance, enumerate_01_vertices
-from psdfact.rescaling import RescaleConfig, john_decompose, rescale
+from psdfact.rescaling import john_decompose, rescale
 from psdfact.rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_factor
 
 from helpers import random_orthogonal, random_psd_with_gap, random_symmetric, rng
@@ -51,7 +51,7 @@ def rescale_results():
     out = []
     for label, f, s in rescale_suite():
         t0 = time.perf_counter()
-        res = rescale(f, s, RescaleConfig(tol=0.05, max_iters=500))
+        res = rescale(f, s)
         out.append((label, f, s, res, time.perf_counter() - t0))
     return out
 
@@ -203,7 +203,7 @@ def test_criterion_7_bound_calculators():
 
 def test_criterion_8_determinism(rescale_results, pipeline_results):
     for label, f, s, res, _ in rescale_results:
-        res2 = rescale(f, s, RescaleConfig(tol=0.05, max_iters=500))
+        res2 = rescale(f, s)
         assert res2.certificate == res.certificate, label
         assert res2.iterations == res.iterations, label
         np.testing.assert_array_equal(

@@ -16,8 +16,8 @@ from psdfact import pipeline, serialize
 from psdfact.cli import DERIVATIVES_MAX_COST, FORMULAS, build_parser, main
 from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
-from psdfact.polytopes import build_slack, builtin_instance
-from psdfact.rescaling import RescaleConfig, rescale
+from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
+from psdfact.rescaling import DESCENT_MAX_ITERS, rescale
 
 from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
@@ -103,13 +103,12 @@ class TestFactAndRescale:
         out = tmp_path / "res.json"
         trace = tmp_path / "trace.csv"
         code = main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
-                     "--tol", "0.05", "--max-iters", "500",
                      "--out", str(out), "--trace", str(trace)])
         capsys.readouterr()
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["certificate"] is True
-        assert rep["iterations"] <= 500
+        assert rep["iterations"] <= DESCENT_MAX_ITERS
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,phi,lmax"
         assert len(lines) == len(rep["phi_trajectory"]) + 1
@@ -146,8 +145,8 @@ class TestFactAndRescale:
             assert all(b < a for a, b in zip(phis, phis[1:]))
             for row in rows:
                 assert float(row["lmax"]) ** 2 == pytest.approx(float(row["phi"]), rel=1e-9)
-            # the CLI runs rescale with its default config, so the library
-            # call reproduces the same trajectory
+            # the CLI runs rescale as the library does, so the library call
+            # reproduces the same trajectory
             res = rescale(f, s)
             assert [float(row["lmax"]) for row in rows] == [max(p) for p in res.lmax_trajectory]
 
@@ -323,11 +322,6 @@ class TestDefaults:
 
     CASES = {
         "fact-verify-tol": (["fact", "verify", "--slack", "s", "--fact", "f"], "tol", VERIFY_TOL),
-        "rescale-run-tol": (["rescale", "run", "--slack", "s", "--fact", "f"], "tol",
-                            RescaleConfig().tol),
-        "rescale-run-max-iters": (["rescale", "run", "--slack", "s", "--fact", "f"], "max_iters",
-                                  RescaleConfig().max_iters),
-        "pipeline-tol": (["pipeline", "--instance", "cube"], "tol", RescaleConfig().tol),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -363,12 +357,10 @@ class TestBadArguments:
         "delta-nan": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
                       "delta"),
         "reconstruct-n3": (["reconstruct", "--system", "{system}", "--n", "3"], "--n"),
+        "reconstruct-n21": (["reconstruct", "--system", "{system}", "--n", "21"], "--n"),
         "side-0": (["check", "derivatives", "--side", "0", "--pairs", "1"], "side"),
         "unbalance-0": (["pipeline", "--instance", "cube", "--unbalance", "0"], "unbalance"),
         "unbalance-neg": (["pipeline", "--instance", "cube", "--unbalance", "-5"], "unbalance"),
-        "rescale-tol-nan": (RESCALE + ["--tol", "nan"], "tol"),
-        "rescale-tol-neg": (RESCALE + ["--tol", "-1"], "tol"),
-        "rescale-max-iters-neg": (RESCALE + ["--max-iters", "-1"], "max_iters"),
         "pairs-0": (["check", "derivatives", "--pairs", "0"], "pairs"),
         "pairs-neg": (["check", "derivatives", "--pairs", "-1"], "pairs"),
         "verify-tol-nan": (VERIFY + ["--tol", "nan"], "tol"),
@@ -400,9 +392,6 @@ class TestBadArguments:
                           "--unbalance"),
         "unbalance-1e5-skip-rescale": (["pipeline", "--instance", "cube", "--n", "2",
                                         "--unbalance", "1e5", "--skip-rescale"], "--unbalance"),
-        "rescale-tol-1e308": (RESCALE + ["--tol", "1e308"], "tol"),
-        "pipeline-tol-1e308": (["pipeline", "--instance", "cube", "--n", "2", "--tol", "1e308"],
-                               "tol"),
     }
 
     @pytest.mark.parametrize("case", sorted(COMMANDS))
@@ -499,6 +488,106 @@ class TestBadArguments:
             main(argv + ["--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    # The certificate tolerance and the descent cap are constants of
+    # rescaling, which no command sets.
+    CONSTANTS = {
+        "rescale-run-tol": (RESCALE, ["--tol", "0.05"]),
+        "rescale-run-max-iters": (RESCALE, ["--max-iters", "5"]),
+        "pipeline-tol": (["pipeline", "--instance", "cube"], ["--tol", "0.05"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONSTANTS))
+    def test_constant_is_not_an_option(self, files, case, capsys):
+        argv, option = self.CONSTANTS[case]
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**files) for a in argv] + option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+class TestErrorLinesNameTheInput:
+    """An exit-2 line caused by an input file or a switch names it."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        paths = {name: tmp / f"{name}.json" for name in
+                 ("cube13", "cube2", "fact2", "bare", "pointless")}
+        for name, n in (("cube13", 13), ("cube2", 2)):
+            assert main(["slack", "build", "--instance", "cube", "--n", str(n),
+                         "--out", str(paths[name])]) == 0
+        assert main(["fact", "embed", "--slack", str(paths["cube2"]),
+                     "--out", str(paths["fact2"])]) == 0
+        bare = json.loads(paths["cube2"].read_text())
+        bare["polytope"] = None
+        paths["bare"].write_text(json.dumps(bare))
+        h, _ = builtin_instance("cube", 2)
+        paths["pointless"].write_text(json.dumps(serialize.polytope_to_json(h, None)))
+        return paths
+
+    # case: (argv, the error line after "error: ")
+    CASES = {
+        "round-worst-case-n13": (
+            ["round", "run", "--slack", "{cube13}", "--fact", "{fact2}", "--worst-case"],
+            "--worst-case: worst-case Delta supported for n <= 12 only, got n = 13"),
+        "round-without-provenance": (
+            ["round", "run", "--slack", "{bare}", "--fact", "{fact2}"],
+            "--slack {bare}: slack file lacks polytope provenance needed for rounding"),
+        "fit-cube-13": (
+            ["fact", "fit", "--slack", "{cube13}", "--r", "2"],
+            "--slack {cube13}: slack matrix of 26 x 8192 = 212992 entries refused (above 1024)"),
+        "slack-build-without-points": (
+            ["slack", "build", "--file", "{pointless}"],
+            "--file {pointless}: polytope file carries no points"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_line(self, files, case, capsys):
+        argv, line = self.CASES[case]
+        capsys.readouterr()
+        code = main([a.format(**files) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {line.format(**files)}\n"
+
+    # case: (slack entries, the input flag the error names, a phrase of it);
+    # rescale run gets the slack and its diagonal embedding.
+    HUGE = {
+        "diagonal-10-5e307": (np.diag([5e307] * 10), "slack", "Delta = 5e+307 at d = 10"),
+        "diagonal-2-1e308": (np.diag([1e308] * 2), "fact", "overflow"),
+        "full-2-1e308": ([[1e308, 1e308], [1e308, 0.0]], "fact", "overflow"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HUGE))
+    def test_huge_slack_entries(self, tmp_path, case, capsys):
+        # A numpy RuntimeWarning fails this test under the suite's
+        # filterwarnings = error.
+        entries, flag, phrase = self.HUGE[case]
+        paths = {"slack": tmp_path / "slack.json", "fact": tmp_path / "fact.json"}
+        paths["slack"].write_text(json.dumps({"entries": np.asarray(entries).tolist(),
+                                              "polytope": None}))
+        assert main(["fact", "embed", "--slack", str(paths["slack"]),
+                     "--out", str(paths["fact"])]) == 0
+        capsys.readouterr()
+        code = main(["rescale", "run", "--slack", str(paths["slack"]),
+                     "--fact", str(paths["fact"])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --{flag} {paths[flag]}: ")
+        assert phrase in captured.err
+
+    def test_huge_entries_with_singular_averages(self, tmp_path, capsys):
+        # The side averages are singular, so the common space comes from
+        # eigendecompositions, whose residual check squares entries of 1e200.
+        s = SlackMatrix.from_entries(np.diag([1e200, 1.0, 2.0]))
+        slack, fact = TestFactAndRescale.write_inputs(tmp_path, diagonal_embed(s), s)
+        code, rep = run_cli(["rescale", "run", "--slack", str(slack), "--fact", str(fact)],
+                            capsys)
+        assert code == 0
+        assert rep["certificate"] is True
 
 
 def leaf_parsers(parser, words=()):

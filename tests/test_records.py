@@ -46,7 +46,7 @@ FIELDS = {
     FitResult: lambda: {"factorization": _factorization(), "trace": (0.5, 0.25)},
     JohnDecomposition: lambda: {"dim": 1, "ellipsoid_map": np.ones((1, 1)),
                                 "points": np.ones((1, 1)), "weights": np.ones(1)},
-    RescaleConfig: lambda: {"tol": 0.1, "max_iters": 3},
+    RescaleConfig: lambda: {"tol": 0.1},
     RescaleResult: lambda: {"transform": np.eye(1), "transform_pinv": np.eye(1),
                             "factorization": _factorization(),
                             "lmax_trajectory": ((1.0, 1.0),), "lmax_u": 1.0, "lmax_v": 1.0,
@@ -65,7 +65,6 @@ FIELDS = {
     DerivativeCheck: lambda: {"analytic": 1.0, "slopes": ((1e-3, 1.0),),
                               "max_deviation": 0.0},
     PipelineConfig: lambda: {"r": 2, "skip_rescale": True, "unbalance": 10.0, "seed": 3,
-                             "rescale_cfg": RescaleConfig(tol=0.1),
                              "membership_cfg": MembershipConfig(seed=5)},
     BoundReport: lambda: {"formula": "f", "inputs": {"n": 2}, "log2_value": 1.0,
                           "decimal": "2", "assumptions": ("a",), "extras": {"x": 1}},

@@ -10,6 +10,8 @@ from psdfact.factorization import (
     diagonal_embed,
     max_operator_norm,
     potential,
+    side_norms,
+    top_norms,
     verify_factorization,
 )
 from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
@@ -225,7 +227,8 @@ class TestZeroStep:
         """Transform, pseudo-inverse and factorization by the epilogue of any M, at M = I."""
         reduced, o, _, _ = reduce_to_common_space(f)
         _, sv, rt = np.linalg.svd(np.eye(o.shape[1]))
-        p_u, p_v = rescaling._top_norms(congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt))
+        p_u, p_v = top_norms(side_norms(
+            congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt)))
         sv = sv * (p_v / p_u) ** 0.25
         basis = o @ rt.T
         t = symmat.as_symmetric((basis * sv) @ basis.T)

@@ -422,13 +422,12 @@ class TestMembership:
         assert recomputed > 0.0
         assert outside.dual_margin == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
 
-    def test_seed_changes_no_verdict(self):
-        _, _, _, system = rounded_instance("simplex", 3)
-        for x in itertools.product((0.0, 1.0), repeat=3):
-            a = membership_test(np.array(x), system, MembershipConfig(seed=0))
-            b = membership_test(np.array(x), system, MembershipConfig(seed=5))
-            assert ((a.verdict, a.iterations, a.dual_margin)
-                    == (b.verdict, b.iterations, b.dual_margin))
+    def test_pipeline_membership_seed_changes_no_report(self):
+        # The benchmark's sweep and accept workloads vary this seed.
+        reports = [run_pipeline("simplex", 3,
+                                PipelineConfig(membership_cfg=MembershipConfig(seed=k)))
+                   for k in (0, 5)]
+        assert reports[0] == reports[1]
 
     def test_inconclusive_at_the_cap_reports_both_values(self, monkeypatch):
         # crosspoly_01 n=3 needs hundreds of iterations for its vertices
