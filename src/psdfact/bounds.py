@@ -149,58 +149,30 @@ def polygon_bound(d: int) -> BoundReport:
     )
 
 
-class PolygonParams(Record):
-    """Parameters of the d-gon instance on the parabola.
+def polygon_params_report(d: int) -> BoundReport:
+    """Parameters of the d-gon instance on the parabola: N = 4 d^2 and the vertex box [2d] x [4d^2].
 
     Two Delta readings coexist in the source material: the general grid
     formula ((n+1) N)^(2n) gives (12 d^2)^4 at n=2, N=4d^2, while the
     polygon count is estimated with (12 d^2)^2.  Both are reported; no
     silent choice is made.
     """
-
-    __slots__ = ("d", "n", "big_n", "box", "delta_log2_general", "delta_log2_quadratic")
-
-    def __init__(self, d: int, n: int, big_n: int, box: tuple, delta_log2_general: float,
-                 delta_log2_quadratic: float):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "big_n", big_n)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "delta_log2_general", delta_log2_general)
-        object.__setattr__(self, "delta_log2_quadratic", delta_log2_quadratic)
-
-
-def polygon_instance_params(d: int) -> PolygonParams:
-    """N = 4 d^2, vertex box [2d] x [4d^2], and both Delta readings."""
     if d < 3:
         raise PreconditionError("needs d >= 3", arg="d")
     n = 2
-    big_n = 4 * d * d
     (base,) = _finite("d", lambda: (math.log2(12.0 * d * d),))
-    return PolygonParams(
-        d=d,
-        n=n,
-        big_n=big_n,
-        box=(2 * d, 4 * d * d),
-        delta_log2_general=2 * n * base,
-        delta_log2_quadratic=2 * base,
-    )
-
-
-def polygon_params_report(d: int) -> BoundReport:
-    p = polygon_instance_params(d)
     return _report(
         "polygon_instance_params",
         {"d": d},
-        p.delta_log2_general,
+        2 * n * base,
         (
             "Delta carries two readings: ((n+1)N)^(2n) = (12 d^2)^4 and the "
             "quadratic variant (12 d^2)^2; both are reported, none chosen",
         ),
         extras={
-            "N": p.big_n,
-            "box": list(p.box),
-            "delta_log2_general": p.delta_log2_general,
-            "delta_log2_quadratic": p.delta_log2_quadratic,
+            "N": 4 * d * d,
+            "box": [2 * d, 4 * d * d],
+            "delta_log2_general": 2 * n * base,
+            "delta_log2_quadratic": 2 * base,
         },
     )

@@ -16,31 +16,27 @@ from .record import Record
 from . import symmat
 
 
-def _top_basis(x: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_restriction(x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """lambda_1 of nonzero PSD x, and max w^T z w over unit w in its top eigenspace."""
     dec = symmat.spectral_decompose(x)
     lam = dec.eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if scale == 0.0:
+    if not np.abs(lam).max(initial=0.0):
         raise PreconditionError("derivative undefined for the zero matrix")
-    if lam.size and lam[-1] < -symmat.RANK_TOL * scale:
+    if symmat.not_psd(lam):
         raise PreconditionError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    return float(lam[0]), dec.top_cluster()
+    basis = dec.top_cluster()
+    restricted = basis.T @ symmat.as_symmetric(z) @ basis
+    return float(lam[0]), float(np.max(np.linalg.eigvalsh(symmat.as_symmetric(restricted))))
 
 
 def dplus_opnorm_additive(x: np.ndarray, z: np.ndarray) -> float:
     """Right derivative of eps -> ||x + eps z|| at 0 for nonzero PSD x."""
-    _, basis = _top_basis(x)
-    z = symmat.as_symmetric(z)
-    restricted = basis.T @ z @ basis
-    return float(np.max(np.linalg.eigvalsh(symmat.as_symmetric(restricted))))
+    return _top_restriction(x, z)[1]
 
 
 def dplus_opnorm_congruence(x: np.ndarray, z: np.ndarray) -> float:
     """Right derivative of eps -> ||exp(eps z) x exp(eps z)|| at 0."""
-    lam1, basis = _top_basis(x)
-    z = symmat.as_symmetric(z)
-    restricted = basis.T @ z @ basis
-    top = float(np.max(np.linalg.eigvalsh(symmat.as_symmetric(restricted))))
+    lam1, top = _top_restriction(x, z)
     return 2.0 * lam1 * top
 
 

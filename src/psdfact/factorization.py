@@ -4,13 +4,14 @@ A factorization pairs PSD matrices (U_i) with (V^j), all of one side r,
 such that <U_i, V^j> reproduces the target matrix entrywise.  Each side
 is one stacked float array, ``row_factors`` of shape (m, r, r) and
 ``col_factors`` of shape (n, r, r); the ``PsdFactorization`` constructor
-validates both once (square factors, one common side, finite entries),
-so every routine here works on whole stacks.  This module holds the
-data model, the congruence that rescaling applies to a whole
-factorization, verification against a slack matrix, the canonical
-diagonal embedding, a Levenberg-Marquardt search for factorizations of a
-given side, and the potential function (product of the two largest
-operator norms) that the rescaler drives down.
+validates both once (square factors, one common side, finite entries)
+and stores them exactly symmetric, so every routine here works on whole
+stacks.  This module holds the data model, the congruence that
+rescaling applies to a whole factorization, verification against a
+slack matrix, the canonical diagonal embedding, a Levenberg-Marquardt
+search for factorizations of a given side, and the potential function
+(product of the two largest operator norms) that the rescaler drives
+down.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .record import Record
 from . import symmat
 from .symmat import operator_norms
 
-# PSD acceptance slack for constructed factors: min eigenvalue may dip to
-# -PSD_TOL * (1 + lambda_max) from floating-point noise.
-PSD_TOL = 1e-9
 # Residual tolerance, relative to 1 + Delta, of verify_factorization and of
 # rescale's input and output; residual_budget turns it into a threshold.
 VERIFY_TOL = 1e-8
@@ -46,8 +44,12 @@ class PsdFactorization(Record):
     (m, r, r) and (n, r, r).  The constructor accepts such arrays or any
     sequence of r x r matrices and validates once that the factors are
     square, share one side and have finite entries; an empty side is
-    stored as (0, r, r) with r taken from the other side.  PSD-ness is
-    checked only by ``from_factors``.
+    stored as (0, r, r) with r taken from the other side.  Both stacks are
+    stored exactly symmetric: <U, V> and every eigvalsh see only a
+    factor's symmetric part, so a stack that is not exactly symmetric is
+    replaced by ``symmat.as_symmetric``'s (a + a^T) / 2, and one that is
+    is kept as given, bit for bit.  PSD-ness is checked only by
+    ``from_factors``.
     """
 
     __slots__ = ("row_factors", "col_factors")
@@ -61,6 +63,10 @@ class PsdFactorization(Record):
         rows, cols = (s.reshape(0, r, r) if s.shape == (0,) else s for s in (rows, cols))
         if rows.shape[1:] != (r, r) or cols.shape[1:] != (r, r):
             raise DimensionError(f"factors must be square of one side: {rows.shape}, {cols.shape}")
+        # NaN equals nothing, so as_symmetric refuses a stack holding one; the
+        # check after it also catches a sum (a + a^T) that overflows.
+        rows, cols = (s if (s == s.swapaxes(1, 2)).all() else symmat.as_symmetric(s)
+                      for s in (rows, cols))
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             raise PreconditionError("factors have non-finite entries")
         object.__setattr__(self, "row_factors", rows)
@@ -68,13 +74,11 @@ class PsdFactorization(Record):
 
     @classmethod
     def from_factors(cls, row_factors, col_factors):
-        """Construct, then check every factor for PSD-ness up to PSD_TOL."""
+        """Construct, then check every factor with ``symmat.not_psd``."""
         f = cls(row_factors=row_factors, col_factors=col_factors)
-        if not f.side:
-            return f
         for stack, label in ((f.row_factors, "row factor"), (f.col_factors, "column factor")):
             lam = np.linalg.eigvalsh(stack)
-            bad = np.flatnonzero(lam[:, 0] < -PSD_TOL * (1.0 + np.maximum(lam[:, -1], 0.0)))
+            bad = np.flatnonzero(symmat.not_psd(lam))
             if bad.size:
                 raise PreconditionError(
                     f"{label} {bad[0]} is not PSD: min eigenvalue {lam[bad[0], 0]:.3g}"
@@ -102,12 +106,10 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
     """The factorization (A U_i A, B V^j B), each side one batched product.
 
     With A symmetric and B its inverse (or pseudo-inverse on the common
-    space) the products <U_i, V^j> are unchanged.  Each result stack is
-    symmetrized and checked finite.
+    space) the products <U_i, V^j> are unchanged.  The constructor
+    symmetrizes each result stack and checks it finite.
     """
-    rows = symmat.as_symmetric(a @ f.row_factors @ a)
-    cols = symmat.as_symmetric(b @ f.col_factors @ b)
-    return PsdFactorization(row_factors=rows, col_factors=cols)
+    return PsdFactorization(row_factors=a @ f.row_factors @ a, col_factors=b @ f.col_factors @ b)
 
 
 def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
@@ -315,10 +317,8 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
             mu *= 4.0
         trace.append(float(np.max(np.abs(res))))
         if trace[-1] <= threshold:
-            # l @ l^T is symmetric only up to round-off.
-            f = PsdFactorization(row_factors=symmat.as_symmetric(u),
-                                 col_factors=symmat.as_symmetric(v))
-            return FitResult(factorization=f, trace=tuple(trace))
+            # l @ l^T is symmetric only up to round-off; the constructor symmetrizes it.
+            return FitResult(factorization=PsdFactorization(u, v), trace=tuple(trace))
         if stalled:
             break
     return FitResult(factorization=None, trace=tuple(trace))

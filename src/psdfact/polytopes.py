@@ -144,22 +144,22 @@ def build_slack(h: HPolytope, v: VPolytope) -> SlackMatrix:
     return SlackMatrix(entries=s, h=h, v=v)
 
 
+def cube_points(n: int, batch: int):
+    """The points of {0,1}^n in lexicographic order, as int64 arrays of up to ``batch`` rows."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+    for first in range(0, 1 << n, batch):
+        idx = np.arange(first, min(first + batch, 1 << n), dtype=np.int64)
+        yield (idx[:, None] >> shifts) & 1
+
+
 def enumerate_01_vertices(h: HPolytope, max_dim: int = 24) -> VPolytope:
-    """All points of {0,1}^n satisfying every inequality (brute force)."""
+    """All points of {0,1}^n satisfying every inequality (brute force, 2^16 points at a time)."""
     n = h.dim
     if n > max_dim:
         raise ResourceError(f"2^{n} enumeration refused (n > {max_dim})")
-    chunk = 1 << min(n, 16)
-    keep = []
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, 1 << n, chunk):
-        idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        pts = (idx[:, None] >> shifts) & 1
-        ok = np.all(h.a @ pts.T <= h.b[:, None], axis=0)
-        if np.any(ok):
-            keep.append(pts[ok])
-    pts = np.concatenate(keep, axis=0) if keep else np.zeros((0, n), dtype=np.int64)
-    return VPolytope(points=pts)
+    chunks = cube_points(n, 1 << min(n, 16))
+    return VPolytope(points=np.concatenate(
+        [pts[np.all(h.a @ pts.T <= h.b[:, None], axis=0)] for pts in chunks]))
 
 
 def _cube(n: int) -> tuple[HPolytope, VPolytope]:

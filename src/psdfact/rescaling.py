@@ -1,18 +1,23 @@
 """Congruence rescaling of semidefinite factorizations.
 
-Pipeline: reduce a factorization onto the common image space of its two
-side-averages, start at the geometric-mean congruence of those averages
-when it helps, balance the sides by a scalar so both attain the same top
-norm mu, then repeatedly shrink the largest row factors with congruence
-steps exp(-eps Z) (and grow the column side with exp(+eps Z)).  The
-direction Z is the moment matrix of a John decomposition: the minimum
-volume enclosing ellipsoid of a deterministic contact set, the top
-eigenvectors of all row factors currently at norm mu.  A monotone line
-search over a geometric eps grid, measured in one batch, converts the
-descent direction into concrete steps; the loop stops once the potential
-lmax(U) * lmax(V) falls below d * Delta times (1 + CERTIFICATE_TOL), with
-d the reduced dimension and Delta the largest entry of the factored
-matrix, at the first stall, or after DESCENT_MAX_ITERS steps.
+Every builtin input takes two steps: reduce the factorization onto the
+common image space of its two side-averages, then start at the
+geometric-mean congruence of those averages when it lowers the potential
+lmax(U) * lmax(V).  With Delta > 0, diagonal or fitted, plain or after an
+``unbalance`` congruence, that start meets the target
+d * Delta * (1 + CERTIFICATE_TOL), with d the reduced dimension and
+Delta the largest entry of the factored matrix.  The descent loop is the
+fallback; of the builtin inputs only the point's fitted factorizations
+reach it, as their Delta = 0 makes the target 0.  It balances the sides
+by a scalar so both attain the same top norm mu, then repeatedly shrinks
+the largest row factors with congruence steps exp(-eps Z) (and grows the
+column side with exp(+eps Z)).  The direction Z is the moment matrix of
+a John decomposition: the minimum volume enclosing ellipsoid of a
+deterministic contact set, the top eigenvectors of all row factors
+currently at norm mu.  A monotone line search over a geometric eps grid,
+measured in one batch, converts the descent direction into concrete
+steps; the loop stops below the target, at the first stall, or after
+DESCENT_MAX_ITERS steps.
 
 The start is closed-form.  With mU and mV the reduced averages, the matrix
 geometric mean X = mU^-1 # mV is the positive definite solution of
@@ -244,10 +249,10 @@ def reduce_to_common_space(
 
     One eigvalsh of both averages comes first.  When each average's least
     eigenvalue exceeds IMAGE_TOL times its largest, both are nonsingular,
-    W = R^r and O = I: the factors come back symmetrized, the averages
-    are the reduced averages and sigma is read from that spectrum, with no
-    eigendecomposition.  Otherwise the construction above runs, and one
-    more eigvalsh of the reduced averages gives sigma.
+    W = R^r and O = I: the reduced factorization is ``f`` itself, the
+    averages are the reduced averages and sigma is read from that
+    spectrum, with no eigendecomposition.  Otherwise the construction
+    above runs, and one more eigvalsh of the reduced averages gives sigma.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
@@ -255,13 +260,11 @@ def reduce_to_common_space(
                                          f.col_factors.sum(axis=0) / f.n_cols]))
     lam = np.linalg.eigvalsh(bars)
     if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
-        rows, cols = (symmat.as_symmetric(side) for side in (f.row_factors, f.col_factors))
-        reduced = PsdFactorization(row_factors=rows, col_factors=cols)
-        return reduced, np.eye(f.side), float(lam[:, 0].min()), bars
+        return f, np.eye(f.side), float(lam[:, 0].min()), bars
     b = symmat.image_basis(bars[0])
     o = b @ symmat.image_basis(b.T @ bars[1] @ b)
-    rows, cols = (symmat.as_symmetric(o.T @ side @ o) for side in (f.row_factors, f.col_factors))
-    reduced = PsdFactorization(row_factors=rows, col_factors=cols)
+    reduced = PsdFactorization(row_factors=o.T @ f.row_factors @ o,
+                               col_factors=o.T @ f.col_factors @ o)
     means = symmat.as_symmetric(o.T @ bars @ o)
     if not o.shape[1]:
         return reduced, o, 0.0, means

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, PreconditionError, ResourceError
 from .factorization import PsdFactorization
-from .polytopes import HPolytope
+from .polytopes import HPolytope, cube_points
 from .record import Record
 from . import symmat
 
@@ -204,7 +204,7 @@ class RoundedSystem(Record):
 def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> RoundedSystem:
     """Select the working subsystem, round its factors as one stack, pad with zero rows."""
     selected = select_subsystem(h, f)
-    u = symmat.as_symmetric(f.row_factors[selected])
+    u = f.row_factors[selected]
     rounded = round_factor(u, g)
     k, m = len(selected), g.n + g.r**2
     a, b, factors = np.zeros((m, h.dim)), np.zeros(m), np.zeros((m, f.side, f.side))
@@ -332,7 +332,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
     u_flat = system.factors.reshape(m, -1)
     step = None
     const = system.b - xs @ system.a.T
-    y = symmat.eig_clip(starts, 0.0, cap)
+    y = symmat.eig_clip(starts, cap)
     best = np.full(len(xs), -np.inf)
     best_lam = np.zeros((len(xs), m))
     iterations = np.full(len(xs), MEMBER_MAX_ITERS)
@@ -368,8 +368,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
             lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
             step = 1.0 / lip if lip > 0.0 else 0.0
         # The gradient of the objective is -2 sum_i push_i U_i.
-        y[live] = symmat.eig_clip(
-            y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), 0.0, cap)
+        y[live] = symmat.eig_clip(y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
 
     # Re-validate from scratch: each witness against the budget and the cap
     # through the full factor stack, each dual functional by its value.
@@ -481,9 +480,7 @@ def reconstruct(system: RoundedSystem, n: int,
     warm_start_map = warm_start_map or {}
     zero = np.zeros((system.grid.r, system.grid.r))
     verdicts = []
-    for first in range(0, 1 << n, MEMBER_BATCH):
-        idx = np.arange(first, min(first + MEMBER_BATCH, 1 << n))
-        bits = (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    for bits in cube_points(n, MEMBER_BATCH):
         points = [tuple(p) for p in bits.tolist()]
         starts = np.array([warm_start_map.get(p, zero) for p in points], dtype=float)
         verdicts.extend(_decide(system, bits.astype(float), starts))

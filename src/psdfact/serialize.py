@@ -110,14 +110,14 @@ def factorization_to_json(f: PsdFactorization) -> dict:
 def factorization_from_json(obj: dict) -> PsdFactorization:
     rows = _field(obj, "U", lambda ms: [matrix_from_json(m) for m in ms])
     cols = _field(obj, "V", lambda ms: [matrix_from_json(m) for m in ms])
-    f = PsdFactorization(row_factors=rows, col_factors=cols)
-    # The PSD check and every operator norm read one triangle, so factors
-    # must be exactly symmetric.
-    for stack, label in ((f.row_factors, "row factor"), (f.col_factors, "column factor")):
-        bad = np.flatnonzero((stack != stack.swapaxes(1, 2)).any(axis=(1, 2)))
-        if bad.size:
+    # The constructor would symmetrize a factor; a file must not need it, so
+    # a finite factor that is not exactly symmetric is refused.  A
+    # non-finite one is left to the constructor.
+    for stack, label in ((rows, "row factor"), (cols, "column factor")):
+        bad = [k for k, m in enumerate(stack) if np.isfinite(m).all() and (m != m.T).any()]
+        if bad:
             raise PreconditionError(f"{label} {bad[0]} is not exactly symmetric")
-    return PsdFactorization.from_factors(f.row_factors, f.col_factors)
+    return PsdFactorization.from_factors(rows, cols)
 
 
 def grid_to_json(g: GridParams) -> dict:

@@ -23,8 +23,12 @@ from .errors import (
 )
 from .record import Record
 
-# Relative eigenvalue cutoff below which a direction counts as kernel.
+# Relative cutoff of the rank decisions: a singular value or residual norm
+# at most RANK_TOL times the largest counts as zero.
 RANK_TOL = 1e-9
+# PSD acceptance slack: the least eigenvalue may dip to
+# -PSD_TOL * (1 + max(lambda_max, 0)) from floating-point noise.
+PSD_TOL = 1e-9
 # Relative cutoff of ``image_basis``: round-off only.  A congruence of
 # condition c spreads a PSD matrix's spectrum by up to c^2, so a cut at
 # RANK_TOL drops real directions of its image once c nears 1e4.
@@ -109,15 +113,23 @@ def spectral_decompose(m: np.ndarray) -> SpectralDecomposition:
     return dec
 
 
+def not_psd(lam: np.ndarray) -> np.ndarray:
+    """Whether each spectrum along the last axis fails the PSD test, in any order.
+
+    A spectrum fails when its least eigenvalue is below
+    -PSD_TOL * (1 + max(lambda_max, 0)); an empty one passes.
+    """
+    return lam.min(axis=-1, initial=0.0) < -PSD_TOL * (1.0 + lam.max(axis=-1, initial=0.0))
+
+
 def operator_norms(factors) -> np.ndarray:
     """Operator norm of every matrix in a stack, from one batched eigvalsh.
 
     The spectrum comes back ascending, so max |lambda| is read off its two
     ends; ``+ 0.0`` turns a zero factor's -0.0 into 0.0, and matrices of
-    side 0 have norm 0.  The stack must be exactly symmetric and finite,
-    as every factorization the package builds or loads is; it is not
-    checked here, and eigvalsh reads one triangle only.  Symmetrise a raw
-    input with ``as_symmetric`` first.
+    side 0 have norm 0.  eigvalsh reads one triangle only, so the stack
+    must be exactly symmetric, as every factorization's stacks are; it is
+    not checked here.
     """
     lam = np.linalg.eigvalsh(factors)
     if not lam.shape[-1]:
@@ -144,37 +156,33 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """PSD square root; eigenvalues in [-RANK_TOL * scale, 0) are clipped to zero."""
+    """PSD square root; negative eigenvalues that pass ``not_psd`` are clipped to zero."""
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
-        raise NotPsdError(
-            f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}"
-        )
+    if not_psd(lam):
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
     v = dec.eigenvectors
     return as_symmetric((v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T)
 
 
-def eig_clip(m: np.ndarray, min_eig: float = 0.0, max_eig: float | None = None) -> np.ndarray:
-    """Symmetrize and clip the spectrum into [min_eig, max_eig], batched over a stack.
+def eig_clip(m: np.ndarray, max_eig: float | None = None) -> np.ndarray:
+    """Symmetrize and clip the spectrum into [0, max_eig], batched over a stack.
 
     One batched ``eigh``; the result is symmetric up to round-off.
     """
     lam, vec = np.linalg.eigh(as_symmetric(m))
-    return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, min_eig, max_eig), vec)
+    return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, 0.0, max_eig), vec)
 
 
 def image_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the image of a PSD matrix, as the columns of a (k, d) array.
 
     Directions with eigenvalue > IMAGE_TOL * lambda_max are kept; the zero
-    matrix gives d = 0.  A negative eigenvalue below -RANK_TOL * lambda_max
-    raises NotPsdError.
+    matrix gives d = 0.  A spectrum that fails ``not_psd`` raises
+    NotPsdError.
     """
     dec = spectral_decompose(m)
     lam = dec.eigenvalues
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if lam.size and lam[-1] < -RANK_TOL * max(scale, 1.0):
+    if not_psd(lam):
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    return dec.eigenvectors[:, lam > IMAGE_TOL * scale]
+    return dec.eigenvectors[:, lam > IMAGE_TOL * np.abs(lam).max(initial=0.0)]

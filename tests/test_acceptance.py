@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from psdfact import symmat
-from psdfact.bounds import polygon_instance_params, worst_case_coeff_bound, xc01_lower_bound
+from psdfact.bounds import polygon_params_report, worst_case_coeff_bound, xc01_lower_bound
 from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from psdfact.factorization import PsdFactorization, diagonal_embed, verify_factorization
 from psdfact.pipeline import PipelineConfig, run_pipeline
@@ -194,9 +194,9 @@ def test_criterion_7_bound_calculators():
         assert abs(rep.log2_value - exact) <= 1e-12 * max(exact, 1.0)
 
     for d in (4, 8):
-        p = polygon_instance_params(d)
-        assert p.big_n == 4 * d * d
-        assert p.box == (2 * d, 4 * d * d)
+        p = polygon_params_report(d).extras
+        assert p["N"] == 4 * d * d
+        assert p["box"] == [2 * d, 4 * d * d]
     print(f"[acceptance 7] bound calculators: PASS (xc01(16) = {xc:.4f}, "
           f"grid_delta(2,2) = 1/768, coeff log2 exact through n=12, polygon boxes ok)")
 

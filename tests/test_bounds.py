@@ -90,22 +90,21 @@ class TestPolygon:
         assert any("constant-free" in a for a in rep.assumptions)
 
     def test_params_d4(self):
-        p = bounds.polygon_instance_params(4)
-        assert p.big_n == 64
-        assert p.box == (8, 64)
+        p = bounds.polygon_params_report(4).extras
+        assert p["N"] == 64
+        assert p["box"] == [8, 64]
 
     def test_params_d8(self):
-        p = bounds.polygon_instance_params(8)
-        assert p.big_n == 4 * 64
-        assert p.box == (16, 256)
+        p = bounds.polygon_params_report(8).extras
+        assert p["N"] == 4 * 64
+        assert p["box"] == [16, 256]
 
     def test_both_delta_readings_reported(self):
-        p = bounds.polygon_instance_params(4)
-        base = math.log2(12.0 * 16.0)
-        assert p.delta_log2_general == pytest.approx(4 * base)
-        assert p.delta_log2_quadratic == pytest.approx(2 * base)
         rep = bounds.polygon_params_report(4)
-        assert rep.extras["delta_log2_general"] != rep.extras["delta_log2_quadratic"]
+        base = math.log2(12.0 * 16.0)
+        assert rep.extras["delta_log2_general"] == pytest.approx(4 * base)
+        assert rep.extras["delta_log2_quadratic"] == pytest.approx(2 * base)
+        assert rep.log2_value == rep.extras["delta_log2_general"]
 
 
 class TestReports:

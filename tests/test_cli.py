@@ -556,7 +556,8 @@ class TestErrorLinesNameTheInput:
     # rescale run gets the slack and its diagonal embedding.
     HUGE = {
         "diagonal-10-5e307": (np.diag([5e307] * 10), "slack", "Delta = 5e+307 at d = 10"),
-        "diagonal-2-1e308": (np.diag([1e308] * 2), "fact", "overflow"),
+        "diagonal-2-1e308": (np.diag([1e308] * 2), "slack",
+                             "Delta = 1e+308 at d = 2 overflows the certificate bound"),
         "full-2-1e308": ([[1e308, 1e308], [1e308, 0.0]], "fact", "overflow"),
     }
 

@@ -181,6 +181,40 @@ class TestStackedRepresentation:
         assert f.products().shape == (0, 2)
 
 
+class TestSymmetricStacks:
+    """The constructor stores the symmetric part, which is all that <U, V> sees."""
+
+    # Symmetric part [[1, -2], [-2, 1]], eigenvalues -1 and 3; eigvalsh of
+    # the lower triangle alone would read [[1, 0], [0, 1]].
+    SKEW = np.array([[1.0, -4.0], [0.0, 1.0]])
+
+    def test_from_factors_refuses_the_symmetric_part(self):
+        with pytest.raises(PreconditionError, match="row factor 0 is not PSD: min eigenvalue -1"):
+            PsdFactorization.from_factors([self.SKEW], [np.eye(2)])
+
+    def test_side_norms_read_the_symmetric_part(self):
+        f = PsdFactorization([self.SKEW], [np.eye(2)])
+        assert np.array_equal(f.row_factors, [[[1.0, -2.0], [-2.0, 1.0]]])
+        assert side_norms(f)[0][0] == 3.0
+
+    def test_diagonal_embed_keeps_its_bytes(self):
+        s = build_slack(*builtin_instance("cube", 3))
+        entries = s.as_float()  # 6 x 8: the rows are the shorter side
+        eye = np.eye(6)
+        rows, cols = eye[:, :, None] * eye, entries.T[:, :, None] * eye
+        f = diagonal_embed(s)
+        assert f.row_factors.tobytes() == rows.tobytes()
+        assert f.col_factors.tobytes() == cols.tobytes()
+
+    def test_exactly_symmetric_stack_is_kept_as_given(self):
+        # (a + a^T) / 2 would overflow here: a RuntimeWarning fails the test
+        # under the suite's filterwarnings = error.
+        rows = np.diag([1e308, 1e308])[None]
+        cols = np.eye(2)[None]
+        f = PsdFactorization(rows, cols)
+        assert f.row_factors is rows and f.col_factors is cols
+
+
 class TestAlternatingFit:
     """fit_factorization: Levenberg-Marquardt on square-root factors."""
 
@@ -236,18 +270,16 @@ class TestAlternatingFit:
 
 
 def raw_unbalanced_cube():
-    """The unit square's embedding under a congruence, products left unsymmetrised."""
+    """The unit square's embedding under a congruence, built from unsymmetrised products."""
     s = unit_square_slack()
     f = diagonal_embed(s)
     q = random_orthogonal(rng(3), f.side)
     a = (q * np.array([10.0, 0.1, 1.0, 1.0])) @ q.T
     a_inv = (q / np.array([10.0, 0.1, 1.0, 1.0])) @ q.T
-    raw = PsdFactorization(
-        row_factors=a @ f.row_factors @ a, col_factors=a_inv @ f.col_factors @ a_inv
-    )
+    rows, cols = a @ f.row_factors @ a, a_inv @ f.col_factors @ a_inv
     # Really asymmetric, so the exact symmetry of what is built from it is the program's doing.
-    assert not np.array_equal(raw.row_factors, raw.row_factors.swapaxes(1, 2))
-    return raw, s, a, a_inv
+    assert not np.array_equal(rows, rows.swapaxes(1, 2))
+    return PsdFactorization(row_factors=rows, col_factors=cols), s, a, a_inv
 
 
 def balanced_reduced():
@@ -263,6 +295,7 @@ def descent_winner():
 
 
 BUILDERS = {
+    "PsdFactorization": lambda: raw_unbalanced_cube()[0],
     "diagonal_embed": lambda: diagonal_embed(unit_square_slack()),
     "congruence": lambda: congruence(
         diagonal_embed(unit_square_slack()), *raw_unbalanced_cube()[2:]),

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from psdfact.bounds import BoundReport, PolygonParams
+from psdfact.bounds import BoundReport
 from psdfact.derivatives import DerivativeCheck
 from psdfact.factorization import FactorizationReport, FitResult, PsdFactorization
 from psdfact.pipeline import PipelineConfig
@@ -68,8 +68,6 @@ FIELDS = {
                              "membership_cfg": MembershipConfig(seed=5)},
     BoundReport: lambda: {"formula": "f", "inputs": {"n": 2}, "log2_value": 1.0,
                           "decimal": "2", "assumptions": ("a",), "extras": {"x": 1}},
-    PolygonParams: lambda: {"d": 3, "n": 2, "big_n": 36, "box": (6, 36),
-                            "delta_log2_general": 1.0, "delta_log2_quadratic": 0.5},
 }
 
 

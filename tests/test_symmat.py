@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from psdfact import symmat
+from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
+from psdfact.factorization import PsdFactorization
 from psdfact.errors import (
     ConvergenceError,
     DimensionError,
@@ -163,3 +165,23 @@ class TestSubspaces:
     def test_not_psd_rejected(self):
         with pytest.raises(NotPsdError):
             symmat.image_basis(np.diag([1.0, -1.0]))
+
+
+class TestPsdFloor:
+    """Every PSD test shares one floor, -PSD_TOL * (1 + max(lambda_max, 0))."""
+
+    CALLERS = {
+        "from_factors": lambda m: PsdFactorization.from_factors([m], [m]),
+        "sqrt_psd": symmat.sqrt_psd,
+        "image_basis": symmat.image_basis,
+        "dplus_opnorm_additive": lambda m: dplus_opnorm_additive(m, np.eye(len(m))),
+        "dplus_opnorm_congruence": lambda m: dplus_opnorm_congruence(m, np.eye(len(m))),
+    }
+
+    @pytest.mark.parametrize("lmax", [1e-3, 2.0, 1e3])
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_accepts_inside_and_refuses_outside(self, caller, lmax):
+        floor = -symmat.PSD_TOL * (1.0 + lmax)
+        self.CALLERS[caller](np.diag([lmax, 0.9 * floor]))
+        with pytest.raises(PreconditionError, match="not PSD: min eigenvalue"):
+            self.CALLERS[caller](np.diag([lmax, 1.1 * floor]))
