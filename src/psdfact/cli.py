@@ -261,6 +261,7 @@ def _cmd_round_run(args):
         }
         for err, u in zip(system.error_fnorm, system.factors)
     ]
+    report["zeroed_factors"] = list(system.zeroed)
     return report, EXIT_OK
 
 

@@ -112,13 +112,25 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
     return PsdFactorization(row_factors=a @ f.row_factors @ a, col_factors=b @ f.col_factors @ b)
 
 
-def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
-    """The operator norm of every factor, one array per side.
+def side_extremes(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """The least and largest eigenvalue of every factor, an (m, 2) and an (n, 2) array.
 
-    Both stacks go through one eigvalsh, at the cost of one copy of them.
+    Both stacks go through one eigvalsh, at the cost of one copy of them;
+    a factor of side 0 gives (0, 0).
     """
-    norms = operator_norms(np.concatenate([f.row_factors, f.col_factors]))
-    return norms[:f.n_rows], norms[f.n_rows:]
+    lam = np.linalg.eigvalsh(np.concatenate([f.row_factors, f.col_factors]))
+    ends = lam[:, [0, -1]] if f.side else np.zeros((len(lam), 2))
+    return ends[:f.n_rows], ends[f.n_rows:]
+
+
+def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
+    """The operator norm of every factor, one array per side, from ``side_extremes``."""
+    return extreme_norms(side_extremes(f))
+
+
+def extreme_norms(ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``side_norms`` from ``side_extremes``: max |lambda|, with a zero factor's -0.0 as 0.0."""
+    return tuple(np.maximum(e[:, 1], -e[:, 0]) + 0.0 for e in ends)
 
 
 def top_norms(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:

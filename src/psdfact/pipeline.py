@@ -161,6 +161,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         "grid_step": grid.step,
         "budget": grid.budget,
         "selected_rows": list(system.selected),
+        "zeroed_factors": list(system.zeroed),
         "error_bound_ok": max_error <= grid.error_bound,
         # The padding rows are zero, so they never exceed the bound.
         "entry_bound_ok": bool(np.max(np.abs(system.factors)) <= grid.entry_bound),

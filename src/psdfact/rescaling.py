@@ -39,19 +39,24 @@ eigvalsh of the two averages.  When both are nonsingular the common
 space is R^r and that spectrum gives sigma; only otherwise do two
 eigendecompositions find the common space and one more eigvalsh of the
 reduced averages give sigma.  One measurement of the reduced
-factorization's top norms gives tau, and one of the mean start's gives
-its potential; each measurement of a factorization is one eigvalsh of
-both sides.  The top norms of a factorization balanced by a scalar are
-both the square root of its potential, so the factors of the start are
-measured one by one only when the loop runs.  The loop keeps the
-balanced winner of each line search, the operator norms of its factors
-(measured once per step and shared by the direction, the line search and
-the trajectory) and M, the start times the product of the accepted
-steps.  The returned transform is the polar part P = (M^T M)^(1/2),
-formed once at the end; M = Q P with Q orthogonal, so the congruence by P
-has the norms of the last winner.  With no accepted step M is the start,
-and the epilogue reuses its polar factor and top norms instead of
-measuring again.
+factorization gives tau, and one of the mean start's gives its
+potential; each measurement of a factorization is one eigvalsh of both
+sides, which keeps the least and the largest eigenvalue of every factor.
+The top norms of a factorization balanced by a scalar are both the
+square root of its potential, so the factors of the start are measured
+one by one only when the loop runs.  The loop keeps the balanced winner
+of each line search, the operator norms of its factors (measured once
+per step and shared by the direction, the line search and the
+trajectory) and M, the start times the product of the accepted steps.
+The returned transform is the polar part P = (M^T M)^(1/2), formed once
+at the end; M = Q P with Q orthogonal, so the congruence by P has the
+norms of the last winner, and the epilogue measures it.  With no
+accepted step M is the start, already measured.  The result is the last
+measured factorization, balanced by a scalar and lifted by O, which
+equals the congruence of the input by the returned transform up to
+round-off: the certificate reads its top norms from that measurement,
+and a factor whose least eigenvalue there fails ``symmat.not_psd`` has
+its negative eigenvalues clipped.
 """
 
 from __future__ import annotations
@@ -65,12 +70,13 @@ from .factorization import (
     VERIFY_TOL,
     PsdFactorization,
     congruence,
+    extreme_norms,
     max_residual,
     potential,
     residual_budget,
+    side_extremes,
     side_norms,
     top_norms,
-    verify_factorization,
 )
 from .polytopes import SlackMatrix
 from .record import Record
@@ -426,7 +432,10 @@ class RescaleResult(Record):
         # input, then the geometric-mean start when rescale keeps it (also at
         # iteration 0, so ``iterations`` counts only the entries after it),
         # then each line-search winner as descent_step balanced it.  The two
-        # are equal up to round-off; the CLI trace records their max.
+        # are equal up to round-off; the CLI trace records their max.  After
+        # loop steps, lmax_u and lmax_v come from one more measurement, of
+        # the congruence by the polar part, and match the last entry up to
+        # round-off.
         object.__setattr__(self, "lmax_trajectory", lmax_trajectory)
         object.__setattr__(self, "lmax_u", lmax_u)
         object.__setattr__(self, "lmax_v", lmax_v)
@@ -450,9 +459,16 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
 
     The returned transform acts on the original side r; its pseudo-inverse
     handles the column factors, so the rescaled factorization still
-    reproduces the slack matrix.  The certificate flag is set only when
-    the recomputed norms meet sqrt(d * Delta) * (1 + CERTIFICATE_TOL) with
-    d the reduced dimension and Delta the largest slack entry.
+    reproduces the slack matrix.  The returned factorization is the last
+    one rescale measured (the reduced input, the mean start, or the
+    congruence by the polar part of the loop's transform), balanced by a
+    scalar and lifted to side r: it equals the congruence of ``f`` by the
+    transform pair up to round-off.  lmax_u and lmax_v are its top norms
+    from that measurement, and the certificate flag is set only when they
+    meet sqrt(d * Delta) * (1 + CERTIFICATE_TOL) with d the reduced
+    dimension and Delta the largest slack entry.  Every returned factor
+    passes ``symmat.not_psd``; ``diagnostics["psd_repaired"]`` counts those
+    whose negative eigenvalues were clipped to get there.
 
     When the reduced input's potential tau exceeds the target, rescale
     forms the congruence P = (mU^-1 # mV)^1/2 of ``mean_congruence``, the
@@ -461,7 +477,9 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     applied to the input.  ``diagnostics["start"]`` says which start was
     taken, "mean" or "input"; the descent loop runs from there while phi
     is above the target, for at most DESCENT_MAX_ITERS steps.  With d = 0
-    the transform is the zero matrix.
+    the transform is the zero matrix.  A zero slack matrix has common
+    space {0}: rescale returns the zero factorization and transform,
+    certified, with start "zero".
 
     Factor entries that overflow when the sides are averaged or
     symmetrized raise PreconditionError naming ``f``, and a Delta for which
@@ -477,15 +495,24 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
             f"(max residual {residual_in:.3g})"
         )
 
-    try:
-        with np.errstate(over="raise"):
-            reduced, o, sigma, means = reduce_to_common_space(f)
-    except FloatingPointError:
-        top = max(float(np.abs(side).max()) for side in (f.row_factors, f.col_factors))
-        raise PreconditionError(
-            f"factor entries up to {top:.3g} overflow when the factors are summed or symmetrized",
-            arg="f",
-        ) from None
+    if delta == 0.0 and f.n_rows and f.n_cols:
+        # The zero factorization reproduces S = 0 exactly, and its common
+        # space is {0}.  An empty side is left to reduce_to_common_space,
+        # which refuses it.
+        reduced = PsdFactorization(np.zeros((f.n_rows, 0, 0)), np.zeros((f.n_cols, 0, 0)))
+        o, sigma, means, start = np.zeros((f.side, 0)), 0.0, None, "zero"
+    else:
+        try:
+            with np.errstate(over="raise"):
+                reduced, o, sigma, means = reduce_to_common_space(f)
+        except FloatingPointError:
+            top = max(float(np.abs(side).max()) for side in (f.row_factors, f.col_factors))
+            raise PreconditionError(
+                f"factor entries up to {top:.3g} overflow when the factors are summed or "
+                "symmetrized",
+                arg="f",
+            ) from None
+        start = "input"
     d = o.shape[1]
     # In Python floats, which overflow to inf without a warning.
     target_phi = d * delta * (1.0 + CERTIFICATE_TOL)
@@ -498,20 +525,23 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         )
 
     # The start: a congruence P = rt^T diag(sv) rt of the reduced
-    # factorization, the factorization fw it gives and fw's top norms
-    # (p_u, p_v).  P is the identity, or the geometric-mean congruence when
-    # the input misses the target and the mean lowers phi.  Balanced by a
-    # scalar, each has both top norms at the square root of its potential.
-    p_u, p_v = top_norms(side_norms(reduced))
+    # factorization, the factorization fs it gives, the least and largest
+    # eigenvalue of each of fs's factors and fs's top norms (p_u, p_v).  P
+    # is the identity, or the geometric-mean congruence when the input
+    # misses the target and the mean lowers phi.  Balanced by a scalar,
+    # each has both top norms at the square root of its potential.
+    ends = side_extremes(reduced)
+    p_u, p_v = top_norms(extreme_norms(ends))
     tau = p_u * p_v
-    sv, rt, start, fw = np.ones(d), np.eye(d), "input", reduced
+    sv, rt, fs = np.ones(d), np.eye(d), reduced
     lmax_traj = [(float(np.sqrt(tau)),) * 2]
     polar = mean_congruence(means) if tau > target_phi else None
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
-        tops = top_norms(side_norms(trial))
+        trial_ends = side_extremes(trial)
+        tops = top_norms(extreme_norms(trial_ends))
         if tops[0] * tops[1] < tau:
-            (sv, rt), start, fw, (p_u, p_v) = polar, "mean", trial, tops
+            (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
             lmax_traj.append((float(np.sqrt(p_u * p_v)),) * 2)
 
     # State: the balanced working factorization fw that descent_step
@@ -523,7 +553,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     iterations = 0
     stalled = False
     if lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
-        fw = _balanced(fw, p_u, p_v)
+        fw = _balanced(fs, p_u, p_v)
         norms = side_norms(fw)
         m = (rt.T * sv) @ rt
         cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
@@ -552,30 +582,49 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         iterations += 1
 
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
-    # M U M^T = Q (P U P) Q^T: the congruence by P has the norms of fw once
-    # balanced by a scalar.  P is lifted by O, so A = W S W^T, W = O R.
-    # With no accepted step M is the start, whose polar factor and norms
-    # are already at hand.
+    # M U M^T = Q (P U P) Q^T: fs, the congruence by P, has the norms of fw
+    # once balanced by a scalar.  With no accepted step M is the start, and
+    # fs is the start already measured.
     if iterations:
         _, sv, rt = np.linalg.svd(m)
-        p_u, p_v = top_norms(side_norms(_polar_congruence(reduced, sv, rt)))
-    # At d = 0 both norms are 0 and every factor is the empty matrix.
+        fs = _polar_congruence(reduced, sv, rt)
+        ends = side_extremes(fs)
+        p_u, p_v = top_norms(extreme_norms(ends))
+    # The scalar c^2 = sqrt(p_v / p_u) balances fs: the result is
+    # (c^2 U, V / c^2) for fs = (U, V), lifted by O when the common space
+    # is proper, and the transform is c P lifted, A = W (c S) W^T with
+    # W = O R.  At d = 0 both norms are 0 and every factor is 0.
+    c2 = 1.0
     if p_u:
+        c2 = math.sqrt(p_v / p_u)
         sv = sv * (p_v / p_u) ** 0.25
     w = o @ rt.T
     transform = symmat.as_symmetric((w * sv) @ w.T)
     transform_pinv = symmat.as_symmetric((w / sv) @ w.T)
-    rescaled = congruence(f, transform, transform_pinv)
-    final = verify_factorization(rescaled, s, VERIFY_TOL)
-    # Congruence by an exact inverse pair preserves the products, so the
-    # residual may only drift by float error beyond what came in.
-    if final.max_abs_residual > residual_in + budget:
+    stacks = [fs.row_factors * c2, fs.col_factors / c2]
+    # Round-off amplified by an ill-conditioned input can leave a least
+    # eigenvalue below the PSD floor; those factors alone get their
+    # negative eigenvalues clipped.
+    psd_repaired = 0
+    for k, scale in ((0, c2), (1, 1.0 / c2)):
+        if reduced is not f:
+            stacks[k] = o @ stacks[k] @ o.T
+        bad = symmat.not_psd(ends[k] * scale)
+        if bad.any():
+            stacks[k][bad] = symmat.eig_clip(stacks[k][bad])
+            psd_repaired += int(bad.sum())
+    rescaled = PsdFactorization(*stacks)
+    residual, _ = max_residual(rescaled, s)
+    # Up to round-off the result is the congruence of f by an inverse
+    # pair, which preserves the products, so the residual may only drift
+    # by float error (and the clipping) beyond what came in.
+    if residual > residual_in + budget:
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
-            f"(max residual {final.max_abs_residual:.3g})"
+            f"(max residual {residual:.3g})"
         )
-    lmax_u = final.lmax_u
-    lmax_v = final.lmax_v
+    lmax_u = c2 * p_u
+    lmax_v = p_v / c2
     certificate = bool(lmax_u <= target_lmax and lmax_v <= target_lmax)
     return RescaleResult(
         transform=transform,
@@ -595,6 +644,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
             "tau": tau,
             "stalled": stalled,
             "start": start,
-            "residual": final.max_abs_residual,
+            "residual": residual,
+            "psd_repaired": psd_repaired,
         },
     )

@@ -39,7 +39,6 @@ inconclusive.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -126,22 +125,24 @@ def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
 
     Eigenvalues and eigenvector entries are snapped first; the reassembled
     matrix is snapped entrywise so that every entry is an exact grid
-    multiple.  PSD-ness survives up to the final entrywise snap.
+    multiple.  PSD-ness survives up to the final entrywise snap.  A factor
+    whose top eigenvalue is below half the grid step rounds to zero;
+    ``zeroed_factors`` finds those.
     """
     step = g.step
     dec = symmat.spectral_decompose(u)
-    top = dec.eigenvalues[..., 0]
-    if np.any((top > 0.0) & (step >= 2.0 * top)):
-        warnings.warn(
-            "grid step exceeds twice the top eigenvalue; rounding will "
-            "destroy the factor",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     lam = round_to_grid(dec.eigenvalues, step)
     vec = round_to_grid(dec.eigenvectors, step)
     rounded = (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
     return round_to_grid((rounded + rounded.swapaxes(-1, -2)) / 2.0, step)
+
+
+def zeroed_factors(u: np.ndarray, rounded: np.ndarray) -> list[int]:
+    """Positions k at which ``u[k]`` is nonzero and ``rounded[k]`` is zero.
+
+    These are the factors of a stack that rounding destroyed.
+    """
+    return np.flatnonzero(u.any(axis=(1, 2)) & ~rounded.any(axis=(1, 2))).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +184,10 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
 class RoundedSystem(Record):
     """Padded subsystem (a_i, b_i, rounded U_i) driving the membership oracle."""
 
-    __slots__ = ("a", "b", "factors", "grid", "selected", "error_fnorm")
+    __slots__ = ("a", "b", "factors", "grid", "selected", "error_fnorm", "zeroed")
 
     def __init__(self, a: np.ndarray, b: np.ndarray, factors: np.ndarray, grid: GridParams,
-                 selected: tuple = (), error_fnorm: tuple = ()):
+                 selected: tuple = (), error_fnorm: tuple = (), zeroed: tuple = ()):
         object.__setattr__(self, "a", a)  # (n + r^2, n) float
         object.__setattr__(self, "b", b)  # (n + r^2,) float
         object.__setattr__(self, "factors", factors)  # (n + r^2, r, r) float
@@ -195,6 +196,9 @@ class RoundedSystem(Record):
         # ||rounded U_i - U_i||_F per selected row, in slot order; empty when
         # the system was loaded rather than rounded.
         object.__setattr__(self, "error_fnorm", error_fnorm)
+        # The selected rows whose nonzero factor rounded to zero, by
+        # ``zeroed_factors``; empty when the system was loaded.
+        object.__setattr__(self, "zeroed", zeroed)
 
     @property
     def n_rows(self) -> int:
@@ -220,6 +224,7 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
         grid=g,
         selected=tuple(int(i) for i in selected),
         error_fnorm=tuple(np.sqrt(err @ err.swapaxes(1, 2)).ravel().tolist()),
+        zeroed=tuple(int(selected[k]) for k in zeroed_factors(u, rounded)),
     )
 
 

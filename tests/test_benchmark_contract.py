@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from psdfact.factorization import PsdFactorization
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
@@ -46,3 +48,17 @@ RESCALE_GROUP_HEADS = [c.label for c in workloads.rescale_calls(0) if c.label.en
 def test_first_call_of_each_rescale_group_passes_under_the_tracer(label):
     call = next(c for c in workloads.rescale_calls(0) if c.label == label)
     assert call.check(run_traced(call)) is True
+
+
+# Run seeds at which rescale returned a column factor below the PSD floor,
+# which the check and ``PsdFactorization.from_factors`` both refused.
+PSD_LOSS_SEEDS = (47, 50, 53, 154, 159)
+
+
+@pytest.mark.parametrize("seed", PSD_LOSS_SEEDS)
+def test_rescale_calls_pass_their_checks_and_reload(seed):
+    for call in workloads.rescale_calls(seed):
+        res = call.run()
+        assert call.check(res) is True, call.label
+        PsdFactorization.from_factors(res.factorization.row_factors,
+                                      res.factorization.col_factors)

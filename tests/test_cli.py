@@ -852,6 +852,14 @@ class TestPipeline:
         assert rep["stages"]["rescale"]["certificate"] is True
         assert rep["verdict"] == "match" and code == 0
 
+    def test_zeroed_factor_is_reported(self, capsys):
+        # The grid step exceeds twice the top eigenvalue of row 5's factor,
+        # which rounds to zero: a report value, not a RuntimeWarning.
+        code, rep = run_cli(["pipeline", "--instance", "crosspoly_01", "--n", "2", "--r", "2"],
+                            capsys)
+        assert code == 0 and rep["verdict"] == "match"
+        assert rep["stages"]["round"]["zeroed_factors"] == [5]
+
     def test_fit_not_found_reports_residual_and_steps(self, capsys):
         # The unit square has PSD rank 3 > 1.
         code, rep = run_cli(["pipeline", "--instance", "cube", "--n", "2", "--r", "1"], capsys)

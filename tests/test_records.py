@@ -56,7 +56,7 @@ FIELDS = {
                          "worst_case": True},
     RoundedSystem: lambda: {"a": np.zeros((3, 2)), "b": np.zeros(3),
                             "factors": np.zeros((3, 1, 1)), "grid": _grid(),
-                            "selected": (0,), "error_fnorm": (0.0,)},
+                            "selected": (0,), "error_fnorm": (0.0,), "zeroed": ()},
     MembershipConfig: lambda: {"seed": 5},
     MembershipVerdict: lambda: {"point": (0, 1), "verdict": "rejected", "witness": None,
                                 "violation": 0.1, "dual_margin": 0.2,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,14 @@ from psdfact import rescaling, symmat
 from psdfact.derivatives import dplus_opnorm_congruence
 from psdfact.errors import NumericError, PreconditionError
 from psdfact.factorization import (
+    VERIFY_TOL,
     PsdFactorization,
     congruence,
     diagonal_embed,
+    fit_factorization,
     max_operator_norm,
     potential,
+    residual_budget,
     side_norms,
     top_norms,
     verify_factorization,
@@ -218,24 +223,28 @@ class TestReduce:
 
 
 class TestZeroStep:
-    """With no accepted step, rescale's epilogue reuses the prologue's norms."""
+    """With no accepted step, rescale returns the start it measured."""
 
     @staticmethod
-    def general_epilogue(f):
-        """Transform, pseudo-inverse and factorization by the epilogue of any M, at M = I."""
+    def input_epilogue(f):
+        """Transform, pseudo-inverse and factorization of the epilogue at the
+        input start: the measured reduced stacks, balanced by the scalar
+        c^2 = sqrt(p_v / p_u) and lifted by O when the common space is proper."""
         reduced, o, _, _ = reduce_to_common_space(f)
-        _, sv, rt = np.linalg.svd(np.eye(o.shape[1]))
-        p_u, p_v = top_norms(side_norms(
-            congruence(reduced, (rt.T * sv) @ rt, (rt.T / sv) @ rt)))
-        sv = sv * (p_v / p_u) ** 0.25
-        basis = o @ rt.T
-        t = symmat.as_symmetric((basis * sv) @ basis.T)
-        t_pinv = symmat.as_symmetric((basis / sv) @ basis.T)
-        return t, t_pinv, congruence(f, t, t_pinv)
+        p_u, p_v = top_norms(side_norms(reduced))
+        sv = np.ones(o.shape[1]) * (p_v / p_u) ** 0.25
+        t = symmat.as_symmetric((o * sv) @ o.T)
+        t_pinv = symmat.as_symmetric((o / sv) @ o.T)
+        c2 = math.sqrt(p_v / p_u)
+        rows, cols = reduced.row_factors * c2, reduced.col_factors / c2
+        if reduced is not f:
+            rows, cols = o @ rows @ o.T, o @ cols @ o.T
+        return t, t_pinv, PsdFactorization(rows, cols)
 
-    def assert_matches_general_epilogue(self, res, f):
-        assert res.iterations == 0
-        t, t_pinv, g = self.general_epilogue(f)
+    def assert_matches_input_epilogue(self, res, f):
+        assert res.iterations == 0 and res.diagnostics["start"] == "input"
+        assert res.diagnostics["psd_repaired"] == 0
+        t, t_pinv, g = self.input_epilogue(f)
         for got, want in ((res.transform, t), (res.transform_pinv, t_pinv),
                           (res.factorization.row_factors, g.row_factors),
                           (res.factorization.col_factors, g.col_factors)):
@@ -250,7 +259,7 @@ class TestZeroStep:
         f, s = self.cube3()
         res = rescale(f, s)
         assert not res.diagnostics["stalled"]
-        self.assert_matches_general_epilogue(res, f)
+        self.assert_matches_input_epilogue(res, f)
 
     def test_stall_at_the_first_step(self, monkeypatch):
         f, s = loop_from_input()
@@ -258,7 +267,7 @@ class TestZeroStep:
         res = rescale(f, s)
         assert res.diagnostics["stalled"]
         assert res.diagnostics["start"] == "input"
-        self.assert_matches_general_epilogue(res, f)
+        self.assert_matches_input_epilogue(res, f)
 
     def test_each_stack_measured_once(self, monkeypatch):
         f, s = self.cube3()
@@ -273,16 +282,94 @@ class TestZeroStep:
         res = rescale(f, s)
         assert res.iterations == 0
         # The two side averages, which a nonsingular common space leaves
-        # unreduced, the reduced stacks, the result: both sides of a
-        # factorization go through one eigvalsh.
-        assert len(calls) == 3
-        # The same, and the stacks of the mean start, whose norms the
-        # epilogue reuses.
+        # unreduced, and the reduced stacks, which are returned scaled:
+        # both sides of a factorization go through one eigvalsh.
+        assert len(calls) == 2
+        # The same, and the stacks of the mean start, which are returned.
         f, s = unbalanced_cube()
         calls.clear()
         res = rescale(f, s)
         assert res.iterations == 0 and res.diagnostics["start"] == "mean"
-        assert len(calls) == 4
+        assert len(calls) == 3
+
+
+FIT_INSTANCES = [("cube", 2), ("cube", 3), ("simplex", 2), ("crosspoly_01", 2), ("segment", 1),
+                 ("point", 1), ("point", 2)]
+
+
+def grid_inputs(instance, n):
+    """The diagonal embedding of a builtin, plain and after congruences of
+    condition 1e2, 1e3 and 1e4 at seeds 0-2."""
+    s = build_slack(*builtin_instance(instance, n))
+    f = diagonal_embed(s)
+    return s, [f] + [_unbalance_congruence(f, t, seed) for t in (1e2, 1e3, 1e4)
+                     for seed in range(3)]
+
+
+def fitted_inputs(instance, n):
+    """The fits of side 1-4 that are found, plain and after a 1e4 congruence."""
+    s = build_slack(*builtin_instance(instance, n))
+    fits = [fit_factorization(s, r).factorization for r in range(1, 5)]
+    return s, [g for f in fits if f is not None for g in (f, _unbalance_congruence(f, 1e4, 0))]
+
+
+def loop_inputs(make):
+    """A loop family, after congruences of condition 1e4 at seeds 0-5."""
+    f, s = make()
+    return s, [_unbalance_congruence(f, 1e4, seed) for seed in range(6)]
+
+
+def made_input(make):
+    """The loop input ``make`` builds, as it is."""
+    f, s = make()
+    return s, [f]
+
+
+RETURNED_CASES = (
+    [pytest.param(grid_inputs, (i, n), id=f"grid-{i}-{n}")
+     for i, n in REDUCE_INSTANCES if i != "moment_polygon"]
+    + [pytest.param(fitted_inputs, (i, n), id=f"fitted-{i}-{n}") for i, n in FIT_INSTANCES]
+    + [pytest.param(made_input, (make,), id=make.__name__)
+       for make in (loop_from_input, loop_from_mean)]
+    + [pytest.param(loop_inputs, (make,), id=make.__name__)
+       for make in (two_row_embedding, corner_diagonal)]
+)
+
+
+class TestReturnedFactorization:
+    """The returned factorization is the congruence by the returned transform,
+    its top norms are lmax_u and lmax_v, and every factor is PSD."""
+
+    @pytest.mark.parametrize("inputs, args", RETURNED_CASES)
+    def test_matches_the_congruence_and_its_norms(self, inputs, args):
+        s, factorizations = inputs(*args)
+        budget = residual_budget(s, VERIFY_TOL)
+        for f in factorizations:
+            res = rescale(f, s)
+            g = congruence(f, res.transform, res.transform_pinv)
+            for got, want in ((res.factorization.row_factors, g.row_factors),
+                              (res.factorization.col_factors, g.col_factors)):
+                assert np.abs(got - want).max(initial=0.0) <= budget
+            norms = [symmat.operator_norms(side).max(initial=0.0)
+                     for side in (res.factorization.row_factors, res.factorization.col_factors)]
+            np.testing.assert_allclose([res.lmax_u, res.lmax_v], norms, rtol=1e-12, atol=0.0)
+            for side in (res.factorization.row_factors, res.factorization.col_factors):
+                assert not symmat.not_psd(np.linalg.eigvalsh(side)).any()
+
+    def test_zero_slack_gets_the_zero_factorization(self):
+        # A fit of the point's zero slack matrix has nonzero factors whose
+        # products are 0 only up to the fit's residual.
+        s = build_slack(*builtin_instance("point", 2))
+        for r in range(1, 5):
+            f = fit_factorization(s, r).factorization
+            assert np.abs(f.row_factors).max() > 0.0
+            res = rescale(f, s)
+            assert res.certificate and res.iterations == 0 and res.reduced_dim == 0
+            assert res.diagnostics["start"] == "zero"
+            for side in (res.factorization.row_factors, res.factorization.col_factors,
+                         res.transform, res.transform_pinv):
+                assert not side.any()
+            assert res.factorization.side == f.side
 
 
 class TestBalance:
@@ -533,6 +620,7 @@ class TestRescale:
         res = rescale(f, s)
         assert res.reduced_dim == 0
         assert res.iterations == 0
+        assert res.diagnostics["start"] == "zero"
         # The common space is {0}, so the transform O diag(sv) O^T is the
         # zero matrix: every rescaled factor is 0 and meets the target
         # sqrt(0 * Delta) = 0.

@@ -18,6 +18,7 @@ from psdfact.rounding import (
     membership_test,
     reconstruct,
     round_factor,
+    zeroed_factors,
     round_to_grid,
     select_subsystem,
 )
@@ -121,25 +122,23 @@ class TestRoundFactor:
         lam = np.linalg.eigvalsh(round_factor(u, g))
         assert lam[0] >= -4.0 * g.step
 
-    def test_degenerate_grid_warns(self):
+    def test_degenerate_grid_reports_the_zeroed_factor(self):
         g = small_grid(n=2, r=2, big_delta=1.0)
-        tiny = np.eye(2) * g.step / 10.0
-        with pytest.warns(RuntimeWarning, match="grid step"):
-            round_factor(tiny, g)
+        tiny = np.eye(2)[None] * g.step / 10.0
+        assert zeroed_factors(tiny, round_factor(tiny, g)) == [0]
 
     def test_stack_matches_each_matrix(self):
         # Slice 1 is zero and slice 2 has a grid step above twice its top
-        # eigenvalue; the stack warns once and rounds every slice exactly
-        # as the single-matrix reference does.
+        # eigenvalue; only slice 2 is reported as zeroed, and every slice
+        # rounds exactly as the single-matrix reference does.
         gen = rng(12)
         g = small_grid(n=3, r=4, big_delta=2.0)
         b = gen.standard_normal((6, 4, 4))
         stack = b @ b.swapaxes(1, 2) / 4.0
         stack[1] = 0.0
         stack[2] = np.eye(4) * g.step / 10.0
-        with pytest.warns(RuntimeWarning, match="grid step") as caught:
-            rounded = round_factor(stack, g)
-        assert len(caught) == 1
+        rounded = round_factor(stack, g)
+        assert zeroed_factors(stack, rounded) == [2]
         assert rounded.shape == stack.shape
         for u, got in zip(stack, rounded):
             assert got.tobytes() == reference_round_factor(u, g.step).tobytes()
