@@ -191,7 +191,9 @@ def _cmd_fact_fit(args):
     if fit.factorization is None:
         report = {
             "found": False,
-            "note": "no factorization found at this side; not a nonexistence proof",
+            "note": "no factorization found at this side; a nonexistence proof only when "
+                    "the reason is a lower bound",
+            "reason": fit.reason,
         }
     else:
         report = serialize.factorization_to_json(fit.factorization)
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     ff = fsub.add_parser("fit")
     ff.add_argument("--slack", required=True)
     ff.add_argument("--r", type=int, required=True,
-                    help=f"side of the fitted factors, 1 to {FIT_MAX_SIDE}")
+                    help=f"side of the fitted factors, 1 to {FIT_MAX_SIDE}; a side with "
+                    "r (r + 1) / 2 below the rank of the slack matrix is refused at once")
     _add_common(ff, seed=True)
     ff.set_defaults(func=_cmd_fact_fit)
 
@@ -472,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dimension of the builtin, 1 to 4 (the sweep covers {0,1}^n)")
     p.add_argument("--r", type=int,
                    help="factorize by a Levenberg-Marquardt fit at this side, 1 to "
-                   f"{FIT_MAX_SIDE}, instead of the diagonal embedding; a fit that "
-                   'misses its residual target ends the run at "factorization not found"')
+                   f"{FIT_MAX_SIDE}, instead of the diagonal embedding; a side below the "
+                   "polytope's dimension + 1, or a fit that misses its residual target, ends "
+                   'the run at "factorization not found"')
     p.add_argument("--skip-rescale", action="store_true")
     p.add_argument("--unbalance", type=float,
                    help="apply an adversarial congruence of this condition number")

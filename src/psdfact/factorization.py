@@ -16,6 +16,8 @@ down.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ResourceError
@@ -47,9 +49,9 @@ class PsdFactorization(Record):
     stored as (0, r, r) with r taken from the other side.  Both stacks are
     stored exactly symmetric: <U, V> and every eigvalsh see only a
     factor's symmetric part, so a stack that is not exactly symmetric is
-    replaced by ``symmat.as_symmetric``'s (a + a^T) / 2, and one that is
-    is kept as given, bit for bit.  PSD-ness is checked only by
-    ``from_factors``.
+    replaced by (a + a^T) / 2, and one that is is kept as given, bit for
+    bit.  Each stack gets one symmetry test and one finiteness test.
+    PSD-ness is checked only by ``from_factors``.
     """
 
     __slots__ = ("row_factors", "col_factors")
@@ -63,9 +65,10 @@ class PsdFactorization(Record):
         rows, cols = (s.reshape(0, r, r) if s.shape == (0,) else s for s in (rows, cols))
         if rows.shape[1:] != (r, r) or cols.shape[1:] != (r, r):
             raise DimensionError(f"factors must be square of one side: {rows.shape}, {cols.shape}")
-        # NaN equals nothing, so as_symmetric refuses a stack holding one; the
-        # check after it also catches a sum (a + a^T) that overflows.
-        rows, cols = (s if (s == s.swapaxes(1, 2)).all() else symmat.as_symmetric(s)
+        # NaN equals nothing, so a stack holding one is symmetrized, and the
+        # finiteness test after it refuses the NaN, as it does a sum
+        # (a + a^T) that overflows.
+        rows, cols = (s if (s == s.swapaxes(1, 2)).all() else (s + s.swapaxes(1, 2)) / 2.0
                       for s in (rows, cols))
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             raise PreconditionError("factors have non-finite entries")
@@ -112,25 +115,28 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
     return PsdFactorization(row_factors=a @ f.row_factors @ a, col_factors=b @ f.col_factors @ b)
 
 
-def side_extremes(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
-    """The least and largest eigenvalue of every factor, an (m, 2) and an (n, 2) array.
+def side_extremes(f: PsdFactorization) -> np.ndarray:
+    """The least and largest eigenvalue of every factor, an (m + n, 2) array, rows first.
 
     Both stacks go through one eigvalsh, at the cost of one copy of them;
     a factor of side 0 gives (0, 0).
     """
     lam = np.linalg.eigvalsh(np.concatenate([f.row_factors, f.col_factors]))
-    ends = lam[:, [0, -1]] if f.side else np.zeros((len(lam), 2))
-    return ends[:f.n_rows], ends[f.n_rows:]
+    return lam[:, [0, -1]] if f.side else np.zeros((len(lam), 2))
 
 
 def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
     """The operator norm of every factor, one array per side, from ``side_extremes``."""
-    return extreme_norms(side_extremes(f))
+    return extreme_norms(side_extremes(f), f.n_rows)
 
 
-def extreme_norms(ends: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``side_norms`` from ``side_extremes``: max |lambda|, with a zero factor's -0.0 as 0.0."""
-    return tuple(np.maximum(e[:, 1], -e[:, 0]) + 0.0 for e in ends)
+def extreme_norms(ends: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``side_norms`` from ``side_extremes`` of a factorization with m row factors.
+
+    Each norm is max |lambda|, with a zero factor's -0.0 as 0.0.
+    """
+    norms = np.maximum(ends[:, 1], -ends[:, 0]) + 0.0
+    return norms[:m], norms[m:]
 
 
 def top_norms(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
@@ -177,7 +183,7 @@ def check_tol(tol: float) -> None:
 
 def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int, int]]:
     """Largest |<U_i, V^j> - S_ij| and its (i, j); (0.0, (0, 0)) when S is empty."""
-    target = s.as_float()
+    target = s.floats
     if (f.n_rows, f.n_cols) != target.shape:
         raise DimensionError(
             f"index sets disagree: factorization {f.n_rows}x{f.n_cols}, "
@@ -227,14 +233,11 @@ def diagonal_embed(s: SlackMatrix) -> PsdFactorization:
     With rows the shorter side, U_i = e_i e_i^T and V^j = diag(S[:, j]);
     otherwise the roles flip.  Inner products reproduce S exactly.
     """
-    entries = s.as_float()
+    entries = s.floats
     m, n = entries.shape
-    if m <= n:
-        rows, cols = np.eye(m), entries.T
-    else:
-        rows, cols = entries, np.eye(n)
-    # Row k of each array becomes the diagonal of factor k.
     eye = np.eye(min(m, n))
+    rows, cols = (eye, entries.T) if m <= n else (entries, eye)
+    # Row k of each array becomes the diagonal of factor k.
     return PsdFactorization(row_factors=rows[:, :, None] * eye, col_factors=cols[:, :, None] * eye)
 
 
@@ -242,24 +245,29 @@ class FitResult(Record):
     """Outcome of ``fit_factorization``, found or not.
 
     ``trace`` holds the max residual after every step, so ``steps`` is its
-    length and ``residual`` its last entry.  ``factorization`` is None when
-    no factorization at the target residual was found; that is not
+    length and ``residual`` its last entry, None when no step was taken.
+    ``factorization`` is None when no factorization at the target residual
+    was found, and ``reason`` then says why the search stopped: a side
+    below a PSD-rank lower bound, refused before any step, proves that
+    none exists; a search that stalls or reaches FIT_MAX_STEPS is not
     evidence that none exists, and the report must read "not found".
     """
 
-    __slots__ = ("factorization", "trace")
+    __slots__ = ("factorization", "trace", "reason")
 
-    def __init__(self, factorization: PsdFactorization | None, trace: tuple):
+    def __init__(self, factorization: PsdFactorization | None, trace: tuple,
+                 reason: str | None = None):
         object.__setattr__(self, "factorization", factorization)
         object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def steps(self) -> int:
         return len(self.trace)
 
     @property
-    def residual(self) -> float:
-        return self.trace[-1]
+    def residual(self) -> float | None:
+        return self.trace[-1] if self.trace else None
 
 
 def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
@@ -274,12 +282,21 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
     residual is within ``residual_budget(s, VERIFY_TOL / 10)``, and is not
     found after FIT_MAX_STEPS steps or once the step is lost in round-off.
     The side and the size of S are checked before anything is drawn.
+
+    A side with r (r + 1) / 2 < rank S is refused at once, with no step:
+    the products <U_i, V^j> are inner products of vectors of the
+    r (r + 1) / 2-dimensional space of symmetric r x r matrices, so they
+    have rank at most k = r (r + 1) / 2.  The rank counts the singular
+    values of S above sqrt(m n) times the residual target t: a product
+    matrix P within t of S entrywise has ||S - P||_2 <= sqrt(m n) t, so the
+    (k + 1)-th singular value of S is at most that (Weyl), and a larger one
+    proves that the fit cannot succeed.
     """
     if r < 1:
         raise PreconditionError("side must be at least 1", arg="r")
     if r > FIT_MAX_SIDE:
         raise ResourceError(f"side r = {r} refused (--r above {FIT_MAX_SIDE})")
-    target = s.as_float()
+    target = s.floats
     m, n = target.shape
     if not m * n:
         raise PreconditionError("slack matrix has no entries to fit", arg="s")
@@ -288,6 +305,12 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
             f"slack matrix of {m} x {n} = {m * n} entries refused (above {FIT_MAX_ENTRIES})",
             arg="s",
         )
+    threshold = residual_budget(s, VERIFY_TOL / 10)
+    rank = int(np.linalg.matrix_rank(target, tol=math.sqrt(m * n) * threshold))
+    if r * (r + 1) // 2 < rank:
+        return FitResult(factorization=None, trace=(), reason=(
+            f"side {r} is below the PSD-rank lower bound: r (r + 1) / 2 = {r * (r + 1) // 2} "
+            f"< rank S = {rank}"))
     rng = np.random.default_rng(seed)
     scale = np.sqrt(max(target.mean(), 1e-3) / r)
     l, k = rng.standard_normal((m, r, r)) * scale, rng.standard_normal((n, r, r)) * scale
@@ -308,7 +331,6 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
         jjt[:, np.arange(n), :, np.arange(n)] += flat_b @ flat_b.swapaxes(1, 2)
         return a, b, jjt.reshape(m * n, m * n)
 
-    threshold = residual_budget(s, VERIFY_TOL / 10)
     u, v, res = evaluate(l, k)
     a, b, jjt = linearize(l, k, u, v)
     mu = 1e-3
@@ -332,5 +354,7 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
             # l @ l^T is symmetric only up to round-off; the constructor symmetrizes it.
             return FitResult(factorization=PsdFactorization(u, v), trace=tuple(trace))
         if stalled:
-            break
-    return FitResult(factorization=None, trace=tuple(trace))
+            return FitResult(factorization=None, trace=tuple(trace),
+                             reason="stalled: the step is lost in round-off")
+    return FitResult(factorization=None, trace=tuple(trace),
+                     reason=f"no fit within FIT_MAX_STEPS = {FIT_MAX_STEPS} steps")

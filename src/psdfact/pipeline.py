@@ -10,11 +10,14 @@ witnesses.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import PreconditionError
 from .factorization import (
     VERIFY_TOL,
+    FitResult,
     PsdFactorization,
     congruence,
     diagonal_embed,
@@ -107,7 +110,16 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         f = diagonal_embed(s)
         report["stages"]["factorize"] = {"method": "diagonal_embed", "r": f.side}
     else:
-        fit = fit_factorization(s, cfg.r)
+        # A polytope of dimension d has PSD rank at least d + 1 (Gouveia,
+        # Robinson and Thomas, "Polytopes of minimum positive semidefinite
+        # rank", 2013), so a smaller side is refused before any step.
+        dim = int(np.linalg.matrix_rank(v.points[1:] - v.points[0])) if v.n_points > 1 else 0
+        if cfg.r < dim + 1:
+            fit = FitResult(factorization=None, trace=(), reason=(
+                f"side {cfg.r} is below the PSD-rank lower bound {dim + 1} of a "
+                f"{dim}-dimensional polytope"))
+        else:
+            fit = fit_factorization(s, cfg.r)
         found = fit.factorization is not None
         report["stages"]["factorize"] = {
             "method": "levenberg_marquardt",
@@ -117,6 +129,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
             "steps": fit.steps,
         }
         if not found:
+            report["stages"]["factorize"]["reason"] = fit.reason
             report["verdict"] = "factorization not found"
             return report
         f = fit.factorization
@@ -154,7 +167,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     system = build_rounded_system(h, working, grid)
     max_error = max(system.error_fnorm, default=0.0)
-    budget_margin = max_error * working.side * np.sqrt(grid.big_delta)
+    budget_margin = max_error * working.side * math.sqrt(grid.big_delta)
     report["stages"]["round"] = {
         "delta": grid.delta,
         "Delta": grid.big_delta,
@@ -164,20 +177,18 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         "zeroed_factors": list(system.zeroed),
         "error_bound_ok": max_error <= grid.error_bound,
         # The padding rows are zero, so they never exceed the bound.
-        "entry_bound_ok": bool(np.max(np.abs(system.factors)) <= grid.entry_bound),
+        "entry_bound_ok": bool(np.abs(system.factors).max() <= grid.entry_bound),
         "max_error_fnorm": max_error,
         "warm_budget_ok": bool(budget_margin <= grid.budget),
         "warm_budget_value": float(budget_margin),
     }
 
-    warm = {tuple(point): working.col_factors[j] for j, point in enumerate(v.points.tolist())}
-    recon = reconstruct(system, h.dim, warm_start_map=warm)
-    accepted = sorted(ver.point for ver in recon.accepted)
-    expected = sorted(warm)
-    report["stages"]["reconstruct"] = recon.to_json()
-    if not recon.complete:
+    # Each vertex starts from its own column factor.
+    recon = reconstruct(system, h.dim, warm_starts=(v.points, working.col_factors)).to_json()
+    report["stages"]["reconstruct"] = recon
+    if recon["inconclusive"]:
         report["verdict"] = "incomplete"
-    elif accepted == expected:
+    elif recon["accepted"] == sorted(v.points.tolist()):
         report["verdict"] = "match"
     else:
         report["verdict"] = "mismatch"

@@ -7,6 +7,8 @@ facet enumeration is deliberately not provided.  Slack entries are exact
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ResourceError
@@ -86,21 +88,32 @@ class VPolytope(Record):
 
 
 class SlackMatrix(Record):
-    """Nonnegative matrix of inequality slacks, with optional provenance."""
+    """Nonnegative matrix of inequality slacks, with optional provenance.
 
-    __slots__ = ("entries", "h", "v")
+    The constructor converts the entries to floats once: ``floats`` is that
+    read-only (m, n) array and ``max_entry`` its largest entry, 0.0 when
+    the matrix is empty.
+    """
+
+    __slots__ = ("entries", "h", "v", "floats", "max_entry")
 
     def __init__(self, entries, h: HPolytope | None = None, v: VPolytope | None = None):
         entries = np.asarray(entries)
         if entries.ndim != 2:
             raise DimensionError("slack entries must be a 2-d array")
-        if not np.all(np.isfinite(entries.astype(float))):
+        floats = entries.astype(float)
+        floats.flags.writeable = False
+        # min and max propagate NaN, so NaN fails the first check.
+        low, high = (float(floats.min()), float(floats.max())) if floats.size else (0.0, 0.0)
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise PreconditionError("slack entries must be finite")
-        if np.any(entries.astype(float) < 0):
+        if low < 0:
             raise PreconditionError("slack entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "floats", floats)
+        object.__setattr__(self, "max_entry", high)
 
     @classmethod
     def from_entries(cls, raw) -> "SlackMatrix":
@@ -110,13 +123,6 @@ class SlackMatrix(Record):
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    @property
-    def max_entry(self) -> float:
-        return float(self.entries.max()) if self.entries.size else 0.0
-
-    def as_float(self) -> np.ndarray:
-        return self.entries.astype(float)
 
 
 def build_slack(h: HPolytope, v: VPolytope) -> SlackMatrix:
@@ -128,20 +134,22 @@ def build_slack(h: HPolytope, v: VPolytope) -> SlackMatrix:
     if h.dim != v.dim:
         raise DimensionError(f"dimension mismatch: rows in R^{h.dim}, points in R^{v.dim}")
     bound = (
-        int(np.max(np.abs(h.a), initial=0))
+        int(abs(h.a).max(initial=0))
         * max(h.dim, 1)
-        * int(np.max(np.abs(v.points), initial=0))
-        + int(np.max(np.abs(h.b), initial=0))
+        * int(abs(v.points).max(initial=0))
+        + int(abs(h.b).max(initial=0))
     )
     if bound >= _INT_GUARD:
         raise PreconditionError("coefficients too large for 64-bit slack computation")
     s = h.b[:, None] - h.a @ v.points.T
-    if np.any(s < 0):
+    try:
+        return SlackMatrix(entries=s, h=h, v=v)
+    except PreconditionError:
+        # Integer slacks are finite, so a negative one was refused.
         i, j = np.argwhere(s < 0)[0]
         raise PreconditionError(
             f"point {j} violates inequality {i}: slack {int(s[i, j])}"
-        )
-    return SlackMatrix(entries=s, h=h, v=v)
+        ) from None
 
 
 def cube_points(n: int, batch: int):

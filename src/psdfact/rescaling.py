@@ -262,7 +262,7 @@ def reduce_to_common_space(
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    bars = symmat.as_symmetric(np.stack([f.row_factors.sum(axis=0) / f.n_rows,
+    bars = symmat.as_symmetric(np.array([f.row_factors.sum(axis=0) / f.n_rows,
                                          f.col_factors.sum(axis=0) / f.n_cols]))
     lam = np.linalg.eigvalsh(bars)
     if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
@@ -531,18 +531,18 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     # misses the target and the mean lowers phi.  Balanced by a scalar,
     # each has both top norms at the square root of its potential.
     ends = side_extremes(reduced)
-    p_u, p_v = top_norms(extreme_norms(ends))
+    p_u, p_v = top_norms(extreme_norms(ends, reduced.n_rows))
     tau = p_u * p_v
     sv, rt, fs = np.ones(d), np.eye(d), reduced
-    lmax_traj = [(float(np.sqrt(tau)),) * 2]
+    lmax_traj = [(math.sqrt(tau),) * 2]
     polar = mean_congruence(means) if tau > target_phi else None
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
         trial_ends = side_extremes(trial)
-        tops = top_norms(extreme_norms(trial_ends))
+        tops = top_norms(extreme_norms(trial_ends, trial.n_rows))
         if tops[0] * tops[1] < tau:
             (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
-            lmax_traj.append((float(np.sqrt(p_u * p_v)),) * 2)
+            lmax_traj.append((math.sqrt(p_u * p_v),) * 2)
 
     # State: the balanced working factorization fw that descent_step
     # returns, the norms of its factors, and M = exp(-eps_k Z_k) ...
@@ -589,7 +589,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         _, sv, rt = np.linalg.svd(m)
         fs = _polar_congruence(reduced, sv, rt)
         ends = side_extremes(fs)
-        p_u, p_v = top_norms(extreme_norms(ends))
+        p_u, p_v = top_norms(extreme_norms(ends, fs.n_rows))
     # The scalar c^2 = sqrt(p_v / p_u) balances fs: the result is
     # (c^2 U, V / c^2) for fs = (U, V), lifted by O when the common space
     # is proper, and the transform is c P lifted, A = W (c S) W^T with
@@ -599,20 +599,22 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         c2 = math.sqrt(p_v / p_u)
         sv = sv * (p_v / p_u) ** 0.25
     w = o @ rt.T
-    transform = symmat.as_symmetric((w * sv) @ w.T)
-    transform_pinv = symmat.as_symmetric((w / sv) @ w.T)
+    transform, transform_pinv = symmat.as_symmetric(np.array([w * sv, w / sv]) @ w.T)
     stacks = [fs.row_factors * c2, fs.col_factors / c2]
+    if reduced is not f:
+        stacks = [o @ stack @ o.T for stack in stacks]
     # Round-off amplified by an ill-conditioned input can leave a least
     # eigenvalue below the PSD floor; those factors alone get their
     # negative eigenvalues clipped.
-    psd_repaired = 0
-    for k, scale in ((0, c2), (1, 1.0 / c2)):
-        if reduced is not f:
-            stacks[k] = o @ stacks[k] @ o.T
-        bad = symmat.not_psd(ends[k] * scale)
-        if bad.any():
-            stacks[k][bad] = symmat.eig_clip(stacks[k][bad])
-            psd_repaired += int(bad.sum())
+    # One test over both sides: fs's extremes scale by c^2 on the rows and
+    # by 1 / c^2 on the columns.
+    rows = fs.n_rows
+    bad = symmat.not_psd(ends * np.repeat([c2, 1.0 / c2], [rows, len(ends) - rows])[:, None])
+    psd_repaired = int(bad.sum())
+    if psd_repaired:
+        for stack, side_bad in zip(stacks, (bad[:rows], bad[rows:])):
+            if side_bad.any():
+                stack[side_bad] = symmat.eig_clip(stack[side_bad])
     rescaled = PsdFactorization(*stacks)
     residual, _ = max_residual(rescaled, s)
     # Up to round-off the result is the congruence of f by an inverse

@@ -12,32 +12,43 @@ factor, so they live on ``GridParams``: a Frobenius error of at most
 
 Membership of a lattice point x asks for a witness Y in
 K = {0 <= Y <= cap I}, cap = sqrt(r Delta), with every row residual
-e_i = b_i - a_i.x - <U_i, Y> within the budget 1/(4(n + r^2)).  Both
-answers are certified.  Projected gradient on sum_i hinge(|e_i| - budget)^2
-over K yields the witness of a member.  Its residual turns into the dual
-functional lambda = hinge * sign(e) / ||hinge * sign(e)||_1; for every Y in
-K, lambda.c - <sum_i lambda_i U_i, Y> <= budget when Y is a witness, and
-<S, Y> <= cap tr(S_+), so lambda.c - cap tr((sum_i lambda_i U_i)_+) > budget
-proves that no witness exists (conic duality; Ben-Tal & Nemirovski,
-Lectures on Modern Convex Optimization).
+e_i = c_i - <U_i, Y>, c = b - A x, within the budget 1/(4(n + r^2)).  Both
+answers are certified.  A witness proves membership.  A dual functional
+lambda with ||lambda||_1 <= 1 proves rejection when
+lambda.c - cap tr((sum_i lambda_i U_i)_+) > budget: for every Y in K,
+lambda.c - <sum_i lambda_i U_i, Y> <= max_i |e_i|, and <S, Y> <= cap tr(S_+)
+(conic duality; Ben-Tal & Nemirovski, Lectures on Modern Convex
+Optimization).
 
-The single-row duals lambda = +-e_i are such functionals too; with
-c = b - A x their value +-c_i - cap tr((+-U_i)_+) needs no iterate.  The
-rounded subsystem determines the vertex set, so a 0/1 point outside the
-polytope violates some integer inequality; when that is a selected row i,
--e_i proves rejection at once, as +e_i does when row i's slack exceeds
-cap tr(U_i) + budget.  Other points (on crosspoly_01 n=2 the violated
-rows are combinations of the selected ones) are left to projected
-gradient.
+``reconstruct`` decides all of {0,1}^n in batches, each in three passes.
 
-``reconstruct`` runs one batched loop over all of {0,1}^n, stops each
-point at its first witness or certificate, and re-validates both from
-scratch; a point that has neither after MEMBER_MAX_ITERS iterations is
-inconclusive.
+- The screen takes every point of the batch at its start, a vertex's warm
+  start clipped into K or 0, and tries three certificates at once: the
+  start as a witness; the hinge dual lambda = hinge * sign(e) /
+  ||hinge * sign(e)||_1 of its residual, hinge = max(|e| - budget, 0); and
+  the best single-row dual +-e_i, whose value +-c_i - cap tr((+-U_i)_+)
+  needs no iterate.  The rounded subsystem determines the vertex set, so
+  a 0/1 point outside the polytope violates some integer inequality; when
+  that is a selected row i, -e_i proves rejection at once, as +e_i does
+  when row i's slack exceeds cap tr(U_i) + budget.
+- Projected gradient on sum_i hinge(|e_i| - budget)^2 over K then runs on
+  the points the screen left undecided (on crosspoly_01 n=2 the violated
+  rows are combinations of the selected ones), and stops each at its
+  first witness or hinge-dual certificate.  A point with neither after
+  MEMBER_MAX_ITERS iterations is inconclusive.
+- Re-validation checks every witness against the budget and the cap, and
+  every dual by its value, before a verdict is given.
+
+The verdicts come back as a ``ReconstructionReport`` of columns, one row
+per point: points, verdict codes, violations, dual margins, iterations,
+witnesses and duals.  Its point lists and JSON form are built from those
+columns in bulk, and ``verdict(k)`` gives one point as a
+``MembershipVerdict``, which ``membership_test`` returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -88,15 +99,15 @@ class GridParams(Record):
 
     @property
     def witness_cap(self) -> float:
-        return float(np.sqrt(self.r * self.big_delta))
+        return math.sqrt(self.r * self.big_delta)
 
     @property
     def error_bound(self) -> float:
-        return float(4.0 * self.delta * self.r**2 / np.sqrt(self.big_delta))
+        return 4.0 * self.delta * self.r**2 / math.sqrt(self.big_delta)
 
     @property
     def entry_bound(self) -> float:
-        return float(8.0 * self.r**1.5 * np.sqrt(self.big_delta))
+        return 8.0 * self.r**1.5 * math.sqrt(self.big_delta)
 
     @classmethod
     def for_slack(cls, n: int, r: int, delta_eff: float, scale: float = 1.0,
@@ -168,13 +179,15 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
     threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
     selected: list[int] = []
     while True:
-        norms[selected] = 0.0
         j = int(norms.argmax())
         if norms[j] <= threshold:
             break
         q = residual[j] / norms[j]
         selected.append(j)
         residual = residual - (residual @ q)[:, None] * q
+        # A selected row's residual is exactly 0 from here on (its
+        # projections subtract 0), so its norm is never the largest again.
+        residual[j] = 0.0
         norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
     if len(selected) > n + r * r:
         raise NumericError("selected subsystem exceeds n + r^2 rows")
@@ -242,6 +255,9 @@ MEMBER_RTOL = 1e-9
 MEMBER_BATCH = 1 << 12
 # Largest n whose 2^n-point sweep ``reconstruct`` runs.
 RECONSTRUCT_MAX_DIM = 20
+# The verdicts, indexed by the codes of ``ReconstructionReport.codes``.
+VERDICTS = ("member-with-witness", "rejected", "inconclusive")
+MEMBER, REJECTED, INCONCLUSIVE = range(3)
 
 
 class MembershipConfig(Record):
@@ -275,38 +291,123 @@ class MembershipVerdict(Record):
         object.__setattr__(self, "iterations", iterations)
 
 
-def _dual_values(lam, const, u_flat, cap):
+class ReconstructionReport(Record):
+    """The oracle's verdicts on a list of points, one array per field.
+
+    Row k of every array belongs to point k: ``points`` (B, n) int,
+    ``codes`` (B,) indices into VERDICTS, ``violations`` and ``margins``
+    (B,) as ``MembershipVerdict`` defines them, ``iterations`` (B,), and
+    the final iterates ``witnesses`` (B, r, r) and best duals ``duals``
+    (B, m).  ``verdict(k)`` gives point k as a ``MembershipVerdict``.
+    """
+
+    __slots__ = ("points", "codes", "violations", "margins", "iterations", "witnesses", "duals")
+
+    def __init__(self, points: np.ndarray, codes: np.ndarray, violations: np.ndarray,
+                 margins: np.ndarray, iterations: np.ndarray, witnesses: np.ndarray,
+                 duals: np.ndarray):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "margins", margins)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "duals", duals)
+
+    def _points_of(self, code: int) -> list:
+        return self.points[self.codes == code].tolist()
+
+    @property
+    def accepted(self) -> list:
+        """The points with a witness, as lists, in the order of ``points``."""
+        return self._points_of(MEMBER)
+
+    @property
+    def rejected(self) -> list:
+        return self._points_of(REJECTED)
+
+    @property
+    def inconclusive(self) -> list:
+        return self._points_of(INCONCLUSIVE)
+
+    @property
+    def complete(self) -> bool:
+        return not (self.codes == INCONCLUSIVE).any()
+
+    def verdict(self, k: int) -> MembershipVerdict:
+        """Point k's verdict; its witness is None when rejected, its dual None when accepted."""
+        code = int(self.codes[k])
+        return MembershipVerdict(
+            point=tuple(self.points[k].tolist()),
+            verdict=VERDICTS[code],
+            witness=None if code == REJECTED else self.witnesses[k],
+            violation=float(self.violations[k]),
+            dual_margin=float(self.margins[k]),
+            dual=None if code == MEMBER else self.duals[k],
+            iterations=int(self.iterations[k]),
+        )
+
+    def to_json(self) -> dict:
+        """Point lists by verdict, and one entry per point with its certificate values."""
+        rows = zip(self.points.tolist(), self.codes.tolist(), self.violations.tolist(),
+                   self.margins.tolist(), self.iterations.tolist())
+        return {
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "inconclusive": self.inconclusive,
+            "points": [
+                {"point": point, "verdict": VERDICTS[code], "violation": violation,
+                 "dual_margin": margin, "iterations": iterations}
+                for point, code, violation, margin, iterations in rows
+            ],
+        }
+
+
+def _spectra(r: int, *stacks) -> list:
+    """The eigenvalues of several (k, r, r) stacks, one (k, r) array per stack.
+
+    One batched eigvalsh covers every matrix; stacks that are all empty
+    take none.
+    """
+    counts = [len(stack) for stack in stacks]
+    if not any(counts):
+        return [np.zeros((0, r)) for _ in stacks]
+    lam = np.linalg.eigvalsh(np.concatenate(stacks))
+    return [lam[end - count:end] for count, end in zip(counts, itertools.accumulate(counts))]
+
+
+def _dual_matrices(lam, u_flat, r):
+    """S = sum_i lambda_i U_i for each nonzero row of ``lam``, and the mask of those rows."""
+    nonzero = lam.any(axis=1)
+    return (lam @ u_flat).reshape(-1, r, r)[nonzero], nonzero
+
+
+def _dual_values(lam, const, cap, nonzero, spectra):
     """lambda.c - cap tr((sum_i lambda_i U_i)_+) for each row of ``lam``.
 
-    For ||lambda||_1 <= 1 every Y in {0 <= Y <= cap I} has
-    <S, Y> <= cap tr(S_+) for S = sum_i lambda_i U_i, and
+    ``nonzero`` marks the rows of ``_dual_matrices`` and ``spectra`` holds
+    the eigenvalues of their matrices S; a zero lambda has value exactly 0
+    and needs no spectrum.  For ||lambda||_1 <= 1 every Y in
+    {0 <= Y <= cap I} has <S, Y> <= cap tr(S_+), and
     lambda.c - <S, Y> = lambda.e <= max_i |e_i|; so a value above the
     budget proves that no Y meets it.
     """
-    r = math.isqrt(u_flat.shape[1])
-    s = (lam @ u_flat).reshape(-1, r, r)
-    # A zero lambda has value exactly 0 and needs no spectrum.
-    nonzero = lam.any(axis=1)
     positive = np.zeros(len(lam))
-    if nonzero.any():
-        positive[nonzero] = np.clip(np.linalg.eigvalsh(s[nonzero]), 0.0, None).sum(axis=1)
+    positive[nonzero] = np.maximum(spectra, 0.0).sum(axis=1)
     return np.einsum("bi,bi->b", lam, const) - cap * positive
 
 
-def _single_row_duals(factors, const, cap):
+def _single_row_duals(rows, spectra, m, const, cap):
     """Each point's best single-row dual lambda = +-e_i, and its value.
 
     The value of +-e_i is +-c_i - cap tr((+-U_i)_+); it needs no iterate,
-    and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  One
-    ``eigvalsh`` covers the rows with a nonzero factor; a zero row's traces
-    are 0.
+    and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  ``rows``
+    lists the rows, out of m, whose factor is not zero, and ``spectra``
+    holds their eigenvalues; a zero row's traces are 0.
     """
-    m = factors.shape[0]
-    nonzero = np.flatnonzero(factors.reshape(m, -1).any(axis=1))
-    spectrum = np.linalg.eigvalsh(factors[nonzero])
     trace = np.zeros((2, m))
-    trace[0, nonzero] = spectrum.clip(min=0.0).sum(axis=1)
-    trace[1, nonzero] = -spectrum.clip(max=0.0).sum(axis=1)
+    trace[0, rows] = np.maximum(spectra, 0.0).sum(axis=1)
+    trace[1, rows] = -np.minimum(spectra, 0.0).sum(axis=1)
     values = np.concatenate([const - cap * trace[0], -const - cap * trace[1]], axis=1)
     pick = values.argmax(axis=1)
     points = np.arange(len(const))
@@ -315,98 +416,134 @@ def _single_row_duals(factors, const, cap):
     return lam, values[points, pick]
 
 
-def _decide(system: RoundedSystem, xs: np.ndarray, starts: np.ndarray) -> list:
-    """Decide each point of ``xs`` (B, n) by projected gradient from ``starts`` (B, r, r).
+def _hinge(y, const, u_flat, budget):
+    """The residuals e_i = c_i - <U_i, Y> of each iterate and their hinge dual.
 
-    One loop runs over the stacked iterates of every live point, minimizing
-    sum_i hinge(|e_i| - budget)^2 over {0 <= Y <= cap I}.  Each iteration
-    checks the primal residual and the dual functional lambda = hinge *
-    sign(e) / ||hinge * sign(e)||_1; a point leaves the live set at its
-    first witness or certificate.  Both are re-validated from scratch.
-    Points still live after the first iteration's checks are also tried
-    against every single-row dual +-e_i, whose value needs no iterate; one
-    ``eigvalsh`` of the factors serves the whole batch, and a batch whose
-    points all have witnesses at once, as warm-started vertices do, never
-    takes it; their hinge duals are zero, which takes no spectrum either.  The step 1 / L, with L = 2 ||U||^2 from a spectral norm of
-    the stacked factors, is computed at the first gradient step, so a batch
-    decided at its first iteration never computes it.
+    Returns, per point, whether Y is within the budget, the hinge
+    hinge(|e| - budget) * sign(e) and its dual lambda: the hinge over its
+    l1 norm, 0 when the hinge is 0.
+    """
+    e = const - y.reshape(len(y), -1) @ u_flat.T
+    if not np.isfinite(e).all():
+        raise NumericError("NaN/Inf in membership iterates")
+    size = np.abs(e)
+    hinge = np.maximum(size - budget, 0.0)
+    push = hinge * np.sign(e)
+    mass = hinge.sum(axis=1, keepdims=True)
+    member = size.max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
+    return member, push, push / np.where(mass > 0.0, mass, 1.0)
+
+
+def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
+            starts: np.ndarray) -> ReconstructionReport:
+    """Decide each point of ``xs`` (B, n); point warm[j] starts from starts[j], the others from 0.
+
+    The oracle screens every point, then iterates on the points the screen
+    leaves undecided, then re-validates every certificate.
+
+    The screen is iteration 1.  Each warm start (k, r, r) is clipped into
+    K = {0 <= Y <= cap I}, and 0 is already in K.  Three certificates are
+    tried on the whole batch: a witness when the start meets the budget,
+    the hinge dual of its residual, and the best single-row dual +-e_i.  A
+    point whose residual is within the budget has a zero hinge dual, whose
+    value takes no spectrum.  Unless every point is such a member, the
+    factors that the single-row duals read share one ``eigvalsh`` with the
+    hinge duals.
+
+    Projected gradient then minimises sum_i hinge(|e_i| - budget)^2 over K
+    on the points still live, with the step 1 / L, L = 2 ||U||^2 from one
+    spectral norm of the stacked factors.  After each step every live point
+    is checked for a witness and its hinge dual; a point leaves at its first
+    certificate, and one still live after MEMBER_MAX_ITERS checks keeps the
+    iterate of one more step.
+
+    Re-validation symmetrises each final iterate and checks it against the
+    budget through the full factor stack; only points holding a witness
+    get the spectrum that checks the cap.  Each point's best dual is
+    valued again, in the same ``eigvalsh`` as those witnesses, unless the
+    screen found every point: the best duals are then the hinge duals the
+    screen valued on this same batch.  A point that passes neither check
+    is inconclusive.
     """
     g = system.grid
     budget, cap = g.budget, g.witness_cap
     m, r = system.n_rows, g.r
     u_flat = system.factors.reshape(m, -1)
-    step = None
     const = system.b - xs @ system.a.T
-    y = symmat.eig_clip(starts, cap)
-    best = np.full(len(xs), -np.inf)
-    best_lam = np.zeros((len(xs), m))
-    iterations = np.full(len(xs), MEMBER_MAX_ITERS)
-    found = np.zeros(len(xs), dtype=bool)
-    live = np.arange(len(xs))
-    for it in range(1, MEMBER_MAX_ITERS + 1):
-        e = const[live] - y[live].reshape(len(live), -1) @ u_flat.T
-        if not np.isfinite(e).all():
-            raise NumericError("NaN/Inf in membership iterates")
-        push = np.maximum(np.abs(e) - budget, 0.0) * np.sign(e)
-        mass = np.abs(push).sum(axis=1, keepdims=True)
-        lam = push / np.where(mass > 0.0, mass, 1.0)
-        margin = _dual_values(lam, const[live], u_flat, cap) - budget
+
+    # The screen.
+    y = np.zeros((len(xs), r, r))
+    if len(warm):
+        y[warm] = symmat.eig_clip(starts, cap)
+    found, push, best_lam = _hinge(y, const, u_flat, budget)
+    screened = found.all()
+    hinge, nonzero = _dual_matrices(best_lam, u_flat, r)
+    # The rows whose factors the single-row duals read, unless every point
+    # is a member.
+    rows = (np.zeros(0, dtype=int) if screened
+            else np.flatnonzero(system.factors.reshape(m, -1).any(axis=1)))
+    hinge_spectra, row_spectra = _spectra(r, hinge, system.factors[rows])
+    best = _dual_values(best_lam, const, cap, nonzero, hinge_spectra) - budget
+    live = np.flatnonzero(~found & (best <= budget * MEMBER_RTOL))
+    if live.size:
+        lam, margin = _single_row_duals(rows, row_spectra, m, const[live], cap)
+        margin -= budget
         better = margin > best[live]
         best[live[better]] = margin[better]
         best_lam[live[better]] = lam[better]
-        member = np.abs(e).max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
+        live = live[best[live] <= budget * MEMBER_RTOL]
+    iterations = np.ones(len(xs), dtype=int)
+    iterations[live] = MEMBER_MAX_ITERS
+
+    # Projected gradient on the live points.
+    if live.size:
+        push = push[live]
+        lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
+        step = 1.0 / lip if lip > 0.0 else 0.0
+    # Iteration it steps from the check of iteration it - 1, then checks.
+    for it in range(2, MEMBER_MAX_ITERS + 2):
+        if not live.size:
+            break
+        # The gradient of the objective is -2 sum_i push_i U_i.
+        y[live] = symmat.eig_clip(y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
+        if it > MEMBER_MAX_ITERS:
+            break
+        member, push, lam = _hinge(y[live], const[live], u_flat, budget)
+        s, nonzero = _dual_matrices(lam, u_flat, r)
+        margin = _dual_values(lam, const[live], cap, nonzero, *_spectra(r, s)) - budget
+        better = margin > best[live]
+        best[live[better]] = margin[better]
+        best_lam[live[better]] = lam[better]
         done = member | (best[live] > budget * MEMBER_RTOL)
-        if it == 1 and not done.all():
-            rest = live[~done]
-            lam, margin = _single_row_duals(system.factors, const[rest], cap)
-            margin -= budget
-            better = margin > best[rest]
-            best[rest[better]] = margin[better]
-            best_lam[rest[better]] = lam[better]
-            done = member | (best[live] > budget * MEMBER_RTOL)
         found[live[member]] = True
         iterations[live[done]] = it
         push, live = push[~done], live[~done]
-        if live.size == 0:
-            break
-        if step is None:
-            lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
-            step = 1.0 / lip if lip > 0.0 else 0.0
-        # The gradient of the objective is -2 sum_i push_i U_i.
-        y[live] = symmat.eig_clip(y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
 
-    # Re-validate from scratch: each witness against the budget and the cap
-    # through the full factor stack, each dual functional by its value.
+    # Re-validation.
     witness = symmat.as_symmetric(y)
     resid = const - np.einsum("irs,brs->bi", system.factors, witness)
     violation = np.abs(resid).max(axis=1) - budget
-    spectrum = np.linalg.eigvalsh(witness)
-    witness_ok = (
-        found
-        & (violation <= budget * MEMBER_RTOL)
-        & (spectrum[:, 0] >= -cap * MEMBER_RTOL)
-        & (spectrum[:, -1] <= cap * (1.0 + MEMBER_RTOL))
-    )
-    margin = _dual_values(best_lam, const, u_flat, cap) - budget
+    witness_ok = found & (violation <= budget * MEMBER_RTOL)
+    # Every best dual is valued again, in the witnesses' eigvalsh, unless
+    # the screen found every point: each is then its hinge dual, already
+    # valued on this batch.
+    duals, nonzero = np.zeros((0, r, r)), None
+    if not screened:
+        duals, nonzero = _dual_matrices(best_lam, u_flat, r)
+    witness_spectra, dual_spectra = _spectra(r, witness[witness_ok], duals)
+    witness_ok[witness_ok] = ((witness_spectra[:, 0] >= -cap * MEMBER_RTOL)
+                              & (witness_spectra[:, -1] <= cap * (1.0 + MEMBER_RTOL)))
+    if not screened:
+        best = _dual_values(best_lam, const, cap, nonzero, dual_spectra) - budget
     dual_ok = (
         ~found
-        & (margin > budget * MEMBER_RTOL)
+        & (best > budget * MEMBER_RTOL)
         & (np.abs(best_lam).sum(axis=1) <= 1.0 + MEMBER_RTOL)
     )
-    out = []
-    for k, point in enumerate(tuple(p) for p in xs.astype(int).tolist()):
-        verdict = ("member-with-witness" if witness_ok[k]
-                   else "rejected" if dual_ok[k] else "inconclusive")
-        out.append(MembershipVerdict(
-            point=point,
-            verdict=verdict,
-            witness=None if verdict == "rejected" else witness[k],
-            violation=float(violation[k]),
-            dual_margin=float(margin[k]),
-            dual=None if verdict == "member-with-witness" else best_lam[k],
-            iterations=int(iterations[k]),
-        ))
-    return out
+    codes = np.where(witness_ok, MEMBER, np.where(dual_ok, REJECTED, INCONCLUSIVE))
+    return ReconstructionReport(points=xs.astype(int), codes=codes, violations=violation,
+                                margins=best, iterations=iterations, witnesses=witness,
+                                duals=best_lam)
 
 
 def membership_test(x, system: RoundedSystem,
@@ -418,63 +555,22 @@ def membership_test(x, system: RoundedSystem,
     oracle of ``reconstruct`` run on one point.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    start = np.zeros((system.grid.r, system.grid.r)) if warm_start is None else warm_start
-    return _decide(system, x, np.asarray(start, dtype=float)[None])[0]
-
-
-class ReconstructionReport(Record):
-    __slots__ = ("verdicts",)
-
-    def __init__(self, verdicts: tuple):
-        # one MembershipVerdict per point of {0,1}^n, lexicographic
-        object.__setattr__(self, "verdicts", verdicts)
-
-    def _kind(self, verdict: str) -> tuple:
-        return tuple(v for v in self.verdicts if v.verdict == verdict)
-
-    @property
-    def accepted(self) -> tuple:
-        return self._kind("member-with-witness")
-
-    @property
-    def rejected(self) -> tuple:
-        return self._kind("rejected")
-
-    @property
-    def inconclusive(self) -> tuple:
-        return self._kind("inconclusive")
-
-    @property
-    def complete(self) -> bool:
-        return not self.inconclusive
-
-    def to_json(self) -> dict:
-        """Point lists by verdict, and one entry per point with its certificate values."""
-        return {
-            "accepted": [list(v.point) for v in self.accepted],
-            "rejected": [list(v.point) for v in self.rejected],
-            "inconclusive": [list(v.point) for v in self.inconclusive],
-            "points": [
-                {
-                    "point": list(v.point),
-                    "verdict": v.verdict,
-                    "violation": v.violation,
-                    "dual_margin": v.dual_margin,
-                    "iterations": v.iterations,
-                }
-                for v in self.verdicts
-            ],
-        }
+    r = system.grid.r
+    if warm_start is None:
+        return _decide(system, x, np.zeros(0, dtype=int), np.zeros((0, r, r))).verdict(0)
+    return _decide(system, x, np.zeros(1, dtype=int),
+                   np.asarray(warm_start, dtype=float)[None]).verdict(0)
 
 
 def reconstruct(system: RoundedSystem, n: int,
-                warm_start_map: dict | None = None) -> ReconstructionReport:
+                warm_starts: tuple | None = None) -> ReconstructionReport:
     """Run the membership oracle over all of {0,1}^n, lexicographically.
 
-    All points are decided together, up to MEMBER_BATCH at a time; a point
-    starts from the matrix ``warm_start_map`` gives its tuple, else from 0.
-    Inconclusive verdicts are listed, never dropped; their presence marks
-    the reconstruction incomplete.
+    All points are decided together, up to MEMBER_BATCH at a time.
+    ``warm_starts`` is a pair (points, factors) of a (k, n) array of 0/1
+    points and a (k, r, r) stack: point j starts from factor j, every other
+    point from 0.  Inconclusive verdicts are listed, never dropped; their
+    presence marks the reconstruction incomplete.
     """
     if n > RECONSTRUCT_MAX_DIM:
         raise ResourceError(f"2^{n} membership sweep refused (n > {RECONSTRUCT_MAX_DIM})",
@@ -482,11 +578,21 @@ def reconstruct(system: RoundedSystem, n: int,
     if n != system.a.shape[1]:
         raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}",
                              arg="n")
-    warm_start_map = warm_start_map or {}
-    zero = np.zeros((system.grid.r, system.grid.r))
-    verdicts = []
-    for bits in cube_points(n, MEMBER_BATCH):
-        points = [tuple(p) for p in bits.tolist()]
-        starts = np.array([warm_start_map.get(p, zero) for p in points], dtype=float)
-        verdicts.extend(_decide(system, bits.astype(float), starts))
-    return ReconstructionReport(verdicts=tuple(verdicts))
+    r = system.grid.r
+    if warm_starts is None:
+        warm_starts = (np.zeros((0, n), dtype=np.int64), np.zeros((0, r, r)))
+    points, factors = (np.asarray(a) for a in warm_starts)
+    if points.shape != (len(factors), n) or factors.shape[1:] != (r, r):
+        raise DimensionError(f"warm starts must pair (k, {n}) points with (k, {r}, {r}) factors")
+    if not ((points == 0) | (points == 1)).all():
+        raise PreconditionError("warm-start points must lie in {0,1}^n")
+    # Each point's position in the lexicographic order.
+    index = points.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    parts = []
+    for first, bits in zip(range(0, 1 << n, MEMBER_BATCH), cube_points(n, MEMBER_BATCH)):
+        here = (index >= first) & (index < first + len(bits))
+        parts.append(_decide(system, bits.astype(float), index[here] - first, factors[here]))
+    if len(parts) == 1:
+        return parts[0]
+    return ReconstructionReport(*(np.concatenate([getattr(p, name) for p in parts])
+                                  for name in ReconstructionReport.__slots__))

@@ -83,7 +83,7 @@ def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
 def slack_to_json(s: SlackMatrix) -> dict:
     out = {
         "shape": [int(x) for x in s.shape],
-        "entries": [[float(x) for x in row] for row in s.as_float()],
+        "entries": s.floats.tolist(),
         "max_entry": s.max_entry,
     }
     out["polytope"] = polytope_to_json(s.h, s.v) if s.h is not None else None

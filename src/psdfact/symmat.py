@@ -171,7 +171,8 @@ def eig_clip(m: np.ndarray, max_eig: float | None = None) -> np.ndarray:
     One batched ``eigh``; the result is symmetric up to round-off.
     """
     lam, vec = np.linalg.eigh(as_symmetric(m))
-    return np.einsum("...ab,...b,...cb->...ac", vec, np.clip(lam, 0.0, max_eig), vec)
+    lam = np.maximum(lam, 0.0) if max_eig is None else np.minimum(np.maximum(lam, 0.0), max_eig)
+    return np.einsum("...ab,...b,...cb->...ac", vec, lam, vec)
 
 
 def image_basis(m: np.ndarray) -> np.ndarray:

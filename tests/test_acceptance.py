@@ -254,7 +254,6 @@ def test_criterion_9_single_row_rejection(monkeypatch):
     s = build_slack(h, v)
     f = rescale(diagonal_embed(s), s).factorization
     system = build_rounded_system(h, f, GridParams.for_slack(n=3, r=f.side, delta_eff=s.max_entry))
-    warm = {tuple(p): f.col_factors[j] for j, p in enumerate(v.points.tolist())}
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -263,19 +262,21 @@ def test_criterion_9_single_row_rejection(monkeypatch):
         return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert len(reconstruct(system, 3, warm_start_map=warm).accepted) == 8
+    assert len(reconstruct(system, 3, warm_starts=(v.points, f.col_factors)).accepted) == 8
     assert len(calls) == 1
     print(f"[acceptance 9] single-row rejection on {len(ONE_ROW_SWEEPS)} instances: PASS "
           f"({rejected} rejections, 1 eigvalsh on the warm cube n=3 sweep)")
 
 
 def test_cube4_pipeline_spectral_calls(monkeypatch):
-    # Both sides of a factorization share one eigvalsh, zero hinge duals take
-    # none, the nonsingular common space needs no eigh, and the rounding
-    # error norms are one batched product, and rescale returns the
-    # factorization it measured: at most 2 eigh, 3 eigvalsh and 1
-    # np.linalg.norm per run.
-    calls = {"eigh": 0, "eigvalsh": 0, "norm": 0}
+    # Both sides of a factorization share one eigvalsh, the nonsingular
+    # common space needs no eigh, rescale returns the factorization it
+    # measured, and the rounding error norms are one batched product.  In
+    # the sweep, zero hinge duals take no spectrum; the single-row duals'
+    # factors share one eigvalsh with the hinge duals, and the witnesses'
+    # spectra one with the re-validated duals; a sweep that every warm
+    # start decides values no dual again.
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm": 0}
     for name in calls:
         original = getattr(np.linalg, name)
 
@@ -284,5 +285,10 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    assert run_pipeline("cube", 4)["verdict"] == "match"
-    assert calls["eigh"] <= 2 and calls["eigvalsh"] <= 3 and calls["norm"] <= 1, calls
+    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0},
+                ("simplex", 4): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0},
+                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0}}
+    for (instance, n), want in expected.items():
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_pipeline(instance, n)["verdict"] == "match"
+        assert calls == want, (instance, n)

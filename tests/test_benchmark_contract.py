@@ -62,3 +62,16 @@ def test_rescale_calls_pass_their_checks_and_reload(seed):
         assert call.check(res) is True, call.label
         PsdFactorization.from_factors(res.factorization.row_factors,
                                       res.factorization.col_factors)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_call_passes_its_check(workload, seed):
+    # Every call the benchmark makes at these seeds, untraced as pass_s
+    # runs it and traced as the per-layer run does, with the same key.
+    for call in workloads.WORKLOADS[workload](seed):
+        out = call.run()
+        assert call.check(out) is True, call.label
+        traced = run_traced(call)
+        assert call.check(traced) is True, call.label
+        assert call.key(traced) == call.key(out), call.label

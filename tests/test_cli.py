@@ -179,13 +179,25 @@ class TestFactAndRescale:
         assert rep["residual"] <= VERIFY_TOL and rep["steps"] >= 1
 
     def test_fit_not_found_reports_residual_and_steps(self, tmp_path, capsys):
+        # The unit square has PSD rank 3; side 2 passes the rank bound and fails.
+        slack = tmp_path / "s.json"
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "2"], capsys)
+        assert code == 1
+        assert rep["found"] is False
+        assert rep["residual"] > 0.1 and rep["steps"] >= 1
+        assert rep["reason"].startswith("stalled")
+
+    def test_fit_below_the_rank_bound_is_refused(self, tmp_path, capsys):
         # No side-1 PSD factorization of the 2 x 2 identity exists.
         slack = tmp_path / "s.json"
         slack.write_text(json.dumps({"entries": [[1.0, 0.0], [0.0, 1.0]]}))
         code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "1"], capsys)
         assert code == 1
         assert rep["found"] is False
-        assert rep["residual"] > 0.1 and rep["steps"] >= 1
+        assert rep["residual"] is None and rep["steps"] == 0
+        assert "rank S = 2" in rep["reason"]
 
     def test_fit_output_passes_verify(self, tmp_path, capsys):
         # The loader refuses factors that are not exactly symmetric, so fit
@@ -861,13 +873,32 @@ class TestPipeline:
         assert rep["stages"]["round"]["zeroed_factors"] == [5]
 
     def test_fit_not_found_reports_residual_and_steps(self, capsys):
-        # The unit square has PSD rank 3 > 1.
-        code, rep = run_cli(["pipeline", "--instance", "cube", "--n", "2", "--r", "1"], capsys)
+        # The unit square has PSD rank 3 > 2: side 2 is below the bound dim + 1.
+        code, rep = run_cli(["pipeline", "--instance", "cube", "--n", "2", "--r", "2"], capsys)
         factorize = rep["stages"]["factorize"]
         assert code == 1 and rep["verdict"] == "factorization not found"
         assert factorize["found"] is False
-        assert factorize["residual"] > VERIFY_TOL and factorize["steps"] >= 1
+        assert factorize["residual"] is None and factorize["steps"] == 0
+        assert "lower bound 3 of a 2-dimensional polytope" in factorize["reason"]
         assert "rescale" not in rep["stages"]
+
+    # (instance, n, r): every side below the PSD-rank lower bound dim + 1 of
+    # the fitted grid, each refused before any step.
+    BELOW_BOUND = [("cube", 2, r) for r in (1, 2)] + [("cube", 3, r) for r in (1, 2, 3)] + [
+        ("simplex", 2, r) for r in (1, 2)] + [("simplex", 3, r) for r in (1, 2, 3)] + [
+        ("crosspoly_01", 2, 1), ("segment", 1, 1)] + [("crosspoly_01", 3, r) for r in (1, 2, 3)]
+
+    def test_sides_below_the_bound_end_at_once(self, monkeypatch, capsys):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for instance, n, r in self.BELOW_BOUND:
+            code, rep = run_cli(["pipeline", "--instance", instance, "--n", str(n),
+                                 "--r", str(r)], capsys)
+            factorize = rep["stages"]["factorize"]
+            assert code == 1 and rep["verdict"] == "factorization not found", (instance, n, r)
+            assert factorize["steps"] == 0 and "lower bound" in factorize["reason"]
 
     def test_deterministic_reports(self, capsys):
         _, rep1 = run_cli(["pipeline", "--instance", "simplex", "--n", "3"], capsys)

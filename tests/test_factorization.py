@@ -199,7 +199,7 @@ class TestSymmetricStacks:
 
     def test_diagonal_embed_keeps_its_bytes(self):
         s = build_slack(*builtin_instance("cube", 3))
-        entries = s.as_float()  # 6 x 8: the rows are the shorter side
+        entries = s.floats  # 6 x 8: the rows are the shorter side
         eye = np.eye(6)
         rows, cols = eye[:, :, None] * eye, entries.T[:, :, None] * eye
         f = diagonal_embed(s)
@@ -226,21 +226,36 @@ class TestAlternatingFit:
         assert fit.residual <= VERIFY_TOL / 10 * (1 + s.max_entry)
         assert 0 < fit.steps <= FIT_MAX_STEPS
 
-    def test_identity_r1_fails(self):
-        s = SlackMatrix.from_entries(np.eye(2))
-        fit = fit_factorization(s, 1)
-        # rank-1 PSD factorization of the identity is impossible: with
-        # u_i, v_j >= 0 scalars, zeros off the diagonal force a zero row
+    def test_identity_r1_fails(self, monkeypatch):
+        # rank-1 PSD factorization of the identity is impossible: side 1
+        # reaches rank 1 * 2 / 2 = 1 < rank I = 2, so the fit is refused
+        # before anything is drawn.
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        fit = fit_factorization(SlackMatrix.from_entries(np.eye(2)), 1)
+        assert fit.factorization is None
+        assert fit.trace == () and fit.steps == 0 and fit.residual is None
+        assert "lower bound" in fit.reason and "rank S = 2" in fit.reason
+
+    def test_unit_square_r2_runs_and_fails(self):
+        # r = 2 passes the rank bound (3 <= 3), but the square has PSD rank 3.
+        fit = fit_factorization(unit_square_slack(), 2)
         assert fit.factorization is None
         assert fit.residual > 0.1
         assert 0 < len(fit.trace) <= FIT_MAX_STEPS
         assert fit.steps == len(fit.trace) and fit.residual == fit.trace[-1]
+        assert fit.reason.startswith("stalled")
 
     def test_all_ones_r1_succeeds(self):
-        s = SlackMatrix.from_entries(np.ones((3, 3)))
-        fit = fit_factorization(s, 1)
-        assert isinstance(fit.factorization, PsdFactorization)
-        assert verify_factorization(fit.factorization, s).passed
+        # With the noise, S has numerical rank 2 > 1, but lies within the
+        # fit's target of a rank-1 matrix, so the rank bound must not refuse it.
+        for noise in (0.0, 1e-12):
+            s = SlackMatrix.from_entries(np.ones((3, 3)) + noise * np.arange(9).reshape(3, 3) ** 2)
+            fit = fit_factorization(s, 1)
+            assert isinstance(fit.factorization, PsdFactorization)
+            assert verify_factorization(fit.factorization, s).passed
 
     def test_deterministic_under_seed(self):
         s = unit_square_slack()

@@ -43,7 +43,7 @@ FIELDS = {
     FactorizationReport: lambda: {"max_abs_residual": 0.5, "residual_location": (1, 0),
                                   "lmax_u": 2.0, "lmax_v": 3.0, "potential": 6.0,
                                   "tol": 1e-8, "passed": False},
-    FitResult: lambda: {"factorization": _factorization(), "trace": (0.5, 0.25)},
+    FitResult: lambda: {"factorization": None, "trace": (0.5, 0.25), "reason": "stalled"},
     JohnDecomposition: lambda: {"dim": 1, "ellipsoid_map": np.ones((1, 1)),
                                 "points": np.ones((1, 1)), "weights": np.ones(1)},
     RescaleConfig: lambda: {"tol": 0.1},
@@ -61,7 +61,10 @@ FIELDS = {
     MembershipVerdict: lambda: {"point": (0, 1), "verdict": "rejected", "witness": None,
                                 "violation": 0.1, "dual_margin": 0.2,
                                 "dual": np.array([1.0]), "iterations": 1},
-    ReconstructionReport: lambda: {"verdicts": ()},
+    ReconstructionReport: lambda: {"points": np.zeros((1, 2), dtype=int),
+                                   "codes": np.array([1]), "violations": np.array([0.1]),
+                                   "margins": np.array([0.2]), "iterations": np.array([1]),
+                                   "witnesses": np.zeros((1, 1, 1)), "duals": np.ones((1, 3))},
     DerivativeCheck: lambda: {"analytic": 1.0, "slopes": ((1e-3, 1.0),),
                               "max_deviation": 0.0},
     PipelineConfig: lambda: {"r": 2, "skip_rescale": True, "unbalance": 10.0, "seed": 3,
@@ -77,6 +80,12 @@ def _same(got, want):
     return got is want or got == want
 
 
+# Fields a constructor computes from the others, with their value for FIELDS.
+DERIVED = {
+    SlackMatrix: lambda: {"floats": np.array([[0.0, 1.0], [1.0, 0.0]]), "max_entry": 1.0},
+}
+
+
 def test_every_record_is_covered():
     assert set(Record.__subclasses__()) == set(FIELDS)
 
@@ -84,9 +93,14 @@ def test_every_record_is_covered():
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 def test_plain_immutable_record(cls):
     fields = FIELDS[cls]()
+    derived = DERIVED.get(cls, dict)()
     assert not dataclasses.is_dataclass(cls)
-    assert set(fields) == set(cls.__slots__)
+    assert set(fields) | set(derived) == set(cls.__slots__)
     record = cls(**fields)
+    for name, value in derived.items():
+        assert _same(getattr(record, name), value), name
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
     for name, value in fields.items():
         assert _same(getattr(record, name), value), name
         with pytest.raises(AttributeError):

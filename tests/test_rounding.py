@@ -23,7 +23,7 @@ from psdfact.rounding import (
     select_subsystem,
 )
 
-from helpers import random_orthogonal, random_psd, rng
+from helpers import random_orthogonal, random_psd, random_symmetric, rng
 
 
 class TestGridDelta:
@@ -326,6 +326,11 @@ def rounded_instance(instance, n):
     return h, v, res, build_rounded_system(h, res.factorization, g)
 
 
+def verdicts(report):
+    """Every point of a ReconstructionReport as a MembershipVerdict, in order."""
+    return [report.verdict(k) for k in range(len(report.codes))]
+
+
 def numpy_dual_margin(system, x, lam):
     """lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, with plain numpy."""
     c = system.b - system.a @ np.asarray(x, dtype=float)
@@ -356,14 +361,30 @@ class TestDualValues:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        values = rounding._dual_values(lam, const, u_flat, cap)
-        assert shapes == [(4, system.grid.r, system.grid.r)]
+        r = system.grid.r
+
+        def values_of(lam, const):
+            s, nonzero = rounding._dual_matrices(lam, u_flat, r)
+            return rounding._dual_values(lam, const, cap, nonzero, *rounding._spectra(r, s))
+
+        values = values_of(lam, const)
+        assert shapes == [(4, r, r)]
         assert values[[1, 4]].tolist() == [0.0, 0.0]
         keep = [0, 2, 3, 5]
         assert values[keep].tobytes() == expected[keep].tobytes()
         shapes.clear()
-        assert rounding._dual_values(np.zeros((3, m)), const[:3], u_flat, cap).tolist() == [0.0] * 3
+        assert values_of(np.zeros((3, m)), const[:3]).tolist() == [0.0] * 3
         assert shapes == []
+
+    def test_stacks_share_one_eigvalsh(self):
+        gen = rng(6)
+        stacks = [np.array([random_symmetric(gen, 3) for _ in range(k)]).reshape(k, 3, 3)
+                  for k in (2, 0, 3)]
+        got = rounding._spectra(3, *stacks)
+        assert [x.shape for x in got] == [(2, 3), (0, 3), (3, 3)]
+        for stack, spectra in zip(stacks, got):
+            if len(stack):
+                assert spectra.tobytes() == np.linalg.eigvalsh(stack).tobytes()
 
 
 def numpy_violation(system, x, y):
@@ -500,8 +521,8 @@ class TestSingleRowDuals:
         _, v, _, system = rounded_instance(instance, n)
         report = reconstruct(system, n)
         vertices = {tuple(p) for p in v.points.tolist()}
-        assert not vertices & {ver.point for ver in report.rejected}
-        for ver in report.verdicts:
+        assert not vertices & set(map(tuple, report.rejected))
+        for ver in verdicts(report):
             if ver.point in vertices:
                 assert ver.dual_margin <= 0.0
 
@@ -509,14 +530,9 @@ class TestSingleRowDuals:
 class TestReconstruct:
     def test_unit_square(self):
         h, v, _, res, _, system = rounded_unit_square()
-        warm = {
-            tuple(int(a) for a in p): res.factorization.col_factors[j]
-            for j, p in enumerate(v.points)
-        }
-        report = reconstruct(system, 2, warm_start_map=warm)
+        report = reconstruct(system, 2, warm_starts=(v.points, res.factorization.col_factors))
         assert report.complete
-        got = sorted(ver.point for ver in report.accepted)
-        assert got == sorted(tuple(int(a) for a in p) for p in v.points)
+        assert report.accepted == sorted(v.points.tolist())
 
     def test_single_point_instance(self):
         h, v = builtin_instance("point", 2)
@@ -526,7 +542,7 @@ class TestReconstruct:
         system = build_rounded_system(h, res.factorization, g)
         report = reconstruct(system, 2)
         assert report.complete
-        assert [ver.point for ver in report.accepted] == [(0, 0)]
+        assert report.accepted == [[0, 0]]
         assert len(report.rejected) == 3
 
     def test_simplex_n3(self):
@@ -537,21 +553,20 @@ class TestReconstruct:
         system = build_rounded_system(h, res.factorization, g)
         report = reconstruct(system, 3)
         assert report.complete
-        got = sorted(ver.point for ver in report.accepted)
-        assert got == sorted(tuple(int(a) for a in p) for p in v.points)
+        assert report.accepted == sorted(v.points.tolist())
 
     def test_crosspoly_cold_is_complete_and_correct(self):
         _, v, _, system = rounded_instance("crosspoly_01", 3)
         report = reconstruct(system, 3)
         assert report.complete
-        assert sorted(ver.point for ver in report.accepted) == sorted(
-            tuple(int(a) for a in p) for p in v.points)
-        assert sorted(ver.point for ver in report.rejected) == [(0, 0, 0), (1, 1, 1)]
+        assert report.accepted == sorted(v.points.tolist())
+        assert report.rejected == [[0, 0, 0], [1, 1, 1]]
         tol = system.grid.budget * MEMBER_RTOL
-        for ver in report.accepted:
-            assert numpy_violation(system, ver.point, ver.witness) <= tol
-        for ver in report.rejected:
-            assert numpy_dual_margin(system, ver.point, ver.dual) > 0.0
+        for ver in verdicts(report):
+            if ver.verdict == "member-with-witness":
+                assert numpy_violation(system, ver.point, ver.witness) <= tol
+            else:
+                assert numpy_dual_margin(system, ver.point, ver.dual) > 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_cube_vertices_never_dual_certified(self, n):
@@ -562,7 +577,7 @@ class TestReconstruct:
         report = reconstruct(system, n)
         assert len(report.accepted) == 2**n
         budget = system.grid.budget
-        for ver in report.accepted:
+        for ver in verdicts(report):
             assert ver.dual_margin <= 0.0
             c = system.b - system.a @ np.asarray(ver.point, dtype=float)
             push = np.maximum(np.abs(c) - budget, 0.0) * np.sign(c)
@@ -592,7 +607,6 @@ class TestReconstruct:
         """The pipeline's sweep, warm-started unless ``warm`` is false, and
         how many spectral norms it took."""
         _, v, res, system = rounded_instance(instance, n)
-        starts = {tuple(p): res.factorization.col_factors[j] for j, p in enumerate(v.points.tolist())}
         orders = []
         norm = np.linalg.norm
 
@@ -601,34 +615,66 @@ class TestReconstruct:
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        report = reconstruct(system, n, warm_start_map=starts if warm else None)
+        report = reconstruct(system, n, warm_starts=(v.points, res.factorization.col_factors)
+                             if warm else None)
         return report, orders.count(2)
 
     def test_warm_started_vertices_take_no_step_norm(self, monkeypatch):
         report, spectral = self.sweep("cube", 3, monkeypatch)
         assert len(report.accepted) == 8
-        assert all(ver.iterations == 1 for ver in report.verdicts)
+        assert all(ver.iterations == 1 for ver in verdicts(report))
         assert spectral == 0
 
     def test_warm_simplex_sweep_decides_every_point_at_iteration_1(self, monkeypatch):
         report, spectral = self.sweep("simplex", 3, monkeypatch)
         assert spectral == 0
-        got = [(ver.point, ver.verdict[0], ver.iterations) for ver in report.verdicts]
+        got = [(ver.point, ver.verdict[0], ver.iterations) for ver in verdicts(report)]
         assert got == self.SIMPLEX3
 
     def test_gradient_steps_take_one_step_norm(self, monkeypatch):
         # from cold starts the vertices need gradient steps
         report, spectral = self.sweep("simplex", 3, monkeypatch, warm=False)
         assert spectral == 1
-        assert [ver.verdict[0] for ver in report.verdicts] == [m for _, m, _ in self.SIMPLEX3]
-        assert max(ver.iterations for ver in report.accepted) > 1
+        assert [ver.verdict[0] for ver in verdicts(report)] == [m for _, m, _ in self.SIMPLEX3]
+        assert max(ver.iterations for ver in verdicts(report)
+                   if ver.verdict == "member-with-witness") > 1
+
+    @pytest.mark.parametrize("instance,n,warm", [
+        ("simplex", 3, True), ("crosspoly_01", 2, True), ("simplex", 3, False),
+        ("cube", 3, True)])
+    def test_membership_test_matches_the_sweep(self, instance, n, warm):
+        # One point at a time, from its warm start, the oracle gives each
+        # point's column of the batched sweep; floats may differ in the last
+        # bits, as a batch of one takes other BLAS paths.
+        _, v, res, system = rounded_instance(instance, n)
+        starts = (v.points, res.factorization.col_factors) if warm else None
+        report = reconstruct(system, n, warm_starts=starts)
+        vertices = {tuple(p): j for j, p in enumerate(v.points.tolist())}
+        for ver in verdicts(report):
+            j = vertices.get(ver.point)
+            one = membership_test(np.array(ver.point, dtype=float), system,
+                                  warm_start=res.factorization.col_factors[j]
+                                  if warm and j is not None else None)
+            assert (one.verdict, one.iterations) == (ver.verdict, ver.iterations), ver.point
+            assert one.violation == pytest.approx(ver.violation, rel=1e-12, abs=0.0)
+            assert one.dual_margin == pytest.approx(ver.dual_margin, rel=1e-12, abs=0.0)
+
+    def test_batches_give_the_one_batch_verdicts(self, monkeypatch):
+        _, v, res, system = rounded_instance("simplex", 3)
+        starts = (v.points, res.factorization.col_factors)
+        whole = reconstruct(system, 3, warm_starts=starts)
+        monkeypatch.setattr(rounding, "MEMBER_BATCH", 3)
+        batched = reconstruct(system, 3, warm_starts=starts)
+        for name in ("points", "codes", "iterations"):
+            np.testing.assert_array_equal(getattr(batched, name), getattr(whole, name))
+        assert batched.to_json()["accepted"] == sorted(v.points.tolist())
 
     def test_lexicographic_order(self):
         _, _, _, _, _, system = rounded_unit_square()
         report = reconstruct(system, 2)
-        seen = [ver.point for ver in report.accepted]
+        seen = report.accepted
         assert seen == sorted(seen)
-        assert [ver.point for ver in report.verdicts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [ver.point for ver in verdicts(report)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_report_lists_every_point(self):
         _, _, _, system = rounded_instance("simplex", 3)

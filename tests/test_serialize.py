@@ -45,7 +45,7 @@ class TestSlackAndFactorization:
     def test_slack_roundtrip_with_provenance(self):
         s = build_slack(*builtin_instance("cube", 2))
         s2 = serialize.slack_from_json(serialize.slack_to_json(s))
-        np.testing.assert_array_equal(s2.as_float(), s.as_float())
+        np.testing.assert_array_equal(s2.floats, s.floats)
         assert s2.h is not None
         np.testing.assert_array_equal(s2.h.a, s.h.a)
 
