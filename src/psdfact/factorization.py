@@ -101,8 +101,11 @@ class PsdFactorization(Record):
         return len(self.col_factors)
 
     def products(self) -> np.ndarray:
-        """Matrix of trace inner products <U_i, V^j>."""
-        return np.einsum("irs,jrs->ij", self.row_factors, self.col_factors)
+        """Matrix of trace inner products <U_i, V^j>, an (m, n) array.
+
+        One BLAS product of the flattened stacks, by ``symmat.inner_products``.
+        """
+        return symmat.inner_products(self.row_factors, self.col_factors)
 
 
 def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactorization:
@@ -122,7 +125,7 @@ def side_extremes(f: PsdFactorization) -> np.ndarray:
     a factor of side 0 gives (0, 0).
     """
     lam = np.linalg.eigvalsh(np.concatenate([f.row_factors, f.col_factors]))
-    return lam[:, [0, -1]] if f.side else np.zeros((len(lam), 2))
+    return lam.take((0, -1), axis=1) if f.side else np.zeros((len(lam), 2))
 
 
 def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:

@@ -174,8 +174,9 @@ def _cube(n: int) -> tuple[HPolytope, VPolytope]:
     eye = np.eye(n, dtype=np.int64)
     a = np.concatenate([-eye, eye], axis=0)
     b = np.concatenate([np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)])
-    h = HPolytope(a=a, b=b)
-    return h, enumerate_01_vertices(h)
+    # Every point of {0,1}^n is a vertex, in the lexicographic order of
+    # ``cube_points``.
+    return HPolytope(a=a, b=b), VPolytope(points=next(cube_points(n, 1 << n)))
 
 
 def _simplex(n: int) -> tuple[HPolytope, VPolytope]:

@@ -598,19 +598,22 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     if p_u:
         c2 = math.sqrt(p_v / p_u)
         sv = sv * (p_v / p_u) ** 0.25
-    w = o @ rt.T
+    # O is the identity when the common space is R^r.
+    w = rt.T if reduced is f else o @ rt.T
     transform, transform_pinv = symmat.as_symmetric(np.array([w * sv, w / sv]) @ w.T)
     stacks = [fs.row_factors * c2, fs.col_factors / c2]
     if reduced is not f:
         stacks = [o @ stack @ o.T for stack in stacks]
     # Round-off amplified by an ill-conditioned input can leave a least
     # eigenvalue below the PSD floor; those factors alone get their
-    # negative eigenvalues clipped.
-    # One test over both sides: fs's extremes scale by c^2 on the rows and
-    # by 1 / c^2 on the columns.
+    # negative eigenvalues clipped.  One test over both sides: fs's
+    # extremes, measured for this function alone, scale in place by c^2 on
+    # the rows and by 1 / c^2 on the columns.
     rows = fs.n_rows
-    bad = symmat.not_psd(ends * np.repeat([c2, 1.0 / c2], [rows, len(ends) - rows])[:, None])
-    psd_repaired = int(bad.sum())
+    ends[:rows] *= c2
+    ends[rows:] *= 1.0 / c2
+    bad = symmat.not_psd(ends)
+    psd_repaired = int(np.count_nonzero(bad))
     if psd_repaired:
         for stack, side_bad in zip(stacks, (bad[:rows], bad[rows:])):
             if side_bad.any():

@@ -174,8 +174,10 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
         raise DimensionError("inequality rows and row factors are misaligned")
     n, r = h.dim, f.side
     residual = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
-    # np.linalg.norm(., axis=1)'s own formula, without its wrapper.
-    norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
+    # np.linalg.norm(., axis=1)'s own formula, without its wrapper; the
+    # loop updates the residual, its squares and the norms in place.
+    square = residual * residual
+    norms = np.sqrt(np.add.reduce(square, axis=1))
     threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
     selected: list[int] = []
     while True:
@@ -184,11 +186,14 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
             break
         q = residual[j] / norms[j]
         selected.append(j)
-        residual = residual - (residual @ q)[:, None] * q
         # A selected row's residual is exactly 0 from here on (its
-        # projections subtract 0), so its norm is never the largest again.
+        # projections subtract 0), so its norm is never the largest again,
+        # and once every row is selected no residual is left.
+        if len(selected) == len(residual):
+            break
+        residual -= np.multiply.outer(residual.dot(q), q)
         residual[j] = 0.0
-        norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
+        np.sqrt(np.add.reduce(np.multiply(residual, residual, out=square), axis=1), out=norms)
     if len(selected) > n + r * r:
         raise NumericError("selected subsystem exceeds n + r^2 rows")
     return selected
@@ -377,8 +382,14 @@ def _spectra(r: int, *stacks) -> list:
 
 
 def _dual_matrices(lam, u_flat, r):
-    """S = sum_i lambda_i U_i for each nonzero row of ``lam``, and the mask of those rows."""
+    """S = sum_i lambda_i U_i for each nonzero row of ``lam``, and the mask of those rows.
+
+    All of ``lam`` goes through one product, since a row of a GEMM can
+    depend on the rows beside it; a ``lam`` of zeros takes none.
+    """
     nonzero = lam.any(axis=1)
+    if not nonzero.any():
+        return np.zeros((0, r, r)), nonzero
     return (lam @ u_flat).reshape(-1, r, r)[nonzero], nonzero
 
 
@@ -416,14 +427,14 @@ def _single_row_duals(rows, spectra, m, const, cap):
     return lam, values[points, pick]
 
 
-def _hinge(y, const, u_flat, budget):
+def _hinge(y, const, factors, budget):
     """The residuals e_i = c_i - <U_i, Y> of each iterate and their hinge dual.
 
     Returns, per point, whether Y is within the budget, the hinge
     hinge(|e| - budget) * sign(e) and its dual lambda: the hinge over its
     l1 norm, 0 when the hinge is 0.
     """
-    e = const - y.reshape(len(y), -1) @ u_flat.T
+    e = const - symmat.inner_products(y, factors)
     if not np.isfinite(e).all():
         raise NumericError("NaN/Inf in membership iterates")
     size = np.abs(e)
@@ -457,8 +468,11 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     certificate, and one still live after MEMBER_MAX_ITERS checks keeps the
     iterate of one more step.
 
-    Re-validation symmetrises each final iterate and checks it against the
-    budget through the full factor stack; only points holding a witness
+    Every residual c - <U_i, Y>, in the screen, the iterations and
+    re-validation, is one BLAS product of the flattened iterates and
+    factors (``symmat.inner_products``).  Re-validation symmetrises each
+    final iterate and checks it against the budget through the full
+    factor stack, all n + r^2 padded rows; only points holding a witness
     get the spectrum that checks the cap.  Each point's best dual is
     valued again, in the same ``eigvalsh`` as those witnesses, unless the
     screen found every point: the best duals are then the hinge duals the
@@ -475,7 +489,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     y = np.zeros((len(xs), r, r))
     if len(warm):
         y[warm] = symmat.eig_clip(starts, cap)
-    found, push, best_lam = _hinge(y, const, u_flat, budget)
+    found, push, best_lam = _hinge(y, const, system.factors, budget)
     screened = found.all()
     hinge, nonzero = _dual_matrices(best_lam, u_flat, r)
     # The rows whose factors the single-row duals read, unless every point
@@ -508,7 +522,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
         y[live] = symmat.eig_clip(y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
         if it > MEMBER_MAX_ITERS:
             break
-        member, push, lam = _hinge(y[live], const[live], u_flat, budget)
+        member, push, lam = _hinge(y[live], const[live], system.factors, budget)
         s, nonzero = _dual_matrices(lam, u_flat, r)
         margin = _dual_values(lam, const[live], cap, nonzero, *_spectra(r, s)) - budget
         better = margin > best[live]
@@ -521,7 +535,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
 
     # Re-validation.
     witness = symmat.as_symmetric(y)
-    resid = const - np.einsum("irs,brs->bi", system.factors, witness)
+    resid = const - symmat.inner_products(witness, system.factors)
     violation = np.abs(resid).max(axis=1) - budget
     witness_ok = found & (violation <= budget * MEMBER_RTOL)
     # Every best dual is valued again, in the witnesses' eigvalsh, unless
@@ -588,11 +602,11 @@ def reconstruct(system: RoundedSystem, n: int,
         raise PreconditionError("warm-start points must lie in {0,1}^n")
     # Each point's position in the lexicographic order.
     index = points.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    if 1 << n <= MEMBER_BATCH:
+        return _decide(system, next(cube_points(n, MEMBER_BATCH)).astype(float), index, factors)
     parts = []
     for first, bits in zip(range(0, 1 << n, MEMBER_BATCH), cube_points(n, MEMBER_BATCH)):
         here = (index >= first) & (index < first + len(bits))
         parts.append(_decide(system, bits.astype(float), index[here] - first, factors[here]))
-    if len(parts) == 1:
-        return parts[0]
     return ReconstructionReport(*(np.concatenate([getattr(p, name) for p in parts])
                                   for name in ReconstructionReport.__slots__))

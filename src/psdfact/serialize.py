@@ -158,7 +158,19 @@ def system_to_json(sys: RoundedSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> RoundedSystem:
+    """Load a ``RoundedSystem``: its top-level n and r must be the grid's, and
+    its rows the n + r^2 rows of the padded subsystem."""
     grid = _field(obj, "grid", grid_from_json)
+    for name in ("n", "r"):
+        value = _field(obj, name, int)
+        if value != getattr(grid, name):
+            raise PreconditionError(
+                f"field {name!r} is {value}, but the grid's {name} is {getattr(grid, name)}")
+    size = grid.n + grid.r**2
+    count = _field(obj, "rows", len)
+    if count != size:
+        raise PreconditionError(
+            f"the rounded system has {count} rows, expected n + r^2 = {size}")
 
     def padded_rows(rows):
         k = len(rows)

@@ -1,8 +1,9 @@
 """Dense symmetric-matrix kernel.
 
 All numerical work in the package funnels through here: spectral
-decompositions, matrix exponentials and square roots, norms, and image
-bases.  Matrices are plain float ndarrays; ``as_symmetric`` is the
+decompositions, matrix exponentials and square roots, norms, image
+bases, and the contraction of two matrix stacks into their trace inner
+products.  Matrices are plain float ndarrays; ``as_symmetric`` is the
 canonical constructor and enforces the two invariants every routine
 assumes, exact symmetry and finite entries.
 
@@ -89,6 +90,21 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((m * m).sum(axis=(-2, -1)))
 
 
+# As a decorator, errstate sets the error state per call, for less than a
+# ``with`` block costs at these sizes.
+@np.errstate(over="ignore", invalid="ignore")
+def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k, l) matrix of trace inner products <A_i, B_j> of two stacks of one side s.
+
+    One BLAS product of the flattened stacks, (k, s^2) times (s^2, l).  The
+    sizes are written out, so an empty stack, (0, s, s), or side 0 gives a
+    (k, l) array of zeros.  As with einsum, entries that overflow come back
+    inf or NaN without a warning.
+    """
+    k, l, s = len(a), len(b), a.shape[-1]
+    return a.reshape(k, s * s).dot(b.reshape(l, s * s).T)
+
+
 def spectral_decompose(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix or a stack of them, eigenvalues descending.
 
@@ -168,11 +184,12 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 def eig_clip(m: np.ndarray, max_eig: float | None = None) -> np.ndarray:
     """Symmetrize and clip the spectrum into [0, max_eig], batched over a stack.
 
-    One batched ``eigh``; the result is symmetric up to round-off.
+    One batched ``eigh`` and one batched product V diag(lambda) V^T; the
+    result is symmetric up to round-off.
     """
     lam, vec = np.linalg.eigh(as_symmetric(m))
     lam = np.maximum(lam, 0.0) if max_eig is None else np.minimum(np.maximum(lam, 0.0), max_eig)
-    return np.einsum("...ab,...b,...cb->...ac", vec, lam, vec)
+    return (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
 def image_basis(m: np.ndarray) -> np.ndarray:

@@ -5,13 +5,17 @@ crosspoly_01 n=2-3, segment n=1, point n=1-2), each plain and after
 ``--unbalance`` 1e2, 1e3 and 1e4 at seeds 0-2: 130 runs.  The fitted runs
 factorize by ``--r`` 1-4 on cube, simplex and crosspoly_01 n=2-3, segment
 n=1 and point n=1-2, plain and at ``--unbalance`` 1e4 seed 0, and at the
-sides 5 and 6 of ``tests/test_cli.py``'s fitted runs.
+sides 5 and 6 of ``tests/test_cli.py``'s fitted runs.  Three more runs
+skip rescaling after ``--unbalance`` 1e4 seed 0, on cube, simplex and
+crosspoly_01 n=2: they are the grid's only runs of the membership
+oracle's projected gradient beyond its second iteration.
 
 Each run keeps only discrete values: the verdict and the three point
 lists; the factorize side, steps and found flag; the rescale certificate,
 start, iterations and reduced dimension; the three round booleans; and
 ``selected_rows`` on plain runs, since under a congruence it can turn on
-round-off ties.  Floats are not pinned.
+round-off ties.  A run that skips rescaling records the skip, and each
+of its points' iteration counts.  Floats are not pinned.
 
 Run ``PYTHONPATH=src python tests/grid_fixture.py`` from the root of the
 repository to rewrite ``tests/data/grid.json``.
@@ -36,6 +40,7 @@ FIT_INSTANCES = [("cube", 2), ("cube", 3), ("simplex", 2), ("simplex", 3), ("cro
                  ("crosspoly_01", 3), ("segment", 1), ("point", 1), ("point", 2)]
 FIT_SIDES = [(instance, n, r) for instance, n in FIT_INSTANCES for r in (1, 2, 3, 4)] + [
     ("cube", 3, 5), ("cube", 3, 6), ("crosspoly_01", 3, 5)]
+SKIP_RESCALE_INSTANCES = [("cube", 2), ("simplex", 2), ("crosspoly_01", 2)]
 
 
 def runs() -> dict[str, tuple[str, int, PipelineConfig]]:
@@ -47,6 +52,9 @@ def runs() -> dict[str, tuple[str, int, PipelineConfig]]:
     for instance, n, r in FIT_SIDES:
         for congruence in (None, (1e4, 0)):
             out[_label(instance, n, r, congruence)] = (instance, n, _config(r, congruence))
+    for instance, n in SKIP_RESCALE_INSTANCES:
+        out[_label(instance, n, None, (1e4, 0)) + "-skip"] = (
+            instance, n, PipelineConfig(skip_rescale=True, unbalance=1e4, seed=0))
     return out
 
 
@@ -69,7 +77,10 @@ def outcome(report: dict, plain: bool) -> dict:
     out = {"verdict": report["verdict"]}
     factorize = stages["factorize"]
     out["factorize"] = {k: factorize[k] for k in ("r", "found", "steps") if k in factorize}
-    if "rescale" in stages:
+    skipped = stages.get("rescale", {}).get("skipped", False)
+    if skipped:
+        out["rescale"] = {"skipped": True}
+    elif "rescale" in stages:
         out["rescale"] = {k: stages["rescale"][k]
                           for k in ("certificate", "start", "iterations", "reduced_dim")}
     if "round" in stages:
@@ -78,6 +89,9 @@ def outcome(report: dict, plain: bool) -> dict:
     if "reconstruct" in stages:
         out["points"] = {k: stages["reconstruct"][k]
                          for k in ("accepted", "rejected", "inconclusive")}
+        if skipped:
+            out["points"]["iterations"] = [p["iterations"]
+                                           for p in stages["reconstruct"]["points"]]
     return out
 
 

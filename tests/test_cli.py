@@ -296,6 +296,29 @@ class TestLoaderErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "row factor 0 is not exactly symmetric" in err
 
+    # case: (how the rounded cube n=2 system is spoilt, what the error says)
+    INCONSISTENT_SYSTEMS = {
+        "top-level-r": (lambda obj: dict(obj, r=3), "field 'r' is 3, but the grid's r is 4"),
+        "top-level-n": (lambda obj: dict(obj, n=3), "field 'n' is 3, but the grid's n is 2"),
+        "cut-rows": (lambda obj: dict(obj, rows=obj["rows"][:3]),
+                     "has 3 rows, expected n + r^2 = 18"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT_SYSTEMS))
+    def test_inconsistent_system_exits_2(self, files, tmp_path, case, capsys):
+        system = tmp_path / "system.json"
+        assert main(["round", "run", "--slack", str(files["slack"]), "--fact", str(files["fact"]),
+                     "--out", str(system)]) == 0
+        spoil, phrase = self.INCONSISTENT_SYSTEMS[case]
+        system.write_text(json.dumps(spoil(json.loads(system.read_text()))))
+        capsys.readouterr()
+        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --system {system}: ")
+        assert phrase in captured.err
+
     # case: (row named by the error, entry spoilt, value), on the rounded cube n=2 system
     MALFORMED_SYSTEMS = {
         "nan-in-U": (1, "U", float("nan")),
@@ -637,6 +660,8 @@ class TestBadInputSweep:
     }
     FILE_FLAGS = {"--file": "polytope", "--slack": "slack", "--fact": "fact",
                   "--system": "system"}
+    # Files of the right kind that break its invariants; each must exit 2.
+    BAD_FILES = {"--system": ("system-r3", "system-cut")}
     VALUES = ["0", "-1", "nan", "inf", "1e308", "1" + "0" * 300, "abc", ""]
 
     # Every option that takes a value but names an output file.
@@ -666,6 +691,12 @@ class TestBadInputSweep:
                      "--out", str(paths["fact"])]) == 0
         assert main(["round", "run", "--slack", str(paths["slack"]), "--fact", str(paths["fact"]),
                      "--out", str(paths["system"])]) == 0
+        # The unit square's system has side 4 and 2 + 4^2 = 18 rows.
+        system = json.loads(paths["system"].read_text())
+        for kind, spoilt in (("system-r3", dict(system, r=3)),
+                             ("system-cut", dict(system, rows=system["rows"][:3]))):
+            paths[kind] = tmp / f"{kind}.json"
+            paths[kind].write_text(json.dumps(spoilt))
         paths["missing"] = tmp / "missing.json"
         return paths
 
@@ -675,9 +706,10 @@ class TestBadInputSweep:
     @pytest.mark.parametrize("words,flag", CASES,
                              ids=[" ".join(words) + " " + flag for words, flag in CASES])
     def test_bad_values(self, files, words, flag, capsys):
+        bad_files = [str(files[kind]) for kind in self.BAD_FILES.get(flag, ())]
         values = self.VALUES + [str(files["missing"])] + [
             str(files[kind]) for kind in self.FILE_FLAGS.values()
-            if kind != self.FILE_FLAGS.get(flag)]
+            if kind != self.FILE_FLAGS.get(flag)] + bad_files
         capsys.readouterr()
         failures = []
         for base in self.BASE[words]:
@@ -705,6 +737,8 @@ class TestBadInputSweep:
                     failures.append((argv, err))
                 elif code == 2 and flag not in err.splitlines()[-1]:
                     failures.append((argv, err))
+                elif value in bad_files and code != 2:
+                    failures.append((argv, code))
         assert failures == []
 
     @pytest.mark.parametrize("words,flag", OUTPUT_CASES,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from psdfact.errors import (
 
 from helpers import (
     power_iteration_norm,
+    random_orthogonal,
     random_psd,
     random_symmetric,
     rng,
@@ -151,6 +154,61 @@ class TestMatrixExponential:
     def test_overflow_cap(self):
         with pytest.raises(NumericError):
             symmat.matrix_exponential(np.diag([800.0, 0.0]))
+
+
+class TestInnerProducts:
+    """``inner_products`` agrees with einsum's contraction of the two stacks."""
+
+    @staticmethod
+    def einsum(a, b):
+        return np.einsum("irs,jrs->ij", a, b)
+
+    @pytest.mark.parametrize("k,l,side", [(5, 7, 4), (1, 1, 3), (1, 6, 2), (9, 1, 5)])
+    def test_matches_einsum(self, k, l, side):
+        gen = rng(k * 100 + l * 10 + side)
+        a = gen.standard_normal((k, side, side))
+        b = gen.standard_normal((l, side, side))
+        got, want = symmat.inner_products(a, b), self.einsum(a, b)
+        assert got.shape == (k, l)
+        scale = np.abs(a).reshape(k, -1).sum(axis=1)[:, None] * np.abs(b).reshape(l, -1).max(axis=1)
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+    @pytest.mark.parametrize("a_shape,b_shape", [((0, 3, 3), (4, 3, 3)), ((4, 3, 3), (0, 3, 3)),
+                                                 ((0, 3, 3), (0, 3, 3)), ((5, 0, 0), (2, 0, 0))])
+    def test_empty_stack_and_side_zero(self, a_shape, b_shape):
+        a, b = np.ones(a_shape), np.ones(b_shape)
+        got = symmat.inner_products(a, b)
+        assert got.shape == (a_shape[0], b_shape[0])
+        np.testing.assert_array_equal(got, self.einsum(a, b))
+
+    def test_overflow_is_silent(self):
+        a = np.full((2, 2, 2), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symmat.inner_products(a, a)
+        assert np.isinf(got).all()
+
+
+class TestEigClip:
+    def test_clips_only_the_matrices_outside(self):
+        gen = rng(5)
+        q = np.array([random_orthogonal(gen, 3) for _ in range(4)])
+        lam = np.array([[0.5, 1.0, 1.5],    # inside [0, 2]
+                        [-1.0, 0.5, 1.0],   # below 0
+                        [0.5, 1.0, 3.0],    # above 2
+                        [-2.0, 1.0, 5.0]])  # both
+        stack = (q * lam[:, None, :]) @ q.swapaxes(1, 2)
+        got = symmat.eig_clip(stack, 2.0)
+        want = (q * np.clip(lam, 0.0, 2.0)[:, None, :]) @ q.swapaxes(1, 2)
+        np.testing.assert_allclose(got, want, atol=1e-13)
+        np.testing.assert_allclose(got[0], symmat.as_symmetric(stack[0]), atol=1e-14)
+        spectra = np.linalg.eigvalsh(symmat.as_symmetric(got))
+        assert (spectra >= -1e-13).all() and (spectra <= 2.0 + 1e-13).all()
+
+    def test_no_cap_clips_below_only(self):
+        stack = np.array([np.diag([-1.0, 4.0]), np.diag([3.0, 2.0])])
+        np.testing.assert_allclose(symmat.eig_clip(stack),
+                                   [np.diag([0.0, 4.0]), np.diag([3.0, 2.0])], atol=1e-15)
 
 
 class TestSubspaces:
