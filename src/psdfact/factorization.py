@@ -129,17 +129,13 @@ def side_extremes(f: PsdFactorization) -> np.ndarray:
 
 
 def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
-    """The operator norm of every factor, one array per side, from ``side_extremes``."""
-    return extreme_norms(side_extremes(f), f.n_rows)
-
-
-def extreme_norms(ends: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``side_norms`` from ``side_extremes`` of a factorization with m row factors.
+    """The operator norm of every factor, one array per side, from ``side_extremes``.
 
     Each norm is max |lambda|, with a zero factor's -0.0 as 0.0.
     """
+    ends = side_extremes(f)
     norms = np.maximum(ends[:, 1], -ends[:, 0]) + 0.0
-    return norms[:m], norms[m:]
+    return norms[:f.n_rows], norms[f.n_rows:]
 
 
 def top_norms(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:

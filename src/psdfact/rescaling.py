@@ -48,20 +48,23 @@ one by one only when the loop runs.  The loop keeps the balanced winner
 of each line search, the operator norms of its factors (measured once
 per step and shared by the direction, the line search and the
 trajectory) and M, the start times the product of the accepted steps.
-The returned transform is the polar part P = (M^T M)^(1/2), formed once
-at the end; M = Q P with Q orthogonal, so the congruence by P has the
-norms of the last winner, and the epilogue measures it.  With no
-accepted step M is the start, already measured.  The result is the last
-measured factorization, balanced by a scalar and lifted by O, which
-equals the congruence of the input by the returned transform up to
-round-off: the certificate reads its top norms from that measurement,
-and a factor whose least eigenvalue there fails ``symmat.not_psd`` has
-its negative eigenvalues clipped.
+The transform is the polar part P = (M^T M)^(1/2), from one SVD of M at
+the end; M = Q P with Q orthogonal, so the congruence by P has the norms
+of the last winner, and the epilogue measures it.  With no accepted step
+M is the start, already measured.  The result keeps the transform
+factored, as W = O R and the scales of c P, and forms the matrix only
+when it is read.  Its factorization is the last one measured, balanced
+by a scalar (in place, when rescale built its stacks) and lifted by O;
+it equals the congruence of the input by the transform up to round-off.
+The certificate reads the top norms from that measurement, and a factor
+whose least eigenvalue there fails ``symmat.not_psd`` has its negative
+eigenvalues clipped.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -70,7 +73,6 @@ from .factorization import (
     VERIFY_TOL,
     PsdFactorization,
     congruence,
-    extreme_norms,
     max_residual,
     potential,
     residual_budget,
@@ -97,6 +99,8 @@ MVEE_WEIGHT_FLOOR = 1e-9
 MVEE_MAX_ITERS = 200_000
 # Largest accepted gap in the John identity and in the contact radii.
 JOHN_TOL = 1e-6
+# The range of normal floats, where a ratio of top norms loses no precision.
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +255,8 @@ def reduce_to_common_space(
     (2, d, d) array.  Both images are cut at round-off
     (``symmat.IMAGE_TOL``), so an ill-conditioned congruence of the input
     keeps the directions of its common space.  Dimension zero (all-zero
-    products) yields empty factors and sigma = 0.
+    products) yields empty factors and sigma = 0.  Averages with
+    non-finite entries raise PreconditionError.
 
     One eigvalsh of both averages comes first.  When each average's least
     eigenvalue exceeds IMAGE_TOL times its largest, both are nonsingular,
@@ -262,8 +267,15 @@ def reduce_to_common_space(
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    bars = symmat.as_symmetric(np.array([f.row_factors.sum(axis=0) / f.n_rows,
-                                         f.col_factors.sum(axis=0) / f.n_cols]))
+    # The stacks are exactly symmetric, and so are their sums: only
+    # finiteness is left to test.
+    bars = np.empty((2, f.side, f.side))
+    f.row_factors.sum(axis=0, out=bars[0])
+    f.col_factors.sum(axis=0, out=bars[1])
+    bars[0] /= f.n_rows
+    bars[1] /= f.n_cols
+    if not np.isfinite(bars).all():
+        raise PreconditionError("side averages have non-finite entries")
     lam = np.linalg.eigvalsh(bars)
     if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
         return f, np.eye(f.side), float(lam[:, 0].min()), bars
@@ -316,8 +328,36 @@ def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactoriza
         raise PreconditionError(
             "one side of the factorization is zero while the other is not"
         )
-    s2 = np.sqrt(lmax_v / lmax_u)
+    s2, _ = _balancing_scalars(lmax_u, lmax_v)
     return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
+
+
+def _balancing_scalars(lmax_u: float, lmax_v: float) -> tuple[float, float]:
+    """c^2 = sqrt(lmax_v / lmax_u) and c, which balance (c^2 U, V / c^2).
+
+    A ratio that is not a normal float (lmax_u = 1e200, lmax_v = 1e-200)
+    is split into a ratio of mantissas and a power of two, whose roots are
+    exact.  Norms so far apart that c^2 overflows raise PreconditionError.
+    """
+    ratio = lmax_v / lmax_u
+    if _NORMAL_MIN <= ratio <= _NORMAL_MAX:
+        return math.sqrt(ratio), ratio ** 0.25
+    (mant_u, exp_u), (mant_v, exp_v) = math.frexp(lmax_u), math.frexp(lmax_v)
+    # ratio = q 2^shift with shift a multiple of 4 and q in [1/2, 16).
+    shift = (exp_v - exp_u) // 4 * 4
+    q = math.ldexp(mant_v / mant_u, exp_v - exp_u - shift)
+    try:
+        return math.ldexp(math.sqrt(q), shift // 2), math.ldexp(q ** 0.25, shift // 4)
+    except OverflowError:
+        raise PreconditionError(
+            f"top norms {lmax_u:.3g} and {lmax_v:.3g} are too far apart to balance"
+        ) from None
+
+
+def _top_norms(ends: np.ndarray, m: int) -> tuple[float, float]:
+    """``top_norms`` from the ``side_extremes`` of a factorization with m row factors."""
+    mags = np.abs(ends)
+    return float(mags[:m].max(initial=0.0)), float(mags[m:].max(initial=0.0))
 
 
 def _polar_congruence(f: PsdFactorization, sv: np.ndarray, rt: np.ndarray) -> PsdFactorization:
@@ -418,15 +458,19 @@ class RescaleConfig(Record):
 
 
 class RescaleResult(Record):
-    __slots__ = ("transform", "transform_pinv", "factorization", "lmax_trajectory", "lmax_u",
-                 "lmax_v", "certificate", "iterations", "reduced_dim", "diagnostics")
+    """What ``rescale`` found.  The transform is kept factored as
+    A = W diag(sv) W^T: W = ``transform_basis``, an orthonormal (r, d) basis
+    of the common space, and sv = ``transform_scales`` > 0."""
 
-    def __init__(self, transform: np.ndarray, transform_pinv: np.ndarray,
+    __slots__ = ("transform_basis", "transform_scales", "factorization", "lmax_trajectory",
+                 "lmax_u", "lmax_v", "certificate", "iterations", "reduced_dim", "diagnostics")
+
+    def __init__(self, transform_basis: np.ndarray, transform_scales: np.ndarray,
                  factorization: PsdFactorization, lmax_trajectory: tuple, lmax_u: float,
                  lmax_v: float, certificate: bool, iterations: int, reduced_dim: int,
                  diagnostics: dict | None = None):
-        object.__setattr__(self, "transform", transform)
-        object.__setattr__(self, "transform_pinv", transform_pinv)
+        object.__setattr__(self, "transform_basis", transform_basis)
+        object.__setattr__(self, "transform_scales", transform_scales)
         object.__setattr__(self, "factorization", factorization)
         # (lmax_u, lmax_v) of the balanced working factorization: the reduced
         # input, then the geometric-mean start when rescale keeps it (also at
@@ -445,6 +489,18 @@ class RescaleResult(Record):
         object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
 
     @property
+    def transform(self) -> np.ndarray:
+        """A, the congruence of the row factors, formed on each access."""
+        w = self.transform_basis
+        return symmat.as_symmetric((w * self.transform_scales) @ w.T)
+
+    @property
+    def transform_pinv(self) -> np.ndarray:
+        """W diag(1 / sv) W^T, the pseudo-inverse of A, for the column factors."""
+        w = self.transform_basis
+        return symmat.as_symmetric((w / self.transform_scales) @ w.T)
+
+    @property
     def phi_trajectory(self) -> tuple:
         """The potential lmax_u * lmax_v of every ``lmax_trajectory`` entry."""
         return tuple(u * v for u, v in self.lmax_trajectory)
@@ -459,13 +515,14 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
 
     The returned transform acts on the original side r; its pseudo-inverse
     handles the column factors, so the rescaled factorization still
-    reproduces the slack matrix.  The returned factorization is the last
-    one rescale measured (the reduced input, the mean start, or the
-    congruence by the polar part of the loop's transform), balanced by a
-    scalar and lifted to side r: it equals the congruence of ``f`` by the
-    transform pair up to round-off.  lmax_u and lmax_v are its top norms
-    from that measurement, and the certificate flag is set only when they
-    meet sqrt(d * Delta) * (1 + CERTIFICATE_TOL) with d the reduced
+    reproduces the slack matrix; ``RescaleResult`` keeps the two factored.
+    The returned factorization is the last one rescale measured (the
+    reduced input, the mean start, or the congruence by the polar part of
+    the loop's transform), balanced by a scalar and lifted to side r: it
+    equals the congruence of ``f`` by the transform pair up to round-off,
+    and ``f``'s stacks are never written.  lmax_u and lmax_v are its top
+    norms from that measurement, and the certificate flag is set only when
+    they meet sqrt(d * Delta) * (1 + CERTIFICATE_TOL) with d the reduced
     dimension and Delta the largest slack entry.  Every returned factor
     passes ``symmat.not_psd``; ``diagnostics["psd_repaired"]`` counts those
     whose negative eigenvalues were clipped to get there.
@@ -483,7 +540,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
 
     Factor entries that overflow when the sides are averaged or
     symmetrized raise PreconditionError naming ``f``, and a Delta for which
-    the target overflows raises one naming ``s``.
+    the target overflows raises one naming ``s``.  Top norms so far apart
+    that the balancing scalar leaves the float range raise one too.
     """
     delta = s.max_entry
     budget = residual_budget(s, VERIFY_TOL)
@@ -531,7 +589,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     # misses the target and the mean lowers phi.  Balanced by a scalar,
     # each has both top norms at the square root of its potential.
     ends = side_extremes(reduced)
-    p_u, p_v = top_norms(extreme_norms(ends, reduced.n_rows))
+    p_u, p_v = _top_norms(ends, reduced.n_rows)
     tau = p_u * p_v
     sv, rt, fs = np.ones(d), np.eye(d), reduced
     lmax_traj = [(math.sqrt(tau),) * 2]
@@ -539,7 +597,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
         trial_ends = side_extremes(trial)
-        tops = top_norms(extreme_norms(trial_ends, trial.n_rows))
+        tops = _top_norms(trial_ends, trial.n_rows)
         if tops[0] * tops[1] < tau:
             (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
             lmax_traj.append((math.sqrt(p_u * p_v),) * 2)
@@ -589,21 +647,15 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         _, sv, rt = np.linalg.svd(m)
         fs = _polar_congruence(reduced, sv, rt)
         ends = side_extremes(fs)
-        p_u, p_v = top_norms(extreme_norms(ends, fs.n_rows))
+        p_u, p_v = _top_norms(ends, fs.n_rows)
     # The scalar c^2 = sqrt(p_v / p_u) balances fs: the result is
     # (c^2 U, V / c^2) for fs = (U, V), lifted by O when the common space
     # is proper, and the transform is c P lifted, A = W (c S) W^T with
     # W = O R.  At d = 0 both norms are 0 and every factor is 0.
     c2 = 1.0
     if p_u:
-        c2 = math.sqrt(p_v / p_u)
-        sv = sv * (p_v / p_u) ** 0.25
-    # O is the identity when the common space is R^r.
-    w = rt.T if reduced is f else o @ rt.T
-    transform, transform_pinv = symmat.as_symmetric(np.array([w * sv, w / sv]) @ w.T)
-    stacks = [fs.row_factors * c2, fs.col_factors / c2]
-    if reduced is not f:
-        stacks = [o @ stack @ o.T for stack in stacks]
+        c2, c = _balancing_scalars(p_u, p_v)
+        sv = sv * c
     # Round-off amplified by an ill-conditioned input can leave a least
     # eigenvalue below the PSD floor; those factors alone get their
     # negative eigenvalues clipped.  One test over both sides: fs's
@@ -614,16 +666,30 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     ends[rows:] *= 1.0 / c2
     bad = symmat.not_psd(ends)
     psd_repaired = int(np.count_nonzero(bad))
+    # fs is the caller's f only at the input start with O = I, and is
+    # copied; any other fs was built and validated here, and is balanced
+    # in place.  Lifted or clipped stacks are validated again.
+    stacks = [fs.row_factors, fs.col_factors]
+    if fs is f:
+        stacks = [stacks[0] * c2, stacks[1] / c2]
+    else:
+        stacks[0] *= c2
+        stacks[1] /= c2
+    if reduced is not f:
+        stacks = [o @ stack @ o.T for stack in stacks]
     if psd_repaired:
         for stack, side_bad in zip(stacks, (bad[:rows], bad[rows:])):
             if side_bad.any():
                 stack[side_bad] = symmat.eig_clip(stack[side_bad])
-    rescaled = PsdFactorization(*stacks)
+    rescaled = fs
+    if fs is f or reduced is not f or psd_repaired:
+        rescaled = PsdFactorization(*stacks)
     residual, _ = max_residual(rescaled, s)
     # Up to round-off the result is the congruence of f by an inverse
     # pair, which preserves the products, so the residual may only drift
-    # by float error (and the clipping) beyond what came in.
-    if residual > residual_in + budget:
+    # by float error (and the clipping) beyond what came in.  Written so
+    # that a NaN residual fails the check.
+    if not (residual <= residual_in + budget):
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
             f"(max residual {residual:.3g})"
@@ -632,8 +698,9 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     lmax_v = p_v / c2
     certificate = bool(lmax_u <= target_lmax and lmax_v <= target_lmax)
     return RescaleResult(
-        transform=transform,
-        transform_pinv=transform_pinv,
+        # O is the identity when the common space is R^r.
+        transform_basis=rt.T if reduced is f else o @ rt.T,
+        transform_scales=sv,
         factorization=rescaled,
         lmax_trajectory=tuple(lmax_traj),
         lmax_u=lmax_u,

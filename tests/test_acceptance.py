@@ -15,7 +15,7 @@ from psdfact import symmat
 from psdfact.bounds import polygon_params_report, worst_case_coeff_bound, xc01_lower_bound
 from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from psdfact.factorization import PsdFactorization, diagonal_embed, verify_factorization
-from psdfact.pipeline import PipelineConfig, run_pipeline
+from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance, enumerate_01_vertices
 from psdfact.rescaling import john_decompose, rescale
 from psdfact.rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_factor
@@ -295,3 +295,35 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert run_pipeline(instance, n)["verdict"] == "match"
         assert calls == want, (instance, n)
+
+
+def test_cube4_rescale_work_per_call(monkeypatch):
+    # The mean start's stacks are validated once, when its congruence
+    # builds them, and are balanced in place; the side averages of exactly
+    # symmetric stacks need no symmetrizing; the transform stays factored.
+    # What is left: the symmetrizing in mean_congruence, one eigvalsh each
+    # of the averages, the input and the start, the two eigh and the SVD
+    # of the mean congruence.  The input start does none of these three.
+    s = build_slack(*builtin_instance("cube", 4))
+    embedded = diagonal_embed(s)
+    unbalanced = _unbalance_congruence(embedded, 1e4, 0)
+    calls = {"PsdFactorization": 0, "as_symmetric": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    for key, module, name in (("PsdFactorization", PsdFactorization, "__init__"),
+                              ("as_symmetric", symmat, "as_symmetric"),
+                              ("eigvalsh", np.linalg, "eigvalsh"), ("eigh", np.linalg, "eigh"),
+                              ("svd", np.linalg, "svd")):
+        original = getattr(module, name)
+
+        def counting(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    res = rescale(unbalanced, s)
+    assert res.diagnostics["start"] == "mean" and res.iterations == 0 and res.certificate
+    assert calls == {"PsdFactorization": 1, "as_symmetric": 1, "eigvalsh": 3, "eigh": 2, "svd": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    res = rescale(embedded, s)
+    assert res.diagnostics["start"] == "input" and res.iterations == 0 and res.certificate
+    assert calls["as_symmetric"] == 0

@@ -14,7 +14,7 @@ import pytest
 import psdfact
 from psdfact import pipeline, serialize
 from psdfact.cli import DERIVATIVES_MAX_COST, FORMULAS, build_parser, main
-from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, diagonal_embed
+from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, PsdFactorization, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import DESCENT_MAX_ITERS, rescale
@@ -624,6 +624,20 @@ class TestErrorLinesNameTheInput:
                             capsys)
         assert code == 0
         assert rep["certificate"] is True
+
+    @pytest.mark.parametrize("u, v", [(1e200, 1e-200), (1e-200, 1e200)])
+    def test_norms_whose_ratio_leaves_the_float_range(self, tmp_path, u, v, capsys):
+        # U = [u], V = [v] factor S = [[1]] exactly; the balancing scalar
+        # sqrt(v / u) must not be read off the ratio, which underflows or
+        # overflows.
+        s = SlackMatrix.from_entries(np.array([[1.0]]))
+        f = PsdFactorization([[[u]]], [[[v]]])
+        slack, fact = TestFactAndRescale.write_inputs(tmp_path, f, s)
+        code, rep = run_cli(["rescale", "run", "--slack", str(slack), "--fact", str(fact)],
+                            capsys)
+        assert code == 0
+        assert rep["certificate"] is True
+        assert rep["lmax_u"] == rep["lmax_v"] == 1.0
 
 
 def leaf_parsers(parser, words=()):

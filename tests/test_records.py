@@ -47,7 +47,7 @@ FIELDS = {
     JohnDecomposition: lambda: {"dim": 1, "ellipsoid_map": np.ones((1, 1)),
                                 "points": np.ones((1, 1)), "weights": np.ones(1)},
     RescaleConfig: lambda: {"tol": 0.1},
-    RescaleResult: lambda: {"transform": np.eye(1), "transform_pinv": np.eye(1),
+    RescaleResult: lambda: {"transform_basis": np.eye(1), "transform_scales": np.ones(1),
                             "factorization": _factorization(),
                             "lmax_trajectory": ((1.0, 1.0),), "lmax_u": 1.0, "lmax_v": 1.0,
                             "certificate": True, "iterations": 0, "reduced_dim": 1,

@@ -372,6 +372,70 @@ class TestReturnedFactorization:
             assert res.factorization.side == f.side
 
 
+def _cube4_congruence():
+    """Cube n=4's diagonal embedding after a seeded 1e4 congruence: the mean start."""
+    s = build_slack(*builtin_instance("cube", 4))
+    return geometric_congruence(diagonal_embed(s)), s
+
+
+def _padded_cube4_congruence():
+    """``_cube4_congruence`` with a zero row and column on every factor: a
+    mean start on a proper common space."""
+    f, s = _cube4_congruence()
+    pad = [(0, 0), (0, 1), (0, 1)]
+    return PsdFactorization(np.pad(f.row_factors, pad), np.pad(f.col_factors, pad)), s
+
+
+def _point2():
+    s = build_slack(*builtin_instance("point", 2))
+    return diagonal_embed(s), s
+
+
+# One input per path of rescale's epilogue, with the start it takes and
+# whether its common space is proper.
+EPILOGUE_PATHS = {
+    "input": (TestZeroStep.cube3, "input", False),
+    "mean": (_cube4_congruence, "mean", False),
+    "lifted-input": (adversarial_instance, "input", True),
+    "lifted-mean": (_padded_cube4_congruence, "mean", True),
+    "zero": (_point2, "zero", True),
+    "loop-input": (loop_from_input, "input", False),
+    "loop-mean": (loop_from_mean, "mean", False),
+}
+
+
+class TestEpiloguePaths:
+    @pytest.mark.parametrize("path", sorted(EPILOGUE_PATHS))
+    def test_never_writes_the_callers_stacks(self, path):
+        make, start, lifted = EPILOGUE_PATHS[path]
+        f, s = make()
+        before = [side.copy() for side in (f.row_factors, f.col_factors)]
+        for side in (f.row_factors, f.col_factors):
+            side.flags.writeable = False
+        res = rescale(f, s)
+        assert res.diagnostics["start"] == start
+        assert (res.reduced_dim < f.side) == lifted
+        assert (res.iterations > 0) == path.startswith("loop")
+        for side, want in zip((f.row_factors, f.col_factors), before):
+            assert side.tobytes() == want.tobytes()
+        assert res.factorization.row_factors is not f.row_factors
+        assert res.factorization.col_factors is not f.col_factors
+
+    @pytest.mark.parametrize("path", sorted(EPILOGUE_PATHS))
+    def test_factored_transform(self, path):
+        # The pair as rescale formed it before it kept the transform
+        # factored: one stacked product, symmetrized.
+        f, s = EPILOGUE_PATHS[path][0]()
+        res = rescale(f, s)
+        w, sv = res.transform_basis, res.transform_scales
+        assert w.shape == (f.side, res.reduced_dim) and sv.shape == (res.reduced_dim,)
+        np.testing.assert_allclose(w.T @ w, np.eye(res.reduced_dim), atol=1e-12)
+        want = symmat.as_symmetric(np.array([w * sv, w / sv]) @ w.T)
+        for got, pair in ((res.transform, want[0]), (res.transform_pinv, want[1])):
+            assert got.shape == (f.side, f.side)
+            assert got.tobytes() == pair.tobytes()
+
+
 class TestBalance:
     def test_forced_by_formula(self):
         f = PsdFactorization.from_factors([4.0 * np.eye(2)], [1.0 * np.eye(2)])
@@ -401,6 +465,30 @@ class TestBalance:
     def test_inconsistent_zero_side(self):
         f = PsdFactorization.from_factors([np.zeros((2, 2))], [np.eye(2)])
         with pytest.raises(PreconditionError):
+            balance_scalar(f)
+
+    @pytest.mark.parametrize("exponent", [154, 160, 200, 300])
+    @pytest.mark.parametrize("flip", [False, True], ids=["big-row", "big-col"])
+    def test_norms_whose_ratio_leaves_the_float_range(self, exponent, flip):
+        # U = [t], V = [1 / t] factor S = [[1]] exactly, but lmax_v / lmax_u
+        # = t^-2 underflows, or overflows when flipped, or at t = 1e154 and
+        # 1e160 is subnormal; a RuntimeWarning fails the test.
+        big, small = float(f"1e{exponent}"), float(f"1e-{exponent}")
+        u, v = (small, big) if flip else (big, small)
+        f = PsdFactorization([[[u]]], [[[v]]])
+        out = balance_scalar(f)
+        assert out.row_factors[0, 0, 0] == out.col_factors[0, 0, 0] == 1.0
+        res = rescale(f, SlackMatrix.from_entries(np.array([[1.0]])))
+        assert res.lmax_u == res.lmax_v == 1.0 and res.certificate
+        g = res.factorization
+        assert g.row_factors[0, 0, 0] == g.col_factors[0, 0, 0] == 1.0
+        assert res.transform[0, 0] * res.transform_pinv[0, 0] == pytest.approx(1.0, rel=1e-15)
+        assert res.transform[0, 0] ** 2 * u == pytest.approx(1.0, rel=1e-15)
+
+    def test_norms_too_far_apart_to_balance(self):
+        # c^2 = sqrt(1e300 / 5e-324) is beyond the float range.
+        f = PsdFactorization([[[5e-324]]], [[[1e300]]])
+        with pytest.raises(PreconditionError, match="too far apart"):
             balance_scalar(f)
 
 
