@@ -21,15 +21,7 @@ _LOG_BASE_NOTE = "log = log2 throughout; the asymptotic statements are base-free
 
 class BoundReport(Record):
     __slots__ = ("formula", "inputs", "log2_value", "decimal", "assumptions", "extras")
-
-    def __init__(self, formula: str, inputs: dict, log2_value: float, decimal: str | None,
-                 assumptions: tuple, extras: dict | None = None):
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "log2_value", log2_value)
-        object.__setattr__(self, "decimal", decimal)
-        object.__setattr__(self, "assumptions", assumptions)
-        object.__setattr__(self, "extras", {} if extras is None else extras)
+    _defaults = {"extras": dict}
 
 
 def _finite(flag: str, compute) -> tuple:

@@ -41,15 +41,12 @@ def dplus_opnorm_congruence(x: np.ndarray, z: np.ndarray) -> float:
 
 
 class DerivativeCheck(Record):
-    """Finite-difference slopes on a decreasing eps ladder vs an analytic value."""
+    """Finite-difference slopes on a decreasing eps ladder vs an analytic value.
+
+    ``slopes`` is ((eps, slope), ...) with eps strictly decreasing.
+    """
 
     __slots__ = ("analytic", "slopes", "max_deviation")
-
-    def __init__(self, analytic: float, slopes: tuple, max_deviation: float):
-        object.__setattr__(self, "analytic", analytic)
-        # ((eps, slope), ...) with eps strictly decreasing
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "max_deviation", max_deviation)
 
 
 def fd_ladder(f, analytic: float, eps_ladder=(1e-3, 1e-4, 1e-5, 1e-6)) -> DerivativeCheck:

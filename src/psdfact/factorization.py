@@ -11,7 +11,10 @@ rescaling applies to a whole factorization, verification against a
 slack matrix, the canonical diagonal embedding, a Levenberg-Marquardt
 search for factorizations of a given side, and the potential function
 (product of the two largest operator norms) that the rescaler drives
-down.
+down.  Every measurement of a factorization takes one path:
+``side_extremes`` (one eigvalsh over both stacks) -> ``top_norms`` ->
+``potential``; ``verify_factorization``, ``from_factors`` and the
+rescaler read the same extremes.
 """
 
 from __future__ import annotations
@@ -72,20 +75,18 @@ class PsdFactorization(Record):
                       for s in (rows, cols))
         if not (np.isfinite(rows).all() and np.isfinite(cols).all()):
             raise PreconditionError("factors have non-finite entries")
-        object.__setattr__(self, "row_factors", rows)
-        object.__setattr__(self, "col_factors", cols)
+        self._set_fields(rows, cols)
 
     @classmethod
     def from_factors(cls, row_factors, col_factors):
-        """Construct, then check every factor with ``symmat.not_psd``."""
+        """Construct, then check every factor's ``side_extremes`` with ``symmat.not_psd``."""
         f = cls(row_factors=row_factors, col_factors=col_factors)
-        for stack, label in ((f.row_factors, "row factor"), (f.col_factors, "column factor")):
-            lam = np.linalg.eigvalsh(stack)
-            bad = np.flatnonzero(symmat.not_psd(lam))
-            if bad.size:
-                raise PreconditionError(
-                    f"{label} {bad[0]} is not PSD: min eigenvalue {lam[bad[0], 0]:.3g}"
-                )
+        ends = side_extremes(f)
+        bad = np.flatnonzero(symmat.not_psd(ends))
+        if bad.size:
+            k = bad[0]
+            label = f"row factor {k}" if k < f.n_rows else f"column factor {k - f.n_rows}"
+            raise PreconditionError(f"{label} is not PSD: min eigenvalue {ends[k, 0]:.3g}")
         return f
 
     @property
@@ -128,19 +129,14 @@ def side_extremes(f: PsdFactorization) -> np.ndarray:
     return lam.take((0, -1), axis=1) if f.side else np.zeros((len(lam), 2))
 
 
-def side_norms(f: PsdFactorization) -> tuple[np.ndarray, np.ndarray]:
-    """The operator norm of every factor, one array per side, from ``side_extremes``.
+def top_norms(ends: np.ndarray, m: int) -> tuple[float, float]:
+    """(lmax(U), lmax(V)) from the ``side_extremes`` of a factorization with m row factors.
 
-    Each norm is max |lambda|, with a zero factor's -0.0 as 0.0.
+    A factor's operator norm is the larger |lambda| of its two extremes; an
+    empty side gives 0.
     """
-    ends = side_extremes(f)
-    norms = np.maximum(ends[:, 1], -ends[:, 0]) + 0.0
-    return norms[:f.n_rows], norms[f.n_rows:]
-
-
-def top_norms(norms: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
-    """(lmax(U), lmax(V)) from ``side_norms``; an empty side gives 0."""
-    return float(norms[0].max(initial=0.0)), float(norms[1].max(initial=0.0))
+    mags = np.abs(ends)
+    return float(mags[:m].max(initial=0.0)), float(mags[m:].max(initial=0.0))
 
 
 def max_operator_norm(factors) -> float:
@@ -152,7 +148,7 @@ def max_operator_norm(factors) -> float:
 
 def potential(f: PsdFactorization) -> float:
     """Product of the largest operator norms of the two sides; an empty side gives 0."""
-    lmax_u, lmax_v = top_norms(side_norms(f))
+    lmax_u, lmax_v = top_norms(side_extremes(f), f.n_rows)
     return lmax_u * lmax_v
 
 
@@ -161,16 +157,6 @@ class FactorizationReport(Record):
 
     __slots__ = ("max_abs_residual", "residual_location", "lmax_u", "lmax_v", "potential",
                  "tol", "passed")
-
-    def __init__(self, max_abs_residual: float, residual_location: tuple[int, int],
-                 lmax_u: float, lmax_v: float, potential: float, tol: float, passed: bool):
-        object.__setattr__(self, "max_abs_residual", max_abs_residual)
-        object.__setattr__(self, "residual_location", residual_location)
-        object.__setattr__(self, "lmax_u", lmax_u)
-        object.__setattr__(self, "lmax_v", lmax_v)
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "passed", passed)
 
 
 def check_tol(tol: float) -> None:
@@ -214,7 +200,7 @@ def verify_factorization(
     """
     budget = residual_budget(s, tol)
     max_res, loc = max_residual(f, s)
-    lmax_u, lmax_v = top_norms(side_norms(f))
+    lmax_u, lmax_v = top_norms(side_extremes(f), f.n_rows)
     return FactorizationReport(
         max_abs_residual=max_res,
         residual_location=loc,
@@ -253,12 +239,7 @@ class FitResult(Record):
     """
 
     __slots__ = ("factorization", "trace", "reason")
-
-    def __init__(self, factorization: PsdFactorization | None, trace: tuple,
-                 reason: str | None = None):
-        object.__setattr__(self, "factorization", factorization)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": None}
 
     @property
     def steps(self) -> int:

@@ -33,6 +33,11 @@ from . import symmat
 
 
 class PipelineConfig(Record):
+    """``r`` is None for the diagonal embedding, otherwise the side of
+    fit_factorization; ``unbalance`` is the condition number of an
+    adversarial congruence.  ``membership_cfg`` is set by
+    perfbench/workloads.py only; run_pipeline does not read it."""
+
     __slots__ = ("r", "skip_rescale", "unbalance", "seed", "membership_cfg")
 
     def __init__(self, r: int | None = None, skip_rescale: bool = False,
@@ -41,14 +46,7 @@ class PipelineConfig(Record):
         if unbalance is not None and not 0.0 < unbalance < np.inf:
             raise PreconditionError(f"unbalance must be finite and > 0, got {unbalance!r}",
                                     arg="unbalance")
-        # None: diagonal embedding; otherwise fit_factorization at side r
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "skip_rescale", skip_rescale)
-        # condition number of an adversarial congruence
-        object.__setattr__(self, "unbalance", unbalance)
-        object.__setattr__(self, "seed", seed)
-        # Set by perfbench/workloads.py only; run_pipeline does not read it.
-        object.__setattr__(self, "membership_cfg", membership_cfg)
+        self._set_fields(r, skip_rescale, unbalance, seed, membership_cfg)
 
 
 def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactorization:

@@ -53,8 +53,7 @@ class HPolytope(Record):
         rows = {tuple(row) + (off,) for row, off in zip(a.tolist(), b.tolist())}
         if len(rows) != a.shape[0]:
             raise PreconditionError("duplicate inequality rows")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set_fields(a, b)
 
     @property
     def dim(self) -> int:
@@ -76,7 +75,7 @@ class VPolytope(Record):
             raise DimensionError("points must be a 2-d array")
         if len({tuple(p) for p in pts.tolist()}) != pts.shape[0]:
             raise PreconditionError("duplicate points")
-        object.__setattr__(self, "points", pts)
+        self._set_fields(pts)
 
     @property
     def dim(self) -> int:
@@ -109,11 +108,7 @@ class SlackMatrix(Record):
             raise PreconditionError("slack entries must be finite")
         if low < 0:
             raise PreconditionError("slack entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "floats", floats)
-        object.__setattr__(self, "max_entry", high)
+        self._set_fields(entries, h, v, floats, high)
 
     @classmethod
     def from_entries(cls, raw) -> "SlackMatrix":

@@ -6,18 +6,22 @@ geometric-mean congruence of those averages when it lowers the potential
 lmax(U) * lmax(V).  With Delta > 0, diagonal or fitted, plain or after an
 ``unbalance`` congruence, that start meets the target
 d * Delta * (1 + CERTIFICATE_TOL), with d the reduced dimension and
-Delta the largest entry of the factored matrix.  The descent loop is the
-fallback; of the builtin inputs only the point's fitted factorizations
-reach it, as their Delta = 0 makes the target 0.  It balances the sides
-by a scalar so both attain the same top norm mu, then repeatedly shrinks
-the largest row factors with congruence steps exp(-eps Z) (and grows the
-column side with exp(+eps Z)).  The direction Z is the moment matrix of
-a John decomposition: the minimum volume enclosing ellipsoid of a
-deterministic contact set, the top eigenvectors of all row factors
-currently at norm mu.  A monotone line search over a geometric eps grid,
-measured in one batch, converts the descent direction into concrete
-steps; the loop stops below the target, at the first stall, or after
-DESCENT_MAX_ITERS steps.
+Delta the largest entry of the factored matrix; a zero matrix, such as
+the point's, takes the zero start.  The descent loop is the fallback, and
+no builtin input reaches it.  The two loop inputs of the tests reach it
+(``loop_from_input`` and ``loop_from_mean``: side-2 factorizations of
+2 x 100 and 100 x 100 matrices after a congruence, where neither start
+meets the target), and so do diagonal embeddings of sparse random slack
+matrices with one dense row after a 1e2 or 1e4 congruence.  The loop
+balances the sides by a scalar so both attain the same top norm mu, then
+repeatedly shrinks the largest row factors with congruence steps
+exp(-eps Z) (and grows the column side with exp(+eps Z)).  The direction
+Z is the moment matrix of a John decomposition: the minimum volume
+enclosing ellipsoid of a deterministic contact set, the top eigenvectors
+of all row factors currently at norm mu.  A monotone line search over a
+geometric eps grid, measured in one batch, converts the descent
+direction into concrete steps; the loop stops below the target, at the
+first stall, or after DESCENT_MAX_ITERS steps.
 
 The start is closed-form.  With mU and mV the reduced averages, the matrix
 geometric mean X = mU^-1 # mV is the positive definite solution of
@@ -45,7 +49,7 @@ sides, which keeps the least and the largest eigenvalue of every factor.
 The top norms of a factorization balanced by a scalar are both the
 square root of its potential, so the factors of the start are measured
 one by one only when the loop runs.  The loop keeps the balanced winner
-of each line search, the operator norms of its factors (measured once
+of each line search, the ``side_extremes`` of its factors (measured once
 per step and shared by the direction, the line search and the
 trajectory) and M, the start times the product of the accepted steps.
 The transform is the polar part P = (M^T M)^(1/2), from one SVD of M at
@@ -77,7 +81,6 @@ from .factorization import (
     potential,
     residual_budget,
     side_extremes,
-    side_norms,
     top_norms,
 )
 from .polytopes import SlackMatrix
@@ -110,19 +113,13 @@ _NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 class JohnDecomposition(Record):
     """MVEE of a centrally symmetric point set, with contact points.
 
-    T maps the unit ball of R^k onto the ellipsoid inside the ambient
-    space; the contact points z (rows) carry weights p summing to one and
-    satisfy sum p z z^T = T T^T / k.
+    T = ``ellipsoid_map``, an (ambient, k) array with k = ``dim``, maps the
+    unit ball of R^k onto the ellipsoid inside the ambient space; the
+    contact points z, the rows of ``points`` (m, ambient), carry
+    ``weights`` p (m,) summing to one and satisfy sum p z z^T = T T^T / k.
     """
 
     __slots__ = ("dim", "ellipsoid_map", "points", "weights")
-
-    def __init__(self, dim: int, ellipsoid_map: np.ndarray, points: np.ndarray,
-                 weights: np.ndarray):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ellipsoid_map", ellipsoid_map)  # (ambient, k)
-        object.__setattr__(self, "points", points)  # (m, ambient)
-        object.__setattr__(self, "weights", weights)  # (m,)
 
     def moment_matrix(self) -> np.ndarray:
         return symmat.as_symmetric(
@@ -312,33 +309,33 @@ def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return s / s[0], rt
 
 
-def balance_scalar(f: PsdFactorization) -> PsdFactorization:
-    """Rescale (s^2 U, V / s^2) so both sides attain the same top norm.
+def balance_scalar(f: PsdFactorization,
+                   tops: tuple[float, float] | None = None) -> PsdFactorization:
+    """Rescale (c^2 U, V / c^2) so both sides attain the same top norm.
 
+    ``tops`` is (lmax(U), lmax(V)) of ``f``, measured here when not given.
     The potential is unchanged and afterwards lmax(U) = lmax(V) = sqrt(phi).
     """
-    return _balanced(f, *top_norms(side_norms(f)))
-
-
-def _balanced(f: PsdFactorization, lmax_u: float, lmax_v: float) -> PsdFactorization:
-    """``balance_scalar`` from the two top norms of ``f``, already measured."""
-    if lmax_u == 0.0 or lmax_v == 0.0:
-        if lmax_u == lmax_v:
-            return f
-        raise PreconditionError(
-            "one side of the factorization is zero while the other is not"
-        )
-    s2, _ = _balancing_scalars(lmax_u, lmax_v)
-    return PsdFactorization(row_factors=f.row_factors * s2, col_factors=f.col_factors / s2)
+    if tops is None:
+        tops = top_norms(side_extremes(f), f.n_rows)
+    c2, _ = _balancing_scalars(*tops)
+    return PsdFactorization(row_factors=f.row_factors * c2, col_factors=f.col_factors / c2)
 
 
 def _balancing_scalars(lmax_u: float, lmax_v: float) -> tuple[float, float]:
     """c^2 = sqrt(lmax_v / lmax_u) and c, which balance (c^2 U, V / c^2).
 
-    A ratio that is not a normal float (lmax_u = 1e200, lmax_v = 1e-200)
-    is split into a ratio of mantissas and a power of two, whose roots are
+    Two zero norms give (1, 1); one zero norm raises PreconditionError.  A
+    ratio that is not a normal float (lmax_u = 1e200, lmax_v = 1e-200) is
+    split into a ratio of mantissas and a power of two, whose roots are
     exact.  Norms so far apart that c^2 overflows raise PreconditionError.
     """
+    if lmax_u == 0.0 or lmax_v == 0.0:
+        if lmax_u == lmax_v:
+            return 1.0, 1.0
+        raise PreconditionError(
+            "one side of the factorization is zero while the other is not"
+        )
     ratio = lmax_v / lmax_u
     if _NORMAL_MIN <= ratio <= _NORMAL_MAX:
         return math.sqrt(ratio), ratio ** 0.25
@@ -354,34 +351,12 @@ def _balancing_scalars(lmax_u: float, lmax_v: float) -> tuple[float, float]:
         ) from None
 
 
-def _top_norms(ends: np.ndarray, m: int) -> tuple[float, float]:
-    """``top_norms`` from the ``side_extremes`` of a factorization with m row factors."""
-    mags = np.abs(ends)
-    return float(mags[:m].max(initial=0.0)), float(mags[m:].max(initial=0.0))
-
-
 def _polar_congruence(f: PsdFactorization, sv: np.ndarray, rt: np.ndarray) -> PsdFactorization:
     """``congruence(f, P, P^-1)`` for P = rt^T diag(sv) rt, rt orthogonal and sv > 0."""
     return congruence(f, (rt.T * sv) @ rt, (rt.T / sv) @ rt)
 
 
-def _balanced_mu(norms: tuple[np.ndarray, np.ndarray]) -> float:
-    """Balanced top norm mu, from ``side_norms``."""
-    lmax_u, lmax_v = top_norms(norms)
-    mu = max(lmax_u, lmax_v)
-    if mu == 0.0:
-        raise PreconditionError("cannot perturb a zero factorization")
-    if abs(lmax_u - lmax_v) > MU_TOL * mu:
-        raise PreconditionError(
-            f"factorization is not balanced: lmax_u={lmax_u:.6g}, lmax_v={lmax_v:.6g}"
-        )
-    return mu
-
-
-def perturbation_direction(
-    f: PsdFactorization,
-    norms: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def perturbation_direction(f: PsdFactorization, ends: np.ndarray | None = None) -> np.ndarray:
     """Descent direction Z from a John decomposition of top eigenspaces.
 
     Decomposes the row factors at the balanced norm mu in one batch and
@@ -389,12 +364,20 @@ def perturbation_direction(
     +- their top-eigenspace eigenvectors.  The eigenbasis of a degenerate
     eigenspace stands in for its unit sphere: the MVEE of +- an orthonormal
     basis is the unit ball of its span, so one tight factor 2I gives
-    exactly Z = I / 2.  ``norms`` is the operator norm of every factor of
-    ``f``, one array per side; it is measured here when not given.
+    exactly Z = I / 2.  ``ends`` is the ``side_extremes`` of ``f``,
+    measured here when not given; the balanced norm mu and each row
+    factor's norm are read from it.
     """
-    norms = side_norms(f) if norms is None else norms
-    mu = _balanced_mu(norms)
-    tight = f.row_factors[norms[0] >= mu * (1.0 - MU_TOL)]
+    ends = side_extremes(f) if ends is None else ends
+    lmax_u, lmax_v = top_norms(ends, f.n_rows)
+    mu = max(lmax_u, lmax_v)
+    if mu == 0.0:
+        raise PreconditionError("cannot perturb a zero factorization")
+    if abs(lmax_u - lmax_v) > MU_TOL * mu:
+        raise PreconditionError(
+            f"factorization is not balanced: lmax_u={lmax_u:.6g}, lmax_v={lmax_v:.6g}"
+        )
+    tight = f.row_factors[np.abs(ends[:f.n_rows]).max(axis=1) >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
     dec = symmat.spectral_decompose(tight)
@@ -439,8 +422,8 @@ def descent_step(
     best = int(np.argmin(phi))  # first minimum, ascending eps: ties go to the smallest eps
     if phi[best] > phi0 * (1.0 - 1e-12):
         return f, None
-    winner = PsdFactorization(row_factors=rows[best], col_factors=cols[best])
-    return _balanced(winner, float(lmax_u[best]), float(lmax_v[best])), float(eps[best])
+    c2, _ = _balancing_scalars(float(lmax_u[best]), float(lmax_v[best]))
+    return PsdFactorization(rows[best] * c2, cols[best] / c2), float(eps[best])
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +435,30 @@ class RescaleConfig(Record):
     reads; nothing in the package constructs or reads it."""
 
     __slots__ = ("tol",)
-
-    def __init__(self, tol: float = CERTIFICATE_TOL):
-        object.__setattr__(self, "tol", tol)
+    _defaults = {"tol": CERTIFICATE_TOL}
 
 
 class RescaleResult(Record):
-    """What ``rescale`` found.  The transform is kept factored as
-    A = W diag(sv) W^T: W = ``transform_basis``, an orthonormal (r, d) basis
-    of the common space, and sv = ``transform_scales`` > 0."""
+    """What ``rescale`` found.
+
+    The transform is kept factored as A = W diag(sv) W^T: W =
+    ``transform_basis``, an orthonormal (r, d) basis of the common space,
+    and sv = ``transform_scales`` > 0.
+
+    ``lmax_trajectory`` holds (lmax_u, lmax_v) of the balanced working
+    factorization: the reduced input, then the geometric-mean start when
+    rescale keeps it (also at iteration 0, so ``iterations`` counts only
+    the entries after it), then each line-search winner as descent_step
+    balanced it.  The two are equal up to round-off; the CLI trace records
+    their max.  After loop steps, ``lmax_u`` and ``lmax_v`` come from one
+    more measurement, of the congruence by the polar part, and match the
+    last entry up to round-off.  ``diagnostics`` is a dict, empty by
+    default.
+    """
 
     __slots__ = ("transform_basis", "transform_scales", "factorization", "lmax_trajectory",
                  "lmax_u", "lmax_v", "certificate", "iterations", "reduced_dim", "diagnostics")
-
-    def __init__(self, transform_basis: np.ndarray, transform_scales: np.ndarray,
-                 factorization: PsdFactorization, lmax_trajectory: tuple, lmax_u: float,
-                 lmax_v: float, certificate: bool, iterations: int, reduced_dim: int,
-                 diagnostics: dict | None = None):
-        object.__setattr__(self, "transform_basis", transform_basis)
-        object.__setattr__(self, "transform_scales", transform_scales)
-        object.__setattr__(self, "factorization", factorization)
-        # (lmax_u, lmax_v) of the balanced working factorization: the reduced
-        # input, then the geometric-mean start when rescale keeps it (also at
-        # iteration 0, so ``iterations`` counts only the entries after it),
-        # then each line-search winner as descent_step balanced it.  The two
-        # are equal up to round-off; the CLI trace records their max.  After
-        # loop steps, lmax_u and lmax_v come from one more measurement, of
-        # the congruence by the polar part, and match the last entry up to
-        # round-off.
-        object.__setattr__(self, "lmax_trajectory", lmax_trajectory)
-        object.__setattr__(self, "lmax_u", lmax_u)
-        object.__setattr__(self, "lmax_v", lmax_v)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "reduced_dim", reduced_dim)
-        object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
+    _defaults = {"diagnostics": dict}
 
     @property
     def transform(self) -> np.ndarray:
@@ -589,7 +561,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     # misses the target and the mean lowers phi.  Balanced by a scalar,
     # each has both top norms at the square root of its potential.
     ends = side_extremes(reduced)
-    p_u, p_v = _top_norms(ends, reduced.n_rows)
+    p_u, p_v = top_norms(ends, reduced.n_rows)
     tau = p_u * p_v
     sv, rt, fs = np.ones(d), np.eye(d), reduced
     lmax_traj = [(math.sqrt(tau),) * 2]
@@ -597,13 +569,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
         trial_ends = side_extremes(trial)
-        tops = _top_norms(trial_ends, trial.n_rows)
+        tops = top_norms(trial_ends, trial.n_rows)
         if tops[0] * tops[1] < tau:
             (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
             lmax_traj.append((math.sqrt(p_u * p_v),) * 2)
 
     # State: the balanced working factorization fw that descent_step
-    # returns, the norms of its factors, and M = exp(-eps_k Z_k) ...
+    # returns, its side_extremes fw_ends, and M = exp(-eps_k Z_k) ...
     # exp(-eps_1 Z_1) P up to a positive scalar: fw = (c M U M^T,
     # M^-T V M^-1 / c) for the reduced (U, V) and some c > 0.  They are
     # formed only when the loop runs, and then d > 0 and sigma > 0; the cap
@@ -611,13 +583,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     iterations = 0
     stalled = False
     if lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
-        fw = _balanced(fs, p_u, p_v)
-        norms = side_norms(fw)
+        fw = balance_scalar(fs, (p_u, p_v))
+        fw_ends = side_extremes(fw)
         m = (rt.T * sv) @ rt
         cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
 
     while iterations < DESCENT_MAX_ITERS and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
-        z = perturbation_direction(fw, norms)
+        z = perturbation_direction(fw, fw_ends)
         lmax_u, lmax_v = lmax_traj[-1]
         step, eps = descent_step(fw, z, phi0=lmax_u * lmax_v)
         if eps is None:
@@ -635,8 +607,8 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         # holding it at 1 keeps long runs from underflowing.
         m /= sv[0]
         fw = step
-        norms = side_norms(fw)
-        lmax_traj.append(top_norms(norms))
+        fw_ends = side_extremes(fw)
+        lmax_traj.append(top_norms(fw_ends, fw.n_rows))
         iterations += 1
 
     # M = L S R^T = Q P with Q = L R^T orthogonal and P = R S R^T, so
@@ -647,15 +619,13 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         _, sv, rt = np.linalg.svd(m)
         fs = _polar_congruence(reduced, sv, rt)
         ends = side_extremes(fs)
-        p_u, p_v = _top_norms(ends, fs.n_rows)
+        p_u, p_v = top_norms(ends, fs.n_rows)
     # The scalar c^2 = sqrt(p_v / p_u) balances fs: the result is
     # (c^2 U, V / c^2) for fs = (U, V), lifted by O when the common space
     # is proper, and the transform is c P lifted, A = W (c S) W^T with
-    # W = O R.  At d = 0 both norms are 0 and every factor is 0.
-    c2 = 1.0
-    if p_u:
-        c2, c = _balancing_scalars(p_u, p_v)
-        sv = sv * c
+    # W = O R.  At d = 0 both norms are 0, every factor is 0 and c = 1.
+    c2, c = _balancing_scalars(p_u, p_v)
+    sv = sv * c
     # Round-off amplified by an ill-conditioned input can leave a least
     # eigenvalue below the PSD floor; those factors alone get their
     # negative eigenvalues clipped.  One test over both sides: fs's

@@ -83,11 +83,7 @@ class GridParams(Record):
             raise PreconditionError("Delta must be positive")
         if not 0 < delta <= grid_delta(n, r) * (1 + 1e-12):
             raise PreconditionError(f"delta must lie in (0, {grid_delta(n, r):.3g}]", arg="delta")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "big_delta", big_delta)
-        object.__setattr__(self, "worst_case", worst_case)
+        self._set_fields(n, r, delta, big_delta, worst_case)
 
     @property
     def step(self) -> float:
@@ -200,23 +196,18 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
 
 
 class RoundedSystem(Record):
-    """Padded subsystem (a_i, b_i, rounded U_i) driving the membership oracle."""
+    """Padded subsystem (a_i, b_i, rounded U_i) driving the membership oracle.
+
+    ``a`` (n + r^2, n), ``b`` (n + r^2,) and ``factors`` (n + r^2, r, r)
+    are float arrays.  ``selected``, ``error_fnorm`` and ``zeroed`` default
+    to (): ``error_fnorm`` is ||rounded U_i - U_i||_F per selected row, in
+    slot order, and ``zeroed`` the selected rows whose nonzero factor
+    rounded to zero, by ``zeroed_factors``; both are empty when the system
+    was loaded rather than rounded.
+    """
 
     __slots__ = ("a", "b", "factors", "grid", "selected", "error_fnorm", "zeroed")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, factors: np.ndarray, grid: GridParams,
-                 selected: tuple = (), error_fnorm: tuple = (), zeroed: tuple = ()):
-        object.__setattr__(self, "a", a)  # (n + r^2, n) float
-        object.__setattr__(self, "b", b)  # (n + r^2,) float
-        object.__setattr__(self, "factors", factors)  # (n + r^2, r, r) float
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "selected", selected)
-        # ||rounded U_i - U_i||_F per selected row, in slot order; empty when
-        # the system was loaded rather than rounded.
-        object.__setattr__(self, "error_fnorm", error_fnorm)
-        # The selected rows whose nonzero factor rounded to zero, by
-        # ``zeroed_factors``; empty when the system was loaded.
-        object.__setattr__(self, "zeroed", zeroed)
+    _defaults = {"selected": (), "error_fnorm": (), "zeroed": ()}
 
     @property
     def n_rows(self) -> int:
@@ -271,29 +262,21 @@ class MembershipConfig(Record):
     oracle is deterministic, and nothing in the package reads it."""
 
     __slots__ = ("seed",)
-
-    def __init__(self, seed: int = 11):
-        object.__setattr__(self, "seed", seed)
+    _defaults = {"seed": 11}
 
 
 class MembershipVerdict(Record):
-    __slots__ = ("point", "verdict", "witness", "violation", "dual_margin", "dual", "iterations")
+    """The oracle's verdict on one ``point``.
 
-    def __init__(self, point: tuple, verdict: str, witness: np.ndarray | None, violation: float,
-                 dual_margin: float, dual: np.ndarray | None, iterations: int):
-        object.__setattr__(self, "point", point)
-        # "member-with-witness" | "rejected" | "inconclusive"
-        object.__setattr__(self, "verdict", verdict)
-        # the final iterate Y, None when rejected
-        object.__setattr__(self, "witness", witness)
-        # max_i |residual_i| - budget at the final iterate
-        object.__setattr__(self, "violation", violation)
-        # lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen
-        object.__setattr__(self, "dual_margin", dual_margin)
-        # that lambda (||lambda||_1 = 1), None when accepted; a single-row
-        # dual has one +-1 entry
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "iterations", iterations)
+    ``verdict`` is "member-with-witness", "rejected" or "inconclusive";
+    ``witness`` the final iterate Y, None when rejected; ``violation``
+    max_i |residual_i| - budget at the final iterate; ``dual_margin``
+    lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen; ``dual``
+    that lambda (||lambda||_1 = 1), None when accepted, where a single-row
+    dual has one +-1 entry.
+    """
+
+    __slots__ = ("point", "verdict", "witness", "violation", "dual_margin", "dual", "iterations")
 
 
 class ReconstructionReport(Record):
@@ -307,17 +290,6 @@ class ReconstructionReport(Record):
     """
 
     __slots__ = ("points", "codes", "violations", "margins", "iterations", "witnesses", "duals")
-
-    def __init__(self, points: np.ndarray, codes: np.ndarray, violations: np.ndarray,
-                 margins: np.ndarray, iterations: np.ndarray, witnesses: np.ndarray,
-                 duals: np.ndarray):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "margins", margins)
-        object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "duals", duals)
 
     def _points_of(self, code: int) -> list:
         return self.points[self.codes == code].tolist()

@@ -1,11 +1,15 @@
 """Dense symmetric-matrix kernel.
 
-All numerical work in the package funnels through here: spectral
-decompositions, matrix exponentials and square roots, norms, image
-bases, and the contraction of two matrix stacks into their trace inner
-products.  Matrices are plain float ndarrays; ``as_symmetric`` is the
-canonical constructor and enforces the two invariants every routine
-assumes, exact symmetry and finite entries.
+The shared kernels live here: spectral decompositions, matrix
+exponentials and square roots, norms, image bases, and the contraction
+of two matrix stacks into their trace inner products.  Work that batches
+its own stacks calls ``np.linalg`` directly: in ``rescaling``,
+``reduce_to_common_space``, ``mean_congruence``, the John decomposition
+and the descent loop's SVDs; in ``factorization``, ``side_extremes`` and
+``fit_factorization``; and ``rounding._spectra``.  Matrices are plain
+float ndarrays; ``as_symmetric`` is the canonical constructor and
+enforces the two invariants every routine assumes, exact symmetry and
+finite entries.
 
 Sizes stay small (side <= ~200), so everything uses dense LAPACK paths
 via numpy and favours determinism over speed.
@@ -62,10 +66,6 @@ class SpectralDecomposition(Record):
     """
 
     __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

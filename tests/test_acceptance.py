@@ -20,7 +20,8 @@ from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance, enumer
 from psdfact.rescaling import john_decompose, rescale
 from psdfact.rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_factor
 
-from helpers import random_orthogonal, random_psd_with_gap, random_symmetric, rng
+from helpers import (loop_from_input, loop_from_mean, random_orthogonal, random_psd_with_gap,
+                     random_symmetric, rng)
 
 
 def rescale_suite():
@@ -327,3 +328,24 @@ def test_cube4_rescale_work_per_call(monkeypatch):
     res = rescale(embedded, s)
     assert res.diagnostics["start"] == "input" and res.iterations == 0 and res.certificate
     assert calls["as_symmetric"] == 0
+
+
+@pytest.mark.parametrize("make, start, steps, built", [(loop_from_input, "input", 2, 5),
+                                                       (loop_from_mean, "mean", 4, 7)])
+def test_descent_loop_builds_one_factorization_per_step(make, start, steps, built, monkeypatch):
+    # descent_step builds each winner balanced, so an accepted step makes one
+    # factorization.  The other three: the mean start, tried on both inputs,
+    # the balanced loop start and the epilogue's polar congruence, whose
+    # stacks the result balances in place.
+    f, s = make()
+    calls = []
+    original = PsdFactorization.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PsdFactorization, "__init__", counting)
+    res = rescale(f, s)
+    assert res.diagnostics["start"] == start and res.iterations == steps and res.certificate
+    assert len(calls) == built

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from psdfact import rescaling
 from psdfact.factorization import PsdFactorization
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -22,6 +23,12 @@ import workloads  # noqa: E402
 def test_traced_name_is_a_program_function(home, name):
     module = importlib.import_module(f"psdfact.{home}")
     assert callable(getattr(module, name, None))
+
+
+def test_descent_step_defaults_to_the_eps_grid():
+    # The tracer counts line-search candidates from this default when a call
+    # does not pass a grid.
+    assert rescaling.descent_step.__defaults__[0] is rescaling.DEFAULT_EPS_GRID
 
 
 def run_traced(call):

@@ -13,7 +13,8 @@ from psdfact.factorization import (
     max_operator_norm,
     operator_norms,
     potential,
-    side_norms,
+    side_extremes,
+    top_norms,
     verify_factorization,
 )
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
@@ -135,13 +136,12 @@ class TestNormsAndPotential:
     def test_side_zero_has_norm_zero(self):
         assert operator_norms(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
 
-    def test_side_norms_match_each_side_alone(self):
+    def test_top_norms_match_each_side_alone(self):
         gen = rng(9)
         f = PsdFactorization.from_factors([random_psd(gen, 3) for _ in range(4)],
                                           [random_psd(gen, 3) for _ in range(5)])
-        norms_u, norms_v = side_norms(f)
-        assert norms_u.tobytes() == operator_norms(f.row_factors).tobytes()
-        assert norms_v.tobytes() == operator_norms(f.col_factors).tobytes()
+        assert top_norms(side_extremes(f), f.n_rows) == (
+            operator_norms(f.row_factors).max(), operator_norms(f.col_factors).max())
 
     def test_potential_invariant_under_scalar_swap(self):
         gen = rng(4)
@@ -192,10 +192,10 @@ class TestSymmetricStacks:
         with pytest.raises(PreconditionError, match="row factor 0 is not PSD: min eigenvalue -1"):
             PsdFactorization.from_factors([self.SKEW], [np.eye(2)])
 
-    def test_side_norms_read_the_symmetric_part(self):
+    def test_top_norms_read_the_symmetric_part(self):
         f = PsdFactorization([self.SKEW], [np.eye(2)])
         assert np.array_equal(f.row_factors, [[[1.0, -2.0], [-2.0, 1.0]]])
-        assert side_norms(f)[0][0] == 3.0
+        assert top_norms(side_extremes(f), f.n_rows) == (3.0, 1.0)
 
     def test_diagonal_embed_keeps_its_bytes(self):
         s = build_slack(*builtin_instance("cube", 3))

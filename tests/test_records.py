@@ -9,7 +9,7 @@ from psdfact.factorization import FactorizationReport, FitResult, PsdFactorizati
 from psdfact.pipeline import PipelineConfig
 from psdfact.polytopes import HPolytope, SlackMatrix, VPolytope
 from psdfact.record import Record
-from psdfact.rescaling import JohnDecomposition, RescaleConfig, RescaleResult
+from psdfact.rescaling import CERTIFICATE_TOL, JohnDecomposition, RescaleConfig, RescaleResult
 from psdfact.rounding import (
     GridParams,
     MembershipConfig,
@@ -108,3 +108,56 @@ def test_plain_immutable_record(cls):
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert _same(getattr(record, name), value), name
+
+
+# Records whose constructor is the one Record compiles from their __slots__
+# and _defaults, which takes the fields by position or keyword in that order.
+GENERIC = [cls for cls in FIELDS if cls.__init__ is cls._set_fields]
+
+
+def test_generic_constructor_records():
+    assert {cls.__name__ for cls in GENERIC} == {
+        "BoundReport", "DerivativeCheck", "FactorizationReport", "FitResult",
+        "JohnDecomposition", "RescaleConfig", "RescaleResult", "RoundedSystem",
+        "MembershipConfig", "MembershipVerdict", "ReconstructionReport",
+        "SpectralDecomposition"}
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_fields_by_position_match_fields_by_keyword(cls):
+    fields = FIELDS[cls]()
+    record = cls(*(fields[name] for name in cls.__slots__))
+    for name, value in fields.items():
+        assert _same(getattr(record, name), value), name
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_missing_unknown_or_repeated_field_raises(cls):
+    fields = FIELDS[cls]()
+    for name in set(cls.__slots__) - set(cls._defaults):
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: {name!r}"):
+            cls(**{k: v for k, v in fields.items() if k != name})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**fields, bogus=1)
+    first = cls.__slots__[0]
+    with pytest.raises(TypeError, match=f"multiple values for argument {first!r}"):
+        cls(fields[first], **fields)
+    with pytest.raises(TypeError, match="positional arguments? but .* given"):
+        cls(*fields.values(), None)
+
+
+def test_omitted_field_takes_its_default():
+    assert MembershipConfig().seed == 11
+    assert RescaleConfig().tol == CERTIFICATE_TOL
+    assert FitResult(factorization=None, trace=()).reason is None
+    system = RoundedSystem(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1, 1)), _grid())
+    assert system.selected == system.error_fnorm == system.zeroed == ()
+
+
+def test_omitted_dict_field_is_fresh_per_record():
+    keep = {k: v for k, v in FIELDS[RescaleResult]().items() if k != "diagnostics"}
+    a, b = RescaleResult(**keep), RescaleResult(**keep)
+    assert a.diagnostics == {} and a.diagnostics is not b.diagnostics
+    keep = {k: v for k, v in FIELDS[BoundReport]().items() if k != "extras"}
+    a, b = BoundReport(**keep), BoundReport(**keep)
+    assert a.extras == {} and a.extras is not b.extras

@@ -15,7 +15,7 @@ from psdfact.factorization import (
     max_operator_norm,
     potential,
     residual_budget,
-    side_norms,
+    side_extremes,
     top_norms,
     verify_factorization,
 )
@@ -231,7 +231,7 @@ class TestZeroStep:
         input start: the measured reduced stacks, balanced by the scalar
         c^2 = sqrt(p_v / p_u) and lifted by O when the common space is proper."""
         reduced, o, _, _ = reduce_to_common_space(f)
-        p_u, p_v = top_norms(side_norms(reduced))
+        p_u, p_v = top_norms(side_extremes(reduced), reduced.n_rows)
         sv = np.ones(o.shape[1]) * (p_v / p_u) ** 0.25
         t = symmat.as_symmetric((o * sv) @ o.T)
         t_pinv = symmat.as_symmetric((o / sv) @ o.T)
