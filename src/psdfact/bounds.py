@@ -104,10 +104,11 @@ def counting_capacity(n: int, big_r: int) -> BoundReport:
         raise PreconditionError("needs n >= 1", arg="n")
     if big_r < 0:
         raise PreconditionError("needs R >= 0", arg="big_r")
-    if n <= 30:
-        left = math.log2(2.0 ** (2**n) - 1.0) if 2**n < 1020 else float(2**n)
+    if n < 10:
+        left = math.log2(2.0 ** (2**n) - 1.0)
     else:
-        # 2^n as a float, without forming 2^n as an integer.
+        # From n = 10 on, log2(2^(2^n) - 1) rounds to 2^n, taken here
+        # without forming 2^n as an integer.
         (left,) = _finite("n", lambda: (math.ldexp(1.0, n),))
     log2_delta = (n + 1) / 2.0 * math.log2(n + 1)
     m = n + big_r**2

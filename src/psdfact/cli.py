@@ -150,15 +150,6 @@ def _naming(args, **flags):
         raise type(exc)(f"{named}: {exc}", exc.arg) from None
 
 
-def _instance(args) -> str:
-    """The name given to ``--instance``; an unknown one is refused with the flag named."""
-    if args.instance not in BUILTIN_NAMES:
-        raise PreconditionError(
-            f"--instance {args.instance!r}: unknown; choose from {', '.join(BUILTIN_NAMES)}"
-        )
-    return args.instance
-
-
 # --------------------------------------------------------------------------
 # Subcommand handlers: each returns its report and exit code.
 
@@ -167,8 +158,8 @@ def _cmd_slack_build(args):
     if args.file:
         h, v = _load(args, "file")
     elif args.instance:
-        with _naming(args, n="--n"):
-            h, v = builtin_instance(_instance(args), args.n)
+        with _naming(args, name="--instance", n="--n"):
+            h, v = builtin_instance(args.instance, args.n)
     else:
         raise PreconditionError("pass --instance NAME or --file polytope.json")
     return serialize.slack_to_json(build_slack(h, v)), EXIT_OK
@@ -331,7 +322,7 @@ def _random_gapped_psd(rng, side, gap):
     if side > 1:
         lam[1:] = rng.random(side - 1) * (1.0 - gap)
     q, _ = np.linalg.qr(rng.standard_normal((side, side)))
-    return symmat.as_symmetric((q * lam) @ q.T)
+    return symmat.as_symmetric(symmat.from_spectrum(lam, q))
 
 
 FORMULAS = {
@@ -349,14 +340,14 @@ def _cmd_bounds_eval(args):
 
 
 def _cmd_pipeline(args):
-    with _naming(args, n="--n", r="--r", unbalance="--unbalance"):
+    with _naming(args, name="--instance", n="--n", r="--r", unbalance="--unbalance"):
         cfg = PipelineConfig(
             r=args.r,
             skip_rescale=args.skip_rescale,
             unbalance=args.unbalance,
             seed=args.seed,
         )
-        report = run_pipeline(_instance(args), args.n, cfg)
+        report = run_pipeline(args.instance, args.n, cfg)
     return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
 
 

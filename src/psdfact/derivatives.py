@@ -18,13 +18,10 @@ from . import symmat
 
 def _top_restriction(x: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     """lambda_1 of nonzero PSD x, and max w^T z w over unit w in its top eigenspace."""
-    dec = symmat.spectral_decompose(x)
-    lam = dec.eigenvalues
+    lam, vec = symmat.psd_spectrum(x)
     if not np.abs(lam).max(initial=0.0):
         raise PreconditionError("derivative undefined for the zero matrix")
-    if symmat.not_psd(lam):
-        raise PreconditionError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    basis = dec.top_cluster()
+    basis = symmat.top_cluster(lam, vec)
     restricted = basis.T @ symmat.as_symmetric(z) @ basis
     return float(lam[0]), float(np.max(np.linalg.eigvalsh(symmat.as_symmetric(restricted))))
 

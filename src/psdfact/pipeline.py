@@ -58,7 +58,7 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
     diag[0] = np.sqrt(t)
     if r > 1:
         diag[1] = 1.0 / np.sqrt(t)
-    a = symmat.as_symmetric((q * diag) @ q.T)
+    a = symmat.as_symmetric(symmat.from_spectrum(diag, q))
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:

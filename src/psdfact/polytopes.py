@@ -110,11 +110,6 @@ class SlackMatrix(Record):
             raise PreconditionError("slack entries must be nonnegative")
         self._set_fields(entries, h, v, floats, high)
 
-    @classmethod
-    def from_entries(cls, raw) -> "SlackMatrix":
-        """Wrap a plain nonnegative matrix (no polytope provenance)."""
-        return cls(entries=np.asarray(raw))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
@@ -208,10 +203,7 @@ def _crosspoly_01(n: int) -> tuple[HPolytope, VPolytope]:
 def _segment(n: int) -> tuple[HPolytope, VPolytope]:
     if n != 1:
         raise PreconditionError("segment is one-dimensional; pass n=1", arg="n")
-    a = np.asarray([[-1], [1]], dtype=np.int64)
-    b = np.asarray([0, 1], dtype=np.int64)
-    pts = np.asarray([[0], [1]], dtype=np.int64)
-    return HPolytope(a=a, b=b), VPolytope(points=pts)
+    return _cube(1)
 
 
 def _point(n: int) -> tuple[HPolytope, VPolytope]:
@@ -248,7 +240,7 @@ def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
 
     For ``moment_polygon`` the second argument is the vertex count d.  An
     n above the family's ``BUILTIN_MAX_N`` is refused before anything is
-    allocated.
+    allocated, and an unknown name is refused with ``arg="name"``.
     """
     builders = {
         "cube": _cube,
@@ -260,7 +252,7 @@ def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
     }
     if name not in builders:
         raise PreconditionError(
-            f"unknown instance {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
+            f"unknown instance {name!r}; choose from {', '.join(BUILTIN_NAMES)}", arg="name"
         )
     if n < 1:
         raise PreconditionError("dimension must be positive", arg="n")

@@ -252,8 +252,9 @@ def reduce_to_common_space(
     (2, d, d) array.  Both images are cut at round-off
     (``symmat.IMAGE_TOL``), so an ill-conditioned congruence of the input
     keeps the directions of its common space.  Dimension zero (all-zero
-    products) yields empty factors and sigma = 0.  Averages with
-    non-finite entries raise PreconditionError.
+    products) yields empty factors and sigma = 0.  The one overflow guard
+    of ``rescale`` is here: factor entries that overflow when the sides
+    are summed or symmetrized raise PreconditionError naming ``f``.
 
     One eigvalsh of both averages comes first.  When each average's least
     eigenvalue exceeds IMAGE_TOL times its largest, both are nonsingular,
@@ -264,23 +265,29 @@ def reduce_to_common_space(
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
-    # The stacks are exactly symmetric, and so are their sums: only
-    # finiteness is left to test.
-    bars = np.empty((2, f.side, f.side))
-    f.row_factors.sum(axis=0, out=bars[0])
-    f.col_factors.sum(axis=0, out=bars[1])
-    bars[0] /= f.n_rows
-    bars[1] /= f.n_cols
-    if not np.isfinite(bars).all():
-        raise PreconditionError("side averages have non-finite entries")
-    lam = np.linalg.eigvalsh(bars)
-    if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
-        return f, np.eye(f.side), float(lam[:, 0].min()), bars
-    b = symmat.image_basis(bars[0])
-    o = b @ symmat.image_basis(b.T @ bars[1] @ b)
-    reduced = PsdFactorization(row_factors=o.T @ f.row_factors @ o,
-                               col_factors=o.T @ f.col_factors @ o)
-    means = symmat.as_symmetric(o.T @ bars @ o)
+    # The stacks are exactly symmetric, and so are their sums.  The factors
+    # are finite, so every non-finite value starts as an overflow.
+    try:
+        with np.errstate(over="raise"):
+            bars = np.empty((2, f.side, f.side))
+            f.row_factors.sum(axis=0, out=bars[0])
+            f.col_factors.sum(axis=0, out=bars[1])
+            bars[0] /= f.n_rows
+            bars[1] /= f.n_cols
+            lam = np.linalg.eigvalsh(bars)
+            if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
+                return f, np.eye(f.side), float(lam[:, 0].min()), bars
+            b = symmat.image_basis(bars[0])
+            o = b @ symmat.image_basis(b.T @ bars[1] @ b)
+            reduced = PsdFactorization(row_factors=o.T @ f.row_factors @ o,
+                                       col_factors=o.T @ f.col_factors @ o)
+            means = symmat.as_symmetric(o.T @ bars @ o)
+    except FloatingPointError:
+        top = max(float(np.abs(side).max()) for side in (f.row_factors, f.col_factors))
+        raise PreconditionError(
+            f"factor entries up to {top:.3g} overflow when the factors are summed or symmetrized",
+            arg="f",
+        ) from None
     if not o.shape[1]:
         return reduced, o, 0.0, means
     return reduced, o, float(np.linalg.eigvalsh(means)[:, 0].min()), means
@@ -301,7 +308,7 @@ def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """
     lam, q = np.linalg.eigh(means[0])
     root = np.sqrt(lam)
-    half = (q * root) @ q.T
+    half = symmat.from_spectrum(root, q)
     g, r = np.linalg.eigh(symmat.as_symmetric(half @ means[1] @ half))
     if not g[0] > 0.0:
         return None
@@ -353,7 +360,7 @@ def _balancing_scalars(lmax_u: float, lmax_v: float) -> tuple[float, float]:
 
 def _polar_congruence(f: PsdFactorization, sv: np.ndarray, rt: np.ndarray) -> PsdFactorization:
     """``congruence(f, P, P^-1)`` for P = rt^T diag(sv) rt, rt orthogonal and sv > 0."""
-    return congruence(f, (rt.T * sv) @ rt, (rt.T / sv) @ rt)
+    return congruence(f, symmat.from_spectrum(sv, rt.T), (rt.T / sv) @ rt)
 
 
 def perturbation_direction(f: PsdFactorization, ends: np.ndarray | None = None) -> np.ndarray:
@@ -380,8 +387,7 @@ def perturbation_direction(f: PsdFactorization, ends: np.ndarray | None = None) 
     tight = f.row_factors[np.abs(ends[:f.n_rows]).max(axis=1) >= mu * (1.0 - MU_TOL)]
     if len(tight) == 0:
         raise NumericError("no row factor attains the balanced norm")
-    dec = symmat.spectral_decompose(tight)
-    return john_decompose(dec.top_cluster().T).moment_matrix()
+    return john_decompose(symmat.top_cluster(*symmat.spectral_decompose(tight)).T).moment_matrix()
 
 
 def descent_step(
@@ -402,25 +408,26 @@ def descent_step(
 
     Returns the winner balanced by the scalar of ``balance_scalar``, taken
     from the norms the search measured, and its eps; ``rescale`` keeps that
-    pair as its working state.  Returns (f, None) on a stall.
+    pair as its working state.  Returns (f, None) on a stall, which is
+    every call at phi0 = 0 (a side of ``f`` is zero) and every NaN
+    potential.
     """
     z = symmat.as_symmetric(z)
     z_norm = symmat.operator_norm(z)
     if z_norm == 0.0 or len(eps_grid) == 0:
         return f, None
     phi0 = potential(f) if phi0 is None else phi0
-    dec = symmat.spectral_decompose(z)
-    lam, q = dec.eigenvalues, dec.eigenvectors
+    lam, q = symmat.spectral_decompose(z)
     eps = np.sort(np.asarray(eps_grid, dtype=float)) / z_norm
     # Slice i of each stack is exp(-+eps[i] Z), written through Z's eigenbasis.
-    shrink = symmat.as_symmetric((q * np.exp(-eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
-    grow = symmat.as_symmetric((q * np.exp(eps[:, None] * lam)[:, None, :]) @ q.T)[:, None]
+    shrink = symmat.as_symmetric(symmat.from_spectrum(np.exp(-eps[:, None] * lam), q))[:, None]
+    grow = symmat.as_symmetric(symmat.from_spectrum(np.exp(eps[:, None] * lam), q))[:, None]
     rows = symmat.as_symmetric(shrink @ f.row_factors @ shrink)
     cols = symmat.as_symmetric(grow @ f.col_factors @ grow)
     lmax_u, lmax_v = (symmat.operator_norms(side).max(axis=1) for side in (rows, cols))
     phi = lmax_u * lmax_v
     best = int(np.argmin(phi))  # first minimum, ascending eps: ties go to the smallest eps
-    if phi[best] > phi0 * (1.0 - 1e-12):
+    if not phi[best] < phi0 * (1.0 - 1e-12):
         return f, None
     c2, _ = _balancing_scalars(float(lmax_u[best]), float(lmax_v[best]))
     return PsdFactorization(rows[best] * c2, cols[best] / c2), float(eps[best])
@@ -464,7 +471,7 @@ class RescaleResult(Record):
     def transform(self) -> np.ndarray:
         """A, the congruence of the row factors, formed on each access."""
         w = self.transform_basis
-        return symmat.as_symmetric((w * self.transform_scales) @ w.T)
+        return symmat.as_symmetric(symmat.from_spectrum(self.transform_scales, w))
 
     @property
     def transform_pinv(self) -> np.ndarray:
@@ -511,9 +518,10 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     certified, with start "zero".
 
     Factor entries that overflow when the sides are averaged or
-    symmetrized raise PreconditionError naming ``f``, and a Delta for which
-    the target overflows raises one naming ``s``.  Top norms so far apart
-    that the balancing scalar leaves the float range raise one too.
+    symmetrized raise PreconditionError naming ``f``; that guard lives in
+    ``reduce_to_common_space``.  A Delta for which the target overflows
+    raises one naming ``s``.  Top norms so far apart that the balancing
+    scalar leaves the float range raise one too.
     """
     delta = s.max_entry
     budget = residual_budget(s, VERIFY_TOL)
@@ -532,16 +540,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         reduced = PsdFactorization(np.zeros((f.n_rows, 0, 0)), np.zeros((f.n_cols, 0, 0)))
         o, sigma, means, start = np.zeros((f.side, 0)), 0.0, None, "zero"
     else:
-        try:
-            with np.errstate(over="raise"):
-                reduced, o, sigma, means = reduce_to_common_space(f)
-        except FloatingPointError:
-            top = max(float(np.abs(side).max()) for side in (f.row_factors, f.col_factors))
-            raise PreconditionError(
-                f"factor entries up to {top:.3g} overflow when the factors are summed or "
-                "symmetrized",
-                arg="f",
-            ) from None
+        reduced, o, sigma, means = reduce_to_common_space(f)
         start = "input"
     d = o.shape[1]
     # In Python floats, which overflow to inf without a warning.
@@ -585,7 +584,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     if lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:
         fw = balance_scalar(fs, (p_u, p_v))
         fw_ends = side_extremes(fw)
-        m = (rt.T * sv) @ rt
+        m = symmat.from_spectrum(sv, rt.T)
         cond_cap = max(1e12, 100.0 * tau / sigma / sigma)
 
     while iterations < DESCENT_MAX_ITERS and lmax_traj[-1][0] * lmax_traj[-1][1] > target_phi:

@@ -81,6 +81,8 @@ class GridParams(Record):
         # Written so that NaN fails both checks.
         if not big_delta > 0:
             raise PreconditionError("Delta must be positive")
+        if big_delta == math.inf:
+            raise PreconditionError("Delta must be finite")
         if not 0 < delta <= grid_delta(n, r) * (1 + 1e-12):
             raise PreconditionError(f"delta must lie in (0, {grid_delta(n, r):.3g}]", arg="delta")
         self._set_fields(n, r, delta, big_delta, worst_case)
@@ -137,10 +139,8 @@ def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
     ``zeroed_factors`` finds those.
     """
     step = g.step
-    dec = symmat.spectral_decompose(u)
-    lam = round_to_grid(dec.eigenvalues, step)
-    vec = round_to_grid(dec.eigenvectors, step)
-    rounded = (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
+    lam, vec = symmat.spectral_decompose(u)
+    rounded = symmat.from_spectrum(round_to_grid(lam, step), round_to_grid(vec, step))
     return round_to_grid((rounded + rounded.swapaxes(-1, -2)) / 2.0, step)
 
 
@@ -466,8 +466,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     hinge, nonzero = _dual_matrices(best_lam, u_flat, r)
     # The rows whose factors the single-row duals read, unless every point
     # is a member.
-    rows = (np.zeros(0, dtype=int) if screened
-            else np.flatnonzero(system.factors.reshape(m, -1).any(axis=1)))
+    rows = np.zeros(0, dtype=int) if screened else np.flatnonzero(u_flat.any(axis=1))
     hinge_spectra, row_spectra = _spectra(r, hinge, system.factors[rows])
     best = _dual_values(best_lam, const, cap, nonzero, hinge_spectra) - budget
     live = np.flatnonzero(~found & (best <= budget * MEMBER_RTOL))

@@ -96,7 +96,7 @@ def slack_from_json(obj: dict) -> SlackMatrix:
                   default=None)
     if h is not None and v is not None:
         return SlackMatrix(entries=entries, h=h, v=v)
-    return SlackMatrix.from_entries(entries)
+    return SlackMatrix(entries)
 
 
 def factorization_to_json(f: PsdFactorization) -> dict:
@@ -180,10 +180,15 @@ def system_from_json(obj: dict) -> RoundedSystem:
         return a, b, factors
 
     a, b, factors = _field(obj, "rows", padded_rows)
-    # The oracle's eigvalsh reads one triangle, so factors must be exactly symmetric.
+    # The oracle's eigvalsh reads one triangle, so factors must be exactly
+    # symmetric.  Its slacks b - a.x over x in {0,1}^n stay finite when
+    # |b| + sum_j |a_j| does.
     finite = np.isfinite(a).all(axis=1) & np.isfinite(b) & np.isfinite(factors).all(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        bounded = np.isfinite(np.abs(b) + np.abs(a).sum(axis=1))
     symmetric = (factors == factors.swapaxes(1, 2)).all(axis=(1, 2))
     for ok, defect in ((finite, "has non-finite entries"),
+                       (bounded, "has |b| + sum_j |a_j| beyond the float range"),
                        (symmetric, "has a factor U that is not exactly symmetric")):
         bad = np.flatnonzero(~ok)
         if bad.size:

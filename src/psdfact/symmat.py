@@ -1,8 +1,11 @@
 """Dense symmetric-matrix kernel.
 
-The shared kernels live here: spectral decompositions, matrix
-exponentials and square roots, norms, image bases, and the contraction
-of two matrix stacks into their trace inner products.  Work that batches
+The shared kernels live here.  ``spectral_decompose`` gives a spectrum as
+plain arrays (lam, vec), ``psd_spectrum`` refuses one that fails
+``not_psd``, ``from_spectrum`` is the one rebuild V diag(lam) V^T and
+``top_cluster`` reads the top eigenspace.  On top of them sit the matrix
+exponential and square root, ``eig_clip``, norms and image bases;
+``inner_products`` contracts two matrix stacks.  Work that batches
 its own stacks calls ``np.linalg`` directly: in ``rescaling``,
 ``reduce_to_common_space``, ``mean_congruence``, the John decomposition
 and the descent loop's SVDs; in ``factorization``, ``side_extremes`` and
@@ -26,7 +29,6 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .record import Record
 
 # Relative cutoff of the rank decisions: a singular value or residual norm
 # at most RANK_TOL times the largest counts as zero.
@@ -59,30 +61,24 @@ def as_symmetric(a) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-class SpectralDecomposition(Record):
-    """Eigenvalues sorted descending with matching orthonormal columns.
+def from_spectrum(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """V diag(lam) V^T, batched over a stack: lam (..., k) and V (..., j, k)."""
+    return (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
 
-    Holds one matrix, (k,) and (k, k), or a stack, (..., k) and (..., k, k).
+
+def top_cluster(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the largest eigenvalue, as the columns of one (k, K) array.
+
+    ``lam`` and ``vec`` are a spectrum as ``spectral_decompose`` gives it,
+    eigenvalues descending.  Eigenvalues within CLUSTER_TOL times the
+    operator norm of the top one count as degenerate and are merged into
+    the cluster.  For one matrix the columns are an orthonormal basis of
+    that eigenspace; for a stack they are those bases one matrix after
+    another.
     """
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.swapaxes(-1, -2)
-
-    def top_cluster(self) -> np.ndarray:
-        """Eigenvectors of the largest eigenvalue, as the columns of one (k, K) array.
-
-        Eigenvalues within CLUSTER_TOL times the operator norm of the top
-        one count as degenerate and are merged into the cluster.  For one
-        matrix the columns are an orthonormal basis of that eigenspace; for
-        a stack they are those bases one matrix after another.
-        """
-        lam = self.eigenvalues
-        scale = np.maximum(abs(lam[..., :1]), abs(lam[..., -1:]))
-        keep = lam >= lam[..., :1] - CLUSTER_TOL * scale
-        return self.eigenvectors.swapaxes(-1, -2)[keep].T
+    scale = np.maximum(abs(lam[..., :1]), abs(lam[..., -1:]))
+    keep = lam >= lam[..., :1] - CLUSTER_TOL * scale
+    return vec.swapaxes(-1, -2)[keep].T
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -105,28 +101,39 @@ def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(k, s * s).dot(b.reshape(l, s * s).T)
 
 
-def spectral_decompose(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix or a stack of them, eigenvalues descending.
+def spectral_decompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (lam, vec) of a symmetric matrix or a stack of them.
 
-    Raises ConvergenceError if the eigensolver fails or the reconstruction
-    residual of any matrix exceeds ``SPECTRAL_TOL * (1 + ||m||_F)``.
+    The eigenvalues, (k,) or (..., k), come sorted descending, with the
+    matching orthonormal eigenvectors as the columns of vec, (k, k) or
+    (..., k, k).  Raises ConvergenceError if the eigensolver fails or the
+    reconstruction residual of any matrix exceeds
+    ``SPECTRAL_TOL * (1 + ||m||_F)``.
     """
     m = as_symmetric(m)
     try:
         lam, vec = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    dec = SpectralDecomposition(eigenvalues=lam[..., ::-1], eigenvectors=vec[..., ::-1])
+    lam, vec = lam[..., ::-1], vec[..., ::-1]
     # Squares of entries above about 1e154 overflow to inf, and so does the
     # bound then; the test passes such a matrix without a warning.
     with np.errstate(over="ignore"):
-        residual = _frobenius(dec.reconstruct() - m)
+        residual = _frobenius(from_spectrum(lam, vec) - m)
         failed = (residual > SPECTRAL_TOL * (1.0 + _frobenius(m))).any()
     if failed:
         raise ConvergenceError(
             "spectral reconstruction residual too large", residual=float(residual.max())
         )
-    return dec
+    return lam, vec
+
+
+def psd_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_decompose`` of one matrix whose spectrum passes ``not_psd``, else NotPsdError."""
+    lam, vec = spectral_decompose(m)
+    if not_psd(lam):
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
+    return lam, vec
 
 
 def not_psd(lam: np.ndarray) -> np.ndarray:
@@ -160,25 +167,19 @@ def operator_norm(m: np.ndarray) -> float:
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) for symmetric m, computed through the eigendecomposition."""
-    dec = spectral_decompose(m)
-    lam = dec.eigenvalues
+    lam, vec = spectral_decompose(m)
     if lam.size and lam[0] > EXP_CAP:
         raise NumericError(
             f"matrix exponential overflows: top eigenvalue {lam[0]:.3g} "
             f"exceeds cap {EXP_CAP:.3g}"
         )
-    v = dec.eigenvectors
-    return as_symmetric((v * np.exp(lam)) @ v.T)
+    return as_symmetric(from_spectrum(np.exp(lam), vec))
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """PSD square root; negative eigenvalues that pass ``not_psd`` are clipped to zero."""
-    dec = spectral_decompose(m)
-    lam = dec.eigenvalues
-    if not_psd(lam):
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    v = dec.eigenvectors
-    return as_symmetric((v * np.sqrt(np.clip(lam, 0.0, None))) @ v.T)
+    lam, vec = psd_spectrum(m)
+    return as_symmetric(from_spectrum(np.sqrt(np.clip(lam, 0.0, None)), vec))
 
 
 def eig_clip(m: np.ndarray, max_eig: float | None = None) -> np.ndarray:
@@ -189,7 +190,7 @@ def eig_clip(m: np.ndarray, max_eig: float | None = None) -> np.ndarray:
     """
     lam, vec = np.linalg.eigh(as_symmetric(m))
     lam = np.maximum(lam, 0.0) if max_eig is None else np.minimum(np.maximum(lam, 0.0), max_eig)
-    return (vec * lam[..., None, :]) @ vec.swapaxes(-1, -2)
+    return from_spectrum(lam, vec)
 
 
 def image_basis(m: np.ndarray) -> np.ndarray:
@@ -199,8 +200,5 @@ def image_basis(m: np.ndarray) -> np.ndarray:
     matrix gives d = 0.  A spectrum that fails ``not_psd`` raises
     NotPsdError.
     """
-    dec = spectral_decompose(m)
-    lam = dec.eigenvalues
-    if not_psd(lam):
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {lam[-1]:.3g}")
-    return dec.eigenvectors[:, lam > IMAGE_TOL * np.abs(lam).max(initial=0.0)]
+    lam, vec = psd_spectrum(m)
+    return vec[:, lam > IMAGE_TOL * np.abs(lam).max(initial=0.0)]

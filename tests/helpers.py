@@ -67,7 +67,7 @@ def two_row_embedding(cols=100):
     entries = np.zeros((2, cols))
     entries[0, 0] = 1.0
     entries[1] = 1.0
-    s = SlackMatrix.from_entries(entries)
+    s = SlackMatrix(entries)
     return diagonal_embed(s), s
 
 
@@ -81,7 +81,7 @@ def corner_diagonal(m=100):
         [np.diag([1.0, float(i == 0)]) for i in range(m)],
         [np.diag([float(j == 0), 1.0]) for j in range(m)],
     )
-    return f, SlackMatrix.from_entries(f.products())
+    return f, SlackMatrix(f.products())
 
 
 def loop_from_input():

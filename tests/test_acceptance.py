@@ -38,12 +38,12 @@ def rescale_suite():
         entries = gen.integers(0, 10, size=(m, n)).astype(float)
         if entries.max() == 0:
             entries[0, 0] = 1.0
-        s = SlackMatrix.from_entries(entries)
+        s = SlackMatrix(entries)
         cases.append((f"random-{k}", diagonal_embed(s), s))
     adv = PsdFactorization.from_factors(
         [np.diag([100.0, 0.0])], [np.diag([0.01, 5.0])]
     )
-    cases.append(("adversarial-2x2", adv, SlackMatrix.from_entries(np.array([[1.0]]))))
+    cases.append(("adversarial-2x2", adv, SlackMatrix(np.array([[1.0]]))))
     return cases
 
 

@@ -75,6 +75,13 @@ class TestCountingCapacity:
         rep = bounds.counting_capacity(2, 1)
         assert any("o(1)" in a for a in rep.assumptions)
 
+    def test_left_side_matches_exact_integers(self):
+        # math.log2 of the exact integer 2^(2^n) - 1, rounded once; from
+        # n = 10 on that is 2^n.
+        for n in range(1, 21):
+            rep = bounds.counting_capacity(n, 1)
+            assert rep.extras["left_log2"] == math.log2(2 ** (2**n) - 1), n
+
     def test_largest_n_whose_left_side_is_a_float(self):
         rep = bounds.counting_capacity(1023, 1)
         assert rep.extras["left_log2"] == 2.0**1023

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import psdfact
-from psdfact import pipeline, serialize
+from psdfact import cli, pipeline, serialize
 from psdfact.cli import DERIVATIVES_MAX_COST, FORMULAS, build_parser, main
+from psdfact.errors import NumericError
 from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, PsdFactorization, diagonal_embed
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
@@ -66,6 +67,16 @@ class TestSlack:
     def test_unknown_instance_precondition_exit(self, capsys):
         code = main(["slack", "build", "--instance", "nope", "--n", "2"])
         assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --instance nope: unknown instance 'nope'; choose from cube, ")
+
+    def test_pipeline_names_an_unknown_instance(self, capsys):
+        code = main(["pipeline", "--instance", "nope", "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: --instance nope: unknown instance 'nope'; choose from cube, ")
 
 
 class TestFactAndRescale:
@@ -302,6 +313,14 @@ class TestLoaderErrors:
         "top-level-n": (lambda obj: dict(obj, n=3), "field 'n' is 3, but the grid's n is 2"),
         "cut-rows": (lambda obj: dict(obj, rows=obj["rows"][:3]),
                      "has 3 rows, expected n + r^2 = 18"),
+        # These two reached the oracle, whose arithmetic made NaN or
+        # overflowed, before the loader refused them.
+        "infinite-Delta": (lambda obj: dict(obj, grid=dict(obj["grid"], Delta=float("inf"))),
+                           "Delta must be finite"),
+        "row-sum-overflow": (
+            lambda obj: dict(obj, rows=[dict(obj["rows"][0], a=[1e308, 1e308], b=0.0)]
+                             + obj["rows"][1:]),
+            "row 0 of the rounded system has |b| + sum_j |a_j| beyond the float range"),
     }
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_SYSTEMS))
@@ -618,7 +637,7 @@ class TestErrorLinesNameTheInput:
     def test_huge_entries_with_singular_averages(self, tmp_path, capsys):
         # The side averages are singular, so the common space comes from
         # eigendecompositions, whose residual check squares entries of 1e200.
-        s = SlackMatrix.from_entries(np.diag([1e200, 1.0, 2.0]))
+        s = SlackMatrix(np.diag([1e200, 1.0, 2.0]))
         slack, fact = TestFactAndRescale.write_inputs(tmp_path, diagonal_embed(s), s)
         code, rep = run_cli(["rescale", "run", "--slack", str(slack), "--fact", str(fact)],
                             capsys)
@@ -630,7 +649,7 @@ class TestErrorLinesNameTheInput:
         # U = [u], V = [v] factor S = [[1]] exactly; the balancing scalar
         # sqrt(v / u) must not be read off the ratio, which underflows or
         # overflows.
-        s = SlackMatrix.from_entries(np.array([[1.0]]))
+        s = SlackMatrix(np.array([[1.0]]))
         f = PsdFactorization([[[u]]], [[[v]]])
         slack, fact = TestFactAndRescale.write_inputs(tmp_path, f, s)
         code, rep = run_cli(["rescale", "run", "--slack", str(slack), "--fact", str(fact)],
@@ -835,6 +854,20 @@ class TestRoundReconstruct:
         err = err.decode()
         assert "Traceback" not in err and "BrokenPipeError" not in err
         assert proc.returncode == 0
+
+    def test_numeric_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        system = unrescaled_system(tmp_path, "cube", 2)
+
+        def breaks_down(*args, **kwargs):
+            raise NumericError("NaN/Inf in membership iterates")
+
+        monkeypatch.setattr(cli, "reconstruct", breaks_down)
+        capsys.readouterr()
+        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "numeric error: NaN/Inf in membership iterates\n"
 
 
 class TestCheckAndBounds:

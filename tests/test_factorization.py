@@ -36,15 +36,15 @@ def unit_square_slack():
 
 class TestVerify:
     def test_one_by_one_exact(self):
-        s = SlackMatrix.from_entries(np.array([[1.0]]))
+        s = SlackMatrix(np.array([[1.0]]))
         f = PsdFactorization.from_factors([np.array([[1.0]])], [np.array([[1.0]])])
         rep = verify_factorization(f, s)
         assert rep.passed and rep.max_abs_residual == 0.0
 
     def test_perturbed_entry_fails(self):
-        s = SlackMatrix.from_entries(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        s = SlackMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
         f = diagonal_embed(s)
-        bad = SlackMatrix.from_entries(s.entries + np.array([[0, 1], [0, 0]]))
+        bad = SlackMatrix(s.entries + np.array([[0, 1], [0, 0]]))
         rep = verify_factorization(f, bad, tol=1e-8)
         assert not rep.passed
         assert rep.max_abs_residual >= 1.0 - 1e-8
@@ -62,7 +62,7 @@ class TestVerify:
         assert rep.potential == pytest.approx(rep.lmax_u * rep.lmax_v)
 
     def test_index_mismatch(self):
-        s = SlackMatrix.from_entries(np.ones((2, 2)))
+        s = SlackMatrix(np.ones((2, 2)))
         f = PsdFactorization.from_factors([np.eye(1)], [np.eye(1)])
         with pytest.raises(DimensionError):
             verify_factorization(f, s)
@@ -70,14 +70,14 @@ class TestVerify:
 
 class TestDiagonalEmbed:
     def test_scalar(self):
-        s = SlackMatrix.from_entries(np.array([[2.0]]))
+        s = SlackMatrix(np.array([[2.0]]))
         f = diagonal_embed(s)
         assert f.side == 1
         np.testing.assert_allclose(f.row_factors[0], [[1.0]])
         np.testing.assert_allclose(f.col_factors[0], [[2.0]])
 
     def test_identity_2x2(self):
-        s = SlackMatrix.from_entries(np.eye(2))
+        s = SlackMatrix(np.eye(2))
         f = diagonal_embed(s)
         assert f.side == 2
         for i in range(2):
@@ -88,7 +88,7 @@ class TestDiagonalEmbed:
         assert verify_factorization(f, s).max_abs_residual == 0.0
 
     def test_side_is_shorter_index_set(self):
-        s = SlackMatrix.from_entries(np.ones((5, 3)))
+        s = SlackMatrix(np.ones((5, 3)))
         assert diagonal_embed(s).side == 3
 
     def test_unit_square_residual_zero(self):
@@ -234,7 +234,7 @@ class TestAlternatingFit:
             raise AssertionError("a random generator was made")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        fit = fit_factorization(SlackMatrix.from_entries(np.eye(2)), 1)
+        fit = fit_factorization(SlackMatrix(np.eye(2)), 1)
         assert fit.factorization is None
         assert fit.trace == () and fit.steps == 0 and fit.residual is None
         assert "lower bound" in fit.reason and "rank S = 2" in fit.reason
@@ -252,7 +252,7 @@ class TestAlternatingFit:
         # With the noise, S has numerical rank 2 > 1, but lies within the
         # fit's target of a rank-1 matrix, so the rank bound must not refuse it.
         for noise in (0.0, 1e-12):
-            s = SlackMatrix.from_entries(np.ones((3, 3)) + noise * np.arange(9).reshape(3, 3) ** 2)
+            s = SlackMatrix(np.ones((3, 3)) + noise * np.arange(9).reshape(3, 3) ** 2)
             fit = fit_factorization(s, 1)
             assert isinstance(fit.factorization, PsdFactorization)
             assert verify_factorization(fit.factorization, s).passed
@@ -271,7 +271,7 @@ class TestAlternatingFit:
 
     def test_empty_slack_refused(self):
         with pytest.raises(PreconditionError, match="no entries"):
-            fit_factorization(SlackMatrix.from_entries(np.zeros((1, 0))), 2)
+            fit_factorization(SlackMatrix(np.zeros((1, 0))), 2)
 
     def test_entry_cap_checked_before_any_draw(self, monkeypatch):
         def no_generator(*args, **kwargs):
@@ -279,9 +279,9 @@ class TestAlternatingFit:
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         with pytest.raises(AssertionError, match="generator"):
-            fit_factorization(SlackMatrix.from_entries(np.ones((32, 32))), 1)
+            fit_factorization(SlackMatrix(np.ones((32, 32))), 1)
         with pytest.raises(ResourceError, match=str(FIT_MAX_ENTRIES)):
-            fit_factorization(SlackMatrix.from_entries(np.ones((32, 33))), 1)
+            fit_factorization(SlackMatrix(np.ones((32, 33))), 1)
 
 
 def raw_unbalanced_cube():

@@ -196,8 +196,9 @@ class TestBuiltins:
                 assert np.all(s.entries >= 0)
 
     def test_unknown_name(self):
-        with pytest.raises(PreconditionError, match="unknown instance"):
+        with pytest.raises(PreconditionError, match="unknown instance") as info:
             builtin_instance("dodecahedron", 3)
+        assert info.value.arg == "name"
 
     def test_crosspoly_requires_small_n(self):
         with pytest.raises(PreconditionError):
@@ -220,8 +221,8 @@ class TestValidation:
 
     def test_negative_slack_entries_rejected(self):
         with pytest.raises(PreconditionError):
-            SlackMatrix.from_entries(np.array([[1.0, -0.25]]))
+            SlackMatrix(np.array([[1.0, -0.25]]))
 
-    def test_from_entries_without_provenance(self):
-        s = SlackMatrix.from_entries(np.array([[1.5, 0.0], [2.0, 3.0]]))
+    def test_entries_without_provenance(self):
+        s = SlackMatrix(np.array([[1.5, 0.0], [2.0, 3.0]]))
         assert s.h is None and s.max_entry == 3.0

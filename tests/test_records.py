@@ -18,7 +18,6 @@ from psdfact.rounding import (
     RoundedSystem,
     grid_delta,
 )
-from psdfact.symmat import SpectralDecomposition
 
 
 def _grid():
@@ -36,8 +35,6 @@ FIELDS = {
     SlackMatrix: lambda: {"entries": np.array([[0, 1], [1, 0]]),
                           "h": HPolytope(a=[[-1], [1]], b=[0, 1]),
                           "v": VPolytope(points=[[0], [1]])},
-    SpectralDecomposition: lambda: {"eigenvalues": np.array([2.0, 1.0]),
-                                    "eigenvectors": np.eye(2)},
     PsdFactorization: lambda: {"row_factors": np.ones((1, 1, 1)),
                                "col_factors": np.ones((2, 1, 1))},
     FactorizationReport: lambda: {"max_abs_residual": 0.5, "residual_location": (1, 0),
@@ -119,8 +116,7 @@ def test_generic_constructor_records():
     assert {cls.__name__ for cls in GENERIC} == {
         "BoundReport", "DerivativeCheck", "FactorizationReport", "FitResult",
         "JohnDecomposition", "RescaleConfig", "RescaleResult", "RoundedSystem",
-        "MembershipConfig", "MembershipVerdict", "ReconstructionReport",
-        "SpectralDecomposition"}
+        "MembershipConfig", "MembershipVerdict", "ReconstructionReport"}
 
 
 @pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)

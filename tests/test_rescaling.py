@@ -44,7 +44,7 @@ from helpers import (
 
 
 def adversarial_instance():
-    s = SlackMatrix.from_entries(np.array([[1.0]]))
+    s = SlackMatrix(np.array([[1.0]]))
     f = PsdFactorization.from_factors(
         [np.diag([100.0, 0.0])], [np.diag([0.01, 5.0])]
     )
@@ -111,6 +111,14 @@ REDUCE_INSTANCES = (
 
 
 class TestReduce:
+    def test_overflowing_side_sum_names_f(self):
+        # The row factors sum to 2e308.  Under the suite's filterwarnings =
+        # error, a numpy RuntimeWarning would fail this test.
+        f = PsdFactorization([[[1e308]], [[1e308]]], [[[1.0]]])
+        with pytest.raises(PreconditionError, match="up to 1e[+]308 overflow") as info:
+            reduce_to_common_space(f)
+        assert info.value.arg == "f"
+
     def test_projected_hand_example(self):
         # Im(mean U) = span{e1, e2}, Im(mean V) = span{(1,0,1)}: the common space is span{e1}
         v = np.array([1.0, 0.0, 1.0])
@@ -478,7 +486,7 @@ class TestBalance:
         f = PsdFactorization([[[u]]], [[[v]]])
         out = balance_scalar(f)
         assert out.row_factors[0, 0, 0] == out.col_factors[0, 0, 0] == 1.0
-        res = rescale(f, SlackMatrix.from_entries(np.array([[1.0]])))
+        res = rescale(f, SlackMatrix(np.array([[1.0]])))
         assert res.lmax_u == res.lmax_v == 1.0 and res.certificate
         g = res.factorization
         assert g.row_factors[0, 0, 0] == g.col_factors[0, 0, 0] == 1.0
@@ -525,6 +533,18 @@ class TestDescentStep:
         out, eps = descent_step(f, np.zeros((2, 2)))
         assert eps is None and out is f
 
+    @pytest.mark.parametrize("v", [np.zeros((2, 2)), np.eye(2)], ids=["zero", "one-zero-side"])
+    def test_zero_potential_stalls(self, v):
+        # No step lowers a potential of 0: every candidate's is 0 as well.
+        f = PsdFactorization.from_factors([np.zeros((2, 2))], [v])
+        out, eps = descent_step(f, np.eye(2))
+        assert eps is None and out is f
+
+    def test_nan_potential_stalls(self):
+        f = PsdFactorization.from_factors([np.eye(2)], [np.diag([2.0, 1.0])])
+        out, eps = descent_step(f, np.diag([1.0, 0.0]), phi0=float("nan"))
+        assert eps is None and out is f
+
     def test_one_dimensional_stall_at_target(self):
         # reduced-and-balanced scalar instance: congruence cannot move phi
         f = PsdFactorization.from_factors([np.array([[1.0]])], [np.array([[1.0]])])
@@ -554,8 +574,7 @@ class TestDescentStep:
         """One congruence and one potential per grid value; strict < keeps the first."""
         z = symmat.as_symmetric(z)
         z_norm = symmat.operator_norm(z)
-        dec = symmat.spectral_decompose(z)
-        lam, q = dec.eigenvalues, dec.eigenvectors
+        lam, q = symmat.spectral_decompose(z)
         best_phi, best_eps, best = np.inf, None, None
         for rel in sorted(eps_grid):
             eps = rel / z_norm
@@ -628,7 +647,7 @@ class TestDescentStep:
 
 class TestRescale:
     def test_trivial_scalar_instance(self):
-        s = SlackMatrix.from_entries(np.array([[1.0]]))
+        s = SlackMatrix(np.array([[1.0]]))
         f = PsdFactorization.from_factors([np.eye(1)], [np.eye(1)])
         res = rescale(f, s)
         assert res.certificate
@@ -720,8 +739,8 @@ class TestRescale:
         assert verify_factorization(res.factorization, s).passed
 
     def test_rejects_wrong_factorization(self):
-        s = SlackMatrix.from_entries(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        f = diagonal_embed(SlackMatrix.from_entries(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        s = SlackMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        f = diagonal_embed(SlackMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])))
         with pytest.raises(PreconditionError):
             rescale(f, s)
 
@@ -760,7 +779,7 @@ class TestRescale:
                              ids=["width2", "width3"])
     def test_degenerate_top_eigenspaces(self, rows, cols, monkeypatch):
         f = PsdFactorization.from_factors([np.diag(rows)], [np.diag(cols)])
-        s = SlackMatrix.from_entries(f.products())
+        s = SlackMatrix(f.products())
 
         def assert_certified_and_repeatable():
             r1, r2 = rescale(f, s), rescale(f, s)

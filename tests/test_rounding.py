@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +147,13 @@ class TestRoundFactor:
     def test_delta_cap_enforced(self):
         with pytest.raises(PreconditionError):
             GridParams(n=2, r=2, delta=1.0, big_delta=1.0)
+
+    @pytest.mark.parametrize("big_delta", [float("inf"), json.loads("1e400")],
+                             ids=["inf", "1e400"])
+    def test_infinite_big_delta_refused(self, big_delta):
+        # An infinite cap turns the oracle's cap * trace into inf * 0 = NaN.
+        with pytest.raises(PreconditionError, match="Delta must be finite"):
+            GridParams(n=2, r=2, delta=grid_delta(2, 2), big_delta=big_delta)
 
 
 class TestSelectSubsystem:

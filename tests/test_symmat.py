@@ -26,52 +26,48 @@ from helpers import (
 
 class TestSpectralDecompose:
     def test_diagonal(self):
-        dec = symmat.spectral_decompose(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(dec.eigenvalues, [3.0, 1.0])
+        lam, vec = symmat.spectral_decompose(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(lam, [3.0, 1.0])
         # eigenvectors are e1, e2 up to sign
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(np.abs(vec), np.eye(2), atol=1e-14)
 
     def test_zero(self):
-        dec = symmat.spectral_decompose(np.zeros((2, 2)))
-        np.testing.assert_allclose(dec.eigenvalues, [0.0, 0.0])
+        lam, _ = symmat.spectral_decompose(np.zeros((2, 2)))
+        np.testing.assert_allclose(lam, [0.0, 0.0])
 
     def test_random_reconstruction(self):
         m = random_symmetric(rng(1), 5)
-        dec = symmat.spectral_decompose(m)
+        lams, vec = symmat.spectral_decompose(m)
         # oracle: explicit rank-one re-multiplication
-        rebuilt = sum(
-            lam * np.outer(v, v)
-            for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T)
-        )
+        rebuilt = sum(lam * np.outer(v, v) for lam, v in zip(lams, vec.T))
         assert np.linalg.norm(rebuilt - m) <= 1e-10
 
     def test_sorted_descending(self):
-        dec = symmat.spectral_decompose(random_symmetric(rng(2), 7))
-        assert np.all(np.diff(dec.eigenvalues) <= 0)
+        lam, _ = symmat.spectral_decompose(random_symmetric(rng(2), 7))
+        assert np.all(np.diff(lam) <= 0)
 
     def test_orthonormal_columns(self):
-        dec = symmat.spectral_decompose(random_symmetric(rng(3), 9))
-        gram = dec.eigenvectors.T @ dec.eigenvectors
+        _, vec = symmat.spectral_decompose(random_symmetric(rng(3), 9))
+        gram = vec.T @ vec
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-10
 
     def test_reconstruction_residual_up_to_side_50(self):
         for seed, n in [(4, 10), (5, 25), (6, 50)]:
             m = random_symmetric(rng(seed), n, scale=3.0)
-            dec = symmat.spectral_decompose(m)
-            res = np.linalg.norm(dec.reconstruct() - m)
+            res = np.linalg.norm(symmat.from_spectrum(*symmat.spectral_decompose(m)) - m)
             assert res <= 1e-10 * (1.0 + np.linalg.norm(m))
 
     def test_stack_matches_each_slice(self):
         stack = np.stack([random_symmetric(rng(20 + k), 5) for k in range(4)])
         stack[2] = 0.0
-        dec = symmat.spectral_decompose(stack)
-        assert dec.eigenvalues.shape == (4, 5) and dec.eigenvectors.shape == (4, 5, 5)
-        rebuilt = dec.reconstruct()
+        lam, vec = symmat.spectral_decompose(stack)
+        assert lam.shape == (4, 5) and vec.shape == (4, 5, 5)
+        rebuilt = symmat.from_spectrum(lam, vec)
         for k, m in enumerate(stack):
-            one = symmat.spectral_decompose(m)
-            assert dec.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
-            assert dec.eigenvectors[k].tobytes() == one.eigenvectors.tobytes()
-            assert rebuilt[k].tobytes() == one.reconstruct().tobytes()
+            one_lam, one_vec = symmat.spectral_decompose(m)
+            assert lam[k].tobytes() == one_lam.tobytes()
+            assert vec[k].tobytes() == one_vec.tobytes()
+            assert rebuilt[k].tobytes() == symmat.from_spectrum(one_lam, one_vec).tobytes()
 
     def test_stack_raises_when_one_slice_fails(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -90,7 +86,7 @@ class TestSpectralDecompose:
         gen = rng(7)
         q, _ = np.linalg.qr(gen.standard_normal((3, 3)))
         m = symmat.as_symmetric((q * [2.0, 2.0, 1.0]) @ q.T)
-        basis = symmat.spectral_decompose(m).top_cluster()
+        basis = symmat.top_cluster(*symmat.spectral_decompose(m))
         assert basis.shape == (3, 2)
         # the cluster spans the same plane as the first two columns of q
         proj = basis @ basis.T
