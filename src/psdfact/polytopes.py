@@ -33,10 +33,18 @@ BUILTIN_MAX_N = {"cube": 14, "simplex": 255, "point": 256, "moment_polygon": MOM
 
 
 def _as_int_array(a, name: str) -> np.ndarray:
+    """``a`` as a new int64 array.
+
+    Any other dtype must hold integers of magnitude below _INT_GUARD,
+    checked before the cast, which wraps 1e30 or 2^63 around; strings and
+    Python ints beyond 64 bits are refused.
+    """
     arr = np.asarray(a)
-    if arr.dtype.kind not in "iu":
-        if not np.all(arr == np.round(arr)):
-            raise PreconditionError(f"{name} must have integer entries")
+    kind = arr.dtype.kind
+    if arr.dtype != np.int64 and (
+            kind not in "iuf" or (kind == "f" and not (arr == np.round(arr)).all())
+            or not np.abs(arr).max(initial=0) < _INT_GUARD):
+        raise PreconditionError(f"{name} must have integer entries of magnitude below 2^62")
     return arr.astype(np.int64)
 
 

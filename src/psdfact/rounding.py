@@ -20,24 +20,25 @@ lambda.c - <sum_i lambda_i U_i, Y> <= max_i |e_i|, and <S, Y> <= cap tr(S_+)
 (conic duality; Ben-Tal & Nemirovski, Lectures on Modern Convex
 Optimization).
 
-``reconstruct`` decides all of {0,1}^n in batches, each in three passes.
+``reconstruct`` decides all of {0,1}^n in batches, each in one loop of
+checks followed by re-validation.  Iteration 1 starts every point of the
+batch from a vertex's warm start clipped into K, or from 0; later
+iterations take a projected-gradient step on
+sum_i hinge(|e_i| - budget)^2 over K first.  Every iteration checks each
+point still live in the same way: its iterate as a witness, and the hinge
+dual lambda = hinge * sign(e) / ||hinge * sign(e)||_1 of its residual,
+hinge = max(|e| - budget, 0).  A point leaves at its first certificate;
+one with neither after MEMBER_MAX_ITERS iterations is inconclusive.
 
-- The screen takes every point of the batch at its start, a vertex's warm
-  start clipped into K or 0, and tries three certificates at once: the
-  start as a witness; the hinge dual lambda = hinge * sign(e) /
-  ||hinge * sign(e)||_1 of its residual, hinge = max(|e| - budget, 0); and
-  the best single-row dual +-e_i, whose value +-c_i - cap tr((+-U_i)_+)
-  needs no iterate.  The rounded subsystem determines the vertex set, so
-  a 0/1 point outside the polytope violates some integer inequality; when
-  that is a selected row i, -e_i proves rejection at once, as +e_i does
-  when row i's slack exceeds cap tr(U_i) + budget.
-- Projected gradient on sum_i hinge(|e_i| - budget)^2 over K then runs on
-  the points the screen left undecided (on crosspoly_01 n=2 the violated
-  rows are combinations of the selected ones), and stops each at its
-  first witness or hinge-dual certificate.  A point with neither after
-  MEMBER_MAX_ITERS iterations is inconclusive.
-- Re-validation checks every witness against the budget and the cap, and
-  every dual by its value, before a verdict is given.
+Iteration 1 also tries the best single-row dual +-e_i on the points its
+check leaves open; its value +-c_i - cap tr((+-U_i)_+) needs no iterate.
+The rounded subsystem determines the vertex set, so a 0/1 point outside
+the polytope violates some integer inequality; when that is a selected
+row i, -e_i proves rejection at once, as +e_i does when row i's slack
+exceeds cap tr(U_i) + budget.  Otherwise (on crosspoly_01 n=2 the
+violated rows are combinations of the selected ones) the steps go on.
+Re-validation checks every witness against the budget and the cap, and
+every dual by its value, before a verdict is given.
 
 The verdicts come back as a ``ReconstructionReport`` of columns, one row
 per point: points, verdict codes, violations, dual margins, iterations,
@@ -48,7 +49,6 @@ columns in bulk, and ``verdict(k)`` gives one point as a
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -340,54 +340,35 @@ class ReconstructionReport(Record):
         }
 
 
-def _spectra(r: int, *stacks) -> list:
-    """The eigenvalues of several (k, r, r) stacks, one (k, r) array per stack.
-
-    One batched eigvalsh covers every matrix; stacks that are all empty
-    take none.
-    """
-    counts = [len(stack) for stack in stacks]
-    if not any(counts):
-        return [np.zeros((0, r)) for _ in stacks]
-    lam = np.linalg.eigvalsh(np.concatenate(stacks))
-    return [lam[end - count:end] for count, end in zip(counts, itertools.accumulate(counts))]
-
-
-def _dual_matrices(lam, u_flat, r):
-    """S = sum_i lambda_i U_i for each nonzero row of ``lam``, and the mask of those rows.
-
-    All of ``lam`` goes through one product, since a row of a GEMM can
-    depend on the rows beside it; a ``lam`` of zeros takes none.
-    """
-    nonzero = lam.any(axis=1)
-    if not nonzero.any():
-        return np.zeros((0, r, r)), nonzero
-    return (lam @ u_flat).reshape(-1, r, r)[nonzero], nonzero
-
-
-def _dual_values(lam, const, cap, nonzero, spectra):
+def _dual_values(lam, const, u_flat, cap):
     """lambda.c - cap tr((sum_i lambda_i U_i)_+) for each row of ``lam``.
 
-    ``nonzero`` marks the rows of ``_dual_matrices`` and ``spectra`` holds
-    the eigenvalues of their matrices S; a zero lambda has value exactly 0
-    and needs no spectrum.  For ||lambda||_1 <= 1 every Y in
-    {0 <= Y <= cap I} has <S, Y> <= cap tr(S_+), and
-    lambda.c - <S, Y> = lambda.e <= max_i |e_i|; so a value above the
-    budget proves that no Y meets it.
+    All of ``lam`` goes through one product, since a row of a GEMM can
+    depend on the rows beside it, and the matrices S of its nonzero rows
+    through one ``eigvalsh``; a zero lambda has value exactly 0 and needs
+    neither.  For ||lambda||_1 <= 1 every Y in {0 <= Y <= cap I} has
+    <S, Y> <= cap tr(S_+), and lambda.c - <S, Y> = lambda.e <= max_i |e_i|;
+    so a value above the budget proves that no Y meets it.
     """
-    positive = np.zeros(len(lam))
-    positive[nonzero] = np.maximum(spectra, 0.0).sum(axis=1)
-    return np.einsum("bi,bi->b", lam, const) - cap * positive
+    value = np.einsum("bi,bi->b", lam, const)
+    nonzero = lam.any(axis=1)
+    if nonzero.any():
+        r = math.isqrt(u_flat.shape[1])
+        s = (lam @ u_flat).reshape(-1, r, r)[nonzero]
+        value[nonzero] -= cap * np.maximum(np.linalg.eigvalsh(s), 0.0).sum(axis=1)
+    return value
 
 
-def _single_row_duals(rows, spectra, m, const, cap):
+def _single_row_duals(factors, const, cap):
     """Each point's best single-row dual lambda = +-e_i, and its value.
 
     The value of +-e_i is +-c_i - cap tr((+-U_i)_+); it needs no iterate,
-    and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  ``rows``
-    lists the rows, out of m, whose factor is not zero, and ``spectra``
-    holds their eigenvalues; a zero row's traces are 0.
+    and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  One
+    ``eigvalsh`` measures the nonzero factors; a zero row's traces are 0.
     """
+    m = len(factors)
+    rows = np.flatnonzero(factors.any(axis=(1, 2)))
+    spectra = np.linalg.eigvalsh(factors[rows])
     trace = np.zeros((2, m))
     trace[0, rows] = np.maximum(spectra, 0.0).sum(axis=1)
     trace[1, rows] = -np.minimum(spectra, 0.0).sum(axis=1)
@@ -421,34 +402,23 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
             starts: np.ndarray) -> ReconstructionReport:
     """Decide each point of ``xs`` (B, n); point warm[j] starts from starts[j], the others from 0.
 
-    The oracle screens every point, then iterates on the points the screen
-    leaves undecided, then re-validates every certificate.
+    Each warm start (k, r, r) is clipped into K = {0 <= Y <= cap I}, and 0
+    is already in K.  Every iteration checks each live point the same way:
+    a witness when its iterate meets the budget, then the value of the
+    hinge dual of its residual, kept when it beats the point's best dual so
+    far.  A point leaves at its first certificate.  Iteration 1 checks the
+    starts of the whole batch and then tries the best single-row dual
+    +-e_i on the points still open.  Iterations 2 to MEMBER_MAX_ITERS first
+    take a projected-gradient step on sum_i hinge(|e_i| - budget)^2 over K,
+    with the step 1 / L, L = 2 ||U||^2 from one spectral norm of the
+    stacked factors; a point still live after them keeps the iterate of
+    one more step.  Every residual c - <U_i, Y> is one BLAS product of the
+    flattened iterates and factors (``symmat.inner_products``).
 
-    The screen is iteration 1.  Each warm start (k, r, r) is clipped into
-    K = {0 <= Y <= cap I}, and 0 is already in K.  Three certificates are
-    tried on the whole batch: a witness when the start meets the budget,
-    the hinge dual of its residual, and the best single-row dual +-e_i.  A
-    point whose residual is within the budget has a zero hinge dual, whose
-    value takes no spectrum.  Unless every point is such a member, the
-    factors that the single-row duals read share one ``eigvalsh`` with the
-    hinge duals.
-
-    Projected gradient then minimises sum_i hinge(|e_i| - budget)^2 over K
-    on the points still live, with the step 1 / L, L = 2 ||U||^2 from one
-    spectral norm of the stacked factors.  After each step every live point
-    is checked for a witness and its hinge dual; a point leaves at its first
-    certificate, and one still live after MEMBER_MAX_ITERS checks keeps the
-    iterate of one more step.
-
-    Every residual c - <U_i, Y>, in the screen, the iterations and
-    re-validation, is one BLAS product of the flattened iterates and
-    factors (``symmat.inner_products``).  Re-validation symmetrises each
-    final iterate and checks it against the budget through the full
-    factor stack, all n + r^2 padded rows; only points holding a witness
-    get the spectrum that checks the cap.  Each point's best dual is
-    valued again, in the same ``eigvalsh`` as those witnesses, unless the
-    screen found every point: the best duals are then the hinge duals the
-    screen valued on this same batch.  A point that passes neither check
+    Re-validation symmetrises each final iterate and checks it against the
+    budget through the full factor stack, all n + r^2 padded rows; only
+    points holding a witness get the spectrum that checks the cap.  Each
+    point's best dual is valued again.  A point that passes neither check
     is inconclusive.
     """
     g = system.grid
@@ -456,70 +426,60 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     m, r = system.n_rows, g.r
     u_flat = system.factors.reshape(m, -1)
     const = system.b - xs @ system.a.T
-
-    # The screen.
     y = np.zeros((len(xs), r, r))
     if len(warm):
         y[warm] = symmat.eig_clip(starts, cap)
-    found, push, best_lam = _hinge(y, const, system.factors, budget)
-    screened = found.all()
-    hinge, nonzero = _dual_matrices(best_lam, u_flat, r)
-    # The rows whose factors the single-row duals read, unless every point
-    # is a member.
-    rows = np.zeros(0, dtype=int) if screened else np.flatnonzero(u_flat.any(axis=1))
-    hinge_spectra, row_spectra = _spectra(r, hinge, system.factors[rows])
-    best = _dual_values(best_lam, const, cap, nonzero, hinge_spectra) - budget
-    live = np.flatnonzero(~found & (best <= budget * MEMBER_RTOL))
-    if live.size:
-        lam, margin = _single_row_duals(rows, row_spectra, m, const[live], cap)
-        margin -= budget
-        better = margin > best[live]
-        best[live[better]] = margin[better]
-        best_lam[live[better]] = lam[better]
-        live = live[best[live] <= budget * MEMBER_RTOL]
-    iterations = np.ones(len(xs), dtype=int)
-    iterations[live] = MEMBER_MAX_ITERS
-
-    # Projected gradient on the live points.
-    if live.size:
-        push = push[live]
-        lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
-        step = 1.0 / lip if lip > 0.0 else 0.0
-    # Iteration it steps from the check of iteration it - 1, then checks.
-    for it in range(2, MEMBER_MAX_ITERS + 2):
-        if not live.size:
-            break
-        # The gradient of the objective is -2 sum_i push_i U_i.
-        y[live] = symmat.eig_clip(y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
-        if it > MEMBER_MAX_ITERS:
-            break
-        member, push, lam = _hinge(y[live], const[live], system.factors, budget)
-        s, nonzero = _dual_matrices(lam, u_flat, r)
-        margin = _dual_values(lam, const[live], cap, nonzero, *_spectra(r, s)) - budget
+    found = np.zeros(len(xs), dtype=bool)
+    best, best_lam = np.full(len(xs), -np.inf), np.zeros((len(xs), m))
+    iterations = np.full(len(xs), MEMBER_MAX_ITERS)
+    live = np.arange(len(xs))
+    for it in range(1, MEMBER_MAX_ITERS + 2):
+        if it == 2:
+            # A float's ** raises OverflowError, its doubling gives inf.
+            try:
+                lip = 2.0 * float(np.linalg.norm(u_flat, 2)) ** 2
+                if lip == math.inf:
+                    raise OverflowError
+            except OverflowError:
+                raise NumericError("the step size overflows: the factors are too large") from None
+            step = 1.0 / lip if lip > 0.0 else 0.0
+        if it > 1:
+            # The gradient of the objective is -2 sum_i push_i U_i.
+            y[live] = symmat.eig_clip(
+                y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
+            if it > MEMBER_MAX_ITERS:
+                break
+        c = const[live]
+        member, push, lam = _hinge(y[live], c, system.factors, budget)
+        margin = _dual_values(lam, c, u_flat, cap) - budget
         better = margin > best[live]
         best[live[better]] = margin[better]
         best_lam[live[better]] = lam[better]
         done = member | (best[live] > budget * MEMBER_RTOL)
+        if it == 1 and not done.all():
+            # The single-row duals, on the points this check leaves open.
+            undecided = live[~done]
+            lam, margin = _single_row_duals(system.factors, c[~done], cap)
+            margin -= budget
+            better = margin > best[undecided]
+            best[undecided[better]] = margin[better]
+            best_lam[undecided[better]] = lam[better]
+            done[~done] = best[undecided] > budget * MEMBER_RTOL
         found[live[member]] = True
         iterations[live[done]] = it
         push, live = push[~done], live[~done]
+        if not live.size:
+            break
 
     # Re-validation.
     witness = symmat.as_symmetric(y)
     resid = const - symmat.inner_products(witness, system.factors)
     violation = np.abs(resid).max(axis=1) - budget
     witness_ok = found & (violation <= budget * MEMBER_RTOL)
-    # Every best dual is valued again, in the witnesses' eigvalsh, unless
-    # the screen found every point: each is then its hinge dual, already
-    # valued on this batch.
-    duals, nonzero = np.zeros((0, r, r)), None
-    if not screened:
-        duals, nonzero = _dual_matrices(best_lam, u_flat, r)
-    witness_spectra, dual_spectra = _spectra(r, witness[witness_ok], duals)
-    witness_ok[witness_ok] = ((witness_spectra[:, 0] >= -cap * MEMBER_RTOL)
-                              & (witness_spectra[:, -1] <= cap * (1.0 + MEMBER_RTOL)))
-    if not screened:
-        best = _dual_values(best_lam, const, cap, nonzero, dual_spectra) - budget
+    spectra = np.linalg.eigvalsh(witness[witness_ok])
+    witness_ok[witness_ok] = ((spectra[:, 0] >= -cap * MEMBER_RTOL)
+                              & (spectra[:, -1] <= cap * (1.0 + MEMBER_RTOL)))
+    best = _dual_values(best_lam, const, u_flat, cap) - budget
     dual_ok = (
         ~found
         & (best > budget * MEMBER_RTOL)
@@ -539,12 +499,10 @@ def membership_test(x, system: RoundedSystem,
     The search starts from ``warm_start``, else from 0; it is the batched
     oracle of ``reconstruct`` run on one point.
     """
+    starts = (np.zeros((0, system.grid.r, system.grid.r)) if warm_start is None
+              else np.asarray(warm_start, dtype=float)[None])
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    r = system.grid.r
-    if warm_start is None:
-        return _decide(system, x, np.zeros(0, dtype=int), np.zeros((0, r, r))).verdict(0)
-    return _decide(system, x, np.zeros(1, dtype=int),
-                   np.asarray(warm_start, dtype=float)[None]).verdict(0)
+    return _decide(system, x, np.arange(len(starts)), starts).verdict(0)
 
 
 def reconstruct(system: RoundedSystem, n: int,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .factorization import PsdFactorization
-from .polytopes import HPolytope, SlackMatrix, VPolytope
+from .polytopes import HPolytope, SlackMatrix, VPolytope, build_slack
 from .rounding import GridParams, RoundedSystem
 
 
@@ -29,7 +29,7 @@ def _field(obj, name: str, convert, default=_REQUIRED):
         raise PreconditionError(f"missing field {name!r}")
     try:
         return convert(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"malformed field {name!r}: {exc!r}") from None
 
 
@@ -65,15 +65,16 @@ def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
 
 
 def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
+    """Load a polytope; ``HPolytope`` and ``VPolytope`` check that its numbers are integers."""
     n = _field(obj, "n", int)
 
     def inequalities(rows):
-        a = np.asarray([r["a"] for r in rows], dtype=np.int64).reshape(len(rows), n)
-        return a, np.asarray([r["b"] for r in rows], dtype=np.int64)
+        a = np.asarray([r["a"] for r in rows]).reshape(len(rows), n)
+        return a, np.asarray([r["b"] for r in rows])
 
     def points(pts):
         pts = pts or []
-        return np.asarray(pts, dtype=np.int64).reshape(len(pts), n)
+        return np.asarray(pts).reshape(len(pts), n)
 
     a, b = _field(obj, "rows", inequalities, default=[])
     pts = _field(obj, "points", points, default=None)
@@ -91,12 +92,23 @@ def slack_to_json(s: SlackMatrix) -> dict:
 
 
 def slack_from_json(obj: dict) -> SlackMatrix:
+    """Load a slack matrix; with a polytope and its points, the entries must be their slacks."""
     entries = _field(obj, "entries", _floats)
     h, v = _field(obj, "polytope", lambda p: polytope_from_json(p) if p else (None, None),
                   default=None)
-    if h is not None and v is not None:
-        return SlackMatrix(entries=entries, h=h, v=v)
-    return SlackMatrix(entries)
+    if h is None or v is None:
+        return SlackMatrix(entries)
+    want = build_slack(h, v).floats
+    if entries.shape != want.shape:
+        raise PreconditionError(
+            f"entries have shape {entries.shape}, the polytope's slack matrix {want.shape}")
+    bad = np.argwhere(entries != want)
+    if len(bad):
+        i, j = bad[0]
+        raise PreconditionError(
+            f"entry ({i}, {j}) is {float(entries[i, j])}, but the polytope's slack is "
+            f"{float(want[i, j])}")
+    return SlackMatrix(entries=entries, h=h, v=v)
 
 
 def factorization_to_json(f: PsdFactorization) -> dict:

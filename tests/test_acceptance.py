@@ -273,12 +273,13 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
     # Both sides of a factorization share one eigvalsh, the nonsingular
     # common space needs no eigh, rescale returns the factorization it
     # measured, and the rounding error norms are one batched product.  In
-    # the sweep, zero hinge duals take no spectrum; the single-row duals'
-    # factors share one eigvalsh with the hinge duals, and the witnesses'
-    # spectra one with the re-validated duals; a sweep that every warm
-    # start decides values no dual again.  Every contraction of two factor
-    # stacks is a BLAS product, so einsum only values the duals, once per
-    # valuation.
+    # the sweep, zero hinge duals take no spectrum.  Each eigvalsh of the
+    # sweep measures one stack: the nonzero hinge duals of one iteration,
+    # the factors of the single-row duals when iteration 1 leaves points
+    # open, the witnesses, and the re-validated duals when one is nonzero.
+    # Every contraction of two factor stacks is a BLAS product, so einsum
+    # only values the duals, once per valuation: iteration 1 and
+    # re-validation on every sweep, and each later iteration.
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm": 0, "einsum": 0}
     for name in calls:
         module = np if name == "einsum" else np.linalg
@@ -289,9 +290,9 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1},
-                ("simplex", 4): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 2},
-                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1}}
+    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 2},
+                ("simplex", 4): {"eigh": 2, "eigvalsh": 6, "svd": 0, "norm": 0, "einsum": 2},
+                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 2}}
     for (instance, n), want in expected.items():
         calls.update(dict.fromkeys(calls, 0))
         assert run_pipeline(instance, n)["verdict"] == "match"

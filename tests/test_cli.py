@@ -321,6 +321,9 @@ class TestLoaderErrors:
             lambda obj: dict(obj, rows=[dict(obj["rows"][0], a=[1e308, 1e308], b=0.0)]
                              + obj["rows"][1:]),
             "row 0 of the rounded system has |b| + sum_j |a_j| beyond the float range"),
+        **{f"Delta-{name}": (lambda obj, value=value: dict(obj, grid=dict(obj["grid"], Delta=value)),
+                             "Delta must be positive")
+           for name, value in (("zero", 0.0), ("negative", -1.0), ("nan", float("nan")))},
     }
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_SYSTEMS))
@@ -337,6 +340,87 @@ class TestLoaderErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: --system {system}: ")
         assert phrase in captured.err
+
+    # case: (argv with {bad}, the file it spoils, the path to an integer field, the flag named)
+    INFINITE_INTEGERS = {
+        "polytope-n": (["slack", "build", "--file", "{bad}"], "polytope", ["n"], "--file"),
+        "matrix-side": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "fact",
+                        ["U", 0, "side"], "--fact"),
+        "system-grid-n": (["reconstruct", "--system", "{bad}", "--n", "2"], "system",
+                          ["grid", "n"], "--system"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(INFINITE_INTEGERS))
+    def test_infinite_integer_field_exits_2(self, files, tmp_path, case, capsys):
+        # JSON reads 1e400 as inf, which int() cannot convert.
+        argv, kind, path, flag = self.INFINITE_INTEGERS[case]
+        sources = {"polytope": lambda: json.loads(files["slack"].read_text())["polytope"],
+                   "fact": lambda: json.loads(files["fact"].read_text())}
+        if kind == "system":
+            system = tmp_path / "system.json"
+            assert main(["round", "run", "--slack", str(files["slack"]),
+                         "--fact", str(files["fact"]), "--out", str(system)]) == 0
+            sources["system"] = lambda: json.loads(system.read_text())
+        obj = sources[kind]()
+        field = obj
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = "HUGE"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj).replace('"HUGE"', "1e400"))
+        capsys.readouterr()
+        code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} {bad}: malformed field {path[-1]!r}")
+
+    # case: (how the cube n=2 polytope is spoilt), each refused by slack build --file
+    NON_INTEGER_POLYTOPES = {
+        "fractional-a": lambda p: p["rows"][0].update(a=[1.5, 0]),
+        "fractional-b": lambda p: p["rows"][2].update(b=1.9),
+        "fractional-point": lambda p: p["points"].__setitem__(0, [0.7, 0]),
+        "float-b-beyond-int64": lambda p: p["rows"][2].update(b=1e30),
+        "int-b-beyond-int64": lambda p: p["rows"][2].update(b=10**23),
+        "b-at-the-guard": lambda p: p["rows"][2].update(b=2.0**62),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_INTEGER_POLYTOPES))
+    def test_non_integer_polytope_exits_2(self, files, tmp_path, case, capsys):
+        polytope = json.loads(files["slack"].read_text())["polytope"]
+        self.NON_INTEGER_POLYTOPES[case](polytope)
+        bad = tmp_path / "polytope.json"
+        bad.write_text(json.dumps(polytope))
+        capsys.readouterr()
+        code = main(["slack", "build", "--file", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --file {bad}: ")
+        assert "must have integer entries of magnitude below 2^62" in captured.err
+
+    # case: (how the cube n=2 slack file is spoilt, what the error says)
+    CONTRADICTED_SLACKS = {
+        "entry": (lambda obj: obj["entries"][0].__setitem__(0, 5.0),
+                  "entry (0, 0) is 5.0, but the polytope's slack is 0.0"),
+        "shape": (lambda obj: obj.update(entries=[[0.0, 1.0]], polytope={
+                      "n": 2, "rows": [{"a": [1, 0], "b": 1}], "points": [[0, 0]]}),
+                  "entries have shape (1, 2), the polytope's slack matrix (1, 1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONTRADICTED_SLACKS))
+    def test_slack_contradicting_its_polytope_exits_2(self, files, tmp_path, case, capsys):
+        spoil, phrase = self.CONTRADICTED_SLACKS[case]
+        obj = json.loads(files["slack"].read_text())
+        spoil(obj)
+        bad = tmp_path / "slack.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["fact", "embed", "--slack", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --slack {bad}: {phrase}\n"
 
     # case: (row named by the error, entry spoilt, value), on the rounded cube n=2 system
     MALFORMED_SYSTEMS = {
@@ -868,6 +952,23 @@ class TestRoundReconstruct:
         assert code == 3
         assert captured.out == ""
         assert captured.err == "numeric error: NaN/Inf in membership iterates\n"
+
+
+    # 1e200 overflows ||U||^2 itself, 6e153 only 2 ||U||^2.
+    @pytest.mark.parametrize("diagonal", [1e200, 6e153])
+    def test_step_size_overflow_exits_3(self, tmp_path, diagonal, capsys):
+        system = unrescaled_system(tmp_path, "cube", 2)
+        obj = json.loads(system.read_text())
+        u = obj["rows"][0]["U"]
+        for i in range(u["side"]):
+            u["entries"][i * u["side"] + i] = diagonal
+        system.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
 
 
 class TestCheckAndBounds:

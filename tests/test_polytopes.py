@@ -219,6 +219,14 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             HPolytope(a=np.array([[0.5, 0.0]]), b=np.array([1.0]))
 
+    # A cast to int64 would wrap the first two around and make up a number for NaN and inf.
+    @pytest.mark.parametrize("b", [np.array([2**63], dtype=np.uint64), np.array([1e30]),
+                                   np.array([np.nan]), np.array([np.inf]), np.array(["1"])],
+                             ids=["uint64-2^63", "1e30", "nan", "inf", "string"])
+    def test_offsets_that_the_cast_would_change_rejected(self, b):
+        with pytest.raises(PreconditionError, match="integer entries of magnitude below 2"):
+            HPolytope(a=np.array([[1, 0]], dtype=np.int64), b=b)
+
     def test_negative_slack_entries_rejected(self):
         with pytest.raises(PreconditionError):
             SlackMatrix(np.array([[1.0, -0.25]]))

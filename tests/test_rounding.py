@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from psdfact import rounding, symmat
-from psdfact.errors import PreconditionError, ResourceError
+from psdfact.errors import DimensionError, PreconditionError, ResourceError
 from psdfact.factorization import PsdFactorization, diagonal_embed
-from psdfact.polytopes import build_slack, builtin_instance
+from psdfact.polytopes import HPolytope, build_slack, builtin_instance
 from psdfact.pipeline import PipelineConfig, run_pipeline
 from psdfact.rescaling import rescale
 from psdfact.rounding import (
@@ -24,7 +24,7 @@ from psdfact.rounding import (
     select_subsystem,
 )
 
-from helpers import random_orthogonal, random_psd, random_symmetric, rng
+from helpers import random_orthogonal, random_psd, rng
 
 
 class TestGridDelta:
@@ -166,8 +166,6 @@ class TestSelectSubsystem:
         assert sorted(picked) == [0, 1, 2, 3]
 
     def test_duplicate_row_never_selected(self):
-        from psdfact.polytopes import HPolytope
-
         h = HPolytope(
             a=np.array([[1, 0], [1, 0], [0, 1]], dtype=np.int64),
             b=np.array([1, 2, 1], dtype=np.int64),
@@ -177,6 +175,18 @@ class TestSelectSubsystem:
         picked = select_subsystem(h, f)
         # rows 0 and 1 have identical (a, vec(U)); only one may appear
         assert len(set(picked) & {0, 1}) == 1
+
+    def test_empty_system_refused(self):
+        h = HPolytope(a=np.zeros((0, 2), dtype=np.int64), b=np.zeros(0, dtype=np.int64))
+        f = PsdFactorization.from_factors([np.eye(2)], [np.eye(2)])
+        with pytest.raises(PreconditionError, match="empty inequality system"):
+            select_subsystem(h, f)
+
+    def test_misaligned_rows_refused(self):
+        h, _ = builtin_instance("cube", 2)
+        f = PsdFactorization.from_factors([np.eye(2)] * 3, [np.eye(2)])
+        with pytest.raises(DimensionError, match="misaligned"):
+            select_subsystem(h, f)
 
     def test_unit_square_matches_exhaustive_max_volume(self):
         h, v = builtin_instance("cube", 2)
@@ -370,29 +380,14 @@ class TestDualValues:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         r = system.grid.r
-
-        def values_of(lam, const):
-            s, nonzero = rounding._dual_matrices(lam, u_flat, r)
-            return rounding._dual_values(lam, const, cap, nonzero, *rounding._spectra(r, s))
-
-        values = values_of(lam, const)
+        values = rounding._dual_values(lam, const, u_flat, cap)
         assert shapes == [(4, r, r)]
         assert values[[1, 4]].tolist() == [0.0, 0.0]
         keep = [0, 2, 3, 5]
         assert values[keep].tobytes() == expected[keep].tobytes()
         shapes.clear()
-        assert values_of(np.zeros((3, m)), const[:3]).tolist() == [0.0] * 3
+        assert rounding._dual_values(np.zeros((3, m)), const[:3], u_flat, cap).tolist() == [0.0] * 3
         assert shapes == []
-
-    def test_stacks_share_one_eigvalsh(self):
-        gen = rng(6)
-        stacks = [np.array([random_symmetric(gen, 3) for _ in range(k)]).reshape(k, 3, 3)
-                  for k in (2, 0, 3)]
-        got = rounding._spectra(3, *stacks)
-        assert [x.shape for x in got] == [(2, 3), (0, 3), (3, 3)]
-        for stack, spectra in zip(stacks, got):
-            if len(stack):
-                assert spectra.tobytes() == np.linalg.eigvalsh(stack).tobytes()
 
 
 def numpy_violation(system, x, y):
@@ -699,6 +694,26 @@ class TestReconstruct:
         _, _, _, _, _, system = rounded_unit_square()
         with pytest.raises(ResourceError):
             reconstruct(system, 21)
+
+    @pytest.mark.parametrize("case", ["too-few-factors", "wrong-side", "wrong-dimension"])
+    def test_warm_start_shapes_refused(self, case):
+        _, v, _, res, _, system = rounded_unit_square()
+        points, factors = v.points, res.factorization.col_factors
+        if case == "too-few-factors":
+            factors = factors[:-1]
+        elif case == "wrong-side":
+            factors = factors[:, :-1, :-1]
+        else:
+            points = points[:, :1]
+        with pytest.raises(DimensionError, match="warm starts must pair"):
+            reconstruct(system, 2, warm_starts=(points, factors))
+
+    def test_warm_start_outside_the_cube_refused(self):
+        _, v, _, res, _, system = rounded_unit_square()
+        points = v.points.copy()
+        points[0, 0] = 2
+        with pytest.raises(PreconditionError, match=r"must lie in \{0,1\}\^n"):
+            reconstruct(system, 2, warm_starts=(points, res.factorization.col_factors))
 
 
 class TestWorstCaseDelta:
