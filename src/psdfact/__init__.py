@@ -53,12 +53,7 @@ from .rounding import (
     round_factor,
     select_subsystem,
 )
-from .derivatives import (
-    DerivativeCheck,
-    dplus_opnorm_additive,
-    dplus_opnorm_congruence,
-    fd_ladder,
-)
+from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from .pipeline import PipelineConfig, run_pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

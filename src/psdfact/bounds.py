@@ -21,22 +21,20 @@ _LOG_BASE_NOTE = "log = log2 throughout; the asymptotic statements are base-free
 
 class BoundReport(Record):
     __slots__ = ("formula", "inputs", "log2_value", "decimal", "assumptions", "extras")
-    _defaults = {"extras": dict}
 
 
-def _finite(flag: str, compute) -> tuple:
+def _finite(arg: str, compute) -> tuple:
     """The floats ``compute()`` returns, all finite.
 
     A float overflow inside ``compute`` or an infinite result raises
-    PreconditionError naming the command-line flag ``--flag`` of the input
-    that is too large.
+    PreconditionError with ``arg``, the input that is too large.
     """
     try:
         values = compute()
     except OverflowError:
         values = (math.inf,)
     if not all(math.isfinite(v) for v in values):
-        raise PreconditionError(f"--{flag} is too large: the bound overflows a float")
+        raise PreconditionError("the bound overflows a float", arg=arg)
     return values
 
 
@@ -112,7 +110,7 @@ def counting_capacity(n: int, big_r: int) -> BoundReport:
         (left,) = _finite("n", lambda: (math.ldexp(1.0, n),))
     log2_delta = (n + 1) / 2.0 * math.log2(n + 1)
     m = n + big_r**2
-    (right,) = _finite("R", lambda: (2.0 * (m + 1) * m * log2_delta,))
+    (right,) = _finite("big_r", lambda: (2.0 * (m + 1) * m * log2_delta,))
     return _report(
         "counting_capacity",
         {"n": n, "R": big_r},

@@ -4,11 +4,13 @@ Subcommands: slack, fact, rescale, round, reconstruct, check, bounds,
 pipeline.  Each handler returns its report and exit code; ``main`` times
 the handler, stamps the report with a manifest (command line, seed,
 version, input hashes, wall time) and writes it as JSON, or as one CSV
-row for ``bounds eval --format csv``.  Only ``fact fit``, ``check
-derivatives`` and ``pipeline`` (for ``--unbalance``) draw random numbers
-and take ``--seed``; every other seed, ``rescale run``'s included, is
-null.  Exit codes: 0 success, 1 verdict failure, 2 precondition error,
-3 numeric error.
+row for ``bounds eval --format csv``.  ``main`` names the flag behind a
+refused argument: ``error: --FLAG VALUE: message``.  ``reconstruct``
+takes only ``--system``, whose grid fixes the dimension.  Only ``fact
+fit``, ``check derivatives`` and ``pipeline`` (for ``--unbalance``) draw
+random numbers and take ``--seed``; every other seed, ``rescale run``'s
+included, is null.  Exit codes: 0 success, 1 verdict failure, 2
+precondition error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__, bounds, serialize
-from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence, fd_ladder
+from .derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
 from .errors import NumericError, PreconditionError, ResourceError
 from .factorization import (
     FIT_MAX_SIDE,
@@ -54,6 +56,8 @@ EXIT_NUMERIC = 3
 # at most about 9 s, such as 10^4 pairs at the default side 6 or 72 pairs
 # at side 200.
 DERIVATIVES_MAX_COST = 10**9
+# Step of the differences (f(eps) - f(0)) / eps that ``check derivatives`` takes.
+FD_EPS = 1e-6
 
 
 def _manifest(args, argv: list[str], t0: float) -> dict:
@@ -130,21 +134,28 @@ def _load(args, flag: str):
         raise type(exc)(f"--{flag} {path}: {exc}") from None
 
 
+# The flag that passes each library argument a refusal may name.
+_FLAGS = {"name": "--instance", "n": "--n", "r": "--r", "s": "--slack", "f": "--fact",
+          "system": "--system", "tol": "--tol", "delta": "--delta", "worst_case": "--worst-case",
+          "unbalance": "--unbalance", "big_r": "--R", "d": "--d"}
+
+
 @contextlib.contextmanager
-def _naming(args, **flags):
+def _naming(args):
     """Name the flag behind a refused argument.
 
-    ``flags`` maps library argument names to the flags whose values the
-    calls inside pass for them.  A PreconditionError whose ``arg`` is one
-    of them is raised again as ``--FLAG VALUE: message``.
+    A PreconditionError whose ``arg`` ``_FLAGS`` maps to a flag of this
+    command is raised again as ``--FLAG VALUE: message``.  Any other passes
+    unchanged, such as ``rescale``'s ``arg="s"`` in ``pipeline``, which has
+    no ``--slack``.
     """
     try:
         yield
     except PreconditionError as exc:
-        flag = flags.get(exc.arg)
-        if flag is None:
+        flag = _FLAGS.get(exc.arg)
+        value = flag and getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is None:
             raise
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
         # A switch that is set has no value to show.
         named = flag if value is True else f"{flag} {value}"
         raise type(exc)(f"{named}: {exc}", exc.arg) from None
@@ -158,8 +169,7 @@ def _cmd_slack_build(args):
     if args.file:
         h, v = _load(args, "file")
     elif args.instance:
-        with _naming(args, name="--instance", n="--n"):
-            h, v = builtin_instance(args.instance, args.n)
+        h, v = builtin_instance(args.instance, args.n)
     else:
         raise PreconditionError("pass --instance NAME or --file polytope.json")
     return serialize.slack_to_json(build_slack(h, v)), EXIT_OK
@@ -167,8 +177,7 @@ def _cmd_slack_build(args):
 
 def _cmd_fact_verify(args):
     s = _load(args, "slack")
-    with _naming(args, tol="--tol"):
-        rep = verify_factorization(_load(args, "fact"), s, args.tol)
+    rep = verify_factorization(_load(args, "fact"), s, args.tol)
     return _fields(rep), EXIT_OK if rep.passed else EXIT_VERDICT
 
 
@@ -177,8 +186,7 @@ def _cmd_fact_embed(args):
 
 
 def _cmd_fact_fit(args):
-    with _naming(args, r="--r", s="--slack"):
-        fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
+    fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
     if fit.factorization is None:
         report = {
             "found": False,
@@ -197,8 +205,7 @@ def _cmd_fact_fit(args):
 def _cmd_rescale_run(args):
     s = _load(args, "slack")
     f = _load(args, "fact")
-    with _naming(args, f="--fact", s="--slack"):
-        res = rescale(f, s)
+    res = rescale(f, s)
     report = {
         "certificate": res.certificate,
         "iterations": res.iterations,
@@ -237,11 +244,8 @@ def _cmd_round_run(args):
             scale = float(args.delta) / grid_delta(h.dim, f.side)
         except ValueError:
             raise PreconditionError(f"--delta {args.delta!r} is not a number") from None
-    with _naming(args, delta="--delta", worst_case="--worst-case"):
-        grid = GridParams.for_slack(
-            n=h.dim, r=f.side, delta_eff=s.max_entry,
-            scale=scale, worst_case=args.worst_case,
-        )
+    grid = GridParams.for_slack(n=h.dim, r=f.side, delta_eff=s.max_entry, scale=scale,
+                                worst_case=args.worst_case)
     system = build_rounded_system(h, f, grid)
     report = serialize.system_to_json(system)
     report["rounding"] = [
@@ -259,9 +263,7 @@ def _cmd_round_run(args):
 
 
 def _cmd_reconstruct(args):
-    system = _load(args, "system")
-    with _naming(args, n="--n"):
-        recon = reconstruct(system, args.n)
+    recon = reconstruct(_load(args, "system"))
     report = recon.to_json()
     report["complete"] = recon.complete
     return report, EXIT_OK if recon.complete else EXIT_VERDICT
@@ -280,12 +282,10 @@ def _cmd_check_derivatives(args):
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
-    passed = True
     for pair in range(args.pairs):
         gap = 0.1 + 0.4 * rng.random()
         x = _random_gapped_psd(rng, args.side, gap)
-        z = rng.standard_normal((args.side, args.side))
-        z = symmat.as_symmetric(z)
+        z = symmat.as_symmetric(rng.standard_normal((args.side, args.side)))
         z /= max(symmat.operator_norm(z), 1e-12)
         tol = 1e-4 / gap
 
@@ -293,14 +293,12 @@ def _cmd_check_derivatives(args):
             e = symmat.matrix_exponential(eps * z)
             return symmat.operator_norm(e @ x @ e)
 
-        add = fd_ladder(lambda eps: symmat.operator_norm(x + eps * z),
-                        dplus_opnorm_additive(x, z), eps_ladder=(1e-6,))
-        con = fd_ladder(congruence_norm, dplus_opnorm_congruence(x, z), eps_ladder=(1e-6,))
-        worst = max(worst, add.max_deviation, con.max_deviation)
-        ok = add.max_deviation <= tol and con.max_deviation <= tol
-        passed = passed and ok
-        rows.append([pair, gap, add.analytic, add.slopes[0][1], add.max_deviation,
-                     con.analytic, con.slopes[0][1], con.max_deviation, tol, ok])
+        add = _fd_check(lambda eps: symmat.operator_norm(x + eps * z),
+                        dplus_opnorm_additive(x, z))
+        con = _fd_check(congruence_norm, dplus_opnorm_congruence(x, z))
+        worst = max(worst, add[2], con[2])
+        rows.append([pair, gap] + add + con + [tol, add[2] <= tol and con[2] <= tol])
+    passed = all(row[-1] for row in rows)
     header = ["pair", "gap", "additive_analytic", "additive_fd", "additive_dev",
               "congruence_analytic", "congruence_fd", "congruence_dev", "tol", "pass"]
     if args.report:
@@ -314,6 +312,12 @@ def _cmd_check_derivatives(args):
         "passed": passed,
     }
     return report, EXIT_OK if passed else EXIT_VERDICT
+
+
+def _fd_check(f, analytic: float) -> list:
+    """The analytic slope, the difference (f(FD_EPS) - f(0)) / FD_EPS and their distance."""
+    fd = (f(FD_EPS) - f(0.0)) / FD_EPS
+    return [analytic, fd, abs(fd - analytic)]
 
 
 def _random_gapped_psd(rng, side, gap):
@@ -335,19 +339,13 @@ FORMULAS = {
 
 
 def _cmd_bounds_eval(args):
-    with _naming(args, n="--n", big_r="--R", d="--d"):
-        return _fields(FORMULAS[args.formula](args)), EXIT_OK
+    return _fields(FORMULAS[args.formula](args)), EXIT_OK
 
 
 def _cmd_pipeline(args):
-    with _naming(args, name="--instance", n="--n", r="--r", unbalance="--unbalance"):
-        cfg = PipelineConfig(
-            r=args.r,
-            skip_rescale=args.skip_rescale,
-            unbalance=args.unbalance,
-            seed=args.seed,
-        )
-        report = run_pipeline(args.instance, args.n, cfg)
+    cfg = PipelineConfig(r=args.r, skip_rescale=args.skip_rescale, unbalance=args.unbalance,
+                         seed=args.seed)
+    report = run_pipeline(args.instance, args.n, cfg)
     return report, EXIT_OK if report["verdict"] == "match" else EXIT_VERDICT
 
 
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="sweep {0,1}^n through the membership oracle")
     p.add_argument("--system", required=True)
-    p.add_argument("--n", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -488,7 +485,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
         t0 = time.perf_counter()
-        report, code = args.func(args)
+        with _naming(args):
+            report, code = args.func(args)
         if getattr(args, "format", "json") == "csv":
             text = _bounds_csv(report)
         else:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import PreconditionError
 from .factorization import (
     VERIFY_TOL,
-    FitResult,
     PsdFactorization,
     congruence,
     diagonal_embed,
@@ -63,15 +62,13 @@ def _unbalance_congruence(f: PsdFactorization, t: float, seed: int) -> PsdFactor
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # 1 / sqrt(t) is lost against entries of order sqrt(t).
-        raise PreconditionError(
-            f"--unbalance {t:g} makes the congruence numerically singular"
-        ) from None
+        raise PreconditionError("the congruence is numerically singular", arg="unbalance") from None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return congruence(f, a, a_inv)
     except PreconditionError:
         # Entries of A U_i A grow like t and overflow near the float range.
-        raise PreconditionError(f"--unbalance {t:g} overflows the congruent factors") from None
+        raise PreconditionError("the congruent factors overflow", arg="unbalance") from None
 
 
 def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) -> dict:
@@ -86,7 +83,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     # n is the dimension of every builtin but moment_polygon, whose n
     # counts the vertices of a polygon.
     if (2 if instance == "moment_polygon" else n) > 4:
-        raise PreconditionError(f"reconstruction pipeline supports n <= 4, got --n {n}")
+        raise PreconditionError("the reconstruction pipeline supports n <= 4", arg="n")
     h, v = builtin_instance(instance, n)
     if not ((v.points == 0) | (v.points == 1)).all():
         raise PreconditionError(
@@ -108,16 +105,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         f = diagonal_embed(s)
         report["stages"]["factorize"] = {"method": "diagonal_embed", "r": f.side}
     else:
-        # A polytope of dimension d has PSD rank at least d + 1 (Gouveia,
-        # Robinson and Thomas, "Polytopes of minimum positive semidefinite
-        # rank", 2013), so a smaller side is refused before any step.
-        dim = int(np.linalg.matrix_rank(v.points[1:] - v.points[0])) if v.n_points > 1 else 0
-        if cfg.r < dim + 1:
-            fit = FitResult(factorization=None, trace=(), reason=(
-                f"side {cfg.r} is below the PSD-rank lower bound {dim + 1} of a "
-                f"{dim}-dimensional polytope"))
-        else:
-            fit = fit_factorization(s, cfg.r)
+        fit = fit_factorization(s, cfg.r)
         found = fit.factorization is not None
         report["stages"]["factorize"] = {
             "method": "levenberg_marquardt",
@@ -139,9 +127,8 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         # Written so that a NaN residual fails the check.
         if not residual <= budget:
             raise PreconditionError(
-                f"--unbalance {cfg.unbalance:g} loses the slack matrix to round-off "
-                f"(max residual {residual:.3g} above {budget:.3g})"
-            )
+                f"the congruence loses the slack matrix to round-off "
+                f"(max residual {residual:.3g} above {budget:.3g})", arg="unbalance")
         report["stages"]["factorize"]["unbalanced"] = True
         report["stages"]["factorize"]["residual_after_unbalance"] = residual
 
@@ -182,7 +169,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     }
 
     # Each vertex starts from its own column factor.
-    recon = reconstruct(system, h.dim, warm_starts=(v.points, working.col_factors)).to_json()
+    recon = reconstruct(system, warm_starts=(v.points, working.col_factors)).to_json()
     report["stages"]["reconstruct"] = recon
     if recon["inconclusive"]:
         report["verdict"] = "incomplete"

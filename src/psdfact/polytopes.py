@@ -265,7 +265,5 @@ def builtin_instance(name: str, n: int) -> tuple[HPolytope, VPolytope]:
     if n < 1:
         raise PreconditionError("dimension must be positive", arg="n")
     if n > BUILTIN_MAX_N.get(name, n):
-        raise ResourceError(
-            f"{name} n = {n} refused (--n above {BUILTIN_MAX_N[name]} for {name})"
-        )
+        raise ResourceError(f"{name} above n = {BUILTIN_MAX_N[name]} refused", arg="n")
     return builders[name](n)

@@ -1,28 +1,19 @@
 """Base of the package's immutable records."""
 
-# Stands for an omitted field whose default is a factory.
-_MISSING = object()
-
 
 def _constructor(cls):
     """Compile the constructor of ``cls``: fields by position or keyword, in ``__slots__`` order.
 
     Python binds the arguments, so a missing, unknown or repeated field
     raises TypeError.  A field named in ``cls._defaults`` may be omitted
-    and takes that default; a callable default is a factory, called once
-    per record, so that each record gets its own ``{}``.  Compiled once per
-    class, the constructor costs what a hand-written one does: a generic
-    ``*args, **kwargs`` one added 1.5-3% to a pipeline call.
+    and takes that default, one value shared by every record.  Compiled
+    once per class, the constructor costs what a hand-written one does: a
+    generic ``*args, **kwargs`` one added 1.5-3% to a pipeline call.
     """
     fields, defaults = cls.__slots__, cls._defaults
-    factories = [f for f in fields if callable(defaults.get(f))]
-    params = ", ".join(f"{f}=_MISSING" if f in factories else f"{f}=_defaults[{f!r}]"
-                       if f in defaults else f for f in fields)
-    lines = [f"def __init__(self, {params}):"]
-    lines += [f"    if {f} is _MISSING: {f} = _defaults[{f!r}]()" for f in factories]
-    lines += [f"    _set(self, {f!r}, {f})" for f in fields]
-    namespace = {"__name__": __name__, "_MISSING": _MISSING, "_defaults": defaults,
-                 "_set": object.__setattr__}
+    params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields)
+    lines = [f"def __init__(self, {params}):"] + [f"    _set(self, {f!r}, {f})" for f in fields]
+    namespace = {"__name__": __name__, "_defaults": defaults, "_set": object.__setattr__}
     exec("\n".join(lines), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__name__}.__init__"
@@ -34,9 +25,9 @@ class Record:
 
     Every subclass gets, as ``_set_fields``, the constructor that
     ``_constructor`` compiles from its ``__slots__`` and its ``_defaults``
-    table, and uses it as ``__init__`` unless it defines one.  Records that
-    validate or derive fields define their own and end it with
-    ``self._set_fields(...)``.
+    table of immutable default values, and uses it as ``__init__`` unless
+    it defines one.  Records that validate or derive fields define their
+    own and end it with ``self._set_fields(...)``.
 
     Assigning or deleting a field afterwards raises AttributeError.  The
     records are plain classes, not ``dataclass(frozen=True)``, because of

@@ -459,13 +459,11 @@ class RescaleResult(Record):
     balanced it.  The two are equal up to round-off; the CLI trace records
     their max.  After loop steps, ``lmax_u`` and ``lmax_v`` come from one
     more measurement, of the congruence by the polar part, and match the
-    last entry up to round-off.  ``diagnostics`` is a dict, empty by
-    default.
+    last entry up to round-off.  ``diagnostics`` is a dict.
     """
 
     __slots__ = ("transform_basis", "transform_scales", "factorization", "lmax_trajectory",
                  "lmax_u", "lmax_v", "certificate", "iterations", "reduced_dim", "diagnostics")
-    _defaults = {"diagnostics": dict}
 
     @property
     def transform(self) -> np.ndarray:

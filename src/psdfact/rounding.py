@@ -216,6 +216,8 @@ class RoundedSystem(Record):
 
 def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> RoundedSystem:
     """Select the working subsystem, round its factors as one stack, pad with zero rows."""
+    if (g.n, g.r) != (h.dim, f.side):
+        raise DimensionError(f"grid n, r = {g.n}, {g.r}, but dimension, side = {h.dim}, {f.side}")
     selected = select_subsystem(h, f)
     u = f.row_factors[selected]
     rounded = round_factor(u, g)
@@ -505,9 +507,8 @@ def membership_test(x, system: RoundedSystem,
     return _decide(system, x, np.arange(len(starts)), starts).verdict(0)
 
 
-def reconstruct(system: RoundedSystem, n: int,
-                warm_starts: tuple | None = None) -> ReconstructionReport:
-    """Run the membership oracle over all of {0,1}^n, lexicographically.
+def reconstruct(system: RoundedSystem, warm_starts: tuple | None = None) -> ReconstructionReport:
+    """Run the membership oracle over all of {0,1}^n, lexicographically, n = ``system.grid.n``.
 
     All points are decided together, up to MEMBER_BATCH at a time.
     ``warm_starts`` is a pair (points, factors) of a (k, n) array of 0/1
@@ -515,13 +516,10 @@ def reconstruct(system: RoundedSystem, n: int,
     point from 0.  Inconclusive verdicts are listed, never dropped; their
     presence marks the reconstruction incomplete.
     """
+    n, r = system.grid.n, system.grid.r
     if n > RECONSTRUCT_MAX_DIM:
         raise ResourceError(f"2^{n} membership sweep refused (n > {RECONSTRUCT_MAX_DIM})",
-                            arg="n")
-    if n != system.a.shape[1]:
-        raise DimensionError(f"n = {n} disagrees with the system's dimension {system.a.shape[1]}",
-                             arg="n")
-    r = system.grid.r
+                            arg="system")
     if warm_starts is None:
         warm_starts = (np.zeros((0, n), dtype=np.int64), np.zeros((0, r, r)))
     points, factors = (np.asarray(a) for a in warm_starts)

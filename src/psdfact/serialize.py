@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 
 import numpy as np
 
 from .errors import PreconditionError
 from .factorization import PsdFactorization
-from .polytopes import HPolytope, SlackMatrix, VPolytope, build_slack
+from .polytopes import HPolytope, SlackMatrix, VPolytope, _as_int_array, build_slack
 from .rounding import GridParams, RoundedSystem
 
 
@@ -37,13 +38,28 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _int(value) -> int:
+    """A JSON integer: ``_as_int_array`` refuses fractions, booleans, strings; ``index`` lists."""
+    try:
+        return operator.index(_as_int_array(value, "the value"))
+    except PreconditionError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _bool(value) -> bool:
+    """A JSON boolean; 0, 1 and strings are refused."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=float)
     return {"side": int(m.shape[0]), "entries": [float(x) for x in m.ravel()]}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    side = _field(obj, "side", int)
+    side = _field(obj, "side", _int)
     entries = _field(obj, "entries", _floats)
     if entries.size != side * side:
         raise PreconditionError(
@@ -66,7 +82,7 @@ def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
 
 def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
     """Load a polytope; ``HPolytope`` and ``VPolytope`` check that its numbers are integers."""
-    n = _field(obj, "n", int)
+    n = _field(obj, "n", _int)
 
     def inequalities(rows):
         a = np.asarray([r["a"] for r in rows]).reshape(len(rows), n)
@@ -144,11 +160,11 @@ def grid_to_json(g: GridParams) -> dict:
 
 def grid_from_json(obj: dict) -> GridParams:
     return GridParams(
-        n=_field(obj, "n", int),
-        r=_field(obj, "r", int),
+        n=_field(obj, "n", _int),
+        r=_field(obj, "r", _int),
         delta=_field(obj, "delta", float),
         big_delta=_field(obj, "Delta", float),
-        worst_case=_field(obj, "worst_case", bool, default=False),
+        worst_case=_field(obj, "worst_case", _bool, default=False),
     )
 
 
@@ -174,7 +190,7 @@ def system_from_json(obj: dict) -> RoundedSystem:
     its rows the n + r^2 rows of the padded subsystem."""
     grid = _field(obj, "grid", grid_from_json)
     for name in ("n", "r"):
-        value = _field(obj, name, int)
+        value = _field(obj, name, _int)
         if value != getattr(grid, name):
             raise PreconditionError(
                 f"field {name!r} is {value}, but the grid's {name} is {getattr(grid, name)}")
@@ -207,7 +223,7 @@ def system_from_json(obj: dict) -> RoundedSystem:
             raise PreconditionError(f"row {bad[0]} of the rounded system {defect}")
     return RoundedSystem(
         a=a, b=b, factors=factors, grid=grid,
-        selected=_field(obj, "selected", lambda s: tuple(int(i) for i in s), default=[]),
+        selected=_field(obj, "selected", lambda s: tuple(_int(i) for i in s), default=[]),
     )
 
 

@@ -263,7 +263,7 @@ def test_criterion_9_single_row_rejection(monkeypatch):
         return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert len(reconstruct(system, 3, warm_starts=(v.points, f.col_factors)).accepted) == 8
+    assert len(reconstruct(system, warm_starts=(v.points, f.col_factors)).accepted) == 8
     assert len(calls) == 1
     print(f"[acceptance 9] single-row rejection on {len(ONE_ROW_SWEEPS)} instances: PASS "
           f"({rejected} rejections, 1 eigvalsh on the warm cube n=3 sweep)")

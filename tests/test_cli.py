@@ -19,6 +19,7 @@ from psdfact.factorization import FIT_MAX_SIDE, VERIFY_TOL, PsdFactorization, di
 from psdfact.pipeline import _unbalance_congruence
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import DESCENT_MAX_ITERS, rescale
+from psdfact.rounding import GridParams, RoundedSystem, grid_delta
 
 from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
@@ -190,10 +191,12 @@ class TestFactAndRescale:
         assert rep["residual"] <= VERIFY_TOL and rep["steps"] >= 1
 
     def test_fit_not_found_reports_residual_and_steps(self, tmp_path, capsys):
-        # The unit square has PSD rank 3; side 2 passes the rank bound and fails.
+        # The unit square has PSD rank 3; side 2 passes the rank bound and
+        # fails.  Without the polytope the fit cannot apply the dimension bound.
         slack = tmp_path / "s.json"
         assert main(["slack", "build", "--instance", "cube", "--n", "2",
                      "--out", str(slack)]) == 0
+        slack.write_text(json.dumps(dict(json.loads(slack.read_text()), polytope=None)))
         code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "2"], capsys)
         assert code == 1
         assert rep["found"] is False
@@ -209,6 +212,18 @@ class TestFactAndRescale:
         assert rep["found"] is False
         assert rep["residual"] is None and rep["steps"] == 0
         assert "rank S = 2" in rep["reason"]
+
+    def test_fit_below_the_dimension_bound_is_refused(self, tmp_path, capsys):
+        # The 3-cube has PSD rank at least 4, which its slack file's points show.
+        slack = tmp_path / "s.json"
+        assert main(["slack", "build", "--instance", "cube", "--n", "3",
+                     "--out", str(slack)]) == 0
+        code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "3"], capsys)
+        assert code == 1
+        assert rep["found"] is False
+        assert rep["residual"] is None and rep["steps"] == 0
+        assert rep["reason"] == ("side 3 is below the PSD-rank lower bound 4 of a "
+                                 "3-dimensional polytope")
 
     def test_fit_output_passes_verify(self, tmp_path, capsys):
         # The loader refuses factors that are not exactly symmetric, so fit
@@ -242,7 +257,7 @@ class TestLoaderErrors:
     COMMANDS = {
         "slack": (["fact", "embed", "--slack", "{bad}"], "fact", "--slack"),
         "fact": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "slack", "--fact"),
-        "system": (["reconstruct", "--system", "{bad}", "--n", "2"], "slack", "--system"),
+        "system": (["reconstruct", "--system", "{bad}"], "slack", "--system"),
         "polytope": (["slack", "build", "--file", "{bad}"], "fact", "--file"),
     }
 
@@ -334,26 +349,39 @@ class TestLoaderErrors:
         spoil, phrase = self.INCONSISTENT_SYSTEMS[case]
         system.write_text(json.dumps(spoil(json.loads(system.read_text()))))
         capsys.readouterr()
-        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        code = main(["reconstruct", "--system", str(system)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: --system {system}: ")
         assert phrase in captured.err
 
-    # case: (argv with {bad}, the file it spoils, the path to an integer field, the flag named)
+    # case: (argv with {bad}, the file it spoils, the path to an integer or
+    # boolean field, the flag named, the JSON text put there).  JSON reads
+    # 1e400 as inf.  The others were coerced: 2.9 to 2, true to 1, "false"
+    # to True.
     INFINITE_INTEGERS = {
-        "polytope-n": (["slack", "build", "--file", "{bad}"], "polytope", ["n"], "--file"),
+        "polytope-n": (["slack", "build", "--file", "{bad}"], "polytope", ["n"], "--file",
+                       "1e400"),
         "matrix-side": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "fact",
-                        ["U", 0, "side"], "--fact"),
-        "system-grid-n": (["reconstruct", "--system", "{bad}", "--n", "2"], "system",
-                          ["grid", "n"], "--system"),
+                        ["U", 0, "side"], "--fact", "1e400"),
+        "system-grid-n": (["reconstruct", "--system", "{bad}"], "system",
+                          ["grid", "n"], "--system", "1e400"),
+        "polytope-n-fraction": (["slack", "build", "--file", "{bad}"], "polytope", ["n"],
+                                "--file", "2.9"),
+        "matrix-side-boolean": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
+                                "fact", ["U", 0, "side"], "--fact", "true"),
+        "system-grid-r-fraction": (["reconstruct", "--system", "{bad}"], "system",
+                                   ["grid", "r"], "--system", "2.5"),
+        "system-n-fraction": (["reconstruct", "--system", "{bad}"], "system", ["n"],
+                              "--system", "2.5"),
+        "system-worst-case-string": (["reconstruct", "--system", "{bad}"], "system",
+                                     ["grid", "worst_case"], "--system", '"false"'),
     }
 
     @pytest.mark.parametrize("case", sorted(INFINITE_INTEGERS))
     def test_infinite_integer_field_exits_2(self, files, tmp_path, case, capsys):
-        # JSON reads 1e400 as inf, which int() cannot convert.
-        argv, kind, path, flag = self.INFINITE_INTEGERS[case]
+        argv, kind, path, flag, value = self.INFINITE_INTEGERS[case]
         sources = {"polytope": lambda: json.loads(files["slack"].read_text())["polytope"],
                    "fact": lambda: json.loads(files["fact"].read_text())}
         if kind == "system":
@@ -367,7 +395,7 @@ class TestLoaderErrors:
             field = field[key]
         field[path[-1]] = "HUGE"
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj).replace('"HUGE"', "1e400"))
+        bad.write_text(json.dumps(obj).replace('"HUGE"', value))
         capsys.readouterr()
         code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
         captured = capsys.readouterr()
@@ -447,7 +475,7 @@ class TestLoaderErrors:
             obj["rows"][row]["a"][0] = value
         system.write_text(json.dumps(obj))
         capsys.readouterr()
-        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        code = main(["reconstruct", "--system", str(system)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -481,7 +509,12 @@ class TestBadArguments:
         assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
         assert main(["round", "run", "--slack", str(slack), "--fact", str(fact),
                      "--out", str(system)]) == 0
-        return {"slack": slack, "fact": fact, "system": system}
+        # A loadable system of dimension 21, one above the sweep's limit.
+        system21 = tmp_path / "system21.json"
+        grid = GridParams(n=21, r=1, delta=grid_delta(21, 1), big_delta=1.0)
+        system21.write_text(json.dumps(serialize.system_to_json(
+            RoundedSystem(np.zeros((22, 21)), np.zeros(22), np.zeros((22, 1, 1)), grid))))
+        return {"slack": slack, "fact": fact, "system": system, "system21": system21}
 
     RESCALE = ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"]
     VERIFY = ["fact", "verify", "--slack", "{slack}", "--fact", "{fact}"]
@@ -494,10 +527,11 @@ class TestBadArguments:
                       "delta"),
         "delta-nan": (["round", "run", "--slack", "{slack}", "--fact", "{fact}", "--delta", "nan"],
                       "delta"),
-        "reconstruct-n3": (["reconstruct", "--system", "{system}", "--n", "3"], "--n"),
-        "reconstruct-n21": (["reconstruct", "--system", "{system}", "--n", "21"], "--n"),
+        "reconstruct-n21": (["reconstruct", "--system", "{system21}"], "--system"),
         "side-0": (["check", "derivatives", "--side", "0", "--pairs", "1"], "side"),
         "unbalance-0": (["pipeline", "--instance", "cube", "--unbalance", "0"], "unbalance"),
+        "pipeline-r-0": (["pipeline", "--instance", "cube", "--r", "0"],
+                         "--r 0: side must be at least 1"),
         "unbalance-neg": (["pipeline", "--instance", "cube", "--unbalance", "-5"], "unbalance"),
         "pairs-0": (["check", "derivatives", "--pairs", "0"], "pairs"),
         "pairs-neg": (["check", "derivatives", "--pairs", "-1"], "pairs"),
@@ -613,7 +647,7 @@ class TestBadArguments:
         "fact-embed": ["fact", "embed", "--slack", "{slack}"],
         "round-run": ["round", "run", "--slack", "{slack}", "--fact", "{fact}"],
         "bounds-eval": ["bounds", "eval", "--formula", "coeff"],
-        "reconstruct": ["reconstruct", "--system", "{system}", "--n", "2"],
+        "reconstruct": ["reconstruct", "--system", "{system}"],
         "rescale-run": ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"],
     }
 
@@ -662,6 +696,17 @@ class TestErrorLinesNameTheInput:
         paths["bare"].write_text(json.dumps(bare))
         h, _ = builtin_instance("cube", 2)
         paths["pointless"].write_text(json.dumps(serialize.polytope_to_json(h, None)))
+        texts = {
+            "list": "[]",
+            "nan_slack": '{"entries": [[1.0, NaN]], "polytope": null}',
+            "flat_slack": '{"entries": [1.0, 2.0], "polytope": null}',
+            "mixed_fact": json.dumps({"r": 1, "U": [{"side": 1, "entries": [1.0]},
+                                                    {"side": 2, "entries": [1.0, 0.0, 0.0, 1.0]}],
+                                      "V": [{"side": 1, "entries": [1.0]}]}),
+        }
+        for name, text in texts.items():
+            paths[name] = tmp / f"{name}.json"
+            paths[name].write_text(text)
         return paths
 
     # case: (argv, the error line after "error: ")
@@ -678,6 +723,39 @@ class TestErrorLinesNameTheInput:
         "slack-build-without-points": (
             ["slack", "build", "--file", "{pointless}"],
             "--file {pointless}: polytope file carries no points"),
+        "slack-build-segment-n2": (
+            ["slack", "build", "--instance", "segment", "--n", "2"],
+            "--n 2: segment is one-dimensional; pass n=1"),
+        "slack-build-polygon-n2": (
+            ["slack", "build", "--instance", "moment_polygon", "--n", "2"],
+            "--n 2: moment_polygon needs d >= 3"),
+        "slack-build-from-a-list": (
+            ["slack", "build", "--file", "{list}"],
+            "--file {list}: expected a JSON object with field 'n'"),
+        "embed-nan-entry": (
+            ["fact", "embed", "--slack", "{nan_slack}"],
+            "--slack {nan_slack}: slack entries must be finite"),
+        "embed-flat-entries": (
+            ["fact", "embed", "--slack", "{flat_slack}"],
+            "--slack {flat_slack}: slack entries must be a 2-d array"),
+        "verify-mixed-sides": (
+            ["fact", "verify", "--slack", "{cube2}", "--fact", "{mixed_fact}"],
+            "--fact {mixed_fact}: factor sides disagree"),
+        # Library refusals name their argument; main names its flag.
+        "slack-build-cube-15": (
+            ["slack", "build", "--instance", "cube", "--n", "15"],
+            "--n 15: cube above n = 14 refused"),
+        "fit-r-65": (
+            ["fact", "fit", "--slack", "{cube2}", "--r", "65"], "--r 65: side above 64 refused"),
+        "pipeline-n-5": (
+            ["pipeline", "--instance", "cube", "--n", "5"],
+            "--n 5: the reconstruction pipeline supports n <= 4"),
+        "pipeline-unbalance-1e300": (
+            ["pipeline", "--instance", "cube", "--n", "2", "--unbalance", "1e300"],
+            "--unbalance 1e+300: the congruence is numerically singular"),
+        "counting-n-1024": (
+            ["bounds", "eval", "--formula", "counting", "--n", "1024"],
+            "--n 1024: the bound overflows a float"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -770,7 +848,7 @@ class TestBadInputSweep:
         ("fact", "fit"): [["--slack", "{slack}", "--r", "3"]],
         ("rescale", "run"): [["--slack", "{slack}", "--fact", "{fact}"]],
         ("round", "run"): [["--slack", "{slack}", "--fact", "{fact}"]],
-        ("reconstruct",): [["--system", "{system}", "--n", "2"]],
+        ("reconstruct",): [["--system", "{system}"]],
         ("check", "derivatives"): [["--pairs", "1"]],
         ("bounds", "eval"): [["--formula", name] for name in FORMULAS],
         ("pipeline",): [["--instance", "cube"]],
@@ -907,8 +985,7 @@ class TestRoundReconstruct:
         rescaled.write_text(json.dumps(json.loads(resc.read_text())["factorization"]))
         assert main(["round", "run", "--slack", str(slack), "--fact", str(rescaled),
                      "--delta", "max", "--out", str(system)]) == 0
-        code = main(["reconstruct", "--system", str(system), "--n", "2",
-                     "--out", str(recon)])
+        code = main(["reconstruct", "--system", str(system), "--out", str(recon)])
         capsys.readouterr()
         assert code == 0
         rep = json.loads(recon.read_text())
@@ -918,7 +995,7 @@ class TestRoundReconstruct:
     def test_report_lists_every_point(self, tmp_path, capsys):
         system = unrescaled_system(tmp_path, "crosspoly_01", 3)
         capsys.readouterr()
-        code, rep = run_cli(["reconstruct", "--system", str(system), "--n", "3"], capsys)
+        code, rep = run_cli(["reconstruct", "--system", str(system)], capsys)
         assert code == 0 and rep["complete"] is True
         assert rep["rejected"] == [[0, 0, 0], [1, 1, 1]]
         assert [e["point"] for e in rep["points"]] == [
@@ -930,7 +1007,7 @@ class TestRoundReconstruct:
         system = unrescaled_system(tmp_path, "cube", 2)
         # The reader end closes before the child writes anything.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "psdfact", "reconstruct", "--system", str(system), "--n", "2"],
+            [sys.executable, "-m", "psdfact", "reconstruct", "--system", str(system)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
         )
         proc.stdout.close()
@@ -947,7 +1024,7 @@ class TestRoundReconstruct:
 
         monkeypatch.setattr(cli, "reconstruct", breaks_down)
         capsys.readouterr()
-        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        code = main(["reconstruct", "--system", str(system)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -964,7 +1041,7 @@ class TestRoundReconstruct:
             u["entries"][i * u["side"] + i] = diagonal
         system.write_text(json.dumps(obj))
         capsys.readouterr()
-        code = main(["reconstruct", "--system", str(system), "--n", "2"])
+        code = main(["reconstruct", "--system", str(system)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from psdfact import symmat
-from psdfact.derivatives import (
-    dplus_opnorm_additive,
-    dplus_opnorm_congruence,
-    fd_ladder,
-)
-from psdfact.errors import NumericError, PreconditionError
+from psdfact.derivatives import dplus_opnorm_additive, dplus_opnorm_congruence
+from psdfact.errors import PreconditionError
 
 from helpers import random_orthogonal, random_psd_with_gap, random_symmetric, rng
 
@@ -88,38 +84,3 @@ class TestCongruence:
             lhs = dplus_opnorm_congruence(x, z)
             rhs = dplus_opnorm_additive(x, x @ z + z @ x)
             assert abs(lhs - rhs) <= 1e-8
-
-
-class TestFdLadder:
-    def test_linear_function(self):
-        check = fd_ladder(lambda e: 3.0 * e, analytic=3.0)
-        assert all(s == pytest.approx(3.0) for _, s in check.slopes)
-        assert check.max_deviation <= 1e-12
-
-    def test_quadratic_correction(self):
-        check = fd_ladder(lambda e: e + e * e, analytic=1.0)
-        for eps, slope in check.slopes:
-            assert slope == pytest.approx(1.0 + eps)
-        # deviation shrinks linearly with eps
-        devs = [abs(s - 1.0) for _, s in check.slopes]
-        assert all(a > b for a, b in zip(devs, devs[1:]))
-
-    def test_operator_norm_deviation_is_linear_in_eps(self):
-        gen = rng(6)
-        x = random_psd_with_gap(gen, 5, gap=0.4)
-        z = random_symmetric(gen, 5)
-        z /= max(symmat.operator_norm(z), 1e-12)
-        analytic = dplus_opnorm_additive(x, z)
-        check = fd_ladder(lambda e: symmat.operator_norm(x + e * z) if e else symmat.operator_norm(x),
-                          analytic=analytic)
-        # the harness measures the constant C with deviation <= C * eps
-        cs = [abs(s - analytic) / eps for eps, s in check.slopes]
-        assert max(cs) <= 10.0 / 0.4  # comfortably below the 1/gap scale
-
-    def test_ladder_must_decrease(self):
-        with pytest.raises(PreconditionError):
-            fd_ladder(lambda e: e, analytic=1.0, eps_ladder=(1e-4, 1e-3))
-
-    def test_nan_propagates_with_context(self):
-        with pytest.raises(NumericError, match="eps=0.001"):
-            fd_ladder(lambda e: float("nan") if e else 0.0, analytic=0.0)

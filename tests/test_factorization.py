@@ -239,9 +239,17 @@ class TestAlternatingFit:
         assert fit.trace == () and fit.steps == 0 and fit.residual is None
         assert "lower bound" in fit.reason and "rank S = 2" in fit.reason
 
+    def test_side_below_the_dimension_bound_refused(self):
+        # The unit square's points span R^2, so its PSD rank is at least 3.
+        fit = fit_factorization(unit_square_slack(), 2)
+        assert fit.factorization is None
+        assert fit.trace == () and fit.steps == 0 and fit.residual is None
+        assert fit.reason == "side 2 is below the PSD-rank lower bound 3 of a 2-dimensional polytope"
+
     def test_unit_square_r2_runs_and_fails(self):
         # r = 2 passes the rank bound (3 <= 3), but the square has PSD rank 3.
-        fit = fit_factorization(unit_square_slack(), 2)
+        # Without its points the fit cannot apply the dimension bound 3.
+        fit = fit_factorization(SlackMatrix(unit_square_slack().entries), 2)
         assert fit.factorization is None
         assert fit.residual > 0.1
         assert 0 < len(fit.trace) <= FIT_MAX_STEPS

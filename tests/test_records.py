@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from psdfact.bounds import BoundReport
-from psdfact.derivatives import DerivativeCheck
 from psdfact.factorization import FactorizationReport, FitResult, PsdFactorization
 from psdfact.pipeline import PipelineConfig
 from psdfact.polytopes import HPolytope, SlackMatrix, VPolytope
@@ -62,8 +61,6 @@ FIELDS = {
                                    "codes": np.array([1]), "violations": np.array([0.1]),
                                    "margins": np.array([0.2]), "iterations": np.array([1]),
                                    "witnesses": np.zeros((1, 1, 1)), "duals": np.ones((1, 3))},
-    DerivativeCheck: lambda: {"analytic": 1.0, "slopes": ((1e-3, 1.0),),
-                              "max_deviation": 0.0},
     PipelineConfig: lambda: {"r": 2, "skip_rescale": True, "unbalance": 10.0, "seed": 3,
                              "membership_cfg": MembershipConfig(seed=5)},
     BoundReport: lambda: {"formula": "f", "inputs": {"n": 2}, "log2_value": 1.0,
@@ -114,7 +111,7 @@ GENERIC = [cls for cls in FIELDS if cls.__init__ is cls._set_fields]
 
 def test_generic_constructor_records():
     assert {cls.__name__ for cls in GENERIC} == {
-        "BoundReport", "DerivativeCheck", "FactorizationReport", "FitResult",
+        "BoundReport", "FactorizationReport", "FitResult",
         "JohnDecomposition", "RescaleConfig", "RescaleResult", "RoundedSystem",
         "MembershipConfig", "MembershipVerdict", "ReconstructionReport"}
 
@@ -148,12 +145,3 @@ def test_omitted_field_takes_its_default():
     assert FitResult(factorization=None, trace=()).reason is None
     system = RoundedSystem(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1, 1)), _grid())
     assert system.selected == system.error_fnorm == system.zeroed == ()
-
-
-def test_omitted_dict_field_is_fresh_per_record():
-    keep = {k: v for k, v in FIELDS[RescaleResult]().items() if k != "diagnostics"}
-    a, b = RescaleResult(**keep), RescaleResult(**keep)
-    assert a.diagnostics == {} and a.diagnostics is not b.diagnostics
-    keep = {k: v for k, v in FIELDS[BoundReport]().items() if k != "extras"}
-    a, b = BoundReport(**keep), BoundReport(**keep)
-    assert a.extras == {} and a.extras is not b.extras

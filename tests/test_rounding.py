@@ -14,6 +14,7 @@ from psdfact.rounding import (
     MEMBER_RTOL,
     GridParams,
     MembershipConfig,
+    RoundedSystem,
     build_rounded_system,
     grid_delta,
     membership_test,
@@ -294,6 +295,17 @@ class TestBuildRoundedSystem:
             assert system.error_fnorm[slot] == float(np.linalg.norm(system.factors[slot] - u))
             assert system.error_fnorm[slot] <= g.error_bound
 
+    @pytest.mark.parametrize("n, r", [(2, 5), (3, 4)])
+    def test_grid_that_does_not_match_its_inputs_refused(self, n, r):
+        # The diagonal embedding of the unit square has side 4.  A grid of
+        # another side or dimension used to build a system whose sweep died
+        # in a reshape.
+        h, v = builtin_instance("cube", 2)
+        s = build_slack(h, v)
+        g = GridParams.for_slack(n=n, r=r, delta_eff=s.max_entry)
+        with pytest.raises(DimensionError, match="grid n, r"):
+            build_rounded_system(h, diagonal_embed(s), g)
+
     @staticmethod
     def reference_error_fnorm(f, g, selected):
         """One 2-D np.linalg.norm per selected factor: the batched product's reference."""
@@ -522,7 +534,7 @@ class TestSingleRowDuals:
         ("segment", 1), ("point", 1), ("point", 2)])
     def test_cold_sweep_never_rejects_a_vertex(self, instance, n):
         _, v, _, system = rounded_instance(instance, n)
-        report = reconstruct(system, n)
+        report = reconstruct(system)
         vertices = {tuple(p) for p in v.points.tolist()}
         assert not vertices & set(map(tuple, report.rejected))
         for ver in verdicts(report):
@@ -533,7 +545,7 @@ class TestSingleRowDuals:
 class TestReconstruct:
     def test_unit_square(self):
         h, v, _, res, _, system = rounded_unit_square()
-        report = reconstruct(system, 2, warm_starts=(v.points, res.factorization.col_factors))
+        report = reconstruct(system, warm_starts=(v.points, res.factorization.col_factors))
         assert report.complete
         assert report.accepted == sorted(v.points.tolist())
 
@@ -543,7 +555,7 @@ class TestReconstruct:
         res = rescale(diagonal_embed(s), s)
         g = GridParams.for_slack(n=2, r=res.factorization.side, delta_eff=s.max_entry)
         system = build_rounded_system(h, res.factorization, g)
-        report = reconstruct(system, 2)
+        report = reconstruct(system)
         assert report.complete
         assert report.accepted == [[0, 0]]
         assert len(report.rejected) == 3
@@ -554,13 +566,13 @@ class TestReconstruct:
         res = rescale(diagonal_embed(s), s)
         g = GridParams.for_slack(n=3, r=res.factorization.side, delta_eff=s.max_entry)
         system = build_rounded_system(h, res.factorization, g)
-        report = reconstruct(system, 3)
+        report = reconstruct(system)
         assert report.complete
         assert report.accepted == sorted(v.points.tolist())
 
     def test_crosspoly_cold_is_complete_and_correct(self):
         _, v, _, system = rounded_instance("crosspoly_01", 3)
-        report = reconstruct(system, 3)
+        report = reconstruct(system)
         assert report.complete
         assert report.accepted == sorted(v.points.tolist())
         assert report.rejected == [[0, 0, 0], [1, 1, 1]]
@@ -577,7 +589,7 @@ class TestReconstruct:
         # neither at the first lambda (from the residual at Y = 0) nor at
         # the best one the cold sweep saw
         _, _, _, system = rounded_instance("cube", n)
-        report = reconstruct(system, n)
+        report = reconstruct(system)
         assert len(report.accepted) == 2**n
         budget = system.grid.budget
         for ver in verdicts(report):
@@ -618,7 +630,7 @@ class TestReconstruct:
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        report = reconstruct(system, n, warm_starts=(v.points, res.factorization.col_factors)
+        report = reconstruct(system, warm_starts=(v.points, res.factorization.col_factors)
                              if warm else None)
         return report, orders.count(2)
 
@@ -651,7 +663,7 @@ class TestReconstruct:
         # bits, as a batch of one takes other BLAS paths.
         _, v, res, system = rounded_instance(instance, n)
         starts = (v.points, res.factorization.col_factors) if warm else None
-        report = reconstruct(system, n, warm_starts=starts)
+        report = reconstruct(system, warm_starts=starts)
         vertices = {tuple(p): j for j, p in enumerate(v.points.tolist())}
         for ver in verdicts(report):
             j = vertices.get(ver.point)
@@ -665,23 +677,23 @@ class TestReconstruct:
     def test_batches_give_the_one_batch_verdicts(self, monkeypatch):
         _, v, res, system = rounded_instance("simplex", 3)
         starts = (v.points, res.factorization.col_factors)
-        whole = reconstruct(system, 3, warm_starts=starts)
+        whole = reconstruct(system, warm_starts=starts)
         monkeypatch.setattr(rounding, "MEMBER_BATCH", 3)
-        batched = reconstruct(system, 3, warm_starts=starts)
+        batched = reconstruct(system, warm_starts=starts)
         for name in ("points", "codes", "iterations"):
             np.testing.assert_array_equal(getattr(batched, name), getattr(whole, name))
         assert batched.to_json()["accepted"] == sorted(v.points.tolist())
 
     def test_lexicographic_order(self):
         _, _, _, _, _, system = rounded_unit_square()
-        report = reconstruct(system, 2)
+        report = reconstruct(system)
         seen = report.accepted
         assert seen == sorted(seen)
         assert [ver.point for ver in verdicts(report)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_report_lists_every_point(self):
         _, _, _, system = rounded_instance("simplex", 3)
-        rec = reconstruct(system, 3).to_json()
+        rec = reconstruct(system).to_json()
         cube = list(itertools.product((0, 1), repeat=3))
         assert [tuple(e["point"]) for e in rec["points"]] == cube
         for e in rec["points"]:
@@ -691,9 +703,13 @@ class TestReconstruct:
             assert e["point"] in rec[listed]
 
     def test_dimension_guard(self):
-        _, _, _, _, _, system = rounded_unit_square()
-        with pytest.raises(ResourceError):
-            reconstruct(system, 21)
+        # The sweep's dimension is the system's own.
+        n = rounding.RECONSTRUCT_MAX_DIM + 1
+        g = GridParams(n=n, r=1, delta=grid_delta(n, 1), big_delta=1.0)
+        system = RoundedSystem(np.zeros((n + 1, n)), np.zeros(n + 1), np.zeros((n + 1, 1, 1)), g)
+        with pytest.raises(ResourceError, match=f"2\\^{n} membership sweep") as exc:
+            reconstruct(system)
+        assert exc.value.arg == "system"
 
     @pytest.mark.parametrize("case", ["too-few-factors", "wrong-side", "wrong-dimension"])
     def test_warm_start_shapes_refused(self, case):
@@ -706,14 +722,14 @@ class TestReconstruct:
         else:
             points = points[:, :1]
         with pytest.raises(DimensionError, match="warm starts must pair"):
-            reconstruct(system, 2, warm_starts=(points, factors))
+            reconstruct(system, warm_starts=(points, factors))
 
     def test_warm_start_outside_the_cube_refused(self):
         _, v, _, res, _, system = rounded_unit_square()
         points = v.points.copy()
         points[0, 0] = 2
         with pytest.raises(PreconditionError, match=r"must lie in \{0,1\}\^n"):
-            reconstruct(system, 2, warm_starts=(points, res.factorization.col_factors))
+            reconstruct(system, warm_starts=(points, res.factorization.col_factors))
 
 
 class TestWorstCaseDelta:
