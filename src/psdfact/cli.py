@@ -16,7 +16,6 @@ precondition error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -138,27 +137,6 @@ def _load(args, flag: str):
 _FLAGS = {"name": "--instance", "n": "--n", "r": "--r", "s": "--slack", "f": "--fact",
           "system": "--system", "tol": "--tol", "delta": "--delta", "worst_case": "--worst-case",
           "unbalance": "--unbalance", "big_r": "--R", "d": "--d"}
-
-
-@contextlib.contextmanager
-def _naming(args):
-    """Name the flag behind a refused argument.
-
-    A PreconditionError whose ``arg`` ``_FLAGS`` maps to a flag of this
-    command is raised again as ``--FLAG VALUE: message``.  Any other passes
-    unchanged, such as ``rescale``'s ``arg="s"`` in ``pipeline``, which has
-    no ``--slack``.
-    """
-    try:
-        yield
-    except PreconditionError as exc:
-        flag = _FLAGS.get(exc.arg)
-        value = flag and getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is None:
-            raise
-        # A switch that is set has no value to show.
-        named = flag if value is True else f"{flag} {value}"
-        raise type(exc)(f"{named}: {exc}", exc.arg) from None
 
 
 # --------------------------------------------------------------------------
@@ -485,8 +463,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
         t0 = time.perf_counter()
-        with _naming(args):
-            report, code = args.func(args)
+        report, code = args.func(args)
         if getattr(args, "format", "json") == "csv":
             text = _bounds_csv(report)
         else:
@@ -495,7 +472,13 @@ def main(argv=None) -> int:
         _write(text, args)
         return code
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Name the flag behind a refused argument when this command has one
+        # (rescale's arg="s" in pipeline, which has no --slack, goes unnamed);
+        # a switch that is set has no value to show.
+        flag = _FLAGS.get(exc.arg)
+        value = flag and getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        named = "" if value is None else f"{flag}: " if value is True else f"{flag} {value}: "
+        print(f"error: {named}{exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

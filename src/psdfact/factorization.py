@@ -263,12 +263,10 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
     found after FIT_MAX_STEPS steps or once the step is lost in round-off.
     The side and the size of S are checked before anything is drawn.
 
-    Two sides are refused at once, with no step.  A side below d + 1 when
-    S carries the points of a d-dimensional polytope, whose PSD rank is at
-    least d + 1 (Gouveia, Robinson and Thomas, 2013).  And a side with
-    r (r + 1) / 2 < rank S: the products <U_i, V^j> are inner products in
-    the r (r + 1) / 2-dimensional space of symmetric r x r matrices, so
-    they have rank at most k = r (r + 1) / 2.  The rank counts the singular
+    A side with r (r + 1) / 2 < rank S is refused at once, with no step:
+    the products <U_i, V^j> are inner products of vectors of the
+    r (r + 1) / 2-dimensional space of symmetric r x r matrices, so they
+    have rank at most k = r (r + 1) / 2.  The rank counts the singular
     values of S above sqrt(m n) times the residual target t: a product
     matrix P within t of S entrywise has ||S - P||_2 <= sqrt(m n) t, so the
     (k + 1)-th singular value of S is at most that (Weyl), and a larger one
@@ -287,12 +285,6 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
             f"slack matrix of {m} x {n} = {m * n} entries refused (above {FIT_MAX_ENTRIES})",
             arg="s",
         )
-    pts = s.v.points if s.v is not None else ()
-    dim = int(np.linalg.matrix_rank(pts[1:] - pts[0])) if len(pts) > 1 else 0
-    if r < dim + 1:
-        return FitResult(factorization=None, trace=(), reason=(
-            f"side {r} is below the PSD-rank lower bound {dim + 1} of a "
-            f"{dim}-dimensional polytope"))
     threshold = residual_budget(s, VERIFY_TOL / 10)
     rank = int(np.linalg.matrix_rank(target, tol=math.sqrt(m * n) * threshold))
     if r * (r + 1) // 2 < rank:

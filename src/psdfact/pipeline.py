@@ -17,6 +17,7 @@ import numpy as np
 from .errors import PreconditionError
 from .factorization import (
     VERIFY_TOL,
+    FitResult,
     PsdFactorization,
     congruence,
     diagonal_embed,
@@ -105,7 +106,18 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
         f = diagonal_embed(s)
         report["stages"]["factorize"] = {"method": "diagonal_embed", "r": f.side}
     else:
-        fit = fit_factorization(s, cfg.r)
+        # A polytope of dimension d has PSD rank at least d + 1 (Gouveia,
+        # Robinson and Thomas, "Polytopes of minimum positive semidefinite
+        # rank", 2013), so a smaller side is refused before any step.  The
+        # bound needs S to be a polytope's own slack matrix, as a builtin's
+        # is, so it is not fit_factorization's, which refuses a side below 1.
+        dim = int(np.linalg.matrix_rank(v.points[1:] - v.points[0])) if v.n_points > 1 else 0
+        if 1 <= cfg.r <= dim:
+            fit = FitResult(factorization=None, trace=(), reason=(
+                f"side {cfg.r} is below the PSD-rank lower bound {dim + 1} of a "
+                f"{dim}-dimensional polytope"))
+        else:
+            fit = fit_factorization(s, cfg.r)
         found = fit.factorization is not None
         report["stages"]["factorize"] = {
             "method": "levenberg_marquardt",

@@ -8,6 +8,7 @@ facet enumeration is deliberately not provided.  Slack entries are exact
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,7 +33,7 @@ MOMENT_POLYGON_MAX_D = 256
 BUILTIN_MAX_N = {"cube": 14, "simplex": 255, "point": 256, "moment_polygon": MOMENT_POLYGON_MAX_D}
 
 
-def _as_int_array(a, name: str) -> np.ndarray:
+def as_int_array(a, name: str) -> np.ndarray:
     """``a`` as a new int64 array.
 
     Any other dtype must hold integers of magnitude below _INT_GUARD,
@@ -48,14 +49,21 @@ def _as_int_array(a, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def as_int(value, name: str) -> int:
+    """One integer, by the check of ``as_int_array``; lists and strings are refused."""
+    if not isinstance(value, numbers.Number):
+        raise PreconditionError(f"{name} must be an integer")
+    return int(as_int_array(value, name))
+
+
 class HPolytope(Record):
     """Inequality description a_i . x <= b_i with integer coefficients."""
 
     __slots__ = ("a", "b")  # (m, n) and (m,) int64
 
     def __init__(self, a, b):
-        a = _as_int_array(a, "a")
-        b = _as_int_array(b, "b")
+        a = as_int_array(a, "a")
+        b = as_int_array(b, "b")
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
             raise DimensionError("inequality rows and offsets disagree")
         rows = {tuple(row) + (off,) for row, off in zip(a.tolist(), b.tolist())}
@@ -78,7 +86,7 @@ class VPolytope(Record):
     __slots__ = ("points",)  # (j, n) int64
 
     def __init__(self, points):
-        pts = _as_int_array(points, "points")
+        pts = as_int_array(points, "points")
         if pts.ndim != 2:
             raise DimensionError("points must be a 2-d array")
         if len({tuple(p) for p in pts.tolist()}) != pts.shape[0]:

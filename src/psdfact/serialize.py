@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 
 import numpy as np
 
 from .errors import PreconditionError
 from .factorization import PsdFactorization
-from .polytopes import HPolytope, SlackMatrix, VPolytope, _as_int_array, build_slack
+from .polytopes import HPolytope, SlackMatrix, VPolytope, as_int, build_slack
 from .rounding import GridParams, RoundedSystem
 
 
@@ -38,12 +37,9 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _int(value) -> int:
-    """A JSON integer: ``_as_int_array`` refuses fractions, booleans, strings; ``index`` lists."""
-    try:
-        return operator.index(_as_int_array(value, "the value"))
-    except PreconditionError as exc:
-        raise ValueError(str(exc)) from None
+def _int(obj, name: str) -> int:
+    """``obj[name]`` as one integer: ``as_int`` refuses fractions, booleans, strings, lists."""
+    return as_int(_field(obj, name, lambda value: value), f"malformed field {name!r}")
 
 
 def _bool(value) -> bool:
@@ -59,7 +55,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    side = _field(obj, "side", _int)
+    side = _int(obj, "side")
     entries = _field(obj, "entries", _floats)
     if entries.size != side * side:
         raise PreconditionError(
@@ -82,7 +78,7 @@ def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
 
 def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
     """Load a polytope; ``HPolytope`` and ``VPolytope`` check that its numbers are integers."""
-    n = _field(obj, "n", _int)
+    n = _int(obj, "n")
 
     def inequalities(rows):
         a = np.asarray([r["a"] for r in rows]).reshape(len(rows), n)
@@ -160,8 +156,8 @@ def grid_to_json(g: GridParams) -> dict:
 
 def grid_from_json(obj: dict) -> GridParams:
     return GridParams(
-        n=_field(obj, "n", _int),
-        r=_field(obj, "r", _int),
+        n=_int(obj, "n"),
+        r=_int(obj, "r"),
         delta=_field(obj, "delta", float),
         big_delta=_field(obj, "Delta", float),
         worst_case=_field(obj, "worst_case", _bool, default=False),
@@ -190,7 +186,7 @@ def system_from_json(obj: dict) -> RoundedSystem:
     its rows the n + r^2 rows of the padded subsystem."""
     grid = _field(obj, "grid", grid_from_json)
     for name in ("n", "r"):
-        value = _field(obj, name, _int)
+        value = _int(obj, name)
         if value != getattr(grid, name):
             raise PreconditionError(
                 f"field {name!r} is {value}, but the grid's {name} is {getattr(grid, name)}")
@@ -223,7 +219,8 @@ def system_from_json(obj: dict) -> RoundedSystem:
             raise PreconditionError(f"row {bad[0]} of the rounded system {defect}")
     return RoundedSystem(
         a=a, b=b, factors=factors, grid=grid,
-        selected=_field(obj, "selected", lambda s: tuple(_int(i) for i in s), default=[]),
+        selected=tuple(as_int(i, "malformed field 'selected'")
+                       for i in _field(obj, "selected", list, default=[])),
     )
 
 

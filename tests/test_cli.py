@@ -191,12 +191,10 @@ class TestFactAndRescale:
         assert rep["residual"] <= VERIFY_TOL and rep["steps"] >= 1
 
     def test_fit_not_found_reports_residual_and_steps(self, tmp_path, capsys):
-        # The unit square has PSD rank 3; side 2 passes the rank bound and
-        # fails.  Without the polytope the fit cannot apply the dimension bound.
+        # The unit square has PSD rank 3; side 2 passes the rank bound and fails.
         slack = tmp_path / "s.json"
         assert main(["slack", "build", "--instance", "cube", "--n", "2",
                      "--out", str(slack)]) == 0
-        slack.write_text(json.dumps(dict(json.loads(slack.read_text()), polytope=None)))
         code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "2"], capsys)
         assert code == 1
         assert rep["found"] is False
@@ -212,18 +210,6 @@ class TestFactAndRescale:
         assert rep["found"] is False
         assert rep["residual"] is None and rep["steps"] == 0
         assert "rank S = 2" in rep["reason"]
-
-    def test_fit_below_the_dimension_bound_is_refused(self, tmp_path, capsys):
-        # The 3-cube has PSD rank at least 4, which its slack file's points show.
-        slack = tmp_path / "s.json"
-        assert main(["slack", "build", "--instance", "cube", "--n", "3",
-                     "--out", str(slack)]) == 0
-        code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "3"], capsys)
-        assert code == 1
-        assert rep["found"] is False
-        assert rep["residual"] is None and rep["steps"] == 0
-        assert rep["reason"] == ("side 3 is below the PSD-rank lower bound 4 of a "
-                                 "3-dimensional polytope")
 
     def test_fit_output_passes_verify(self, tmp_path, capsys):
         # The loader refuses factors that are not exactly symmetric, so fit

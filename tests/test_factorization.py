@@ -17,7 +17,7 @@ from psdfact.factorization import (
     top_norms,
     verify_factorization,
 )
-from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
+from psdfact.polytopes import HPolytope, SlackMatrix, VPolytope, build_slack, builtin_instance
 from psdfact.rescaling import (
     balance_scalar,
     descent_step,
@@ -239,22 +239,25 @@ class TestAlternatingFit:
         assert fit.trace == () and fit.steps == 0 and fit.residual is None
         assert "lower bound" in fit.reason and "rank S = 2" in fit.reason
 
-    def test_side_below_the_dimension_bound_refused(self):
-        # The unit square's points span R^2, so its PSD rank is at least 3.
-        fit = fit_factorization(unit_square_slack(), 2)
-        assert fit.factorization is None
-        assert fit.trace == () and fit.steps == 0 and fit.residual is None
-        assert fit.reason == "side 2 is below the PSD-rank lower bound 3 of a 2-dimensional polytope"
-
     def test_unit_square_r2_runs_and_fails(self):
         # r = 2 passes the rank bound (3 <= 3), but the square has PSD rank 3.
-        # Without its points the fit cannot apply the dimension bound 3.
-        fit = fit_factorization(SlackMatrix(unit_square_slack().entries), 2)
+        fit = fit_factorization(unit_square_slack(), 2)
         assert fit.factorization is None
         assert fit.residual > 0.1
         assert 0 < len(fit.trace) <= FIT_MAX_STEPS
         assert fit.steps == len(fit.trace) and fit.residual == fit.trace[-1]
         assert fit.reason.startswith("stalled")
+
+    def test_nested_pair_below_the_dimension_bound_is_fit(self):
+        # Points inside the square 0 <= x, y <= 4 span R^2, yet the disk of
+        # radius 2 about (2, 2), a 2 x 2 spectrahedron, lies between their
+        # triangle and the square, so this slack matrix has PSD rank 2: the
+        # bound d + 1 holds only for a polytope's own slack matrix.
+        h = HPolytope(a=[[1, 0], [-1, 0], [0, 1], [0, -1]], b=[4, 0, 4, 0])
+        s = build_slack(h, VPolytope(points=[[1, 1], [2, 1], [1, 2]]))
+        fit = fit_factorization(s, 2)
+        assert fit.reason is None and fit.steps > 0
+        assert verify_factorization(fit.factorization, s).passed
 
     def test_all_ones_r1_succeeds(self):
         # With the noise, S has numerical rank 2 > 1, but lies within the
