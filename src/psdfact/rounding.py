@@ -24,21 +24,24 @@ Optimization).
 checks followed by re-validation.  Iteration 1 starts every point of the
 batch from a vertex's warm start clipped into K, or from 0; later
 iterations take a projected-gradient step on
-sum_i hinge(|e_i| - budget)^2 over K first.  Every iteration checks each
-point still live in the same way: its iterate as a witness, and the hinge
-dual lambda = hinge * sign(e) / ||hinge * sign(e)||_1 of its residual,
-hinge = max(|e| - budget, 0).  A point leaves at its first certificate;
-one with neither after MEMBER_MAX_ITERS iterations is inconclusive.
+sum_i hinge(|e_i| - budget)^2 over K first.  Each check costs only what
+its certificate needs, and a point leaves at its first certificate.
+Every iteration first checks each live iterate as a witness, which takes
+residuals and no spectrum.  On the points that leave open, iteration 1
+next tries the best single-row dual +-e_i, whose value
++-c_i - cap tr((+-U_i)_+) needs no iterate: one spectrum of the factors
+serves every point.  Last, each point still open gets the hinge dual
+lambda = hinge * sign(e) / ||hinge * sign(e)||_1 of its residual,
+hinge = max(|e| - budget, 0), at one spectrum per point.  A point with
+no certificate after MEMBER_MAX_ITERS iterations is inconclusive.
 
-Iteration 1 also tries the best single-row dual +-e_i on the points its
-check leaves open; its value +-c_i - cap tr((+-U_i)_+) needs no iterate.
 The rounded subsystem determines the vertex set, so a 0/1 point outside
 the polytope violates some integer inequality; when that is a selected
-row i, -e_i proves rejection at once, as +e_i does when row i's slack
-exceeds cap tr(U_i) + budget.  Otherwise (on crosspoly_01 n=2 the
-violated rows are combinations of the selected ones) the steps go on.
-Re-validation checks every witness against the budget and the cap, and
-every dual by its value, before a verdict is given.
+row i, -e_i proves rejection at iteration 1, as +e_i does when row i's
+slack exceeds cap tr(U_i) + budget.  Otherwise (on crosspoly_01 n=2 the
+violated rows are combinations of the selected ones) the hinge duals and
+the steps go on.  Re-validation checks every witness against the budget
+and the cap, and every dual by its value, before a verdict is given.
 
 The verdicts come back as a ``ReconstructionReport`` of columns, one row
 per point: points, verdict codes, violations, dual margins, iterations,
@@ -382,22 +385,21 @@ def _single_row_duals(factors, const, cap):
     return lam, values[points, pick]
 
 
-def _hinge(y, const, factors, budget):
-    """The residuals e_i = c_i - <U_i, Y> of each iterate and their hinge dual.
-
-    Returns, per point, whether Y is within the budget, the hinge
-    hinge(|e| - budget) * sign(e) and its dual lambda: the hinge over its
-    l1 norm, 0 when the hinge is 0.
-    """
+def _residuals(y, const, factors, budget):
+    """The residuals e_i = c_i - <U_i, Y> of each iterate, and whether Y is within the budget."""
     e = const - symmat.inner_products(y, factors)
     if not np.isfinite(e).all():
         raise NumericError("NaN/Inf in membership iterates")
-    size = np.abs(e)
-    hinge = np.maximum(size - budget, 0.0)
+    return e, np.abs(e).max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
+
+
+def _hinge(e, budget):
+    """The hinge hinge(|e| - budget) * sign(e) of each residual and its dual
+    lambda: the hinge over its l1 norm, 0 when the hinge is 0."""
+    hinge = np.maximum(np.abs(e) - budget, 0.0)
     push = hinge * np.sign(e)
     mass = hinge.sum(axis=1, keepdims=True)
-    member = size.max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
-    return member, push, push / np.where(mass > 0.0, mass, 1.0)
+    return push, push / np.where(mass > 0.0, mass, 1.0)
 
 
 def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
@@ -405,17 +407,22 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     """Decide each point of ``xs`` (B, n); point warm[j] starts from starts[j], the others from 0.
 
     Each warm start (k, r, r) is clipped into K = {0 <= Y <= cap I}, and 0
-    is already in K.  Every iteration checks each live point the same way:
-    a witness when its iterate meets the budget, then the value of the
-    hinge dual of its residual, kept when it beats the point's best dual so
-    far.  A point leaves at its first certificate.  Iteration 1 checks the
-    starts of the whole batch and then tries the best single-row dual
-    +-e_i on the points still open.  Iterations 2 to MEMBER_MAX_ITERS first
-    take a projected-gradient step on sum_i hinge(|e_i| - budget)^2 over K,
-    with the step 1 / L, L = 2 ||U||^2 from one spectral norm of the
-    stacked factors; a point still live after them keeps the iterate of
-    one more step.  Every residual c - <U_i, Y> is one BLAS product of the
-    flattened iterates and factors (``symmat.inner_products``).
+    is already in K.  Each check costs only what its certificate needs, so
+    iteration 1 goes from the cheapest to the dearest: the starts of the
+    whole batch as witnesses, which takes no spectrum; the best single-row
+    dual +-e_i of each point left open, whose one ``eigvalsh`` of the
+    factors serves them all; then the hinge dual of the residual of each
+    point still open, one spectrum per point.  Iterations 2 to
+    MEMBER_MAX_ITERS take a projected-gradient step on
+    sum_i hinge(|e_i| - budget)^2 over K, with the step 1 / L,
+    L = 2 ||U||^2 from one spectral norm of the stacked factors, and then
+    check each live point's iterate as a witness and, if it is none, the
+    hinge dual of its residual.  A dual replaces a point's best only when
+    its margin is strictly larger, so a NaN never does, and a point leaves
+    at its first certificate; one still live after MEMBER_MAX_ITERS keeps
+    the iterate of one more step.  Every
+    residual c - <U_i, Y> is one BLAS product of the flattened iterates and
+    factors (``symmat.inner_products``).
 
     Re-validation symmetrises each final iterate and checks it against the
     budget through the full factor stack, all n + r^2 padded rows; only
@@ -433,8 +440,16 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
         y[warm] = symmat.eig_clip(starts, cap)
     found = np.zeros(len(xs), dtype=bool)
     best, best_lam = np.full(len(xs), -np.inf), np.zeros((len(xs), m))
-    iterations = np.full(len(xs), MEMBER_MAX_ITERS)
-    live = np.arange(len(xs))
+    iterations = np.ones(len(xs), dtype=int)
+
+    def offer(points, lam, margin):
+        """Keep each dual whose margin beats its point's best; which points are now rejected."""
+        better = margin > best[points]
+        best[points[better]] = margin[better]
+        best_lam[points[better]] = lam[better]
+        return best[points] > budget * MEMBER_RTOL
+
+    live, c, y_live = np.arange(len(xs)), const, y
     for it in range(1, MEMBER_MAX_ITERS + 2):
         if it == 2:
             # A float's ** raises OverflowError, its doubling gives inf.
@@ -451,25 +466,21 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
                 y[live] + (2.0 * step) * (push @ u_flat).reshape(-1, r, r), cap)
             if it > MEMBER_MAX_ITERS:
                 break
-        c = const[live]
-        member, push, lam = _hinge(y[live], c, system.factors, budget)
-        margin = _dual_values(lam, c, u_flat, cap) - budget
-        better = margin > best[live]
-        best[live[better]] = margin[better]
-        best_lam[live[better]] = lam[better]
-        done = member | (best[live] > budget * MEMBER_RTOL)
-        if it == 1 and not done.all():
-            # The single-row duals, on the points this check leaves open.
-            undecided = live[~done]
-            lam, margin = _single_row_duals(system.factors, c[~done], cap)
-            margin -= budget
-            better = margin > best[undecided]
-            best[undecided[better]] = margin[better]
-            best_lam[undecided[better]] = lam[better]
-            done[~done] = best[undecided] > budget * MEMBER_RTOL
+            c, y_live = const[live], y[live]
+            iterations[live] = it
+        e, member = _residuals(y_live, c, system.factors, budget)
         found[live[member]] = True
-        iterations[live[done]] = it
-        push, live = push[~done], live[~done]
+        open_ = ~member
+        live, c, e = live[open_], c[open_], e[open_]
+        if it == 1 and live.size:
+            lam, margin = _single_row_duals(system.factors, c, cap)
+            open_ = ~offer(live, lam, margin - budget)
+            live, c, e = live[open_], c[open_], e[open_]
+        if not live.size:
+            break
+        push, lam = _hinge(e, budget)
+        open_ = ~offer(live, lam, _dual_values(lam, c, u_flat, cap) - budget)
+        push, live = push[open_], live[open_]
         if not live.size:
             break
 
@@ -499,12 +510,19 @@ def membership_test(x, system: RoundedSystem,
     certifies membership, a dual functional certifies rejection.
 
     The search starts from ``warm_start``, else from 0; it is the batched
-    oracle of ``reconstruct`` run on one point.
+    oracle of ``reconstruct`` run on one point.  ``x`` must have n
+    coordinates and ``warm_start`` be (r, r), as the system's grid says;
+    a point need not lie in {0,1}^n.
     """
-    starts = (np.zeros((0, system.grid.r, system.grid.r)) if warm_start is None
+    n, r = system.grid.n, system.grid.r
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionError(f"point must have shape ({n},), got {x.shape}")
+    starts = (np.zeros((0, r, r)) if warm_start is None
               else np.asarray(warm_start, dtype=float)[None])
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return _decide(system, x, np.arange(len(starts)), starts).verdict(0)
+    if starts.shape[1:] != (r, r):
+        raise DimensionError(f"warm start must have shape ({r}, {r}), got {starts.shape[1:]}")
+    return _decide(system, x[None], np.arange(len(starts)), starts).verdict(0)
 
 
 def reconstruct(system: RoundedSystem, warm_starts: tuple | None = None) -> ReconstructionReport:

@@ -33,8 +33,28 @@ def _field(obj, name: str, convert, default=_REQUIRED):
         raise PreconditionError(f"malformed field {name!r}: {exc!r}") from None
 
 
+def _numbers(value):
+    """``value`` itself when every leaf of it, through nested lists, is a JSON number.
+
+    Booleans, strings and nulls are refused, since numpy reads true as 1,
+    "1" as 1.0 and null as NaN.
+    """
+    stack = [value]
+    while stack:
+        leaf = stack.pop()
+        if isinstance(leaf, list):
+            stack.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValueError(f"expected JSON numbers, got {leaf!r}")
+    return value
+
+
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return np.asarray(_numbers(value), dtype=float)
+
+
+def _float(value) -> float:
+    return float(_numbers(value))
 
 
 def _int(obj, name: str) -> int:
@@ -81,12 +101,12 @@ def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
     n = _int(obj, "n")
 
     def inequalities(rows):
-        a = np.asarray([r["a"] for r in rows]).reshape(len(rows), n)
-        return a, np.asarray([r["b"] for r in rows])
+        a = np.asarray([_field(r, "a", _numbers) for r in rows]).reshape(len(rows), n)
+        return a, np.asarray([_field(r, "b", _numbers) for r in rows])
 
     def points(pts):
         pts = pts or []
-        return np.asarray(pts).reshape(len(pts), n)
+        return np.asarray(_numbers(pts)).reshape(len(pts), n)
 
     a, b = _field(obj, "rows", inequalities, default=[])
     pts = _field(obj, "points", points, default=None)
@@ -158,8 +178,8 @@ def grid_from_json(obj: dict) -> GridParams:
     return GridParams(
         n=_int(obj, "n"),
         r=_int(obj, "r"),
-        delta=_field(obj, "delta", float),
-        big_delta=_field(obj, "Delta", float),
+        delta=_field(obj, "delta", _float),
+        big_delta=_field(obj, "Delta", _float),
         worst_case=_field(obj, "worst_case", _bool, default=False),
     )
 
@@ -198,8 +218,8 @@ def system_from_json(obj: dict) -> RoundedSystem:
 
     def padded_rows(rows):
         k = len(rows)
-        a = np.asarray([r["a"] for r in rows], dtype=float).reshape(k, grid.n)
-        b = np.asarray([r["b"] for r in rows], dtype=float).reshape(k)
+        a = np.asarray([_field(r, "a", _numbers) for r in rows], dtype=float).reshape(k, grid.n)
+        b = np.asarray([_field(r, "b", _numbers) for r in rows], dtype=float).reshape(k)
         factors = np.asarray([matrix_from_json(r["U"]) for r in rows]).reshape(k, grid.r, grid.r)
         return a, b, factors
 

@@ -9,10 +9,11 @@ exponential and square root, ``eig_clip``, norms and image bases;
 its own stacks calls ``np.linalg`` directly: in ``rescaling``,
 ``reduce_to_common_space``, ``mean_congruence``, the John decomposition
 and the descent loop's SVDs; in ``factorization``, ``side_extremes`` and
-``fit_factorization``; and ``rounding._spectra``.  Matrices are plain
-float ndarrays; ``as_symmetric`` is the canonical constructor and
-enforces the two invariants every routine assumes, exact symmetry and
-finite entries.
+``fit_factorization``; and in ``rounding``, ``_dual_values``,
+``_single_row_duals`` and ``_decide``'s step norm and witness check.
+Matrices are plain float ndarrays; ``as_symmetric`` is the canonical
+constructor and enforces the two invariants every routine assumes, exact
+symmetry and finite entries.
 
 Sizes stay small (side <= ~200), so everything uses dense LAPACK paths
 via numpy and favours determinism over speed.

@@ -18,7 +18,8 @@ from psdfact.factorization import PsdFactorization, diagonal_embed, verify_facto
 from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance, enumerate_01_vertices
 from psdfact.rescaling import john_decompose, rescale
-from psdfact.rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_factor
+from psdfact.rounding import (REJECTED, GridParams, build_rounded_system, grid_delta, reconstruct,
+                              round_factor)
 
 from helpers import (loop_from_input, loop_from_mean, random_orthogonal, random_psd_with_gap,
                      random_symmetric, rng)
@@ -248,8 +249,7 @@ def test_criterion_9_single_row_rejection(monkeypatch):
                 assert entry["iterations"] == iterations, f"{instance} n={n}: {entry}"
                 rejected += 1
     # Warm-started vertices are decided by their witnesses, so the sweep
-    # takes no single-row eigendecomposition, and their hinge duals are
-    # zero, which takes no spectrum either: the one eigvalsh re-validates
+    # values no dual, single-row or hinge: the one eigvalsh re-validates
     # the witnesses.
     h, v = builtin_instance("cube", 3)
     s = build_slack(h, v)
@@ -269,17 +269,48 @@ def test_criterion_9_single_row_rejection(monkeypatch):
           f"({rejected} rejections, 1 eigvalsh on the warm cube n=3 sweep)")
 
 
+def test_rejections_are_certified_by_one_selected_row(monkeypatch):
+    # The one-row duals are tried before any hinge dual, so every point that
+    # one of them rejects keeps it: lambda = +-e_k on a selected row, the
+    # rows past len(selected) being zero padding.  On crosspoly_01 n=2 no
+    # single row rejects, as ONE_ROW_SWEEPS says.
+    sweeps = []
+
+    def recording(system, warm_starts=None):
+        report = reconstruct(system, warm_starts)
+        sweeps.append((len(system.selected), report))
+        return report
+
+    monkeypatch.setattr("psdfact.pipeline.reconstruct", recording)
+    others, rejected = [], 0
+    for instance, n in ONE_ROW_SWEEPS:
+        if (instance, n) == ("crosspoly_01", 2):
+            continue
+        sweeps.clear()
+        assert run_pipeline(instance, n)["verdict"] == "match"
+        [(selected, report)] = sweeps
+        for k in np.flatnonzero(report.codes == REJECTED):
+            rows = np.flatnonzero(report.duals[k])
+            rejected += 1
+            if not (len(rows) == 1 and rows[0] < selected
+                    and abs(report.duals[k, rows[0]]) == 1.0):
+                others.append((instance, n, report.points[k].tolist()))
+    assert rejected and not others
+
+
 def test_cube4_pipeline_spectral_calls(monkeypatch):
     # Both sides of a factorization share one eigvalsh, the nonsingular
     # common space needs no eigh, rescale returns the factorization it
     # measured, and the rounding error norms are one batched product.  In
-    # the sweep, zero hinge duals take no spectrum.  Each eigvalsh of the
-    # sweep measures one stack: the nonzero hinge duals of one iteration,
-    # the factors of the single-row duals when iteration 1 leaves points
-    # open, the witnesses, and the re-validated duals when one is nonzero.
-    # Every contraction of two factor stacks is a BLAS product, so einsum
-    # only values the duals, once per valuation: iteration 1 and
-    # re-validation on every sweep, and each later iteration.
+    # the sweep, zero duals take no spectrum.  Each eigvalsh of the sweep
+    # measures one stack: the factors of the single-row duals when the
+    # witnesses of iteration 1 leave points open, the nonzero hinge duals
+    # of one iteration, the witnesses, and the re-validated duals when one
+    # is nonzero.  Every contraction of two factor stacks is a BLAS
+    # product, so einsum only values hinge duals and re-validates: on
+    # these three every point is decided by a witness or a single-row
+    # dual, so iteration 1 values no hinge dual and the one einsum is
+    # re-validation's.
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm": 0, "einsum": 0}
     for name in calls:
         module = np if name == "einsum" else np.linalg
@@ -290,9 +321,9 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 2},
-                ("simplex", 4): {"eigh": 2, "eigvalsh": 6, "svd": 0, "norm": 0, "einsum": 2},
-                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 2}}
+    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1},
+                ("simplex", 4): {"eigh": 2, "eigvalsh": 5, "svd": 0, "norm": 0, "einsum": 1},
+                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1}}
     for (instance, n), want in expected.items():
         calls.update(dict.fromkeys(calls, 0))
         assert run_pipeline(instance, n)["verdict"] == "match"

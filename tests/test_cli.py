@@ -365,10 +365,11 @@ class TestLoaderErrors:
                                      ["grid", "worst_case"], "--system", '"false"'),
     }
 
-    @pytest.mark.parametrize("case", sorted(INFINITE_INTEGERS))
-    def test_infinite_integer_field_exits_2(self, files, tmp_path, case, capsys):
-        argv, kind, path, flag, value = self.INFINITE_INTEGERS[case]
+    @staticmethod
+    def spoilt(files, tmp_path, kind, path, value):
+        """A copy of the cube n=2 file of ``kind`` with the JSON text ``value`` at ``path``."""
         sources = {"polytope": lambda: json.loads(files["slack"].read_text())["polytope"],
+                   "slack": lambda: json.loads(files["slack"].read_text()),
                    "fact": lambda: json.loads(files["fact"].read_text())}
         if kind == "system":
             system = tmp_path / "system.json"
@@ -382,12 +383,57 @@ class TestLoaderErrors:
         field[path[-1]] = "HUGE"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj).replace('"HUGE"', value))
+        return bad
+
+    @pytest.mark.parametrize("case", sorted(INFINITE_INTEGERS))
+    def test_infinite_integer_field_exits_2(self, files, tmp_path, case, capsys):
+        argv, kind, path, flag, value = self.INFINITE_INTEGERS[case]
+        bad = self.spoilt(files, tmp_path, kind, path, value)
         capsys.readouterr()
         code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} {bad}: malformed field {path[-1]!r}")
+
+    # case: (argv with {bad}, the file it spoils, the path to a number, the
+    # flag and field named, the JSON text put there).  Each text reads as
+    # the value already there, true as 1, and numpy coerced it: so each
+    # file was loaded, and each command went on to exit 0.
+    NON_NUMBERS = {
+        "system-delta-string": (["reconstruct", "--system", "{bad}"], "system",
+                                ["grid", "delta"], "--system", "delta", '"5.425347222222222e-05"'),
+        "system-Delta-boolean": (["reconstruct", "--system", "{bad}"], "system",
+                                 ["grid", "Delta"], "--system", "Delta", "true"),
+        "system-a-string": (["reconstruct", "--system", "{bad}"], "system", ["rows", 0, "a"],
+                            "--system", "a", '["-1.0", "0.0"]'),
+        "system-b-string": (["reconstruct", "--system", "{bad}"], "system", ["rows", 0, "b"],
+                            "--system", "b", '"0.0"'),
+        "matrix-entry-string": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
+                                "fact", ["U", 1, "entries", 0], "--fact", "entries", '"0.0"'),
+        "matrix-entry-boolean": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
+                                 "fact", ["U", 0, "entries", 0], "--fact", "entries", "true"),
+        "slack-entry-string": (["fact", "embed", "--slack", "{bad}"], "slack", ["entries", 0, 0],
+                               "--slack", "entries", '"0.0"'),
+        "polytope-a-boolean": (["slack", "build", "--file", "{bad}"], "polytope",
+                               ["rows", 2, "a", 0], "--file", "a", "true"),
+        "polytope-b-boolean": (["slack", "build", "--file", "{bad}"], "polytope",
+                               ["rows", 2, "b"], "--file", "b", "true"),
+        "polytope-point-boolean": (["slack", "build", "--file", "{bad}"], "polytope",
+                                   ["points", 1, 1], "--file", "points", "true"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBERS))
+    def test_non_number_field_exits_2(self, files, tmp_path, case, capsys):
+        argv, kind, path, flag, name, value = self.NON_NUMBERS[case]
+        bad = self.spoilt(files, tmp_path, kind, path, value)
+        capsys.readouterr()
+        code = main([a.format(bad=bad, slack=files["slack"]) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} {bad}: malformed field {name!r}: ")
+        assert "expected JSON numbers" in captured.err
 
     # case: (how the cube n=2 polytope is spoilt), each refused by slack build --file
     NON_INTEGER_POLYTOPES = {

@@ -440,6 +440,20 @@ class TestMembership:
             e = system.b - system.a @ x.astype(float) - np.einsum("irs,rs->i", u_stack, y)
             assert np.max(np.abs(e)) <= g.budget + 1e-12
 
+    def test_point_of_another_length_is_refused(self):
+        _, _, _, _, _, system = rounded_unit_square()
+        with pytest.raises(DimensionError, match=r"point must have shape \(2,\), got \(3,\)"):
+            membership_test(np.array([0.0, 1.0, 0.0]), system)
+        # A point off the lattice is still decided.
+        assert membership_test(np.array([0.5, 0.5]), system).verdict in rounding.VERDICTS
+
+    def test_warm_start_of_another_side_is_refused(self):
+        _, _, _, _, g, system = rounded_unit_square()
+        assert g.r == 4
+        with pytest.raises(DimensionError,
+                           match=r"warm start must have shape \(4, 4\), got \(3, 3\)"):
+            membership_test(np.array([0.0, 1.0]), system, warm_start=np.eye(3))
+
     def test_outside_point_rejected_on_point_instance(self):
         h, v = builtin_instance("point", 1)
         s = build_slack(h, v)
