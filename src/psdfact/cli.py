@@ -11,6 +11,25 @@ fit``, ``check derivatives`` and ``pipeline`` (for ``--unbalance``) draw
 random numbers and take ``--seed``; every other seed, ``rescale run``'s
 included, is null.  Exit codes: 0 success, 1 verdict failure, 2
 precondition error, 3 numeric error.
+
+The stages chain file to file: ``slack build``, ``fact embed`` or ``fact
+fit``, ``rescale run``, ``round run``, ``reconstruct``.  A stage that
+``pipeline`` also runs gives the keys of its ``pipeline`` report from the
+same function:
+- ``fact fit``: found, residual, steps, and reason if not found (``fit_report``);
+- ``rescale run``: certificate, iterations, start, reduced_dim, lmax_u,
+  lmax_v, target_lmax (``rescale_report``);
+- ``round run``: delta, Delta, grid_step, budget, selected_rows,
+  zeroed_factors, error_bound_ok, entry_bound_ok, max_error_fnorm,
+  warm_budget_ok, warm_budget_value (``round_report``).
+Beside them, ``fact fit`` and ``rescale run`` write a factorization file
+(r, U, V) that ``--fact`` reads, ``rescale run`` with phi_trajectory,
+transform, transform_pinv and diagnostics; ``round run`` writes the
+system file (n, r, grid, selected, rows, and a ``rounding`` entry per
+row) that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
+inconclusive, points and complete.  ``rescale run`` and ``round run``
+refuse a factorization that misses its slack matrix, which ``fact
+verify`` fails.
 """
 
 from __future__ import annotations
@@ -31,14 +50,16 @@ from .errors import NumericError, PreconditionError, ResourceError
 from .factorization import (
     FIT_MAX_SIDE,
     VERIFY_TOL,
+    check_reproduces,
     diagonal_embed,
     fit_factorization,
+    fit_report,
     verify_factorization,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .polytopes import BUILTIN_MAX_N, BUILTIN_NAMES, build_slack, builtin_instance
-from .rescaling import rescale
-from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct
+from .rescaling import rescale, rescale_report
+from .rounding import GridParams, build_rounded_system, grid_delta, reconstruct, round_report
 from . import symmat
 
 EXIT_OK = 0
@@ -165,18 +186,12 @@ def _cmd_fact_embed(args):
 
 def _cmd_fact_fit(args):
     fit = fit_factorization(_load(args, "slack"), args.r, seed=args.seed)
+    report = fit_report(fit)
     if fit.factorization is None:
-        report = {
-            "found": False,
-            "note": "no factorization found at this side; a nonexistence proof only when "
-                    "the reason is a lower bound",
-            "reason": fit.reason,
-        }
+        report["note"] = ("no factorization found at this side; a nonexistence proof only when "
+                          "the reason is a lower bound")
     else:
-        report = serialize.factorization_to_json(fit.factorization)
-        report["found"] = True
-    report["residual"] = fit.residual
-    report["steps"] = fit.steps
+        report.update(serialize.factorization_to_json(fit.factorization))
     return report, EXIT_OK if fit.factorization is not None else EXIT_VERDICT
 
 
@@ -185,15 +200,11 @@ def _cmd_rescale_run(args):
     f = _load(args, "fact")
     res = rescale(f, s)
     report = {
-        "certificate": res.certificate,
-        "iterations": res.iterations,
-        "reduced_dim": res.reduced_dim,
-        "lmax_u": res.lmax_u,
-        "lmax_v": res.lmax_v,
+        **serialize.factorization_to_json(res.factorization),
+        **rescale_report(res),
         "phi_trajectory": list(res.phi_trajectory),
         "transform": serialize.matrix_to_json(res.transform),
         "transform_pinv": serialize.matrix_to_json(res.transform_pinv),
-        "factorization": serialize.factorization_to_json(res.factorization),
         "diagnostics": res.diagnostics,
     }
     if args.trace:
@@ -224,8 +235,9 @@ def _cmd_round_run(args):
             raise PreconditionError(f"--delta {args.delta!r} is not a number") from None
     grid = GridParams.for_slack(n=h.dim, r=f.side, delta_eff=s.max_entry, scale=scale,
                                 worst_case=args.worst_case)
+    check_reproduces(f, s)
     system = build_rounded_system(h, f, grid)
-    report = serialize.system_to_json(system)
+    report = {**serialize.system_to_json(system), **round_report(system)}
     report["rounding"] = [
         {
             "error_fnorm": err,
@@ -236,7 +248,6 @@ def _cmd_round_run(args):
         }
         for err, u in zip(system.error_fnorm, system.factors)
     ]
-    report["zeroed_factors"] = list(system.zeroed)
     return report, EXIT_OK
 
 
@@ -383,7 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rescale", help="rescale a factorization")
     rsub = p.add_subparsers(dest="subcommand", required=True)
-    rr = rsub.add_parser("run")
+    rr = rsub.add_parser(
+        "run", help="rescale toward lmax <= sqrt(d Delta); the output is a factorization file",
+        description="Rescale a factorization by a PSD congruence toward lmax <= sqrt(d Delta); "
+        "exit 1 when the bound is not certified.  The output is a factorization file: (r, U, "
+        "V) beside the rescale report, which --fact of round run reads.")
     rr.add_argument("--slack", required=True)
     rr.add_argument("--fact", required=True)
     rr.add_argument(

@@ -29,8 +29,8 @@ from .record import Record
 from . import symmat
 from .symmat import operator_norms
 
-# Residual tolerance, relative to 1 + Delta, of verify_factorization and of
-# rescale's input and output; residual_budget turns it into a threshold.
+# Residual tolerance, relative to 1 + Delta, of verify_factorization, of
+# check_reproduces and of rescale's output; residual_budget makes it a threshold.
 VERIFY_TOL = 1e-8
 # Largest side fit_factorization accepts: each of its steps forms m n
 # Jacobian blocks of r x r products, O(m n r^3) in all.
@@ -191,6 +191,18 @@ def residual_budget(s: SlackMatrix, tol: float) -> float:
     return tol * (1.0 + s.max_entry)
 
 
+def check_reproduces(f: PsdFactorization, s: SlackMatrix, arg: str = "f") -> float:
+    """``f``'s largest residual against ``s``; PreconditionError naming ``arg`` when
+    it is above ``residual_budget(s, VERIFY_TOL)`` or NaN."""
+    residual, _ = max_residual(f, s)
+    budget = residual_budget(s, VERIFY_TOL)
+    # Written so that a NaN residual fails the check.
+    if not residual <= budget:
+        raise PreconditionError(f"factorization does not reproduce the slack matrix "
+                                f"(max residual {residual:.3g} above {budget:.3g})", arg=arg)
+    return residual
+
+
 def verify_factorization(
     f: PsdFactorization, s: SlackMatrix, tol: float = VERIFY_TOL
 ) -> FactorizationReport:
@@ -338,3 +350,11 @@ def fit_factorization(s: SlackMatrix, r: int, seed: int = 7) -> FitResult:
                              reason="stalled: the step is lost in round-off")
     return FitResult(factorization=None, trace=tuple(trace),
                      reason=f"no fit within FIT_MAX_STEPS = {FIT_MAX_STEPS} steps")
+
+
+def fit_report(fit: FitResult) -> dict:
+    """The factorize stage's report of a fit, which ``run_pipeline`` and ``fact fit`` both give."""
+    report = {"found": fit.factorization is not None, "residual": fit.residual, "steps": fit.steps}
+    if fit.factorization is None:
+        report["reason"] = fit.reason
+    return report

@@ -10,25 +10,22 @@ witnesses.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import PreconditionError
 from .factorization import (
-    VERIFY_TOL,
     FitResult,
     PsdFactorization,
+    check_reproduces,
     congruence,
     diagonal_embed,
     fit_factorization,
-    max_residual,
-    residual_budget,
+    fit_report,
 )
 from .polytopes import build_slack, builtin_instance
 from .record import Record
-from .rescaling import rescale
-from .rounding import GridParams, build_rounded_system, reconstruct
+from .rescaling import rescale, rescale_report
+from .rounding import GridParams, build_rounded_system, reconstruct, round_report
 from . import symmat
 
 
@@ -78,8 +75,8 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     The reconstruction sweeps {0,1}^n, so a dimension above 4 is refused
     before the instance is built, and an instance whose vertices are not
     all 0/1 points is refused with PreconditionError.  So is an
-    ``unbalance`` congruence after which the factorization misses the
-    slack matrix by more than ``residual_budget(s, VERIFY_TOL)``.
+    ``unbalance`` congruence after which the factorization fails
+    ``check_reproduces``.
     """
     # n is the dimension of every builtin but moment_polygon, whose n
     # counts the vertices of a polygon.
@@ -118,29 +115,17 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
                 f"{dim}-dimensional polytope"))
         else:
             fit = fit_factorization(s, cfg.r)
-        found = fit.factorization is not None
-        report["stages"]["factorize"] = {
-            "method": "levenberg_marquardt",
-            "r": cfg.r,
-            "found": found,
-            "residual": fit.residual,
-            "steps": fit.steps,
-        }
-        if not found:
-            report["stages"]["factorize"]["reason"] = fit.reason
+        report["stages"]["factorize"] = {"method": "levenberg_marquardt", "r": cfg.r,
+                                         **fit_report(fit)}
+        if fit.factorization is None:
             report["verdict"] = "factorization not found"
             return report
         f = fit.factorization
 
     if cfg.unbalance is not None:
         f = _unbalance_congruence(f, cfg.unbalance, cfg.seed)
-        residual = max_residual(f, s)[0]
-        budget = residual_budget(s, VERIFY_TOL)
-        # Written so that a NaN residual fails the check.
-        if not residual <= budget:
-            raise PreconditionError(
-                f"the congruence loses the slack matrix to round-off "
-                f"(max residual {residual:.3g} above {budget:.3g})", arg="unbalance")
+        # The congruence can lose the slack matrix to round-off.
+        residual = check_reproduces(f, s, arg="unbalance")
         report["stages"]["factorize"]["unbalanced"] = True
         report["stages"]["factorize"]["residual_after_unbalance"] = residual
 
@@ -150,35 +135,11 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     else:
         res = rescale(f, s)
         working = res.factorization
-        report["stages"]["rescale"] = {
-            "skipped": False,
-            "certificate": res.certificate,
-            "iterations": res.iterations,
-            "start": res.diagnostics["start"],
-            "reduced_dim": res.reduced_dim,
-            "lmax_u": res.lmax_u,
-            "lmax_v": res.lmax_v,
-            "target_lmax": res.target,
-        }
+        report["stages"]["rescale"] = {"skipped": False, **rescale_report(res)}
 
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     system = build_rounded_system(h, working, grid)
-    max_error = max(system.error_fnorm, default=0.0)
-    budget_margin = max_error * working.side * math.sqrt(grid.big_delta)
-    report["stages"]["round"] = {
-        "delta": grid.delta,
-        "Delta": grid.big_delta,
-        "grid_step": grid.step,
-        "budget": grid.budget,
-        "selected_rows": list(system.selected),
-        "zeroed_factors": list(system.zeroed),
-        "error_bound_ok": max_error <= grid.error_bound,
-        # The padding rows are zero, so they never exceed the bound.
-        "entry_bound_ok": bool(np.abs(system.factors).max() <= grid.entry_bound),
-        "max_error_fnorm": max_error,
-        "warm_budget_ok": bool(budget_margin <= grid.budget),
-        "warm_budget_value": float(budget_margin),
-    }
+    report["stages"]["round"] = round_report(system)
 
     # Each vertex starts from its own column factor.
     recon = reconstruct(system, warm_starts=(v.points, working.col_factors)).to_json()

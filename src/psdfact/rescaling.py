@@ -76,6 +76,7 @@ from .errors import ConvergenceError, NumericError, PreconditionError
 from .factorization import (
     VERIFY_TOL,
     PsdFactorization,
+    check_reproduces,
     congruence,
     max_residual,
     potential,
@@ -482,10 +483,6 @@ class RescaleResult(Record):
         """The potential lmax_u * lmax_v of every ``lmax_trajectory`` entry."""
         return tuple(u * v for u, v in self.lmax_trajectory)
 
-    @property
-    def target(self) -> float:
-        return self.diagnostics.get("target_lmax", float("nan"))
-
 
 def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     """Find a PSD congruence A with lmax(A U A), lmax(A+ V A+) <= sqrt(d Delta).
@@ -522,14 +519,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     scalar leaves the float range raise one too.
     """
     delta = s.max_entry
-    budget = residual_budget(s, VERIFY_TOL)
-    residual_in, _ = max_residual(f, s)
-    # Written so that a NaN residual fails the check.
-    if not (residual_in <= budget):
-        raise PreconditionError(
-            f"input factorization does not reproduce the slack matrix "
-            f"(max residual {residual_in:.3g})"
-        )
+    residual_in = check_reproduces(f, s)
 
     if delta == 0.0 and f.n_rows and f.n_cols:
         # The zero factorization reproduces S = 0 exactly, and its common
@@ -656,7 +646,7 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     # pair, which preserves the products, so the residual may only drift
     # by float error (and the clipping) beyond what came in.  Written so
     # that a NaN residual fails the check.
-    if not (residual <= residual_in + budget):
+    if not (residual <= residual_in + residual_budget(s, VERIFY_TOL)):
         raise NumericError(
             f"rescaled factorization drifted off the slack matrix "
             f"(max residual {residual:.3g})"
@@ -687,3 +677,16 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
             "psd_repaired": psd_repaired,
         },
     )
+
+
+def rescale_report(res: RescaleResult) -> dict:
+    """The rescale stage's report, which ``run_pipeline`` and ``rescale run`` both give."""
+    return {
+        "certificate": res.certificate,
+        "iterations": res.iterations,
+        "start": res.diagnostics["start"],
+        "reduced_dim": res.reduced_dim,
+        "lmax_u": res.lmax_u,
+        "lmax_v": res.lmax_v,
+        "target_lmax": res.diagnostics["target_lmax"],
+    }

@@ -81,11 +81,13 @@ class GridParams(Record):
     __slots__ = ("n", "r", "delta", "big_delta", "worst_case")
 
     def __init__(self, n: int, r: int, delta: float, big_delta: float, worst_case: bool = False):
-        # Written so that NaN fails both checks.
+        # Written so that NaN fails both checks.  The witness cap is
+        # sqrt(r Delta), so r * Delta must stay finite too.
         if not big_delta > 0:
             raise PreconditionError("Delta must be positive")
-        if big_delta == math.inf:
-            raise PreconditionError("Delta must be finite")
+        if not math.isfinite(r * big_delta):
+            raise PreconditionError(f"Delta must be finite, with r * Delta = {r} * "
+                                    f"{big_delta:.3g} below the float maximum")
         if not 0 < delta <= grid_delta(n, r) * (1 + 1e-12):
             raise PreconditionError(f"delta must lie in (0, {grid_delta(n, r):.3g}]", arg="delta")
         self._set_fields(n, r, delta, big_delta, worst_case)
@@ -240,6 +242,28 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
         error_fnorm=tuple(np.sqrt(err @ err.swapaxes(1, 2)).ravel().tolist()),
         zeroed=tuple(int(selected[k]) for k in zeroed_factors(u, rounded)),
     )
+
+
+def round_report(system: RoundedSystem) -> dict:
+    """The round stage's report, which ``run_pipeline`` and ``round run`` both give: the
+    grid, the selected and zeroed rows, and the bounds checked against the largest error."""
+    g = system.grid
+    max_error = max(system.error_fnorm, default=0.0)
+    budget_margin = max_error * g.r * math.sqrt(g.big_delta)
+    return {
+        "delta": g.delta,
+        "Delta": g.big_delta,
+        "grid_step": g.step,
+        "budget": g.budget,
+        "selected_rows": list(system.selected),
+        "zeroed_factors": list(system.zeroed),
+        "error_bound_ok": max_error <= g.error_bound,
+        # The padding rows are zero, so they never exceed the bound.
+        "entry_bound_ok": bool(np.abs(system.factors).max() <= g.entry_bound),
+        "max_error_fnorm": max_error,
+        "warm_budget_ok": bool(budget_margin <= g.budget),
+        "warm_budget_value": float(budget_margin),
+    }
 
 
 # ---------------------------------------------------------------------------

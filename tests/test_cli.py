@@ -21,6 +21,7 @@ from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import DESCENT_MAX_ITERS, rescale
 from psdfact.rounding import GridParams, RoundedSystem, grid_delta
 
+import grid_fixture
 from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
 
@@ -325,6 +326,10 @@ class TestLoaderErrors:
         **{f"Delta-{name}": (lambda obj, value=value: dict(obj, grid=dict(obj["grid"], Delta=value)),
                              "Delta must be positive")
            for name, value in (("zero", 0.0), ("negative", -1.0), ("nan", float("nan")))},
+        # The witness cap sqrt(r Delta) was inf, and the oracle's inf * 0 a
+        # RuntimeWarning, before every point was accepted.
+        "Delta-times-r-overflow": (lambda obj: dict(obj, grid=dict(obj["grid"], Delta=1e308)),
+                                   "r * Delta = 4 * 1e+308 below the float maximum"),
     }
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT_SYSTEMS))
@@ -340,7 +345,27 @@ class TestLoaderErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: --system {system}: ")
-        assert phrase in captured.err
+        assert phrase in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("words", [("rescale", "run"), ("round", "run")])
+    @pytest.mark.parametrize("entry,residual", [(7.0, "6"), (1e308, "1e+308")])
+    def test_factorization_missing_its_slack_matrix_exits_2(self, files, tmp_path, words, entry,
+                                                            residual, capsys):
+        # U_0 = entry e_0 e_0^T is PSD and exactly symmetric, and <U_0, V^j> =
+        # entry S_0j.  round run took the 7, and reconstruct accepted every
+        # point of the square; the 1e308 overflowed in its row selection.
+        obj = json.loads(files["fact"].read_text())
+        obj["U"][0]["entries"][0] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = ["--slack", str(files["slack"]), "--fact", str(bad)]
+        assert main(["fact", "verify"] + argv) == 1
+        capsys.readouterr()
+        code = main(list(words) + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: --fact {bad}: factorization does not reproduce the "
+                                f"slack matrix (max residual {residual} above 2e-08)\n")
 
     # case: (argv with {bad}, the file it spoils, the path to an integer or
     # boolean field, the flag named, the JSON text put there).  JSON reads
@@ -1003,6 +1028,7 @@ class TestManifest:
 
 class TestRoundReconstruct:
     def test_round_then_reconstruct(self, tmp_path, capsys):
+        # round run reads rescale run's output file as its --fact as it is.
         slack = tmp_path / "slack.json"
         fact = tmp_path / "fact.json"
         resc = tmp_path / "resc.json"
@@ -1013,9 +1039,7 @@ class TestRoundReconstruct:
         assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
         assert main(["rescale", "run", "--slack", str(slack), "--fact", str(fact),
                      "--out", str(resc)]) == 0
-        rescaled = tmp_path / "rescaled.json"
-        rescaled.write_text(json.dumps(json.loads(resc.read_text())["factorization"]))
-        assert main(["round", "run", "--slack", str(slack), "--fact", str(rescaled),
+        assert main(["round", "run", "--slack", str(slack), "--fact", str(resc),
                      "--delta", "max", "--out", str(system)]) == 0
         code = main(["reconstruct", "--system", str(system), "--out", str(recon)])
         capsys.readouterr()
@@ -1023,6 +1047,33 @@ class TestRoundReconstruct:
         rep = json.loads(recon.read_text())
         assert rep["complete"] is True
         assert sorted(map(tuple, rep["accepted"])) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("instance,n", grid_fixture.GRID_INSTANCES,
+                             ids=[f"{name}-{n}" for name, n in grid_fixture.GRID_INSTANCES])
+    def test_chain_matches_the_pipeline(self, tmp_path, instance, n, capsys):
+        # File to file, rescale-then-round as run_pipeline runs it: round
+        # run reads rescale run's output as its --fact.  Each stage's report
+        # holds the pipeline's report of that stage, value for value.  The
+        # CLI's sweep starts every point from 0, the pipeline's each vertex
+        # from its column factor; the verdicts are the same.
+        stages = ("slack", "fact", "rescale", "round", "reconstruct")
+        path = {stage: str(tmp_path / f"{stage}.json") for stage in stages}
+        for stage, argv in zip(stages, (
+                ["slack", "build", "--instance", instance, "--n", str(n)],
+                ["fact", "embed", "--slack", path["slack"]],
+                ["rescale", "run", "--slack", path["slack"], "--fact", path["fact"]],
+                ["round", "run", "--slack", path["slack"], "--fact", path["rescale"]],
+                ["reconstruct", "--system", path["round"]])):
+            assert main(argv + ["--out", path[stage]]) == 0, argv
+        capsys.readouterr()
+        got = {stage: json.loads(Path(path[stage]).read_text()) for stage in stages[2:]}
+        want = pipeline.run_pipeline(instance, n)["stages"]
+        assert want["rescale"].pop("skipped") is False
+        for stage in ("rescale", "round"):
+            assert {key: got[stage][key] for key in want[stage]} == want[stage], stage
+        lists = ("accepted", "rejected", "inconclusive")
+        assert {key: got["reconstruct"][key] for key in lists} == {
+            key: want["reconstruct"][key] for key in lists}
 
     def test_report_lists_every_point(self, tmp_path, capsys):
         system = unrescaled_system(tmp_path, "crosspoly_01", 3)
