@@ -20,16 +20,19 @@ same function:
 - ``rescale run``: certificate, iterations, start, reduced_dim, lmax_u,
   lmax_v, target_lmax (``rescale_report``);
 - ``round run``: delta, Delta, grid_step, budget, selected_rows,
-  zeroed_factors, error_bound_ok, entry_bound_ok, max_error_fnorm,
-  warm_budget_ok, warm_budget_value (``round_report``).
+  zeroed_factors, error_fnorm, error_bound, error_bound_ok, entry_bound,
+  entry_bound_ok, max_error_fnorm, warm_budget_ok, warm_budget_value
+  (``round_report``).
 Beside them, ``fact fit`` and ``rescale run`` write a factorization file
 (r, U, V) that ``--fact`` reads, ``rescale run`` with phi_trajectory,
 transform, transform_pinv and diagnostics; ``round run`` writes the
-system file (n, r, grid, selected, rows, and a ``rounding`` entry per
-row) that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
+system file (grid, selected, and one entry of rows per selected row)
+that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
 inconclusive, points and complete.  ``rescale run`` and ``round run``
 refuse a factorization that misses its slack matrix, which ``fact
-verify`` fails.
+verify`` fails.  ``round run`` exits 1 when error_bound_ok,
+entry_bound_ok or warm_budget_ok is false, as on a factorization that
+was not rescaled; it still writes the system file.
 """
 
 from __future__ import annotations
@@ -155,9 +158,9 @@ def _load(args, flag: str):
 
 
 # The flag that passes each library argument a refusal may name.
-_FLAGS = {"name": "--instance", "n": "--n", "r": "--r", "s": "--slack", "f": "--fact",
-          "system": "--system", "tol": "--tol", "delta": "--delta", "worst_case": "--worst-case",
-          "unbalance": "--unbalance", "big_r": "--R", "d": "--d"}
+_FLAGS = {"name": "--instance", "instance": "--instance", "n": "--n", "r": "--r", "v": "--file",
+          "s": "--slack", "f": "--fact", "system": "--system", "tol": "--tol", "delta": "--delta",
+          "worst_case": "--worst-case", "unbalance": "--unbalance", "big_r": "--R", "d": "--d"}
 
 
 # --------------------------------------------------------------------------
@@ -238,17 +241,8 @@ def _cmd_round_run(args):
     check_reproduces(f, s)
     system = build_rounded_system(h, f, grid)
     report = {**serialize.system_to_json(system), **round_report(system)}
-    report["rounding"] = [
-        {
-            "error_fnorm": err,
-            "error_bound": grid.error_bound,
-            "error_bound_ok": err <= grid.error_bound,
-            "entry_bound": grid.entry_bound,
-            "entry_bound_ok": bool(np.max(np.abs(u)) <= grid.entry_bound),
-        }
-        for err, u in zip(system.error_fnorm, system.factors)
-    ]
-    return report, EXIT_OK
+    bounds_ok = all(report[key] for key in ("error_bound_ok", "entry_bound_ok", "warm_budget_ok"))
+    return report, EXIT_OK if bounds_ok else EXIT_VERDICT
 
 
 def _cmd_reconstruct(args):

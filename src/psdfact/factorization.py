@@ -172,8 +172,7 @@ def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int,
     if (f.n_rows, f.n_cols) != target.shape:
         raise DimensionError(
             f"index sets disagree: factorization {f.n_rows}x{f.n_cols}, "
-            f"slack {target.shape[0]}x{target.shape[1]}"
-        )
+            f"slack {target.shape[0]}x{target.shape[1]}", arg="f")
     residual = np.abs(f.products() - target)
     if not residual.size:
         return 0.0, (0, 0)

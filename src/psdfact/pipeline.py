@@ -86,8 +86,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
     if not ((v.points == 0) | (v.points == 1)).all():
         raise PreconditionError(
             f"instance {instance!r} has vertices outside {{0,1}}^{h.dim}, "
-            "which the reconstruction sweep cannot find"
-        )
+            "which the reconstruction sweep cannot find", arg="instance")
     s = build_slack(h, v)
     report: dict = {
         "instance": instance,

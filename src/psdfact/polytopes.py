@@ -153,9 +153,8 @@ def build_slack(h: HPolytope, v: VPolytope) -> SlackMatrix:
     except PreconditionError:
         # Integer slacks are finite, so a negative one was refused.
         i, j = np.argwhere(s < 0)[0]
-        raise PreconditionError(
-            f"point {j} violates inequality {i}: slack {int(s[i, j])}"
-        ) from None
+        raise PreconditionError(f"point {j} violates inequality {i}: slack {int(s[i, j])}",
+                                arg="v") from None
 
 
 def cube_points(n: int, batch: int):

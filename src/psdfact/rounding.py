@@ -4,7 +4,8 @@ A factor U with operator norm at most sqrt(r Delta) is rounded by
 snapping its eigenvalues and eigenvector entries to the nearest integer
 multiple of delta/Delta (ties toward +inf), reassembling, and snapping
 the reassembled entries once more so every entry lands exactly on the
-grid.  The selected factors are rounded as one (m, r, r) stack through one
+grid.  The rounded system holds only the selected rows, at most n + r^2 of
+them, and their factors are rounded as one (k, r, r) stack through one
 batched eigendecomposition.  The paper's bounds are the same for every
 factor, so they live on ``GridParams``: a Frobenius error of at most
 ``error_bound`` = 4 delta r^2 / sqrt(Delta) and entries of at most
@@ -36,12 +37,13 @@ hinge = max(|e| - budget, 0), at one spectrum per point.  A point with
 no certificate after MEMBER_MAX_ITERS iterations is inconclusive.
 
 The rounded subsystem determines the vertex set, so a 0/1 point outside
-the polytope violates some integer inequality; when that is a selected
-row i, -e_i proves rejection at iteration 1, as +e_i does when row i's
-slack exceeds cap tr(U_i) + budget.  Otherwise (on crosspoly_01 n=2 the
-violated rows are combinations of the selected ones) the hinge duals and
-the steps go on.  Re-validation checks every witness against the budget
-and the cap, and every dual by its value, before a verdict is given.
+the polytope violates some integer inequality; when that is one of the
+system's rows i, -e_i proves rejection at iteration 1, as +e_i does when
+row i's slack exceeds cap tr(U_i) + budget.  Otherwise (on crosspoly_01
+n=2 the violated rows are combinations of the selected ones) the hinge
+duals and the steps go on.  Re-validation checks every witness against
+the budget and the cap, and every dual by its value, before a verdict is
+given.
 
 The verdicts come back as a ``ReconstructionReport`` of columns, one row
 per point: points, verdict codes, violations, dual margins, iterations,
@@ -201,14 +203,15 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
 
 
 class RoundedSystem(Record):
-    """Padded subsystem (a_i, b_i, rounded U_i) driving the membership oracle.
+    """The selected subsystem (a_i, b_i, rounded U_i) driving the membership oracle.
 
-    ``a`` (n + r^2, n), ``b`` (n + r^2,) and ``factors`` (n + r^2, r, r)
-    are float arrays.  ``selected``, ``error_fnorm`` and ``zeroed`` default
-    to (): ``error_fnorm`` is ||rounded U_i - U_i||_F per selected row, in
-    slot order, and ``zeroed`` the selected rows whose nonzero factor
-    rounded to zero, by ``zeroed_factors``; both are empty when the system
-    was loaded rather than rounded.
+    ``a`` (k, n), ``b`` (k,) and ``factors`` (k, r, r) are float arrays,
+    one row per selected row, k <= n + r^2.  ``selected``, ``error_fnorm``
+    and ``zeroed`` default to (): ``selected`` is the polytope row of each
+    slot, ``error_fnorm`` ||rounded U_i - U_i||_F per slot, and ``zeroed``
+    the selected rows whose nonzero factor rounded to zero, by
+    ``zeroed_factors``; the last two are empty when the system was loaded
+    rather than rounded.
     """
 
     __slots__ = ("a", "b", "factors", "grid", "selected", "error_fnorm", "zeroed")
@@ -220,23 +223,20 @@ class RoundedSystem(Record):
 
 
 def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> RoundedSystem:
-    """Select the working subsystem, round its factors as one stack, pad with zero rows."""
+    """Select the working subsystem and round its factors as one stack."""
     if (g.n, g.r) != (h.dim, f.side):
         raise DimensionError(f"grid n, r = {g.n}, {g.r}, but dimension, side = {h.dim}, {f.side}")
     selected = select_subsystem(h, f)
     u = f.row_factors[selected]
     rounded = round_factor(u, g)
-    k, m = len(selected), g.n + g.r**2
-    a, b, factors = np.zeros((m, h.dim)), np.zeros(m), np.zeros((m, f.side, f.side))
-    a[:k], b[:k], factors[:k] = h.a[selected], h.b[selected], rounded
     # Row-by-row dot products, as the 2-D np.linalg.norm of each factor
     # takes them; a batched norm sums in another order and moves the last
     # bits.
-    err = (rounded - u).reshape(k, 1, f.side**2)
+    err = (rounded - u).reshape(len(selected), 1, f.side**2)
     return RoundedSystem(
-        a=a,
-        b=b,
-        factors=factors,
+        a=h.a[selected].astype(float),
+        b=h.b[selected].astype(float),
+        factors=rounded,
         grid=g,
         selected=tuple(int(i) for i in selected),
         error_fnorm=tuple(np.sqrt(err @ err.swapaxes(1, 2)).ravel().tolist()),
@@ -246,7 +246,8 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
 
 def round_report(system: RoundedSystem) -> dict:
     """The round stage's report, which ``run_pipeline`` and ``round run`` both give: the
-    grid, the selected and zeroed rows, and the bounds checked against the largest error."""
+    grid, the selected and zeroed rows, each selected row's rounding error, and the
+    bounds checked against the largest error and entry."""
     g = system.grid
     max_error = max(system.error_fnorm, default=0.0)
     budget_margin = max_error * g.r * math.sqrt(g.big_delta)
@@ -257,9 +258,11 @@ def round_report(system: RoundedSystem) -> dict:
         "budget": g.budget,
         "selected_rows": list(system.selected),
         "zeroed_factors": list(system.zeroed),
+        "error_fnorm": list(system.error_fnorm),
+        "error_bound": g.error_bound,
         "error_bound_ok": max_error <= g.error_bound,
-        # The padding rows are zero, so they never exceed the bound.
-        "entry_bound_ok": bool(np.abs(system.factors).max() <= g.entry_bound),
+        "entry_bound": g.entry_bound,
+        "entry_bound_ok": bool(np.abs(system.factors).max(initial=0.0) <= g.entry_bound),
         "max_error_fnorm": max_error,
         "warm_budget_ok": bool(budget_margin <= g.budget),
         "warm_budget_value": float(budget_margin),
@@ -393,15 +396,13 @@ def _single_row_duals(factors, const, cap):
 
     The value of +-e_i is +-c_i - cap tr((+-U_i)_+); it needs no iterate,
     and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  One
-    ``eigvalsh`` measures the nonzero factors; a zero row's traces are 0.
+    ``eigvalsh`` measures every factor.
     """
     m = len(factors)
-    rows = np.flatnonzero(factors.any(axis=(1, 2)))
-    spectra = np.linalg.eigvalsh(factors[rows])
-    trace = np.zeros((2, m))
-    trace[0, rows] = np.maximum(spectra, 0.0).sum(axis=1)
-    trace[1, rows] = -np.minimum(spectra, 0.0).sum(axis=1)
-    values = np.concatenate([const - cap * trace[0], -const - cap * trace[1]], axis=1)
+    spectra = np.linalg.eigvalsh(factors)
+    positive = np.maximum(spectra, 0.0).sum(axis=1)
+    negative = -np.minimum(spectra, 0.0).sum(axis=1)
+    values = np.concatenate([const - cap * positive, -const - cap * negative], axis=1)
     pick = values.argmax(axis=1)
     points = np.arange(len(const))
     lam = np.zeros((len(const), m))
@@ -414,7 +415,7 @@ def _residuals(y, const, factors, budget):
     e = const - symmat.inner_products(y, factors)
     if not np.isfinite(e).all():
         raise NumericError("NaN/Inf in membership iterates")
-    return e, np.abs(e).max(axis=1) <= budget * (1.0 + MEMBER_RTOL)
+    return e, np.abs(e).max(axis=1, initial=0.0) <= budget * (1.0 + MEMBER_RTOL)
 
 
 def _hinge(e, budget):
@@ -449,15 +450,14 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     factors (``symmat.inner_products``).
 
     Re-validation symmetrises each final iterate and checks it against the
-    budget through the full factor stack, all n + r^2 padded rows; only
-    points holding a witness get the spectrum that checks the cap.  Each
-    point's best dual is valued again.  A point that passes neither check
-    is inconclusive.
+    budget through the full factor stack; only points holding a witness get
+    the spectrum that checks the cap.  Each point's best dual is valued
+    again.  A point that passes neither check is inconclusive.
     """
     g = system.grid
     budget, cap = g.budget, g.witness_cap
     m, r = system.n_rows, g.r
-    u_flat = system.factors.reshape(m, -1)
+    u_flat = system.factors.reshape(m, r * r)
     const = system.b - xs @ system.a.T
     y = np.zeros((len(xs), r, r))
     if len(warm):
@@ -511,7 +511,7 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
     # Re-validation.
     witness = symmat.as_symmetric(y)
     resid = const - symmat.inner_products(witness, system.factors)
-    violation = np.abs(resid).max(axis=1) - budget
+    violation = np.abs(resid).max(axis=1, initial=0.0) - budget
     witness_ok = found & (violation <= budget * MEMBER_RTOL)
     spectra = np.linalg.eigvalsh(witness[witness_ok])
     witness_ok[witness_ok] = ((spectra[:, 0] >= -cap * MEMBER_RTOL)

@@ -186,8 +186,6 @@ def grid_from_json(obj: dict) -> GridParams:
 
 def system_to_json(sys: RoundedSystem) -> dict:
     return {
-        "n": sys.grid.n,
-        "r": sys.grid.r,
         "grid": grid_to_json(sys.grid),
         "selected": list(sys.selected),
         "rows": [
@@ -202,28 +200,25 @@ def system_to_json(sys: RoundedSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> RoundedSystem:
-    """Load a ``RoundedSystem``: its top-level n and r must be the grid's, and
-    its rows the n + r^2 rows of the padded subsystem."""
+    """Load a ``RoundedSystem``: one row per entry of ``selected``, at most n + r^2 of them."""
     grid = _field(obj, "grid", grid_from_json)
-    for name in ("n", "r"):
-        value = _int(obj, name)
-        if value != getattr(grid, name):
-            raise PreconditionError(
-                f"field {name!r} is {value}, but the grid's {name} is {getattr(grid, name)}")
-    size = grid.n + grid.r**2
+    selected = tuple(as_int(i, "malformed field 'selected'") for i in _field(obj, "selected", list))
     count = _field(obj, "rows", len)
-    if count != size:
+    if count > grid.n + grid.r**2:
         raise PreconditionError(
-            f"the rounded system has {count} rows, expected n + r^2 = {size}")
+            f"the rounded system has {count} rows, above n + r^2 = {grid.n + grid.r**2}")
+    if count != len(selected):
+        raise PreconditionError(
+            f"the rounded system has {count} rows, but 'selected' lists {len(selected)}")
 
-    def padded_rows(rows):
+    def selected_rows(rows):
         k = len(rows)
         a = np.asarray([_field(r, "a", _numbers) for r in rows], dtype=float).reshape(k, grid.n)
         b = np.asarray([_field(r, "b", _numbers) for r in rows], dtype=float).reshape(k)
         factors = np.asarray([matrix_from_json(r["U"]) for r in rows]).reshape(k, grid.r, grid.r)
         return a, b, factors
 
-    a, b, factors = _field(obj, "rows", padded_rows)
+    a, b, factors = _field(obj, "rows", selected_rows)
     # The oracle's eigvalsh reads one triangle, so factors must be exactly
     # symmetric.  Its slacks b - a.x over x in {0,1}^n stay finite when
     # |b| + sum_j |a_j| does.
@@ -237,11 +232,7 @@ def system_from_json(obj: dict) -> RoundedSystem:
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise PreconditionError(f"row {bad[0]} of the rounded system {defect}")
-    return RoundedSystem(
-        a=a, b=b, factors=factors, grid=grid,
-        selected=tuple(as_int(i, "malformed field 'selected'")
-                       for i in _field(obj, "selected", list, default=[])),
-    )
+    return RoundedSystem(a=a, b=b, factors=factors, grid=grid, selected=selected)
 
 
 def sha256_file(path) -> str:

@@ -271,14 +271,14 @@ def test_criterion_9_single_row_rejection(monkeypatch):
 
 def test_rejections_are_certified_by_one_selected_row(monkeypatch):
     # The one-row duals are tried before any hinge dual, so every point that
-    # one of them rejects keeps it: lambda = +-e_k on a selected row, the
-    # rows past len(selected) being zero padding.  On crosspoly_01 n=2 no
-    # single row rejects, as ONE_ROW_SWEEPS says.
+    # one of them rejects keeps it: lambda = +-e_k, and every row of the
+    # system is a selected row.  On crosspoly_01 n=2 no single row rejects,
+    # as ONE_ROW_SWEEPS says.
     sweeps = []
 
     def recording(system, warm_starts=None):
         report = reconstruct(system, warm_starts)
-        sweeps.append((len(system.selected), report))
+        sweeps.append((system, report))
         return report
 
     monkeypatch.setattr("psdfact.pipeline.reconstruct", recording)
@@ -288,12 +288,12 @@ def test_rejections_are_certified_by_one_selected_row(monkeypatch):
             continue
         sweeps.clear()
         assert run_pipeline(instance, n)["verdict"] == "match"
-        [(selected, report)] = sweeps
+        [(system, report)] = sweeps
+        assert report.duals.shape[1] == system.n_rows == len(system.selected)
         for k in np.flatnonzero(report.codes == REJECTED):
             rows = np.flatnonzero(report.duals[k])
             rejected += 1
-            if not (len(rows) == 1 and rows[0] < selected
-                    and abs(report.duals[k, rows[0]]) == 1.0):
+            if not (len(rows) == 1 and abs(report.duals[k, rows[0]]) == 1.0):
                 others.append((instance, n, report.points[k].tolist()))
     assert rejected and not others
 

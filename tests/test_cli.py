@@ -309,12 +309,24 @@ class TestLoaderErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "row factor 0 is not exactly symmetric" in err
 
-    # case: (how the rounded cube n=2 system is spoilt, what the error says)
+    # case: (how the rounded cube n=2 system is spoilt, what the error says).
+    # The system holds its 4 selected rows; n + r^2 = 2 + 4^2 = 18.
     INCONSISTENT_SYSTEMS = {
-        "top-level-r": (lambda obj: dict(obj, r=3), "field 'r' is 3, but the grid's r is 4"),
-        "top-level-n": (lambda obj: dict(obj, n=3), "field 'n' is 3, but the grid's n is 2"),
+        "grid-r": (lambda obj: dict(obj, grid=dict(obj["grid"], r=3)),
+                   "malformed field 'rows'"),
         "cut-rows": (lambda obj: dict(obj, rows=obj["rows"][:3]),
-                     "has 3 rows, expected n + r^2 = 18"),
+                     "has 3 rows, but 'selected' lists 4"),
+        "selected-too-long": (lambda obj: dict(obj, selected=obj["selected"] + [0]),
+                              "has 4 rows, but 'selected' lists 5"),
+        "selected-missing": (lambda obj: {k: v for k, v in obj.items() if k != "selected"},
+                             "missing field 'selected'"),
+        # The zero rows that padded every system to n + r^2 rows.
+        "padded": (lambda obj: dict(obj, rows=obj["rows"] + [
+                       {"a": [0.0, 0.0], "b": 0.0, "U": {"side": 4, "entries": [0.0] * 16}}
+                   ] * 14), "has 18 rows, but 'selected' lists 4"),
+        "above-n-plus-r2": (
+            lambda obj: dict(obj, rows=obj["rows"] * 5, selected=obj["selected"] * 5),
+            "has 20 rows, above n + r^2 = 18"),
         # These two reached the oracle, whose arithmetic made NaN or
         # overflowed, before the loader refused them.
         "infinite-Delta": (lambda obj: dict(obj, grid=dict(obj["grid"], Delta=float("inf"))),
@@ -384,7 +396,7 @@ class TestLoaderErrors:
                                 "fact", ["U", 0, "side"], "--fact", "true"),
         "system-grid-r-fraction": (["reconstruct", "--system", "{bad}"], "system",
                                    ["grid", "r"], "--system", "2.5"),
-        "system-n-fraction": (["reconstruct", "--system", "{bad}"], "system", ["n"],
+        "system-n-fraction": (["reconstruct", "--system", "{bad}"], "system", ["grid", "n"],
                               "--system", "2.5"),
         "system-worst-case-string": (["reconstruct", "--system", "{bad}"], "system",
                                      ["grid", "worst_case"], "--system", '"false"'),
@@ -570,7 +582,7 @@ class TestBadArguments:
         system21 = tmp_path / "system21.json"
         grid = GridParams(n=21, r=1, delta=grid_delta(21, 1), big_delta=1.0)
         system21.write_text(json.dumps(serialize.system_to_json(
-            RoundedSystem(np.zeros((22, 21)), np.zeros(22), np.zeros((22, 1, 1)), grid))))
+            RoundedSystem(np.zeros((0, 21)), np.zeros(0), np.zeros((0, 1, 1)), grid))))
         return {"slack": slack, "fact": fact, "system": system, "system21": system21}
 
     RESCALE = ["rescale", "run", "--slack", "{slack}", "--fact", "{fact}"]
@@ -742,12 +754,14 @@ class TestErrorLinesNameTheInput:
     def files(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("inputs")
         paths = {name: tmp / f"{name}.json" for name in
-                 ("cube13", "cube2", "fact2", "bare", "pointless")}
-        for name, n in (("cube13", 13), ("cube2", 2)):
-            assert main(["slack", "build", "--instance", "cube", "--n", str(n),
+                 ("cube13", "cube2", "fact2", "simplex2", "simplex_fact2", "bare", "pointless")}
+        for name, instance, n in (("cube13", "cube", 13), ("cube2", "cube", 2),
+                                  ("simplex2", "simplex", 2)):
+            assert main(["slack", "build", "--instance", instance, "--n", str(n),
                          "--out", str(paths[name])]) == 0
-        assert main(["fact", "embed", "--slack", str(paths["cube2"]),
-                     "--out", str(paths["fact2"])]) == 0
+        for slack, fact in (("cube2", "fact2"), ("simplex2", "simplex_fact2")):
+            assert main(["fact", "embed", "--slack", str(paths[slack]),
+                         "--out", str(paths[fact])]) == 0
         bare = json.loads(paths["cube2"].read_text())
         bare["polytope"] = None
         paths["bare"].write_text(json.dumps(bare))
@@ -760,6 +774,7 @@ class TestErrorLinesNameTheInput:
             "mixed_fact": json.dumps({"r": 1, "U": [{"side": 1, "entries": [1.0]},
                                                     {"side": 2, "entries": [1.0, 0.0, 0.0, 1.0]}],
                                       "V": [{"side": 1, "entries": [1.0]}]}),
+            "violated": json.dumps({"n": 1, "rows": [{"a": [1], "b": 0}], "points": [[1]]}),
         }
         for name, text in texts.items():
             paths[name] = tmp / f"{name}.json"
@@ -798,6 +813,17 @@ class TestErrorLinesNameTheInput:
         "verify-mixed-sides": (
             ["fact", "verify", "--slack", "{cube2}", "--fact", "{mixed_fact}"],
             "--fact {mixed_fact}: factor sides disagree"),
+        "slack-build-violated-point": (
+            ["slack", "build", "--file", "{violated}"],
+            "--file {violated}: point 0 violates inequality 0: slack -1"),
+        "pipeline-moment-polygon-3": (
+            ["pipeline", "--instance", "moment_polygon", "--n", "3"],
+            "--instance moment_polygon: instance 'moment_polygon' has vertices outside "
+            "{{0,1}}^2, which the reconstruction sweep cannot find"),
+        **{f"{words[0]}-index-sets": (
+            list(words) + ["--slack", "{cube2}", "--fact", "{simplex_fact2}"],
+            "--fact {simplex_fact2}: index sets disagree: factorization 3x3, slack 4x4")
+           for words in (("fact", "verify"), ("rescale", "run"), ("round", "run"))},
         # Library refusals name their argument; main names its flag.
         "slack-build-cube-15": (
             ["slack", "build", "--instance", "cube", "--n", "15"],
@@ -943,9 +969,9 @@ class TestBadInputSweep:
                      "--out", str(paths["fact"])]) == 0
         assert main(["round", "run", "--slack", str(paths["slack"]), "--fact", str(paths["fact"]),
                      "--out", str(paths["system"])]) == 0
-        # The unit square's system has side 4 and 2 + 4^2 = 18 rows.
+        # The unit square's system has side 4 and its 4 selected rows.
         system = json.loads(paths["system"].read_text())
-        for kind, spoilt in (("system-r3", dict(system, r=3)),
+        for kind, spoilt in (("system-r3", dict(system, grid=dict(system["grid"], r=3))),
                              ("system-cut", dict(system, rows=system["rows"][:3]))):
             paths[kind] = tmp / f"{kind}.json"
             paths[kind].write_text(json.dumps(spoilt))
@@ -1069,11 +1095,67 @@ class TestRoundReconstruct:
         got = {stage: json.loads(Path(path[stage]).read_text()) for stage in stages[2:]}
         want = pipeline.run_pipeline(instance, n)["stages"]
         assert want["rescale"].pop("skipped") is False
+        assert {"error_fnorm", "error_bound", "entry_bound"} <= set(want["round"])
         for stage in ("rescale", "round"):
             assert {key: got[stage][key] for key in want[stage]} == want[stage], stage
         lists = ("accepted", "rejected", "inconclusive")
         assert {key: got["reconstruct"][key] for key in lists} == {
             key: want["reconstruct"][key] for key in lists}
+
+    ROUNDED_INSTANCES = grid_fixture.GRID_INSTANCES + [("moment_polygon", 5)]
+
+    @pytest.mark.parametrize("instance,n", ROUNDED_INSTANCES,
+                             ids=[f"{name}-{n}" for name, n in ROUNDED_INSTANCES])
+    def test_round_run_meets_its_bounds(self, tmp_path, instance, n, capsys):
+        # Every rounding bound holds on the diagonal embedding, and on its
+        # rescaled factorization at each delta and Delta convention.
+        slack, fact, resc = (str(tmp_path / f) for f in ("slack.json", "fact.json", "resc.json"))
+        assert main(["slack", "build", "--instance", instance, "--n", str(n), "--out", slack]) == 0
+        assert main(["fact", "embed", "--slack", slack, "--out", fact]) == 0
+        assert main(["rescale", "run", "--slack", slack, "--fact", fact, "--out", resc]) == 0
+        out = ["--out", str(tmp_path / "system.json")]
+        assert main(["round", "run", "--slack", slack, "--fact", fact] + out) == 0
+        for extra in ([], ["--worst-case"], ["--delta", "max/10"],
+                      ["--worst-case", "--delta", "max/10"]):
+            assert main(["round", "run", "--slack", slack, "--fact", resc] + out + extra) == 0
+
+    def test_failed_rounding_bound_exits_1(self, tmp_path, capsys):
+        # Cube n=3's embedding after a 1e4 congruence reproduces its slack
+        # matrix but is not rescaled: all three bounds fail.  The report and
+        # its system are still written.
+        h, v = builtin_instance("cube", 3)
+        s = build_slack(h, v)
+        slack, fact, system = (tmp_path / f for f in ("slack.json", "fact.json", "system.json"))
+        slack.write_text(json.dumps(serialize.slack_to_json(s)))
+        fact.write_text(json.dumps(serialize.factorization_to_json(
+            _unbalance_congruence(diagonal_embed(s), 1e4, 0))))
+        assert main(["round", "run", "--slack", str(slack), "--fact", str(fact),
+                     "--out", str(system)]) == 1
+        rep = json.loads(system.read_text())
+        assert [rep[key] for key in ("error_bound_ok", "entry_bound_ok", "warm_budget_ok")] == [
+            False, False, False]
+        assert len(rep["rows"]) == len(rep["selected_rows"]) == len(rep["error_fnorm"])
+        assert serialize.system_from_json(rep).n_rows == len(rep["rows"])
+
+    def test_chain_with_no_selected_row(self, tmp_path, capsys):
+        # 0 x <= 0 holds everywhere, so the slack matrix is [[0]], no row is
+        # selected and the system has no rows: both points of {0,1} are
+        # members.  A NumPy warning fails this test (filterwarnings = error).
+        stages = ("polytope", "slack", "fact", "rescale", "round", "reconstruct")
+        path = {stage: str(tmp_path / f"{stage}.json") for stage in stages}
+        Path(path["polytope"]).write_text(json.dumps(
+            {"n": 1, "rows": [{"a": [0], "b": 0}], "points": [[0]]}))
+        for stage, argv in zip(stages[1:], (
+                ["slack", "build", "--file", path["polytope"]],
+                ["fact", "embed", "--slack", path["slack"]],
+                ["rescale", "run", "--slack", path["slack"], "--fact", path["fact"]],
+                ["round", "run", "--slack", path["slack"], "--fact", path["rescale"]],
+                ["reconstruct", "--system", path["round"]])):
+            assert main(argv + ["--out", path[stage]]) == 0, argv
+        system = json.loads(Path(path["round"]).read_text())
+        assert system["selected"] == system["rows"] == system["error_fnorm"] == []
+        recon = json.loads(Path(path["reconstruct"]).read_text())
+        assert recon["accepted"] == [[0], [1]] and recon["complete"] is True
 
     def test_report_lists_every_point(self, tmp_path, capsys):
         system = unrescaled_system(tmp_path, "crosspoly_01", 3)
