@@ -119,13 +119,14 @@ def congruence(f: PsdFactorization, a: np.ndarray, b: np.ndarray) -> PsdFactoriz
     return PsdFactorization(row_factors=a @ f.row_factors @ a, col_factors=b @ f.col_factors @ b)
 
 
-def side_extremes(f: PsdFactorization) -> np.ndarray:
+def side_extremes(f: PsdFactorization, *more: np.ndarray) -> np.ndarray:
     """The least and largest eigenvalue of every factor, an (m + n, 2) array, rows first.
 
     Both stacks go through one eigvalsh, at the cost of one copy of them;
-    a factor of side 0 gives (0, 0).
+    a factor of side 0 gives (0, 0).  Further stacks ``more`` of f's side
+    join the same eigvalsh, and their rows follow f's.
     """
-    lam = np.linalg.eigvalsh(np.concatenate([f.row_factors, f.col_factors]))
+    lam = np.linalg.eigvalsh(np.concatenate([f.row_factors, f.col_factors, *more]))
     return lam.take((0, -1), axis=1) if f.side else np.zeros((len(lam), 2))
 
 

@@ -146,7 +146,7 @@ def build_slack(h: HPolytope, v: VPolytope) -> SlackMatrix:
         + int(abs(h.b).max(initial=0))
     )
     if bound >= _INT_GUARD:
-        raise PreconditionError("coefficients too large for 64-bit slack computation")
+        raise PreconditionError("coefficients too large for 64-bit slack computation", arg="v")
     s = h.b[:, None] - h.a @ v.points.T
     try:
         return SlackMatrix(entries=s, h=h, v=v)

@@ -37,18 +37,28 @@ formed only when the input's potential tau exceeds the target, and kept
 only when it lowers phi: on some inputs phi is higher at the mean than at
 the input, and the loop then starts from the input.
 
-The prologue measures every stack once: the input gate checks only the
-residual, the reduction averages each side once and takes one batched
-eigvalsh of the two averages.  When both are nonsingular the common
-space is R^r and that spectrum gives sigma; only otherwise do two
-eigendecompositions find the common space and one more eigvalsh of the
-reduced averages give sigma.  One measurement of the reduced
-factorization gives tau, and one of the mean start's gives its
-potential; each measurement of a factorization is one eigvalsh of both
+The prologue measures every stack at most once: the input gate checks
+only the residual, the reduction averages each side once and takes one
+batched eigvalsh of the two averages.  When both are nonsingular the
+common space is R^r and that spectrum gives the averages' extremes; only
+otherwise do two eigendecompositions find the common space and one more
+eigvalsh of the reduced averages give them.  Sigma is their least
+eigenvalue.  Each measurement of a factorization is one eigvalsh of both
 sides, which keeps the least and the largest eigenvalue of every factor.
-The top norms of a factorization balanced by a scalar are both the
-square root of its potential, so the factors of the start are measured
-one by one only when the loop runs.  The loop keeps the balanced winner
+An average's top norm is at most its side's, so the product of the two
+averages' top norms is a lower bound on tau.  When it exceeds the target
+the mean start is sure to be tried, and it is formed before the input is
+measured: one eigvalsh takes all its factors, and with them the input
+factors whose Frobenius norm reaches (1 - SCREEN_TOL) times their
+average's top norm.  Since max |lambda| <= ||U||_F, no other factor
+reaches the input's top norm, and tau is the full measurement's, bit for
+bit; the input's least eigenvalues, which only its start would need, are
+measured when the mean start is not kept.  Otherwise one measurement of
+the reduced factorization gives tau and, when tau is above the target,
+one more of the mean start gives its potential.  The top norms of a
+factorization balanced by a scalar are both the square root of its
+potential, so the factors of the start are measured one by one only
+when the loop runs.  The loop keeps the balanced winner
 of each line search, the ``side_extremes`` of its factors (measured once
 per step and shared by the direction, the line search and the
 trajectory) and M, the start times the product of the accepted steps.
@@ -97,6 +107,9 @@ DESCENT_MAX_ITERS = 500
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(20, 0, -1))
 # Relative gap within which a row factor is tight and the sides balanced.
 MU_TOL = 1e-6
+# Relative round-off margin of the screen that measures only the input
+# factors whose Frobenius norm can reach their side's top norm.
+SCREEN_TOL = 1e-9
 # MVEE: relative volume gap, contact-weight floor, iteration cap.
 MVEE_VOL_TOL = 1e-7
 MVEE_WEIGHT_FLOOR = 1e-9
@@ -241,28 +254,31 @@ def _validate_john(jd: JohnDecomposition) -> None:
 
 def reduce_to_common_space(
     f: PsdFactorization,
-) -> tuple[PsdFactorization, np.ndarray, float, np.ndarray]:
+) -> tuple[PsdFactorization, np.ndarray, np.ndarray, np.ndarray]:
     """Compress a factorization onto W = P_{Im(mean U)}(Im(mean V)).
 
     With B an orthonormal basis of Im(mean U) and V PSD,
     Im(B^T V) = Im(B^T V^(1/2)) = Im(B^T V B), so W = B Im(B^T (mean V) B),
     and two eigendecompositions give its orthonormal basis O, an (r, d)
-    array.  Returns the reduced factorization (O^T U O, O^T V O), O,
-    sigma, the least eigenvalue of the two reduced side-averages
-    O^T (mean U) O and O^T (mean V) O, and those two averages stacked, a
-    (2, d, d) array.  Both images are cut at round-off
-    (``symmat.IMAGE_TOL``), so an ill-conditioned congruence of the input
-    keeps the directions of its common space.  Dimension zero (all-zero
-    products) yields empty factors and sigma = 0.  The one overflow guard
-    of ``rescale`` is here: factor entries that overflow when the sides
-    are summed or symmetrized raise PreconditionError naming ``f``.
+    array.  Returns the reduced factorization (O^T U O, O^T V O), O, the
+    extremes of the two reduced side-averages O^T (mean U) O and
+    O^T (mean V) O (a (2, 2) array of each one's least and largest
+    eigenvalue, as ``side_extremes`` gives them), and those two averages
+    stacked, a (2, d, d) array.  ``rescale`` reads sigma, the least
+    eigenvalue of both, and a lower bound on the potential from the
+    extremes.  Both images are cut at round-off (``symmat.IMAGE_TOL``), so
+    an ill-conditioned congruence of the input keeps the directions of its
+    common space.  Dimension zero (all-zero products) yields empty factors
+    and zero extremes.  The one overflow guard of ``rescale`` is here:
+    factor entries that overflow when the sides are summed or symmetrized
+    raise PreconditionError naming ``f``.
 
     One eigvalsh of both averages comes first.  When each average's least
     eigenvalue exceeds IMAGE_TOL times its largest, both are nonsingular,
     W = R^r and O = I: the reduced factorization is ``f`` itself, the
-    averages are the reduced averages and sigma is read from that
+    averages are the reduced averages and the extremes are read from that
     spectrum, with no eigendecomposition.  Otherwise the construction
-    above runs, and one more eigvalsh of the reduced averages gives sigma.
+    above runs, and one more eigvalsh of the reduced averages gives them.
     """
     if not f.n_rows or not f.n_cols:
         raise PreconditionError("factorization must be nonempty on both sides")
@@ -277,7 +293,7 @@ def reduce_to_common_space(
             bars[1] /= f.n_cols
             lam = np.linalg.eigvalsh(bars)
             if f.side and (lam[:, 0] > symmat.IMAGE_TOL * lam[:, -1]).all():
-                return f, np.eye(f.side), float(lam[:, 0].min()), bars
+                return f, np.eye(f.side), lam.take((0, -1), axis=1), bars
             b = symmat.image_basis(bars[0])
             o = b @ symmat.image_basis(b.T @ bars[1] @ b)
             reduced = PsdFactorization(row_factors=o.T @ f.row_factors @ o,
@@ -290,8 +306,8 @@ def reduce_to_common_space(
             arg="f",
         ) from None
     if not o.shape[1]:
-        return reduced, o, 0.0, means
-    return reduced, o, float(np.linalg.eigvalsh(means)[:, 0].min()), means
+        return reduced, o, np.zeros((2, 2)), means
+    return reduced, o, np.linalg.eigvalsh(means).take((0, -1), axis=1), means
 
 
 def mean_congruence(means: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -526,11 +542,12 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
         # space is {0}.  An empty side is left to reduce_to_common_space,
         # which refuses it.
         reduced = PsdFactorization(np.zeros((f.n_rows, 0, 0)), np.zeros((f.n_cols, 0, 0)))
-        o, sigma, means, start = np.zeros((f.side, 0)), 0.0, None, "zero"
+        o, mean_ends, means, start = np.zeros((f.side, 0)), np.zeros((2, 2)), None, "zero"
     else:
-        reduced, o, sigma, means = reduce_to_common_space(f)
+        reduced, o, mean_ends, means = reduce_to_common_space(f)
         start = "input"
     d = o.shape[1]
+    sigma = float(min(mean_ends[0, 0], mean_ends[1, 0]))
     # In Python floats, which overflow to inf without a warning.
     target_phi = d * delta * (1.0 + CERTIFICATE_TOL)
     target_lmax = math.sqrt(d * delta) * (1.0 + CERTIFICATE_TOL)
@@ -546,20 +563,44 @@ def rescale(f: PsdFactorization, s: SlackMatrix) -> RescaleResult:
     # eigenvalue of each of fs's factors and fs's top norms (p_u, p_v).  P
     # is the identity, or the geometric-mean congruence when the input
     # misses the target and the mean lowers phi.  Balanced by a scalar,
-    # each has both top norms at the square root of its potential.
-    ends = side_extremes(reduced)
-    p_u, p_v = top_norms(ends, reduced.n_rows)
-    tau = p_u * p_v
-    sv, rt, fs = np.ones(d), np.eye(d), reduced
-    lmax_traj = [(math.sqrt(tau),) * 2]
-    polar = mean_congruence(means) if tau > target_phi else None
+    # each has both top norms at the square root of its potential.  The
+    # reduced averages are positive definite, and lmax is convex, so an
+    # average's largest eigenvalue is at most its side's top norm: the
+    # product of the two is a lower bound on tau.  Above the target the
+    # mean is sure to be tried, and it is formed before the input is
+    # measured.
+    sv, rt, fs, ends, keep = np.ones(d), np.eye(d), reduced, None, False
+    floor = mean_ends[:, 1]
+    sure = floor[0] * floor[1] > target_phi
+    polar = mean_congruence(means) if sure else None
+    if polar is None:
+        ends = side_extremes(reduced)
+        p_u, p_v = top_norms(ends, reduced.n_rows)
+        if not sure and p_u * p_v > target_phi:
+            polar = mean_congruence(means)
     if polar is not None:
         trial = _polar_congruence(reduced, *polar)
-        trial_ends = side_extremes(trial)
+        # With the input not yet measured, only its factors whose Frobenius
+        # norm reaches their side's floor join the start's eigvalsh: since
+        # max |lambda| <= ||U||_F, they give tau.  The norms of U / floor
+        # neither overflow nor lose digits to underflow.
+        screened = [] if ends is not None else [
+            stack[((stack / top) ** 2).sum(axis=(1, 2)) >= (1.0 - SCREEN_TOL) ** 2]
+            for stack, top in zip((reduced.row_factors, reduced.col_factors), floor)]
+        measured = side_extremes(trial, *screened)
+        trial_ends = measured[:trial.n_rows + trial.n_cols]
+        if screened:
+            p_u, p_v = top_norms(measured[len(trial_ends):], len(screened[0]))
         tops = top_norms(trial_ends, trial.n_rows)
-        if tops[0] * tops[1] < tau:
-            (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
-            lmax_traj.append((math.sqrt(p_u * p_v),) * 2)
+        keep = p_u * p_v > target_phi and tops[0] * tops[1] < p_u * p_v
+    tau = p_u * p_v
+    lmax_traj = [(math.sqrt(tau),) * 2]
+    if keep:
+        (sv, rt), start, fs, ends, (p_u, p_v) = polar, "mean", trial, trial_ends, tops
+        lmax_traj.append((math.sqrt(p_u * p_v),) * 2)
+    elif ends is None:
+        # The input is the start after all; the epilogue reads every factor.
+        ends = side_extremes(reduced)
 
     # State: the balanced working factorization fw that descent_step
     # returns, its side_extremes fw_ends, and M = exp(-eps_k Z_k) ...

@@ -213,10 +213,18 @@ def system_from_json(obj: dict) -> RoundedSystem:
 
     def selected_rows(rows):
         k = len(rows)
-        a = np.asarray([_field(r, "a", _numbers) for r in rows], dtype=float).reshape(k, grid.n)
+        coefficients = [_field(r, "a", _numbers) for r in rows]
+        matrices = [matrix_from_json(r["U"]) for r in rows]
+        for i, (a_i, u) in enumerate(zip(coefficients, matrices)):
+            if len(a_i) != grid.n:
+                raise PreconditionError(f"row {i} of the rounded system has {len(a_i)} "
+                                        f"coefficients in 'a', but the grid's n is {grid.n}")
+            if len(u) != grid.r:
+                raise PreconditionError(f"row {i} of the rounded system has a factor U of side "
+                                        f"{len(u)}, but the grid's r is {grid.r}")
+        a = np.asarray(coefficients, dtype=float).reshape(k, grid.n)
         b = np.asarray([_field(r, "b", _numbers) for r in rows], dtype=float).reshape(k)
-        factors = np.asarray([matrix_from_json(r["U"]) for r in rows]).reshape(k, grid.r, grid.r)
-        return a, b, factors
+        return a, b, np.asarray(matrices).reshape(k, grid.r, grid.r)
 
     a, b, factors = _field(obj, "rows", selected_rows)
     # The oracle's eigvalsh reads one triangle, so factors must be exactly

@@ -334,13 +334,20 @@ def test_cube4_rescale_work_per_call(monkeypatch):
     # The mean start's stacks are validated once, when its congruence
     # builds them, and are balanced in place; the side averages of exactly
     # symmetric stacks need no symmetrizing; the transform stays factored.
-    # What is left: the symmetrizing in mean_congruence, one eigvalsh each
-    # of the averages, the input and the start, the two eigh and the SVD
-    # of the mean congruence.  The input start does none of these three.
+    # What is left: the symmetrizing in mean_congruence, one eigvalsh of
+    # the averages, the two eigh and the SVD of the mean congruence, and
+    # one eigvalsh of the start.  The averages' top norms put tau above the
+    # target, so the mean is sure to be tried and the input is measured in
+    # that same eigvalsh, but only its factors whose Frobenius norm reaches
+    # their side average's top norm: 10 of 24, so the two calls take
+    # 2 + 24 + 10 matrices, where a full measurement of the input would add
+    # 24 more.
+    # The input start does none of the symmetrizing.
     s = build_slack(*builtin_instance("cube", 4))
     embedded = diagonal_embed(s)
     unbalanced = _unbalance_congruence(embedded, 1e4, 0)
-    calls = {"PsdFactorization": 0, "as_symmetric": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
+    calls = {"PsdFactorization": 0, "as_symmetric": 0, "eigvalsh": 0, "matrices": 0, "eigh": 0,
+             "svd": 0}
 
     for key, module, name in (("PsdFactorization", PsdFactorization, "__init__"),
                               ("as_symmetric", symmat, "as_symmetric"),
@@ -350,12 +357,15 @@ def test_cube4_rescale_work_per_call(monkeypatch):
 
         def counting(*args, _key=key, _original=original, **kwargs):
             calls[_key] += 1
+            if _key == "eigvalsh":
+                calls["matrices"] += len(args[0])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     res = rescale(unbalanced, s)
     assert res.diagnostics["start"] == "mean" and res.iterations == 0 and res.certificate
-    assert calls == {"PsdFactorization": 1, "as_symmetric": 1, "eigvalsh": 3, "eigh": 2, "svd": 1}
+    assert calls == {"PsdFactorization": 1, "as_symmetric": 1, "eigvalsh": 2, "matrices": 36,
+                     "eigh": 2, "svd": 1}
     calls.update(dict.fromkeys(calls, 0))
     res = rescale(embedded, s)
     assert res.diagnostics["start"] == "input" and res.iterations == 0 and res.certificate

@@ -312,8 +312,13 @@ class TestLoaderErrors:
     # case: (how the rounded cube n=2 system is spoilt, what the error says).
     # The system holds its 4 selected rows; n + r^2 = 2 + 4^2 = 18.
     INCONSISTENT_SYSTEMS = {
+        # numpy's reshape refused these two, in words that named neither size.
         "grid-r": (lambda obj: dict(obj, grid=dict(obj["grid"], r=3)),
-                   "malformed field 'rows'"),
+                   "row 0 of the rounded system has a factor U of side 4, but the grid's r is 3"),
+        "a-length": (lambda obj: dict(obj, rows=[dict(obj["rows"][0], a=[0.0, 0.0, 1.0])]
+                                      + obj["rows"][1:]),
+                     "row 0 of the rounded system has 3 coefficients in 'a', "
+                     "but the grid's n is 2"),
         "cut-rows": (lambda obj: dict(obj, rows=obj["rows"][:3]),
                      "has 3 rows, but 'selected' lists 4"),
         "selected-too-long": (lambda obj: dict(obj, selected=obj["selected"] + [0]),
@@ -775,6 +780,11 @@ class TestErrorLinesNameTheInput:
                                                     {"side": 2, "entries": [1.0, 0.0, 0.0, 1.0]}],
                                       "V": [{"side": 1, "entries": [1.0]}]}),
             "violated": json.dumps({"n": 1, "rows": [{"a": [1], "b": 0}], "points": [[1]]}),
+            # Each number is below 2^62, so the loader takes it; the slack
+            # bound |a| n |x| + |b| is not.
+            "huge_coefficients": json.dumps({"n": 2, "rows": [{"a": [4611686018427387903, 0],
+                                                               "b": 4611686018427387903}],
+                                             "points": [[1, 0]]}),
         }
         for name, text in texts.items():
             paths[name] = tmp / f"{name}.json"
@@ -816,6 +826,9 @@ class TestErrorLinesNameTheInput:
         "slack-build-violated-point": (
             ["slack", "build", "--file", "{violated}"],
             "--file {violated}: point 0 violates inequality 0: slack -1"),
+        "slack-build-huge-coefficients": (
+            ["slack", "build", "--file", "{huge_coefficients}"],
+            "--file {huge_coefficients}: coefficients too large for 64-bit slack computation"),
         "pipeline-moment-polygon-3": (
             ["pipeline", "--instance", "moment_polygon", "--n", "3"],
             "--instance moment_polygon: instance 'moment_polygon' has vertices outside "

@@ -180,13 +180,14 @@ class TestReduce:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        reduced, o, sigma, means = reduce_to_common_space(f)
+        reduced, o, ends, means = reduce_to_common_space(f)
         assert calls == []
         assert np.array_equal(o, np.eye(f.side))
         assert reduced is f
         averages = [symmat.as_symmetric(side.mean(axis=0)) for side in (f.row_factors, f.col_factors)]
         assert np.array_equal(means, averages)
-        assert sigma == np.linalg.eigvalsh(means)[:, 0].min() > 0.0
+        assert np.array_equal(ends, np.linalg.eigvalsh(means)[:, [0, -1]])
+        assert ends[:, 0].min() > 0.0
 
     def test_full_rank_is_identity_reduction(self):
         s = build_slack(*builtin_instance("cube", 2))
@@ -293,16 +294,24 @@ class TestZeroStep:
         # unreduced, and the reduced stacks, which are returned scaled:
         # both sides of a factorization go through one eigvalsh.
         assert len(calls) == 2
-        # The same, and the stacks of the mean start, which are returned.
+        # The averages, then the stacks of the mean start, which are
+        # returned: the averages' top norms put tau above the target, so
+        # the start is formed first, and the input factors that can reach
+        # their side's top norm join its eigvalsh to give tau.
         f, s = unbalanced_cube()
         calls.clear()
         res = rescale(f, s)
         assert res.iterations == 0 and res.diagnostics["start"] == "mean"
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 FIT_INSTANCES = [("cube", 2), ("cube", 3), ("simplex", 2), ("crosspoly_01", 2), ("segment", 1),
                  ("point", 1), ("point", 2)]
+# The grid's builtins, embedded and fitted, whose slack matrix is not zero:
+# the point's takes the zero start.
+SCREEN_CASES = [pytest.param(kind, i, n, id=f"{kind}-{i}-{n}")
+                for kind, instances in (("embedded", REDUCE_INSTANCES), ("fitted", FIT_INSTANCES))
+                for i, n in instances if i not in ("moment_polygon", "point")]
 
 
 def grid_inputs(instance, n):
@@ -378,6 +387,64 @@ class TestReturnedFactorization:
                          res.transform, res.transform_pinv):
                 assert not side.any()
             assert res.factorization.side == f.side
+
+
+def screen_inputs(kind, instance, n):
+    """The diagonal embedding of a builtin, or its fits of side 1-4 that are
+    found, after congruences of condition 1e2 and 1e4: seeds 0-2 for the
+    embedding, seed 0 for the fits."""
+    s = build_slack(*builtin_instance(instance, n))
+    if kind == "fitted":
+        fits = [fit_factorization(s, r).factorization for r in range(1, 5)]
+        return s, [_unbalance_congruence(f, t, 0) for f in fits if f is not None
+                   for t in (1e2, 1e4)]
+    f = diagonal_embed(s)
+    return s, [_unbalance_congruence(f, t, seed) for t in (1e2, 1e4) for seed in range(3)]
+
+
+def rank_one_row(seed=1):
+    """One row factor x x^T + 1e-9 I, which its average equals bit for bit,
+    and the column factors x x^T, 100 y y^T and 100 z z^T, for a seeded
+    orthonormal basis (x, y, z).  The row factor's Frobenius norm exceeds
+    its top eigenvalue by about 1e-18 relative, less than round-off: at
+    seed 1 the computed norm falls below the average's top norm."""
+    q = random_orthogonal(rng(seed), 3)
+    x = q[:, :1] @ q[:, :1].T
+    f = PsdFactorization([x + 1e-9 * np.eye(3)],
+                         [x] + [100.0 * q[:, k:k + 1] @ q[:, k:k + 1].T for k in (1, 2)])
+    return f, SlackMatrix(f.products())
+
+
+class TestScreen:
+    """When the averages' top norms put tau above the target, rescale
+    measures the input only through the factors whose Frobenius norm can
+    reach their side's top norm; tau is the full measurement's, bit for bit."""
+
+    @staticmethod
+    def assert_screened_tau(f, s):
+        reduced, _, mean_ends, _ = reduce_to_common_space(f)
+        p_u, p_v = top_norms(side_extremes(reduced), reduced.n_rows)
+        res = rescale(f, s)
+        floor = top_norms(mean_ends, 1)
+        assert floor[0] * floor[1] > res.diagnostics["target_phi"]
+        assert res.diagnostics["tau"] == p_u * p_v
+        assert res.lmax_trajectory[0] == (math.sqrt(p_u * p_v),) * 2
+        return res, floor
+
+    @pytest.mark.parametrize("kind, instance, n", SCREEN_CASES)
+    def test_tau_is_the_full_measurement(self, kind, instance, n):
+        s, factorizations = screen_inputs(kind, instance, n)
+        assert factorizations
+        for f in factorizations:
+            self.assert_screened_tau(f, s)
+
+    def test_norm_below_the_floor_by_round_off(self):
+        # Without the SCREEN_TOL margin the only row factor is screened out.
+        f, s = rank_one_row()
+        res, floor = self.assert_screened_tau(f, s)
+        assert res.diagnostics["start"] == "mean"
+        scaled = f.row_factors[0] / floor[0]
+        assert 1.0 - 1e-15 < (scaled * scaled).sum() < 1.0
 
 
 def _cube4_congruence():
