@@ -23,16 +23,17 @@ same function:
   zeroed_factors, error_fnorm, error_bound, error_bound_ok, entry_bound,
   entry_bound_ok, max_error_fnorm, warm_budget_ok, warm_budget_value
   (``round_report``).
-Beside them, ``fact fit`` and ``rescale run`` write a factorization file
-(r, U, V) that ``--fact`` reads, ``rescale run`` with phi_trajectory,
-transform, transform_pinv and diagnostics; ``round run`` writes the
-system file (grid, selected, and one entry of rows per selected row)
-that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
-inconclusive, points and complete.  ``rescale run`` and ``round run``
-refuse a factorization that misses its slack matrix, which ``fact
-verify`` fails.  ``round run`` exits 1 when error_bound_ok,
-entry_bound_ok or warm_budget_ok is false, as on a factorization that
-was not rescaled; it still writes the system file.
+Beside them, ``fact fit`` and ``rescale run`` write, as ``fact embed``
+does, a factorization file (r, U, V) that ``--fact`` reads, ``rescale
+run`` with phi_trajectory, the (r, r) transform and transform_pinv, and
+diagnostics; ``round run`` writes the system file (grid, selected, a, b,
+U) that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
+inconclusive, points and complete.  ``serialize`` gives the arrays'
+layout.  ``rescale run`` and ``round run`` refuse a factorization that
+misses its slack matrix, which ``fact verify`` fails.  ``round run``
+exits 1 when error_bound_ok, entry_bound_ok or warm_budget_ok is false,
+as on a factorization that was not rescaled; it still writes the system
+file.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def _cmd_rescale_run(args):
         **serialize.factorization_to_json(res.factorization),
         **rescale_report(res),
         "phi_trajectory": list(res.phi_trajectory),
-        "transform": serialize.matrix_to_json(res.transform),
-        "transform_pinv": serialize.matrix_to_json(res.transform_pinv),
+        "transform": res.transform.tolist(),
+        "transform_pinv": res.transform_pinv.tolist(),
         "diagnostics": res.diagnostics,
     }
     if args.trace:
@@ -337,6 +338,8 @@ def _cmd_pipeline(args):
 
 
 INSTANCE_HELP = "builtin polytope: " + ", ".join(BUILTIN_NAMES)
+FACT_HELP = "factorization file: r, and the stacks U (m, r, r) and V (n, r, r) as nested lists"
+SYSTEM_HELP = "system file: grid, selected, and a (k, n), b (k,) and U (k, r, r) as nested lists"
 
 
 def _add_common(p, seed=False):
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="subcommand", required=True)
     fv = fsub.add_parser("verify")
     fv.add_argument("--slack", required=True)
-    fv.add_argument("--fact", required=True)
+    fv.add_argument("--fact", required=True, help=FACT_HELP)
     fv.add_argument("--tol", type=float, default=VERIFY_TOL)
     _add_common(fv)
     fv.set_defaults(func=_cmd_fact_verify)
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exit 1 when the bound is not certified.  The output is a factorization file: (r, U, "
         "V) beside the rescale report, which --fact of round run reads.")
     rr.add_argument("--slack", required=True)
-    rr.add_argument("--fact", required=True)
+    rr.add_argument("--fact", required=True, help=FACT_HELP)
     rr.add_argument(
         "--trace",
         help="write a CSV trace here: header iteration,phi,lmax with "
@@ -411,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="subcommand", required=True)
     orun = osub.add_parser("run")
     orun.add_argument("--slack", required=True)
-    orun.add_argument("--fact", required=True)
+    orun.add_argument("--fact", required=True, help=FACT_HELP)
     orun.add_argument("--delta", default="max", help='"max", "max/10", or a value')
     orun.add_argument("--worst-case", action="store_true")
     _add_common(orun)
     orun.set_defaults(func=_cmd_round_run)
 
     p = sub.add_parser("reconstruct", help="sweep {0,1}^n through the membership oracle")
-    p.add_argument("--system", required=True)
+    p.add_argument("--system", required=True, help=SYSTEM_HELP)
     _add_common(p)
     p.set_defaults(func=_cmd_reconstruct)
 

@@ -8,7 +8,6 @@ facet enumeration is deliberately not provided.  Slack entries are exact
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -47,13 +46,6 @@ def as_int_array(a, name: str) -> np.ndarray:
             or not np.abs(arr).max(initial=0) < _INT_GUARD):
         raise PreconditionError(f"{name} must have integer entries of magnitude below 2^62")
     return arr.astype(np.int64)
-
-
-def as_int(value, name: str) -> int:
-    """One integer, by the check of ``as_int_array``; lists and strings are refused."""
-    if not isinstance(value, numbers.Number):
-        raise PreconditionError(f"{name} must be an integer")
-    return int(as_int_array(value, name))
 
 
 class HPolytope(Record):

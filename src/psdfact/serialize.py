@@ -1,4 +1,12 @@
-"""JSON interchange for matrices, polytopes, factorizations.
+"""JSON interchange for polytopes, slack matrices, factorizations and rounded systems.
+
+Every numeric array is written as ``ndarray.tolist()``, one nested list
+shaped like the array, and read by ``_array`` against the shape its file
+declares: a slack file's ``entries`` (m, n) by ``shape``; a factorization
+file's ``U`` (m, r, r) and ``V`` (n, r, r) by ``r``; a system file's ``a``
+(k, n), ``b`` (k,) and ``U`` (k, r, r) by the length k of ``selected`` and
+the n and r of ``grid``.  A polytope file keeps its hand-written layout:
+``n``, ``rows`` of {a, b} and ``points``, integers read against ``n``.
 
 ``sha256_file`` gives the input hashes that the CLI's run manifest
 records, so results can be reproduced bit for bit.
@@ -13,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .factorization import PsdFactorization
-from .polytopes import HPolytope, SlackMatrix, VPolytope, as_int, build_slack
+from .polytopes import HPolytope, SlackMatrix, VPolytope, build_slack
 from .rounding import GridParams, RoundedSystem
 
 
@@ -49,17 +57,41 @@ def _numbers(value):
     return value
 
 
-def _floats(value) -> np.ndarray:
-    return np.asarray(_numbers(value), dtype=float)
+def _array(*shape):
+    """Converter of nested lists of JSON numbers to a float array of ``shape``, None any length.
+
+    An empty list takes the declared lengths below it: [] read as
+    (None, 3, 3) is (0, 3, 3), and [[], []] read as (None, 0, 0) is (2, 0, 0).
+    """
+    def convert(value):
+        _numbers(value)
+        try:
+            arr = np.asarray(value, dtype=float)
+        except ValueError:
+            raise ValueError("nested lists of unequal lengths") from None
+        if arr.size == 0 and arr.ndim < len(shape):
+            arr = arr.reshape(arr.shape + tuple(d or 0 for d in shape[arr.ndim:]))
+        if arr.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, arr.shape)):
+            want = ", ".join("any" if d is None else str(d) for d in shape)
+            raise ValueError(f"shape {arr.shape}, expected ({want})")
+        return arr
+    return convert
 
 
 def _float(value) -> float:
     return float(_numbers(value))
 
 
-def _int(obj, name: str) -> int:
-    """``obj[name]`` as one integer: ``as_int`` refuses fractions, booleans, strings, lists."""
-    return as_int(_field(obj, name, lambda value: value), f"malformed field {name!r}")
+def _size(value) -> int:
+    """A length or index: an integer in [0, 2^62), 2.0 included; booleans, fractions refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            0 <= value < 2**62 and value == int(value)):
+        raise ValueError(f"expected an integer in [0, 2^62), got {value!r}")
+    return int(value)
+
+
+def _sizes(value) -> tuple:
+    return tuple(map(_size, value))
 
 
 def _bool(value) -> bool:
@@ -69,36 +101,17 @@ def _bool(value) -> bool:
     return value
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=float)
-    return {"side": int(m.shape[0]), "entries": [float(x) for x in m.ravel()]}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    side = _int(obj, "side")
-    entries = _field(obj, "entries", _floats)
-    if entries.size != side * side:
-        raise PreconditionError(
-            f"matrix payload has {entries.size} entries, expected {side * side}"
-        )
-    return entries.reshape(side, side)
-
-
 def polytope_to_json(h: HPolytope, v: VPolytope | None) -> dict:
-    out = {
+    return {
         "n": h.dim,
-        "rows": [
-            {"a": [int(x) for x in a], "b": int(b)}
-            for a, b in zip(h.a.tolist(), h.b.tolist())
-        ],
+        "rows": [{"a": a, "b": b} for a, b in zip(h.a.tolist(), h.b.tolist())],
+        "points": [] if v is None else v.points.tolist(),
     }
-    out["points"] = [] if v is None else [[int(x) for x in p] for p in v.points.tolist()]
-    return out
 
 
 def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
     """Load a polytope; ``HPolytope`` and ``VPolytope`` check that its numbers are integers."""
-    n = _int(obj, "n")
+    n = _field(obj, "n", _size)
 
     def inequalities(rows):
         a = np.asarray([_field(r, "a", _numbers) for r in rows]).reshape(len(rows), n)
@@ -114,18 +127,17 @@ def polytope_from_json(obj: dict) -> tuple[HPolytope, VPolytope | None]:
 
 
 def slack_to_json(s: SlackMatrix) -> dict:
-    out = {
-        "shape": [int(x) for x in s.shape],
+    return {
+        "shape": list(s.shape),
         "entries": s.floats.tolist(),
         "max_entry": s.max_entry,
+        "polytope": None if s.h is None else polytope_to_json(s.h, s.v),
     }
-    out["polytope"] = polytope_to_json(s.h, s.v) if s.h is not None else None
-    return out
 
 
 def slack_from_json(obj: dict) -> SlackMatrix:
     """Load a slack matrix; with a polytope and its points, the entries must be their slacks."""
-    entries = _field(obj, "entries", _floats)
+    entries = _field(obj, "entries", _array(*_field(obj, "shape", _sizes)))
     h, v = _field(obj, "polytope", lambda p: polytope_from_json(p) if p else (None, None),
                   default=None)
     if h is None or v is None:
@@ -144,16 +156,12 @@ def slack_from_json(obj: dict) -> SlackMatrix:
 
 
 def factorization_to_json(f: PsdFactorization) -> dict:
-    return {
-        "r": f.side,
-        "U": [matrix_to_json(u) for u in f.row_factors],
-        "V": [matrix_to_json(v) for v in f.col_factors],
-    }
+    return {"r": f.side, "U": f.row_factors.tolist(), "V": f.col_factors.tolist()}
 
 
 def factorization_from_json(obj: dict) -> PsdFactorization:
-    rows = _field(obj, "U", lambda ms: [matrix_from_json(m) for m in ms])
-    cols = _field(obj, "V", lambda ms: [matrix_from_json(m) for m in ms])
+    r = _field(obj, "r", _size)
+    rows, cols = (_field(obj, name, _array(None, r, r)) for name in ("U", "V"))
     # The constructor would symmetrize a factor; a file must not need it, so
     # a finite factor that is not exactly symmetric is refused.  A
     # non-finite one is left to the constructor.
@@ -176,8 +184,8 @@ def grid_to_json(g: GridParams) -> dict:
 
 def grid_from_json(obj: dict) -> GridParams:
     return GridParams(
-        n=_int(obj, "n"),
-        r=_int(obj, "r"),
+        n=_field(obj, "n", _size),
+        r=_field(obj, "r", _size),
         delta=_field(obj, "delta", _float),
         big_delta=_field(obj, "Delta", _float),
         worst_case=_field(obj, "worst_case", _bool, default=False),
@@ -188,45 +196,22 @@ def system_to_json(sys: RoundedSystem) -> dict:
     return {
         "grid": grid_to_json(sys.grid),
         "selected": list(sys.selected),
-        "rows": [
-            {
-                "a": [float(x) for x in a],
-                "b": float(b),
-                "U": matrix_to_json(u),
-            }
-            for a, b, u in zip(sys.a, sys.b, sys.factors)
-        ],
+        "a": sys.a.tolist(),
+        "b": sys.b.tolist(),
+        "U": sys.factors.tolist(),
     }
 
 
 def system_from_json(obj: dict) -> RoundedSystem:
     """Load a ``RoundedSystem``: one row per entry of ``selected``, at most n + r^2 of them."""
     grid = _field(obj, "grid", grid_from_json)
-    selected = tuple(as_int(i, "malformed field 'selected'") for i in _field(obj, "selected", list))
-    count = _field(obj, "rows", len)
-    if count > grid.n + grid.r**2:
-        raise PreconditionError(
-            f"the rounded system has {count} rows, above n + r^2 = {grid.n + grid.r**2}")
-    if count != len(selected):
-        raise PreconditionError(
-            f"the rounded system has {count} rows, but 'selected' lists {len(selected)}")
-
-    def selected_rows(rows):
-        k = len(rows)
-        coefficients = [_field(r, "a", _numbers) for r in rows]
-        matrices = [matrix_from_json(r["U"]) for r in rows]
-        for i, (a_i, u) in enumerate(zip(coefficients, matrices)):
-            if len(a_i) != grid.n:
-                raise PreconditionError(f"row {i} of the rounded system has {len(a_i)} "
-                                        f"coefficients in 'a', but the grid's n is {grid.n}")
-            if len(u) != grid.r:
-                raise PreconditionError(f"row {i} of the rounded system has a factor U of side "
-                                        f"{len(u)}, but the grid's r is {grid.r}")
-        a = np.asarray(coefficients, dtype=float).reshape(k, grid.n)
-        b = np.asarray([_field(r, "b", _numbers) for r in rows], dtype=float).reshape(k)
-        return a, b, np.asarray(matrices).reshape(k, grid.r, grid.r)
-
-    a, b, factors = _field(obj, "rows", selected_rows)
+    selected = _field(obj, "selected", _sizes)
+    k, n, r = len(selected), grid.n, grid.r
+    if k > n + r**2:
+        raise PreconditionError(f"the rounded system has {k} rows, above n + r^2 = {n + r**2}")
+    a = _field(obj, "a", _array(k, n))
+    b = _field(obj, "b", _array(k))
+    factors = _field(obj, "U", _array(k, r, r))
     # The oracle's eigvalsh reads one triangle, so factors must be exactly
     # symmetric.  Its slacks b - a.x over x in {0,1}^n stay finite when
     # |b| + sum_j |a_j| does.

@@ -25,6 +25,10 @@ import grid_fixture
 from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
 
+# A system file's arrays, each with one entry per selected row.
+SYSTEM_ROWS = ("a", "b", "U")
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -104,7 +108,7 @@ class TestFactAndRescale:
     def test_verify_mismatch_exits_1(self, square_files, tmp_path, capsys):
         slack, fact = square_files
         obj = json.loads(fact.read_text())
-        obj["U"][0]["entries"][0] += 1.0
+        obj["U"][0][0][0] += 1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         code, rep = run_cli(["fact", "verify", "--slack", str(slack), "--fact", str(bad)], capsys)
@@ -205,7 +209,7 @@ class TestFactAndRescale:
     def test_fit_below_the_rank_bound_is_refused(self, tmp_path, capsys):
         # No side-1 PSD factorization of the 2 x 2 identity exists.
         slack = tmp_path / "s.json"
-        slack.write_text(json.dumps({"entries": [[1.0, 0.0], [0.0, 1.0]]}))
+        slack.write_text(json.dumps({"shape": [2, 2], "entries": [[1.0, 0.0], [0.0, 1.0]]}))
         code, rep = run_cli(["fact", "fit", "--slack", str(slack), "--r", "1"], capsys)
         assert code == 1
         assert rep["found"] is False
@@ -264,10 +268,8 @@ class TestLoaderErrors:
         # 5 (e0 e1^T + e1 e0^T) leaves every <U_0, V^j> with diagonal V^j as it was
         # and makes U_0 indefinite.
         obj = json.loads(files["fact"].read_text())
-        entries = obj["U"][0]["entries"]
-        side = obj["U"][0]["side"]
-        entries[1] += 5.0
-        entries[side] += 5.0
+        obj["U"][0][0][1] += 5.0
+        obj["U"][0][1][0] += 5.0
         path = tmp_path / "non_psd.json"
         path.write_text(json.dumps(obj))
         return path
@@ -294,7 +296,7 @@ class TestLoaderErrors:
         # where U_0 is still PSD, but the symmetric part [[1, 2.5], [2.5, 0]]
         # that the program would use is not.
         obj = json.loads(files["fact"].read_text())
-        obj["U"][0]["entries"][1] = 5.0
+        obj["U"][0][0][1] = 5.0
         path = tmp_path / "asymmetric.json"
         path.write_text(json.dumps(obj))
         return path
@@ -310,35 +312,34 @@ class TestLoaderErrors:
         assert "row factor 0 is not exactly symmetric" in err
 
     # case: (how the rounded cube n=2 system is spoilt, what the error says).
-    # The system holds its 4 selected rows; n + r^2 = 2 + 4^2 = 18.
+    # The system holds its 4 selected rows, one in each of its arrays a
+    # (4, 2), b (4,) and U (4, 4, 4); n + r^2 = 2 + 4^2 = 18.
     INCONSISTENT_SYSTEMS = {
-        # numpy's reshape refused these two, in words that named neither size.
         "grid-r": (lambda obj: dict(obj, grid=dict(obj["grid"], r=3)),
-                   "row 0 of the rounded system has a factor U of side 4, but the grid's r is 3"),
-        "a-length": (lambda obj: dict(obj, rows=[dict(obj["rows"][0], a=[0.0, 0.0, 1.0])]
-                                      + obj["rows"][1:]),
-                     "row 0 of the rounded system has 3 coefficients in 'a', "
-                     "but the grid's n is 2"),
-        "cut-rows": (lambda obj: dict(obj, rows=obj["rows"][:3]),
-                     "has 3 rows, but 'selected' lists 4"),
+                   "malformed field 'U': ValueError('shape (4, 4, 4), expected (4, 3, 3)')"),
+        "a-length": (lambda obj: dict(obj, a=[row + [1.0] for row in obj["a"]]),
+                     "malformed field 'a': ValueError('shape (4, 3), expected (4, 2)')"),
+        "ragged-a": (lambda obj: dict(obj, a=[obj["a"][0] + [1.0]] + obj["a"][1:]),
+                     "malformed field 'a': ValueError('nested lists of unequal lengths')"),
+        "cut-rows": (lambda obj: dict(obj, **{key: obj[key][:3] for key in SYSTEM_ROWS}),
+                     "malformed field 'a': ValueError('shape (3, 2), expected (4, 2)')"),
         "selected-too-long": (lambda obj: dict(obj, selected=obj["selected"] + [0]),
-                              "has 4 rows, but 'selected' lists 5"),
+                              "malformed field 'a': ValueError('shape (4, 2), expected (5, 2)')"),
         "selected-missing": (lambda obj: {k: v for k, v in obj.items() if k != "selected"},
                              "missing field 'selected'"),
         # The zero rows that padded every system to n + r^2 rows.
-        "padded": (lambda obj: dict(obj, rows=obj["rows"] + [
-                       {"a": [0.0, 0.0], "b": 0.0, "U": {"side": 4, "entries": [0.0] * 16}}
-                   ] * 14), "has 18 rows, but 'selected' lists 4"),
+        "padded": (lambda obj: dict(obj, a=obj["a"] + [[0.0] * 2] * 14, b=obj["b"] + [0.0] * 14,
+                                    U=obj["U"] + [[[0.0] * 4] * 4] * 14),
+                   "malformed field 'a': ValueError('shape (18, 2), expected (4, 2)')"),
         "above-n-plus-r2": (
-            lambda obj: dict(obj, rows=obj["rows"] * 5, selected=obj["selected"] * 5),
+            lambda obj: dict(obj, **{key: obj[key] * 5 for key in SYSTEM_ROWS + ("selected",)}),
             "has 20 rows, above n + r^2 = 18"),
         # These two reached the oracle, whose arithmetic made NaN or
         # overflowed, before the loader refused them.
         "infinite-Delta": (lambda obj: dict(obj, grid=dict(obj["grid"], Delta=float("inf"))),
                            "Delta must be finite"),
         "row-sum-overflow": (
-            lambda obj: dict(obj, rows=[dict(obj["rows"][0], a=[1e308, 1e308], b=0.0)]
-                             + obj["rows"][1:]),
+            lambda obj: dict(obj, a=[[1e308, 1e308]] + obj["a"][1:], b=[0.0] + obj["b"][1:]),
             "row 0 of the rounded system has |b| + sum_j |a_j| beyond the float range"),
         **{f"Delta-{name}": (lambda obj, value=value: dict(obj, grid=dict(obj["grid"], Delta=value)),
                              "Delta must be positive")
@@ -372,7 +373,7 @@ class TestLoaderErrors:
         # entry S_0j.  round run took the 7, and reconstruct accepted every
         # point of the square; the 1e308 overflowed in its row selection.
         obj = json.loads(files["fact"].read_text())
-        obj["U"][0]["entries"][0] = entry
+        obj["U"][0][0][0] = entry
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         argv = ["--slack", str(files["slack"]), "--fact", str(bad)]
@@ -391,20 +392,25 @@ class TestLoaderErrors:
     INFINITE_INTEGERS = {
         "polytope-n": (["slack", "build", "--file", "{bad}"], "polytope", ["n"], "--file",
                        "1e400"),
+        # A factorization file declares the side of every factor in its r.
         "matrix-side": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"], "fact",
-                        ["U", 0, "side"], "--fact", "1e400"),
+                        ["r"], "--fact", "1e400"),
         "system-grid-n": (["reconstruct", "--system", "{bad}"], "system",
                           ["grid", "n"], "--system", "1e400"),
         "polytope-n-fraction": (["slack", "build", "--file", "{bad}"], "polytope", ["n"],
                                 "--file", "2.9"),
         "matrix-side-boolean": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
-                                "fact", ["U", 0, "side"], "--fact", "true"),
+                                "fact", ["r"], "--fact", "true"),
         "system-grid-r-fraction": (["reconstruct", "--system", "{bad}"], "system",
                                    ["grid", "r"], "--system", "2.5"),
         "system-n-fraction": (["reconstruct", "--system", "{bad}"], "system", ["grid", "n"],
                               "--system", "2.5"),
         "system-worst-case-string": (["reconstruct", "--system", "{bad}"], "system",
                                      ["grid", "worst_case"], "--system", '"false"'),
+        "slack-shape-fraction": (["fact", "embed", "--slack", "{bad}"], "slack", ["shape"],
+                                 "--slack", "[4, 3.5]"),
+        "system-selected-negative": (["reconstruct", "--system", "{bad}"], "system",
+                                     ["selected"], "--system", "[0, 1, 2, -1]"),
     }
 
     @staticmethod
@@ -447,14 +453,14 @@ class TestLoaderErrors:
                                 ["grid", "delta"], "--system", "delta", '"5.425347222222222e-05"'),
         "system-Delta-boolean": (["reconstruct", "--system", "{bad}"], "system",
                                  ["grid", "Delta"], "--system", "Delta", "true"),
-        "system-a-string": (["reconstruct", "--system", "{bad}"], "system", ["rows", 0, "a"],
+        "system-a-string": (["reconstruct", "--system", "{bad}"], "system", ["a", 0],
                             "--system", "a", '["-1.0", "0.0"]'),
-        "system-b-string": (["reconstruct", "--system", "{bad}"], "system", ["rows", 0, "b"],
+        "system-b-string": (["reconstruct", "--system", "{bad}"], "system", ["b", 0],
                             "--system", "b", '"0.0"'),
         "matrix-entry-string": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
-                                "fact", ["U", 1, "entries", 0], "--fact", "entries", '"0.0"'),
+                                "fact", ["U", 1, 0, 0], "--fact", "U", '"0.0"'),
         "matrix-entry-boolean": (["fact", "verify", "--slack", "{slack}", "--fact", "{bad}"],
-                                 "fact", ["U", 0, "entries", 0], "--fact", "entries", "true"),
+                                 "fact", ["U", 0, 0, 0], "--fact", "U", "true"),
         "slack-entry-string": (["fact", "embed", "--slack", "{bad}"], "slack", ["entries", 0, 0],
                                "--slack", "entries", '"0.0"'),
         "polytope-a-boolean": (["slack", "build", "--file", "{bad}"], "polytope",
@@ -505,9 +511,11 @@ class TestLoaderErrors:
     CONTRADICTED_SLACKS = {
         "entry": (lambda obj: obj["entries"][0].__setitem__(0, 5.0),
                   "entry (0, 0) is 5.0, but the polytope's slack is 0.0"),
-        "shape": (lambda obj: obj.update(entries=[[0.0, 1.0]], polytope={
+        "shape": (lambda obj: obj.update(shape=[1, 2], entries=[[0.0, 1.0]], polytope={
                       "n": 2, "rows": [{"a": [1, 0], "b": 1}], "points": [[0, 0]]}),
                   "entries have shape (1, 2), the polytope's slack matrix (1, 1)"),
+        "declared-shape": (lambda obj: obj.update(shape=[4, 3]),
+                           "malformed field 'entries': ValueError('shape (4, 4), expected (4, 3)')"),
     }
 
     @pytest.mark.parametrize("case", sorted(CONTRADICTED_SLACKS))
@@ -540,13 +548,13 @@ class TestLoaderErrors:
         row, entry, value = self.MALFORMED_SYSTEMS[case]
         if entry == "skew":
             # A skew part on every factor changes no <U_i, Y> for symmetric Y.
-            for r in obj["rows"]:
-                r["U"]["entries"][1] += value
-                r["U"]["entries"][r["U"]["side"]] -= value
+            for u in obj["U"]:
+                u[0][1] += value
+                u[1][0] -= value
         elif entry == "U":
-            obj["rows"][row]["U"]["entries"][0] = value
+            obj["U"][row][0][0] = value
         else:
-            obj["rows"][row]["a"][0] = value
+            obj["a"][row][0] = value
         system.write_text(json.dumps(obj))
         capsys.readouterr()
         code = main(["reconstruct", "--system", str(system)])
@@ -555,6 +563,52 @@ class TestLoaderErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert f"row {row} " in captured.err
+
+
+class TestDeclaredShapes:
+    """Every size a file declares is read, and an empty array takes its declared shape."""
+
+    VERIFY = ["fact", "verify", "--slack", "{slack}", "--fact", "{file}"]
+    # case: (the file from the cube n=2 factorization file, the commands run
+    # in turn: argv, exit code, the error line's start after "error: ")
+    CASES = {
+        # No inequality: the slack matrix is 0 x 2, and its embedding has side 0.
+        "zero-row-slack": (lambda fact: {"n": 1, "rows": [], "points": [[0], [1]]}, [
+            (["slack", "build", "--file", "{file}", "--out", "{slack0}"], 0, ""),
+            (["fact", "embed", "--slack", "{slack0}", "--out", "{fact0}"], 0, ""),
+            (["fact", "verify", "--slack", "{slack0}", "--fact", "{fact0}"], 0, "")]),
+        # reshape(len(rows), -1) read n off the rows, and the slack file said n = 2.
+        "negative-n": (lambda fact: {"n": -1, "rows": [{"a": [1, 0], "b": 1}, {"a": [0, 1], "b": 1}],
+                                     "points": [[0, 0], [1, 1]]},
+                       [(["slack", "build", "--file", "{file}"], 2,
+                         "--file {file}: malformed field 'n': ")]),
+        "fact-r-99": (lambda fact: dict(fact, r=99), [
+            (VERIFY, 2, "--fact {file}: malformed field 'U': "
+                        "ValueError('shape (4, 4, 4), expected (any, 99, 99)')")]),
+        "fact-r-junk": (lambda fact: dict(fact, r="junk"), [
+            (VERIFY, 2, "--fact {file}: malformed field 'r': ")]),
+        "fact-r-missing": (lambda fact: {k: v for k, v in fact.items() if k != "r"}, [
+            (VERIFY, 2, "--fact {file}: missing field 'r'")]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file(self, tmp_path, case, capsys):
+        make, steps = self.CASES[case]
+        paths = {name: str(tmp_path / f"{name}.json")
+                 for name in ("file", "slack", "fact", "slack0", "fact0")}
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", paths["slack"]]) == 0
+        assert main(["fact", "embed", "--slack", paths["slack"], "--out", paths["fact"]]) == 0
+        Path(paths["file"]).write_text(json.dumps(make(json.loads(Path(paths["fact"]).read_text()))))
+        for argv, code, line in steps:
+            capsys.readouterr()
+            assert main([a.format(**paths) for a in argv]) == code, argv
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == "" and captured.err.count("\n") == 1
+                assert captured.err.startswith(f"error: {line.format(**paths)}")
+            else:
+                assert captured.err == ""
 
 
 class TestDefaults:
@@ -774,11 +828,10 @@ class TestErrorLinesNameTheInput:
         paths["pointless"].write_text(json.dumps(serialize.polytope_to_json(h, None)))
         texts = {
             "list": "[]",
-            "nan_slack": '{"entries": [[1.0, NaN]], "polytope": null}',
-            "flat_slack": '{"entries": [1.0, 2.0], "polytope": null}',
-            "mixed_fact": json.dumps({"r": 1, "U": [{"side": 1, "entries": [1.0]},
-                                                    {"side": 2, "entries": [1.0, 0.0, 0.0, 1.0]}],
-                                      "V": [{"side": 1, "entries": [1.0]}]}),
+            "nan_slack": '{"shape": [1, 2], "entries": [[1.0, NaN]], "polytope": null}',
+            "flat_slack": '{"shape": [2], "entries": [1.0, 2.0], "polytope": null}',
+            "mixed_fact": json.dumps({"r": 1, "U": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                                      "V": [[[1.0]]]}),
             "violated": json.dumps({"n": 1, "rows": [{"a": [1], "b": 0}], "points": [[1]]}),
             # Each number is below 2^62, so the loader takes it; the slack
             # bound |a| n |x| + |b| is not.
@@ -822,7 +875,8 @@ class TestErrorLinesNameTheInput:
             "--slack {flat_slack}: slack entries must be a 2-d array"),
         "verify-mixed-sides": (
             ["fact", "verify", "--slack", "{cube2}", "--fact", "{mixed_fact}"],
-            "--fact {mixed_fact}: factor sides disagree"),
+            "--fact {mixed_fact}: malformed field 'U': ValueError('nested lists of unequal "
+            "lengths')"),
         "slack-build-violated-point": (
             ["slack", "build", "--file", "{violated}"],
             "--file {violated}: point 0 violates inequality 0: slack -1"),
@@ -879,7 +933,8 @@ class TestErrorLinesNameTheInput:
         # filterwarnings = error.
         entries, flag, phrase = self.HUGE[case]
         paths = {"slack": tmp_path / "slack.json", "fact": tmp_path / "fact.json"}
-        paths["slack"].write_text(json.dumps({"entries": np.asarray(entries).tolist(),
+        entries = np.asarray(entries)
+        paths["slack"].write_text(json.dumps({"shape": entries.shape, "entries": entries.tolist(),
                                               "polytope": None}))
         assert main(["fact", "embed", "--slack", str(paths["slack"]),
                      "--out", str(paths["fact"])]) == 0
@@ -985,7 +1040,8 @@ class TestBadInputSweep:
         # The unit square's system has side 4 and its 4 selected rows.
         system = json.loads(paths["system"].read_text())
         for kind, spoilt in (("system-r3", dict(system, grid=dict(system["grid"], r=3))),
-                             ("system-cut", dict(system, rows=system["rows"][:3]))):
+                             ("system-cut", dict(system, **{key: system[key][:3]
+                                                            for key in SYSTEM_ROWS}))):
             paths[kind] = tmp / f"{kind}.json"
             paths[kind].write_text(json.dumps(spoilt))
         paths["missing"] = tmp / "missing.json"
@@ -1147,8 +1203,8 @@ class TestRoundReconstruct:
         rep = json.loads(system.read_text())
         assert [rep[key] for key in ("error_bound_ok", "entry_bound_ok", "warm_budget_ok")] == [
             False, False, False]
-        assert len(rep["rows"]) == len(rep["selected_rows"]) == len(rep["error_fnorm"])
-        assert serialize.system_from_json(rep).n_rows == len(rep["rows"])
+        assert len(rep["a"]) == len(rep["selected_rows"]) == len(rep["error_fnorm"])
+        assert serialize.system_from_json(rep).n_rows == len(rep["a"])
 
     def test_chain_with_no_selected_row(self, tmp_path, capsys):
         # 0 x <= 0 holds everywhere, so the slack matrix is [[0]], no row is
@@ -1166,7 +1222,7 @@ class TestRoundReconstruct:
                 ["reconstruct", "--system", path["round"]])):
             assert main(argv + ["--out", path[stage]]) == 0, argv
         system = json.loads(Path(path["round"]).read_text())
-        assert system["selected"] == system["rows"] == system["error_fnorm"] == []
+        assert system["selected"] == system["a"] == system["U"] == system["error_fnorm"] == []
         recon = json.loads(Path(path["reconstruct"]).read_text())
         assert recon["accepted"] == [[0], [1]] and recon["complete"] is True
 
@@ -1214,9 +1270,9 @@ class TestRoundReconstruct:
     def test_step_size_overflow_exits_3(self, tmp_path, diagonal, capsys):
         system = unrescaled_system(tmp_path, "cube", 2)
         obj = json.loads(system.read_text())
-        u = obj["rows"][0]["U"]
-        for i in range(u["side"]):
-            u["entries"][i * u["side"] + i] = diagonal
+        u = obj["U"][0]
+        for i in range(len(u)):
+            u[i][i] = diagonal
         system.write_text(json.dumps(obj))
         capsys.readouterr()
         code = main(["reconstruct", "--system", str(system)])

@@ -2,28 +2,10 @@ import numpy as np
 import pytest
 
 from psdfact import serialize
-from psdfact.errors import PreconditionError
-from psdfact.factorization import diagonal_embed
-from psdfact.polytopes import build_slack, builtin_instance
+from psdfact.factorization import PsdFactorization, diagonal_embed
+from psdfact.polytopes import SlackMatrix, build_slack, builtin_instance
 from psdfact.rescaling import rescale
 from psdfact.rounding import GridParams, build_rounded_system
-
-from helpers import random_symmetric, rng
-
-
-class TestMatrixJson:
-    def test_roundtrip(self):
-        m = random_symmetric(rng(1), 4)
-        back = serialize.matrix_from_json(serialize.matrix_to_json(m))
-        np.testing.assert_array_equal(back, m)
-
-    def test_schema_fields(self):
-        obj = serialize.matrix_to_json(np.eye(2))
-        assert obj == {"side": 2, "entries": [1.0, 0.0, 0.0, 1.0]}
-
-    def test_payload_size_checked(self):
-        with pytest.raises(PreconditionError):
-            serialize.matrix_from_json({"side": 2, "entries": [1.0, 2.0]})
 
 
 class TestPolytopeJson:
@@ -52,10 +34,30 @@ class TestSlackAndFactorization:
     def test_factorization_roundtrip(self):
         s = build_slack(*builtin_instance("cube", 2))
         f = diagonal_embed(s)
-        f2 = serialize.factorization_from_json(serialize.factorization_to_json(f))
+        obj = serialize.factorization_to_json(f)
+        # Each stack is one nested list shaped like the array.
+        assert obj == {"r": 4, "U": f.row_factors.tolist(), "V": f.col_factors.tolist()}
+        f2 = serialize.factorization_from_json(obj)
         assert f2.side == f.side
-        for a, b in zip(f2.row_factors, f.row_factors):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(f2.row_factors, f.row_factors)
+        np.testing.assert_array_equal(f2.col_factors, f.col_factors)
+
+    # An empty list takes the shape its file declares.
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_roundtrip(self, shape):
+        s = SlackMatrix(np.zeros(shape))
+        s2 = serialize.slack_from_json(serialize.slack_to_json(s))
+        assert s2.shape == shape
+        f = diagonal_embed(s)
+        f2 = serialize.factorization_from_json(serialize.factorization_to_json(f))
+        assert f2.row_factors.shape == f.row_factors.shape
+        assert f2.col_factors.shape == f.col_factors.shape
+
+    def test_empty_side_keeps_its_declared_r(self):
+        f = PsdFactorization(np.zeros((0, 3, 3)), [np.eye(3)])
+        f2 = serialize.factorization_from_json(serialize.factorization_to_json(f))
+        assert f2.row_factors.shape == (0, 3, 3)
+        np.testing.assert_array_equal(f2.col_factors, f.col_factors)
 
     def test_system_roundtrip(self):
         h, v = builtin_instance("cube", 2)
@@ -63,7 +65,10 @@ class TestSlackAndFactorization:
         res = rescale(diagonal_embed(s), s)
         g = GridParams.for_slack(n=2, r=res.factorization.side, delta_eff=s.max_entry)
         system = build_rounded_system(h, res.factorization, g)
-        system2 = serialize.system_from_json(serialize.system_to_json(system))
+        obj = serialize.system_to_json(system)
+        assert set(obj) == {"grid", "selected", "a", "b", "U"}
+        assert obj["U"] == system.factors.tolist()
+        system2 = serialize.system_from_json(obj)
         np.testing.assert_array_equal(system2.a, system.a)
         np.testing.assert_array_equal(system2.b, system.b)
         assert system2.grid.step == system.grid.step
