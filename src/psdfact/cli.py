@@ -26,14 +26,14 @@ same function:
 Beside them, ``fact fit`` and ``rescale run`` write, as ``fact embed``
 does, a factorization file (r, U, V) that ``--fact`` reads, ``rescale
 run`` with phi_trajectory, the (r, r) transform and transform_pinv, and
-diagnostics; ``round run`` writes the system file (grid, selected, a, b,
-U) that ``--system`` reads; ``reconstruct`` writes accepted, rejected,
-inconclusive, points and complete.  ``serialize`` gives the arrays'
-layout.  ``rescale run`` and ``round run`` refuse a factorization that
-misses its slack matrix, which ``fact verify`` fails.  ``round run``
-exits 1 when error_bound_ok, entry_bound_ok or warm_budget_ok is false,
-as on a factorization that was not rescaled; it still writes the system
-file.
+diagnostics; ``round run`` writes the system file (grid, selected in
+ascending order, a, b, U) that ``--system`` reads; ``reconstruct``
+writes accepted, rejected, inconclusive, points and complete.
+``serialize`` gives the arrays' layout.  ``rescale run`` and ``round
+run`` refuse a factorization that misses its slack matrix, which ``fact
+verify`` fails.  ``round run`` exits 1 when error_bound_ok,
+entry_bound_ok or warm_budget_ok is false, as on a factorization that
+was not rescaled; it still writes the system file.
 """
 
 from __future__ import annotations

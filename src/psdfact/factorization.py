@@ -167,8 +167,8 @@ def check_tol(tol: float) -> None:
         raise PreconditionError(f"tol must be finite and >= 0, got {tol!r}", arg="tol")
 
 
-def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int, int]]:
-    """Largest |<U_i, V^j> - S_ij| and its (i, j); (0.0, (0, 0)) when S is empty."""
+def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int, int] | None]:
+    """Largest |<U_i, V^j> - S_ij| and its (i, j); (0.0, None) when S is empty, which has no cell."""
     target = s.floats
     if (f.n_rows, f.n_cols) != target.shape:
         raise DimensionError(
@@ -176,7 +176,7 @@ def max_residual(f: PsdFactorization, s: SlackMatrix) -> tuple[float, tuple[int,
             f"slack {target.shape[0]}x{target.shape[1]}", arg="f")
     residual = np.abs(f.products() - target)
     if not residual.size:
-        return 0.0, (0, 0)
+        return 0.0, None
     i, j = divmod(int(residual.argmax()), residual.shape[1])
     return float(residual[i, j]), (i, j)
 

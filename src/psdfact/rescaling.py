@@ -281,7 +281,7 @@ def reduce_to_common_space(
     above runs, and one more eigvalsh of the reduced averages gives them.
     """
     if not f.n_rows or not f.n_cols:
-        raise PreconditionError("factorization must be nonempty on both sides")
+        raise PreconditionError("factorization must be nonempty on both sides", arg="f")
     # The stacks are exactly symmetric, and so are their sums.  The factors
     # are finite, so every non-finite value starts as an overflow.
     try:

@@ -5,9 +5,11 @@ snapping its eigenvalues and eigenvector entries to the nearest integer
 multiple of delta/Delta (ties toward +inf), reassembling, and snapping
 the reassembled entries once more so every entry lands exactly on the
 grid.  The rounded system holds only the selected rows, at most n + r^2 of
-them, and their factors are rounded as one (k, r, r) stack through one
-batched eigendecomposition.  The paper's bounds are the same for every
-factor, so they live on ``GridParams``: a Frobenius error of at most
+them, in ascending order, and their factors are rounded as one (k, r, r)
+stack through one batched eigendecomposition.  The rows are chosen by
+pivoted Gram-Schmidt, or taken all at once when one spectrum of their
+Gram matrix certifies full row rank.  The paper's bounds are the same for
+every factor, so they live on ``GridParams``: a Frobenius error of at most
 ``error_bound`` = 4 delta r^2 / sqrt(Delta) and entries of at most
 ``entry_bound`` = 8 r^1.5 sqrt(Delta).
 
@@ -164,12 +166,22 @@ def zeroed_factors(u: np.ndarray, rounded: np.ndarray) -> list[int]:
 
 
 def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
-    """Greedy max-volume row subset of the stacked vectors (a_i, vec(U_i)).
+    """Greedy max-volume row subset of the stacked vectors (a_i, vec(U_i)), ascending.
 
     Pivoted Gram-Schmidt: repeatedly add the row whose residual against the
     span of the selected rows is largest, i.e. the row maximizing the Gram
     determinant increase, until no residual exceeds symmat.RANK_TOL times
     the largest row norm.  At most n + r^2 rows are selected.
+
+    One eigvalsh of the Gram matrix G = R R^T of the stacked rows R comes
+    first.  A row's residual against the span of any other rows is at
+    least sigma_min(R) = sqrt(lam_min(G)), and the loop computes it to
+    about eps kappa(R) relative; so when lam_min(G) exceeds both
+    symmat.GRAM_TOL lam_max(G) and (2 threshold)^2, every pivot's largest
+    residual stays above the cut, and every row is taken at once.  The
+    rows are returned in ascending order on both paths: a subsystem is a
+    set of rows, and the pivot order carries nothing that a later stage
+    reads.
     """
     if h.n_rows == 0:
         raise PreconditionError("empty inequality system")
@@ -182,6 +194,9 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
     square = residual * residual
     norms = np.sqrt(np.add.reduce(square, axis=1))
     threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
+    lam = np.linalg.eigvalsh(residual @ residual.T)
+    if lam[0] > symmat.GRAM_TOL * lam[-1] and lam[0] > (2.0 * threshold) ** 2:
+        return list(range(len(residual)))
     selected: list[int] = []
     while True:
         j = int(norms.argmax())
@@ -199,7 +214,7 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
         np.sqrt(np.add.reduce(np.multiply(residual, residual, out=square), axis=1), out=norms)
     if len(selected) > n + r * r:
         raise NumericError("selected subsystem exceeds n + r^2 rows")
-    return selected
+    return sorted(selected)
 
 
 class RoundedSystem(Record):
@@ -208,7 +223,8 @@ class RoundedSystem(Record):
     ``a`` (k, n), ``b`` (k,) and ``factors`` (k, r, r) are float arrays,
     one row per selected row, k <= n + r^2.  ``selected``, ``error_fnorm``
     and ``zeroed`` default to (): ``selected`` is the polytope row of each
-    slot, ``error_fnorm`` ||rounded U_i - U_i||_F per slot, and ``zeroed``
+    slot, in ascending order as ``select_subsystem`` returns them,
+    ``error_fnorm`` ||rounded U_i - U_i||_F per slot, and ``zeroed``
     the selected rows whose nonzero factor rounded to zero, by
     ``zeroed_factors``; the last two are empty when the system was loaded
     rather than rounded.
@@ -396,13 +412,19 @@ def _single_row_duals(factors, const, cap):
 
     The value of +-e_i is +-c_i - cap tr((+-U_i)_+); it needs no iterate,
     and ||lambda||_1 = 1, so ``_dual_values``' proof applies.  One
-    ``eigvalsh`` measures every factor.
+    ``eigvalsh`` measures every factor.  This is the first dual valuation
+    of a sweep, before the step size is known, so it is where factors too
+    large for the cap raise NumericError.
     """
     m = len(factors)
     spectra = np.linalg.eigvalsh(factors)
-    positive = np.maximum(spectra, 0.0).sum(axis=1)
-    negative = -np.minimum(spectra, 0.0).sum(axis=1)
-    values = np.concatenate([const - cap * positive, -const - cap * negative], axis=1)
+    try:
+        with np.errstate(over="raise"):
+            positive = np.maximum(spectra, 0.0).sum(axis=1)
+            negative = -np.minimum(spectra, 0.0).sum(axis=1)
+            values = np.concatenate([const - cap * positive, -const - cap * negative], axis=1)
+    except FloatingPointError:
+        raise NumericError("the dual values overflow: the factors are too large") from None
     pick = values.argmax(axis=1)
     points = np.arange(len(const))
     lam = np.zeros((len(const), m))

@@ -9,8 +9,9 @@ exponential and square root, ``eig_clip``, norms and image bases;
 its own stacks calls ``np.linalg`` directly: in ``rescaling``,
 ``reduce_to_common_space``, ``mean_congruence``, the John decomposition
 and the descent loop's SVDs; in ``factorization``, ``side_extremes`` and
-``fit_factorization``; and in ``rounding``, ``_dual_values``,
-``_single_row_duals`` and ``_decide``'s step norm and witness check.
+``fit_factorization``; and in ``rounding``, ``select_subsystem``'s Gram
+spectrum, ``_dual_values``, ``_single_row_duals`` and ``_decide``'s step
+norm and witness check.
 Matrices are plain float ndarrays; ``as_symmetric`` is the canonical
 constructor and enforces the two invariants every routine assumes, exact
 symmetry and finite entries.
@@ -34,6 +35,11 @@ from .errors import (
 # Relative cutoff of the rank decisions: a singular value or residual norm
 # at most RANK_TOL times the largest counts as zero.
 RANK_TOL = 1e-9
+# Relative floor of a Gram matrix's least eigenvalue that certifies full row
+# rank: lam_min(R R^T) > GRAM_TOL lam_max(R R^T), i.e. sigma_min(R) above
+# 1e-6 sigma_max(R), where the pivoted Gram-Schmidt that it short-cuts
+# computes each residual to about eps kappa(R) <= 1e-10 relative.
+GRAM_TOL = 1e-12
 # PSD acceptance slack: the least eigenvalue may dip to
 # -PSD_TOL * (1 + max(lambda_max, 0)) from floating-point noise.
 PSD_TOL = 1e-9

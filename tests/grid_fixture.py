@@ -14,8 +14,11 @@ Each run keeps only discrete values: the verdict and the three point
 lists; the factorize side, steps and found flag; the rescale certificate,
 start, iterations and reduced dimension; the three round booleans; and
 ``selected_rows`` on plain runs, since under a congruence it can turn on
-round-off ties.  A run that skips rescaling records the skip, and each
-of its points' iteration counts.  Floats are not pinned.
+round-off ties.  ``selected_rows`` is in ascending order whichever way the
+rows were selected: all at once when their Gram spectrum certifies full
+row rank, or by the pivot loop (crosspoly_01 and point, whose rows are
+dependent).  A run that skips rescaling records the skip, and each of its
+points' iteration counts.  Floats are not pinned.
 
 Run ``PYTHONPATH=src python tests/grid_fixture.py`` from the root of the
 repository to rewrite ``tests/data/grid.json``.

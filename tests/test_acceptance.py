@@ -301,16 +301,17 @@ def test_rejections_are_certified_by_one_selected_row(monkeypatch):
 def test_cube4_pipeline_spectral_calls(monkeypatch):
     # Both sides of a factorization share one eigvalsh, the nonsingular
     # common space needs no eigh, rescale returns the factorization it
-    # measured, and the rounding error norms are one batched product.  In
-    # the sweep, zero duals take no spectrum.  Each eigvalsh of the sweep
-    # measures one stack: the factors of the single-row duals when the
-    # witnesses of iteration 1 leave points open, the nonzero hinge duals
-    # of one iteration, the witnesses, and the re-validated duals when one
-    # is nonzero.  Every contraction of two factor stacks is a BLAS
-    # product, so einsum only values hinge duals and re-validates: on
-    # these three every point is decided by a witness or a single-row
-    # dual, so iteration 1 values no hinge dual and the one einsum is
-    # re-validation's.
+    # measured, the subsystem's rows are certified independent by one
+    # eigvalsh of their Gram matrix, and the rounding error norms are one
+    # batched product.  In the sweep, zero duals take no spectrum.  Each
+    # eigvalsh of the sweep measures one stack: the factors of the
+    # single-row duals when the witnesses of iteration 1 leave points
+    # open, the nonzero hinge duals of one iteration, the witnesses, and
+    # the re-validated duals when one is nonzero.  Every contraction of
+    # two factor stacks is a BLAS product, so einsum only values hinge
+    # duals and re-validates: on these three every point is decided by a
+    # witness or a single-row dual, so iteration 1 values no hinge dual
+    # and the one einsum is re-validation's.
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "norm": 0, "einsum": 0}
     for name in calls:
         module = np if name == "einsum" else np.linalg
@@ -321,9 +322,9 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1},
-                ("simplex", 4): {"eigh": 2, "eigvalsh": 5, "svd": 0, "norm": 0, "einsum": 1},
-                ("segment", 1): {"eigh": 2, "eigvalsh": 3, "svd": 0, "norm": 0, "einsum": 1}}
+    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1},
+                ("simplex", 4): {"eigh": 2, "eigvalsh": 6, "svd": 0, "norm": 0, "einsum": 1},
+                ("segment", 1): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1}}
     for (instance, n), want in expected.items():
         calls.update(dict.fromkeys(calls, 0))
         assert run_pipeline(instance, n)["verdict"] == "match"

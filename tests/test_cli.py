@@ -27,6 +27,8 @@ from helpers import loop_from_input, loop_from_mean, unbalanced_cube
 
 # A system file's arrays, each with one entry per selected row.
 SYSTEM_ROWS = ("a", "b", "U")
+# A polytope file with no inequality: its slack matrix is 0 x 2.
+ZERO_ROW_POLYTOPE = {"n": 1, "rows": [], "points": [[0], [1]]}
 
 
 def run_cli(args, capsys):
@@ -573,10 +575,13 @@ class TestDeclaredShapes:
     # in turn: argv, exit code, the error line's start after "error: ")
     CASES = {
         # No inequality: the slack matrix is 0 x 2, and its embedding has side 0.
-        "zero-row-slack": (lambda fact: {"n": 1, "rows": [], "points": [[0], [1]]}, [
+        # Rescaling needs factors on both sides, and the refusal names --fact.
+        "zero-row-slack": (lambda fact: ZERO_ROW_POLYTOPE, [
             (["slack", "build", "--file", "{file}", "--out", "{slack0}"], 0, ""),
             (["fact", "embed", "--slack", "{slack0}", "--out", "{fact0}"], 0, ""),
-            (["fact", "verify", "--slack", "{slack0}", "--fact", "{fact0}"], 0, "")]),
+            (["fact", "verify", "--slack", "{slack0}", "--fact", "{fact0}"], 0, ""),
+            (["rescale", "run", "--slack", "{slack0}", "--fact", "{fact0}"], 2,
+             "--fact {fact0}: factorization must be nonempty on both sides")]),
         # reshape(len(rows), -1) read n off the rows, and the slack file said n = 2.
         "negative-n": (lambda fact: {"n": -1, "rows": [{"a": [1, 0], "b": 1}, {"a": [0, 1], "b": 1}],
                                      "points": [[0, 0], [1, 1]]},
@@ -609,6 +614,17 @@ class TestDeclaredShapes:
                 assert captured.err.startswith(f"error: {line.format(**paths)}")
             else:
                 assert captured.err == ""
+
+    def test_empty_slack_matrix_has_no_residual_location(self, tmp_path, capsys):
+        # A 0 x 2 slack matrix has no cell, so no residual has a location.
+        polytope, slack, fact = (str(tmp_path / f"{name}.json") for name in ("p", "s", "f"))
+        Path(polytope).write_text(json.dumps(ZERO_ROW_POLYTOPE))
+        assert main(["slack", "build", "--file", polytope, "--out", slack]) == 0
+        assert main(["fact", "embed", "--slack", slack, "--out", fact]) == 0
+        capsys.readouterr()
+        code, rep = run_cli(["fact", "verify", "--slack", slack, "--fact", fact], capsys)
+        assert code == 0 and rep["passed"] is True
+        assert rep["max_abs_residual"] == 0.0 and rep["residual_location"] is None
 
 
 class TestDefaults:
@@ -1280,6 +1296,27 @@ class TestRoundReconstruct:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("numeric error: ") and captured.err.count("\n") == 1
+
+    def test_dual_value_overflow_exits_3_without_warning(self, tmp_path, capsys):
+        # One factor entry of 1e308 overflowed cap tr((U_0)_+) in the first
+        # dual valuation, a RuntimeWarning before the step size was checked.
+        # A warning fails this test (filterwarnings = error).
+        slack, fact, resc, system = (str(tmp_path / f"{name}.json")
+                                     for name in ("slack", "fact", "resc", "system"))
+        for argv in (["slack", "build", "--instance", "cube", "--n", "2", "--out", slack],
+                     ["fact", "embed", "--slack", slack, "--out", fact],
+                     ["rescale", "run", "--slack", slack, "--fact", fact, "--out", resc],
+                     ["round", "run", "--slack", slack, "--fact", resc, "--out", system]):
+            assert main(argv) == 0, argv
+        obj = json.loads(Path(system).read_text())
+        obj["U"][0][0][0] = 1e308
+        Path(system).write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = main(["reconstruct", "--system", system])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "numeric error: the dual values overflow: the factors are too large\n"
 
 
 class TestCheckAndBounds:

@@ -233,8 +233,9 @@ class TestSelectSubsystem:
             vecs = vecs - np.outer(vecs @ q, q)
 
     def test_matches_the_reference_on_random_stacks(self):
-        from psdfact.polytopes import HPolytope
-
+        # 172 of these 200 stacks have independent rows, which the Gram
+        # spectrum certifies; the other 28 run the pivot loop.  Both return
+        # the reference's set, in ascending order.
         gen = rng(21)
         for _ in range(200):
             m, n, r = (int(k) for k in gen.integers(1, 9, size=3))
@@ -242,16 +243,61 @@ class TestSelectSubsystem:
             rows = [random_psd(gen, r, rank=rank) for _ in range(m)]
             f = PsdFactorization.from_factors(rows, [np.eye(r)])
             h = HPolytope(a=gen.integers(-2, 3, size=(m, n)), b=np.arange(m))
-            assert select_subsystem(h, f) == self.reference_selection(h, f)
+            assert select_subsystem(h, f) == sorted(self.reference_selection(h, f))
 
-    # The rows, in pivot order, that the pipeline selects on each builtin
-    # 0/1 instance from its rescaled diagonal embedding.
+    @staticmethod
+    def gram_spectrum(monkeypatch, h, f):
+        """``select_subsystem``'s selection and the Gram spectrum it certified against."""
+        spectra = []
+        original = np.linalg.eigvalsh
+
+        def recording(a):
+            spectra.append(original(a))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        picked = select_subsystem(h, f)
+        monkeypatch.undo()
+        (lam,) = spectra
+        return picked, lam
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+    def test_near_the_relative_certificate_both_paths_agree(self, monkeypatch, ratio):
+        # Rows (0, diag(1, 0)) and (0, diag(1, s)) have the Gram matrix
+        # [[1, 1], [1, 1 + s^2]], whose eigenvalue ratio is about s^2 / 4; at
+        # s = 2e-6 it meets GRAM_TOL.  Below it the pivot loop runs, taking
+        # row 1 first; above it every row is taken at once.  Row 0's residual
+        # is about s / sqrt(2), far above the absolute cut either way.
+        s = 2e-6 * ratio
+        h = HPolytope(a=np.zeros((2, 1), dtype=np.int64), b=np.arange(2))
+        f = PsdFactorization.from_factors([np.diag([1.0, 0.0]), np.diag([1.0, s])], [np.eye(2)])
+        picked, lam = self.gram_spectrum(monkeypatch, h, f)
+        assert (lam[0] > symmat.GRAM_TOL * lam[-1]) == (ratio > 1.0)
+        assert picked == sorted(self.reference_selection(h, f)) == [0, 1]
+
+    @pytest.mark.parametrize("scale, picked", [(0.5, []), (1.5, [0, 1, 2]), (2.5, [0, 1, 2])])
+    def test_rows_below_the_absolute_cut_are_never_taken(self, monkeypatch, scale, picked):
+        # Orthogonal rows of norm t <= 1 have a perfectly conditioned Gram
+        # matrix, but the loop's cut is RANK_TOL: at t = 0.5e-9 it takes no
+        # row.  The shortcut needs lam_min = t^2 above (2 RANK_TOL)^2, so it
+        # runs only at 2.5e-9, and the loop takes every row at 1.5e-9.
+        t = scale * symmat.RANK_TOL
+        h = HPolytope(a=np.zeros((3, 1), dtype=np.int64), b=np.arange(3))
+        f = PsdFactorization.from_factors([np.diag(t * np.eye(3)[i]) for i in range(3)],
+                                          [np.eye(3)])
+        got, lam = self.gram_spectrum(monkeypatch, h, f)
+        assert lam[0] > symmat.GRAM_TOL * lam[-1]
+        assert (lam[0] > (2.0 * symmat.RANK_TOL) ** 2) == (scale > 2.0)
+        assert got == sorted(self.reference_selection(h, f)) == picked
+
+    # The rows that the pipeline selects on each builtin 0/1 instance from
+    # its rescaled diagonal embedding, in ascending order.
     PIPELINE_ROWS = {
         ("cube", 1): [0, 1], ("cube", 2): [0, 1, 2, 3], ("cube", 3): [0, 1, 2, 3, 4, 5],
         ("cube", 4): [0, 1, 2, 3, 4, 5, 6, 7],
-        ("simplex", 1): [0, 1], ("simplex", 2): [2, 0, 1], ("simplex", 3): [3, 0, 1, 2],
-        ("simplex", 4): [4, 0, 1, 2, 3],
-        ("crosspoly_01", 2): [0, 1, 2], ("crosspoly_01", 3): [6, 7, 0, 1],
+        ("simplex", 1): [0, 1], ("simplex", 2): [0, 1, 2], ("simplex", 3): [0, 1, 2, 3],
+        ("simplex", 4): [0, 1, 2, 3, 4],
+        ("crosspoly_01", 2): [0, 1, 2], ("crosspoly_01", 3): [0, 1, 6, 7],
         ("segment", 1): [0, 1],
         ("point", 1): [0], ("point", 2): [0, 1], ("point", 3): [0, 1, 2],
         ("point", 4): [0, 1, 2, 3],
