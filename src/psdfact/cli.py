@@ -241,7 +241,7 @@ def _cmd_round_run(args):
                                 worst_case=args.worst_case)
     check_reproduces(f, s)
     system = build_rounded_system(h, f, grid)
-    report = {**serialize.system_to_json(system), **round_report(system)}
+    report = {**serialize.system_to_json(system), **round_report(system, f.col_factors)}
     bounds_ok = all(report[key] for key in ("error_bound_ok", "entry_bound_ok", "warm_budget_ok"))
     return report, EXIT_OK if bounds_ok else EXIT_VERDICT
 

@@ -4,8 +4,8 @@ Runs a builtin instance through every stage and reports whether the
 reconstructed lattice points coincide with the original vertex set.  The
 ``skip_rescale`` and ``unbalance`` knobs exist to demonstrate what breaks
 when the rounding stage is fed an unrescaled factorization: the rounding
-error and entry bounds fail and true vertices lose their bounded-norm
-witnesses.
+error stays within its bound, but the entry bound and the warm budget
+fail, and true vertices lose their bounded-norm witnesses.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def run_pipeline(instance: str, n: int, cfg: PipelineConfig = PipelineConfig()) 
 
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     system = build_rounded_system(h, working, grid)
-    report["stages"]["round"] = round_report(system)
+    report["stages"]["round"] = round_report(system, working.col_factors)
 
     # Each vertex starts from its own column factor.
     recon = reconstruct(system, warm_starts=(v.points, working.col_factors)).to_json()

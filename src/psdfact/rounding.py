@@ -1,17 +1,15 @@
 """Grid rounding of rescaled factors and vertex reconstruction.
 
-A factor U with operator norm at most sqrt(r Delta) is rounded by
-snapping its eigenvalues and eigenvector entries to the nearest integer
-multiple of delta/Delta (ties toward +inf), reassembling, and snapping
-the reassembled entries once more so every entry lands exactly on the
-grid.  The rounded system holds only the selected rows, at most n + r^2 of
-them, in ascending order, and their factors are rounded as one (k, r, r)
-stack through one batched eigendecomposition.  The rows are chosen by
-pivoted Gram-Schmidt, or taken all at once when one spectrum of their
-Gram matrix certifies full row rank.  The paper's bounds are the same for
-every factor, so they live on ``GridParams``: a Frobenius error of at most
-``error_bound`` = 4 delta r^2 / sqrt(Delta) and entries of at most
-``entry_bound`` = 8 r^1.5 sqrt(Delta).
+A factor U is rounded entry by entry to the nearest integer multiple of
+the grid step delta/Delta (ties toward +inf): the result is exactly
+symmetric, its entries at most lmax(U) + step/2, its Frobenius error at
+most r step / 2.  The rounded system holds only the selected rows, at
+most n + r^2 of them, in ascending order, their factors rounded as one
+stack.  The rows are chosen by pivoted Gram-Schmidt, or taken all at once
+when one spectrum of their Gram matrix certifies full row rank.  The
+paper's bounds live on ``GridParams``: a Frobenius error of at most
+``error_bound`` = 4 delta r^2 / sqrt(Delta), which r step / 2 meets for
+every Delta >= 1, and entries of at most ``entry_bound`` = 8 r^1.5 sqrt(Delta).
 
 Membership of a lattice point x asks for a witness Y in
 K = {0 <= Y <= cap I}, cap = sqrt(r Delta), with every row residual
@@ -110,6 +108,7 @@ class GridParams(Record):
 
     @property
     def error_bound(self) -> float:
+        """The paper's bound, 8 r sqrt(Delta) times ``round_factor``'s r step / 2."""
         return 4.0 * self.delta * self.r**2 / math.sqrt(self.big_delta)
 
     @property
@@ -139,30 +138,42 @@ class GridParams(Record):
 
 
 def round_factor(u: np.ndarray, g: GridParams) -> np.ndarray:
-    """Round a PSD matrix, or a stack of them, onto the delta/Delta grid via the spectrum.
+    """Round a factor, or a stack of them, entrywise onto the delta/Delta grid.
 
-    Eigenvalues and eigenvector entries are snapped first; the reassembled
-    matrix is snapped entrywise so that every entry is an exact grid
-    multiple.  PSD-ness survives up to the final entrywise snap.  A factor
-    whose top eigenvalue is below half the grid step rounds to zero;
-    ``zeroed_factors`` finds those.
+    The Frobenius error is at most r step / 2, beside the paper's
+    ``error_bound``, and the result is exactly symmetric.  A factor whose
+    entries all lie below half the grid step rounds to zero;
+    ``zeroed_factors`` finds those.  A step so fine that the snap
+    overflows is refused, naming ``delta``.
     """
-    step = g.step
-    lam, vec = symmat.spectral_decompose(u)
-    rounded = symmat.from_spectrum(round_to_grid(lam, step), round_to_grid(vec, step))
-    return round_to_grid((rounded + rounded.swapaxes(-1, -2)) / 2.0, step)
+    top = float(np.abs(u).max(initial=0.0))
+    if not g.step or not math.isfinite(top / g.step):
+        raise PreconditionError(f"the grid step {g.step:.3g} overflows the snap of factor "
+                                f"entries up to {top:.3g}", arg="delta")
+    return round_to_grid(u, g.step)
 
 
 def zeroed_factors(u: np.ndarray, rounded: np.ndarray) -> list[int]:
     """Positions k at which ``u[k]`` is nonzero and ``rounded[k]`` is zero.
 
-    These are the factors of a stack that rounding destroyed.
+    These are the factors whose entries all lie below half a grid step.
     """
     return np.flatnonzero(u.any(axis=(1, 2)) & ~rounded.any(axis=(1, 2))).tolist()
 
 
 # ---------------------------------------------------------------------------
 # Subsystem selection
+
+
+def _squared_norms(rows: np.ndarray, what: str) -> np.ndarray:
+    """Each row's squared norm, refused (naming ``f``) when they or their total overflow."""
+    with np.errstate(over="raise"):
+        try:
+            sums = np.add.reduce(rows * rows, axis=1)
+            np.add.reduce(sums)
+            return sums
+        except FloatingPointError:
+            raise PreconditionError(f"the squared norms of the {what} overflow", arg="f") from None
 
 
 def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
@@ -189,14 +200,15 @@ def select_subsystem(h: HPolytope, f: PsdFactorization) -> list[int]:
         raise DimensionError("inequality rows and row factors are misaligned")
     n, r = h.dim, f.side
     residual = np.concatenate([h.a.astype(float), f.row_factors.reshape(f.n_rows, -1)], axis=1)
-    # np.linalg.norm(., axis=1)'s own formula, without its wrapper; the
-    # loop updates the residual, its squares and the norms in place.
-    square = residual * residual
-    norms = np.sqrt(np.add.reduce(square, axis=1))
+    # The Gram spectrum is at most the squared norms' total, and the loop's
+    # residuals only shrink, so nothing overflows past _squared_norms.
+    norms = np.sqrt(_squared_norms(residual, "rows"))
     threshold = symmat.RANK_TOL * max(float(norms.max()), 1.0)
     lam = np.linalg.eigvalsh(residual @ residual.T)
     if lam[0] > symmat.GRAM_TOL * lam[-1] and lam[0] > (2.0 * threshold) ** 2:
         return list(range(len(residual)))
+    # The loop updates the residual, its squares and the norms in place.
+    square = np.empty_like(residual)
     selected: list[int] = []
     while True:
         j = int(norms.argmax())
@@ -260,13 +272,16 @@ def build_rounded_system(h: HPolytope, f: PsdFactorization, g: GridParams) -> Ro
     )
 
 
-def round_report(system: RoundedSystem) -> dict:
+def round_report(system: RoundedSystem, col_factors: np.ndarray) -> dict:
     """The round stage's report, which ``run_pipeline`` and ``round run`` both give: the
     grid, the selected and zeroed rows, each selected row's rounding error, and the
-    bounds checked against the largest error and entry."""
+    bounds checked against the largest error and entry.  Rounding moves warm start V^j's
+    residual on row i by <U'_i - U_i, V^j> <= ||E_i||_F ||V^j||_F: the warm budget's value
+    is the largest error times the largest norm of ``col_factors``, the rounded ones'."""
     g = system.grid
     max_error = max(system.error_fnorm, default=0.0)
-    budget_margin = max_error * g.r * math.sqrt(g.big_delta)
+    squares = _squared_norms(col_factors.reshape(len(col_factors), -1), "column factors")
+    budget_margin = max_error * math.sqrt(float(squares.max(initial=0.0)))
     return {
         "delta": g.delta,
         "Delta": g.big_delta,

@@ -302,8 +302,9 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
     # Both sides of a factorization share one eigvalsh, the nonsingular
     # common space needs no eigh, rescale returns the factorization it
     # measured, the subsystem's rows are certified independent by one
-    # eigvalsh of their Gram matrix, and the rounding error norms are one
-    # batched product.  In the sweep, zero duals take no spectrum.  Each
+    # eigvalsh of their Gram matrix, the factors are rounded entrywise
+    # with no spectrum, and the rounding error norms are one batched
+    # product.  In the sweep, zero duals take no spectrum.  Each
     # eigvalsh of the sweep measures one stack: the factors of the
     # single-row duals when the witnesses of iteration 1 leave points
     # open, the nonzero hinge duals of one iteration, the witnesses, and
@@ -322,9 +323,9 @@ def test_cube4_pipeline_spectral_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
-    expected = {("cube", 4): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1},
-                ("simplex", 4): {"eigh": 2, "eigvalsh": 6, "svd": 0, "norm": 0, "einsum": 1},
-                ("segment", 1): {"eigh": 2, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1}}
+    expected = {("cube", 4): {"eigh": 1, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1},
+                ("simplex", 4): {"eigh": 1, "eigvalsh": 6, "svd": 0, "norm": 0, "einsum": 1},
+                ("segment", 1): {"eigh": 1, "eigvalsh": 4, "svd": 0, "norm": 0, "einsum": 1}}
     for (instance, n), want in expected.items():
         calls.update(dict.fromkeys(calls, 0))
         assert run_pipeline(instance, n)["verdict"] == "match"

@@ -1206,8 +1206,10 @@ class TestRoundReconstruct:
 
     def test_failed_rounding_bound_exits_1(self, tmp_path, capsys):
         # Cube n=3's embedding after a 1e4 congruence reproduces its slack
-        # matrix but is not rescaled: all three bounds fail.  The report and
-        # its system are still written.
+        # matrix but is not rescaled.  The entrywise rounding error is within
+        # its bound at any norm, so what fails is what the argument needs
+        # rescaling for: the entry bound, and the warm budget read from the
+        # column factors.  The report and its system are still written.
         h, v = builtin_instance("cube", 3)
         s = build_slack(h, v)
         slack, fact, system = (tmp_path / f for f in ("slack.json", "fact.json", "system.json"))
@@ -1218,9 +1220,58 @@ class TestRoundReconstruct:
                      "--out", str(system)]) == 1
         rep = json.loads(system.read_text())
         assert [rep[key] for key in ("error_bound_ok", "entry_bound_ok", "warm_budget_ok")] == [
-            False, False, False]
+            True, False, False]
         assert len(rep["a"]) == len(rep["selected_rows"]) == len(rep["error_fnorm"])
         assert serialize.system_from_json(rep).n_rows == len(rep["a"])
+
+    @pytest.mark.parametrize("delta,extra", [("5e-324", []), ("1e-320", []),
+                                             ("5e-324", ["--worst-case"])],
+                             ids=["5e-324", "1e-320", "zero-step"])
+    def test_overflowing_grid_step_exits_2(self, tmp_path, delta, extra, capsys):
+        # The snap divides the factor entries by the grid step.  At these
+        # deltas that overflowed: a RuntimeWarning, a system file of
+        # Infinity and NaN, and exit 1.  Over the worst-case Delta 3^1.5
+        # the step underflows to 0.  A warning fails this test
+        # (filterwarnings = error).
+        slack, fact, system = (tmp_path / f for f in ("slack.json", "fact.json", "system.json"))
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
+        capsys.readouterr()
+        code = main(["round", "run", "--slack", str(slack), "--fact", str(fact),
+                     "--delta", delta, "--out", str(system)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not system.exists()
+        assert captured.err.startswith(f"error: --delta {delta}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("side", ["U", "V"])
+    def test_overflowing_factor_norms_exit_2(self, tmp_path, side, capsys):
+        # Cube n=2's embedding with one side scaled by 1e155 and the other
+        # by 1e-155 still reproduces its slack matrix.  The squared norms
+        # of its row factors overflowed in the selection (a RuntimeWarning,
+        # then LinAlgError from the Gram spectrum); those of its column
+        # factors overflow in the warm budget.  A warning fails this test
+        # (filterwarnings = error).
+        slack, fact, scaled, system = (tmp_path / f for f in (
+            "slack.json", "fact.json", "scaled.json", "system.json"))
+        assert main(["slack", "build", "--instance", "cube", "--n", "2",
+                     "--out", str(slack)]) == 0
+        assert main(["fact", "embed", "--slack", str(slack), "--out", str(fact)]) == 0
+        obj = json.loads(fact.read_text())
+        other = "V" if side == "U" else "U"
+        obj[side] = (np.array(obj[side]) * 1e155).tolist()
+        obj[other] = (np.array(obj[other]) * 1e-155).tolist()
+        scaled.write_text(json.dumps(obj))
+        assert main(["fact", "verify", "--slack", str(slack), "--fact", str(scaled),
+                     "--out", str(tmp_path / "verified.json")]) == 0
+        capsys.readouterr()
+        code = main(["round", "run", "--slack", str(slack), "--fact", str(scaled),
+                     "--out", str(system)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not system.exists()
+        assert captured.err.startswith(f"error: --fact {scaled}: ")
+        assert "overflow" in captured.err and captured.err.count("\n") == 1
 
     def test_chain_with_no_selected_row(self, tmp_path, capsys):
         # 0 x <= 0 holds everywhere, so the slack matrix is [[0]], no row is
@@ -1361,9 +1412,12 @@ class TestPipeline:
         code, rep = run_cli(["pipeline", "--instance", "cube", "--n", "2",
                              "--skip-rescale", "--unbalance", "1e4"], capsys)
         assert code == 1
+        # The rounding error is within its bound without rescaling; the
+        # entry bound and the warm budget are not.
         assert rep["verdict"] != "match"
-        assert rep["stages"]["round"]["warm_budget_ok"] is False
-        assert rep["stages"]["round"]["error_bound_ok"] is False
+        round_ = rep["stages"]["round"]
+        assert round_["error_bound_ok"] is True
+        assert round_["entry_bound_ok"] is False and round_["warm_budget_ok"] is False
 
     def test_overflowing_unbalance_exits_2_without_warning(self, capsys):
         with warnings.catch_warnings():

@@ -8,7 +8,7 @@ from psdfact import rounding, symmat
 from psdfact.errors import DimensionError, PreconditionError, ResourceError
 from psdfact.factorization import PsdFactorization, diagonal_embed
 from psdfact.polytopes import HPolytope, build_slack, builtin_instance
-from psdfact.pipeline import PipelineConfig, run_pipeline
+from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.rescaling import rescale
 from psdfact.rounding import (
     MEMBER_RTOL,
@@ -59,15 +59,6 @@ class TestRoundToGrid:
 
 def small_grid(n=2, r=2, big_delta=1.0, scale=1.0):
     return GridParams(n=n, r=r, delta=grid_delta(n, r) * scale, big_delta=big_delta)
-
-
-def reference_round_factor(u, step):
-    """Single-matrix rounding as written before factors were rounded as a stack."""
-    m = symmat.as_symmetric(u)
-    lam, vec = np.linalg.eigh(m)
-    lam, vec = round_to_grid(lam[::-1], step), round_to_grid(vec[:, ::-1], step)
-    rounded = (vec * lam) @ vec.T
-    return round_to_grid((rounded + rounded.T) / 2.0, step)
 
 
 class TestRoundFactor:
@@ -130,9 +121,9 @@ class TestRoundFactor:
         assert zeroed_factors(tiny, round_factor(tiny, g)) == [0]
 
     def test_stack_matches_each_matrix(self):
-        # Slice 1 is zero and slice 2 has a grid step above twice its top
-        # eigenvalue; only slice 2 is reported as zeroed, and every slice
-        # rounds exactly as the single-matrix reference does.
+        # Slice 1 is zero and slice 2's entries lie below half the grid
+        # step; only slice 2 is reported as zeroed, and every slice of the
+        # stack rounds as it does alone.
         gen = rng(12)
         g = small_grid(n=3, r=4, big_delta=2.0)
         b = gen.standard_normal((6, 4, 4))
@@ -143,7 +134,24 @@ class TestRoundFactor:
         assert zeroed_factors(stack, rounded) == [2]
         assert rounded.shape == stack.shape
         for u, got in zip(stack, rounded):
-            assert got.tobytes() == reference_round_factor(u, g.step).tobytes()
+            assert got.tobytes() == round_factor(u, g).tobytes()
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 1e6])
+    def test_entrywise_error_at_any_norm(self, norm):
+        # Each entry moves by at most step / 2, so the Frobenius error is at
+        # most r step / 2 = error_bound / (8 r sqrt(Delta)) whatever the
+        # factor's norm; the result is exactly symmetric and its entries
+        # exceed the factor's by at most step / 2.
+        gen = rng(13)
+        g = small_grid(n=3, r=4, big_delta=9.0)
+        assert 4 * g.step / 2 == pytest.approx(g.error_bound / (8 * 4 * 3.0))
+        for _ in range(50):
+            u = random_psd(gen, 4)
+            u *= norm / symmat.operator_norm(u)
+            rounded = round_factor(u, g)
+            assert np.linalg.norm(rounded - u) <= 4 * g.step / 2
+            np.testing.assert_array_equal(rounded, rounded.T)
+            assert np.abs(rounded).max() <= np.abs(u).max() + g.step / 2
 
     def test_delta_cap_enforced(self):
         with pytest.raises(PreconditionError):
@@ -381,6 +389,26 @@ class TestBuildRoundedSystem:
                                      scale=float(gen.uniform(0.1, 1.0)))
             system = build_rounded_system(h, f, g)
             assert system.error_fnorm == self.reference_error_fnorm(f, g, system.selected)
+
+
+class TestRoundReport:
+    @pytest.mark.parametrize("skip_rescale", [False, True], ids=["rescaled", "unrescaled"])
+    def test_warm_budget_reads_the_column_factors(self, skip_rescale):
+        # Rounding moves vertex j's residual on row i by <U'_i - U_i, V^j>,
+        # at most ||E_i||_F ||V^j||_F, so the warm budget's value is the
+        # largest rounding error times the largest column factor norm of the
+        # factorization that was rounded, rescaled or not.
+        rep = run_pipeline("cube", 2, PipelineConfig(skip_rescale=skip_rescale,
+                                                     unbalance=1e4, seed=0))
+        h, v = builtin_instance("cube", 2)
+        s = build_slack(h, v)
+        f = _unbalance_congruence(diagonal_embed(s), 1e4, 0)
+        working = f if skip_rescale else rescale(f, s).factorization
+        top = max(float(np.linalg.norm(col)) for col in working.col_factors)
+        round_ = rep["stages"]["round"]
+        assert round_["warm_budget_value"] == pytest.approx(
+            round_["max_error_fnorm"] * top, rel=1e-12)
+        assert round_["warm_budget_ok"] is (not skip_rescale)
 
 
 def rounded_unit_square():
