@@ -43,7 +43,6 @@ from .rescaling import (
 from .rounding import (
     GridParams,
     MembershipConfig,
-    MembershipVerdict,
     ReconstructionReport,
     RoundedSystem,
     build_rounded_system,

@@ -11,10 +11,13 @@ rescaling applies to a whole factorization, verification against a
 slack matrix, the canonical diagonal embedding, a Levenberg-Marquardt
 search for factorizations of a given side, and the potential function
 (product of the two largest operator norms) that the rescaler drives
-down.  Every measurement of a factorization takes one path:
-``side_extremes`` (one eigvalsh over both stacks) -> ``top_norms`` ->
-``potential``; ``verify_factorization``, ``from_factors`` and the
-rescaler read the same extremes.
+down.  ``from_factors``, ``verify_factorization`` and ``rescale``
+measure a factorization by ``side_extremes`` (one eigvalsh over both
+stacks), read through ``top_norms``, and ``rescale`` multiplies the two
+top norms into the potential.  ``potential`` takes the same path for
+``descent_step`` when it is given no ``phi0``; ``descent_step`` measures
+its line-search candidates by ``symmat.operator_norms``, one batched
+eigvalsh per side.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ given.
 The verdicts come back as a ``ReconstructionReport`` of columns, one row
 per point: points, verdict codes, violations, dual margins, iterations,
 witnesses and duals.  Its point lists and JSON form are built from those
-columns in bulk, and ``verdict(k)`` gives one point as a
-``MembershipVerdict``, which ``membership_test`` returns.
+columns in bulk.  ``membership_test`` decides one point and returns its
+one-row report.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class GridParams(Record):
         if not math.isfinite(r * big_delta):
             raise PreconditionError(f"Delta must be finite, with r * Delta = {r} * "
                                     f"{big_delta:.3g} below the float maximum")
-        if not 0 < delta <= grid_delta(n, r) * (1 + 1e-12):
+        if not 0 < delta <= grid_delta(n, r):
             raise PreconditionError(f"delta must lie in (0, {grid_delta(n, r):.3g}]", arg="delta")
         self._set_fields(n, r, delta, big_delta, worst_case)
 
@@ -328,28 +328,17 @@ class MembershipConfig(Record):
     _defaults = {"seed": 11}
 
 
-class MembershipVerdict(Record):
-    """The oracle's verdict on one ``point``.
-
-    ``verdict`` is "member-with-witness", "rejected" or "inconclusive";
-    ``witness`` the final iterate Y, None when rejected; ``violation``
-    max_i |residual_i| - budget at the final iterate; ``dual_margin``
-    lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, best seen; ``dual``
-    that lambda (||lambda||_1 = 1), None when accepted, where a single-row
-    dual has one +-1 entry.
-    """
-
-    __slots__ = ("point", "verdict", "witness", "violation", "dual_margin", "dual", "iterations")
-
-
 class ReconstructionReport(Record):
     """The oracle's verdicts on a list of points, one array per field.
 
-    Row k of every array belongs to point k: ``points`` (B, n) int,
-    ``codes`` (B,) indices into VERDICTS, ``violations`` and ``margins``
-    (B,) as ``MembershipVerdict`` defines them, ``iterations`` (B,), and
-    the final iterates ``witnesses`` (B, r, r) and best duals ``duals``
-    (B, m).  ``verdict(k)`` gives point k as a ``MembershipVerdict``.
+    Row k of every array belongs to point k: ``points`` (B, n) int;
+    ``codes`` (B,) indices into VERDICTS; ``violations`` (B,)
+    max_i |residual_i| - budget at the final iterate; ``margins`` (B,)
+    lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget of the best dual
+    seen; ``iterations`` (B,); the final iterates ``witnesses`` (B, r, r);
+    and those best duals ``duals`` (B, m), of l1 norm 1 (a single-row dual
+    has one +-1 entry), or 0 when none was kept.  Every row holds both,
+    whatever its verdict.
     """
 
     __slots__ = ("points", "codes", "violations", "margins", "iterations", "witnesses", "duals")
@@ -373,19 +362,6 @@ class ReconstructionReport(Record):
     @property
     def complete(self) -> bool:
         return not (self.codes == INCONCLUSIVE).any()
-
-    def verdict(self, k: int) -> MembershipVerdict:
-        """Point k's verdict; its witness is None when rejected, its dual None when accepted."""
-        code = int(self.codes[k])
-        return MembershipVerdict(
-            point=tuple(self.points[k].tolist()),
-            verdict=VERDICTS[code],
-            witness=None if code == REJECTED else self.witnesses[k],
-            violation=float(self.violations[k]),
-            dual_margin=float(self.margins[k]),
-            dual=None if code == MEMBER else self.duals[k],
-            iterations=int(self.iterations[k]),
-        )
 
     def to_json(self) -> dict:
         """Point lists by verdict, and one entry per point with its certificate values."""
@@ -566,14 +542,14 @@ def _decide(system: RoundedSystem, xs: np.ndarray, warm: np.ndarray,
 
 
 def membership_test(x, system: RoundedSystem,
-                    warm_start: np.ndarray | None = None) -> MembershipVerdict:
+                    warm_start: np.ndarray | None = None) -> ReconstructionReport:
     """Decide one lattice point: a PSD witness Y with ||Y|| <= sqrt(r Delta)
     certifies membership, a dual functional certifies rejection.
 
     The search starts from ``warm_start``, else from 0; it is the batched
-    oracle of ``reconstruct`` run on one point.  ``x`` must have n
-    coordinates and ``warm_start`` be (r, r), as the system's grid says;
-    a point need not lie in {0,1}^n.
+    oracle of ``reconstruct`` run on one point, and its one-row report is
+    returned.  ``x`` must have n coordinates and ``warm_start`` be (r, r),
+    as the system's grid says; a point need not lie in {0,1}^n.
     """
     n, r = system.grid.n, system.grid.r
     x = np.asarray(x, dtype=float)
@@ -583,7 +559,7 @@ def membership_test(x, system: RoundedSystem,
               else np.asarray(warm_start, dtype=float)[None])
     if starts.shape[1:] != (r, r):
         raise DimensionError(f"warm start must have shape ({r}, {r}), got {starts.shape[1:]}")
-    return _decide(system, x[None], np.arange(len(starts)), starts).verdict(0)
+    return _decide(system, x[None], np.arange(len(starts)), starts)
 
 
 def reconstruct(system: RoundedSystem, warm_starts: tuple | None = None) -> ReconstructionReport:

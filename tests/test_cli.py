@@ -1273,6 +1273,41 @@ class TestRoundReconstruct:
         assert captured.err.startswith(f"error: --fact {scaled}: ")
         assert "overflow" in captured.err and captured.err.count("\n") == 1
 
+    # 5e-13 above grid_delta(2, 4) = 5.425347222222222e-05, cube n=2's
+    # maximum; a relative slack of 1e-12 once let it through.
+    ABOVE_MAX = "5.425347222224935e-05"
+
+    @pytest.mark.parametrize("delta,code", [("max", 0), ("max/10", 0), (repr(grid_delta(2, 4)), 0),
+                                            (ABOVE_MAX, 2)])
+    def test_delta_above_the_maximum_exits_2(self, tmp_path, delta, code, capsys):
+        slack, fact, resc, system = (str(tmp_path / f) for f in (
+            "slack.json", "fact.json", "resc.json", "system.json"))
+        assert main(["slack", "build", "--instance", "cube", "--n", "2", "--out", slack]) == 0
+        assert main(["fact", "embed", "--slack", slack, "--out", fact]) == 0
+        assert main(["rescale", "run", "--slack", slack, "--fact", fact, "--out", resc]) == 0
+        capsys.readouterr()
+        assert main(["round", "run", "--slack", slack, "--fact", resc, "--delta", delta,
+                     "--out", system]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"error: --delta {delta}: delta must lie in (0, 5.43e-05]\n"
+            assert not Path(system).exists()
+        else:
+            assert err == "" and json.loads(Path(system).read_text())["grid"]["r"] == 4
+
+    def test_system_with_delta_above_the_maximum_exits_2(self, tmp_path, capsys):
+        system = unrescaled_system(tmp_path, "cube", 2)
+        obj = json.loads(system.read_text())
+        assert obj["grid"]["delta"] == grid_delta(2, 4)
+        obj["grid"]["delta"] = float(self.ABOVE_MAX)
+        bad = tmp_path / "above.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["reconstruct", "--system", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --system {bad}: delta must lie in (0, 5.43e-05]\n"
+
     def test_chain_with_no_selected_row(self, tmp_path, capsys):
         # 0 x <= 0 holds everywhere, so the slack matrix is [[0]], no row is
         # selected and the system has no rows: both points of {0,1} are

@@ -12,7 +12,6 @@ from psdfact.rescaling import CERTIFICATE_TOL, JohnDecomposition, RescaleConfig,
 from psdfact.rounding import (
     GridParams,
     MembershipConfig,
-    MembershipVerdict,
     ReconstructionReport,
     RoundedSystem,
     grid_delta,
@@ -54,9 +53,6 @@ FIELDS = {
                             "factors": np.zeros((3, 1, 1)), "grid": _grid(),
                             "selected": (0,), "error_fnorm": (0.0,), "zeroed": ()},
     MembershipConfig: lambda: {"seed": 5},
-    MembershipVerdict: lambda: {"point": (0, 1), "verdict": "rejected", "witness": None,
-                                "violation": 0.1, "dual_margin": 0.2,
-                                "dual": np.array([1.0]), "iterations": 1},
     ReconstructionReport: lambda: {"points": np.zeros((1, 2), dtype=int),
                                    "codes": np.array([1]), "violations": np.array([0.1]),
                                    "margins": np.array([0.2]), "iterations": np.array([1]),
@@ -113,7 +109,7 @@ def test_generic_constructor_records():
     assert {cls.__name__ for cls in GENERIC} == {
         "BoundReport", "FactorizationReport", "FitResult",
         "JohnDecomposition", "RescaleConfig", "RescaleResult", "RoundedSystem",
-        "MembershipConfig", "MembershipVerdict", "ReconstructionReport"}
+        "MembershipConfig", "ReconstructionReport"}
 
 
 @pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)

@@ -11,7 +11,10 @@ from psdfact.polytopes import HPolytope, build_slack, builtin_instance
 from psdfact.pipeline import PipelineConfig, _unbalance_congruence, run_pipeline
 from psdfact.rescaling import rescale
 from psdfact.rounding import (
+    INCONCLUSIVE,
+    MEMBER,
     MEMBER_RTOL,
+    REJECTED,
     GridParams,
     MembershipConfig,
     RoundedSystem,
@@ -428,11 +431,6 @@ def rounded_instance(instance, n):
     return h, v, res, build_rounded_system(h, res.factorization, g)
 
 
-def verdicts(report):
-    """Every point of a ReconstructionReport as a MembershipVerdict, in order."""
-    return [report.verdict(k) for k in range(len(report.codes))]
-
-
 def numpy_dual_margin(system, x, lam):
     """lambda.c - cap tr((sum_i lambda_i U_i)_+) - budget, with plain numpy."""
     c = system.b - system.a @ np.asarray(x, dtype=float)
@@ -485,23 +483,23 @@ class TestMembership:
     def test_vertices_accepted_with_warm_start(self):
         _, v, _, res, _, system = rounded_unit_square()
         for j, x in enumerate(v.points):
-            verdict = membership_test(
+            one = membership_test(
                 x.astype(float), system, warm_start=res.factorization.col_factors[j]
             )
-            assert verdict.verdict == "member-with-witness"
-            assert verdict.iterations == 1
-            assert verdict.violation <= 0.0
-            assert numpy_violation(system, x, verdict.witness) <= 0.0
-            assert symmat.operator_norm(verdict.witness) <= system.grid.witness_cap * (1 + 1e-9)
-            assert verdict.dual is None and verdict.dual_margin <= 0.0
+            assert one.codes[0] == MEMBER
+            assert one.iterations[0] == 1
+            assert one.violations[0] <= 0.0
+            assert numpy_violation(system, x, one.witnesses[0]) <= 0.0
+            assert symmat.operator_norm(one.witnesses[0]) <= system.grid.witness_cap * (1 + 1e-9)
+            assert one.margins[0] <= 0.0
 
     def test_vertices_accepted_cold(self):
         _, v, _, _, _, system = rounded_unit_square()
         for x in v.points:
-            verdict = membership_test(x.astype(float), system)
-            assert verdict.verdict == "member-with-witness"
-            assert numpy_violation(system, x, verdict.witness) <= system.grid.budget * MEMBER_RTOL
-            assert np.linalg.eigvalsh(verdict.witness)[0] >= -1e-12
+            one = membership_test(x.astype(float), system)
+            assert one.codes[0] == MEMBER
+            assert numpy_violation(system, x, one.witnesses[0]) <= system.grid.budget * MEMBER_RTOL
+            assert np.linalg.eigvalsh(one.witnesses[0])[0] >= -1e-12
 
     def test_warm_start_residual_within_budget(self):
         # with the maximal delta the warm-started objective is zero at once
@@ -517,7 +515,8 @@ class TestMembership:
         with pytest.raises(DimensionError, match=r"point must have shape \(2,\), got \(3,\)"):
             membership_test(np.array([0.0, 1.0, 0.0]), system)
         # A point off the lattice is still decided.
-        assert membership_test(np.array([0.5, 0.5]), system).verdict in rounding.VERDICTS
+        assert membership_test(np.array([0.5, 0.5]), system).codes[0] in (
+            MEMBER, REJECTED, INCONCLUSIVE)
 
     def test_warm_start_of_another_side_is_refused(self):
         _, _, _, _, g, system = rounded_unit_square()
@@ -534,14 +533,13 @@ class TestMembership:
         system = build_rounded_system(h, res.factorization, g)
         inside = membership_test(np.array([0.0]), system)
         outside = membership_test(np.array([1.0]), system)
-        assert inside.verdict == "member-with-witness"
-        assert outside.verdict == "rejected"
-        assert outside.violation > 0.0
-        assert outside.witness is None
-        assert np.abs(outside.dual).sum() == pytest.approx(1.0)
-        recomputed = numpy_dual_margin(system, [1.0], outside.dual)
+        assert inside.codes[0] == MEMBER
+        assert outside.codes[0] == REJECTED
+        assert outside.violations[0] > 0.0
+        assert np.abs(outside.duals[0]).sum() == pytest.approx(1.0)
+        recomputed = numpy_dual_margin(system, [1.0], outside.duals[0])
         assert recomputed > 0.0
-        assert outside.dual_margin == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
+        assert outside.margins[0] == pytest.approx(recomputed, rel=1e-9, abs=1e-12)
 
     def test_pipeline_membership_seed_changes_no_report(self):
         # The benchmark's sweep and accept workloads vary this seed.
@@ -555,12 +553,14 @@ class TestMembership:
         # from a cold start; with a cap of 5 they stay live.
         monkeypatch.setattr(rounding, "MEMBER_MAX_ITERS", 5)
         _, _, _, system = rounded_instance("crosspoly_01", 3)
-        verdict = membership_test(np.array([0.0, 1.0, 1.0]), system)
-        assert verdict.verdict == "inconclusive"
-        assert verdict.iterations == 5
-        assert verdict.violation > 0.0
-        assert verdict.dual_margin <= 0.0
-        assert verdict.witness is not None and verdict.dual is not None
+        one = membership_test(np.array([0.0, 1.0, 1.0]), system)
+        assert one.points.tolist() == [[0, 1, 1]]
+        assert one.codes[0] == INCONCLUSIVE
+        assert one.iterations[0] == 5
+        assert one.violations[0] > 0.0
+        assert one.margins[0] <= 0.0
+        r = system.grid.r
+        assert one.witnesses.shape == (1, r, r) and one.duals.shape == (1, system.n_rows)
 
 
 def hand_system(rows, factors):
@@ -592,13 +592,13 @@ class TestSingleRowDuals:
         c = system.b - system.a @ [x]
         push = np.maximum(np.abs(c) - system.grid.budget, 0.0) * np.sign(c)
         assert numpy_dual_margin(system, [x], push / np.abs(push).sum()) < 0.0
-        verdict = membership_test(np.array([x]), system)
-        assert verdict.verdict == "rejected"
-        assert verdict.iterations == 1
-        np.testing.assert_array_equal(verdict.dual, [sign, 0.0])
-        recomputed = numpy_dual_margin(system, [x], verdict.dual)
+        one = membership_test(np.array([x]), system)
+        assert one.codes[0] == REJECTED
+        assert one.iterations[0] == 1
+        np.testing.assert_array_equal(one.duals[0], [sign, 0.0])
+        recomputed = numpy_dual_margin(system, [x], one.duals[0])
         assert recomputed > 0.0
-        assert verdict.dual_margin == pytest.approx(recomputed, rel=1e-12)
+        assert one.margins[0] == pytest.approx(recomputed, rel=1e-12)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_flipped_sign_is_caught_by_revalidation(self, case, monkeypatch):
@@ -610,9 +610,9 @@ class TestSingleRowDuals:
             return -lam, value
 
         monkeypatch.setattr(rounding, "_single_row_duals", flipped)
-        verdict = membership_test(np.array([x]), hand_system(rows, factors))
-        assert verdict.verdict != "rejected"
-        assert verdict.dual_margin <= 0.0
+        one = membership_test(np.array([x]), hand_system(rows, factors))
+        assert one.codes[0] != REJECTED
+        assert one.margins[0] <= 0.0
 
     @pytest.mark.parametrize("instance,n", [
         ("cube", 1), ("cube", 2), ("cube", 3), ("cube", 4), ("simplex", 1), ("simplex", 2),
@@ -623,9 +623,9 @@ class TestSingleRowDuals:
         report = reconstruct(system)
         vertices = {tuple(p) for p in v.points.tolist()}
         assert not vertices & set(map(tuple, report.rejected))
-        for ver in verdicts(report):
-            if ver.point in vertices:
-                assert ver.dual_margin <= 0.0
+        for point, margin in zip(report.points.tolist(), report.margins):
+            if tuple(point) in vertices:
+                assert margin <= 0.0
 
 
 class TestReconstruct:
@@ -663,11 +663,12 @@ class TestReconstruct:
         assert report.accepted == sorted(v.points.tolist())
         assert report.rejected == [[0, 0, 0], [1, 1, 1]]
         tol = system.grid.budget * MEMBER_RTOL
-        for ver in verdicts(report):
-            if ver.verdict == "member-with-witness":
-                assert numpy_violation(system, ver.point, ver.witness) <= tol
+        for point, code, witness, dual in zip(report.points, report.codes, report.witnesses,
+                                              report.duals):
+            if code == MEMBER:
+                assert numpy_violation(system, point, witness) <= tol
             else:
-                assert numpy_dual_margin(system, ver.point, ver.dual) > 0.0
+                assert numpy_dual_margin(system, point, dual) > 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_cube_vertices_never_dual_certified(self, n):
@@ -678,12 +679,12 @@ class TestReconstruct:
         report = reconstruct(system)
         assert len(report.accepted) == 2**n
         budget = system.grid.budget
-        for ver in verdicts(report):
-            assert ver.dual_margin <= 0.0
-            c = system.b - system.a @ np.asarray(ver.point, dtype=float)
+        assert (report.margins <= 0.0).all()
+        for point in report.points:
+            c = system.b - system.a @ point.astype(float)
             push = np.maximum(np.abs(c) - budget, 0.0) * np.sign(c)
             if np.abs(push).sum() > 0.0:
-                assert numpy_dual_margin(system, ver.point, push / np.abs(push).sum()) <= 0.0
+                assert numpy_dual_margin(system, point, push / np.abs(push).sum()) <= 0.0
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_unbalanced_simplex_rejects_every_non_vertex(self, n):
@@ -723,22 +724,23 @@ class TestReconstruct:
     def test_warm_started_vertices_take_no_step_norm(self, monkeypatch):
         report, spectral = self.sweep("cube", 3, monkeypatch)
         assert len(report.accepted) == 8
-        assert all(ver.iterations == 1 for ver in verdicts(report))
+        assert (report.iterations == 1).all()
         assert spectral == 0
 
     def test_warm_simplex_sweep_decides_every_point_at_iteration_1(self, monkeypatch):
         report, spectral = self.sweep("simplex", 3, monkeypatch)
         assert spectral == 0
-        got = [(ver.point, ver.verdict[0], ver.iterations) for ver in verdicts(report)]
+        got = [(tuple(point), rounding.VERDICTS[code][0], iterations) for point, code, iterations
+               in zip(report.points.tolist(), report.codes, report.iterations)]
         assert got == self.SIMPLEX3
 
     def test_gradient_steps_take_one_step_norm(self, monkeypatch):
         # from cold starts the vertices need gradient steps
         report, spectral = self.sweep("simplex", 3, monkeypatch, warm=False)
         assert spectral == 1
-        assert [ver.verdict[0] for ver in verdicts(report)] == [m for _, m, _ in self.SIMPLEX3]
-        assert max(ver.iterations for ver in verdicts(report)
-                   if ver.verdict == "member-with-witness") > 1
+        assert [rounding.VERDICTS[code][0] for code in report.codes] == [
+            m for _, m, _ in self.SIMPLEX3]
+        assert report.iterations[report.codes == MEMBER].max() > 1
 
     @pytest.mark.parametrize("instance,n,warm", [
         ("simplex", 3, True), ("crosspoly_01", 2, True), ("simplex", 3, False),
@@ -751,14 +753,16 @@ class TestReconstruct:
         starts = (v.points, res.factorization.col_factors) if warm else None
         report = reconstruct(system, warm_starts=starts)
         vertices = {tuple(p): j for j, p in enumerate(v.points.tolist())}
-        for ver in verdicts(report):
-            j = vertices.get(ver.point)
-            one = membership_test(np.array(ver.point, dtype=float), system,
+        for k, point in enumerate(report.points.tolist()):
+            j = vertices.get(tuple(point))
+            one = membership_test(np.array(point, dtype=float), system,
                                   warm_start=res.factorization.col_factors[j]
                                   if warm and j is not None else None)
-            assert (one.verdict, one.iterations) == (ver.verdict, ver.iterations), ver.point
-            assert one.violation == pytest.approx(ver.violation, rel=1e-12, abs=0.0)
-            assert one.dual_margin == pytest.approx(ver.dual_margin, rel=1e-12, abs=0.0)
+            assert one.points.tolist() == [point]
+            assert (one.codes[0], one.iterations[0]) == (
+                report.codes[k], report.iterations[k]), point
+            assert one.violations[0] == pytest.approx(report.violations[k], rel=1e-12, abs=0.0)
+            assert one.margins[0] == pytest.approx(report.margins[k], rel=1e-12, abs=0.0)
 
     def test_batches_give_the_one_batch_verdicts(self, monkeypatch):
         _, v, res, system = rounded_instance("simplex", 3)
@@ -775,7 +779,7 @@ class TestReconstruct:
         report = reconstruct(system)
         seen = report.accepted
         assert seen == sorted(seen)
-        assert [ver.point for ver in verdicts(report)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert report.points.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_report_lists_every_point(self):
         _, _, _, system = rounded_instance("simplex", 3)

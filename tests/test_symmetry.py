@@ -7,9 +7,10 @@ vector that is 1 where D is -1.  It maps the polytope a x <= b onto
 integers integral.  Each run maps a grid builtin by a seeded symmetry,
 shuffles its rows and its points, and runs the stages as ``run_pipeline``
 does, plain and after a 1e4 congruence.  The accepted and rejected lists
-must be the builtin's own, mapped, with no point inconclusive.  The number
-of selected rows is not compared: under a congruence it can turn on
-round-off.
+must be the builtin's own, mapped, with no point inconclusive, and the
+rescale stage's reduced dimension, certificate and start the builtin's
+own.  The number of selected rows is not compared: under a congruence it
+can turn on round-off.
 """
 
 import numpy as np
@@ -26,18 +27,21 @@ import grid_fixture
 MAPS = 5
 
 
-def verdicts(h, v, unbalanced):
-    """The accepted and rejected lists of the chain that ``run_pipeline`` runs."""
+def outcome(h, v, unbalanced):
+    """The accepted and rejected lists of the chain that ``run_pipeline`` runs, and its
+    rescale stage's reduced dimension, certificate and start."""
     s = build_slack(h, v)
     f = diagonal_embed(s)
     if unbalanced:
         f = _unbalance_congruence(f, 1e4, 0)
-    working = rescale(f, s).factorization
+    res = rescale(f, s)
+    working = res.factorization
     grid = GridParams.for_slack(n=h.dim, r=working.side, delta_eff=s.max_entry)
     report = reconstruct(build_rounded_system(h, working, grid),
                          warm_starts=(v.points, working.col_factors))
     assert report.complete
-    return report.accepted, report.rejected
+    return (report.accepted, report.rejected,
+            (res.reduced_dim, res.certificate, res.diagnostics["start"]))
 
 
 def random_symmetry(gen, n):
@@ -51,7 +55,7 @@ def random_symmetry(gen, n):
                          ids=[f"{name}-{n}" for name, n in grid_fixture.GRID_INSTANCES])
 def test_verdicts_map_under_cube_symmetries(instance, n, unbalanced):
     h, v = builtin_instance(instance, n)
-    accepted, rejected = verdicts(h, v, unbalanced)
+    accepted, rejected, rescaled = outcome(h, v, unbalanced)
     gen = np.random.default_rng([grid_fixture.GRID_INSTANCES.index((instance, n)), unbalanced])
     for _ in range(MAPS):
         m, shift = random_symmetry(gen, h.dim)
@@ -63,4 +67,5 @@ def test_verdicts_map_under_cube_symmetries(instance, n, unbalanced):
         def mapped(points):
             return sorted((np.reshape(points, (-1, h.dim)) @ m.T + shift).tolist())
 
-        assert verdicts(mapped_h, mapped_v, unbalanced) == (mapped(accepted), mapped(rejected))
+        assert outcome(mapped_h, mapped_v, unbalanced) == (
+            mapped(accepted), mapped(rejected), rescaled)
